@@ -6,20 +6,13 @@
 #   stat     — seeded statistical ensembles (build tag "stat"): the √2-law
 #              assertions of Prop 3.3 through the instrumented gateway
 #   bench    — admission hot-path benchmarks
-#   bench-json — capture the gateway benchmarks as BENCH_gateway.json via
-#              cmd/benchjson; bench-cmp diffs a fresh run against the
-#              committed baseline (fails on >20% ns/op regression or any
-#              allocs/op growth)
-#   bench-server-json — capture the serving-layer benchmark (loopback
-#              client -> server -> gateway) as BENCH_server.json;
-#              bench-server-cmp diffs a fresh run against the committed
-#              baseline, gating ns/decision (the budgeted number) and
-#              allocs/op rather than ns/op of the whole pipelined round
-#   bench-sim-json — capture the simulation-engine benchmarks (the columnar
-#              impulsive replication kernel and the churn-heavy engine) as
-#              BENCH_sim.json; bench-sim-cmp diffs a fresh run against the
-#              committed baseline, gating ns/op and allocs/op — the budget
-#              the statistical tiers spend (n >= 3200 sqrt2-law ensembles)
+#   bench-json, bench-server-json, bench-sim-json — capture one row of the
+#              benchmark table below (gateway hot path; loopback client ->
+#              server -> gateway; simulation engine) as BENCH_<name>.json
+#              via cmd/benchjson. The matching bench-cmp, bench-server-cmp,
+#              bench-sim-cmp diff a fresh run against the committed
+#              baseline (fail on >20% regression of the row's gated metric
+#              or any allocs/op growth)
 #   fuzz     — short adversarial-input fuzzing of the estimator and
 #              controller (checked-in corpora replay in plain `go test`)
 #   vet      — go vet plus cmd/vetenum, which proves every enum constant
@@ -56,15 +49,19 @@
 
 GO ?= go
 
-.PHONY: all build test race test-stat bench bench-json bench-cmp bench-server-json bench-server-cmp bench-sim-json bench-sim-cmp fuzz golden vet test-chaos test-net test-cluster test-adaptive test-scenario scenarios
+.PHONY: all build test race test-stat bench bench-json bench-cmp bench-gateway-json bench-gateway-cmp bench-server-json bench-server-cmp bench-sim-json bench-sim-cmp fuzz golden vet test-chaos test-net test-cluster test-adaptive test-scenario scenarios
 
 all: build test
 
 build:
 	$(GO) build ./...
 
+# The benchmark harness is a module of its own (benchmark/go.mod), so
+# ./... does not reach its smoke test; it compiles against the exported
+# API of internal/..., which is what a refactor here can break.
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) test .
 
 # Tier-1.5: the whole tree under the race detector. The gateway and the
 # simulation worker pool are the packages with real concurrency; the rest
@@ -85,47 +82,40 @@ test-stat:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Serving-path benchmark baseline: the Gateway benchmarks captured as JSON.
-# `make bench-json` refreshes BENCH_gateway.json in place (commit the
-# change when a perf PR moves the numbers); `make bench-cmp` measures
-# without overwriting and diffs against the committed baseline.
-GATEWAY_BENCH = $(GO) test -run '^$$' -bench 'BenchmarkGateway' -benchtime 2s -benchmem .
+# Benchmark baselines, one row per committed BENCH_<name>.json: the
+# package and -bench selection that produce it, and the metrics its cmp
+# gate holds to 20% (allocs/op may never grow). `make bench-<name>-json`
+# refreshes the baseline in place (commit the change when a perf PR moves
+# the numbers); `make bench-<name>-cmp` measures without overwriting and
+# diffs against the committed baseline.
+#   gateway — the admission hot path (root package).
+#   server  — the end-to-end loopback bench, gated on ns/decision (departs
+#             ride along in each round, so raw ns/op measures the whole
+#             128-frame pipeline, not the budget). -count 3 because the
+#             round trip is scheduler-bound: benchjson collapses replicates
+#             to the fastest run, the stable estimator on a shared machine.
+#   sim     — the columnar impulsive-replication kernel (the hot path behind
+#             every ensemble) and the churn-heavy engine. -count 4 because
+#             replication benches are FP-throughput-bound and scheduler
+#             noise is one-sided.
+BENCHES        = gateway server sim
+BENCH_gateway  = -bench 'BenchmarkGateway' -benchtime 2s .
+BENCH_server   = -bench 'BenchmarkServerAdmit' -benchtime 2s -count 3 ./internal/server
+BENCH_sim      = -bench 'BenchmarkImpulsiveReplication$$|BenchmarkEngineChurn' -benchtime 1s -count 4 ./internal/sim
+METRIC_gateway = ns/op,allocs/op
+METRIC_server  = ns/decision,allocs/op
+METRIC_sim     = ns/op,allocs/op
 
-bench-json:
-	$(GATEWAY_BENCH) | $(GO) run ./cmd/benchjson -out BENCH_gateway.json
+$(BENCHES:%=bench-%-json): bench-%-json:
+	$(GO) test -run '^$$' -benchmem $(BENCH_$*) | $(GO) run ./cmd/benchjson -out BENCH_$*.json
 
-bench-cmp:
-	$(GATEWAY_BENCH) | $(GO) run ./cmd/benchjson -out /tmp/BENCH_gateway.new.json
-	$(GO) run ./cmd/benchjson -cmp -threshold 20 -metric ns/op,allocs/op BENCH_gateway.json /tmp/BENCH_gateway.new.json
+$(BENCHES:%=bench-%-cmp): bench-%-cmp:
+	$(GO) test -run '^$$' -benchmem $(BENCH_$*) | $(GO) run ./cmd/benchjson -out /tmp/BENCH_$*.new.json
+	$(GO) run ./cmd/benchjson -cmp -threshold 20 -metric $(METRIC_$*) BENCH_$*.json /tmp/BENCH_$*.new.json
 
-# Serving-layer benchmark baseline: the end-to-end loopback bench captured
-# as JSON, gated on ns/decision (departs ride along in each round, so raw
-# ns/op measures the whole 128-frame pipeline, not the budget).
-# -count 3 because the loopback round trip is scheduler-bound: benchjson
-# collapses replicates to the fastest run, the stable estimator on a
-# shared machine.
-SERVER_BENCH = $(GO) test -run '^$$' -bench 'BenchmarkServerAdmit' -benchtime 2s -count 3 -benchmem ./internal/server
-
-bench-server-json:
-	$(SERVER_BENCH) | $(GO) run ./cmd/benchjson -out BENCH_server.json
-
-bench-server-cmp:
-	$(SERVER_BENCH) | $(GO) run ./cmd/benchjson -out /tmp/BENCH_server.new.json
-	$(GO) run ./cmd/benchjson -cmp -threshold 20 -metric ns/decision,allocs/op BENCH_server.json /tmp/BENCH_server.new.json
-
-# Simulation-engine benchmark baseline: the columnar impulsive-replication
-# kernel (the hot path behind every ensemble) and the churn-heavy engine
-# (arrival/departure/heap traffic). -count 4 because replication benches
-# are FP-throughput-bound and scheduler noise is one-sided: benchjson
-# collapses replicates to the fastest run.
-SIM_BENCH = $(GO) test -run '^$$' -bench 'BenchmarkImpulsiveReplication$$|BenchmarkEngineChurn' -benchtime 1s -count 4 -benchmem ./internal/sim
-
-bench-sim-json:
-	$(SIM_BENCH) | $(GO) run ./cmd/benchjson -out BENCH_sim.json
-
-bench-sim-cmp:
-	$(SIM_BENCH) | $(GO) run ./cmd/benchjson -out /tmp/BENCH_sim.new.json
-	$(GO) run ./cmd/benchjson -cmp -threshold 20 -metric ns/op,allocs/op BENCH_sim.json /tmp/BENCH_sim.new.json
+# The gateway pair's historical short names, which the tier recipes call.
+bench-json: bench-gateway-json
+bench-cmp: bench-gateway-cmp
 
 FUZZTIME ?= 30s
 

@@ -4,11 +4,12 @@
 // clock, then prints the admission statistics next to the paper's
 // perfect-knowledge prediction m*.
 //
-// The schedule is pregenerated from the RCBR model (Poisson arrivals,
-// exponential holding times, per-flow rate renegotiations) and replayed in
-// tick-sized windows: within a window, events hit the gateway from -workers
-// goroutines in arbitrary order — the realistic concurrent regime — and a
-// measurement tick closes the window.
+// The schedule is internal/loadgen's renegotiated-RCBR schedule (Poisson
+// arrivals, exponential holding times, per-flow rate renegotiations) and
+// internal/loadgen replays it, in tick-sized windows: within a window the
+// -workers goroutines each walk their own flows' events in order, racing
+// one another — the realistic concurrent regime — and a measurement tick
+// closes the window.
 //
 // Example — a n=100 link under offered load 1.2× its flow capacity:
 //
@@ -54,13 +55,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
-	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -71,300 +72,290 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/fault"
 	"repro/internal/gateway"
+	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/qos"
-	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/theory"
-	"repro/internal/traffic"
 )
-
-type evKind int
-
-const (
-	evAdmit evKind = iota
-	evUpdate
-	evDepart
-)
-
-type event struct {
-	t    float64
-	kind evKind
-	flow uint64
-	rate float64
-}
 
 func main() {
-	var (
-		n         = flag.Float64("n", 100, "link capacity in units of the mean flow rate")
-		svr       = flag.Float64("svr", 0.3, "sigma/mu of a flow")
-		tc        = flag.Float64("tc", 1, "RCBR correlation time (mean segment length)")
-		th        = flag.Float64("th", 200, "mean flow holding time")
-		tm        = flag.Float64("tm", 0, "estimator memory window (0 = memoryless)")
-		estMode   = flag.String("estimator", "", "estimator: memoryless, exponential, window, aggregate or oracle (default: exponential when -tm > 0, else memoryless)")
-		adaptiveF = flag.Bool("adaptive", false, "retune estimator memory online toward the critical time-scale T~_h = th/sqrt(n) (Section 7; needs a memory-bearing -estimator)")
-		pce       = flag.Float64("pce", 1e-2, "certainty-equivalent target overflow probability")
-		lambda    = flag.Float64("lambda", 0.6, "Poisson flow arrival rate")
-		duration  = flag.Float64("duration", 2000, "virtual replay duration")
-		tick      = flag.Float64("tick", 0.5, "measurement tick period (virtual time)")
-		workers   = flag.Int("workers", 8, "concurrent client goroutines")
-		batch     = flag.Int("batch", 32, "admissions coalesced per AdmitBatch call (1 = per-call Admit)")
-		latsample = flag.Int("latsample", 1, "observe admission latency 1-in-N per shard (1 = every decision)")
-		shards    = flag.Int("shards", 16, "gateway flow-table shards")
-		seed      = flag.Uint64("seed", 1, "schedule random seed")
-		listen    = flag.String("listen", "", "serve the observability endpoint on this address (e.g. :8080)")
-		hold      = flag.Bool("hold", false, "keep serving after the replay finishes (requires -listen)")
-		pq        = flag.Float64("pq", 0, "QoS target p_q for the audit (default: the -pce value)")
-		window    = flag.Int("window", 1024, "audit/overflow window in measurement ticks")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "gateway:", err)
+		os.Exit(1)
+	}
+}
 
-		ttl        = flag.Float64("ttl", 0, "flow lease TTL in virtual time (0 = leases off)")
-		staleAfter = flag.Int("stale-after", 0, "degrade after this many stale/faulty ticks (0 = watchdogs off)")
-		degraded   = flag.String("degraded", "freeze", "degraded admission policy: freeze, peak-rate or reject-all")
-		faults     = flag.String("faults", "", "estimator fault schedule, e.g. 'nan:100-120,drop:500-520' (virtual time)")
-		leak       = flag.Float64("leak", 0, "probability a departing flow leaks its slot instead of departing")
-		lie        = flag.Float64("lie", 1, "declared-rate multiplier for admissions (1 = honest clients)")
+// options holds the parsed flags.
+type options struct {
+	n, svr, tc, th, tm, pce, pq, tick, ttl float64
+	latsample, shards, window, staleAfter  int
+	estMode, degraded, listen              string
+	adaptive                               bool
 
-		serve        = flag.Bool("serve", false, "serve the wire admission protocol instead of replaying a schedule")
-		addr         = flag.String("addr", ":9000", "admission protocol listen address (with -serve)")
-		lnShards     = flag.Int("listener-shards", 1, "accept-path listener shards on -addr (SO_REUSEPORT where supported; with -serve)")
-		tickInterval = flag.Duration("tick-interval", 100*time.Millisecond, "wall-clock measurement tick period (with -serve)")
-		maxConns     = flag.Int("max-conns", 1024, "served connection limit (with -serve)")
-		frameRate    = flag.Int("frame-rate", 0, "per-connection frame-rate cap in frames/sec, 0 = off (with -serve)")
-		clusterN     = flag.Int("cluster", 0, "serve N gateway instances behind the headroom router, each with capacity -n (with -serve; 0 = single gateway)")
-		placement    = flag.String("placement", "least-loaded", "cluster placement policy: least-loaded, weighted or round-robin (with -cluster)")
-	)
-	flag.Parse()
-	if *workers < 1 || *tick <= 0 || *duration <= 0 || *lambda <= 0 {
-		fatal(fmt.Errorf("workers, tick, duration and lambda must be positive"))
-	}
-	if *batch < 1 {
-		fatal(fmt.Errorf("batch %d must be at least 1", *batch))
-	}
-	if *latsample < 0 {
-		fatal(fmt.Errorf("latsample %d must be non-negative", *latsample))
-	}
-	if *clusterN < 0 {
-		fatal(fmt.Errorf("cluster %d must be non-negative", *clusterN))
-	}
-	if *clusterN > 0 && !*serve {
-		fatal(fmt.Errorf("-cluster requires -serve"))
+	// Replay mode.
+	lambda, duration, leak, lie float64
+	workers, batch              int
+	seed                        uint64
+	faults                      string
+	hold                        bool
+
+	// Serve mode.
+	serve                                   bool
+	addr, placement                         string
+	lnShards, maxConns, frameRate, clusterN int
+	tickInterval                            time.Duration
+}
+
+// replayOnly names the flags that shape the replayed schedule or its
+// driver; nothing reads them under -serve, so setting one there is an
+// error rather than a silently ignored request.
+var replayOnly = []string{"lambda", "duration", "workers", "batch", "seed", "tc", "faults", "leak", "lie", "hold"}
+
+// run is the whole command: parse and validate args, then replay or serve.
+func run(args []string, stdout io.Writer) error {
+	var o options
+	fs := flag.NewFlagSet("gateway", flag.ContinueOnError)
+	fs.Float64Var(&o.n, "n", 100, "link capacity in units of the mean flow rate")
+	fs.Float64Var(&o.svr, "svr", 0.3, "sigma/mu of a flow")
+	fs.Float64Var(&o.tc, "tc", 1, "RCBR correlation time (mean segment length)")
+	fs.Float64Var(&o.th, "th", 200, "mean flow holding time")
+	fs.Float64Var(&o.tm, "tm", 0, "estimator memory window (0 = memoryless)")
+	fs.StringVar(&o.estMode, "estimator", "", "estimator: memoryless, exponential, window, aggregate or oracle (default: exponential when -tm > 0, else memoryless)")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "retune estimator memory online toward the critical time-scale T~_h = th/sqrt(n) (Section 7; needs a memory-bearing -estimator)")
+	fs.Float64Var(&o.pce, "pce", 1e-2, "certainty-equivalent target overflow probability")
+	fs.Float64Var(&o.lambda, "lambda", 0.6, "Poisson flow arrival rate")
+	fs.Float64Var(&o.duration, "duration", 2000, "virtual replay duration")
+	fs.Float64Var(&o.tick, "tick", 0.5, "measurement tick period (virtual time)")
+	fs.IntVar(&o.workers, "workers", 8, "concurrent client goroutines (flows shard across them by id)")
+	fs.IntVar(&o.batch, "batch", 32, "admissions coalesced per AdmitBatch call (1 = no coalescing)")
+	fs.IntVar(&o.latsample, "latsample", 1, "observe admission latency 1-in-N per shard (1 = every decision)")
+	fs.IntVar(&o.shards, "shards", 16, "gateway flow-table shards")
+	fs.Uint64Var(&o.seed, "seed", 1, "schedule random seed (an internal/loadgen schedule seed)")
+	fs.StringVar(&o.listen, "listen", "", "serve the observability endpoint on this address (e.g. :8080)")
+	fs.BoolVar(&o.hold, "hold", false, "keep serving after the replay finishes (requires -listen)")
+	fs.Float64Var(&o.pq, "pq", 0, "QoS target p_q for the audit (default: the -pce value)")
+	fs.IntVar(&o.window, "window", 1024, "audit/overflow window in measurement ticks")
+
+	fs.Float64Var(&o.ttl, "ttl", 0, "flow lease TTL in virtual time (0 = leases off)")
+	fs.IntVar(&o.staleAfter, "stale-after", 0, "degrade after this many stale/faulty ticks (0 = watchdogs off)")
+	fs.StringVar(&o.degraded, "degraded", "freeze", "degraded admission policy: freeze, peak-rate or reject-all")
+	fs.StringVar(&o.faults, "faults", "", "estimator fault schedule, e.g. 'nan:100-120,drop:500-520' (virtual time)")
+	fs.Float64Var(&o.leak, "leak", 0, "probability a departing flow leaks its slot instead of departing")
+	fs.Float64Var(&o.lie, "lie", 1, "declared-rate multiplier for admissions (1 = honest clients); the true rate follows at once as a rate update")
+
+	fs.BoolVar(&o.serve, "serve", false, "serve the wire admission protocol instead of replaying a schedule (replay flags are rejected)")
+	fs.StringVar(&o.addr, "addr", ":9000", "admission protocol listen address (with -serve)")
+	fs.IntVar(&o.lnShards, "listener-shards", 1, "accept-path listener shards on -addr (SO_REUSEPORT where supported; with -serve)")
+	fs.DurationVar(&o.tickInterval, "tick-interval", 100*time.Millisecond, "wall-clock measurement tick period (with -serve)")
+	fs.IntVar(&o.maxConns, "max-conns", 1024, "served connection limit (with -serve)")
+	fs.IntVar(&o.frameRate, "frame-rate", 0, "per-connection frame-rate cap in frames/sec, 0 = off (with -serve)")
+	fs.IntVar(&o.clusterN, "cluster", 0, "serve N gateway instances behind the headroom router, each with capacity -n (with -serve; 0 = single gateway)")
+	fs.StringVar(&o.placement, "placement", "least-loaded", "cluster placement policy: least-loaded, weighted or round-robin (with -cluster)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
-	ctrl, err := core.NewCertaintyEquivalent(*pce, 1, *svr)
-	if err != nil {
-		fatal(err)
+	switch {
+	case o.workers < 1 || o.tick <= 0 || o.duration <= 0 || o.lambda <= 0:
+		return fmt.Errorf("workers, tick, duration and lambda must be positive")
+	case o.batch < 1:
+		return fmt.Errorf("batch %d must be at least 1", o.batch)
+	case o.latsample < 0:
+		return fmt.Errorf("latsample %d must be non-negative", o.latsample)
+	case o.clusterN < 0:
+		return fmt.Errorf("cluster %d must be non-negative", o.clusterN)
+	case o.clusterN > 0 && !o.serve:
+		return fmt.Errorf("-cluster requires -serve")
+	case o.hold && o.listen == "":
+		return fmt.Errorf("-hold requires -listen")
 	}
-	policy, err := gateway.ParseDegradedPolicy(*degraded)
-	if err != nil {
-		fatal(err)
+	if o.pq <= 0 {
+		o.pq = o.pce
 	}
-	faultWindows, err := fault.ParseWindows(*faults)
-	if err != nil {
-		fatal(err)
+	if !o.serve {
+		return replay(&o, stdout)
 	}
-	plan := fault.ClientPlan{LeakP: *leak, Lie: *lie}
-	if err := plan.Validate(); err != nil {
-		fatal(err)
-	}
-	newEstimator := func() estimator.Estimator {
-		if *estMode == "" {
-			// Legacy behavior: -tm selects the filter.
-			if *tm > 0 {
-				return estimator.NewExponential(*tm)
-			}
-			return estimator.NewMemoryless()
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range replayOnly {
+		if set[name] {
+			return fmt.Errorf("-%s is a replay flag and has no effect with -serve", name)
 		}
-		mode, err := estimator.ParseMode(*estMode)
+	}
+	return serve(&o, stdout)
+}
+
+// gatewayConfig builds one gateway instance's configuration. Every
+// instance gets its own estimator and, with -adaptive, its own time-scale
+// controller (appended to *tuners): the controller's ACF ring and EWMA
+// state are per-instance measurements.
+func (o *options) gatewayConfig(tuners *[]*adaptive.Controller) (cfg gateway.Config, err error) {
+	ctrl, err := core.NewCertaintyEquivalent(o.pce, 1, o.svr)
+	if err != nil {
+		return cfg, err
+	}
+	policy, err := gateway.ParseDegradedPolicy(o.degraded)
+	if err != nil {
+		return cfg, err
+	}
+	// Without -estimator, -tm selects the filter.
+	mode := estimator.ModeMemoryless
+	if o.estMode != "" {
+		if mode, err = estimator.ParseMode(o.estMode); err != nil {
+			return cfg, err
+		}
+	} else if o.tm > 0 {
+		mode = estimator.ModeExponential
+	}
+	est, err := mode.New(o.tm, o.tick, 1, o.svr)
+	if err != nil {
+		return cfg, err
+	}
+	cfg = gateway.Config{
+		Capacity:       o.n,
+		Controller:     ctrl,
+		Estimator:      est,
+		Shards:         o.shards,
+		TickInterval:   o.tickInterval,
+		LatencySample:  o.latsample,
+		OverflowWindow: o.window,
+		FlowTTL:        o.ttl,
+		StaleAfter:     o.staleAfter,
+		Degraded:       policy,
+	}
+	if o.adaptive {
+		t, err := adaptive.New(adaptive.Config{Capacity: o.n, Th: o.th, PQ: o.pq})
 		if err != nil {
-			fatal(err)
+			return cfg, err
 		}
-		switch mode {
-		case estimator.ModeMemoryless:
-			return estimator.NewMemoryless()
-		case estimator.ModeExponential:
-			if *tm <= 0 {
-				fatal(fmt.Errorf("-estimator exponential requires -tm > 0"))
-			}
-			return estimator.NewExponential(*tm)
-		case estimator.ModeWindow:
-			if *tm <= 0 {
-				fatal(fmt.Errorf("-estimator window requires -tm > 0"))
-			}
-			return estimator.NewWindow(*tm)
-		case estimator.ModeAggregate:
-			// The variance memory T_v is structural: long enough to see
-			// fluctuation across ticks, short enough to track load shifts.
-			tv := *tm
-			if tv <= 0 {
-				tv = 8 * *tick
-			}
-			return estimator.NewAggregateOnly(*tm, tv)
-		case estimator.ModeOracle:
-			return &estimator.Oracle{Mu: 1, Sigma: *svr}
-		}
-		fatal(fmt.Errorf("unhandled estimator mode %q", *estMode))
-		return nil
+		*tuners = append(*tuners, t)
+		cfg.Tuner = t
 	}
-	// Each gateway instance gets its own time-scale controller: the
-	// controller's ACF ring and EWMA state are per-instance measurements.
-	var tuners []*adaptive.Controller
-	newTuner := func() gateway.Tuner {
-		if !*adaptiveF {
-			return nil
-		}
-		tcfg := adaptive.Config{Capacity: *n, Th: *th, PQ: *pce}
-		if *pq > 0 {
-			tcfg.PQ = *pq
-		}
-		t, err := adaptive.New(tcfg)
-		if err != nil {
-			fatal(err)
-		}
-		tuners = append(tuners, t)
-		return t
+	return cfg, nil
+}
+
+// replay is the default mode: generate the loadgen schedule, replay it
+// window by window against one gateway on the virtual clock, and print the
+// admission statistics next to the theory prediction.
+func replay(o *options, stdout io.Writer) error {
+	faultWindows, err := fault.ParseWindows(o.faults)
+	if err != nil {
+		return err
 	}
-	if *adaptiveF && len(faultWindows) > 0 {
+	plan := fault.ClientPlan{LeakP: o.leak, Lie: o.lie}
+	if err := plan.Validate(); err != nil { // loadgen would read an all-zero plan (-lie 0) as honest
+		return err
+	}
+	if o.adaptive && len(faultWindows) > 0 {
 		// fault.Wrap interposes on the estimator and does not forward
 		// SetMemory, so the retune loop cannot reach the real filter.
-		fatal(fmt.Errorf("-adaptive cannot be combined with -faults"))
+		return fmt.Errorf("-adaptive cannot be combined with -faults")
 	}
-	est := newEstimator()
+	var tuners []*adaptive.Controller
+	gcfg, err := o.gatewayConfig(&tuners)
+	if err != nil {
+		return err
+	}
 	// The fault wrapper sits between the gateway and the real estimator
 	// whenever a fault schedule is given, so injected NaN bursts and
 	// dropped updates exercise the gateway's hold-last-bound and
 	// degradation paths against otherwise-genuine measurement.
 	var faulty *fault.Estimator
 	if len(faultWindows) > 0 {
-		faulty = fault.Wrap(est)
-		est = faulty
+		faulty = fault.Wrap(gcfg.Estimator)
+		gcfg.Estimator = faulty
 	}
-	if *clusterN > 0 {
-		pol, err := cluster.ParsePlacementPolicy(*placement)
-		if err != nil {
-			fatal(err)
-		}
-		ccfg := cluster.Config{Policy: pol, TickInterval: *tickInterval}
-		for i := 0; i < *clusterN; i++ {
-			ccfg.Instances = append(ccfg.Instances, gateway.Config{
-				Capacity:       *n,
-				Controller:     ctrl,
-				Estimator:      newEstimator(),
-				Shards:         *shards,
-				TickInterval:   *tickInterval,
-				LatencySample:  *latsample,
-				OverflowWindow: *window,
-				FlowTTL:        *ttl,
-				StaleAfter:     *staleAfter,
-				Degraded:       policy,
-				Tuner:          newTuner(),
-			})
-		}
-		cl, err := cluster.New(ccfg)
-		if err != nil {
-			fatal(err)
-		}
-		runServeCluster(cl, *addr, *listen, *maxConns, *frameRate, *lnShards, tuners)
-		return
-	}
-
-	g, err := gateway.New(gateway.Config{
-		Capacity:       *n,
-		Controller:     ctrl,
-		Estimator:      est,
-		Shards:         *shards,
-		TickInterval:   *tickInterval,
-		LatencySample:  *latsample,
-		OverflowWindow: *window,
-		FlowTTL:        *ttl,
-		StaleAfter:     *staleAfter,
-		Degraded:       policy,
-		Tuner:          newTuner(),
-	})
+	g, err := gateway.New(gcfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	if *serve {
-		runServe(g, *addr, *listen, *maxConns, *frameRate, *lnShards, tuners)
-		return
-	}
-
-	auditTarget := *pq
-	if auditTarget <= 0 {
-		auditTarget = *pce
-	}
-	audit, err := qos.NewAudit(qos.AuditConfig{TargetPf: auditTarget, Window: *window})
+	audit, err := qos.NewAudit(qos.AuditConfig{TargetPf: o.pq, Window: o.window})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var auditMu sync.Mutex // audit is single-writer; HTTP readers snapshot under this
 
 	// The observability endpoint runs on its own http.Server; listener
-	// failures surface on Err() and are checked from the replay loop in
-	// the main goroutine rather than exiting asynchronously mid-replay.
-	var endpoint *obs.Endpoint
-	if *listen != "" {
-		endpoint, err = obs.Start(obs.Config{Addr: *listen, Gateway: g, Audit: audit, AuditMu: &auditMu, Adaptive: tuners})
+	// failures surface on Err() and are checked from the replay loop
+	// rather than exiting asynchronously mid-replay.
+	var obsErr <-chan error // stays nil, never ready, without -listen
+	if o.listen != "" {
+		endpoint, err := obs.Start(obs.Config{Addr: o.listen, Gateway: g, Audit: audit, AuditMu: &auditMu, Adaptive: tuners})
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		obsErr = endpoint.Err()
+		// Drain the scrape port instead of letting process exit sever
+		// in-flight scrapes.
+		defer func() {
+			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := endpoint.Shutdown(sctx); err != nil {
+				fmt.Fprintf(os.Stderr, "gateway: observability shutdown: %v\n", err)
+			}
+		}()
 	}
 
-	events := schedule(*lambda, *duration, *th, traffic.NewRCBR(1, *svr, *tc), rng.New(*seed, 0x677764), plan)
-	fmt.Printf("schedule:   %d events (%d flows) over %g virtual time units\n",
-		len(events), countAdmits(events), *duration)
+	events, err := loadgen.Schedule(loadgen.Config{
+		Seed: o.seed, Lambda: o.lambda, Hold: o.th, SVR: o.svr, TC: o.tc,
+		Duration: o.duration, Renegotiate: true, Plan: plan,
+	})
+	if err != nil {
+		return err
+	}
+	flows := 0
+	for _, ev := range events {
+		if ev.Kind == loadgen.KindAdmit {
+			flows++
+		}
+	}
+	fmt.Fprintf(stdout, "schedule:   %d events (%d flows) over %g virtual time units\n", len(events), flows, o.duration)
 
+	// Replay window by window: the workers race through one tick period's
+	// events, then a measurement tick closes the window and republishes
+	// the bound. The Runner keeps its sharding and batching scratch across
+	// windows.
+	runner := loadgen.NewRunner(func(int) loadgen.Target { return &loadgen.GatewayTarget{G: g} },
+		events, loadgen.RunConfig{Workers: o.workers, Batch: o.batch})
+	ctx := context.Background()
 	start := time.Now()
 	activeSum, ticks := 0.0, 0
-	// Per-worker batching scratch lives across windows so the replay's
-	// steady state reuses the same admission buffers every window.
-	scratch := make([]replayWorker, *workers)
-	for i := range scratch {
-		scratch[i].init(*batch)
-	}
-	// Replay window by window: all events inside one tick period run
-	// concurrently across the workers, then a measurement tick closes the
-	// window and republishes the bound.
-	for lo, now := 0, 0.0; lo < len(events) || now < *duration; {
-		now += *tick
-		hi := lo
-		for hi < len(events) && events[hi].t <= now {
-			hi++
+	for now := 0.0; now < o.duration; {
+		now += o.tick
+		if err := runner.Advance(ctx, now); err != nil {
+			return err
 		}
-		replayWindow(g, events[lo:hi], scratch, *batch)
-		lo = hi
 		if faulty != nil {
 			faulty.SetMode(fault.ModeAt(faultWindows, now))
 		}
 		st := g.Tick(now)
 		auditMu.Lock()
-		audit.ObserveWith(st.AggregateRate > *n, st.Degraded)
+		audit.ObserveWith(st.AggregateRate > o.n, st.Degraded)
 		auditMu.Unlock()
-		if now > *duration/2 { // steady-state half
+		if now > o.duration/2 { // steady-state half
 			activeSum += float64(st.Active)
 			ticks++
 		}
-		if endpoint != nil {
-			select {
-			case err, ok := <-endpoint.Err():
-				if ok && err != nil {
-					fatal(err)
-				}
-			default:
+		select {
+		case err := <-obsErr:
+			if err != nil {
+				return err
 			}
+		default:
 		}
 	}
 	wall := time.Since(start)
 
 	st := g.Stats()
-	mstar := theory.AdmissibleFlows(*n, 1, *svr, *pce)
-	fmt.Printf("replay:     %v wall, %.0f events/sec, %d workers\n",
-		wall.Round(time.Millisecond), float64(len(events))/wall.Seconds(), *workers)
-	fmt.Printf("admission:  %d admitted, %d rejected (blocking %.4g), %d departed, %d active\n",
+	mstar := theory.AdmissibleFlows(o.n, 1, o.svr, o.pce)
+	fmt.Fprintf(stdout, "replay:     %v wall, %.0f events/sec, %d workers\n",
+		wall.Round(time.Millisecond), float64(len(events))/wall.Seconds(), o.workers)
+	fmt.Fprintf(stdout, "admission:  %d admitted, %d rejected (blocking %.4g), %d departed, %d active\n",
 		st.Admitted, st.Rejected,
 		float64(st.Rejected)/math.Max(1, float64(st.Admitted+st.Rejected)),
 		st.Departed, st.Active)
-	if *ttl > 0 || *staleAfter > 0 || faulty != nil {
+	if o.ttl > 0 || o.staleAfter > 0 || faulty != nil {
 		degState := "healthy"
 		if st.Degraded {
 			degState = "degraded (" + st.DegradedReason + ")"
@@ -373,108 +364,139 @@ func main() {
 		if faulty != nil {
 			dropped = faulty.Dropped()
 		}
-		fmt.Printf("lifecycle:  %d leases expired, %d updates dropped, policy %s, finished %s\n",
-			st.Expired, dropped, policy, degState)
+		fmt.Fprintf(stdout, "lifecycle:  %d leases expired, %d updates dropped, policy %s, finished %s\n",
+			st.Expired, dropped, gcfg.Degraded, degState)
 	}
-	fmt.Printf("measure:    mu^ %.4g, sigma^ %.4g (ok=%v), aggregate %.4g, %d ticks\n",
+	fmt.Fprintf(stdout, "measure:    mu^ %.4g, sigma^ %.4g (ok=%v), aggregate %.4g, %d ticks\n",
 		st.Mu, st.Sigma, st.MeasurementOK, st.AggregateRate, st.Ticks)
-	fmt.Printf("bound:      M = %.4g vs perfect-knowledge m* = %.4g\n", st.Admissible, mstar)
+	fmt.Fprintf(stdout, "bound:      M = %.4g vs perfect-knowledge m* = %.4g\n", st.Admissible, mstar)
 	for _, t := range tuners {
 		as := t.Snapshot()
-		fmt.Printf("adaptive:   T_m %.4g -> target %.4g, T^_c %.4g, regime %s (p_f masking %.4g, repair %.4g), %d retunes\n",
+		fmt.Fprintf(stdout, "adaptive:   T_m %.4g -> target %.4g, T^_c %.4g, regime %s (p_f masking %.4g, repair %.4g), %d retunes\n",
 			as.Tm, as.Target, as.TcHat, as.Regime, as.PfMasking, as.PfRepair, as.Retunes)
 	}
 	if ticks > 0 {
-		fmt.Printf("steady:     mean active %.4g over the final %d ticks (m* = %.4g)\n",
+		fmt.Fprintf(stdout, "steady:     mean active %.4g over the final %d ticks (m* = %.4g)\n",
 			activeSum/float64(ticks), ticks, mstar)
 	}
 
 	snap := g.Snapshot()
-	fmt.Printf("latency:    admit p50 %.3gs p99 %.3gs mean %.3gs over %d decisions\n",
+	fmt.Fprintf(stdout, "latency:    admit p50 %.3gs p99 %.3gs mean %.3gs over %d decisions\n",
 		snap.AdmitLatency.Quantile(0.5), snap.AdmitLatency.Quantile(0.99),
 		snap.AdmitLatency.Mean(), snap.AdmitLatency.Count)
 	auditMu.Lock()
 	rep := audit.Report()
 	auditMu.Unlock()
-	fmt.Printf("audit:      p_f %.4g [%.4g, %.4g] over %d ticks vs p_q %.4g, sqrt2 law %.4g -> %s\n",
+	fmt.Fprintf(stdout, "audit:      p_f %.4g [%.4g, %.4g] over %d ticks vs p_q %.4g, sqrt2 law %.4g -> %s\n",
 		rep.Estimate.P, rep.Estimate.Lo, rep.Estimate.Hi, rep.Estimate.N,
 		rep.TargetPf, rep.Sqrt2Law, rep.Verdict)
 
-	if endpoint != nil {
-		if *hold {
-			fmt.Printf("holding:    observability endpoint serving on %s (Ctrl-C to exit)\n", *listen)
-			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-			select {
-			case <-ctx.Done():
-			case err := <-endpoint.Err():
-				if err != nil {
-					stop()
-					fatal(err)
-				}
-			}
-			stop()
-		}
-		// Drain the scrape port instead of letting process exit sever
-		// in-flight scrapes.
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := endpoint.Shutdown(sctx); err != nil {
-			fatal(fmt.Errorf("observability shutdown: %w", err))
+	if o.hold {
+		fmt.Fprintf(stdout, "holding:    observability endpoint serving on %s (Ctrl-C to exit)\n", o.listen)
+		hctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		select {
+		case <-hctx.Done():
+		case err := <-obsErr:
+			return err
 		}
 	}
+	return nil
 }
 
-// runServe is the -serve mode: the gateway becomes a long-running network
+// ticked is what serve needs of its backend beyond the admission surface:
+// a wall-clock measurement loop to run and fleet-wide counts to report.
+// One gateway and a cluster of them both have it.
+type ticked interface {
+	server.Backend
+	Run(ctx context.Context)
+	Stats() gateway.Stats
+}
+
+// serve is the -serve mode: the gateway — or, with -cluster N, a fleet of
+// N instances behind the headroom router — becomes a long-running network
 // admission server. The measurement loop ticks on the wall clock, the
-// wire protocol is served on addr, and SIGINT/SIGTERM trigger the
+// wire protocol is served on -addr, and SIGINT/SIGTERM trigger the
 // graceful drain — stop accepting, flush in-flight decisions, depart
 // nothing and let the flow leases reclaim what clients abandoned.
-func runServe(g *gateway.Gateway, addr, listen string, maxConns, frameRate, lnShards int, tuners []*adaptive.Controller) {
-	srv, err := server.New(server.Config{
-		Gateway:   g,
-		MaxConns:  maxConns,
-		FrameRate: frameRate,
-	})
-	if err != nil {
-		fatal(err)
+// Instance drain/failover is an admin-plane operation on the cluster, not
+// part of process shutdown.
+func serve(o *options, stdout io.Writer) error {
+	var (
+		tuners  []*adaptive.Controller
+		backend ticked
+		first   *gateway.Gateway // the instance behind the admission-layer obs routes
+		cl      *cluster.Cluster
+	)
+	if o.clusterN > 0 {
+		pol, err := cluster.ParsePlacementPolicy(o.placement)
+		if err != nil {
+			return err
+		}
+		ccfg := cluster.Config{Policy: pol, TickInterval: o.tickInterval, Instances: make([]gateway.Config, o.clusterN)}
+		for i := range ccfg.Instances {
+			if ccfg.Instances[i], err = o.gatewayConfig(&tuners); err != nil {
+				return err
+			}
+		}
+		if cl, err = cluster.New(ccfg); err != nil {
+			return err
+		}
+		backend, first = cl, cl.Gateway(0)
+	} else {
+		gcfg, err := o.gatewayConfig(&tuners)
+		if err != nil {
+			return err
+		}
+		g, err := gateway.New(gcfg)
+		if err != nil {
+			return err
+		}
+		backend, first = g, g
 	}
-	lns, err := server.Listen(addr, lnShards)
+	srv, err := server.New(server.Config{Backend: backend, MaxConns: o.maxConns, FrameRate: o.frameRate})
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	lns, err := server.Listen(o.addr, o.lnShards)
+	if err != nil {
+		return err
 	}
 	var endpoint *obs.Endpoint
-	if listen != "" {
-		endpoint, err = obs.Start(obs.Config{Addr: listen, Gateway: g, Server: srv, Adaptive: tuners})
+	var obsErr <-chan error
+	if o.listen != "" {
+		endpoint, err = obs.Start(obs.Config{Addr: o.listen, Gateway: first, Server: srv, Cluster: cl, Adaptive: tuners})
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		obsErr = endpoint.Err()
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	tickDone := make(chan struct{})
-	go func() { defer close(tickDone); g.Run(ctx) }()
+	go func() { defer close(tickDone); backend.Run(ctx) }()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(lns...) }()
-	fmt.Printf("serving:    admission protocol on %s across %d listener shard(s) (Ctrl-C to drain)\n",
-		lns[0].Addr(), len(lns))
+	fleet, routes := "", "metrics/snapshot/pprof"
+	if cl != nil {
+		fleet = fmt.Sprintf(", %d-instance cluster (%s placement)", cl.Instances(), cl.Snapshot().Policy)
+		routes = "metrics/snapshot/cluster/pprof"
+	}
+	fmt.Fprintf(stdout, "serving:    admission protocol on %s across %d listener shard(s)%s (Ctrl-C to drain)\n",
+		lns[0].Addr(), len(lns), fleet)
 	if endpoint != nil {
-		fmt.Printf("observing:  metrics/snapshot/pprof on %s\n", endpoint.Addr())
+		fmt.Fprintf(stdout, "observing:  %s on %s\n", routes, endpoint.Addr())
 	}
 
-	var obsErr <-chan error
-	if endpoint != nil {
-		obsErr = endpoint.Err()
-	}
 	select {
 	case <-ctx.Done():
 		// Signal: fall through to the drain.
 	case err := <-serveDone:
-		if err != nil {
-			fatal(fmt.Errorf("admission server: %w", err))
-		}
+		// Before Shutdown, Serve only returns on a listener failure.
+		return fmt.Errorf("admission server: %w", err)
 	case err := <-obsErr:
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	stop()
@@ -486,7 +508,7 @@ func runServe(g *gateway.Gateway, addr, listen string, maxConns, frameRate, lnSh
 		fmt.Fprintf(os.Stderr, "gateway: drain incomplete: %v\n", err)
 	}
 	if err := <-serveDone; err != nil {
-		fatal(fmt.Errorf("admission server: %w", err))
+		return fmt.Errorf("admission server: %w", err)
 	}
 	if endpoint != nil {
 		if err := endpoint.Shutdown(drainCtx); err != nil {
@@ -494,250 +516,20 @@ func runServe(g *gateway.Gateway, addr, listen string, maxConns, frameRate, lnSh
 		}
 	}
 	snap := srv.Snapshot()
-	st := g.Stats()
-	fmt.Printf("served:     %d conns (%d refused), %d frames, %d decisions in %d batches (mean %.2f)\n",
+	st := backend.Stats()
+	fmt.Fprintf(stdout, "served:     %d conns (%d refused), %d frames, %d decisions in %d batches (mean %.2f)\n",
 		snap.ConnsAccepted, snap.ConnsRefused+snap.ConnsDrainRef, snap.Frames,
 		snap.Decisions, snap.Batches, snap.MeanBatch())
-	fmt.Printf("admission:  %d admitted, %d rejected, %d departed, %d expired, %d active at drain\n",
+	fmt.Fprintf(stdout, "admission:  %d admitted, %d rejected, %d departed, %d expired, %d active at drain\n",
 		st.Admitted, st.Rejected, st.Departed, st.Expired, st.Active)
-}
-
-// runServeCluster is the -serve -cluster N mode: the wire protocol is
-// served over a fleet of gateway instances behind the headroom router.
-// The drain contract matches runServe — stop accepting, flush in-flight
-// decisions, depart nothing; instance drain/failover is an admin-plane
-// operation on the cluster, not part of process shutdown.
-func runServeCluster(cl *cluster.Cluster, addr, listen string, maxConns, frameRate, lnShards int, tuners []*adaptive.Controller) {
-	srv, err := cluster.NewServer(cl, server.Config{
-		MaxConns:  maxConns,
-		FrameRate: frameRate,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	lns, err := server.Listen(addr, lnShards)
-	if err != nil {
-		fatal(err)
-	}
-	var endpoint *obs.Endpoint
-	if listen != "" {
-		endpoint, err = obs.Start(obs.Config{Addr: listen, Gateway: cl.Gateway(0), Server: srv, Cluster: cl, Adaptive: tuners})
-		if err != nil {
-			fatal(err)
+	if cl != nil {
+		cs := cl.Snapshot()
+		fmt.Fprintf(stdout, "cluster:    %d pinned, %d placements, %d migrations (%d failed), %d drains\n",
+			cs.Pinned, cs.Placements, cs.Migrations, cs.MigrationFailures, cs.Drains)
+		for _, in := range cs.Instances {
+			fmt.Fprintf(stdout, "instance %d: %s, bound %.4g, active %d, headroom %.4g, placed %d\n",
+				in.Index, in.State, in.Bound, in.Active, in.Headroom, in.Placements)
 		}
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	tickDone := make(chan struct{})
-	go func() { defer close(tickDone); cl.Run(ctx) }()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(lns...) }()
-	fmt.Printf("serving:    admission protocol on %s across %d listener shard(s), %d-instance cluster (%s placement)\n",
-		lns[0].Addr(), len(lns), cl.Instances(), cl.Snapshot().Policy)
-	if endpoint != nil {
-		fmt.Printf("observing:  metrics/snapshot/cluster/pprof on %s\n", endpoint.Addr())
-	}
-
-	var obsErr <-chan error
-	if endpoint != nil {
-		obsErr = endpoint.Err()
-	}
-	select {
-	case <-ctx.Done():
-	case err := <-serveDone:
-		if err != nil {
-			fatal(fmt.Errorf("admission server: %w", err))
-		}
-	case err := <-obsErr:
-		if err != nil {
-			fatal(err)
-		}
-	}
-	stop()
-	<-tickDone
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "gateway: drain incomplete: %v\n", err)
-	}
-	if err := <-serveDone; err != nil {
-		fatal(fmt.Errorf("admission server: %w", err))
-	}
-	if endpoint != nil {
-		if err := endpoint.Shutdown(drainCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "gateway: observability shutdown: %v\n", err)
-		}
-	}
-	snap := srv.Snapshot()
-	st := cl.Stats()
-	cs := cl.Snapshot()
-	fmt.Printf("served:     %d conns (%d refused), %d frames, %d decisions in %d batches (mean %.2f)\n",
-		snap.ConnsAccepted, snap.ConnsRefused+snap.ConnsDrainRef, snap.Frames,
-		snap.Decisions, snap.Batches, snap.MeanBatch())
-	fmt.Printf("admission:  %d admitted, %d rejected, %d departed, %d expired, %d active at drain\n",
-		st.Admitted, st.Rejected, st.Departed, st.Expired, st.Active)
-	fmt.Printf("cluster:    %d pinned, %d placements, %d migrations (%d failed), %d drains\n",
-		cs.Pinned, cs.Placements, cs.Migrations, cs.MigrationFailures, cs.Drains)
-	for _, in := range cs.Instances {
-		fmt.Printf("instance %d: %s, bound %.4g, active %d, headroom %.4g, placed %d\n",
-			in.Index, in.State, in.Bound, in.Active, in.Headroom, in.Placements)
-	}
-}
-
-// schedule pregenerates the full event list: Poisson arrivals over
-// [0, duration), each flow carrying an exponential holding time and RCBR
-// rate renegotiations at its segment boundaries. Events are sorted by time
-// (ties broken by flow then kind for determinism). The client plan shapes
-// misbehavior deterministically: lying clients declare plan.Declared of
-// their first segment rate (their true rates still arrive via updates),
-// and leaking flows simply have no departure event — their slots are the
-// lease sweep's problem. With an honest, non-leaking plan the schedule is
-// bit-identical to previous releases for the same seed.
-func schedule(lambda, duration, th float64, model traffic.Model, r *rng.PCG, plan fault.ClientPlan) []event {
-	var events []event
-	id := uint64(0)
-	for t := r.Exp(1 / lambda); t < duration; t += r.Exp(1 / lambda) {
-		fr := r.Split(id)
-		src := model.New(fr)
-		hold := fr.Exp(th)
-		if t+hold > duration {
-			hold = duration - t
-		}
-		seg := src.Next()
-		events = append(events, event{t: t, kind: evAdmit, flow: id, rate: plan.Declared(seg.Rate)})
-		for st := seg.Duration; st < hold; {
-			seg = src.Next()
-			events = append(events, event{t: t + st, kind: evUpdate, flow: id, rate: seg.Rate})
-			st += seg.Duration
-		}
-		if !(plan.LeakP > 0 && plan.Leaks(fr.Float64())) {
-			events = append(events, event{t: t + hold, kind: evDepart, flow: id})
-		}
-		id++
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].t != events[j].t {
-			return events[i].t < events[j].t
-		}
-		if events[i].flow != events[j].flow {
-			return events[i].flow < events[j].flow
-		}
-		return events[i].kind < events[j].kind
-	})
-	return events
-}
-
-// replayWorker is one goroutine's persistent admission-batching scratch:
-// consecutive arrivals in the worker's event stride coalesce into one
-// AdmitBatch call, amortizing the clock reads and bound load across the
-// bulk arrival, exactly how a production front end drains its accept
-// queue.
-type replayWorker struct {
-	ids   []uint64
-	rates []float64
-	dst   []gateway.Decision
-}
-
-func (rw *replayWorker) init(batch int) {
-	rw.ids = make([]uint64, 0, batch)
-	rw.rates = make([]float64, 0, batch)
-	rw.dst = make([]gateway.Decision, 0, batch)
-}
-
-// flush submits the pending arrivals, if any. The schedule generates
-// unique flow IDs with valid rates, so per-item input Decisions indicate a
-// driver bug and are fatal; capacity refusals are the normal outcome for
-// an overloaded link.
-func (rw *replayWorker) flush(g *gateway.Gateway) {
-	if len(rw.ids) == 0 {
-		return
-	}
-	var err error
-	rw.dst, err = g.AdmitBatch(rw.ids, rw.rates, rw.dst[:0])
-	if err != nil {
-		fatal(err)
-	}
-	for _, d := range rw.dst {
-		if d.Reason == gateway.ReasonInvalidRate || d.Reason == gateway.ReasonDuplicate {
-			fatal(fmt.Errorf("replay schedule produced a %v admission", d.Reason))
-		}
-	}
-	rw.ids = rw.ids[:0]
-	rw.rates = rw.rates[:0]
-}
-
-// replayWindow executes one window's events against the gateway, one
-// goroutine per scratch entry. A worker batches the admits in its stride
-// and flushes before any update/depart so per-flow event order is
-// preserved within the stride. Events of a rejected flow surface as "not
-// active" errors from UpdateRate/Depart and are skipped; any other error
-// is fatal.
-func replayWindow(g *gateway.Gateway, window []event, scratch []replayWorker, batch int) {
-	if len(window) == 0 {
-		return
-	}
-	workers := len(scratch)
-	if workers > len(window) {
-		workers = len(window)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rw := &scratch[w]
-			for i := w; i < len(window); i += workers {
-				ev := window[i]
-				switch ev.kind {
-				case evAdmit:
-					if batch == 1 {
-						if _, err := g.Admit(ev.flow, ev.rate); err != nil {
-							fatal(err)
-						}
-						continue
-					}
-					rw.ids = append(rw.ids, ev.flow)
-					rw.rates = append(rw.rates, ev.rate)
-					if len(rw.ids) >= batch {
-						rw.flush(g)
-					}
-				case evUpdate:
-					rw.flush(g)
-					if err := g.UpdateRate(ev.flow, ev.rate); err != nil && !notActive(err) {
-						fatal(err)
-					}
-				case evDepart:
-					rw.flush(g)
-					if err := g.Depart(ev.flow); err != nil && !notActive(err) {
-						fatal(err)
-					}
-				}
-			}
-			rw.flush(g)
-		}()
-	}
-	wg.Wait()
-}
-
-// notActive reports whether err is the gateway's unknown-flow error.
-func notActive(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "not active")
-}
-
-// countAdmits counts the admission requests in the schedule.
-func countAdmits(events []event) int {
-	n := 0
-	for _, ev := range events {
-		if ev.kind == evAdmit {
-			n++
-		}
-	}
-	return n
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gateway:", err)
-	os.Exit(1)
+	return nil
 }

@@ -4,17 +4,8 @@ import (
 	"repro/internal/server"
 )
 
-// The cluster implements the server's Backend surface, so the pooled wire
-// client talks to a fleet through the exact same protocol it uses against
-// one gateway.
+// The cluster implements the server's Backend surface — server.Config's
+// Backend field takes a *Cluster as it takes a *gateway.Gateway — so the
+// pooled wire client talks to a fleet through the exact same protocol it
+// uses against one gateway.
 var _ server.Backend = (*Cluster)(nil)
-
-// NewServer fronts the cluster with the wire protocol: a server.Server
-// whose admission backend is the routing layer. Every other field of cfg
-// (limits, timeouts, fast-path knobs) is honored as documented on
-// server.Config; cfg.Gateway and cfg.Backend are overwritten.
-func NewServer(c *Cluster, cfg server.Config) (*server.Server, error) {
-	cfg.Gateway = nil
-	cfg.Backend = c
-	return server.New(cfg)
-}

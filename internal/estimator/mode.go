@@ -53,3 +53,36 @@ func ParseMode(s string) (Mode, error) {
 	}
 	return 0, fmt.Errorf("estimator: unknown mode %q (want memoryless, exponential, window, aggregate or oracle)", s)
 }
+
+// New constructs the mode's estimator. memory is T_m (the window W for
+// ModeWindow) and is ignored by the memoryless and oracle modes; tick is
+// the measurement period, which sizes the aggregate estimator's variance
+// memory T_v when memory is not positive — eight periods: long enough to
+// see fluctuation across ticks, short enough to track load shifts; (mu,
+// sigma) are the per-flow statistics the oracle reports.
+func (m Mode) New(memory, tick, mu, sigma float64) (Estimator, error) {
+	switch m {
+	case ModeMemoryless:
+		return NewMemoryless(), nil
+	case ModeExponential, ModeWindow:
+		if !(memory > 0) {
+			return nil, fmt.Errorf("estimator: the %s estimator requires a positive memory, got %g", m, memory)
+		}
+		if m == ModeWindow {
+			return NewWindow(memory), nil
+		}
+		return NewExponential(memory), nil
+	case ModeAggregate:
+		tv := memory
+		if !(tv > 0) {
+			tv = 8 * tick
+		}
+		if !(tv > 0) {
+			return nil, fmt.Errorf("estimator: the aggregate estimator requires a positive memory or tick, got %g and %g", memory, tick)
+		}
+		return NewAggregateOnly(memory, tv), nil
+	case ModeOracle:
+		return &Oracle{Mu: mu, Sigma: sigma}, nil
+	}
+	return nil, fmt.Errorf("estimator: unknown mode %v", m)
+}

@@ -37,3 +37,40 @@ func TestParseModeRoundTrip(t *testing.T) {
 		t.Error("ParseMode accepted empty input")
 	}
 }
+
+// TestModeNew pins the one estimator-from-spec switch: each mode builds
+// its own estimator type with the memory it was given, the aggregate
+// variance memory defaults to eight ticks, and a memory-bearing mode
+// without a memory is an error rather than a constructor panic.
+func TestModeNew(t *testing.T) {
+	for m, want := range map[Mode]string{
+		ModeMemoryless:  "memoryless",
+		ModeExponential: "exponential",
+		ModeWindow:      "window",
+		ModeAggregate:   "aggregate-only",
+		ModeOracle:      "oracle",
+	} {
+		e, err := m.New(5, 0.5, 1, 0.3)
+		if err != nil || e.Name() != want {
+			t.Errorf("%v.New = %v, %v; want a %s estimator", m, e, err, want)
+		}
+	}
+	agg, err := ModeAggregate.New(0, 0.5, 1, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := agg.(*AggregateOnly); a.Tm != 0 || a.Tv != 4 {
+		t.Errorf("aggregate defaults: Tm %g Tv %g, want 0 and 8 ticks = 4", a.Tm, a.Tv)
+	}
+	if a, _ := ModeAggregate.New(5, 0.5, 1, 0.3); a.(*AggregateOnly).Tv != 5 {
+		t.Errorf("aggregate with memory 5: Tv %g, want 5", a.(*AggregateOnly).Tv)
+	}
+	for _, m := range []Mode{ModeExponential, ModeWindow, Mode(99)} {
+		if _, err := m.New(0, 0.5, 1, 0.3); err == nil {
+			t.Errorf("%v.New accepted memory 0", m)
+		}
+	}
+	if _, err := ModeAggregate.New(0, 0, 1, 0.3); err == nil {
+		t.Error("aggregate accepted neither memory nor tick")
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/client"
@@ -288,109 +287,167 @@ func (t ClientTarget) AdmitBatch(ctx context.Context, flows []uint64, rates []fl
 
 // Depart implements Target.
 func (t ClientTarget) Depart(ctx context.Context, flow uint64) (bool, error) {
-	switch err := t.C.Depart(ctx, flow); {
-	case err == nil:
-		return true, nil
-	case errors.Is(err, client.ErrNotActive):
-		return false, nil
-	default:
-		return false, err
-	}
+	return landed(t.C.Depart(ctx, flow))
 }
 
 // UpdateRate implements Target.
 func (t ClientTarget) UpdateRate(ctx context.Context, flow uint64, rate float64) (bool, error) {
-	switch err := t.C.UpdateRate(ctx, flow, rate); {
+	return landed(t.C.UpdateRate(ctx, flow, rate))
+}
+
+// landed maps a client lifecycle call's error to Target's (active, err)
+// shape: the server's not-active and invalid-rate answers are outcomes of
+// the replay, anything else is a failure of it.
+func landed(err error) (bool, error) {
+	switch {
 	case err == nil:
 		return true, nil
 	case errors.Is(err, client.ErrNotActive), errors.Is(err, client.ErrInvalidRate):
 		return false, nil
-	default:
-		return false, err
 	}
+	return false, err
 }
 
-// Replay runs the schedule against tgt deterministically: one goroutine,
-// strict event order, consecutive admits coalesced into AdmitBatch calls
-// of up to batch (flushed before any depart, so per-flow order holds).
-// tick, when non-nil, is called at each multiple of window virtual time —
-// the hook through which a test drives measurement ticks identically on
-// two substrates.
-func Replay(ctx context.Context, tgt Target, events []Event, batch int, window float64, tick func(now float64)) (Stats, error) {
-	if batch < 1 {
-		batch = 1
+// lane is one worker's share of a replay: which of the schedule's events
+// are its own, how far through them it has got, the admits it is
+// coalescing and the outcomes it has counted. Every replay — Replay's
+// single deterministic lane, the concurrent lanes of a Runner — is lanes
+// calling run.
+type lane struct {
+	tgt    Target
+	events []Event   // the whole schedule, shared between lanes
+	own    []uint32  // ascending indices of this lane's events; nil: all of them
+	next   int       // the lane's first next events have been dispatched
+	batch  int       // admits coalesced per AdmitBatch call; below 1 means 1
+	ids    []uint64  // the admits being coalesced
+	rates  []float64 // index-aligned with ids
+	st     Stats
+	err    error // run's result, read by the Runner after the lanes join
+
+	// Pacing: under a positive timescale the lane sleeps toward each
+	// event's wall time, start + T·timescale, before dispatching it.
+	start     time.Time
+	timescale time.Duration
+}
+
+// pending returns the lane's next undispatched event, or nil at the end.
+func (l *lane) pending() *Event {
+	switch {
+	case l.own == nil && l.next < len(l.events):
+		return &l.events[l.next]
+	case l.next < len(l.own):
+		return &l.events[l.own[l.next]]
 	}
-	var st Stats
-	ids := make([]uint64, 0, batch)
-	rates := make([]float64, 0, batch)
-	flush := func() error {
-		if len(ids) == 0 {
-			return nil
-		}
-		ds, err := tgt.AdmitBatch(ctx, ids, rates)
-		if err != nil {
-			return err
-		}
-		for _, d := range ds {
-			if d.Admitted {
-				st.Admitted++
-			} else {
-				st.Rejected++
-			}
-		}
-		ids = ids[:0]
-		rates = rates[:0]
+	return nil
+}
+
+// flush submits the coalesced admits, if any, as one AdmitBatch call.
+func (l *lane) flush(ctx context.Context) error {
+	if len(l.ids) == 0 {
 		return nil
 	}
-	now := 0.0
-	for _, ev := range events {
-		if tick != nil && window > 0 {
-			for ev.T > now {
-				if err := flush(); err != nil {
-					return st, err
+	ds, err := l.tgt.AdmitBatch(ctx, l.ids, l.rates)
+	if err != nil {
+		return err
+	}
+	for _, d := range ds {
+		if d.Admitted {
+			l.st.Admitted++
+		} else {
+			l.st.Rejected++
+		}
+	}
+	l.ids = l.ids[:0]
+	l.rates = l.rates[:0]
+	return nil
+}
+
+// run dispatches the lane's events not later than until, in order, and
+// flushes: the one place a schedule turns into Target calls. Consecutive
+// admits coalesce into AdmitBatch calls of up to batch, flushed before any
+// depart or update so per-flow order holds.
+func (l *lane) run(ctx context.Context, until float64) error {
+	for ev := l.pending(); ev != nil && !(ev.T > until); ev = l.pending() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if l.timescale > 0 {
+			due := l.start.Add(time.Duration(ev.T * float64(l.timescale)))
+			if d := time.Until(due); d > 0 {
+				// Pace the open loop: flush what we have, then wait.
+				if err := l.flush(ctx); err != nil {
+					return err
 				}
-				now += window
-				tick(now)
+				select {
+				case <-time.After(d):
+				case <-ctx.Done():
+					return ctx.Err()
+				}
 			}
 		}
 		switch ev.Kind {
 		case KindAdmit:
-			ids = append(ids, ev.Flow)
-			rates = append(rates, ev.Rate)
-			if len(ids) >= batch {
-				if err := flush(); err != nil {
-					return st, err
+			l.ids = append(l.ids, ev.Flow)
+			l.rates = append(l.rates, ev.Rate)
+			if len(l.ids) >= l.batch { // also true of any batch below 1
+				if err := l.flush(ctx); err != nil {
+					return err
 				}
 			}
 		case KindDepart:
-			if err := flush(); err != nil {
-				return st, err
+			if err := l.flush(ctx); err != nil {
+				return err
 			}
-			active, err := tgt.Depart(ctx, ev.Flow)
+			active, err := l.tgt.Depart(ctx, ev.Flow)
 			if err != nil {
-				return st, err
+				return err
 			}
 			if active {
-				st.Departed++
+				l.st.Departed++
 			} else {
-				st.NotActive++
+				l.st.NotActive++
 			}
 		case KindUpdate:
-			if err := flush(); err != nil {
-				return st, err
+			if err := l.flush(ctx); err != nil {
+				return err
 			}
-			active, err := tgt.UpdateRate(ctx, ev.Flow, ev.Rate)
+			active, err := l.tgt.UpdateRate(ctx, ev.Flow, ev.Rate)
 			if err != nil {
-				return st, err
+				return err
 			}
 			if active {
-				st.Updated++
+				l.st.Updated++
 			} else {
-				st.UpdateMissed++
+				l.st.UpdateMissed++
 			}
 		}
+		l.next++
 	}
-	return st, flush()
+	return l.flush(ctx)
+}
+
+// Replay runs the schedule against tgt deterministically: one lane, strict
+// event order. tick, when non-nil, is called at each multiple of window
+// virtual time, after the events before it have been decided — the hook
+// through which a test drives measurement ticks identically on two
+// substrates.
+func Replay(ctx context.Context, tgt Target, events []Event, batch int, window float64, tick func(now float64)) (Stats, error) {
+	l := lane{tgt: tgt, events: events, batch: batch}
+	if tick == nil || !(window > 0) {
+		err := l.run(ctx, math.Inf(1))
+		return l.st, err
+	}
+	for now := 0.0; l.next < len(events); {
+		if events[l.next].T > now {
+			now += window
+			tick(now)
+			continue
+		}
+		if err := l.run(ctx, now); err != nil {
+			return l.st, err
+		}
+	}
+	return l.st, nil
 }
 
 // RunConfig parameterizes a concurrent open-loop run (the cmd/loadgen
@@ -404,130 +461,86 @@ type RunConfig struct {
 	Timescale time.Duration
 }
 
-// Run replays the schedule concurrently and open-loop: each worker owns
-// the flows with id % Workers == its index and walks their events in
-// time order, sleeping toward each event's wall time under Timescale.
-// Per-flow event order is exact; cross-flow interleaving is whatever the
-// race produces — this is the load tool, not the determinism check.
-func Run(ctx context.Context, tgt func(worker int) Target, events []Event, cfg RunConfig) (Stats, error) {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	per := make([][]Event, cfg.Workers)
-	for _, ev := range events {
-		w := int(ev.Flow % uint64(cfg.Workers))
-		per[w] = append(per[w], ev)
-	}
-	var admitted, rejected, departed, notActive, updated, updateMissed atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.Workers)
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t := tgt(w)
-			ids := make([]uint64, 0, cfg.Batch)
-			rates := make([]float64, 0, cfg.Batch)
-			flush := func() error {
-				if len(ids) == 0 {
-					return nil
-				}
-				ds, err := t.AdmitBatch(ctx, ids, rates)
-				if err != nil {
-					return err
-				}
-				for _, d := range ds {
-					if d.Admitted {
-						admitted.Add(1)
-					} else {
-						rejected.Add(1)
-					}
-				}
-				ids = ids[:0]
-				rates = rates[:0]
-				return nil
-			}
-			for _, ev := range per[w] {
-				if ctx.Err() != nil {
-					errs <- ctx.Err()
-					return
-				}
-				if cfg.Timescale > 0 {
-					due := start.Add(time.Duration(ev.T * float64(cfg.Timescale)))
-					if d := time.Until(due); d > 0 {
-						// Pace the open loop: flush what we have, then wait.
-						if err := flush(); err != nil {
-							errs <- err
-							return
-						}
-						select {
-						case <-time.After(d):
-						case <-ctx.Done():
-							errs <- ctx.Err()
-							return
-						}
-					}
-				}
-				switch ev.Kind {
-				case KindAdmit:
-					ids = append(ids, ev.Flow)
-					rates = append(rates, ev.Rate)
-					if len(ids) >= max(cfg.Batch, 1) {
-						if err := flush(); err != nil {
-							errs <- err
-							return
-						}
-					}
-				case KindDepart:
-					if err := flush(); err != nil {
-						errs <- err
-						return
-					}
-					active, err := t.Depart(ctx, ev.Flow)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if active {
-						departed.Add(1)
-					} else {
-						notActive.Add(1)
-					}
-				case KindUpdate:
-					if err := flush(); err != nil {
-						errs <- err
-						return
-					}
-					active, err := t.UpdateRate(ctx, ev.Flow, ev.Rate)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if active {
-						updated.Add(1)
-					} else {
-						updateMissed.Add(1)
-					}
-				}
-			}
-			errs <- flush()
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	st := Stats{
-		Admitted:     admitted.Load(),
-		Rejected:     rejected.Load(),
-		Departed:     departed.Load(),
-		NotActive:    notActive.Load(),
-		Updated:      updated.Load(),
-		UpdateMissed: updateMissed.Load(),
-	}
-	for err := range errs {
-		if err != nil {
-			return st, err
+// Runner is a schedule sharded for concurrent replay: worker w owns the
+// flows with id % Workers == w and walks their events in time order, so
+// per-flow event order is exact while cross-flow interleaving is whatever
+// the race produces. The sharding (an index list per worker, not a copy
+// of the events) and each worker's position and coalescing scratch are
+// built once and carried across Advance calls, which is what lets a
+// virtual-clock driver replay tick-sized windows without re-sharding the
+// schedule every window.
+type Runner struct{ lanes []lane }
+
+// NewRunner shards events (at most 2^32 of them) across cfg.Workers
+// lanes; tgt supplies each worker's Target (targets with per-call scratch
+// must not be shared). events must not change while the Runner is in use.
+func NewRunner(tgt func(worker int) Target, events []Event, cfg RunConfig) *Runner {
+	workers := max(cfg.Workers, 1)
+	own := make([][]uint32, workers) // stays nil, "all", for a single worker
+	if workers > 1 {
+		for w := range own {
+			own[w] = make([]uint32, 0, len(events)/workers+1) // non-nil even if it stays empty
+		}
+		for i := range events {
+			w := events[i].Flow % uint64(workers)
+			own[w] = append(own[w], uint32(i))
 		}
 	}
-	return st, nil
+	r := &Runner{lanes: make([]lane, workers)}
+	start := time.Now()
+	for w := range r.lanes {
+		r.lanes[w] = lane{tgt: tgt(w), events: events, own: own[w], batch: cfg.Batch, start: start, timescale: cfg.Timescale}
+	}
+	return r
+}
+
+// Advance replays, concurrently across the workers, every event not yet
+// dispatched with T <= until, pacing toward wall time under Timescale
+// (measured from NewRunner). It returns once every worker has flushed;
+// the first worker error, if any, is returned and ends the replay.
+func (r *Runner) Advance(ctx context.Context, until float64) error {
+	var wg sync.WaitGroup
+	for w := range r.lanes {
+		l := &r.lanes[w]
+		if ev := l.pending(); l.err != nil || ev == nil || ev.T > until {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.err = l.run(ctx, until)
+		}()
+	}
+	wg.Wait()
+	for w := range r.lanes {
+		if err := r.lanes[w].err; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Stats sums the workers' outcome counts. It must not be called while an
+// Advance is in flight.
+func (r *Runner) Stats() Stats {
+	var st Stats
+	for w := range r.lanes {
+		ls := &r.lanes[w].st
+		st.Admitted += ls.Admitted
+		st.Rejected += ls.Rejected
+		st.Departed += ls.Departed
+		st.NotActive += ls.NotActive
+		st.Updated += ls.Updated
+		st.UpdateMissed += ls.UpdateMissed
+	}
+	return st
+}
+
+// Run replays the whole schedule concurrently and open-loop — one Advance
+// to the end of a fresh Runner. This is the load tool, not the
+// determinism check.
+func Run(ctx context.Context, tgt func(worker int) Target, events []Event, cfg RunConfig) (Stats, error) {
+	r := NewRunner(tgt, events, cfg)
+	err := r.Advance(ctx, math.Inf(1))
+	return r.Stats(), err
 }

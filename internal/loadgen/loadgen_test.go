@@ -21,7 +21,11 @@ func testConfig() Config {
 	return Config{Seed: 7, Lambda: 3, Hold: 12, SVR: 0.3, TC: 1, Duration: 60}
 }
 
-func newGateway(tb testing.TB) *gateway.Gateway {
+// newGateway's capacity is small enough that the offered load forces
+// rejections.
+func newGateway(tb testing.TB) *gateway.Gateway { return newGatewayCap(tb, 25) }
+
+func newGatewayCap(tb testing.TB, capacity float64) *gateway.Gateway {
 	tb.Helper()
 	ctrl, err := core.NewCertaintyEquivalent(1e-2, 1, 0.3)
 	if err != nil {
@@ -29,7 +33,7 @@ func newGateway(tb testing.TB) *gateway.Gateway {
 	}
 	var lat atomic.Int64
 	g, err := gateway.New(gateway.Config{
-		Capacity:     25, // small enough that the offered load forces rejections
+		Capacity:     capacity,
 		Controller:   ctrl,
 		Estimator:    estimator.NewMemoryless(),
 		Shards:       4,
@@ -152,7 +156,9 @@ func TestReplayMatchesAcrossSubstrates(t *testing.T) {
 
 // TestRunConcurrent exercises the open-loop concurrent runner against the
 // in-process gateway: totals must account for every scheduled event even
-// though cross-flow interleaving is nondeterministic.
+// though cross-flow interleaving is nondeterministic. With one worker
+// nothing is left to race, and Run must count exactly what Replay counts —
+// they drive the same loop.
 func TestRunConcurrent(t *testing.T) {
 	events, err := Schedule(testConfig())
 	if err != nil {
@@ -164,24 +170,72 @@ func TestRunConcurrent(t *testing.T) {
 			flows++
 		}
 	}
-	g := newGateway(t)
-	targets := make([]GatewayTarget, 4)
-	for i := range targets {
-		targets[i] = GatewayTarget{G: g}
+	for _, workers := range []int{1, 4, 500} { // 500: more workers than flows, so some own nothing
+		g := newGateway(t)
+		st, err := Run(context.Background(), func(int) Target { return &GatewayTarget{G: g} },
+			events, RunConfig{Workers: workers, Batch: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(st.Admitted+st.Rejected) != flows {
+			t.Fatalf("%d workers: decided %d flows, scheduled %d: %+v", workers, st.Admitted+st.Rejected, flows, st)
+		}
+		if int(st.Departed+st.NotActive) != flows {
+			t.Fatalf("%d workers: departed %d flows, scheduled %d: %+v", workers, st.Departed+st.NotActive, flows, st)
+		}
+		if st.Departed != st.Admitted {
+			t.Fatalf("%d workers: departed %d but admitted %d", workers, st.Departed, st.Admitted)
+		}
+		if workers == 1 {
+			want, err := Replay(context.Background(), &GatewayTarget{G: newGateway(t)}, events, 8, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != want {
+				t.Fatalf("single-worker Run %+v != Replay %+v", st, want)
+			}
+		}
 	}
-	st, err := Run(context.Background(), func(w int) Target { return &targets[w] },
-		events, RunConfig{Workers: 4, Batch: 8})
+}
+
+// TestRunnerWindowsKeepFlowOrder replays a renegotiating schedule the way
+// cmd/gateway does — tick-sized windows, concurrent workers, a measurement
+// tick between windows — into a gateway whose bound never binds. Flows
+// shard to workers by id and a worker's position survives the window
+// boundary, so no update or depart can overtake its own flow's admit:
+// every event must land on an active flow.
+func TestRunnerWindowsKeepFlowOrder(t *testing.T) {
+	cfg := testConfig()
+	cfg.Renegotiate = true
+	events, err := Schedule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int(st.Admitted+st.Rejected) != flows {
-		t.Fatalf("decided %d flows, scheduled %d: %+v", st.Admitted+st.Rejected, flows, st)
+	var want Stats
+	for _, ev := range events {
+		switch ev.Kind {
+		case KindAdmit:
+			want.Admitted++
+		case KindDepart:
+			want.Departed++
+		case KindUpdate:
+			want.Updated++
+		}
 	}
-	if int(st.Departed+st.NotActive) != flows {
-		t.Fatalf("departed %d flows, scheduled %d: %+v", st.Departed+st.NotActive, flows, st)
+	g := newGatewayCap(t, 1e6)
+	r := NewRunner(func(int) Target { return &GatewayTarget{G: g} }, events, RunConfig{Workers: 5, Batch: 4})
+	for now := 0.0; now < cfg.Duration; {
+		now += 0.5
+		if err := r.Advance(context.Background(), now); err != nil {
+			t.Fatal(err)
+		}
+		g.Tick(now)
 	}
-	if st.Departed != st.Admitted {
-		t.Fatalf("departed %d but admitted %d", st.Departed, st.Admitted)
+	if st := r.Stats(); st != want || want.Updated == 0 {
+		t.Fatalf("windowed replay lost per-flow order: got %+v, want %+v", st, want)
+	}
+	if active := g.Stats().Active; active != 0 {
+		t.Fatalf("%d flows still active after every depart", active)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/client"
 	"repro/internal/adaptive"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/fault"
@@ -145,46 +146,6 @@ func buildController(arm Arm, g Gateway, ts traffic.Stats) (core.Controller, err
 	return nil, fmt.Errorf("scenario: arm %q: unknown policy %q", arm.Name, arm.Policy)
 }
 
-// buildEstimator instantiates the effective measurement spec. tick sizes
-// the aggregate estimator's variance memory when no T_m is given (eight
-// measurement periods, matching cmd/gateway's default).
-func buildEstimator(g Gateway, ts traffic.Stats, tick float64) estimator.Estimator {
-	switch g.Estimator {
-	case "exponential":
-		return estimator.NewExponential(g.Memory)
-	case "window":
-		return estimator.NewWindow(g.Memory)
-	case "aggregate":
-		tv := g.Memory
-		if tv <= 0 {
-			tv = 8 * tick
-		}
-		return estimator.NewAggregateOnly(g.Memory, tv)
-	case "oracle":
-		return &estimator.Oracle{Mu: ts.Mean, Sigma: ts.StdDev()}
-	}
-	return estimator.NewMemoryless()
-}
-
-// buildTuner instantiates the online time-scale controller for one arm's
-// effective spec, or nil when the arm is not adaptive. Th defaults to the
-// churn workload's mean holding time — the horizon the critical
-// time-scale T~_h = Th/sqrt(n) scales down from.
-func buildTuner(cfg *Config, spec Gateway) (*adaptive.Controller, error) {
-	if !spec.Adaptive {
-		return nil, nil
-	}
-	th := spec.Th
-	if th == 0 {
-		th = cfg.Workload.Hold
-	}
-	return adaptive.New(adaptive.Config{
-		Capacity: spec.Capacity,
-		Th:       th,
-		PQ:       spec.PQ,
-	})
-}
-
 // auditZ returns the Wilson quantile the scenario grades with.
 func auditZ(cfg *Config) float64 {
 	if cfg.Check.Interval != nil && cfg.Check.Interval.Z > 0 {
@@ -202,26 +163,35 @@ func gradeAfter(cfg *Config) float64 {
 	return 0
 }
 
-// newCellGateway builds the gateway for one cell: deterministic latency
-// clock, small shard count (cells are single-threaded), overflow window
-// sized to hold the whole run. When the arm's effective spec is adaptive
-// the returned controller is attached as the gateway's Tuner; callers
-// snapshot it into the cell after the replay.
-func newCellGateway(cfg *Config, arm Arm, ctrl core.Controller, est estimator.Estimator, overflowWindow int) (*gw.Gateway, *adaptive.Controller, error) {
+// cellGatewayConfig builds the configuration of every gateway a scenario
+// runs, bare or fleet member: the arm's policy against the declared
+// (model) statistics ts, the arm's effective estimator (tick sizes the
+// aggregate estimator's default variance memory), a deterministic latency
+// clock, a small shard count (cells are single-threaded). An adaptive spec
+// also gets its own time-scale controller — each gateway measures its own
+// traffic — returned so the caller can snapshot it after the replay.
+func cellGatewayConfig(cfg *Config, arm Arm, ts traffic.Stats, tick float64, overflowWindow int) (gcfg gw.Config, tuner *adaptive.Controller, err error) {
+	ctrl, err := buildController(arm, cfg.Gateway, ts)
+	if err != nil {
+		return gcfg, nil, err
+	}
+	spec := cfg.effectiveGateway(arm)
+	mode, err := estimator.ParseMode(spec.Estimator)
+	if err != nil {
+		return gcfg, nil, err
+	}
+	est, err := mode.New(spec.Memory, tick, ts.Mean, ts.StdDev())
+	if err != nil {
+		return gcfg, nil, err
+	}
 	dp := gw.DegradedFreeze
 	if arm.Degraded != "" {
-		var err error
-		dp, err = gw.ParseDegradedPolicy(arm.Degraded)
-		if err != nil {
-			return nil, nil, err
+		if dp, err = gw.ParseDegradedPolicy(arm.Degraded); err != nil {
+			return gcfg, nil, err
 		}
 	}
-	tuner, err := buildTuner(cfg, cfg.effectiveGateway(arm))
-	if err != nil {
-		return nil, nil, err
-	}
 	var lat atomic.Int64
-	gcfg := gw.Config{
+	gcfg = gw.Config{
 		Capacity:       cfg.Gateway.Capacity,
 		Controller:     ctrl,
 		Estimator:      est,
@@ -233,25 +203,26 @@ func newCellGateway(cfg *Config, arm Arm, ctrl core.Controller, est estimator.Es
 		StaleAfter:     cfg.Gateway.StaleAfter,
 		Degraded:       dp,
 	}
-	if tuner != nil {
-		// Assign only a live controller: a typed-nil in the interface field
-		// would pass the gateway's nil check and panic on the first tick.
-		gcfg.Tuner = tuner
+	if !spec.Adaptive {
+		return gcfg, nil, nil
 	}
-	g, err := gw.New(gcfg)
-	if err != nil {
-		return nil, nil, err
+	// Th defaults to the churn workload's mean holding time — the horizon
+	// the critical time-scale T~_h = Th/sqrt(n) scales down from.
+	th := spec.Th
+	if th == 0 {
+		th = cfg.Workload.Hold
 	}
-	return g, tuner, nil
+	if tuner, err = adaptive.New(adaptive.Config{Capacity: spec.Capacity, Th: th, PQ: spec.PQ}); err != nil {
+		return gcfg, nil, err
+	}
+	gcfg.Tuner = tuner
+	return gcfg, tuner, nil
 }
 
 // runCell executes one (seed, arm) cell of the matrix.
 func runCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (CellResult, error) {
 	if cfg.Workload.Kind == WorkloadImpulsive {
 		return runImpulsiveCell(ctx, cfg, arm, seed)
-	}
-	if cfg.Cluster != nil {
-		return runClusterCell(ctx, cfg, arm, seed)
 	}
 	return runChurnCell(ctx, cfg, arm, seed)
 }
@@ -275,11 +246,11 @@ func runImpulsiveCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (C
 	}
 	pool := sim.Replicated{Replications: cfg.Workload.Replications, Seed: seed, Tag: 0x7363656e} // "scen"
 	outs, err := sim.Collect(ctx, pool, func(rep int, r *rng.PCG) (repOut, error) {
-		ctrl, err := buildController(arm, cfg.Gateway, ts)
+		gcfg, _, err := cellGatewayConfig(cfg, arm, ts, 1e-3, 8)
 		if err != nil {
 			return repOut{}, err
 		}
-		g, _, err := newCellGateway(cfg, arm, ctrl, buildEstimator(cfg.effectiveGateway(arm), ts, 1e-3), 8)
+		g, err := gw.New(gcfg)
 		if err != nil {
 			return repOut{}, err
 		}
@@ -334,54 +305,48 @@ func runImpulsiveCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (C
 	return cell, nil
 }
 
-// runChurnCell replays a loadgen schedule through the gateway (directly,
-// or through client -> server -> gateway on loopback for the network
-// target), driving measurement ticks, the fault schedule, and the
-// overflow audit from the replay's tick hook, then drains extra ticks so
-// leases expire and the final state is quiescent.
+// runChurnCell replays the cell's loadgen schedule through its substrate.
+// On the network target an in-process twin then replays the identical
+// schedule; substrate identity means both the driver-side decision
+// accounting and the final gateway state agree exactly.
 func runChurnCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (CellResult, error) {
-	events, err := churnSchedule(cfg, seed)
+	model, err := buildModel(&cfg.Workload)
 	if err != nil {
 		return CellResult{}, err
 	}
-	cell, st, err := replayChurn(ctx, cfg, arm, events, cfg.Target == TargetNetwork)
+	events, err := churnSchedule(cfg, seed, model)
+	if err != nil {
+		return CellResult{}, err
+	}
+	ts := model.Stats()
+	cell, err := replayChurn(ctx, cfg, arm, ts, events, cfg.Target == TargetNetwork)
 	if err != nil {
 		return CellResult{}, err
 	}
 	cell.Seed = seed
 	cell.Arm = arm.Name
 	if cfg.Target == TargetNetwork {
-		// The in-process twin replays the identical schedule; substrate
-		// identity means both the driver-side decision accounting and the
-		// final gateway state agree exactly.
-		twin, twinSt, err := replayChurn(ctx, cfg, arm, events, false)
+		twin, err := replayChurn(ctx, cfg, arm, ts, events, false)
 		if err != nil {
 			return CellResult{}, err
 		}
-		cell.NetMatched = cell.Replay == twin.Replay && st == twinSt
+		cell.NetMatched = cell.Replay == twin.Replay && cell.Stats == twin.Stats
 	}
-	cell.Stats = st
 	return cell, nil
 }
 
-func churnSchedule(cfg *Config, seed uint64) ([]loadgen.Event, error) {
+// churnSchedule generates the cell's loadgen schedule over the workload's
+// flow-rate model.
+func churnSchedule(cfg *Config, seed uint64, model traffic.Model) ([]loadgen.Event, error) {
 	w := cfg.Workload
 	lcfg := loadgen.Config{
 		Seed:        seed,
 		Lambda:      w.Lambda,
 		Hold:        w.Hold,
-		SVR:         w.SVR,
-		TC:          w.TC,
+		Model:       model,
 		Duration:    w.Duration,
 		ArrivalCV:   w.ArrivalCV,
 		Renegotiate: w.Renegotiate,
-	}
-	if w.Model != nil {
-		m, err := w.Model.build()
-		if err != nil {
-			return nil, err
-		}
-		lcfg.Model = m
 	}
 	if w.Shift != nil {
 		m, err := w.Shift.Model.build()
@@ -403,26 +368,24 @@ func churnSchedule(cfg *Config, seed uint64) ([]loadgen.Event, error) {
 	return loadgen.Schedule(lcfg)
 }
 
-// replayChurn runs one substrate's replay of an already-built schedule and
-// returns the cell accounting plus the final gateway stats.
-func replayChurn(ctx context.Context, cfg *Config, arm Arm, events []loadgen.Event, network bool) (CellResult, gw.Stats, error) {
+// replayChurn replays an already-built schedule against the substrate the
+// config names: the bare cell gateway (directly, or through client ->
+// server -> gateway on loopback when network is set), or, under a cluster
+// topology, a fleet of identical gateways behind the headroom router —
+// arrivals route through placement and pinning, an optional mid-run drain
+// migrates one instance's flows onto the rest. The replay's tick hook
+// drives the measurement ticks, the fault schedule and one overflow audit
+// per gateway; extra ticks past the schedule let leases expire so the
+// final state is quiescent.
+//
+// Stats is the fleet sum (lifecycle-balanced across migrations: a flow is
+// admitted at its target before it departs its source). Overflow/QoS
+// report the WORST gateway (highest Wilson lower bound), so an interval
+// hypothesis grades the per-instance claim, not the fleet average. The
+// replay is single-threaded and a drain walks flows in flow-ID order, so
+// every cell is deterministic in (seed, arm) and safe to lock into goldens.
+func replayChurn(ctx context.Context, cfg *Config, arm Arm, ts traffic.Stats, events []loadgen.Event, network bool) (cell CellResult, err error) {
 	w := cfg.Workload
-	model, err := buildModel(&w)
-	if err != nil {
-		return CellResult{}, gw.Stats{}, err
-	}
-	ts := model.Stats()
-	ctrl, err := buildController(arm, cfg.Gateway, ts)
-	if err != nil {
-		return CellResult{}, gw.Stats{}, err
-	}
-	est := buildEstimator(cfg.effectiveGateway(arm), ts, w.Tick)
-	windows := cfg.FaultSchedule()
-	var faulty *fault.Estimator
-	if len(windows) > 0 {
-		faulty = fault.Wrap(est)
-		est = faulty
-	}
 
 	// Drain past the schedule so leases expire and every lifecycle closes.
 	drain := 2
@@ -434,19 +397,93 @@ func replayChurn(ctx context.Context, cfg *Config, arm Arm, events []loadgen.Eve
 	if overflowWindow == 0 {
 		overflowWindow = totalTicks
 	}
-	g, tuner, err := newCellGateway(cfg, arm, ctrl, est, overflowWindow)
-	if err != nil {
-		return CellResult{}, gw.Stats{}, err
+
+	fleet := 1
+	if cfg.Cluster != nil {
+		fleet = cfg.Cluster.Instances
 	}
-	audit, err := qos.NewAudit(qos.AuditConfig{TargetPf: cfg.Gateway.PQ, Z: auditZ(cfg), Window: totalTicks})
-	if err != nil {
-		return CellResult{}, gw.Stats{}, err
+	gcfgs := make([]gw.Config, fleet)
+	tuners := make([]*adaptive.Controller, fleet)
+	audits := make([]*qos.Audit, fleet)
+	for i := range gcfgs {
+		if gcfgs[i], tuners[i], err = cellGatewayConfig(cfg, arm, ts, w.Tick, overflowWindow); err != nil {
+			return CellResult{}, err
+		}
+		if audits[i], err = qos.NewAudit(qos.AuditConfig{TargetPf: cfg.Gateway.PQ, Z: auditZ(cfg), Window: totalTicks}); err != nil {
+			return CellResult{}, err
+		}
+	}
+	// Fault windows wrap a single estimator; validation keeps them off
+	// cluster topologies.
+	windows := cfg.FaultSchedule()
+	var faulty *fault.Estimator
+	if len(windows) > 0 {
+		faulty = fault.Wrap(gcfgs[0].Estimator)
+		gcfgs[0].Estimator = faulty
 	}
 
-	var cell CellResult
-	var prevAdmitted int64
-	prevDegraded := false
-	var utilN int64
+	var (
+		tgt      loadgen.Target
+		tickAll  func(now float64) []gw.Stats
+		final    func() gw.Stats
+		cl       *cluster.Cluster
+		srv      *server.Server
+		shutdown func() error
+	)
+	if spec := cfg.Cluster; spec != nil {
+		policy, err := cluster.ParsePlacementPolicy(spec.Policy)
+		if err != nil {
+			return CellResult{}, err
+		}
+		cl, err = cluster.New(cluster.Config{
+			Policy:     policy,
+			Warmup:     spec.Warmup,
+			Hysteresis: spec.Hysteresis,
+			Instances:  gcfgs,
+		})
+		if err != nil {
+			return CellResult{}, err
+		}
+		cell.Instances = fleet
+		tgt, tickAll, final = &cluster.ReplayTarget{C: cl}, cl.Tick, cl.Stats
+	} else {
+		g, err := gw.New(gcfgs[0])
+		if err != nil {
+			return CellResult{}, err
+		}
+		one := make([]gw.Stats, 1)
+		tgt, final = &loadgen.GatewayTarget{G: g}, g.Stats
+		tickAll = func(now float64) []gw.Stats { one[0] = g.Tick(now); return one }
+		if network {
+			srv, err = server.New(server.Config{Gateway: g})
+			if err != nil {
+				return CellResult{}, err
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				return CellResult{}, err
+			}
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(ln) }()
+			nc, err := client.New(client.Config{Addr: ln.Addr().String()})
+			if err != nil {
+				return CellResult{}, err
+			}
+			tgt = loadgen.ClientTarget{C: nc}
+			shutdown = func() error {
+				defer nc.Close()
+				sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if err := srv.Shutdown(sctx); err != nil {
+					return err
+				}
+				return <-done
+			}
+		}
+	}
+
+	var prevAdmitted, utilN int64
+	prevDegraded, drained := false, false
 	lastTick := 0.0
 	gradeFrom := gradeAfter(cfg)
 	tick := func(now float64) {
@@ -454,65 +491,47 @@ func replayChurn(ctx context.Context, cfg *Config, arm Arm, events []loadgen.Eve
 		if faulty != nil {
 			faulty.SetMode(fault.ModeAt(windows, now))
 		}
-		st := g.Tick(now)
-		if now >= gradeFrom {
-			audit.ObserveWith(st.AggregateRate > cfg.Gateway.Capacity, st.Degraded)
+		if cl != nil && cfg.Cluster.DrainAt > 0 && !drained && now >= cfg.Cluster.DrainAt {
+			// The scheduled failover: placement stops on the victim and
+			// its pinned flows migrate. Stragglers the fleet has no
+			// headroom for stay served on the draining instance.
+			if _, _, err := cl.Drain(cfg.Cluster.DrainInstance); err == nil {
+				drained = true
+			}
 		}
-		if st.Degraded {
+		var agg float64
+		var admitted int64
+		degraded := false
+		for i, st := range tickAll(now) {
+			if now >= gradeFrom {
+				audits[i].ObserveWith(st.AggregateRate > cfg.Gateway.Capacity, st.Degraded)
+			}
+			agg += st.AggregateRate
+			admitted += st.Admitted
+			degraded = degraded || st.Degraded
+		}
+		if degraded {
 			cell.DegradedTicks++
 		}
 		// Admissions since the previous tick were decided under the policy
 		// state published there.
 		if prevDegraded {
-			cell.StormAdmitted += st.Admitted - prevAdmitted
+			cell.StormAdmitted += admitted - prevAdmitted
 		}
-		prevAdmitted = st.Admitted
-		prevDegraded = st.Degraded
-		cell.UtilMean += st.AggregateRate / cfg.Gateway.Capacity
+		prevAdmitted, prevDegraded = admitted, degraded
+		cell.UtilMean += agg / (cfg.Gateway.Capacity * float64(fleet))
 		utilN++
 	}
 
 	const batch = 8
-	var tgt loadgen.Target
-	var shutdown func() error
-	var srv *server.Server
-	if network {
-		srv, err = server.New(server.Config{Gateway: g})
-		if err != nil {
-			return CellResult{}, gw.Stats{}, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return CellResult{}, gw.Stats{}, err
-		}
-		done := make(chan error, 1)
-		go func() { done <- srv.Serve(ln) }()
-		cl, err := client.New(client.Config{Addr: ln.Addr().String()})
-		if err != nil {
-			return CellResult{}, gw.Stats{}, err
-		}
-		tgt = loadgen.ClientTarget{C: cl}
-		shutdown = func() error {
-			defer cl.Close()
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				return err
-			}
-			return <-done
-		}
-	} else {
-		tgt = &loadgen.GatewayTarget{G: g}
-	}
-
-	rst, err := loadgen.Replay(ctx, tgt, events, batch, w.Tick, tick)
+	cell.Replay, err = loadgen.Replay(ctx, tgt, events, batch, w.Tick, tick)
 	if shutdown != nil {
 		if serr := shutdown(); err == nil {
 			err = serr
 		}
 	}
 	if err != nil {
-		return CellResult{}, gw.Stats{}, err
+		return CellResult{}, err
 	}
 	if srv != nil {
 		// The serving-layer latency percentiles, read after the drained
@@ -528,13 +547,21 @@ func replayChurn(ctx context.Context, cfg *Config, arm Arm, events []loadgen.Eve
 	if utilN > 0 {
 		cell.UtilMean /= float64(utilN)
 	}
-	if tuner != nil {
-		snap := tuner.Snapshot()
+	cell.Stats = final()
+	if cl != nil {
+		cell.Migrations = cl.Snapshot().Migrations
+	}
+	if tuners[0] != nil {
+		snap := tuners[0].Snapshot()
 		cell.Adaptive = &snap
 	}
-	cell.Replay = rst
-	rep := audit.Report()
-	cell.Overflow = rep.Estimate
-	cell.QoS = rep.Verdict
-	return cell, g.Stats(), nil
+	worst := audits[0].Report()
+	for _, a := range audits[1:] {
+		if rep := a.Report(); rep.Estimate.Lo > worst.Estimate.Lo {
+			worst = rep
+		}
+	}
+	cell.Overflow = worst.Estimate
+	cell.QoS = worst.Verdict
+	return cell, nil
 }

@@ -46,13 +46,13 @@ func mixedSequence() (reqs []byte, n int) {
 	for i := 0; i < 32; i++ { // admit run (some rejected at the bound)
 		add(wire.AppendAdmit(reqs, next(), uint64(i), 1))
 	}
-	add(wire.AppendAdmit(reqs, next(), 3, 1))            // duplicate
-	add(wire.AppendAdmit(reqs, next(), 77, math.NaN()))  // invalid rate
-	add(wire.AppendUpdateRate(reqs, next(), 4, 2.5))     // active
-	add(wire.AppendUpdateRate(reqs, next(), 400, 1))     // unknown
-	add(wire.AppendTouch(reqs, next(), 5))               // active
-	add(wire.AppendTouch(reqs, next(), 500))             // unknown
-	for i := 0; i < 16; i++ {                            // depart run
+	add(wire.AppendAdmit(reqs, next(), 3, 1))           // duplicate
+	add(wire.AppendAdmit(reqs, next(), 77, math.NaN())) // invalid rate
+	add(wire.AppendUpdateRate(reqs, next(), 4, 2.5))    // active
+	add(wire.AppendUpdateRate(reqs, next(), 400, 1))    // unknown
+	add(wire.AppendTouch(reqs, next(), 5))              // active
+	add(wire.AppendTouch(reqs, next(), 500))            // unknown
+	for i := 0; i < 16; i++ {                           // depart run
 		add(wire.AppendDepart(reqs, next(), uint64(i)))
 	}
 	add(wire.AppendDepart(reqs, next(), 2))   // already departed
@@ -65,7 +65,7 @@ func mixedSequence() (reqs []byte, n int) {
 	if err != nil {
 		panic(err)
 	}
-	reqs = b
+	add(b)                   // answered by one DecisionBatch frame
 	for i := 0; i < 4; i++ { // alternate kinds: every frame switches the batch
 		add(wire.AppendAdmit(reqs, next(), uint64(300+i), 1))
 		add(wire.AppendDepart(reqs, next(), uint64(300+i)))
@@ -83,9 +83,13 @@ func runServed(t *testing.T, cfg Config, stream []byte, n int, write func(t *tes
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Deferred in this order so a failed read closes the socket first and
+	// the writer, unblocked, has exited before the test function returns.
+	wrote := make(chan struct{})
+	defer func() { <-wrote }()
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(30 * time.Second))
-	go write(t, nc, stream)
+	go func() { defer close(wrote); write(t, nc, stream) }()
 	rd := wire.NewReader(nc)
 	out := make([][]byte, 0, n)
 	var f wire.Frame
@@ -131,7 +135,7 @@ func TestFastGenericServedDifferential(t *testing.T) {
 		}
 	}
 	gatewayCfg := func(disableFast bool) Config {
-		return Config{Gateway: newTestGateway(t, 20), DisableFastPath: disableFast}
+		return Config{Gateway: newTestGateway(t, 20), disableFastPath: disableFast}
 	}
 
 	want := runServed(t, gatewayCfg(true), stream, n, oneWrite)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestShardedServeSpreadsConnections(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lns...) }()
-	defer func() {
+	shutdown := sync.OnceFunc(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
@@ -64,7 +65,8 @@ func TestShardedServeSpreadsConnections(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Errorf("serve: %v", err)
 		}
-	}()
+	})
+	defer shutdown()
 
 	addr := lns[0].Addr().String()
 	for i := 0; i < conns; i++ {
@@ -80,6 +82,10 @@ func TestShardedServeSpreadsConnections(t *testing.T) {
 		nc.Close()
 	}
 
+	// A writer publishes its byte count after the write returns, which can
+	// be after the client has read the pong: snapshot once the drain has
+	// joined every connection goroutine.
+	shutdown()
 	snap := srv.Snapshot()
 	if len(snap.Shards) != shards {
 		t.Fatalf("snapshot has %d shards, want %d", len(snap.Shards), shards)

@@ -16,8 +16,8 @@
 //     in the connection's AdmitBatch scratch — no intermediate Frame, one
 //     bounds check per frame. The burst decoder only consumes frames the
 //     generic decoder would decode identically (the differential tests in
-//     internal/wire pin this), so Config.DisableFastPath changes the
-//     cost, never the decisions.
+//     internal/wire pin this), so the fast path changes the cost,
+//     never the decisions.
 //
 //   - Micro-batching. Pending admits — vector-decoded or accumulated one
 //     at a time — are decided with a single Gateway.AdmitBatch call: one
@@ -138,11 +138,11 @@ type Config struct {
 	// given to Shutdown.
 	DrainGrace time.Duration
 
-	// DisableFastPath forces the generic frame-at-a-time decode path,
+	// disableFastPath forces the generic frame-at-a-time decode path,
 	// bypassing the vectorized Admit burst decoder. Decisions are
-	// identical either way — the knob exists so the differential
-	// conformance tests can prove exactly that, and as an escape hatch.
-	DisableFastPath bool
+	// identical either way; only the in-package differential conformance
+	// test sets it, to prove exactly that.
+	disableFastPath bool
 }
 
 // Server serves the wire protocol over TCP (or any net.Listener) against
@@ -616,7 +616,7 @@ func (c *conn) serve() {
 // block.
 func (c *conn) readLoop() wire.Refusal {
 	var f wire.Frame
-	fast := !c.srv.cfg.DisableFastPath
+	fast := !c.srv.cfg.disableFastPath
 	maxBatch := c.srv.cfg.MaxBatch
 	// Frame counting is batched: accumulated locally and published once
 	// per drain cycle (and at return), not once per frame.

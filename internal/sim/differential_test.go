@@ -64,12 +64,12 @@ func mustCE(tb testing.TB, pce float64) core.Controller {
 // paths and returns both results.
 func runBothImpulsive(tb testing.TB, cfg ImpulsiveConfig) (scalar, columnar *ImpulsiveResult) {
 	tb.Helper()
-	cfg.Scalar = true
+	cfg.scalar = true
 	scalar, err := RunImpulsive(cfg)
 	if err != nil {
 		tb.Fatalf("scalar path: %v", err)
 	}
-	cfg.Scalar = false
+	cfg.scalar = false
 	columnar, err = RunImpulsive(cfg)
 	if err != nil {
 		tb.Fatalf("columnar path: %v", err)

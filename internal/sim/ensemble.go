@@ -30,11 +30,11 @@ type ImpulsiveConfig struct {
 	Replications int
 	Seed         uint64
 
-	// Scalar forces the per-flow Source path even when the model supports
+	// scalar forces the per-flow Source path even when the model supports
 	// the columnar engine (traffic.ColumnModel). The two paths are
-	// bit-identical by contract — Scalar exists for differential testing
-	// and debugging, the same pattern as the gateway's DisableFastPath.
-	Scalar bool
+	// bit-identical by contract; only the in-package differential tests
+	// set it, to run the scalar engine as the reference.
+	scalar bool
 }
 
 // ImpulsiveResult aggregates the ensemble.
@@ -220,7 +220,7 @@ var impRunPool = sync.Pool{New: func() any {
 func (ir *impRun) begin(cfg ImpulsiveConfig, stripes int) {
 	ir.cfg = cfg
 	ir.cm, ir.useColumns = traffic.ColumnModelOf(cfg.Model)
-	ir.useColumns = ir.useColumns && !cfg.Scalar
+	ir.useColumns = ir.useColumns && !cfg.scalar
 	ir.renew, _ = cfg.Model.(traffic.Renewer)
 	ir.stripes = stripes
 
