@@ -3,8 +3,11 @@
 #   tier-1   — build + full test suite (the driver's gate)
 #   tier-1.5 — race detector over every package; concurrency-sensitive
 #              packages (gateway, sim) must stay clean under -race
-#   stat     — seeded statistical ensembles (build tag "stat"): the √2-law
-#              assertions of Prop 3.3 through the instrumented gateway
+#   stat     — the large columnar ≡ scalar ensemble differential (build tag
+#              "stat") under -race, then the engine perf guard. The √2-law
+#              ensembles of Prop 3.3 and their perfect-knowledge control are
+#              scenarios (sqrt2-law-pq1e-2, sqrt2-law-pq1e-3, pk-control):
+#              see the scenario tier
 #   bench    — admission hot-path benchmarks
 #   bench-json, bench-server-json, bench-sim-json — capture one row of the
 #              benchmark table below (gateway hot path; loopback client ->
@@ -27,11 +30,17 @@
 #              end-to-end soak (client -> server -> gateway, open loop,
 #              concurrent, graceful drain) under -race, then bench-cmp so
 #              the serving layer can't regress the admission hot path
-#   cluster  — multi-gateway routing tier (build tag "cluster"): the
-#              4-instance skewed-arrival soak (per-instance sqrt2-law
-#              audits) and the concurrent drain/failover soak under -race,
-#              then both serving-path perf guards — the routing layer must
-#              not tax the single-gateway budget it multiplexes
+#   cluster  — multi-gateway routing tier: the tier-1 pin storm
+#              (AdmitBatch/DepartBatch beside a spinning Tick; no admitted
+#              flow may become unroutable) five times under -race, then
+#              (build tag "cluster") the 4-instance skewed-arrival soak
+#              (per-instance sqrt2-law audits) and the concurrent
+#              drain/failover soak under -race, each ending with pins equal
+#              to the instances' flow tables, then both serving-path perf
+#              guards — the routing layer must not tax the single-gateway
+#              budget it multiplexes. The repo benchmark holds the same
+#              line end to end: a `cluster-churn` run prints no
+#              `KNOWN DEFECT` line
 #   adaptive — adaptive measurement tier (build tag "adaptive"): the
 #              regime-shift soak (renegotiated RCBR whose correlation time
 #              collapses mid-run; the controller must track T̂_c, converge
@@ -41,7 +50,8 @@
 #   scenario — declarative scenario suite (build tag "scenario"): every
 #              config under scenarios/ runs its seed x arm matrix and must
 #              grade to its declared Confirmed/Refuted verdict — including
-#              the slow impulsive sqrt2-law ensembles excluded from tier-1;
+#              the slow impulsive ensembles excluded from tier-1 (the two
+#              sqrt2-law points and their perfect-knowledge control);
 #              ends with bench-cmp so scenario plumbing can't tax the
 #              admission hot path. The fast scenarios also replay in tier-1
 #              via the byte-exact golden reports (results/golden/scenario/)
@@ -69,13 +79,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Statistical tier: deterministic seeded ensembles (several seconds of
-# simulation), excluded from tier-1 by the "stat" build tag. The columnar/
-# scalar differential runs under -race here (the columnar path shares
-# worker-local arenas), and the tier ends with the engine perf guard — the
-# statistical power this tier spends was bought by the columnar speedup.
+# Statistical tier: the large columnar/scalar differential, excluded from
+# tier-1 by the "stat" build tag, under -race (the columnar path shares
+# worker-local arenas), then the engine perf guard. The gateway √2-law
+# ensembles this tier used to hold run as scenarios (test-scenario).
 test-stat:
-	$(GO) test -tags stat -run 'TestStat' -v .
 	$(GO) test -tags stat -race -run 'TestStat' -v ./internal/sim
 	$(MAKE) bench-sim-cmp
 
@@ -159,12 +167,13 @@ test-net:
 	$(MAKE) bench-cmp
 	$(MAKE) bench-server-cmp
 
-# Cluster tier: the multi-gateway soaks under the race detector — skewed
-# arrivals against per-instance sqrt2-law audits, and a drain/failover
-# storm with concurrent ticks and placements — then both serving-path
-# perf guards: routing, pinning and migration must not regress the
-# admission budget of the instances they front.
+# Cluster tier: the pin storm, then the multi-gateway soaks, under the race
+# detector — skewed arrivals against per-instance sqrt2-law audits, and a
+# drain/failover storm with concurrent ticks and placements — then both
+# serving-path perf guards: routing, pinning and migration must not
+# regress the admission budget of the instances they front.
 test-cluster:
+	$(GO) test -race -count 5 -run 'TestPinsSurviveTickStorm' -v ./internal/cluster
 	$(GO) test -tags cluster -race -run 'TestClusterSkewedSoak|TestClusterFailoverSoak' -v ./internal/cluster
 	$(MAKE) bench-cmp
 	$(MAKE) bench-server-cmp

@@ -19,10 +19,11 @@
 //
 // Admission is stateful: an admitted flow's UpdateRate/Touch/Depart must
 // reach the instance that owns it. The cluster pins every admitted flow in
-// a sharded flow-ID → instance table; subsequent operations route through
-// the pin, and stale pins (lease-expired flows) are lazily dropped on the
-// not-active path plus reconciled by a periodic sweep against the owning
-// instance's flow table.
+// a sharded flow-ID → instance table, written where the flow is placed and
+// removed where the flow ends — departure, lease expiry (each instance's
+// tick reports the flows it reclaims), migration, or a refused admission
+// taking its tentative pin back — so the table needs no reconciler: at a
+// quiescent point it equals the union of the instances' flow tables.
 //
 // # Drain and degradation
 //
@@ -142,15 +143,6 @@ type Config struct {
 	// leads by more than Hysteresis × (incumbent capacity). Default 0.05.
 	Hysteresis float64
 
-	// PinShards is the number of lock shards in the flow-pin table,
-	// rounded up to a power of two (default 64).
-	PinShards int
-
-	// PinSweepEvery reconciles the pin table against the instance flow
-	// tables every that many cluster ticks, dropping pins whose flows have
-	// lease-expired (default 16).
-	PinSweepEvery int
-
 	// TickInterval is the wall-clock measurement period used by Run
 	// (default 100ms). Virtual-clock users call Tick directly.
 	TickInterval time.Duration
@@ -214,7 +206,6 @@ type Cluster struct {
 
 	// tickMu serializes measurement ticks across the fleet.
 	tickMu sync.Mutex
-	ticks  int64
 
 	migrations        atomic.Int64
 	migrationFailures atomic.Int64
@@ -243,18 +234,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Hysteresis == 0 {
 		cfg.Hysteresis = 0.05
 	}
-	if cfg.PinShards <= 0 {
-		cfg.PinShards = 64
-	}
-	if cfg.PinSweepEvery <= 0 {
-		cfg.PinSweepEvery = 16
-	}
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 100 * time.Millisecond
 	}
 	c := &Cluster{
 		cfg:       cfg,
-		pins:      newPinTable(cfg.PinShards),
 		preferred: -1,
 		rr:        -1,
 		credit:    make([]float64, len(cfg.Instances)),
@@ -262,6 +246,7 @@ func New(cfg Config) (*Cluster, error) {
 		degBuf:    make([]int, 0, len(cfg.Instances)),
 		warmBuf:   make([]int, 0, len(cfg.Instances)),
 	}
+	c.pins.init()
 	for i, gc := range cfg.Instances {
 		g, err := gateway.New(gc)
 		if err != nil {
@@ -303,32 +288,20 @@ func (c *Cluster) cacheMeasurement(in *instance, st gateway.Stats) {
 
 // Tick performs one measurement cycle at virtual time now on every
 // instance, in index order, refreshing the router's scoring caches, and
-// returns the per-instance snapshots in the same order. Every
-// PinSweepEvery ticks it also reconciles the pin table against the
-// instance flow tables, dropping pins for lease-expired flows.
+// returns the per-instance snapshots in the same order. A flow whose lease
+// an instance's sweep reclaims loses its pin in the same step, under the
+// flow's shard lock on that instance — the lock an admission of the same ID
+// through that pin must take — so no admission can land between the two.
 func (c *Cluster) Tick(now float64) []gateway.Stats {
 	c.tickMu.Lock()
 	defer c.tickMu.Unlock()
 	sts := make([]gateway.Stats, len(c.instances))
 	for i, in := range c.instances {
-		st := in.g.Tick(now)
+		st := in.g.TickExpired(now, func(flowID uint64) { c.pins.delIf(flowID, i) })
 		c.cacheMeasurement(in, st)
 		sts[i] = st
 	}
-	c.ticks++
-	if c.ticks%int64(c.cfg.PinSweepEvery) == 0 {
-		c.sweepPins()
-	}
 	return sts
-}
-
-// sweepPins drops every pin whose flow is no longer active on its owning
-// instance — the reconciliation path for lease-expired flows whose clients
-// never called Depart.
-func (c *Cluster) sweepPins() {
-	c.pins.sweep(func(id uint64, idx int) bool {
-		return c.instances[idx].g.Contains(id)
-	})
 }
 
 // Run ticks the cluster on the configured wall-clock interval until ctx is

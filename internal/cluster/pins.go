@@ -4,13 +4,17 @@ import "sync"
 
 // pinTable maps flow ID → owning instance index, sharded by the same
 // SplitMix64 finalizer the gateway uses for its flow table so adjacent IDs
-// spread across lock domains. Pins are written on placement, rewritten on
-// migration, and removed on departure, on the not-active fast path, and by
-// the periodic reconciliation sweep.
+// spread across lock domains. A pin is written where the flow is placed
+// (putIfAbsent), rewritten by migration (set), and removed in one way
+// (delIf) wherever the flow ends. No pin-shard lock is ever held across a
+// call into a gateway; the expiry report runs the other way, gateway shard
+// lock first, pin shard lock inside it.
 type pinTable struct {
-	shards []pinShard
-	mask   uint64
+	shards [pinShards]pinShard
 }
+
+// pinShards is the number of lock shards (a power of two).
+const pinShards = 64
 
 type pinShard struct {
 	mu sync.Mutex
@@ -18,16 +22,10 @@ type pinShard struct {
 	_  [40]byte // keep shards on separate cache lines
 }
 
-func newPinTable(shards int) pinTable {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	t := pinTable{shards: make([]pinShard, n), mask: uint64(n - 1)}
+func (t *pinTable) init() {
 	for i := range t.shards {
 		t.shards[i].m = make(map[uint64]int32)
 	}
-	return t
 }
 
 // pinMix is the SplitMix64 finalizer (the gateway's shardIndex mix).
@@ -39,7 +37,7 @@ func pinMix(id uint64) uint64 {
 }
 
 func (t *pinTable) shardFor(id uint64) *pinShard {
-	return &t.shards[pinMix(id)&t.mask]
+	return &t.shards[pinMix(id)%pinShards]
 }
 
 // get returns the pinned instance for id.
@@ -106,21 +104,6 @@ func (t *pinTable) countByInstance(dst []int64) {
 		for _, idx := range s.m {
 			if int(idx) < len(dst) {
 				dst[idx]++
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
-// sweep removes every pin for which alive reports false. alive is called
-// under the pin-shard lock; it must not call back into the pin table.
-func (t *pinTable) sweep(alive func(id uint64, idx int) bool) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for id, idx := range s.m {
-			if !alive(id, int(idx)) {
-				delete(s.m, id)
 			}
 		}
 		s.mu.Unlock()

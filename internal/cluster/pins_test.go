@@ -1,0 +1,229 @@
+package cluster
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/gateway"
+)
+
+// checkPinsExact asserts the reference-model invariant "pin table ⊆
+// owners' flow tables" — every pin's owner holds the flow — and, because
+// the caller is at a quiescent point, that nothing is admitted without a
+// pin either: the pin count equals the fleet's active count, so the table
+// equals the union of the instance flow tables.
+func checkPinsExact(tb testing.TB, c *Cluster) {
+	tb.Helper()
+	pins := make(map[uint64]int)
+	for i := range c.pins.shards {
+		s := &c.pins.shards[i]
+		s.mu.Lock()
+		for id, idx := range s.m {
+			pins[id] = int(idx)
+		}
+		s.mu.Unlock()
+	}
+	for id, idx := range pins {
+		if !c.Gateway(idx).Contains(id) {
+			tb.Errorf("pin %d -> instance %d is stale: the instance does not hold the flow", id, idx)
+		}
+	}
+	var active int64
+	for i := 0; i < c.Instances(); i++ {
+		active += c.Gateway(i).Active()
+	}
+	if int64(len(pins)) != active {
+		tb.Errorf("%d pins for %d active flows: %d admitted flows are unroutable", len(pins), active, active-int64(len(pins)))
+	}
+}
+
+// TestPinsSurviveTickStorm is the regression test for the pin leak: batched
+// admissions and departures of disjoint flow ranges run beside a spinning
+// Tick. Nothing but the flow's own caller may end a flow here (leases are
+// armed but outlive the test), so every depart must find its flow, the
+// fleet must drain to zero, and no pin may be left or lost. With a
+// reconciliation sweep in Tick this failed: the sweep reaped tentative
+// pins between their write and the instance's admit.
+func TestPinsSurviveTickStorm(t *testing.T) {
+	const (
+		workers = 4
+		rounds  = 400
+		batch   = 16
+	)
+	cfg := Config{}
+	for i := 0; i < 4; i++ {
+		cfg.Instances = append(cfg.Instances, testGatewayConfig(t, 1e6, 1e12))
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var ticker sync.WaitGroup
+	ticker.Add(1)
+	go func() {
+		defer ticker.Done()
+		for now := 1.0; ; now++ {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Tick(now)
+			}
+		}
+	}()
+
+	var refused, notActive atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ids := make([]uint64, batch)
+			rates := make([]float64, batch)
+			var ds []gateway.Decision
+			var oks []bool
+			for r := 0; r < rounds; r++ {
+				for i := range ids {
+					ids[i] = uint64(w)<<32 | uint64(r*batch+i)
+					rates[i] = 1
+				}
+				var err error
+				if ds, err = c.AdmitBatch(ids, rates, ds[:0]); err != nil {
+					t.Error(err)
+					return
+				}
+				for _, d := range ds {
+					if !d.Admitted {
+						refused.Add(1)
+					}
+				}
+				oks = c.DepartBatch(ids, oks[:0])
+				for _, ok := range oks {
+					if !ok {
+						notActive.Add(1)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	ticker.Wait()
+
+	if n := refused.Load(); n != 0 {
+		t.Errorf("%d admissions refused on an empty fleet", n)
+	}
+	if n := notActive.Load(); n != 0 {
+		t.Errorf("%d departs found their admitted flow not active (unroutable)", n)
+	}
+	st := c.Stats()
+	if st.Active != 0 || !st.LifecycleBalanced() || st.Admitted != workers*rounds*batch {
+		t.Errorf("fleet after the storm: %+v", st)
+	}
+	if n := c.pins.count(); n != 0 {
+		t.Errorf("%d pins left after every flow departed", n)
+	}
+	checkPinsExact(t, c)
+}
+
+// TestLeaseExpiryUnpins drives lease expiry through the router: a leaked
+// flow loses its pin at the very tick that expires it, a later admission
+// of its ID is placed afresh, and an admission racing the expiring tick
+// ends pinned.
+func TestLeaseExpiryUnpins(t *testing.T) {
+	const (
+		n   = 64 // flows; even IDs are kept alive, odd ones leak
+		ttl = 5.0
+	)
+	cfg := Config{}
+	for i := 0; i < 4; i++ {
+		cfg.Instances = append(cfg.Instances, testGatewayConfig(t, 100, ttl))
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := make([]int, n)
+	for id := uint64(0); id < n; id++ {
+		if d, err := c.Admit(id, 1); err != nil || !d.Admitted {
+			t.Fatalf("Admit(%d) = %+v, %v", id, d, err)
+		}
+		owner[id], _ = c.pins.get(id)
+	}
+	for now := 1.0; now < ttl; now++ {
+		for id := uint64(0); id < n; id += 2 {
+			if err := c.Touch(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Tick(now)
+		if got := c.pins.count(); got != n {
+			t.Fatalf("t=%g: %d pins, want %d (no lease is due yet)", now, got, n)
+		}
+	}
+
+	// The expiring tick: the odd flows' leases (stamped at t=0) are due.
+	c.Tick(ttl)
+	if st := c.Stats(); st.Expired != n/2 || st.Active != n/2 {
+		t.Fatalf("after the expiring tick: %+v", st)
+	}
+	for id := uint64(1); id < n; id += 2 {
+		if idx, ok := c.pins.get(id); ok {
+			t.Fatalf("expired flow %d still pinned to instance %d after the tick that expired it", id, idx)
+		}
+	}
+	checkPinsExact(t, c)
+
+	// Placed afresh: with its old owner draining, a stale pin would still
+	// route the re-admission there; a fresh placement cannot.
+	const back = 1
+	if _, _, err := c.Drain(owner[back]); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := c.Admit(back, 1); err != nil || !d.Admitted {
+		t.Fatalf("re-Admit(%d) = %+v, %v", back, d, err)
+	}
+	if idx, _ := c.pins.get(back); idx == owner[back] || !c.Gateway(idx).Contains(back) {
+		t.Fatalf("re-admitted flow %d pinned to %d (old, draining owner %d)", back, idx, owner[back])
+	}
+	if err := c.Reactivate(owner[back]); err != nil {
+		t.Fatal(err)
+	}
+
+	// The race: while a ticker walks the even flows (last touched at
+	// t=ttl-1) across their deadline, an admitter keeps re-requesting
+	// them — refused as duplicates until the sweep reclaims them, admitted
+	// afterwards, possibly through the very pin the sweep is removing.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for now := ttl + 1; now <= 2*ttl; now += 0.25 {
+			c.Tick(now)
+		}
+	}()
+	for pending := n / 2; pending > 0; {
+		for id := uint64(0); id < n; id += 2 {
+			if owner[id] < 0 {
+				continue
+			}
+			if d, _ := c.Admit(id, 1); d.Admitted {
+				owner[id] = -1
+				pending--
+			}
+		}
+	}
+	wg.Wait()
+	for id := uint64(0); id < n; id += 2 {
+		if idx, ok := c.pins.get(id); !ok || !c.Gateway(idx).Contains(id) {
+			t.Errorf("flow %d admitted across its own expiry is not pinned to its holder (pin %d, ok %t)", id, idx, ok)
+		}
+	}
+	checkPinsExact(t, c)
+	if st := c.Stats(); !st.LifecycleBalanced() {
+		t.Errorf("fleet lifecycle unbalanced: %+v", st)
+	}
+}

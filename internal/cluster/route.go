@@ -164,40 +164,65 @@ func contains(xs []int, x int) bool {
 // matches gateway.Admit — a capacity refusal (including "every instance is
 // draining") is a Decision, not an error; errors indicate invalid input.
 func (c *Cluster) Admit(flowID uint64, rate float64) (gateway.Decision, error) {
-	if idx, ok := c.pins.get(flowID); ok {
-		return c.admitOn(idx, flowID, rate, false)
-	}
-	if !(rate > 0) || math.IsInf(rate, 0) {
-		return c.instances[c.peek()].g.Admit(flowID, rate)
-	}
-	idx := c.place()
+	idx, tentative := c.resolve(flowID, rate, -1)
 	if idx < 0 {
 		return gateway.Decision{Reason: gateway.ReasonCapacity}, nil
 	}
-	owner, inserted := c.pins.putIfAbsent(flowID, idx)
-	return c.admitOn(owner, flowID, rate, inserted)
+	d, err := c.instances[idx].g.Admit(flowID, rate)
+	c.settle(flowID, idx, tentative, d.Admitted)
+	return d, err
 }
 
-// admitOn admits on one instance and settles the tentative pin: an
-// admission counts as a placement, and a failed admission rolls back a pin
-// this call inserted — unless the flow turns out to be active there after
-// all (a concurrent admit won).
-func (c *Cluster) admitOn(idx int, flowID uint64, rate float64, inserted bool) (gateway.Decision, error) {
+// resolve names the instance that decides flowID's admission: the flow's
+// pinned owner (which also detects duplicates), else a fresh placement
+// recorded as a tentative pin — tentative reports that this call wrote it,
+// so racing admissions of one flow agree on one owner and only the writer
+// may take the pin back. An invalid rate decides nowhere and is never
+// pinned: it goes to last, the instance the caller's batch is already
+// talking to (any instance phrases the canonical refusal), or to the
+// preferred instance when there is none. -1 means every instance is
+// draining.
+func (c *Cluster) resolve(flowID uint64, rate float64, last int) (idx int, tentative bool) {
+	if idx, ok := c.pins.get(flowID); ok {
+		return idx, false
+	}
+	if !(rate > 0) || math.IsInf(rate, 0) {
+		if last < 0 {
+			last = c.peek()
+		}
+		return last, false
+	}
+	if idx = c.place(); idx < 0 {
+		return -1, false
+	}
+	return c.pins.putIfAbsent(flowID, idx)
+}
+
+// settle closes the admission resolve opened on instance idx. An admission
+// counts as a placement, and one that came through a pin somebody else
+// wrote re-asserts it: that pin may have been the last trace of an earlier
+// life of the flow, dropped by the tick that expired it while this
+// admission was in flight. A refusal takes back the tentative pin this call
+// wrote — unless the flow is active there after all (a racing admission
+// through the same pin won).
+func (c *Cluster) settle(flowID uint64, idx int, tentative, admitted bool) {
 	in := c.instances[idx]
-	d, err := in.g.Admit(flowID, rate)
-	if d.Admitted {
+	switch {
+	case admitted:
 		in.placements.Add(1)
-	} else if inserted && !in.g.Contains(flowID) {
+		if !tentative {
+			c.pins.putIfAbsent(flowID, idx)
+		}
+	case tentative && !in.g.Contains(flowID):
 		c.pins.delIf(flowID, idx)
 	}
-	return d, err
 }
 
 // batchScratch is the pooled target-resolution scratch for the batched
 // paths.
 type batchScratch struct {
-	targets  []int
-	inserted []bool
+	targets   []int
+	tentative []bool
 }
 
 func (c *Cluster) getScratch(n int) *batchScratch {
@@ -207,21 +232,33 @@ func (c *Cluster) getScratch(n int) *batchScratch {
 	}
 	if cap(sc.targets) < n {
 		sc.targets = make([]int, 0, n)
-		sc.inserted = make([]bool, 0, n)
+		sc.tentative = make([]bool, 0, n)
 	}
-	sc.targets, sc.inserted = sc.targets[:0], sc.inserted[:0]
+	sc.targets, sc.tentative = sc.targets[:0], sc.tentative[:0]
 	return sc
+}
+
+// forRuns calls fn once per maximal run targets[lo:hi] of one value, in
+// order.
+func forRuns(targets []int, fn func(t, lo, hi int)) {
+	for lo, i := 0, 1; i <= len(targets); i++ {
+		if i < len(targets) && targets[i] == targets[lo] {
+			continue
+		}
+		fn(targets[lo], lo, i)
+		lo = i
+	}
 }
 
 // AdmitBatch decides a batch of admission requests, appending one Decision
 // per request to dst and returning the extended slice — the cluster face
-// of gateway.AdmitBatch. Targets are resolved per item (pin, else place
-// and tentatively pin), then contiguous same-instance runs are flushed
-// through the owning instance's AdmitBatch, so a cluster of one forwards
-// the whole batch in a single call and is decision- and
-// instrumentation-identical to a bare gateway. Items that cannot be
-// admitted anywhere (every instance draining) are refused with
-// ReasonCapacity without touching an instance.
+// of gateway.AdmitBatch. Each item is resolved and settled exactly as by
+// Admit; in between, contiguous same-instance runs are flushed through the
+// owning instance's AdmitBatch, so a cluster of one forwards the whole
+// batch in a single call and is decision- and instrumentation-identical to
+// a bare gateway. Invalid rates ride the current run so they don't split
+// it. Items that cannot be admitted anywhere (every instance draining) are
+// refused with ReasonCapacity without touching an instance.
 func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decision) ([]gateway.Decision, error) {
 	if len(ids) != len(rates) {
 		return dst, fmt.Errorf("cluster: batch length mismatch: %d ids, %d rates", len(ids), len(rates))
@@ -230,64 +267,51 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 		return dst, nil
 	}
 	sc := c.getScratch(len(ids))
-	targets, inserted := sc.targets, sc.inserted
 	last := -1
 	for i, id := range ids {
-		idx, pinned := c.pins.get(id)
-		ins := false
-		switch {
-		case pinned:
-			// Route to the owner (which also detects duplicates).
-		case !(rates[i] > 0) || math.IsInf(rates[i], 0):
-			// Invalid rates decide nowhere; ride the current run so they
-			// don't split it (the instance emits the canonical
-			// invalid-rate decision wherever it lands).
-			if idx = last; idx < 0 {
-				idx = c.peek()
-			}
-		default:
-			if idx = c.place(); idx >= 0 {
-				idx, ins = c.pins.putIfAbsent(id, idx)
-			}
-		}
-		targets = append(targets, idx)
-		inserted = append(inserted, ins)
+		idx, tentative := c.resolve(id, rates[i], last)
+		sc.targets = append(sc.targets, idx)
+		sc.tentative = append(sc.tentative, tentative)
 		if idx >= 0 {
 			last = idx
 		}
 	}
 
 	base := len(dst)
-	var err error
-	for lo, i := 0, 1; i <= len(ids); i++ {
-		if i < len(ids) && targets[i] == targets[lo] {
-			continue
-		}
-		if t := targets[lo]; t < 0 {
-			for j := lo; j < i; j++ {
+	forRuns(sc.targets, func(t, lo, hi int) {
+		if t < 0 {
+			for j := lo; j < hi; j++ {
 				dst = append(dst, gateway.Decision{Reason: gateway.ReasonCapacity})
 			}
-		} else if dst, err = c.instances[t].g.AdmitBatch(ids[lo:i], rates[lo:i], dst); err != nil {
-			break
+			return
 		}
-		lo = i
-	}
-	if err == nil {
-		for i, id := range ids {
-			t := targets[i]
-			if t < 0 {
-				continue
-			}
-			if d := dst[base+i]; d.Admitted {
-				c.instances[t].placements.Add(1)
-			} else if inserted[i] && !c.instances[t].g.Contains(id) {
-				c.pins.delIf(id, t)
-			}
+		// The instance's only error is a length mismatch, which equal
+		// sub-slices of the checked inputs cannot produce.
+		dst, _ = c.instances[t].g.AdmitBatch(ids[lo:hi], rates[lo:hi], dst)
+	})
+	for i, id := range ids {
+		if t := sc.targets[i]; t >= 0 {
+			c.settle(id, t, sc.tentative[i], dst[base+i].Admitted)
 		}
 	}
-	sc.targets, sc.inserted = targets, inserted
 	c.batchPool.Put(sc)
-	return dst, err
+	return dst, nil
+}
+
+// onOwner runs op on the instance flowID is pinned to and applies the one
+// unpin rule: the pin goes, if it still points at that instance (so a
+// stale unpin never clobbers a re-placement), once the flow has ended
+// there — op was its departure, or the instance no longer knows it.
+func (c *Cluster) onOwner(flowID uint64, departs bool, op func(*gateway.Gateway) error) error {
+	idx, ok := c.pins.get(flowID)
+	if !ok {
+		return fmt.Errorf("cluster: flow %d is not active", flowID)
+	}
+	err := op(c.instances[idx].g)
+	if departs || err != nil {
+		c.pins.delIf(flowID, idx)
+	}
+	return err
 }
 
 // UpdateRate routes a rate report to the flow's owning instance. Rates are
@@ -297,80 +321,51 @@ func (c *Cluster) UpdateRate(flowID uint64, rate float64) error {
 	if !(rate >= 0) || math.IsInf(rate, 0) {
 		return fmt.Errorf("cluster: rate %g must be non-negative and finite", rate)
 	}
-	idx, ok := c.pins.get(flowID)
-	if !ok {
-		return fmt.Errorf("cluster: flow %d is not active", flowID)
-	}
-	err := c.instances[idx].g.UpdateRate(flowID, rate)
-	if err != nil {
-		// The rate was pre-validated, so the instance no longer holds the
-		// flow (lease-expired): drop the stale pin.
-		c.pins.delIf(flowID, idx)
-	}
-	return err
+	return c.onOwner(flowID, false, func(g *gateway.Gateway) error { return g.UpdateRate(flowID, rate) })
 }
 
 // Touch routes a lease keepalive to the flow's owning instance.
 func (c *Cluster) Touch(flowID uint64) error {
-	idx, ok := c.pins.get(flowID)
-	if !ok {
-		return fmt.Errorf("cluster: flow %d is not active", flowID)
-	}
-	err := c.instances[idx].g.Touch(flowID)
-	if err != nil {
-		c.pins.delIf(flowID, idx)
-	}
-	return err
+	return c.onOwner(flowID, false, func(g *gateway.Gateway) error { return g.Touch(flowID) })
 }
 
 // Depart removes an active flow from its owning instance and unpins it.
 func (c *Cluster) Depart(flowID uint64) error {
-	idx, ok := c.pins.get(flowID)
-	if !ok {
-		return fmt.Errorf("cluster: flow %d is not active", flowID)
-	}
-	err := c.instances[idx].g.Depart(flowID)
-	c.pins.delIf(flowID, idx) // departed or stale: the pin is done either way
-	return err
+	return c.onOwner(flowID, true, func(g *gateway.Gateway) error { return g.Depart(flowID) })
 }
 
 // DepartBatch removes a batch of flows, appending one result per id to dst
 // (true = departed) and returning the extended slice — the cluster face of
 // gateway.DepartBatch. Contiguous same-owner runs are flushed through the
 // owning instance's DepartBatch; unpinned ids report not-active without
-// touching any instance.
+// touching any instance. Every pin the batch routed through is then
+// dropped under the rule of onOwner.
 func (c *Cluster) DepartBatch(ids []uint64, dst []bool) []bool {
 	if len(ids) == 0 {
 		return dst
 	}
 	sc := c.getScratch(len(ids))
-	targets := sc.targets
 	for _, id := range ids {
 		idx, ok := c.pins.get(id)
 		if !ok {
 			idx = -1
 		}
-		targets = append(targets, idx)
+		sc.targets = append(sc.targets, idx)
 	}
-	for lo, i := 0, 1; i <= len(ids); i++ {
-		if i < len(ids) && targets[i] == targets[lo] {
-			continue
-		}
-		if t := targets[lo]; t < 0 {
-			for j := lo; j < i; j++ {
+	forRuns(sc.targets, func(t, lo, hi int) {
+		if t < 0 {
+			for j := lo; j < hi; j++ {
 				dst = append(dst, false)
 			}
-		} else {
-			dst = c.instances[t].g.DepartBatch(ids[lo:i], dst)
+			return
 		}
-		lo = i
-	}
+		dst = c.instances[t].g.DepartBatch(ids[lo:hi], dst)
+	})
 	for i, id := range ids {
-		if targets[i] >= 0 {
-			c.pins.delIf(id, targets[i])
+		if t := sc.targets[i]; t >= 0 {
+			c.pins.delIf(id, t)
 		}
 	}
-	sc.targets = targets
 	c.batchPool.Put(sc)
 	return dst
 }

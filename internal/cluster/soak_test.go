@@ -63,6 +63,7 @@ func TestClusterSkewedSoak(t *testing.T) {
 	if st := c.Stats(); !st.LifecycleBalanced() {
 		t.Fatalf("fleet lifecycle unbalanced after soak: %+v", st)
 	}
+	checkPinsExact(t, c)
 	placed := false
 	for i := 0; i < n; i++ {
 		r := audits[i].Report()
@@ -89,14 +90,14 @@ func TestClusterSkewedSoak(t *testing.T) {
 // workers while an instance is drained and reactivated mid-flight, then
 // checks the failover contract: the fleet-wide lifecycle identity holds
 // (no admitted flow lost) and the pin table exactly matches the instances'
-// flow tables once the dust settles.
+// flow tables at the first tick past every lease.
 func TestClusterFailoverSoak(t *testing.T) {
 	const (
 		n        = 4
 		capacity = 40.0
 		ttl      = 30.0
 	)
-	cfg := Config{PinSweepEvery: 8}
+	cfg := Config{}
 	for i := 0; i < n; i++ {
 		cfg.Instances = append(cfg.Instances, testGatewayConfig(t, capacity, ttl))
 	}
@@ -157,11 +158,9 @@ func TestClusterFailoverSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Settle: expire every remaining lease and let the pin sweep reconcile.
-	final := float64(vnow.Load())
-	for i := 1; i <= 32; i++ {
-		c.Tick(final + float64(i)*ttl)
-	}
+	// Settle: one tick past every lease. The flows the open-loop schedule
+	// left behind expire there, and their pins must go at that same tick.
+	c.Tick(float64(vnow.Load()) + 2*ttl)
 
 	st := c.Stats()
 	if !st.LifecycleBalanced() {
@@ -170,19 +169,10 @@ func TestClusterFailoverSoak(t *testing.T) {
 	if st.Admitted == 0 {
 		t.Fatal("soak admitted nothing")
 	}
-	var active int64
-	for i := 0; i < n; i++ {
-		active += c.Gateway(i).Active()
+	if st.Active != 0 {
+		t.Fatalf("%d flows outlived a tick past every lease: %+v", st.Active, st)
 	}
-	if pinned := c.pins.count(); pinned != active {
-		t.Fatalf("pin table out of sync after soak: %d pins, %d active flows", pinned, active)
-	}
-	c.pins.sweep(func(id uint64, idx int) bool {
-		if !c.Gateway(idx).Contains(id) {
-			t.Errorf("pin %d -> instance %d is stale", id, idx)
-		}
-		return true
-	})
+	checkPinsExact(t, c)
 	snap := c.Snapshot()
 	if snap.Drains != 1 {
 		t.Fatalf("snapshot drains = %d, want 1", snap.Drains)

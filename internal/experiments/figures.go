@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
+	"repro/internal/sim"
 	"repro/internal/theory"
 )
 
@@ -68,7 +70,7 @@ func runFig5(f Fidelity, seed uint64) ([]*Table, error) {
 	}
 	sweep := fig5TmSweep(f)
 	rows := make([][]float64, len(sweep))
-	err := parallelMap(len(sweep), func(i int) error {
+	err := sim.ForEach(context.Background(), len(sweep), func(i int) error {
 		tm := sweep[i]
 		s := spec{
 			N: fig5N, SVR: fig5SVR, Th: fig5Th, Tc: fig5Tc, Tm: tm, Pce: pce,
@@ -157,7 +159,7 @@ func runFig7(f Fidelity, seed uint64) ([]*Table, error) {
 		}
 	}
 	rows := make([][]float64, len(pts))
-	err := parallelMap(len(pts), func(i int) error {
+	err := sim.ForEach(context.Background(), len(pts), func(i int) error {
 		p := pts[i]
 		sys := theory.System{Capacity: p.n, Mu: 1, Sigma: svr, Th: p.th, Tc: tc, Tm: p.tm}
 		pce, err := theory.AdjustedTarget(sys, pq, theory.InvertClosedForm)
@@ -237,7 +239,7 @@ func runFig10(f Fidelity, seed uint64) ([]*Table, error) {
 		Columns: append([]string{"Tm_over_ThTilde"}, tcLabels(tcs)...),
 	}
 	grid := make([]float64, len(tmRatios)*len(tcs))
-	err := parallelMap(len(grid), func(i int) error {
+	err := sim.ForEach(context.Background(), len(grid), func(i int) error {
 		r, tc := tmRatios[i/len(tcs)], tcs[i%len(tcs)]
 		res, err := run(spec{
 			N: n, SVR: svr, Th: th, Tc: tc, Tm: r * thTilde, Pce: pce,

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/gateway"
+	"repro/internal/loadgen"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -15,12 +15,11 @@ import (
 	"repro/internal/traffic"
 )
 
-// gatewayFill replays one impulsive-load replication through the online
-// gateway: flows with RCBR-marginal rates request admission one by one,
-// with a measurement tick after every event, until the
-// certainty-equivalent bound refuses one. Returns the admitted count
-// (the gateway analog of Proposition 3.1's M0).
-func gatewayFill(n, svr, pce float64, r *rng.PCG) (int64, error) {
+// gatewayFill runs one impulsive-load replication through the online
+// gateway (loadgen.ImpulsiveFill) under a memoryless estimator and a
+// certainty-equivalent controller, and returns the admitted count — the
+// gateway analog of Proposition 3.1's M0.
+func gatewayFill(n, svr, pce float64, r *rng.PCG) (int, error) {
 	ctrl, err := core.NewCertaintyEquivalent(pce, 1, svr)
 	if err != nil {
 		return 0, err
@@ -34,21 +33,7 @@ func gatewayFill(n, svr, pce float64, r *rng.PCG) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	model := traffic.NewRCBR(1, svr, 1)
-	for i := 0; ; i++ {
-		rate := model.New(r.Split(uint64(i))).Next().Rate
-		d, err := g.Admit(uint64(i), rate)
-		if err != nil {
-			return 0, err
-		}
-		g.Tick(float64(i+1) * 1e-3)
-		if !d.Admitted {
-			return d.Active, nil
-		}
-		if i > int(4*n) {
-			return 0, fmt.Errorf("experiments: gateway fill did not terminate at capacity %g", n)
-		}
-	}
+	return loadgen.ImpulsiveFill(g, traffic.NewRCBR(1, svr, 1), r)
 }
 
 // runGatewaySoak measures the gateway's admitted-count statistics under

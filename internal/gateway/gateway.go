@@ -577,29 +577,33 @@ func (g *Gateway) Admit(flowID uint64, declaredRate float64) (Decision, error) {
 			fmt.Errorf("gateway: flow %d is already active", flowID)
 	}
 	start, timed := g.startTimingLocked(s, start)
-	// Reserve a slot lock-free: the CAS loop ensures the active count can
-	// never exceed ⌊M⌋ even when many goroutines race a single free slot.
-	// (Spinning while holding the shard lock is safe: other threads
-	// advance the counter without needing this shard.) Counters and the
-	// latency observation stay inside the critical section the path already
-	// owns — striped plain fields, merged only when a reader asks.
+	d := g.decideLocked(s, flowID, declaredRate, m)
+	if timed {
+		s.lat.Observe(float64(g.clock()-start) * 1e-9)
+	}
+	s.mu.Unlock()
+	return d, nil
+}
+
+// decideLocked is the one admission step behind Admit and AdmitBatch:
+// reserve a slot and insert the flow, or count the capacity reject. The
+// caller holds s.mu and has ruled out a duplicate. The reservation is
+// lock-free: the CAS loop ensures the active count can never exceed ⌊M⌋
+// even when many goroutines race a single free slot. (Spinning while
+// holding the shard lock is safe: other threads advance the counter
+// without needing this shard.) Counters stay inside the critical section
+// the path already owns — striped plain fields, merged only when a reader
+// asks.
+func (g *Gateway) decideLocked(s *shard, flowID uint64, rate, m float64) Decision {
 	for {
 		cur := g.active.Load()
 		if float64(cur)+1 > m {
 			s.rejected++
-			if timed {
-				s.lat.Observe(float64(g.clock()-start) * 1e-9)
-			}
-			s.mu.Unlock()
-			return Decision{Admitted: false, Reason: ReasonCapacity, Admissible: m, Active: cur}, nil
+			return Decision{Reason: ReasonCapacity, Admissible: m, Active: cur}
 		}
 		if g.active.CompareAndSwap(cur, cur+1) {
-			g.insertLocked(s, flowID, declaredRate)
-			if timed {
-				s.lat.Observe(float64(g.clock()-start) * 1e-9)
-			}
-			s.mu.Unlock()
-			return Decision{Admitted: true, Reason: ReasonAdmitted, Admissible: m, Active: cur + 1}, nil
+			g.insertLocked(s, flowID, rate)
+			return Decision{Admitted: true, Reason: ReasonAdmitted, Admissible: m, Active: cur + 1}
 		}
 	}
 }
@@ -662,20 +666,7 @@ func (g *Gateway) AdmitBatch(ids []uint64, rates []float64, dst []Decision) ([]D
 			dst = append(dst, Decision{Reason: ReasonDuplicate, Admissible: m, Active: g.active.Load()})
 			continue
 		}
-		d := Decision{Admissible: m, Reason: ReasonCapacity}
-		for {
-			cur := g.active.Load()
-			if float64(cur)+1 > m {
-				s.rejected++
-				d.Active = cur
-				break
-			}
-			if g.active.CompareAndSwap(cur, cur+1) {
-				g.insertLocked(s, id, rate)
-				d.Admitted, d.Reason, d.Active = true, ReasonAdmitted, cur+1
-				break
-			}
-		}
+		d := g.decideLocked(s, id, rate, m)
 		s.mu.Unlock()
 		if latShard == nil {
 			latShard = s
@@ -758,20 +749,27 @@ func (g *Gateway) Depart(flowID uint64) error {
 		s.mu.Unlock()
 		return fmt.Errorf("gateway: flow %d is not active", flowID)
 	}
+	s.removeLocked(flowID, e, &s.departed)
+	s.mu.Unlock()
+	g.active.Add(-1)
+	return nil
+}
+
+// removeLocked is the one way a flow leaves the table — departure, batched
+// departure and lease expiry all end here, counting into the stripe they
+// name. The caller holds s.mu and owes the active count its decrement.
+// With churn the incremental shard sums accumulate floating-point drift;
+// they are renormalized to exact zeros whenever a shard empties, and
+// Tick's rotating exact recompute covers shards that never drain.
+func (s *shard) removeLocked(flowID uint64, e flowEntry, count *uint64) {
 	delete(s.flows, flowID)
 	s.sumRate -= e.rate
 	s.sumSq -= e.rate * e.rate
-	// With churn the incremental shard sums accumulate floating-point
-	// drift; renormalize from the table whenever a shard empties, and rely
-	// on Tick's rotating exact recompute for shards that never drain.
 	if len(s.flows) == 0 {
 		s.sumRate, s.sumSq = 0, 0
 		s.minDeadline = math.Inf(1)
 	}
-	s.departed++
-	s.mu.Unlock()
-	g.active.Add(-1)
-	return nil
+	*count++
 }
 
 // departScratch is DepartBatch's pooled shard-grouping scratch: intrusive
@@ -843,16 +841,7 @@ func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
 			if !ok {
 				continue
 			}
-			delete(s.flows, ids[i])
-			s.sumRate -= e.rate
-			s.sumSq -= e.rate * e.rate
-			// Same drift renormalization as Depart: exact zeros whenever a
-			// shard empties.
-			if len(s.flows) == 0 {
-				s.sumRate, s.sumSq = 0, 0
-				s.minDeadline = math.Inf(1)
-			}
-			s.departed++
+			s.removeLocked(ids[i], e, &s.departed)
 			departed++
 			dst[base+i] = true
 		}
@@ -896,7 +885,15 @@ func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
 // Config.StaleAfter armed — degrades to the configured policy after
 // StaleAfter consecutive faulty ticks. One healthy tick exits degraded
 // mode and republishes the controller's fresh bound.
-func (g *Gateway) Tick(now float64) Stats {
+func (g *Gateway) Tick(now float64) Stats { return g.TickExpired(now, nil) }
+
+// TickExpired is Tick for a caller that keeps its own per-flow state — the
+// cluster router's pins: expired (nil for none) receives the ID of every
+// flow this tick's lease sweep reclaims, at the moment the flow leaves the
+// table. It runs under that flow's shard lock, so no admission of the same
+// ID can fall between the removal and the report; it must be brief and
+// must not call back into the gateway.
+func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 	g.measMu.Lock()
 	if !(now > g.lastTick) {
 		now = g.lastTick
@@ -912,7 +909,7 @@ func (g *Gateway) Tick(now float64) Stats {
 		s := &g.shards[i]
 		s.mu.Lock()
 		if g.ttl > 0 && s.minDeadline <= now {
-			g.sweepLocked(s, now)
+			g.sweepLocked(s, now, expired)
 		} else if i == rot {
 			g.recomputeLocked(s)
 		}
@@ -978,18 +975,21 @@ func (g *Gateway) Tick(now float64) Stats {
 	return st
 }
 
-// sweepLocked reclaims expired leases from s at virtual time now and
-// refreshes the shard's cached earliest deadline; the caller holds measMu
-// and s.mu. After any reclaim the shard's sums are recomputed exactly (in
-// sorted order — see recomputeLocked), so expiry never leaves incremental
-// drift or an order-dependent residue behind.
-func (g *Gateway) sweepLocked(s *shard, now float64) {
-	expired := 0
+// sweepLocked reclaims expired leases from s at virtual time now, reporting
+// each to expired (when set), and refreshes the shard's cached earliest
+// deadline; the caller holds measMu and s.mu. After any reclaim the shard's
+// sums are recomputed exactly (in sorted order — see recomputeLocked), so
+// expiry never leaves incremental drift or an order-dependent residue
+// behind.
+func (g *Gateway) sweepLocked(s *shard, now float64, expired func(flowID uint64)) {
+	before := s.expired
 	min := math.Inf(1)
 	for id, e := range s.flows {
 		if e.deadline <= now {
-			delete(s.flows, id)
-			expired++
+			s.removeLocked(id, e, &s.expired)
+			if expired != nil {
+				expired(id)
+			}
 			continue
 		}
 		if e.deadline < min {
@@ -997,11 +997,10 @@ func (g *Gateway) sweepLocked(s *shard, now float64) {
 		}
 	}
 	s.minDeadline = min
-	if expired == 0 {
+	if s.expired == before {
 		return
 	}
-	s.expired += uint64(expired)
-	g.active.Add(-int64(expired))
+	g.active.Add(-int64(s.expired - before))
 	g.recomputeLocked(s)
 }
 

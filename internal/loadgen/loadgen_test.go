@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/gateway"
+	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/traffic"
 )
@@ -534,5 +535,40 @@ func TestScheduleRenegotiate(t *testing.T) {
 		if got[i] != again[i] {
 			t.Fatalf("renegotiated schedule diverged at event %d", i)
 		}
+	}
+}
+
+// TestImpulsiveFillRedraw: a fill stops at the bound's first refusal with
+// exactly the admitted flows active, near the certainty-equivalent m*; the
+// redraw then re-measures those same flows at fresh rates. Both are
+// deterministic in the substream.
+func TestImpulsiveFillRedraw(t *testing.T) {
+	model := traffic.NewRCBR(1, 0.3, 1)
+	run := func() (int, gateway.Stats, gateway.Stats) {
+		g := newGatewayCap(t, 100)
+		r := rng.New(0x696d70, 1)
+		m0, err := ImpulsiveFill(g, model, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filled := g.Stats()
+		redrawn, err := ImpulsiveRedraw(g, model, r, m0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m0, filled, redrawn
+	}
+	m0, filled, redrawn := run()
+	if filled.Active != int64(m0) || filled.Admitted != int64(m0) || filled.Rejected != 1 {
+		t.Fatalf("fill admitted %d, gateway says %+v", m0, filled)
+	}
+	if m0 < 80 || m0 > 100 { // m* = 93.3 at n = 100, SVR 0.3, p_q = 1e-2; sd 3
+		t.Fatalf("fill admitted %d flows, far from m* = 93", m0)
+	}
+	if redrawn.MeasuredFlows != m0 || redrawn.AggregateRate == filled.AggregateRate || redrawn.LastTick != 1e6 {
+		t.Fatalf("redraw did not re-measure the %d admitted flows: before %+v after %+v", m0, filled, redrawn)
+	}
+	if m, f, r := run(); m != m0 || f != filled || r != redrawn {
+		t.Fatal("same substream produced a different replication")
 	}
 }

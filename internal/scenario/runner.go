@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/qos"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/theory"
 )
@@ -38,12 +37,9 @@ func (r *Result) Matched() bool { return r.Verdict == r.Config.Expect }
 // (seed, arm), so the whole Result — and the reports rendered from it — is
 // reproducible byte for byte.
 //
-// Cells execute in parallel on the shared replication pool (sim.Replicated,
-// one cell per stripe) but land in the slice by matrix index, so the
-// collected order — and therefore every rendered report — is byte-identical
-// to the historical sequential loop. The pool's substreams go unused: each
-// cell derives all of its randomness from its own (seed, arm) pair, which
-// is what makes the parallel schedule invisible in the output.
+// Cells execute in parallel (sim.ForEach) but land in the slice by matrix
+// index, and each derives all of its randomness from its own (seed, arm)
+// pair, which is what makes the parallel schedule invisible in the output.
 func Run(ctx context.Context, cfg *Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -51,17 +47,13 @@ func Run(ctx context.Context, cfg *Config) (*Result, error) {
 	res := &Result{Config: cfg, Sqrt2Law: theory.ImpulsiveOverflow(cfg.Gateway.PQ)}
 	nArms := len(cfg.Arms)
 	cells := make([]CellResult, len(cfg.Seeds)*nArms)
-	pool := sim.Replicated{
-		Replications: len(cells),
-		Stripes:      len(cells), // one cell per stripe: full matrix parallelism
-	}
-	err := pool.Run(ctx, func(_, rep int, _ *rng.PCG) error {
-		seed, arm := cfg.Seeds[rep/nArms], cfg.Arms[rep%nArms]
+	err := sim.ForEach(ctx, len(cells), func(i int) error {
+		seed, arm := cfg.Seeds[i/nArms], cfg.Arms[i%nArms]
 		cell, err := runCell(ctx, cfg, arm, seed)
 		if err != nil {
 			return fmt.Errorf("scenario %s: seed %d arm %q: %w", cfg.Name, seed, arm.Name, err)
 		}
-		cells[rep] = cell
+		cells[i] = cell
 		return nil
 	})
 	if err != nil {

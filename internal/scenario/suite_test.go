@@ -10,8 +10,9 @@ import (
 
 // TestScenarioSuite is the `make test-scenario` tier: every built-in
 // scenario under scenarios/ must grade to its declared expected verdict.
-// The suite includes the two impulsive sqrt2-law ensembles (the slow
-// cells, around a minute together on one core), which is why this lives
+// The suite includes the impulsive ensembles — the two sqrt2-law points and
+// their perfect-knowledge control (the slow cells, over a minute together
+// on one core) — which is why this lives
 // behind the "scenario" build tag rather than in tier-1; the fast
 // scenarios also run in tier-1 through the golden and network-twin tests.
 func TestScenarioSuite(t *testing.T) {

@@ -228,10 +228,9 @@ func runCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (CellResult
 }
 
 // runImpulsiveCell is the Prop 3.3 steady state: per replication, fill the
-// gateway one flow at a time (a measurement tick after each) until the
-// bound refuses one, then redraw every admitted flow's rate — the t >> T_c
-// state where the load is independent of the admission-time fluctuation —
-// and record whether the redrawn aggregate overflows. Replications fan out
+// gateway until the bound refuses a flow, redraw every admitted flow's rate
+// (loadgen.ImpulsiveFill, ImpulsiveRedraw) and record whether the redrawn
+// aggregate overflows. Replications fan out
 // over the shared worker pool; indicators merge in replication order, so
 // the cell is bit-identical for a fixed seed at any worker count.
 func runImpulsiveCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (CellResult, error) {
@@ -246,7 +245,7 @@ func runImpulsiveCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (C
 	}
 	pool := sim.Replicated{Replications: cfg.Workload.Replications, Seed: seed, Tag: 0x7363656e} // "scen"
 	outs, err := sim.Collect(ctx, pool, func(rep int, r *rng.PCG) (repOut, error) {
-		gcfg, _, err := cellGatewayConfig(cfg, arm, ts, 1e-3, 8)
+		gcfg, _, err := cellGatewayConfig(cfg, arm, ts, loadgen.ImpulsiveTick, 8)
 		if err != nil {
 			return repOut{}, err
 		}
@@ -254,29 +253,14 @@ func runImpulsiveCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (C
 		if err != nil {
 			return repOut{}, err
 		}
-		admitted := 0
-		for i := 0; ; i++ {
-			rate := model.New(r.Split(uint64(i))).Next().Rate
-			d, err := g.Admit(uint64(i), rate)
-			if err != nil {
-				return repOut{}, err
-			}
-			g.Tick(float64(i+1) * 1e-3)
-			if !d.Admitted {
-				admitted = i
-				break
-			}
-			if i > int(4*n) {
-				return repOut{}, fmt.Errorf("scenario: impulsive fill did not terminate at capacity %g", n)
-			}
+		admitted, err := loadgen.ImpulsiveFill(g, model, r)
+		if err != nil {
+			return repOut{}, err
 		}
-		for j := 0; j < admitted; j++ {
-			rate := model.New(r.Split(uint64(1)<<32 + uint64(j))).Next().Rate
-			if err := g.UpdateRate(uint64(j), rate); err != nil {
-				return repOut{}, err
-			}
+		st, err := loadgen.ImpulsiveRedraw(g, model, r, admitted)
+		if err != nil {
+			return repOut{}, err
 		}
-		st := g.Tick(1e6) // well past T_c
 		return repOut{overflow: st.AggregateRate > n, admitted: int64(admitted)}, nil
 	})
 	if err != nil {

@@ -32,3 +32,15 @@ func Collect[T any](ctx context.Context, p Replicated, body func(rep int, r *rng
 	}
 	return out, nil
 }
+
+// ForEach runs fn(i) for every index in [0, n) on the worker pool: the
+// fan-out for jobs that carry their own seeds — simulation points of a
+// sweep, cells of a scenario matrix — and so want the pool's bounded
+// workers, cancellation and first-error contract but none of its
+// substreams. Callers write results into index-addressed slices, which
+// keeps their order, and every table or report rendered from them,
+// independent of scheduling.
+func ForEach(ctx context.Context, n int, fn func(i int) error) error {
+	// One index per stripe: no two indices are serialized behind each other.
+	return Replicated{Replications: n, Stripes: n}.Run(ctx, func(_, i int, _ *rng.PCG) error { return fn(i) })
+}

@@ -211,3 +211,30 @@ func TestCollectError(t *testing.T) {
 		t.Fatalf("partial results leaked: %v", out)
 	}
 }
+
+// TestForEach: every index runs exactly once, and the first error comes
+// back.
+func TestForEach(t *testing.T) {
+	hits := make([]atomic.Int32, 37)
+	if err := ForEach(context.Background(), len(hits), func(i int) error {
+		hits[i].Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range hits {
+		if n := hits[i].Load(); n != 1 {
+			t.Errorf("index %d ran %d times", i, n)
+		}
+	}
+	boom := errors.New("boom")
+	err := ForEach(context.Background(), 5, func(i int) error {
+		if i == 2 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+}
