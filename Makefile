@@ -26,7 +26,9 @@
 #              estimator NaN/Inf bursts, stalled ticks, leaked clients; ends
 #              with bench-cmp so the lifecycle/degradation machinery is also
 #              held to the serving-path perf budget
-#   net      — network serving tier (build tag "net"): the loopback
+#   net      — network serving tier: the client's tier-1 tests (group-
+#              committed writes, Close/retire/timeout racing a held flush)
+#              five times under -race, then (build tag "net") the loopback
 #              end-to-end soak (client -> server -> gateway, open loop,
 #              concurrent, graceful drain) under -race, then bench-cmp so
 #              the serving layer can't regress the admission hot path
@@ -158,11 +160,13 @@ test-chaos:
 	$(GO) test -tags chaos -race -run 'TestChaos' -v ./internal/gateway
 	$(MAKE) bench-cmp
 
-# Network tier: the loopback end-to-end soak and the sharded pipelined
-# identity test under the race detector, then both serving-path perf
+# Network tier: the client's own tests five times (its send path is all
+# interleavings), the loopback end-to-end soak and the sharded pipelined
+# identity test, all under the race detector, then both serving-path perf
 # guards — the network layer must hold the gateway budget it fronts and
 # its own per-decision budget.
 test-net:
+	$(GO) test -race -count 5 ./client
 	$(GO) test -tags net -race -run 'TestSoak|TestSharded' -v ./internal/loadgen
 	$(MAKE) bench-cmp
 	$(MAKE) bench-server-cmp

@@ -3,17 +3,30 @@
 // many requests may be in flight on one connection, correlated by request
 // id — and pooled: requests round-robin across Config.Conns connections,
 // each with a single reader goroutine demultiplexing responses to
-// waiters. Concurrent callers sharing a connection naturally emit
-// back-to-back frames, which is exactly the shape the server's
-// per-connection micro-batcher coalesces into single AdmitBatch calls.
+// waiters.
+//
+// Sending is a group commit. A caller encodes its frame into the
+// connection's queue under a mutex that is never held across I/O; if
+// another caller is already writing, it leaves the frame there and waits
+// for its reply. The caller that finds nobody writing becomes the flusher
+// and writes the queue — its own frame and whatever the others append
+// while it is inside Write — until the queue is empty. Concurrent callers
+// sharing a connection therefore emit back-to-back frames in one write,
+// the shape the server's per-connection micro-batcher turns into one
+// decide pass and one reply write. There is no flush timer and nothing to
+// tune: a flusher that sees other calls pending yields the processor once
+// before its first write, so that callers the reader has just woken can
+// queue behind it, and a lone caller writes at once. A call in steady
+// state allocates nothing: its rendezvous (channel, timeout timer) is
+// pooled.
 //
 // Failure semantics: per-request errors (unknown flow, invalid rate)
 // come back as ErrNotActive / ErrInvalidRate; a connection-scoped
 // Refusal frame from the server (overloaded, draining, shed,
-// rate-limited) fails every request pending on that connection with a
-// *RefusedError and retires the connection. Retired connections are
-// redialed lazily on next use, so a client survives a server restart or
-// drain without being rebuilt.
+// rate-limited), a failed read or a failed flush fails every request
+// pending on that connection — written or still queued — and retires the
+// connection. Retired connections are redialed lazily on next use, so a
+// client survives a server restart or drain without being rebuilt.
 package client
 
 import (
@@ -22,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,17 +76,26 @@ type Config struct {
 	Conns int
 	// DialTimeout bounds one dial (default 5s).
 	DialTimeout time.Duration
-	// RequestTimeout bounds one request when the caller's context has no
-	// earlier deadline (default 10s).
+	// RequestTimeout bounds one request; a context that ends earlier
+	// bounds it sooner (default 10s).
 	RequestTimeout time.Duration
 }
 
 // Client is a pooled, pipelined protocol client. Safe for concurrent use.
+//
+// Every call is bounded by Config.RequestTimeout and by its context,
+// whichever ends first. A call that fails that way, or with a connection
+// error, has an unknown outcome: an Admit may still have been admitted.
+// A caller that gives the flow up need not chase it: on a gateway that
+// runs leases (gateway.Config.FlowTTL), an admitted flow nobody refreshes
+// is reclaimed when its lease runs out; calling Depart is harmless either
+// way (ErrNotActive if the admit never landed).
 type Client struct {
 	cfg    Config
 	conns  []*poolConn
 	next   atomic.Uint64
 	closed atomic.Bool
+	dial   func(context.Context) (net.Conn, error) // dialTCP; tests substitute a stub
 }
 
 // New validates cfg and returns a Client. Connections are dialed lazily
@@ -94,6 +117,7 @@ func New(cfg Config) (*Client, error) {
 		cfg.RequestTimeout = 10 * time.Second
 	}
 	c := &Client{cfg: cfg, conns: make([]*poolConn, cfg.Conns)}
+	c.dial = c.dialTCP
 	for i := range c.conns {
 		c.conns[i] = &poolConn{client: c}
 	}
@@ -225,157 +249,254 @@ type result struct {
 	decisions []wire.Decision
 }
 
-// call is one in-flight request's rendezvous.
+// call is one in-flight request's rendezvous. Whoever removes a call from
+// its connection's pending map — the reader with the reply, retire with the
+// connection's error — completes it, exactly once, so the send on done
+// never blocks. Calls are pooled: one whose completion the caller received
+// goes back to callPool; one the caller gave up on (timeout, cancellation)
+// is left to the collector, because the reader may be completing it at
+// that very moment.
 type call struct {
-	done chan struct{}
-	res  result
-	err  error
+	done  chan struct{} // capacity 1
+	timer *time.Timer   // the request timeout; stopped and drained while pooled
+	res   result
+	err   error
+}
+
+var callPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop() // just created, so it cannot have fired: nothing to drain
+	return &call{done: make(chan struct{}, 1), timer: t}
+}}
+
+// complete hands the outcome to the waiting caller.
+func (cl *call) complete(res result, err error) {
+	cl.res, cl.err = res, err
+	cl.done <- struct{}{}
+}
+
+// release returns cl to the pool. The caller must not have received from
+// cl.timer.C since arming it, and nobody else may hold cl. go.mod says go
+// 1.22, so a timer that fired before Stop has left (or is about to leave)
+// a value in its channel: stop, then drain.
+func (cl *call) release() {
+	if !cl.timer.Stop() {
+		<-cl.timer.C
+	}
+	cl.res, cl.err = result{}, nil
+	callPool.Put(cl)
 }
 
 // roundTrip sends one encoded request on a pooled connection and waits
-// for its correlated reply, honoring ctx and the request timeout.
+// for its correlated reply, for at most the request timeout and no longer
+// than ctx allows.
 func (c *Client) roundTrip(ctx context.Context, enc func(dst []byte, reqID uint64) []byte) (result, error) {
 	if c.closed.Load() {
 		return result{}, ErrClosed
 	}
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
-	}
 	pc := c.conns[c.next.Add(1)%uint64(len(c.conns))]
-	cl, reqID, err := pc.send(ctx, enc)
+	cl := callPool.Get().(*call)
+	cl.timer.Reset(c.cfg.RequestTimeout)
+	reqID, err := pc.send(ctx, cl, enc)
 	if err != nil {
+		cl.release() // never registered
 		return result{}, err
 	}
 	select {
 	case <-cl.done:
-		return cl.res, cl.err
+		res, err := cl.res, cl.err
+		cl.release()
+		return res, err
 	case <-ctx.Done():
-		pc.forget(reqID)
-		return result{}, ctx.Err()
+		err = ctx.Err()
+	case <-cl.timer.C:
+		err = context.DeadlineExceeded
 	}
+	pc.forget(reqID)
+	cl.timer.Stop()
+	return result{}, err
 }
 
-// poolConn is one pooled connection: a lazily dialed socket, a writer
-// mutex serializing encode+write, and a reader goroutine routing replies
-// to pending calls by request id.
+// poolConn is one pooled connection: a lazily dialed socket, a queue of
+// encoded request frames that senders append to and one of them flushes,
+// and a reader goroutine routing replies to pending calls by request id.
 //
-// Lock order: wmu is never held while waiting on the network with pmu
-// wanted — pmu guards only in-memory state (socket identity, pending
-// calls, generation), so retire/Close always complete immediately. The
-// socket write itself happens outside pmu against a captured *net.Conn;
-// a concurrent retire closes the socket, which fails the blocked write
-// instead of waiting for it.
+// Lock order: dmu (held across a dial, so concurrent senders do not
+// double-dial the slot) before mu. mu guards only in-memory state and is
+// never held across I/O, so retire/Close always complete immediately: the
+// flusher writes outside mu, from a buffer it swapped out of the queue,
+// against a captured net.Conn; a concurrent retire closes the socket,
+// which fails the blocked write instead of waiting for it.
+//
+// Wire order on a connection is queue order. A caller's own sequential
+// RPCs stay ordered because each waits for its reply before the next is
+// queued; concurrent callers are ordered by who took mu first, which is
+// also the order of their request ids (nothing depends on ids being
+// monotone on the wire — replies are matched by id alone).
 type poolConn struct {
 	client *Client
 
-	wmu sync.Mutex // serializes encode+write; owns enc
-	enc []byte     // encode scratch, guarded by wmu
+	dmu sync.Mutex // serializes dialing
 
-	pmu     sync.Mutex // guards nc, pending, gen, nextReq; never held across I/O
-	nc      net.Conn
-	nextReq uint64 // monotone across redials, so reqIDs never collide between sockets
-	pending map[uint64]*call
-	gen     uint64 // bumped on retire so a stale reader or writer can't touch a redial
+	mu       sync.Mutex // guards everything below; never held across I/O
+	nc       net.Conn
+	gen      uint64 // bumped on retire so a stale reader or flusher can't touch a redial
+	nextReq  uint64 // monotone across redials, so reqIDs never collide between sockets
+	pending  map[uint64]*call
+	queue    []byte // frames registered for generation gen and not yet handed to Write
+	wbuf     []byte // the buffer the flusher last wrote from; swapped with queue per flush
+	flushing bool   // a sender of generation gen owns the socket's write side
 }
 
-// send dials if needed, registers a call, and writes the request frame.
-func (p *poolConn) send(ctx context.Context, encode func([]byte, uint64) []byte) (*call, uint64, error) {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-
-	p.pmu.Lock()
-	if p.client.closed.Load() {
-		p.pmu.Unlock()
-		return nil, 0, ErrClosed
-	}
+// send registers cl, queues its request frame, and — if no sender is
+// flushing this connection — flushes the queue itself: its own frame plus
+// whatever other callers append while it is writing. After send returns
+// nil the outcome, a write failure included, arrives through cl.
+func (p *poolConn) send(ctx context.Context, cl *call, encode func([]byte, uint64) []byte) (uint64, error) {
+	p.mu.Lock()
 	if p.nc == nil {
-		// Dial outside pmu so Close/retire never waits on the network;
-		// wmu keeps concurrent senders from double-dialing this slot.
-		p.pmu.Unlock()
-		nc, err := p.dial(ctx)
-		if err != nil {
-			return nil, 0, err
+		p.mu.Unlock()
+		if err := p.connect(ctx); err != nil {
+			return 0, err
 		}
-		p.pmu.Lock()
-		if p.client.closed.Load() {
-			p.pmu.Unlock()
-			nc.Close()
-			return nil, 0, ErrClosed
-		}
-		p.nc = nc
-		p.pending = make(map[uint64]*call)
-		go p.readLoop(nc, p.gen)
 	}
-	nc, gen := p.nc, p.gen
 	p.nextReq++
 	reqID := p.nextReq
-	cl := &call{done: make(chan struct{})}
 	p.pending[reqID] = cl
-	p.pmu.Unlock()
-
-	// Encode and write against the captured socket, with no lock a
-	// concurrent Close would need: Close closes the socket, which fails
-	// this write immediately.
-	p.enc = encode(p.enc[:0], reqID)
-	if d, ok := ctx.Deadline(); ok {
-		nc.SetWriteDeadline(d)
+	p.queue = encode(p.queue, reqID)
+	if p.flushing {
+		p.mu.Unlock()
+		return reqID, nil
 	}
-	if _, err := nc.Write(p.enc); err != nil {
-		err = fmt.Errorf("client: write: %w", err)
-		p.failConn(nc, gen, err)
-		if p.client.closed.Load() {
-			// The write lost to a concurrent Close (which already failed
-			// the registered call): surface the typed error, not the
-			// incidental socket error.
-			return nil, 0, ErrClosed
-		}
-		return nil, 0, err
+	p.flushing = true
+	nc, gen := p.nc, p.gen
+	others := len(p.pending) > 1
+	p.mu.Unlock()
+	if others {
+		// Replies come in bursts and the reader wakes their callers
+		// together; let the ones already runnable queue behind this frame
+		// before the write. A lone caller has nobody to wait for.
+		runtime.Gosched()
 	}
-	return cl, reqID, nil
+	p.flush(ctx, nc, gen)
+	return reqID, nil
 }
 
-// dial establishes a socket. No poolConn locks are required; the caller
-// installs the socket under pmu.
-func (p *poolConn) dial(ctx context.Context) (net.Conn, error) {
-	d := net.Dialer{Timeout: p.client.cfg.DialTimeout}
-	nc, err := d.DialContext(ctx, "tcp", p.client.cfg.Addr)
+// flush writes the queue to nc until it is empty. Only the sender that set
+// flushing for generation gen calls it; a retire in between drops the
+// queue and the claim with the generation, and flush then writes nothing
+// more.
+func (p *poolConn) flush(ctx context.Context, nc net.Conn, gen uint64) {
+	// The flusher's own deadline bounds the write that carries its own
+	// frame, the first; the later ones it makes on behalf of callers whose
+	// contexts it cannot see, and a short one of its own must not fail them.
+	own, hasOwn := ctx.Deadline()
+	for {
+		p.mu.Lock()
+		if p.gen != gen {
+			p.mu.Unlock()
+			return
+		}
+		if len(p.queue) == 0 {
+			p.flushing = false
+			p.mu.Unlock()
+			return
+		}
+		buf := p.queue
+		p.queue, p.wbuf = p.wbuf[:0], buf
+		p.mu.Unlock()
+
+		// Every frame in buf was queued by a call whose request timeout
+		// is already running, so a write stuck this long serves nobody.
+		deadline := time.Now().Add(p.client.cfg.RequestTimeout)
+		if hasOwn && own.Before(deadline) {
+			deadline = own
+		}
+		hasOwn = false
+		nc.SetWriteDeadline(deadline)
+		if _, err := nc.Write(buf); err != nil {
+			// Fails the calls buf carried and the ones queued behind it,
+			// unless a retire (which already failed them) closed the socket
+			// under this write.
+			p.failConn(nc, gen, fmt.Errorf("client: write: %w", err))
+			return
+		}
+	}
+}
+
+// connect dials the slot's socket unless another sender just did. On
+// success it returns with mu held, so the caller registers on the socket
+// it was given before a retire can take it away.
+func (p *poolConn) connect(ctx context.Context) error {
+	p.dmu.Lock()
+	defer p.dmu.Unlock()
+	p.mu.Lock()
+	if p.nc == nil && !p.client.closed.Load() {
+		// Dial outside mu so Close/retire never waits on the network.
+		p.mu.Unlock()
+		nc, err := p.client.dial(ctx)
+		if err != nil {
+			return err
+		}
+		p.mu.Lock()
+		if p.client.closed.Load() {
+			nc.Close()
+		} else {
+			p.nc = nc
+			p.pending = make(map[uint64]*call)
+			go p.readLoop(nc, p.gen)
+		}
+	}
+	if p.client.closed.Load() {
+		p.mu.Unlock()
+		return ErrClosed
+	}
+	return nil
+}
+
+// dialTCP establishes a socket, inside the dial timeout and the request
+// timeout of the call that needs it.
+func (c *Client) dialTCP(ctx context.Context) (net.Conn, error) {
+	d := net.Dialer{Timeout: c.cfg.DialTimeout, Deadline: time.Now().Add(c.cfg.RequestTimeout)}
+	nc, err := d.DialContext(ctx, "tcp", c.cfg.Addr)
 	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", p.client.cfg.Addr, err)
+		return nil, fmt.Errorf("client: dial %s: %w", c.cfg.Addr, err)
 	}
 	return nc, nil
 }
 
-// forget abandons a call the caller stopped waiting for (context expiry);
-// a late reply for it is dropped by the reader.
+// forget abandons a call the caller stopped waiting for (timeout or
+// context expiry); a late reply for it is dropped by the reader.
 func (p *poolConn) forget(reqID uint64) {
-	p.pmu.Lock()
+	p.mu.Lock()
 	delete(p.pending, reqID)
-	p.pmu.Unlock()
+	p.mu.Unlock()
 }
 
 // retire fails all pending calls and closes the socket; the next send
-// redials. It takes only pmu, so it returns promptly even while a send is
+// redials. It takes only mu, so it returns promptly even while a sender is
 // blocked mid-write or mid-dial on this slot.
 func (p *poolConn) retire(err error) {
-	p.pmu.Lock()
+	p.mu.Lock()
 	p.retireLocked(err)
-	p.pmu.Unlock()
+	p.mu.Unlock()
 }
 
 // retireLocked closes the socket first — unblocking any in-flight write —
-// then fails every pending call. Caller holds pmu.
+// then fails every pending call, written or still queued, and drops the
+// queue: those frames were for this socket only. Caller holds mu.
 func (p *poolConn) retireLocked(err error) {
 	if p.nc != nil {
 		p.nc.Close()
 		p.nc = nil
 	}
-	p.gen++ // invalidate the reader/writer that served this socket
+	p.gen++ // invalidate the reader and the flusher that served this socket
+	p.queue = p.queue[:0]
+	p.wbuf = nil // the stale flusher may still be inside Write with it
+	p.flushing = false
 	for id, cl := range p.pending {
 		delete(p.pending, id)
-		cl.err = err
-		close(cl.done)
+		cl.complete(result{}, err)
 	}
 }
 
@@ -395,30 +516,30 @@ func (p *poolConn) readLoop(nc net.Conn, gen uint64) {
 			p.failConn(nc, gen, &RefusedError{Refusal: f.Refusal})
 			return
 		}
-		p.pmu.Lock()
+		p.mu.Lock()
 		cl := p.pending[f.ReqID]
 		delete(p.pending, f.ReqID)
-		p.pmu.Unlock()
+		p.mu.Unlock()
 		if cl == nil {
 			continue // reply to a forgotten (timed-out) call
 		}
-		cl.res = result{op: f.Op, status: f.Status, decision: f.Decision}
+		res := result{op: f.Op, status: f.Status, decision: f.Decision}
 		if f.Op == wire.OpDecisionBatch {
-			cl.res.decisions = append([]wire.Decision(nil), f.Decisions...)
+			res.decisions = append([]wire.Decision(nil), f.Decisions...)
 		}
-		close(cl.done)
+		cl.complete(res, nil)
 	}
 }
 
 // failConn retires the pool slot only if it still serves the generation
-// the caller observed — a stale reader or a send whose write lost to a
+// the caller observed — a stale reader or a flusher whose write lost to a
 // retire/redial cycle must not fail the new socket's calls.
 func (p *poolConn) failConn(nc net.Conn, gen uint64, err error) {
-	p.pmu.Lock()
+	p.mu.Lock()
 	if p.gen == gen && p.nc == nc {
 		p.retireLocked(err)
 	}
-	p.pmu.Unlock()
+	p.mu.Unlock()
 }
 
 // readErr normalizes reader errors into something actionable for callers.

@@ -118,9 +118,11 @@ func TestClientAdmitBatch(t *testing.T) {
 	}
 }
 
-// TestConcurrentPipelining hammers one pooled connection from many
-// goroutines: every reply must land on its own request (correlation), and
-// the server must see coalesced batches (pipelining actually happened).
+// TestConcurrentPipelining hammers two pooled connections from many
+// goroutines against the real server: every reply must land on its own
+// request (correlation) and the server must have decided each admit once.
+// That concurrent callers share writes is TestQueuedCallersShareOneWrite's
+// claim, where the interleaving is pinned.
 func TestConcurrentPipelining(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
 	c, err := New(Config{Addr: addr, Conns: 2})
@@ -165,14 +167,14 @@ func TestConcurrentPipelining(t *testing.T) {
 	}
 }
 
-func TestRequestTimeout(t *testing.T) {
-	// A listener that accepts and then goes silent: the request must fail
-	// with a deadline error, not hang.
+// silentServer accepts connections and never answers on them.
+func silentServer(t *testing.T) (addr string) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			nc, err := ln.Accept()
@@ -182,32 +184,34 @@ func TestRequestTimeout(t *testing.T) {
 			defer nc.Close()
 		}
 	}()
-	c, err := New(Config{Addr: ln.Addr().String(), RequestTimeout: 100 * time.Millisecond})
+	return ln.Addr().String()
+}
+
+// TestRequestTimeout: against a silent server the request fails with a
+// deadline error after RequestTimeout instead of hanging — also under a context
+// whose own deadline is an hour away, which must not switch RequestTimeout
+// off.
+func TestRequestTimeout(t *testing.T) {
+	c, err := New(Config{Addr: silentServer(t), RequestTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	long, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"no context deadline": context.Background(), "context deadline in an hour": long} {
+		start := time.Now()
+		if err := c.Ping(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: got %v, want context.DeadlineExceeded", name, err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("%s: returned after %v, RequestTimeout is 100ms", name, d)
+		}
 	}
 }
 
 func TestContextCancellation(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer nc.Close()
-		}
-	}()
-	c, err := New(Config{Addr: ln.Addr().String()})
+	c, err := New(Config{Addr: silentServer(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,4 +334,43 @@ func TestCloseRaceAgainstPipelinedAdmits(t *testing.T) {
 			t.Fatalf("round %d: workers still blocked after Close", round)
 		}
 	}
+}
+
+// BenchmarkClientParallel is the shape the send path is built for: 8
+// blocking callers sharing one connection, each admitting and departing
+// its own flow against the in-process server. Not gated — its ns/op moves
+// with the VM — but `-benchmem -cpuprofile` on it is where to start
+// looking at the client.
+func BenchmarkClientParallel(b *testing.B) {
+	_, addr := startServer(b, server.Config{})
+	c, err := New(Config{Addr: addr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Ping(ctx); err != nil {
+		b.Fatal(err)
+	}
+	const callers = 8
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func(flow uint64) {
+			defer wg.Done()
+			for i := int(flow); i < b.N; i += callers {
+				if _, err := c.Admit(ctx, flow, 1); err != nil {
+					b.Error(err)
+					return
+				}
+				if err := c.Depart(ctx, flow); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(uint64(w))
+	}
+	wg.Wait()
 }
