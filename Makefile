@@ -18,10 +18,10 @@
 #              or any allocs/op growth)
 #   fuzz     — short adversarial-input fuzzing of the estimator and
 #              controller (checked-in corpora replay in plain `go test`)
-#   vet      — go vet plus cmd/vetenum, which proves every enum constant
-#              (gateway.Reason, gateway.DegradedPolicy, fault.Mode) has an
-#              explicit String() case — the fallback "Reason(%d)" form would
-#              silently leak into logs, goldens, and ParseReason round-trips
+#   vet      — go vet. Enum exhaustiveness is not a lint: every enumeration
+#              declares its names once in an internal/enum table, and a
+#              constant without a name (or a name without a constant) fails
+#              the owning package at init, so tier-1 catches it
 #   chaos    — fault-injection soaks (build tag "chaos") under -race:
 #              estimator NaN/Inf bursts, stalled ticks, leaked clients; ends
 #              with bench-cmp so the lifecycle/degradation machinery is also
@@ -141,17 +141,9 @@ golden:
 	$(GO) test ./internal/experiments -run TestGolden -update-golden
 	$(GO) test ./internal/scenario -run TestGoldenScenarioReports -update-golden
 
-# Static tier: the standard vet pass plus the repo-local enum/String
-# exhaustiveness check.
+# Static tier: the standard vet pass.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/vetenum -dir internal/gateway -type Reason,DegradedPolicy
-	$(GO) run ./cmd/vetenum -dir internal/fault -type Mode
-	$(GO) run ./cmd/vetenum -dir internal/wire -type Op,Status,Refusal
-	$(GO) run ./cmd/vetenum -dir internal/scenario -type Verdict,HypothesisKind,InvariantKind,Metric,Relation,IntervalMode
-	$(GO) run ./cmd/vetenum -dir internal/cluster -type PlacementPolicy,InstanceState
-	$(GO) run ./cmd/vetenum -dir internal/theory -type Regime
-	$(GO) run ./cmd/vetenum -dir internal/estimator -type Mode
 
 # Chaos tier: seeded fault-injection soaks under the race detector, then
 # the serving-path perf guard — leases and degradation must not tax the

@@ -45,6 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/enum"
 	"repro/internal/gateway"
 )
 
@@ -63,30 +64,19 @@ const (
 	// PlaceRoundRobin: rotate over the eligible instances, ignoring
 	// headroom.
 	PlaceRoundRobin
+	placementPolicyEnd // sentinel: placementPolicyNames names every constant above
 )
 
+var placementPolicyNames = enum.New(PlaceLeastLoaded, placementPolicyEnd,
+	"least-loaded", "weighted", "round-robin")
+
 // String implements fmt.Stringer.
-func (p PlacementPolicy) String() string {
-	switch p {
-	case PlaceLeastLoaded:
-		return "least-loaded"
-	case PlaceWeighted:
-		return "weighted"
-	case PlaceRoundRobin:
-		return "round-robin"
-	}
-	return fmt.Sprintf("PlacementPolicy(%d)", int(p))
-}
+func (p PlacementPolicy) String() string { return placementPolicyNames.String(p) }
 
 // ParsePlacementPolicy is the inverse of PlacementPolicy.String, for CLI
 // flags and scenario configs.
 func ParsePlacementPolicy(s string) (PlacementPolicy, error) {
-	for p := PlaceLeastLoaded; p <= PlaceRoundRobin; p++ {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: unknown placement policy %q (want least-loaded, weighted or round-robin)", s)
+	return placementPolicyNames.Parse("cluster: unknown placement policy", s)
 }
 
 // InstanceState is an instance's routing state: active instances receive
@@ -99,28 +89,13 @@ const (
 	// StateDraining: no new placements; pinned flows are migrated away or
 	// allowed to depart/lease-expire.
 	StateDraining
+	instanceStateEnd // sentinel: instanceStateNames names every constant above
 )
 
-// String implements fmt.Stringer.
-func (s InstanceState) String() string {
-	switch s {
-	case StateActive:
-		return "active"
-	case StateDraining:
-		return "draining"
-	}
-	return fmt.Sprintf("InstanceState(%d)", int(s))
-}
+var instanceStateNames = enum.New(StateActive, instanceStateEnd, "active", "draining")
 
-// ParseInstanceState is the inverse of InstanceState.String.
-func ParseInstanceState(s string) (InstanceState, error) {
-	for st := StateActive; st <= StateDraining; st++ {
-		if st.String() == s {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: unknown instance state %q (want active or draining)", s)
-}
+// String implements fmt.Stringer.
+func (s InstanceState) String() string { return instanceStateNames.String(s) }
 
 // Config parameterizes a Cluster.
 type Config struct {
@@ -219,7 +194,7 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Instances) == 0 {
 		return nil, fmt.Errorf("cluster: at least one instance is required")
 	}
-	if cfg.Policy < PlaceLeastLoaded || cfg.Policy > PlaceRoundRobin {
+	if !placementPolicyNames.Valid(cfg.Policy) {
 		return nil, fmt.Errorf("cluster: unknown placement policy %d", int(cfg.Policy))
 	}
 	if cfg.Warmup < 0 {

@@ -50,24 +50,30 @@ func newTestCluster(tb testing.TB, n int, capacity float64, cfg Config) *Cluster
 	return c
 }
 
+// TestEnumRoundTrips pins the exact names of PlacementPolicy and
+// InstanceState in constant order — they appear in flags, scenario configs
+// and the /cluster snapshot — and that ParsePlacementPolicy reads the
+// same table.
 func TestEnumRoundTrips(t *testing.T) {
-	for p := PlaceLeastLoaded; p <= PlaceRoundRobin; p++ {
-		got, err := ParsePlacementPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePlacementPolicy(%q) = %v, %v", p.String(), got, err)
+	policies := []string{"least-loaded", "weighted", "round-robin"}
+	for i, want := range policies {
+		p := PlacementPolicy(i)
+		if got, err := ParsePlacementPolicy(want); p.String() != want || err != nil || got != p {
+			t.Errorf("PlacementPolicy(%d) = %q, want %q; parses back to %v, %v", i, p, want, got, err)
 		}
 	}
 	if _, err := ParsePlacementPolicy("bogus"); err == nil {
 		t.Error("ParsePlacementPolicy accepted bogus input")
 	}
-	for s := StateActive; s <= StateDraining; s++ {
-		got, err := ParseInstanceState(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseInstanceState(%q) = %v, %v", s.String(), got, err)
+	states := []string{"active", "draining"}
+	for i, want := range states {
+		if got := InstanceState(i).String(); got != want {
+			t.Errorf("InstanceState(%d) = %q, want %q", i, got, want)
 		}
 	}
-	if _, err := ParseInstanceState("bogus"); err == nil {
-		t.Error("ParseInstanceState accepted bogus input")
+	// The value past each list is outside its table: the lists are complete.
+	if p, s := PlacementPolicy(len(policies)).String(), InstanceState(len(states)).String(); p != "PlacementPolicy(3)" || s != "InstanceState(2)" {
+		t.Errorf("out-of-table values render %q, %q", p, s)
 	}
 }
 

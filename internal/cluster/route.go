@@ -302,16 +302,31 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 // unpin rule: the pin goes, if it still points at that instance (so a
 // stale unpin never clobbers a re-placement), once the flow has ended
 // there — op was its departure, or the instance no longer knows it.
+//
+// A drain may repin the flow between the pin read and op; op then fails at
+// the source while the flow lives on at the migration target. So a failed
+// op re-reads the pin and, if it moved, follows it: without that a Depart
+// through the window is answered not-active and, with leases off, nothing
+// ever reclaims the target copy. A pin moves once per Drain, which bounds
+// the loop.
 func (c *Cluster) onOwner(flowID uint64, departs bool, op func(*gateway.Gateway) error) error {
 	idx, ok := c.pins.get(flowID)
 	if !ok {
 		return fmt.Errorf("cluster: flow %d is not active", flowID)
 	}
-	err := op(c.instances[idx].g)
-	if departs || err != nil {
-		c.pins.delIf(flowID, idx)
+	for {
+		err := op(c.instances[idx].g)
+		if err != nil {
+			if moved, ok := c.pins.get(flowID); ok && moved != idx {
+				idx = moved
+				continue
+			}
+		}
+		if departs || err != nil {
+			c.pins.delIf(flowID, idx)
+		}
+		return err
 	}
-	return err
 }
 
 // UpdateRate routes a rate report to the flow's owning instance. Rates are
@@ -339,7 +354,9 @@ func (c *Cluster) Depart(flowID uint64) error {
 // gateway.DepartBatch. Contiguous same-owner runs are flushed through the
 // owning instance's DepartBatch; unpinned ids report not-active without
 // touching any instance. Every pin the batch routed through is then
-// dropped under the rule of onOwner.
+// dropped under the rule of onOwner — including its retry: an id its owner
+// did not know, whose pin a drain has moved meanwhile, departs again
+// through the new pin.
 func (c *Cluster) DepartBatch(ids []uint64, dst []bool) []bool {
 	if len(ids) == 0 {
 		return dst
@@ -352,6 +369,7 @@ func (c *Cluster) DepartBatch(ids []uint64, dst []bool) []bool {
 		}
 		sc.targets = append(sc.targets, idx)
 	}
+	base := len(dst)
 	forRuns(sc.targets, func(t, lo, hi int) {
 		if t < 0 {
 			for j := lo; j < hi; j++ {
@@ -362,9 +380,17 @@ func (c *Cluster) DepartBatch(ids []uint64, dst []bool) []bool {
 		dst = c.instances[t].g.DepartBatch(ids[lo:hi], dst)
 	})
 	for i, id := range ids {
-		if t := sc.targets[i]; t >= 0 {
-			c.pins.delIf(id, t)
+		t := sc.targets[i]
+		if t < 0 {
+			continue
 		}
+		if !dst[base+i] {
+			if moved, ok := c.pins.get(id); ok && moved != t {
+				dst[base+i] = c.Depart(id) == nil
+				continue
+			}
+		}
+		c.pins.delIf(id, t)
 	}
 	c.batchPool.Put(sc)
 	return dst

@@ -15,11 +15,3 @@ func FoldRates(rates []float64) (sumRate, sumSq float64) {
 	}
 	return sumRate, sumSq
 }
-
-// UpdateBatch folds a rate column and pushes the aggregates into the
-// estimator as one Update — the one-call-per-tick batch entry point for
-// engines that hold flow state in columns.
-func UpdateBatch(e Estimator, rates []float64) {
-	sumRate, sumSq := FoldRates(rates)
-	e.Update(sumRate, sumSq, len(rates))
-}

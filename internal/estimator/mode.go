@@ -1,6 +1,10 @@
 package estimator
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/enum"
+)
 
 // Mode names the estimator families a gateway can be configured with — the
 // vocabulary shared by the -estimator CLI flag, scenario configs, and
@@ -24,35 +28,18 @@ const (
 	ModeAggregate
 	// ModeOracle: the perfect-knowledge baseline.
 	ModeOracle
+	modeEnd // sentinel: modeNames names every constant above
 )
 
+var modeNames = enum.New(ModeMemoryless, modeEnd,
+	"memoryless", "exponential", "window", "aggregate", "oracle")
+
 // String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeMemoryless:
-		return "memoryless"
-	case ModeExponential:
-		return "exponential"
-	case ModeWindow:
-		return "window"
-	case ModeAggregate:
-		return "aggregate"
-	case ModeOracle:
-		return "oracle"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
+func (m Mode) String() string { return modeNames.String(m) }
 
 // ParseMode is the inverse of Mode.String, for CLI flags and scenario
 // configs.
-func ParseMode(s string) (Mode, error) {
-	for m := ModeMemoryless; m <= ModeOracle; m++ {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("estimator: unknown mode %q (want memoryless, exponential, window, aggregate or oracle)", s)
-}
+func ParseMode(s string) (Mode, error) { return modeNames.Parse("estimator: unknown mode", s) }
 
 // New constructs the mode's estimator. memory is T_m (the window W for
 // ModeWindow) and is ignored by the memoryless and oracle modes; tick is

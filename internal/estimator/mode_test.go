@@ -6,20 +6,15 @@ import "testing"
 // CLI flags, scenario JSON and reports, so renaming one is a compatibility
 // break, not a refactor.
 func TestModeStringGolden(t *testing.T) {
-	golden := map[Mode]string{
-		ModeMemoryless:  "memoryless",
-		ModeExponential: "exponential",
-		ModeWindow:      "window",
-		ModeAggregate:   "aggregate",
-		ModeOracle:      "oracle",
-	}
-	for m, want := range golden {
-		if got := m.String(); got != want {
-			t.Errorf("Mode(%d).String() = %q, want %q", int(m), got, want)
+	golden := []string{"memoryless", "exponential", "window", "aggregate", "oracle"}
+	for i, want := range golden {
+		if got := Mode(i).String(); got != want {
+			t.Errorf("Mode(%d).String() = %q, want %q", i, got, want)
 		}
 	}
-	if got := Mode(99).String(); got != "Mode(99)" {
-		t.Errorf("out-of-range String() = %q", got)
+	// The value past the list is outside the table: the list is complete.
+	if got := Mode(len(golden)).String(); got != "Mode(5)" {
+		t.Errorf("out-of-table String() = %q", got)
 	}
 }
 

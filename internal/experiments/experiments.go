@@ -21,6 +21,8 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"repro/internal/enum"
 )
 
 // Fidelity selects the effort level of simulation-backed experiments.
@@ -31,33 +33,27 @@ const (
 	Quick Fidelity = iota
 	Standard
 	Full
+	fidelityEnd // sentinel: fidelityNames names every constant above
 )
 
-// ParseFidelity maps a flag string to a Fidelity.
+var fidelityNames = enum.New(Quick, fidelityEnd, "quick", "standard", "full")
+
+// fidelityAliases are the flag shorthands ParseFidelity accepts beside the
+// names.
+var fidelityAliases = map[string]Fidelity{"q": Quick, "std": Standard, "s": Standard, "f": Full}
+
+// ParseFidelity maps a flag string — a name or a shorthand, in any case —
+// to a Fidelity.
 func ParseFidelity(s string) (Fidelity, error) {
-	switch strings.ToLower(s) {
-	case "quick", "q":
-		return Quick, nil
-	case "standard", "std", "s":
-		return Standard, nil
-	case "full", "f":
-		return Full, nil
+	s = strings.ToLower(s)
+	if f, ok := fidelityAliases[s]; ok {
+		return f, nil
 	}
-	return 0, fmt.Errorf("experiments: unknown fidelity %q (want quick|standard|full)", s)
+	return fidelityNames.Parse("experiments: unknown fidelity", s)
 }
 
 // String implements fmt.Stringer.
-func (f Fidelity) String() string {
-	switch f {
-	case Quick:
-		return "quick"
-	case Standard:
-		return "standard"
-	case Full:
-		return "full"
-	}
-	return fmt.Sprintf("Fidelity(%d)", int(f))
-}
+func (f Fidelity) String() string { return fidelityNames.String(f) }
 
 // Table is the output of one experiment: named columns, float rows, and
 // free-form notes (parameters, caveats).

@@ -50,10 +50,16 @@ func TestParseFidelity(t *testing.T) {
 	if _, err := ParseFidelity("bogus"); err == nil {
 		t.Error("bogus fidelity should fail")
 	}
-	for _, f := range []Fidelity{Quick, Standard, Full, Fidelity(9)} {
-		if f.String() == "" {
-			t.Error("empty fidelity string")
+	// The exact names, in constant order: the -fidelity flag and the table
+	// notes spell them.
+	golden := []string{"quick", "standard", "full"}
+	for i, want := range golden {
+		if got := Fidelity(i).String(); got != want {
+			t.Errorf("Fidelity(%d) = %q, want %q", i, got, want)
 		}
+	}
+	if got := Fidelity(len(golden)).String(); got != "Fidelity(3)" {
+		t.Errorf("out-of-table String() = %q", got)
 	}
 }
 
@@ -193,27 +199,31 @@ func TestFig9Shape(t *testing.T) {
 	}
 }
 
-// Simulation-backed experiments at Quick fidelity; skipped with -short.
+// Every registered experiment runs at Quick fidelity, skipped with -short —
+// except the ones another test already runs: the golden tables
+// (TestGoldenTheoryTables) and fig10 (TestFig10Quick). Iterating the
+// registry means a runner registered tomorrow is smoke-run without being
+// added to a list here.
 func TestSimulationExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiments skipped in -short mode")
 	}
-	for _, id := range []string{"prop31", "prop33", "finite", "fig5", "fig7",
-		"fig11", "fig12", "util", "limit", "abl-sampling", "abl-filter", "abl-variance",
-		"arrival", "bayes", "utility", "reneg", "buffer", "transient", "fig2", "holding", "misdecl"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
+	elsewhere := map[string]bool{"fig10": true}
+	for _, id := range goldenIDs {
+		elsewhere[id] = true
+	}
+	for _, r := range Runners() {
+		if elsewhere[r.ID] {
+			continue
+		}
+		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
-			r, ok := Lookup(id)
-			if !ok {
-				t.Fatalf("missing %s", id)
-			}
 			tables, err := r.Run(Quick, 7)
 			if err != nil {
-				t.Fatalf("%s: %v", id, err)
+				t.Fatalf("%s: %v", r.ID, err)
 			}
 			if len(tables) == 0 || len(tables[0].Rows) == 0 {
-				t.Fatalf("%s produced no data", id)
+				t.Fatalf("%s produced no data", r.ID)
 			}
 			for _, tab := range tables {
 				var sb strings.Builder

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/gauss"
-	"repro/internal/limitsim"
 	"repro/internal/theory"
 )
 
@@ -70,7 +69,7 @@ func runLimit(f Fidelity, seed uint64) ([]*Table, error) {
 	}
 	for i, c := range cases {
 		sys := theory.System{Capacity: n, Mu: 1, Sigma: svr, Th: th, Tc: c.tc, Tm: c.tm}
-		res, err := limitsim.Overflow(sys, pce, limitsim.Options{Seed: seed + uint64(i), Duration: dur})
+		res, err := limitOverflow(sys, pce, limitOptions{Seed: seed + uint64(i), Duration: dur})
 		if err != nil {
 			return nil, err
 		}

@@ -1,4 +1,17 @@
-// Package limitsim simulates the heavy-traffic limit process directly.
+package experiments
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/gauss"
+	"repro/internal/rng"
+	"repro/internal/stats"
+	"repro/internal/theory"
+)
+
+// Direct simulation of the heavy-traffic limit process (the "limit"
+// experiment).
 //
 // Theorem 4.3 / Proposition 4.2 of the paper state that, as the system size
 // grows, the scaled aggregate-load fluctuation converges to
@@ -11,7 +24,7 @@
 // mu/(sigma·T~h) the repair drift. The steady-state overflow probability is
 // the stationary probability that this supremum exceeds alpha = Q^-1(p_ce).
 //
-// This package estimates that probability by direct simulation of the limit
+// limitOverflow estimates that probability by direct simulation of the limit
 // process using the exact AR(1) discretization of the OU process and the
 // Lindley recursion for the running supremum. Unlike the formulas in
 // internal/theory (which rely on Bräker's first-passage approximation), and
@@ -19,20 +32,9 @@
 // effects), this measures the limit model exactly up to discretization —
 // so it isolates how much of the theory/simulation gap is due to the
 // hitting-probability approximation versus finite system size.
-package limitsim
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/gauss"
-	"repro/internal/rng"
-	"repro/internal/stats"
-	"repro/internal/theory"
-)
-
-// Options tunes the discretization and measurement effort.
-type Options struct {
+// limitOptions tunes the discretization and measurement effort.
+type limitOptions struct {
 	// Dt is the time step; it should be well below min(Tc, Tm). Default:
 	// min(Tc, Tm or Tc)/32.
 	Dt float64
@@ -44,26 +46,26 @@ type Options struct {
 	Seed uint64
 }
 
-// Result is the measured steady-state overflow probability of the limit
-// process with a batch-means confidence half-width.
-type Result struct {
+// limitResult is the measured steady-state overflow probability of the
+// limit process with a batch-means confidence half-width.
+type limitResult struct {
 	Pf        float64
 	HalfWidth float64
 	Batches   int64
 	Steps     int64
 }
 
-// Overflow estimates Pr{ sup_{s<=t} (Y_t − Z_s − beta(t−s)) > alpha } in
+// limitOverflow estimates Pr{ sup_{s<=t} (Y_t − Z_s − beta(t−s)) > alpha } in
 // steady state for the system's parameters, with alpha = Q^-1(pce).
-func Overflow(s theory.System, pce float64, opts Options) (Result, error) {
+func limitOverflow(s theory.System, pce float64, opts limitOptions) (limitResult, error) {
 	if err := s.Validate(); err != nil {
-		return Result{}, err
+		return limitResult{}, err
 	}
 	if s.Tc <= 0 {
-		return Result{}, fmt.Errorf("limitsim: Tc %g must be positive", s.Tc)
+		return limitResult{}, fmt.Errorf("experiments: limit process: Tc %g must be positive", s.Tc)
 	}
 	if s.Th <= 0 {
-		return Result{}, fmt.Errorf("limitsim: Th %g must be positive (beta would vanish)", s.Th)
+		return limitResult{}, fmt.Errorf("experiments: limit process: Th %g must be positive (beta would vanish)", s.Th)
 	}
 	alpha := gauss.Qinv(pce)
 	beta := s.Beta()
@@ -122,7 +124,7 @@ func Overflow(s theory.System, pce float64, opts Options) (Result, error) {
 			bm.Observe(over, dt)
 		}
 	}
-	return Result{
+	return limitResult{
 		Pf:        bm.Mean(),
 		HalfWidth: bm.HalfWidth(),
 		Batches:   bm.Batches(),

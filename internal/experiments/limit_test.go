@@ -1,4 +1,4 @@
-package limitsim
+package experiments
 
 import (
 	"testing"
@@ -6,30 +6,30 @@ import (
 	"repro/internal/theory"
 )
 
-func sys(th, tc, tm float64) theory.System {
+func limitSys(th, tc, tm float64) theory.System {
 	return theory.System{Capacity: 100, Mu: 1, Sigma: 0.3, Th: th, Tc: tc, Tm: tm}
 }
 
-func TestValidation(t *testing.T) {
-	if _, err := Overflow(theory.System{Capacity: -1, Mu: 1}, 1e-2, Options{}); err == nil {
+func TestLimitValidation(t *testing.T) {
+	if _, err := limitOverflow(theory.System{Capacity: -1, Mu: 1}, 1e-2, limitOptions{}); err == nil {
 		t.Error("invalid system should fail")
 	}
-	if _, err := Overflow(sys(100, 0, 0), 1e-2, Options{}); err == nil {
+	if _, err := limitOverflow(limitSys(100, 0, 0), 1e-2, limitOptions{}); err == nil {
 		t.Error("Tc=0 should fail")
 	}
-	if _, err := Overflow(sys(0, 1, 0), 1e-2, Options{}); err == nil {
+	if _, err := limitOverflow(limitSys(0, 1, 0), 1e-2, limitOptions{}); err == nil {
 		t.Error("Th=0 should fail")
 	}
 }
 
-func TestMemorylessMatchesTheoryIntegral(t *testing.T) {
+func TestLimitMemorylessMatchesTheoryIntegral(t *testing.T) {
 	// gamma = 3 regime: the limit-process measurement should agree with
 	// Bräker's approximation (eq. 32) within its known accuracy (the
 	// approximation is asymptotic in alpha, so expect tens of percent, not
 	// orders of magnitude).
-	s := sys(100, 1, 0) // ThTilde = 10, gamma = 3
+	s := limitSys(100, 1, 0) // ThTilde = 10, gamma = 3
 	pce := 1e-2
-	res, err := Overflow(s, pce, Options{Seed: 1, Duration: 60000})
+	res, err := limitOverflow(s, pce, limitOptions{Seed: 1, Duration: 60000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +42,10 @@ func TestMemorylessMatchesTheoryIntegral(t *testing.T) {
 	}
 }
 
-func TestMemoryMatchesTheoryIntegral(t *testing.T) {
-	s := sys(100, 1, 10) // Tm = ThTilde
+func TestLimitMemoryMatchesTheoryIntegral(t *testing.T) {
+	s := limitSys(100, 1, 10) // Tm = ThTilde
 	pce := 1e-2
-	res, err := Overflow(s, pce, Options{Seed: 2, Duration: 120000})
+	res, err := limitOverflow(s, pce, limitOptions{Seed: 2, Duration: 120000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +58,13 @@ func TestMemoryMatchesTheoryIntegral(t *testing.T) {
 	}
 }
 
-func TestMemoryReducesOverflow(t *testing.T) {
+func TestLimitMemoryReducesOverflow(t *testing.T) {
 	pce := 1e-2
-	a, err := Overflow(sys(100, 1, 0), pce, Options{Seed: 3, Duration: 30000})
+	a, err := limitOverflow(limitSys(100, 1, 0), pce, limitOptions{Seed: 3, Duration: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Overflow(sys(100, 1, 10), pce, Options{Seed: 3, Duration: 30000})
+	b, err := limitOverflow(limitSys(100, 1, 10), pce, limitOptions{Seed: 3, Duration: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,16 +73,16 @@ func TestMemoryReducesOverflow(t *testing.T) {
 	}
 }
 
-func TestDeterminism(t *testing.T) {
-	a, _ := Overflow(sys(100, 1, 5), 1e-2, Options{Seed: 9, Duration: 5000})
-	b, _ := Overflow(sys(100, 1, 5), 1e-2, Options{Seed: 9, Duration: 5000})
+func TestLimitDeterminism(t *testing.T) {
+	a, _ := limitOverflow(limitSys(100, 1, 5), 1e-2, limitOptions{Seed: 9, Duration: 5000})
+	b, _ := limitOverflow(limitSys(100, 1, 5), 1e-2, limitOptions{Seed: 9, Duration: 5000})
 	if a.Pf != b.Pf || a.Steps != b.Steps {
 		t.Error("limit sim not deterministic")
 	}
 }
 
-func TestDefaultsApplied(t *testing.T) {
-	res, err := Overflow(sys(100, 1, 0), 0.1, Options{Seed: 4})
+func TestLimitDefaultsApplied(t *testing.T) {
+	res, err := limitOverflow(limitSys(100, 1, 0), 0.1, limitOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +92,9 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func BenchmarkLimitSim(b *testing.B) {
-	s := sys(100, 1, 10)
+	s := limitSys(100, 1, 10)
 	for i := 0; i < b.N; i++ {
-		if _, err := Overflow(s, 1e-2, Options{Seed: uint64(i), Duration: 2000}); err != nil {
+		if _, err := limitOverflow(s, 1e-2, limitOptions{Seed: uint64(i), Duration: 2000}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,21 +8,23 @@ import (
 	"repro/internal/estimator"
 )
 
+// TestModeStringRoundTrip pins the exact Mode names in constant order (the
+// -faults flag and scenario fault windows spell them) and that ParseMode
+// reads the same table.
 func TestModeStringRoundTrip(t *testing.T) {
-	for m := None; m <= DropUpdates; m++ {
-		got, err := ParseMode(m.String())
-		if err != nil {
-			t.Fatalf("ParseMode(%q): %v", m.String(), err)
-		}
-		if got != m {
-			t.Fatalf("ParseMode(%q) = %v, want %v", m.String(), got, m)
+	golden := []string{"none", "nan", "inf", "notok", "drop"}
+	for i, want := range golden {
+		m := Mode(i)
+		if got, err := ParseMode(want); m.String() != want || err != nil || got != m {
+			t.Errorf("Mode(%d) = %q, want %q; parses back to %v, %v", i, m, want, got, err)
 		}
 	}
 	if _, err := ParseMode("bogus"); err == nil {
 		t.Fatal("ParseMode accepted bogus mode")
 	}
-	if s := Mode(99).String(); s != "Mode(99)" {
-		t.Fatalf("out-of-range String = %q", s)
+	// The value past the list is outside the table: the list is complete.
+	if s := Mode(len(golden)).String(); s != "Mode(5)" {
+		t.Fatalf("out-of-table String = %q", s)
 	}
 }
 

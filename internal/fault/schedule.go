@@ -68,7 +68,7 @@ func ValidateWindows(ws []Window) error {
 		}
 	}
 	for i, w := range ws {
-		if w.Mode < None || w.Mode > DropUpdates {
+		if !modeNames.Valid(w.Mode) {
 			return fmt.Errorf("fault: window %d has unknown mode %d", i, int32(w.Mode))
 		}
 		if math.IsNaN(w.From) || math.IsNaN(w.To) || math.IsInf(w.From, 0) || math.IsInf(w.To, 0) || !(w.To > w.From) {

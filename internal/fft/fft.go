@@ -86,20 +86,6 @@ func transform(x []complex128, s float64) error {
 	return nil
 }
 
-// RealForward computes the DFT of a real sequence, returning the full
-// complex spectrum of length NextPowerOfTwo(len(x)) with zero padding.
-func RealForward(x []float64) ([]complex128, error) {
-	n := NextPowerOfTwo(len(x))
-	c := make([]complex128, n)
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	if err := Forward(c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Autocorrelation returns the biased empirical autocorrelation function
 // r[k] = (1/n)·Σ_t (x[t]−m)(x[t+k]−m) / var(x) for k = 0..maxLag, computed
 // in O(n log n) via the Wiener–Khinchin theorem. r[0] == 1 unless the series

@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/enum"
 	"repro/internal/estimator"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -73,34 +74,14 @@ const (
 	// appears in an admission Decision; it classifies lease-sweep
 	// departures in stats and metrics.
 	ReasonExpired
+	reasonEnd // sentinel: reasonNames names every constant above
 )
 
-// String implements fmt.Stringer.
-func (r Reason) String() string {
-	switch r {
-	case ReasonAdmitted:
-		return "admitted"
-	case ReasonCapacity:
-		return "capacity"
-	case ReasonInvalidRate:
-		return "invalid-rate"
-	case ReasonDuplicate:
-		return "duplicate"
-	case ReasonExpired:
-		return "expired"
-	}
-	return fmt.Sprintf("Reason(%d)", int(r))
-}
+var reasonNames = enum.New(ReasonAdmitted, reasonEnd,
+	"admitted", "capacity", "invalid-rate", "duplicate", "expired")
 
-// ParseReason is the inverse of Reason.String, for CLI and replay tooling.
-func ParseReason(s string) (Reason, error) {
-	for r := ReasonAdmitted; r <= ReasonExpired; r++ {
-		if r.String() == s {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("gateway: unknown reason %q", s)
-}
+// String implements fmt.Stringer.
+func (r Reason) String() string { return reasonNames.String(r) }
 
 // DegradedPolicy selects how the gateway admits while its measurement
 // pipeline is unhealthy (stale ticks, or estimates that stay invalid with
@@ -120,30 +101,19 @@ const (
 	DegradedPeakRate
 	// DegradedRejectAll: admit nothing until measurement recovers.
 	DegradedRejectAll
+	degradedPolicyEnd // sentinel: degradedPolicyNames names every constant above
 )
 
+var degradedPolicyNames = enum.New(DegradedFreeze, degradedPolicyEnd,
+	"freeze", "peak-rate", "reject-all")
+
 // String implements fmt.Stringer.
-func (p DegradedPolicy) String() string {
-	switch p {
-	case DegradedFreeze:
-		return "freeze"
-	case DegradedPeakRate:
-		return "peak-rate"
-	case DegradedRejectAll:
-		return "reject-all"
-	}
-	return fmt.Sprintf("DegradedPolicy(%d)", int(p))
-}
+func (p DegradedPolicy) String() string { return degradedPolicyNames.String(p) }
 
 // ParseDegradedPolicy is the inverse of DegradedPolicy.String, for CLI
 // flags.
 func ParseDegradedPolicy(s string) (DegradedPolicy, error) {
-	for p := DegradedFreeze; p <= DegradedRejectAll; p++ {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("gateway: unknown degraded policy %q (want freeze, peak-rate or reject-all)", s)
+	return degradedPolicyNames.Parse("gateway: unknown degraded policy", s)
 }
 
 // Degradation causes, kept as a bitmask so both faults can hold at once.
@@ -432,7 +402,7 @@ func New(cfg Config) (*Gateway, error) {
 	if math.IsNaN(cfg.FlowTTL) || math.IsInf(cfg.FlowTTL, 0) || cfg.FlowTTL < 0 {
 		return nil, fmt.Errorf("gateway: flow TTL %g must be a non-negative finite duration", cfg.FlowTTL)
 	}
-	if cfg.Degraded < DegradedFreeze || cfg.Degraded > DegradedRejectAll {
+	if !degradedPolicyNames.Valid(cfg.Degraded) {
 		return nil, fmt.Errorf("gateway: unknown degraded policy %d", int(cfg.Degraded))
 	}
 	if cfg.StaleAfter < 0 {

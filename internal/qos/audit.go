@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/enum"
 	"repro/internal/gauss"
 	"repro/internal/stats"
 )
@@ -43,41 +44,22 @@ const (
 	// model assumes a live measurement loop, and a degraded gateway is
 	// outside it. Takes precedence over every statistical verdict.
 	VerdictDegraded
+	verdictEnd // sentinel: verdictNames names every constant above
 )
 
-// String implements fmt.Stringer.
-func (v Verdict) String() string {
-	switch v {
-	case VerdictInsufficient:
-		return "insufficient"
-	case VerdictOK:
-		return "ok"
-	case VerdictViolatesTarget:
-		return "violates-target"
-	case VerdictViolatesSqrt2Law:
-		return "violates-sqrt2-law"
-	case VerdictDegraded:
-		return "degraded"
-	}
-	return fmt.Sprintf("Verdict(%d)", int(v))
-}
+var verdictNames = enum.New(VerdictInsufficient, verdictEnd,
+	"insufficient", "ok", "violates-target", "violates-sqrt2-law", "degraded")
 
-// MarshalJSON encodes the verdict as its string form, keeping audit
+// String implements fmt.Stringer.
+func (v Verdict) String() string { return verdictNames.String(v) }
+
+// MarshalText encodes the verdict as its string form, keeping audit
 // payloads and goldens readable.
-func (v Verdict) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + v.String() + `"`), nil
-}
+func (v Verdict) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
 
 // ParseVerdict is the inverse of Verdict.String, for scenario configs and
 // replay tooling that state an expected audit verdict by name.
-func ParseVerdict(s string) (Verdict, error) {
-	for v := VerdictInsufficient; v <= VerdictDegraded; v++ {
-		if v.String() == s {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("qos: unknown verdict %q", s)
-}
+func ParseVerdict(s string) (Verdict, error) { return verdictNames.Parse("qos: unknown verdict", s) }
 
 // AuditConfig parameterizes an Audit.
 type AuditConfig struct {

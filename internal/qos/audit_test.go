@@ -41,22 +41,27 @@ func TestNewAuditValidation(t *testing.T) {
 	}
 }
 
+// TestVerdictStrings pins the exact verdict names in constant order — they
+// are the verdict string of every audit golden and scenario report — and
+// that ParseVerdict reads the same table.
 func TestVerdictStrings(t *testing.T) {
-	cases := map[Verdict]string{
-		VerdictInsufficient:     "insufficient",
-		VerdictOK:               "ok",
-		VerdictViolatesTarget:   "violates-target",
-		VerdictViolatesSqrt2Law: "violates-sqrt2-law",
-		Verdict(99):             "Verdict(99)",
-	}
-	for v, want := range cases {
-		if v.String() != want {
-			t.Errorf("String() = %q, want %q", v.String(), want)
+	golden := []string{"insufficient", "ok", "violates-target", "violates-sqrt2-law", "degraded"}
+	for i, want := range golden {
+		v := Verdict(i)
+		if back, err := ParseVerdict(want); v.String() != want || err != nil || back != v {
+			t.Errorf("Verdict(%d) = %q, want %q; parses back to %v, %v", i, v, want, back, err)
 		}
+	}
+	if _, err := ParseVerdict("fine"); err == nil {
+		t.Error("ParseVerdict accepted an unknown name")
+	}
+	// The value past the list is outside the table: the list is complete.
+	if got := Verdict(len(golden)).String(); got != "Verdict(5)" {
+		t.Errorf("out-of-table String() = %q", got)
 	}
 	b, err := json.Marshal(VerdictViolatesTarget)
 	if err != nil || string(b) != `"violates-target"` {
-		t.Errorf("MarshalJSON = %s, %v", b, err)
+		t.Errorf("json.Marshal = %s, %v", b, err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package qos
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // TestAuditDegradedVerdict: degraded ticks override statistical grading
 // while they remain in the window, and age out with it.
@@ -56,7 +59,7 @@ func TestVerdictStringDegraded(t *testing.T) {
 	if VerdictDegraded.String() != "degraded" {
 		t.Fatalf("String = %q", VerdictDegraded.String())
 	}
-	if b, err := VerdictDegraded.MarshalJSON(); err != nil || string(b) != `"degraded"` {
-		t.Fatalf("MarshalJSON = %s, %v", b, err)
+	if b, err := json.Marshal(VerdictDegraded); err != nil || string(b) != `"degraded"` {
+		t.Fatalf("json.Marshal = %s, %v", b, err)
 	}
 }

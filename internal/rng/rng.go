@@ -28,9 +28,6 @@ type PCG struct {
 	hi, lo uint64 // 128-bit state
 	incHi  uint64 // stream selector (must be odd in its 128-bit form)
 	incLo  uint64
-
-	haveSpare bool    // polar method caches the second normal variate
-	spare     float64 // cached N(0,1) sample
 }
 
 // New returns a generator seeded with seed on stream stream. Different
@@ -48,7 +45,6 @@ func (p *PCG) Seed(seed, stream uint64) {
 	p.incHi = stream
 	p.incLo = stream*0x9e3779b97f4a7c15 + 0xda3e39cb94b95bdb | 1
 	p.hi, p.lo = 0, 0
-	p.haveSpare, p.spare = false, 0
 	p.step()
 	p.lo += seed
 	p.hi += 0x9e3779b97f4a7c15 ^ seed
@@ -362,29 +358,6 @@ func (p *PCG) Normal() float64 {
 		return math.Float64frombits(math.Float64bits(x) | (b&(1<<8))<<55)
 	}
 	return p.normalSlow(b, x)
-}
-
-// NormalPolar returns a standard normal sample via the polar (Marsaglia)
-// method with caching of the second variate. It is the pre-ziggurat sampler,
-// kept as an independent implementation for cross-validation tests; new code
-// should use Normal.
-func (p *PCG) NormalPolar() float64 {
-	if p.haveSpare {
-		p.haveSpare = false
-		return p.spare
-	}
-	for {
-		u := 2*p.Float64() - 1
-		v := 2*p.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
-		p.spare = v * f
-		p.haveSpare = true
-		return u * f
-	}
 }
 
 // NormalMS returns a normal sample with mean m and standard deviation s.

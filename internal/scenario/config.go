@@ -8,7 +8,10 @@ import (
 	"os"
 
 	"repro/internal/cluster"
+	"repro/internal/enum"
+	"repro/internal/estimator"
 	"repro/internal/fault"
+	gw "repro/internal/gateway"
 	"repro/internal/qos"
 )
 
@@ -293,6 +296,54 @@ const (
 	WorkloadChurn     = "churn"
 )
 
+// The names a config spells as plain strings, one table per set.
+// Validation parses a name through its table; what runs afterwards
+// switches on the typed constant.
+var (
+	targetNames       = enum.New(0, 2, TargetInProcess, TargetNetwork)
+	workloadKindNames = enum.New(0, 2, WorkloadImpulsive, WorkloadChurn)
+)
+
+// modelKind is the family of a ModelSpec.
+type modelKind int
+
+const (
+	modelRCBR modelKind = iota
+	modelOnOff
+	modelConstant
+	modelMixture
+	modelKindEnd // sentinel: modelKindNames names every constant above
+)
+
+var modelKindNames = enum.New(modelRCBR, modelKindEnd, "rcbr", "onoff", "constant", "mixture")
+
+// policy is the admission scheme of an Arm.
+type policy int
+
+const (
+	policyCertaintyEquivalent policy = iota
+	policyPerfectKnowledge
+	policyPeakRate
+	policyMeasuredSum
+	policyEnd // sentinel: policyNames names every constant above
+)
+
+var policyNames = enum.New(policyCertaintyEquivalent, policyEnd,
+	"certainty-equivalent", "perfect-knowledge", "peak-rate", "measured-sum")
+
+// reference is the level an Interval hypothesis grades against.
+type reference int
+
+const (
+	refSqrt2Law reference = iota
+	refPQ
+	refMasking
+	refValue
+	referenceEnd // sentinel: referenceNames names every constant above
+)
+
+var referenceNames = enum.New(refSqrt2Law, referenceEnd, "sqrt2-law", "pq", "masking", "value")
+
 // finite rejects NaN and Inf with a positional error.
 func finite(path string, v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -368,8 +419,8 @@ func (c *Config) Validate() error {
 	if c.Target == "" {
 		c.Target = TargetInProcess
 	}
-	if c.Target != TargetInProcess && c.Target != TargetNetwork {
-		return fmt.Errorf("scenario: target: unknown substrate %q (want %s or %s)", c.Target, TargetInProcess, TargetNetwork)
+	if _, err := targetNames.Parse("scenario: target: unknown substrate", c.Target); err != nil {
+		return err
 	}
 	if err := c.Workload.validate(); err != nil {
 		return err
@@ -386,32 +437,13 @@ func (c *Config) Validate() error {
 	armNames := map[string]bool{}
 	for i := range c.Arms {
 		path := fmt.Sprintf("arms[%d]", i)
-		if err := c.Arms[i].validate(path); err != nil {
+		if _, err := c.resolve(path, c.Arms[i]); err != nil {
 			return err
 		}
 		if armNames[c.Arms[i].Name] {
 			return fmt.Errorf("scenario: %s: duplicate arm name %q", path, c.Arms[i].Name)
 		}
 		armNames[c.Arms[i].Name] = true
-		// The arm's effective measurement spec must stand on its own:
-		// overrides merge before validation, so a memory override on an
-		// inherited window estimator is checked against window's rules.
-		eff := c.effectiveGateway(c.Arms[i])
-		if c.Arms[i].Estimator != "" || c.Arms[i].Memory != 0 {
-			if err := validateEstimatorSpec(path, eff.Estimator, eff.Memory); err != nil {
-				return err
-			}
-		}
-		if eff.Adaptive {
-			if c.Workload.Kind != WorkloadChurn {
-				return fmt.Errorf("scenario: %s: adaptive measurement requires a churn workload", path)
-			}
-			switch eff.Estimator {
-			case "exponential", "window", "aggregate":
-			default:
-				return fmt.Errorf("scenario: %s: adaptive measurement requires a retunable estimator (exponential, window or aggregate), not %q", path, eff.Estimator)
-			}
-		}
 	}
 	if c.Gateway.Th != 0 {
 		adaptiveSomewhere := c.Gateway.Adaptive
@@ -492,6 +524,12 @@ func (s *ClusterSpec) validate(c *Config) error {
 }
 
 func (w *Workload) validate() error {
+	if w.Kind == "" {
+		return fmt.Errorf("scenario: workload.kind is required (want %s)", workloadKindNames.List())
+	}
+	if _, err := workloadKindNames.Parse("scenario: workload.kind: unknown kind", w.Kind); err != nil {
+		return err
+	}
 	switch w.Kind {
 	case WorkloadImpulsive:
 		if w.Replications <= 0 {
@@ -526,7 +564,7 @@ func (w *Workload) validate() error {
 			return fmt.Errorf("scenario: workload.arrival_cv: %g must be non-negative", w.ArrivalCV)
 		}
 		if w.Model != nil {
-			if err := w.Model.validate("workload.model"); err != nil {
+			if err := w.Model.validate("workload.model", false); err != nil {
 				return err
 			}
 			if w.SVR != 0 || w.TC != 0 {
@@ -576,24 +614,34 @@ func (w *Workload) validate() error {
 			if w.Shift.At >= w.Duration {
 				return fmt.Errorf("scenario: workload.shift.at: %g must fall inside the schedule (duration %g)", w.Shift.At, w.Duration)
 			}
-			if err := w.Shift.Model.validate("workload.shift.model"); err != nil {
+			if err := w.Shift.Model.validate("workload.shift.model", false); err != nil {
 				return err
 			}
 		}
 		if w.Replications != 0 {
 			return fmt.Errorf("scenario: workload.replications: only valid for an impulsive workload")
 		}
-	case "":
-		return fmt.Errorf("scenario: workload.kind is required (want %s or %s)", WorkloadImpulsive, WorkloadChurn)
-	default:
-		return fmt.Errorf("scenario: workload.kind: unknown kind %q (want %s or %s)", w.Kind, WorkloadImpulsive, WorkloadChurn)
 	}
 	return nil
 }
 
-func (m *ModelSpec) validate(path string) error {
-	switch m.Kind {
-	case "rcbr":
+// kind resolves the model's family name; path anchors the error.
+func (m *ModelSpec) kind(path string) (modelKind, error) {
+	return modelKindNames.Parse("scenario: "+path+".kind: unknown model", m.Kind)
+}
+
+// validate checks one model spec; component marks a mixture's component,
+// which may not itself be a mixture.
+func (m *ModelSpec) validate(path string, component bool) error {
+	if m.Kind == "" {
+		return fmt.Errorf("scenario: %s.kind is required", path)
+	}
+	kind, err := m.kind(path)
+	if err != nil {
+		return err
+	}
+	switch kind {
+	case modelRCBR:
 		if m.Mu == 0 {
 			m.Mu = 1
 		}
@@ -609,7 +657,7 @@ func (m *ModelSpec) validate(path string) error {
 		if err := positive(path+".tc", m.TC); err != nil {
 			return err
 		}
-	case "onoff":
+	case modelOnOff:
 		if err := positive(path+".peak", m.Peak); err != nil {
 			return err
 		}
@@ -619,11 +667,14 @@ func (m *ModelSpec) validate(path string) error {
 		if err := positive(path+".off_time", m.OffTime); err != nil {
 			return err
 		}
-	case "constant":
+	case modelConstant:
 		if err := positive(path+".rate", m.Rate); err != nil {
 			return err
 		}
-	case "mixture":
+	case modelMixture:
+		if component {
+			return fmt.Errorf("scenario: %s: mixtures do not nest", path)
+		}
 		if len(m.Mix) < 2 {
 			return fmt.Errorf("scenario: %s.mix: a mixture needs at least two components", path)
 		}
@@ -632,17 +683,10 @@ func (m *ModelSpec) validate(path string) error {
 			if err := positive(p+".weight", m.Mix[i].Weight); err != nil {
 				return err
 			}
-			if m.Mix[i].Model.Kind == "mixture" {
-				return fmt.Errorf("scenario: %s.model: mixtures do not nest", p)
-			}
-			if err := m.Mix[i].Model.validate(p + ".model"); err != nil {
+			if err := m.Mix[i].Model.validate(p+".model", true); err != nil {
 				return err
 			}
 		}
-	case "":
-		return fmt.Errorf("scenario: %s.kind is required", path)
-	default:
-		return fmt.Errorf("scenario: %s.kind: unknown model %q (want rcbr, onoff, constant or mixture)", path, m.Kind)
 	}
 	return nil
 }
@@ -658,9 +702,9 @@ func (g *Gateway) validate() error {
 		return fmt.Errorf("scenario: gateway.pq: %g must be below 0.5", g.PQ)
 	}
 	if g.Estimator == "" {
-		g.Estimator = "memoryless"
+		g.Estimator = estimator.ModeMemoryless.String()
 	}
-	if err := validateEstimatorSpec("gateway", g.Estimator, g.Memory); err != nil {
+	if _, err := validateEstimatorSpec("gateway", g.Estimator, g.Memory); err != nil {
 		return err
 	}
 	if err := finite("gateway.th", g.Th); err != nil {
@@ -684,31 +728,33 @@ func (g *Gateway) validate() error {
 	return nil
 }
 
-// validateEstimatorSpec checks one (estimator, memory) pair; path anchors
-// the error ("gateway" or "arms[i]"). The aggregate estimator accepts
-// memory 0 (a memoryless aggregate mean) because the adaptive controller
-// supplies the time-scale online.
-func validateEstimatorSpec(path, est string, memory float64) error {
-	switch est {
-	case "memoryless", "oracle":
+// validateEstimatorSpec resolves and checks one (estimator, memory) pair;
+// path anchors the error ("gateway" or "arms[i]"). The aggregate estimator
+// accepts memory 0 (a memoryless aggregate mean) because the adaptive
+// controller supplies the time-scale online.
+func validateEstimatorSpec(path, est string, memory float64) (estimator.Mode, error) {
+	mode, err := estimator.ParseMode(est)
+	if err != nil {
+		return 0, fmt.Errorf("scenario: %s.estimator: %w", path, err)
+	}
+	switch mode {
+	case estimator.ModeMemoryless, estimator.ModeOracle:
 		if memory != 0 {
-			return fmt.Errorf("scenario: %s.memory: not valid for the %s estimator", path, est)
+			return 0, fmt.Errorf("scenario: %s.memory: not valid for the %s estimator", path, mode)
 		}
-	case "exponential", "window":
+	case estimator.ModeExponential, estimator.ModeWindow:
 		if err := positive(path+".memory", memory); err != nil {
-			return err
+			return 0, err
 		}
-	case "aggregate":
+	case estimator.ModeAggregate:
 		if err := finite(path+".memory", memory); err != nil {
-			return err
+			return 0, err
 		}
 		if memory < 0 {
-			return fmt.Errorf("scenario: %s.memory: %g must be non-negative", path, memory)
+			return 0, fmt.Errorf("scenario: %s.memory: %g must be non-negative", path, memory)
 		}
-	default:
-		return fmt.Errorf("scenario: %s.estimator: unknown estimator %q (want memoryless, exponential, window, aggregate or oracle)", path, est)
 	}
-	return nil
+	return mode, nil
 }
 
 // effectiveGateway resolves the measurement configuration one arm's cell
@@ -731,36 +777,70 @@ func (c *Config) effectiveGateway(arm Arm) Gateway {
 	return g
 }
 
-func (a *Arm) validate(path string) error {
-	if a.Name == "" {
-		return fmt.Errorf("scenario: %s.name is required", path)
+// armSpec is one arm resolved for execution: its names parsed to typed
+// constants and its measurement overrides merged over the shared gateway
+// spec. Validate resolves every arm to check it; a cell resolves its arm
+// once, so nothing it builds parses a name again.
+type armSpec struct {
+	Arm
+	policy   policy
+	degraded gw.DegradedPolicy
+	gateway  Gateway        // effectiveGateway(Arm)
+	mode     estimator.Mode // of gateway.Estimator
+}
+
+// resolve checks one arm against the config and returns it resolved; path
+// anchors the errors ("arms[i]").
+func (c *Config) resolve(path string, arm Arm) (armSpec, error) {
+	a := armSpec{Arm: arm, gateway: c.effectiveGateway(arm)}
+	if arm.Name == "" {
+		return a, fmt.Errorf("scenario: %s.name is required", path)
 	}
-	switch a.Policy {
-	case "certainty-equivalent", "perfect-knowledge":
-	case "peak-rate":
-		if a.Peak != 0 {
-			if err := positive(path+".peak", a.Peak); err != nil {
-				return err
+	if arm.Policy == "" {
+		return a, fmt.Errorf("scenario: %s.policy is required", path)
+	}
+	var err error
+	if a.policy, err = policyNames.Parse("scenario: "+path+".policy: unknown policy", arm.Policy); err != nil {
+		return a, err
+	}
+	switch a.policy {
+	case policyPeakRate:
+		if arm.Peak != 0 {
+			if err := positive(path+".peak", arm.Peak); err != nil {
+				return a, err
 			}
 		}
-	case "measured-sum":
-		if err := positive(path+".eta", a.Eta); err != nil {
-			return err
+	case policyMeasuredSum:
+		if err := positive(path+".eta", arm.Eta); err != nil {
+			return a, err
 		}
-		if a.Eta > 1 {
-			return fmt.Errorf("scenario: %s.eta: %g must be in (0, 1]", path, a.Eta)
+		if arm.Eta > 1 {
+			return a, fmt.Errorf("scenario: %s.eta: %g must be in (0, 1]", path, arm.Eta)
 		}
-	case "":
-		return fmt.Errorf("scenario: %s.policy is required", path)
-	default:
-		return fmt.Errorf("scenario: %s.policy: unknown policy %q (want certainty-equivalent, perfect-knowledge, peak-rate or measured-sum)", path, a.Policy)
 	}
-	switch a.Degraded {
-	case "", "freeze", "peak-rate", "reject-all":
-	default:
-		return fmt.Errorf("scenario: %s.degraded: unknown degraded policy %q (want freeze, peak-rate or reject-all)", path, a.Degraded)
+	if arm.Degraded != "" { // default: the zero value, freeze
+		if a.degraded, err = gw.ParseDegradedPolicy(arm.Degraded); err != nil {
+			return a, fmt.Errorf("scenario: %s.degraded: %w", path, err)
+		}
 	}
-	return nil
+	// The arm's effective measurement spec must stand on its own:
+	// overrides merge before validation, so a memory override on an
+	// inherited window estimator is checked against window's rules.
+	if a.mode, err = validateEstimatorSpec(path, a.gateway.Estimator, a.gateway.Memory); err != nil {
+		return a, err
+	}
+	if a.gateway.Adaptive {
+		if c.Workload.Kind != WorkloadChurn {
+			return a, fmt.Errorf("scenario: %s: adaptive measurement requires a churn workload", path)
+		}
+		switch a.mode {
+		case estimator.ModeExponential, estimator.ModeWindow, estimator.ModeAggregate:
+		default:
+			return a, fmt.Errorf("scenario: %s: adaptive measurement requires a retunable estimator (%s, %s or %s), not %q",
+				path, estimator.ModeExponential, estimator.ModeWindow, estimator.ModeAggregate, a.gateway.Estimator)
+		}
+	}
+	return a, nil
 }
 
 func (h *Hypothesis) validate(c *Config) error {
@@ -802,28 +882,24 @@ func (h *Hypothesis) validate(c *Config) error {
 		if iv == nil {
 			return fmt.Errorf("scenario: check.interval is required for kind interval")
 		}
-		switch iv.Reference {
-		case "sqrt2-law", "pq":
-			if iv.Value != 0 {
-				return fmt.Errorf("scenario: check.interval.value: only valid with reference \"value\"")
-			}
-		case "masking":
-			// Eq. 41's masking-regime prediction (SVR*alpha_q + 1) * p_q,
-			// computed from the churn workload's flow-rate marginal.
-			if iv.Value != 0 {
-				return fmt.Errorf("scenario: check.interval.value: only valid with reference \"value\"")
-			}
-			if c.Workload.Kind != WorkloadChurn {
-				return fmt.Errorf("scenario: check.interval.reference: the masking reference requires a churn workload")
-			}
-		case "value":
+		if iv.Reference == "" {
+			return fmt.Errorf("scenario: check.interval.reference is required (want %s)", referenceNames.List())
+		}
+		ref, err := referenceNames.Parse("scenario: check.interval.reference: unknown reference", iv.Reference)
+		if err != nil {
+			return err
+		}
+		if ref == refValue {
 			if err := positive("check.interval.value", iv.Value); err != nil {
 				return err
 			}
-		case "":
-			return fmt.Errorf("scenario: check.interval.reference is required (want sqrt2-law, pq, masking or value)")
-		default:
-			return fmt.Errorf("scenario: check.interval.reference: unknown reference %q (want sqrt2-law, pq, masking or value)", iv.Reference)
+		} else if iv.Value != 0 {
+			return fmt.Errorf("scenario: check.interval.value: only valid with reference %q", referenceNames.String(refValue))
+		}
+		// Eq. 41's masking-regime prediction (SVR*alpha_q + 1) * p_q is
+		// computed from the churn workload's flow-rate marginal.
+		if ref == refMasking && c.Workload.Kind != WorkloadChurn {
+			return fmt.Errorf("scenario: check.interval.reference: the masking reference requires a churn workload")
 		}
 		if iv.Z == 0 {
 			iv.Z = 1.96
@@ -856,7 +932,7 @@ func (h *Hypothesis) validate(c *Config) error {
 			return fmt.Errorf("scenario: check.invariant: at least one check or bound is required")
 		}
 		for i, k := range inv.Checks {
-			if k < InvLifecycle || k > InvMigratedFlows {
+			if !invariantKindNames.Valid(k) {
 				return fmt.Errorf("scenario: check.invariant.checks[%d]: unknown invariant %d", i, int(k))
 			}
 			if k == InvSubstrateIdentity && c.Target != TargetNetwork {
@@ -867,7 +943,7 @@ func (h *Hypothesis) validate(c *Config) error {
 			}
 		}
 		for i, b := range inv.Bounds {
-			if b.Metric < MetricAdmitted || b.Metric > MetricServedP99 {
+			if !metricNames.Valid(b.Metric) {
 				return fmt.Errorf("scenario: check.invariant.bounds[%d].metric: unknown metric %d", i, int(b.Metric))
 			}
 			if err := positive(fmt.Sprintf("check.invariant.bounds[%d].at_most", i), b.AtMost); err != nil {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,9 +34,10 @@ func TestParseRejections(t *testing.T) {
 		{"negative-hold", strings.Replace(minimal(), `"hold": 5`, `"hold": -5`, 1), "workload.hold: -5 must be positive"},
 		{"no-seeds", strings.Replace(minimal(), `"seeds": [1]`, `"seeds": []`, 1), "at least one seed"},
 		{"dup-seeds", strings.Replace(minimal(), `"seeds": [1]`, `"seeds": [1, 1]`, 1), "seeds[1]: duplicate seed"},
-		{"unknown-target", strings.Replace(minimal(), `"seeds": [1]`, `"seeds": [1], "target": "carrier-pigeon"`, 1), `unknown substrate "carrier-pigeon"`},
-		{"unknown-policy", strings.Replace(minimal(), `"policy": "certainty-equivalent"`, `"policy": "vibes"`, 1), `arms[0].policy: unknown policy "vibes"`},
-		{"unknown-estimator", strings.Replace(minimal(), `"pq": 0.01`, `"pq": 0.01, "estimator": "psychic"`, 1), `unknown estimator "psychic"`},
+		{"unknown-target", strings.Replace(minimal(), `"seeds": [1]`, `"seeds": [1], "target": "carrier-pigeon"`, 1), `target: unknown substrate "carrier-pigeon" (want in-process or network)`},
+		{"unknown-policy", strings.Replace(minimal(), `"policy": "certainty-equivalent"`, `"policy": "vibes"`, 1),
+			`arms[0].policy: unknown policy "vibes" (want certainty-equivalent, perfect-knowledge, peak-rate or measured-sum)`},
+		{"unknown-estimator", strings.Replace(minimal(), `"pq": 0.01`, `"pq": 0.01, "estimator": "psychic"`, 1), `gateway.estimator: estimator: unknown mode "psychic"`},
 		{"unknown-verdict", strings.Replace(minimal(), `"name": "t"`, `"name": "t", "expect": "Shrug"`, 1), `"Shrug"`},
 		{"unknown-fault-mode", strings.Replace(minimal(), `"seeds": [1]`, `"seeds": [1], "faults": [{"mode": "gremlins", "from": 1, "to": 2}]`, 1), "faults[0]"},
 		{"impulsive-with-churn-fields", `{
@@ -114,7 +116,7 @@ func TestParseRejections(t *testing.T) {
 			"gateway.th: only valid with adaptive measurement"},
 		{"adaptive-needs-retunable", strings.Replace(minimal(),
 			`"pq": 0.01`, `"pq": 0.01, "adaptive": true`, 1),
-			"adaptive measurement requires a retunable estimator"},
+			`adaptive measurement requires a retunable estimator (exponential, window or aggregate), not "memoryless"`},
 		{"adaptive-needs-churn", `{
 			"name": "t", "seeds": [1],
 			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3},
@@ -125,7 +127,15 @@ func TestParseRejections(t *testing.T) {
 		{"arm-unknown-estimator", strings.Replace(minimal(),
 			`"policy": "certainty-equivalent"`,
 			`"policy": "certainty-equivalent", "estimator": "psychic"`, 1),
-			`arms[0].estimator: unknown estimator "psychic"`},
+			`arms[0].estimator: estimator: unknown mode "psychic"`},
+		{"arm-unknown-degraded", strings.Replace(minimal(),
+			`"policy": "certainty-equivalent"`,
+			`"policy": "certainty-equivalent", "degraded": "panic"`, 1),
+			`arms[0].degraded: gateway: unknown degraded policy "panic" (want freeze, peak-rate or reject-all)`},
+		{"unknown-workload-kind", strings.Replace(minimal(), `"kind": "churn"`, `"kind": "trickle"`, 1),
+			`workload.kind: unknown kind "trickle" (want impulsive or churn)`},
+		{"unknown-reference", strings.Replace(minimal(), `"reference": "pq"`, `"reference": "vibes"`, 1),
+			`check.interval.reference: unknown reference "vibes" (want sqrt2-law, pq, masking or value)`},
 		{"arm-memory-on-memoryless", strings.Replace(minimal(),
 			`"policy": "certainty-equivalent"`,
 			`"policy": "certainty-equivalent", "memory": 5`, 1),
@@ -137,7 +147,7 @@ func TestParseRejections(t *testing.T) {
 		{"shift-bad-model", strings.Replace(minimal(),
 			`"svr": 0.3`,
 			`"svr": 0.3, "shift": {"at": 5, "model": {"kind": "tarot"}}`, 1),
-			`workload.shift.model.kind: unknown model "tarot"`},
+			`workload.shift.model.kind: unknown model "tarot" (want rcbr, onoff, constant or mixture)`},
 		{"impulsive-with-shift", `{
 			"name": "t", "seeds": [1],
 			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3,
@@ -280,55 +290,54 @@ func TestShippedScenariosParse(t *testing.T) {
 	}
 }
 
-// TestEnumRoundTrips complements cmd/vetenum: every enum value survives
-// String -> Parse and JSON marshal -> unmarshal.
+// goldenNames pins one enumeration's exact names in constant order and
+// checks that its Parse reads the same table. The value past the list must
+// be outside the table, so the list is complete.
+func goldenNames[T interface {
+	~int
+	fmt.Stringer
+}](t *testing.T, typ string, parse func(string) (T, error), golden ...string) {
+	t.Helper()
+	for i, want := range golden {
+		v := T(i)
+		if got, err := parse(want); v.String() != want || err != nil || got != v {
+			t.Errorf("%s(%d) = %q, want %q; parses back to %v, %v", typ, i, v, want, got, err)
+		}
+	}
+	if got, want := T(len(golden)).String(), fmt.Sprintf("%s(%d)", typ, len(golden)); got != want {
+		t.Errorf("out-of-table %s renders %q, want %q", typ, got, want)
+	}
+}
+
+// TestEnumRoundTrips pins the names of the six enumerations — scenario
+// files and golden reports spell them — and the JSON codec over them.
 func TestEnumRoundTrips(t *testing.T) {
-	for v := Inconclusive; v <= Refuted; v++ {
-		got, err := ParseVerdict(v.String())
-		if err != nil || got != v {
-			t.Errorf("Verdict %d: %v %v", v, got, err)
-		}
-	}
-	for k := HypDominance; k <= HypInvariant; k++ {
-		got, err := ParseHypothesisKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("HypothesisKind %d: %v %v", k, got, err)
-		}
-	}
-	for k := InvLifecycle; k <= InvMigratedFlows; k++ {
-		got, err := ParseInvariantKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("InvariantKind %d: %v %v", k, got, err)
-		}
-	}
-	for m := MetricAdmitted; m <= MetricServedP99; m++ {
-		got, err := ParseMetric(m.String())
-		if err != nil || got != m {
-			t.Errorf("Metric %d: %v %v", m, got, err)
-		}
-	}
-	for r := RelGreater; r <= RelLess; r++ {
-		got, err := ParseRelation(r.String())
-		if err != nil || got != r {
-			t.Errorf("Relation %d: %v %v", r, got, err)
-		}
-	}
-	for m := IntervalCovers; m <= IntervalAtLeast; m++ {
-		got, err := ParseIntervalMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("IntervalMode %d: %v %v", m, got, err)
-		}
-	}
-	// JSON round-trip through a struct field (exercises Marshal/Unmarshal).
-	var h Hypothesis
-	h.Kind = HypInterval
-	data, err := json.Marshal(h)
+	goldenNames(t, "Verdict", ParseVerdict, "Inconclusive", "Confirmed", "Refuted")
+	goldenNames(t, "HypothesisKind", ParseHypothesisKind, "dominance", "interval", "invariant")
+	goldenNames(t, "InvariantKind", ParseInvariantKind,
+		"lifecycle", "expired-flows", "rejected-flows", "substrate-identity", "migrated-flows")
+	goldenNames(t, "Metric", ParseMetric, "admitted", "rejected", "expired", "storm-admitted",
+		"degraded-ticks", "utilization", "served-p50", "served-p99")
+	goldenNames(t, "Relation", ParseRelation, "greater", "less")
+	goldenNames(t, "IntervalMode", ParseIntervalMode, "covers", "at-most", "at-least")
+
+	// JSON round trip through struct fields: the text codec is what the
+	// strict decoder and the reports use.
+	in := Dominance{Metric: MetricExpired, Relation: RelLess}
+	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Hypothesis
-	if err := json.Unmarshal(data, &back); err != nil || back.Kind != HypInterval {
-		t.Fatalf("Hypothesis kind JSON round-trip: %v %v", back.Kind, err)
+	if want := `{"metric":"expired","a":"","b":"","relation":"less"}`; string(data) != want {
+		t.Fatalf("Dominance encodes as %s, want %s", data, want)
+	}
+	var back Dominance
+	if err := json.Unmarshal(data, &back); err != nil || back != in {
+		t.Fatalf("Dominance JSON round trip: %+v, %v", back, err)
+	}
+	if err := json.Unmarshal([]byte(`{"relation":"sideways"}`), &back); err == nil ||
+		!strings.Contains(err.Error(), `scenario: unknown relation "sideways" (want greater or less)`) {
+		t.Fatalf("unknown relation decoded: %v", err)
 	}
 }
 

@@ -136,28 +136,37 @@ func gradeDominance(r *Result) {
 	r.Verdict = verdict
 }
 
-func gradeInterval(r *Result) {
+// referenceLevel is the level an interval hypothesis grades against.
+func referenceLevel(r *Result) float64 {
 	iv := r.Config.Check.Interval
-	switch iv.Reference {
-	case "sqrt2-law":
-		r.Reference = r.Sqrt2Law
-	case "pq":
-		r.Reference = r.Config.Gateway.PQ
-	case "masking":
+	ref, err := referenceNames.Parse("scenario: unknown reference", iv.Reference)
+	if err != nil {
+		return 0 // Validate rejects the name; only a hand-built config gets here
+	}
+	switch ref {
+	case refSqrt2Law:
+		return r.Sqrt2Law
+	case refPQ:
+		return r.Config.Gateway.PQ
+	case refMasking:
 		// Eq. 41: in the masking regime the admission-time estimation error
 		// is still present when the flow pool turns over, inflating the
 		// overflow probability to (SVR*alpha_q + 1) * p_q. The system's
 		// mu/sigma come from the churn workload's flow-rate marginal.
-		if m, err := buildModel(&r.Config.Workload); err == nil {
-			ts := m.Stats()
-			r.Reference = theory.MaskingOverflow(
-				theory.System{Mu: ts.Mean, Sigma: ts.StdDev()},
-				r.Config.Gateway.PQ,
-			)
+		m, err := buildModel(&r.Config.Workload)
+		if err != nil {
+			return 0
 		}
-	case "value":
-		r.Reference = iv.Value
+		ts := m.Stats()
+		return theory.MaskingOverflow(theory.System{Mu: ts.Mean, Sigma: ts.StdDev()}, r.Config.Gateway.PQ)
+	default: // refValue
+		return iv.Value
 	}
+}
+
+func gradeInterval(r *Result) {
+	iv := r.Config.Check.Interval
+	r.Reference = referenceLevel(r)
 	var want qos.Verdict
 	if iv.QoSVerdict != "" {
 		want, _ = qos.ParseVerdict(iv.QoSVerdict)
@@ -168,7 +177,7 @@ func gradeInterval(r *Result) {
 	for i := range r.Cells {
 		cell := &r.Cells[i]
 		e := cell.Overflow
-		if cell.QoS == qos.VerdictInsufficient && iv.QoSVerdict != "insufficient" {
+		if cell.QoS == qos.VerdictInsufficient && iv.QoSVerdict != qos.VerdictInsufficient.String() {
 			if verdict == Confirmed {
 				verdict = Inconclusive
 			}

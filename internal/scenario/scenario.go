@@ -14,10 +14,7 @@
 // provisioning, robustness of the serving layer under faults).
 package scenario
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "repro/internal/enum"
 
 // Verdict is the outcome of grading one scenario.
 type Verdict int
@@ -30,47 +27,24 @@ const (
 	Confirmed
 	// Refuted: at least one seed contradicted the hypothesis.
 	Refuted
+	verdictEnd // sentinel: verdictNames names every constant above
 )
 
+var verdictNames = enum.New(Inconclusive, verdictEnd, "Inconclusive", "Confirmed", "Refuted")
+
 // String implements fmt.Stringer.
-func (v Verdict) String() string {
-	switch v {
-	case Inconclusive:
-		return "Inconclusive"
-	case Confirmed:
-		return "Confirmed"
-	case Refuted:
-		return "Refuted"
-	}
-	return fmt.Sprintf("Verdict(%d)", int(v))
-}
+func (v Verdict) String() string { return verdictNames.String(v) }
 
 // ParseVerdict is the inverse of Verdict.String.
 func ParseVerdict(s string) (Verdict, error) {
-	for v := Inconclusive; v <= Refuted; v++ {
-		if v.String() == s {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown verdict %q (want Inconclusive, Confirmed or Refuted)", s)
+	return verdictNames.Parse("scenario: unknown verdict", s)
 }
 
-// MarshalJSON encodes the verdict as its string form.
-func (v Verdict) MarshalJSON() ([]byte, error) { return json.Marshal(v.String()) }
+// MarshalText encodes the verdict as its string form.
+func (v Verdict) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
 
-// UnmarshalJSON decodes the string form.
-func (v *Verdict) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseVerdict(s)
-	if err != nil {
-		return err
-	}
-	*v = p
-	return nil
-}
+// UnmarshalText decodes the string form.
+func (v *Verdict) UnmarshalText(b []byte) error { return enum.UnmarshalText(v, b, ParseVerdict) }
 
 // HypothesisKind selects the grading rule a scenario's hypothesis uses.
 type HypothesisKind int
@@ -89,46 +63,25 @@ const (
 	// conservation, lease expiries observed, substrate identity) over
 	// every cell of the matrix.
 	HypInvariant
+	hypothesisKindEnd // sentinel: hypothesisKindNames names every constant above
 )
 
+var hypothesisKindNames = enum.New(HypDominance, hypothesisKindEnd, "dominance", "interval", "invariant")
+
 // String implements fmt.Stringer.
-func (k HypothesisKind) String() string {
-	switch k {
-	case HypDominance:
-		return "dominance"
-	case HypInterval:
-		return "interval"
-	case HypInvariant:
-		return "invariant"
-	}
-	return fmt.Sprintf("HypothesisKind(%d)", int(k))
-}
+func (k HypothesisKind) String() string { return hypothesisKindNames.String(k) }
 
 // ParseHypothesisKind is the inverse of HypothesisKind.String.
 func ParseHypothesisKind(s string) (HypothesisKind, error) {
-	for k := HypDominance; k <= HypInvariant; k++ {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown hypothesis kind %q (want dominance, interval or invariant)", s)
+	return hypothesisKindNames.Parse("scenario: unknown hypothesis kind", s)
 }
 
-// MarshalJSON encodes the kind as its string form.
-func (k HypothesisKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
+// MarshalText encodes the kind as its string form.
+func (k HypothesisKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
-// UnmarshalJSON decodes the string form.
-func (k *HypothesisKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseHypothesisKind(s)
-	if err != nil {
-		return err
-	}
-	*k = p
-	return nil
+// UnmarshalText decodes the string form.
+func (k *HypothesisKind) UnmarshalText(b []byte) error {
+	return enum.UnmarshalText(k, b, ParseHypothesisKind)
 }
 
 // InvariantKind names one structural predicate an invariant hypothesis
@@ -155,50 +108,26 @@ const (
 	// exercised migration rather than passing vacuously. Only valid with
 	// a cluster topology.
 	InvMigratedFlows
+	invariantKindEnd // sentinel: invariantKindNames names every constant above
 )
 
+var invariantKindNames = enum.New(InvLifecycle, invariantKindEnd,
+	"lifecycle", "expired-flows", "rejected-flows", "substrate-identity", "migrated-flows")
+
 // String implements fmt.Stringer.
-func (k InvariantKind) String() string {
-	switch k {
-	case InvLifecycle:
-		return "lifecycle"
-	case InvExpiredFlows:
-		return "expired-flows"
-	case InvRejectedFlows:
-		return "rejected-flows"
-	case InvSubstrateIdentity:
-		return "substrate-identity"
-	case InvMigratedFlows:
-		return "migrated-flows"
-	}
-	return fmt.Sprintf("InvariantKind(%d)", int(k))
-}
+func (k InvariantKind) String() string { return invariantKindNames.String(k) }
 
 // ParseInvariantKind is the inverse of InvariantKind.String.
 func ParseInvariantKind(s string) (InvariantKind, error) {
-	for k := InvLifecycle; k <= InvMigratedFlows; k++ {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown invariant %q (want lifecycle, expired-flows, rejected-flows, substrate-identity or migrated-flows)", s)
+	return invariantKindNames.Parse("scenario: unknown invariant", s)
 }
 
-// MarshalJSON encodes the kind as its string form.
-func (k InvariantKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
+// MarshalText encodes the invariant as its string form.
+func (k InvariantKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
-// UnmarshalJSON decodes the string form.
-func (k *InvariantKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseInvariantKind(s)
-	if err != nil {
-		return err
-	}
-	*k = p
-	return nil
+// UnmarshalText decodes the string form.
+func (k *InvariantKind) UnmarshalText(b []byte) error {
+	return enum.UnmarshalText(k, b, ParseInvariantKind)
 }
 
 // Metric names one per-cell scalar a dominance hypothesis can compare.
@@ -224,57 +153,24 @@ const (
 	// MetricServedP99: 99th-percentile served seconds per decision
 	// (network target only; 0 in-process).
 	MetricServedP99
+	metricEnd // sentinel: metricNames names every constant above
 )
 
+var metricNames = enum.New(MetricAdmitted, metricEnd,
+	"admitted", "rejected", "expired", "storm-admitted", "degraded-ticks",
+	"utilization", "served-p50", "served-p99")
+
 // String implements fmt.Stringer.
-func (m Metric) String() string {
-	switch m {
-	case MetricAdmitted:
-		return "admitted"
-	case MetricRejected:
-		return "rejected"
-	case MetricExpired:
-		return "expired"
-	case MetricStormAdmitted:
-		return "storm-admitted"
-	case MetricDegradedTicks:
-		return "degraded-ticks"
-	case MetricUtilization:
-		return "utilization"
-	case MetricServedP50:
-		return "served-p50"
-	case MetricServedP99:
-		return "served-p99"
-	}
-	return fmt.Sprintf("Metric(%d)", int(m))
-}
+func (m Metric) String() string { return metricNames.String(m) }
 
 // ParseMetric is the inverse of Metric.String.
-func ParseMetric(s string) (Metric, error) {
-	for m := MetricAdmitted; m <= MetricServedP99; m++ {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown metric %q", s)
-}
+func ParseMetric(s string) (Metric, error) { return metricNames.Parse("scenario: unknown metric", s) }
 
-// MarshalJSON encodes the metric as its string form.
-func (m Metric) MarshalJSON() ([]byte, error) { return json.Marshal(m.String()) }
+// MarshalText encodes the metric as its string form.
+func (m Metric) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
-// UnmarshalJSON decodes the string form.
-func (m *Metric) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseMetric(s)
-	if err != nil {
-		return err
-	}
-	*m = p
-	return nil
-}
+// UnmarshalText decodes the string form.
+func (m *Metric) UnmarshalText(b []byte) error { return enum.UnmarshalText(m, b, ParseMetric) }
 
 // Relation is the direction of a dominance comparison.
 type Relation int
@@ -284,45 +180,24 @@ const (
 	RelGreater Relation = iota
 	// RelLess: arm A's metric must be strictly below arm B's.
 	RelLess
+	relationEnd // sentinel: relationNames names every constant above
 )
 
+var relationNames = enum.New(RelGreater, relationEnd, "greater", "less")
+
 // String implements fmt.Stringer.
-func (r Relation) String() string {
-	switch r {
-	case RelGreater:
-		return "greater"
-	case RelLess:
-		return "less"
-	}
-	return fmt.Sprintf("Relation(%d)", int(r))
-}
+func (r Relation) String() string { return relationNames.String(r) }
 
 // ParseRelation is the inverse of Relation.String.
 func ParseRelation(s string) (Relation, error) {
-	for r := RelGreater; r <= RelLess; r++ {
-		if r.String() == s {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown relation %q (want greater or less)", s)
+	return relationNames.Parse("scenario: unknown relation", s)
 }
 
-// MarshalJSON encodes the relation as its string form.
-func (r Relation) MarshalJSON() ([]byte, error) { return json.Marshal(r.String()) }
+// MarshalText encodes the relation as its string form.
+func (r Relation) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
 
-// UnmarshalJSON decodes the string form.
-func (r *Relation) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseRelation(s)
-	if err != nil {
-		return err
-	}
-	*r = p
-	return nil
-}
+// UnmarshalText decodes the string form.
+func (r *Relation) UnmarshalText(b []byte) error { return enum.UnmarshalText(r, b, ParseRelation) }
 
 // IntervalMode selects how an interval hypothesis grades the Wilson
 // interval against its reference level.
@@ -338,44 +213,23 @@ const (
 	// IntervalAtLeast: the interval's upper bound must not fall below the
 	// reference (the measurement is not significantly below it).
 	IntervalAtLeast
+	intervalModeEnd // sentinel: intervalModeNames names every constant above
 )
 
+var intervalModeNames = enum.New(IntervalCovers, intervalModeEnd, "covers", "at-most", "at-least")
+
 // String implements fmt.Stringer.
-func (m IntervalMode) String() string {
-	switch m {
-	case IntervalCovers:
-		return "covers"
-	case IntervalAtMost:
-		return "at-most"
-	case IntervalAtLeast:
-		return "at-least"
-	}
-	return fmt.Sprintf("IntervalMode(%d)", int(m))
-}
+func (m IntervalMode) String() string { return intervalModeNames.String(m) }
 
 // ParseIntervalMode is the inverse of IntervalMode.String.
 func ParseIntervalMode(s string) (IntervalMode, error) {
-	for m := IntervalCovers; m <= IntervalAtLeast; m++ {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown interval mode %q (want covers, at-most or at-least)", s)
+	return intervalModeNames.Parse("scenario: unknown interval mode", s)
 }
 
-// MarshalJSON encodes the mode as its string form.
-func (m IntervalMode) MarshalJSON() ([]byte, error) { return json.Marshal(m.String()) }
+// MarshalText encodes the mode as its string form.
+func (m IntervalMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
-// UnmarshalJSON decodes the string form.
-func (m *IntervalMode) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	p, err := ParseIntervalMode(s)
-	if err != nil {
-		return err
-	}
-	*m = p
-	return nil
+// UnmarshalText decodes the string form.
+func (m *IntervalMode) UnmarshalText(b []byte) error {
+	return enum.UnmarshalText(m, b, ParseIntervalMode)
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/estimator"
 	"repro/internal/fault"
 	gw "repro/internal/gateway"
 	"repro/internal/loadgen"
@@ -100,14 +99,18 @@ func buildModel(w *Workload) (traffic.Model, error) {
 }
 
 func (m *ModelSpec) build() (traffic.Model, error) {
-	switch m.Kind {
-	case "rcbr":
+	kind, err := m.kind("model")
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
+	case modelRCBR:
 		return traffic.NewRCBR(m.Mu, m.SVR, m.TC), nil
-	case "onoff":
+	case modelOnOff:
 		return traffic.OnOff{PeakRate: m.Peak, OnTime: m.OnTime, OffTime: m.OffTime}, nil
-	case "constant":
+	case modelConstant:
 		return traffic.Constant{Rate: m.Rate}, nil
-	case "mixture":
+	default: // modelMixture
 		models := make([]traffic.Model, len(m.Mix))
 		weights := make([]float64, len(m.Mix))
 		for i := range m.Mix {
@@ -120,18 +123,18 @@ func (m *ModelSpec) build() (traffic.Model, error) {
 		}
 		return traffic.NewMixture(models, weights)
 	}
-	return nil, fmt.Errorf("scenario: unknown model kind %q", m.Kind)
 }
 
 // buildController instantiates one arm's admission policy against the
 // declared (model) statistics — the controlled variable every arm shares.
-func buildController(arm Arm, g Gateway, ts traffic.Stats) (core.Controller, error) {
-	switch arm.Policy {
-	case "certainty-equivalent":
+func buildController(arm armSpec, ts traffic.Stats) (core.Controller, error) {
+	g := arm.gateway
+	switch arm.policy {
+	case policyCertaintyEquivalent:
 		return core.NewCertaintyEquivalent(g.PQ, ts.Mean, ts.StdDev())
-	case "perfect-knowledge":
+	case policyPerfectKnowledge:
 		return core.NewPerfectKnowledge(g.Capacity, ts.Mean, ts.StdDev(), g.PQ)
-	case "peak-rate":
+	case policyPeakRate:
 		peak := arm.Peak
 		if peak == 0 {
 			peak = ts.Peak
@@ -140,10 +143,9 @@ func buildController(arm Arm, g Gateway, ts traffic.Stats) (core.Controller, err
 			return nil, fmt.Errorf("scenario: arm %q: peak-rate needs an explicit peak (the model declares none)", arm.Name)
 		}
 		return core.PeakRate{Peak: peak}, nil
-	case "measured-sum":
+	default: // policyMeasuredSum
 		return core.NewMeasuredSum(arm.Eta, ts.Mean)
 	}
-	return nil, fmt.Errorf("scenario: arm %q: unknown policy %q", arm.Name, arm.Policy)
 }
 
 // auditZ returns the Wilson quantile the scenario grades with.
@@ -170,25 +172,15 @@ func gradeAfter(cfg *Config) float64 {
 // clock, a small shard count (cells are single-threaded). An adaptive spec
 // also gets its own time-scale controller — each gateway measures its own
 // traffic — returned so the caller can snapshot it after the replay.
-func cellGatewayConfig(cfg *Config, arm Arm, ts traffic.Stats, tick float64, overflowWindow int) (gcfg gw.Config, tuner *adaptive.Controller, err error) {
-	ctrl, err := buildController(arm, cfg.Gateway, ts)
+func cellGatewayConfig(cfg *Config, arm armSpec, ts traffic.Stats, tick float64, overflowWindow int) (gcfg gw.Config, tuner *adaptive.Controller, err error) {
+	ctrl, err := buildController(arm, ts)
 	if err != nil {
 		return gcfg, nil, err
 	}
-	spec := cfg.effectiveGateway(arm)
-	mode, err := estimator.ParseMode(spec.Estimator)
+	spec := arm.gateway
+	est, err := arm.mode.New(spec.Memory, tick, ts.Mean, ts.StdDev())
 	if err != nil {
 		return gcfg, nil, err
-	}
-	est, err := mode.New(spec.Memory, tick, ts.Mean, ts.StdDev())
-	if err != nil {
-		return gcfg, nil, err
-	}
-	dp := gw.DegradedFreeze
-	if arm.Degraded != "" {
-		if dp, err = gw.ParseDegradedPolicy(arm.Degraded); err != nil {
-			return gcfg, nil, err
-		}
 	}
 	var lat atomic.Int64
 	gcfg = gw.Config{
@@ -201,7 +193,7 @@ func cellGatewayConfig(cfg *Config, arm Arm, ts traffic.Stats, tick float64, ove
 		OverflowWindow: overflowWindow,
 		FlowTTL:        cfg.Gateway.FlowTTL,
 		StaleAfter:     cfg.Gateway.StaleAfter,
-		Degraded:       dp,
+		Degraded:       arm.degraded,
 	}
 	if !spec.Adaptive {
 		return gcfg, nil, nil
@@ -221,10 +213,14 @@ func cellGatewayConfig(cfg *Config, arm Arm, ts traffic.Stats, tick float64, ove
 
 // runCell executes one (seed, arm) cell of the matrix.
 func runCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (CellResult, error) {
-	if cfg.Workload.Kind == WorkloadImpulsive {
-		return runImpulsiveCell(ctx, cfg, arm, seed)
+	spec, err := cfg.resolve(fmt.Sprintf("arm %q", arm.Name), arm)
+	if err != nil {
+		return CellResult{}, err
 	}
-	return runChurnCell(ctx, cfg, arm, seed)
+	if cfg.Workload.Kind == WorkloadImpulsive {
+		return runImpulsiveCell(ctx, cfg, spec, seed)
+	}
+	return runChurnCell(ctx, cfg, spec, seed)
 }
 
 // runImpulsiveCell is the Prop 3.3 steady state: per replication, fill the
@@ -233,7 +229,7 @@ func runCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (CellResult
 // aggregate overflows. Replications fan out
 // over the shared worker pool; indicators merge in replication order, so
 // the cell is bit-identical for a fixed seed at any worker count.
-func runImpulsiveCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (CellResult, error) {
+func runImpulsiveCell(ctx context.Context, cfg *Config, arm armSpec, seed uint64) (CellResult, error) {
 	n := cfg.Gateway.Capacity
 	svr := cfg.Workload.SVR
 	model := traffic.NewRCBR(1, svr, 1)
@@ -293,7 +289,7 @@ func runImpulsiveCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (C
 // On the network target an in-process twin then replays the identical
 // schedule; substrate identity means both the driver-side decision
 // accounting and the final gateway state agree exactly.
-func runChurnCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (CellResult, error) {
+func runChurnCell(ctx context.Context, cfg *Config, arm armSpec, seed uint64) (CellResult, error) {
 	model, err := buildModel(&cfg.Workload)
 	if err != nil {
 		return CellResult{}, err
@@ -368,7 +364,7 @@ func churnSchedule(cfg *Config, seed uint64, model traffic.Model) ([]loadgen.Eve
 // hypothesis grades the per-instance claim, not the fleet average. The
 // replay is single-threaded and a drain walks flows in flow-ID order, so
 // every cell is deterministic in (seed, arm) and safe to lock into goldens.
-func replayChurn(ctx context.Context, cfg *Config, arm Arm, ts traffic.Stats, events []loadgen.Event, network bool) (cell CellResult, err error) {
+func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats, events []loadgen.Event, network bool) (cell CellResult, err error) {
 	w := cfg.Workload
 
 	// Drain past the schedule so leases expire and every lifecycle closes.

@@ -3,6 +3,7 @@ package theory
 import (
 	"math"
 
+	"repro/internal/enum"
 	"repro/internal/gauss"
 )
 
@@ -25,21 +26,13 @@ const (
 	// RegimeIntermediate: neither separation holds; only the numerical
 	// integral (eq. 37) applies.
 	RegimeIntermediate
+	regimeEnd // sentinel: regimeNames names every constant above
 )
 
+var regimeNames = enum.New(RegimeMasking, regimeEnd, "masking", "repair", "intermediate")
+
 // String implements fmt.Stringer.
-func (r Regime) String() string {
-	switch r {
-	case RegimeMasking:
-		return "masking"
-	case RegimeRepair:
-		return "repair"
-	case RegimeIntermediate:
-		return "intermediate"
-	default:
-		return "intermediate"
-	}
-}
+func (r Regime) String() string { return regimeNames.String(r) }
 
 // regimeSeparation is the ratio of time-scales considered a clear
 // separation for regime classification.

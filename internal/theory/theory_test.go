@@ -481,10 +481,16 @@ func TestRegimeClassification(t *testing.T) {
 	if r := ClassifyRegime(s); r != RegimeIntermediate {
 		t.Errorf("Tc=100: %v", r)
 	}
-	for _, r := range []Regime{RegimeMasking, RegimeRepair, RegimeIntermediate} {
-		if r.String() == "" {
-			t.Error("empty regime string")
+	// The exact names, in constant order: they are the regime label of the
+	// mbac_adaptive_regime series and the /adaptive snapshot.
+	golden := []string{"masking", "repair", "intermediate"}
+	for i, want := range golden {
+		if got := Regime(i).String(); got != want {
+			t.Errorf("Regime(%d) = %q, want %q", i, got, want)
 		}
+	}
+	if got := Regime(len(golden)).String(); got != "Regime(3)" {
+		t.Errorf("out-of-table String() = %q", got)
 	}
 }
 

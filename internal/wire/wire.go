@@ -54,6 +54,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/enum"
 )
 
 // Version is the protocol version byte carried by every frame.
@@ -103,46 +105,15 @@ const (
 	// OpRefusal tells the peer a request (reqID ≠ 0) or the whole
 	// connection (reqID 0) was refused, with a Refusal reason.
 	OpRefusal
+	opEnd // sentinel: opNames names every constant above
 )
 
-// String implements fmt.Stringer.
-func (o Op) String() string {
-	switch o {
-	case OpAdmit:
-		return "admit"
-	case OpAdmitBatch:
-		return "admit-batch"
-	case OpUpdateRate:
-		return "update-rate"
-	case OpTouch:
-		return "touch"
-	case OpDepart:
-		return "depart"
-	case OpPing:
-		return "ping"
-	case OpDecision:
-		return "decision"
-	case OpDecisionBatch:
-		return "decision-batch"
-	case OpAck:
-		return "ack"
-	case OpPong:
-		return "pong"
-	case OpRefusal:
-		return "refusal"
-	}
-	return fmt.Sprintf("Op(%d)", int(o))
-}
+var opNames = enum.New(OpAdmit, opEnd,
+	"admit", "admit-batch", "update-rate", "touch", "depart", "ping",
+	"decision", "decision-batch", "ack", "pong", "refusal")
 
-// ParseOp is the inverse of Op.String, for CLI and test tooling.
-func ParseOp(s string) (Op, error) {
-	for o := OpAdmit; o <= OpRefusal; o++ {
-		if o.String() == s {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("wire: unknown op %q", s)
-}
+// String implements fmt.Stringer.
+func (o Op) String() string { return opNames.String(o) }
 
 // Status classifies the outcome of an acknowledged request (UpdateRate,
 // Touch, Depart).
@@ -156,30 +127,13 @@ const (
 	StatusNotActive
 	// StatusInvalidRate: the rate was negative, NaN or infinite.
 	StatusInvalidRate
+	statusEnd // sentinel: statusNames names every constant above
 )
 
-// String implements fmt.Stringer.
-func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusNotActive:
-		return "not-active"
-	case StatusInvalidRate:
-		return "invalid-rate"
-	}
-	return fmt.Sprintf("Status(%d)", int(s))
-}
+var statusNames = enum.New(StatusOK, statusEnd, "ok", "not-active", "invalid-rate")
 
-// ParseStatus is the inverse of Status.String.
-func ParseStatus(s string) (Status, error) {
-	for st := StatusOK; st <= StatusInvalidRate; st++ {
-		if st.String() == s {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("wire: unknown status %q", s)
-}
+// String implements fmt.Stringer.
+func (s Status) String() string { return statusNames.String(s) }
 
 // Refusal classifies why the server refused a request or connection —
 // the serving-layer analogue of the gateway's capacity Reason, except
@@ -201,34 +155,14 @@ const (
 	RefuseSlowClient
 	// RefuseProtocol: the peer sent a malformed or oversized frame.
 	RefuseProtocol
+	refusalEnd // sentinel: refusalNames names every constant above
 )
 
-// String implements fmt.Stringer.
-func (r Refusal) String() string {
-	switch r {
-	case RefuseOverloaded:
-		return "overloaded"
-	case RefuseDraining:
-		return "draining"
-	case RefuseRateLimited:
-		return "rate-limited"
-	case RefuseSlowClient:
-		return "slow-client"
-	case RefuseProtocol:
-		return "protocol"
-	}
-	return fmt.Sprintf("Refusal(%d)", int(r))
-}
+var refusalNames = enum.New(RefuseOverloaded, refusalEnd,
+	"overloaded", "draining", "rate-limited", "slow-client", "protocol")
 
-// ParseRefusal is the inverse of Refusal.String.
-func ParseRefusal(s string) (Refusal, error) {
-	for r := RefuseOverloaded; r <= RefuseProtocol; r++ {
-		if r.String() == s {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("wire: unknown refusal %q", s)
-}
+// String implements fmt.Stringer.
+func (r Refusal) String() string { return refusalNames.String(r) }
 
 // Decision is the wire form of one admission decision. Reason is the
 // numeric value of gateway.Reason; Admissible and Active mirror the
@@ -425,7 +359,7 @@ func (f *Frame) Decode(p []byte) error {
 			return fmt.Errorf("wire: %v payload is %d bytes, want 1", f.Op, len(body))
 		}
 		f.Status = Status(body[0])
-		if f.Status > StatusInvalidRate {
+		if f.Status >= statusEnd {
 			return fmt.Errorf("wire: unknown status %d", body[0])
 		}
 	case OpRefusal:
@@ -433,7 +367,7 @@ func (f *Frame) Decode(p []byte) error {
 			return fmt.Errorf("wire: %v payload is %d bytes, want 1", f.Op, len(body))
 		}
 		f.Refusal = Refusal(body[0])
-		if f.Refusal < RefuseOverloaded || f.Refusal > RefuseProtocol {
+		if f.Refusal < RefuseOverloaded || f.Refusal >= refusalEnd {
 			return fmt.Errorf("wire: unknown refusal %d", body[0])
 		}
 	default:
@@ -770,7 +704,7 @@ func (r *Reader) NextAckBurst(b *AckBurst, max int) int {
 // the buffer: ok reports whether a frame (or a malformed length prefix,
 // which Next would also reject without blocking) was consumed. It never
 // touches the underlying stream, so the server's read loop can drain a
-// pipelined burst — FrameBuffered check and decode fused into one peek —
+// pipelined burst — is-it-buffered check and decode fused into one peek —
 // and fall back to the blocking Next only when ok is false.
 func (r *Reader) NextBuffered(f *Frame) (ok bool, err error) {
 	buffered := r.br.Buffered()
@@ -788,25 +722,4 @@ func (r *Reader) NextBuffered(f *Frame) (ok bool, err error) {
 	err = f.Decode(p[4 : 4+n])
 	r.br.Discard(4 + n)
 	return true, err
-}
-
-// FrameBuffered reports whether a complete frame is already sitting in
-// the Reader's buffer, i.e. whether Next is guaranteed to return without
-// touching the underlying stream. The server's micro-batcher uses this to
-// drain exactly the pipelined burst: it keeps accumulating Admit frames
-// while more are already here and flushes the batch right before the
-// first read that could block.
-func (r *Reader) FrameBuffered() bool {
-	if r.br.Buffered() < 4 {
-		return false
-	}
-	hdr, err := r.br.Peek(4)
-	if err != nil {
-		return false
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrame {
-		return true // malformed: Next will fail without blocking
-	}
-	return r.br.Buffered() >= 4+int(n)
 }

@@ -26,8 +26,7 @@
 //     long-range-dependent synthetic video generator);
 //   - the analytical results (package-level functions mirroring the
 //     paper's equations) and the Plan helper that applies them;
-//   - the flow-level simulator and the heavy-traffic limit-process
-//     simulator used to validate everything.
+//   - the flow-level simulator used to validate everything.
 //
 // # Quick start
 //
@@ -50,7 +49,6 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/gateway"
 	"repro/internal/gauss"
-	"repro/internal/limitsim"
 	"repro/internal/link"
 	"repro/internal/metrics"
 	"repro/internal/qos"
@@ -444,19 +442,6 @@ func ConcaveUtility(k float64) Utility { return qos.Concave(k) }
 
 // ConvexUtility models inelastic-leaning applications (power p > 1).
 func ConvexUtility(p float64) Utility { return qos.Convex(p) }
-
-// LimitOptions tunes the heavy-traffic limit-process simulation.
-type LimitOptions = limitsim.Options
-
-// LimitResult is the limit-process measurement.
-type LimitResult = limitsim.Result
-
-// SimulateLimit measures the overflow probability of the heavy-traffic
-// limit process (Thm 4.3) directly — the bridge between the formulas and
-// the flow-level simulator.
-func SimulateLimit(s System, pce float64, opts LimitOptions) (LimitResult, error) {
-	return limitsim.Overflow(s, pce, opts)
-}
 
 // ---------------------------------------------------------------------------
 // Network serving layer.

@@ -95,17 +95,6 @@ func TestFacadeImpulsive(t *testing.T) {
 	}
 }
 
-func TestFacadeLimit(t *testing.T) {
-	sys := System{Capacity: 100, Mu: 1, Sigma: 0.3, Th: 300, Tc: 1, Tm: 3}
-	res, err := SimulateLimit(sys, 1e-2, LimitOptions{Seed: 2, Duration: 3000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Pf < 0 || res.Pf > 1 {
-		t.Errorf("pf = %v", res.Pf)
-	}
-}
-
 func TestFacadeVideo(t *testing.T) {
 	cfg := DefaultVideoConfig()
 	cfg.N = 4096
