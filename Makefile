@@ -16,8 +16,9 @@
 #              bench-sim-cmp diff a fresh run against the committed
 #              baseline (fail on >20% regression of the row's gated metric
 #              or any allocs/op growth)
-#   fuzz     — short adversarial-input fuzzing of the estimator and
-#              controller (checked-in corpora replay in plain `go test`)
+#   fuzz     — short adversarial-input fuzzing of the estimator, the
+#              controller, the wire decoder, scenario configs and the flow
+#              table (checked-in corpora replay in plain `go test`)
 #   vet      — go vet. Enum exhaustiveness is not a lint: every enumeration
 #              declares its names once in an internal/enum table, and a
 #              constant without a name (or a name without a constant) fails
@@ -136,6 +137,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCertaintyEquivalent -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzScenarioConfig -fuzztime $(FUZZTIME) ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime $(FUZZTIME) ./internal/flowtab
 
 golden:
 	$(GO) test ./internal/experiments -run TestGolden -update-golden

@@ -1,52 +1,52 @@
 package cluster
 
-import "sync"
+import (
+	"sync"
 
-// pinTable maps flow ID → owning instance index, sharded by the same
-// SplitMix64 finalizer the gateway uses for its flow table so adjacent IDs
-// spread across lock domains. A pin is written where the flow is placed
-// (putIfAbsent), rewritten by migration (set), and removed in one way
-// (delIf) wherever the flow ends. No pin-shard lock is ever held across a
-// call into a gateway; the expiry report runs the other way, gateway shard
-// lock first, pin shard lock inside it.
+	"repro/internal/flowtab"
+)
+
+// pinTable maps flow ID → owning instance index, sharded by the same mix
+// the gateway uses for its flow table so adjacent IDs spread across lock
+// domains; each shard is the same flat table as a gateway shard's, embedded
+// beside its mutex for the same reason (see flowtab). A pin is written
+// where the flow is placed (putIfAbsent), rewritten by migration (set), and
+// removed in one way (delIf) wherever the flow ends. No pin-shard lock is
+// ever held across a call into a gateway; the expiry report runs the other
+// way, gateway shard lock first, pin shard lock inside it.
 type pinTable struct {
-	shards [pinShards]pinShard
+	// The shards are an allocation of their own, not an array inside
+	// Cluster: there they would start at whatever offset the enclosing
+	// struct gave them, and each shard would straddle two cache lines.
+	shards *[pinShards]pinShard
 }
 
 // pinShards is the number of lock shards (a power of two).
 const pinShards = 64
 
+// pinShard is one cache line exactly (TestPinShardLayout): mutex, table
+// header, pad.
 type pinShard struct {
-	mu sync.Mutex
-	m  map[uint64]int32
-	_  [40]byte // keep shards on separate cache lines
+	mu   sync.Mutex
+	pins flowtab.Table[int32]
+	_    [8]byte
 }
 
-func (t *pinTable) init() {
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]int32)
-	}
-}
-
-// pinMix is the SplitMix64 finalizer (the gateway's shardIndex mix).
-func pinMix(id uint64) uint64 {
-	z := id + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (t *pinTable) init() { t.shards = new([pinShards]pinShard) }
 
 func (t *pinTable) shardFor(id uint64) *pinShard {
-	return &t.shards[pinMix(id)%pinShards]
+	return &t.shards[flowtab.Mix(id)%pinShards]
 }
 
 // get returns the pinned instance for id.
 func (t *pinTable) get(id uint64) (int, bool) {
 	s := t.shardFor(id)
 	s.mu.Lock()
-	idx, ok := s.m[id]
-	s.mu.Unlock()
-	return int(idx), ok
+	defer s.mu.Unlock()
+	if p := s.pins.Get(id); p != nil {
+		return int(*p), true
+	}
+	return 0, false
 }
 
 // putIfAbsent pins id to idx unless a pin already exists, returning the
@@ -56,20 +56,20 @@ func (t *pinTable) get(id uint64) (int, bool) {
 func (t *pinTable) putIfAbsent(id uint64, idx int) (int, bool) {
 	s := t.shardFor(id)
 	s.mu.Lock()
-	if cur, ok := s.m[id]; ok {
-		s.mu.Unlock()
-		return int(cur), false
+	defer s.mu.Unlock()
+	p, inserted := s.pins.Put(id)
+	if inserted {
+		*p = int32(idx)
 	}
-	s.m[id] = int32(idx)
-	s.mu.Unlock()
-	return idx, true
+	return int(*p), inserted
 }
 
 // set pins id to idx unconditionally (the migration repin).
 func (t *pinTable) set(id uint64, idx int) {
 	s := t.shardFor(id)
 	s.mu.Lock()
-	s.m[id] = int32(idx)
+	p, _ := s.pins.Put(id)
+	*p = int32(idx)
 	s.mu.Unlock()
 }
 
@@ -78,8 +78,8 @@ func (t *pinTable) set(id uint64, idx int) {
 func (t *pinTable) delIf(id uint64, idx int) {
 	s := t.shardFor(id)
 	s.mu.Lock()
-	if cur, ok := s.m[id]; ok && int(cur) == idx {
-		delete(s.m, id)
+	if p := s.pins.Get(id); p != nil && int(*p) == idx {
+		s.pins.Delete(id)
 	}
 	s.mu.Unlock()
 }
@@ -90,7 +90,7 @@ func (t *pinTable) count() int64 {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		n += int64(len(s.m))
+		n += int64(s.pins.Len())
 		s.mu.Unlock()
 	}
 	return n
@@ -101,11 +101,11 @@ func (t *pinTable) countByInstance(dst []int64) {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		for _, idx := range s.m {
-			if int(idx) < len(dst) {
-				dst[idx]++
+		s.pins.Range(func(_ uint64, idx *int32) {
+			if int(*idx) < len(dst) {
+				dst[*idx]++
 			}
-		}
+		})
 		s.mu.Unlock()
 	}
 }

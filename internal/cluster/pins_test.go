@@ -19,9 +19,7 @@ func checkPinsExact(tb testing.TB, c *Cluster) {
 	for i := range c.pins.shards {
 		s := &c.pins.shards[i]
 		s.mu.Lock()
-		for id, idx := range s.m {
-			pins[id] = int(idx)
-		}
+		s.pins.Range(func(id uint64, idx *int32) { pins[id] = int(*idx) })
 		s.mu.Unlock()
 	}
 	for id, idx := range pins {

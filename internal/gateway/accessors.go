@@ -16,7 +16,7 @@ func (g *Gateway) Capacity() float64 { return g.cfg.Capacity }
 func (g *Gateway) Contains(flowID uint64) bool {
 	s := g.shardFor(flowID)
 	s.mu.Lock()
-	_, ok := s.flows[flowID]
+	ok := s.flows.Get(flowID) != nil
 	s.mu.Unlock()
 	return ok
 }
@@ -36,9 +36,7 @@ func (g *Gateway) ForEachFlow(fn func(flowID uint64, rate float64)) {
 		s := &g.shards[i]
 		s.mu.Lock()
 		buf = buf[:0]
-		for id, e := range s.flows {
-			buf = append(buf, pair{id, e.rate})
-		}
+		s.flows.Range(func(id uint64, e *flowEntry) { buf = append(buf, pair{id, e.rate}) })
 		s.mu.Unlock()
 		for _, p := range buf {
 			fn(p.id, p.rate)

@@ -108,7 +108,7 @@ func TestChurnLifecycleInvariants(t *testing.T) {
 	for i := range g.shards {
 		s := &g.shards[i]
 		s.mu.Lock()
-		tableActive += int64(len(s.flows))
+		tableActive += int64(s.flows.Len())
 		s.mu.Unlock()
 	}
 	if st.Active != tableActive {

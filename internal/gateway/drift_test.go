@@ -10,10 +10,8 @@ import (
 // same way Tick's rotation does (sorted summation), giving the reference
 // the incremental sums are compared against.
 func exactShardSums(s *shard) (sumRate, sumSq float64) {
-	rates := make([]float64, 0, len(s.flows))
-	for _, e := range s.flows {
-		rates = append(rates, e.rate)
-	}
+	rates := make([]float64, 0, s.flows.Len())
+	s.flows.Range(func(_ uint64, e *flowEntry) { rates = append(rates, e.rate) })
 	sort.Float64s(rates)
 	for _, r := range rates {
 		sumRate += r

@@ -48,6 +48,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enum"
 	"repro/internal/estimator"
+	"repro/internal/flowtab"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 )
@@ -243,13 +244,20 @@ func defaultLatencyClock() int64 { return int64(time.Since(processStart)) }
 // when Stats or Snapshot asks. Compared to global atomic counters this
 // removes every cross-shard cache-line bounce from the hot path — the
 // three-way contention on admitted/rejected/admitLat was what doubled
-// Admit's cost when instrumentation landed. The padding keeps shards on
-// separate cache lines so uncontended shards don't false-share.
+// Admit's cost when instrumentation landed.
+//
+// The flow table is embedded by value, directly behind the mutex: its
+// header shares the line the lock was just acquired on, so finding a flow
+// touches that line and the slot's and no other (see flowtab). The struct
+// is two cache lines exactly — mu, table header and sumRate; then the rest —
+// with no padding, and TestShardLayout holds it there: a shard that is not
+// a multiple of the line straddles its neighbour's, and two cores on
+// different shards then false-share.
 type shard struct {
 	mu      sync.Mutex
-	flows   map[uint64]flowEntry // flow ID -> rate and lease deadline
-	sumRate float64              // ΣX_i over this shard
-	sumSq   float64              // ΣX_i² over this shard
+	flows   flowtab.Table[flowEntry] // flow ID -> rate and lease deadline
+	sumRate float64                  // ΣX_i over this shard
+	sumSq   float64                  // ΣX_i² over this shard
 
 	// minDeadline is a conservative lower bound on the earliest lease
 	// deadline in this shard (+Inf when leases are off or the shard holds
@@ -265,7 +273,6 @@ type shard struct {
 	expired  uint64                  // lease-sweep reclaims (ReasonExpired departures)
 	latSeq   uint64                  // decision sequence for 1-in-N latency sampling
 	lat      *metrics.LocalHistogram // admission latency, single-writer under mu
-	_        [48]byte
 }
 
 // flowEntry is one active flow's per-shard state: its current rate and,
@@ -439,7 +446,6 @@ func New(cfg Config) (*Gateway, error) {
 	// layout-compatible by construction.
 	bounds := metrics.DefaultLatencyBounds()
 	for i := range g.shards {
-		g.shards[i].flows = make(map[uint64]flowEntry)
 		g.shards[i].lat = metrics.NewLocalHistogram(bounds)
 		g.shards[i].minDeadline = math.Inf(1)
 	}
@@ -448,14 +454,11 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// shardIndex mixes the flow ID (SplitMix64 finalizer) so adjacent IDs
-// spread across shards.
+// shardIndex mixes the flow ID so adjacent IDs spread across shards. The
+// mix is unseeded: which shard samples which decision's latency, and so
+// every equally seeded snapshot, depends on it.
 func (g *Gateway) shardIndex(flowID uint64) uint64 {
-	z := flowID + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return z & g.mask
+	return flowtab.Mix(flowID) & g.mask
 }
 
 // shardFor returns the shard owning flowID.
@@ -491,14 +494,14 @@ func (g *Gateway) startTimingLocked(s *shard, start int64) (int64, bool) {
 // deadline is stamped from the last published tick time, so a flow that
 // never refreshes expires one TTL after (at most) its admission tick.
 func (g *Gateway) insertLocked(s *shard, flowID uint64, rate float64) {
-	e := flowEntry{rate: rate}
+	e, _ := s.flows.Put(flowID)
+	e.rate = rate
 	if g.ttl > 0 {
 		e.deadline = g.vnow.Load() + g.ttl
 		if e.deadline < s.minDeadline {
 			s.minDeadline = e.deadline
 		}
 	}
-	s.flows[flowID] = e
 	s.sumRate += rate
 	s.sumSq += rate * rate
 	s.admitted++
@@ -541,7 +544,7 @@ func (g *Gateway) Admit(flowID uint64, declaredRate float64) (Decision, error) {
 	m := g.Admissible()
 	s := g.shardFor(flowID)
 	s.mu.Lock()
-	if _, dup := s.flows[flowID]; dup {
+	if s.flows.Get(flowID) != nil {
 		s.mu.Unlock()
 		return Decision{Reason: ReasonDuplicate, Admissible: m, Active: g.active.Load()},
 			fmt.Errorf("gateway: flow %d is already active", flowID)
@@ -629,7 +632,7 @@ func (g *Gateway) AdmitBatch(ids []uint64, rates []float64, dst []Decision) ([]D
 		}
 		s := g.shardFor(id)
 		s.mu.Lock()
-		if _, dup := s.flows[id]; dup {
+		if s.flows.Get(id) != nil {
 			s.mu.Unlock()
 			latNanos += g.clock() - start
 			timing = false
@@ -675,17 +678,16 @@ func (g *Gateway) UpdateRate(flowID uint64, rate float64) error {
 	s := g.shardFor(flowID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, ok := s.flows[flowID]
-	if !ok {
+	e := s.flows.Get(flowID)
+	if e == nil {
 		return fmt.Errorf("gateway: flow %d is not active", flowID)
 	}
-	e := flowEntry{rate: rate, deadline: old.deadline}
+	s.sumRate += rate - e.rate
+	s.sumSq += rate*rate - e.rate*e.rate
+	e.rate = rate
 	if g.ttl > 0 && rate > 0 {
 		e.deadline = g.vnow.Load() + g.ttl
 	}
-	s.flows[flowID] = e
-	s.sumRate += rate - old.rate
-	s.sumSq += rate*rate - old.rate*old.rate
 	if g.trackPeak && rate > 0 {
 		g.notePeak(rate)
 	}
@@ -699,13 +701,12 @@ func (g *Gateway) Touch(flowID uint64) error {
 	s := g.shardFor(flowID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.flows[flowID]
-	if !ok {
+	e := s.flows.Get(flowID)
+	if e == nil {
 		return fmt.Errorf("gateway: flow %d is not active", flowID)
 	}
 	if g.ttl > 0 {
 		e.deadline = g.vnow.Load() + g.ttl
-		s.flows[flowID] = e
 	}
 	return nil
 }
@@ -714,32 +715,36 @@ func (g *Gateway) Touch(flowID uint64) error {
 func (g *Gateway) Depart(flowID uint64) error {
 	s := g.shardFor(flowID)
 	s.mu.Lock()
-	e, ok := s.flows[flowID]
-	if !ok {
+	if !s.departLocked(flowID) {
 		s.mu.Unlock()
 		return fmt.Errorf("gateway: flow %d is not active", flowID)
 	}
-	s.removeLocked(flowID, e, &s.departed)
 	s.mu.Unlock()
 	g.active.Add(-1)
 	return nil
 }
 
-// removeLocked is the one way a flow leaves the table — departure, batched
-// departure and lease expiry all end here, counting into the stripe they
-// name. The caller holds s.mu and owes the active count its decrement.
-// With churn the incremental shard sums accumulate floating-point drift;
-// they are renormalized to exact zeros whenever a shard empties, and
-// Tick's rotating exact recompute covers shards that never drain.
-func (s *shard) removeLocked(flowID uint64, e flowEntry, count *uint64) {
-	delete(s.flows, flowID)
+// departLocked is the one way a flow leaves the table by request —
+// departure and batched departure both end here (lease expiry leaves
+// through sweepLocked, which recomputes the sums outright). It reports
+// whether flowID was active; the caller holds s.mu and owes the active
+// count its decrement. With churn the incremental shard sums accumulate
+// floating-point drift; they are renormalized to exact zeros whenever a
+// shard empties, and Tick's rotating exact recompute covers shards that
+// never drain.
+func (s *shard) departLocked(flowID uint64) bool {
+	e, ok := s.flows.Delete(flowID)
+	if !ok {
+		return false
+	}
 	s.sumRate -= e.rate
 	s.sumSq -= e.rate * e.rate
-	if len(s.flows) == 0 {
+	if s.flows.Len() == 0 {
 		s.sumRate, s.sumSq = 0, 0
 		s.minDeadline = math.Inf(1)
 	}
-	*count++
+	s.departed++
+	return true
 }
 
 // departScratch is DepartBatch's pooled shard-grouping scratch: intrusive
@@ -807,13 +812,10 @@ func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
 		s := &g.shards[si]
 		s.mu.Lock()
 		for ; i >= 0; i = next[i] {
-			e, ok := s.flows[ids[i]]
-			if !ok {
-				continue
+			if s.departLocked(ids[i]) {
+				departed++
+				dst[base+i] = true
 			}
-			s.removeLocked(ids[i], e, &s.departed)
-			departed++
-			dst[base+i] = true
 		}
 		s.mu.Unlock()
 	}
@@ -837,9 +839,9 @@ func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
 // Each tick also renormalizes one shard (round-robin) by recomputing its
 // sums exactly from the flow table, so incremental floating-point drift on
 // a long-lived shard is bounded by one rotation period instead of growing
-// without bound. The recompute sums rates in sorted order — map iteration
-// order is randomized, and a deterministic summation order keeps equally
-// seeded virtual-clock runs bit-identical.
+// without bound. The recompute sums rates in sorted order — the table's
+// iteration order follows its random seed, and a deterministic summation
+// order keeps equally seeded virtual-clock runs bit-identical.
 //
 // With leases enabled the tick starts with the expiry sweep: any shard
 // whose cached earliest deadline has come due is scanned, expired flows
@@ -885,7 +887,7 @@ func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 		}
 		sumRate += s.sumRate
 		sumSq += s.sumSq
-		n += len(s.flows)
+		n += s.flows.Len()
 		s.mu.Unlock()
 	}
 
@@ -946,31 +948,32 @@ func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 }
 
 // sweepLocked reclaims expired leases from s at virtual time now, reporting
-// each to expired (when set), and refreshes the shard's cached earliest
-// deadline; the caller holds measMu and s.mu. After any reclaim the shard's
-// sums are recomputed exactly (in sorted order — see recomputeLocked), so
-// expiry never leaves incremental drift or an order-dependent residue
-// behind.
+// each to expired (when set) as it leaves the table, and refreshes the
+// shard's cached earliest deadline; the caller holds measMu and s.mu. The
+// sweep is one in-place pass over the table and allocates nothing. After
+// any reclaim the shard's sums are recomputed exactly (in sorted order —
+// see recomputeLocked), so expiry never leaves incremental drift or an
+// order-dependent residue behind.
 func (g *Gateway) sweepLocked(s *shard, now float64, expired func(flowID uint64)) {
-	before := s.expired
 	min := math.Inf(1)
-	for id, e := range s.flows {
+	reclaimed := s.flows.DeleteFunc(func(id uint64, e *flowEntry) bool {
 		if e.deadline <= now {
-			s.removeLocked(id, e, &s.expired)
 			if expired != nil {
 				expired(id)
 			}
-			continue
+			return true
 		}
 		if e.deadline < min {
 			min = e.deadline
 		}
-	}
+		return false
+	})
 	s.minDeadline = min
-	if s.expired == before {
+	if reclaimed == 0 {
 		return
 	}
-	g.active.Add(-int64(s.expired - before))
+	s.expired += uint64(reclaimed)
+	g.active.Add(-int64(reclaimed))
 	g.recomputeLocked(s)
 }
 
@@ -978,12 +981,11 @@ func (g *Gateway) sweepLocked(s *shard, now float64, expired func(flowID uint64)
 // from the flow table; the caller holds measMu (which owns rotScratch) and
 // s.mu.
 func (g *Gateway) recomputeLocked(s *shard) {
-	g.rotScratch = g.rotScratch[:0]
-	for _, e := range s.flows {
-		g.rotScratch = append(g.rotScratch, e.rate)
-	}
-	sort.Float64s(g.rotScratch)
-	s.sumRate, s.sumSq = estimator.FoldRates(g.rotScratch)
+	rates := g.rotScratch[:0]
+	s.flows.Range(func(_ uint64, e *flowEntry) { rates = append(rates, e.rate) })
+	sort.Float64s(rates)
+	s.sumRate, s.sumSq = estimator.FoldRates(rates)
+	g.rotScratch = rates
 }
 
 // setDegraded and clearDegraded maintain the degradation bitmask with CAS
