@@ -91,8 +91,8 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", r.ID, err))
 		}
+		fmt.Fprintf(os.Stderr, "%s done in %s\n", r.ID, time.Since(start).Round(time.Millisecond))
 		for _, t := range tables {
-			t.Note("elapsed: %s", time.Since(start).Round(time.Millisecond))
 			if err := t.Fprint(os.Stdout); err != nil {
 				fatal(err)
 			}

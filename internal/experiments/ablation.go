@@ -5,52 +5,27 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/estimator"
-	"repro/internal/sim"
 	"repro/internal/theory"
 	"repro/internal/traffic"
 )
 
-func init() {
-	register(Runner{
-		ID:          "abl-sampling",
-		Description: "Ablation: point-sampled (paper §5.2) vs time-weighted overflow estimation",
-		Run:         runAblSampling,
-	})
-	register(Runner{
-		ID:          "abl-filter",
-		Description: "Ablation: exponential filter vs sliding-window estimator at matched memory",
-		Run:         runAblFilter,
-	})
-	register(Runner{
-		ID:          "abl-variance",
-		Description: "Ablation: per-flow vs aggregate-only variance estimation; heterogeneity bias (§5.4)",
-		Run:         runAblVariance,
-	})
-	register(Runner{
-		ID:          "abl-theory",
-		Description: "Ablation: eq. 38 closed form vs eq. 37 integral across the separation parameter",
-		Run:         runAblTheory,
-	})
-}
-
 func runAblSampling(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, th, tc = 100.0, 0.3, 300.0, 1.0
-	pce := quickTarget(f, 1e-2)
+	const n, svr, th, tc, pce = 100.0, 0.3, 300.0, 1.0, 1e-2
 	t := &Table{
 		ID:      "abl-sampling",
 		Title:   "Overflow estimators on identical runs: time fraction vs point samples",
 		Columns: []string{"Tm", "pf_time_weighted", "tw_halfwidth", "pf_point_sampled", "ps_halfwidth", "samples"},
 	}
-	for _, tm := range []float64{0, 10, 30} {
+	err := sweep(t, []float64{0, 10, 30}, func(_ int, tm float64) ([]float64, error) {
 		res, err := run(spec{
 			N: n, SVR: svr, Th: th, Tc: tc, Tm: tm, Pce: pce,
 			Seed: seed + uint64(tm), MaxTime: simBudget(f),
 		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(tm, res.OverflowTimeFraction, res.OverflowHalfWidth,
-			res.OverflowPointSample, res.PointHalfWidth, float64(res.Samples))
+		return []float64{tm, res.OverflowTimeFraction, res.OverflowHalfWidth,
+			res.OverflowPointSample, res.PointHalfWidth, float64(res.Samples)}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("same trajectory feeds both estimators; point samples every 2 max(ThTilde,Tm,Tc)")
 	t.Note("time weighting uses all data: its CI should be materially tighter per unit sim time")
@@ -58,57 +33,43 @@ func runAblSampling(f Fidelity, seed uint64) ([]*Table, error) {
 }
 
 func runAblFilter(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, th, tc = 100.0, 0.3, 300.0, 1.0
-	pce := quickTarget(f, 1e-2)
+	const n, svr, th, tc, pce = 100.0, 0.3, 300.0, 1.0, 1e-2
 	t := &Table{
 		ID:      "abl-filter",
 		Title:   "Filter implementations at matched memory: aggregate-ratio vs exact per-flow vs sliding window",
 		Columns: []string{"Tm", "pf_exponential", "pf_perflow", "pf_window"},
 	}
-	for _, tm := range []float64{3, 10, 30} {
-		mk := func(est estimator.Estimator) (float64, error) {
-			ce, err := core.NewCertaintyEquivalent(pce, 1, svr)
-			if err != nil {
-				return 0, err
-			}
-			e, err := sim.New(sim.Config{
-				Capacity: n, Model: traffic.NewRCBR(1, svr, tc), Controller: ce,
-				Estimator: est, HoldingTime: th, Seed: seed + uint64(tm),
-				Warmup: 20 * math.Max(tm, th/math.Sqrt(n)), MaxTime: simBudget(f),
-				Tc: tc, Tm: tm,
-			})
-			if err != nil {
-				return 0, err
-			}
-			res, err := e.Run()
-			if err != nil {
-				return 0, err
-			}
-			return res.Pf, nil
-		}
-		pfExp, err := mk(estimator.NewExponential(tm))
-		if err != nil {
-			return nil, err
-		}
-		pfFlow, err := mk(estimator.NewPerFlowExponential(tm))
-		if err != nil {
-			return nil, err
-		}
+	tms := []float64{3, 10, 30}
+	if f == Quick {
+		tms = []float64{3, 30}
+	}
+	err := sweep(t, tms, func(_ int, tm float64) ([]float64, error) {
+		row := []float64{tm}
 		// A boxcar of length 2·Tm has the same mean sample age (Tm) as the
 		// exponential kernel with time constant Tm.
-		pfWin, err := mk(estimator.NewWindow(2 * tm))
-		if err != nil {
-			return nil, err
+		for _, est := range []estimator.Estimator{
+			estimator.NewExponential(tm), estimator.NewPerFlowExponential(tm), estimator.NewWindow(2 * tm),
+		} {
+			res, err := run(spec{
+				N: n, SVR: svr, Th: th, Tc: tc, Tm: tm, Pce: pce, Estimator: est,
+				Seed: seed + uint64(tm), MaxTime: simBudget(f),
+			})
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, res.Pf)
 		}
-		t.AddRow(tm, pfExp, pfFlow, pfWin)
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("all three should land in the same band: the kernel shape and the churn bookkeeping are second-order")
 	return []*Table{t}, nil
 }
 
 func runAblVariance(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, th, tc, tm = 100.0, 0.3, 300.0, 1.0, 30.0
-	pce := quickTarget(f, 1e-2)
+	const n, svr, th, tc, tm, pce = 100.0, 0.3, 300.0, 1.0, 30.0, 1e-2
 	t := &Table{
 		ID:      "abl-variance",
 		Title:   "Variance estimation: per-flow vs aggregate-only; homogeneous vs heterogeneous flows",
@@ -121,36 +82,30 @@ func runAblVariance(f Fidelity, seed uint64) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cases := []struct {
+	type point struct {
 		id    float64
 		model traffic.Model
-		est   func() estimator.Estimator
-	}{
-		{1, homo, func() estimator.Estimator { return estimator.NewExponential(tm) }},
-		{2, homo, func() estimator.Estimator { return estimator.NewAggregateOnly(tm, 10*tc) }},
-		{3, hetero, func() estimator.Estimator { return estimator.NewExponential(tm) }},
-		{4, hetero, func() estimator.Estimator { return estimator.NewAggregateOnly(tm, 10*tc) }},
+		est   estimator.Estimator
 	}
-	for _, c := range cases {
+	err = sweep(t, []point{
+		{1, homo, estimator.NewExponential(tm)},
+		{2, homo, estimator.NewAggregateOnly(tm, 10*tc)},
+		{3, hetero, estimator.NewExponential(tm)},
+		{4, hetero, estimator.NewAggregateOnly(tm, 10*tc)},
+	}, func(_ int, c point) ([]float64, error) {
 		st := c.model.Stats()
 		ce, err := core.NewCertaintyEquivalent(pce, st.Mean, st.StdDev())
 		if err != nil {
 			return nil, err
 		}
-		e, err := sim.New(sim.Config{
-			Capacity: n, Model: c.model, Controller: ce, Estimator: c.est(),
-			HoldingTime: th, Seed: seed + uint64(c.id),
-			Warmup: 20 * math.Max(tm, th/math.Sqrt(n)), MaxTime: simBudget(f),
-			Tc: tc, Tm: tm,
+		res, err := run(spec{
+			N: n, Th: th, Tc: tc, Tm: tm, Model: c.model, Controller: ce, Estimator: c.est,
+			Seed: seed + uint64(c.id), MaxTime: simBudget(f),
 		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(c.id, res.Pf, res.MeanFlows, res.Utilization)
+		return []float64{c.id, res.Pf, res.MeanFlows, res.Utilization}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("cases: 1=homo/per-flow 2=homo/aggregate-only 3=hetero/per-flow 4=hetero/aggregate-only")
 	t.Note("§5.4: case 3's class-blind cross-sectional variance over-estimates -> conservative (lower pf, lower utilization than a class-aware scheme would achieve)")

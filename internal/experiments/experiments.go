@@ -79,33 +79,32 @@ func (t *Table) Note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
+// cells formats every row for rendering; the three renderers below differ
+// only in how they lay the strings out.
+func (t *Table) cells() [][]string {
+	out := make([][]string, len(t.Rows))
+	for i, row := range t.Rows {
+		out[i] = make([]string, len(row))
+		for j, v := range row {
+			out[i][j] = formatCell(v)
+		}
+	}
+	return out
+}
+
 // Fprint renders the table as aligned text.
 func (t *Table) Fprint(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title); err != nil {
 		return err
 	}
+	lines := append([][]string{t.Columns}, t.cells()...)
 	widths := make([]int, len(t.Columns))
-	cells := make([][]string, len(t.Rows))
-	for j, c := range t.Columns {
-		widths[j] = len(c)
-	}
-	for i, row := range t.Rows {
-		cells[i] = make([]string, len(row))
-		for j, v := range row {
-			cells[i][j] = formatCell(v)
-			if len(cells[i][j]) > widths[j] {
-				widths[j] = len(cells[i][j])
-			}
+	for _, row := range lines {
+		for j, c := range row {
+			widths[j] = max(widths[j], len(c))
 		}
 	}
-	for j, c := range t.Columns {
-		if j > 0 {
-			fmt.Fprint(w, "  ")
-		}
-		fmt.Fprintf(w, "%*s", widths[j], c)
-	}
-	fmt.Fprintln(w)
-	for _, row := range cells {
+	for _, row := range lines {
 		for j, c := range row {
 			if j > 0 {
 				fmt.Fprint(w, "  ")
@@ -131,15 +130,8 @@ func (t *Table) WriteCSV(w io.Writer) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(t.Columns, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = formatCell(v)
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(parts, ",")); err != nil {
+	for _, row := range append([][]string{t.Columns}, t.cells()...) {
+		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
 			return err
 		}
 	}
@@ -152,18 +144,12 @@ func (t *Table) WriteMarkdown(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "## %s — %s\n\n", t.ID, t.Title); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "| %s |\n", strings.Join(t.Columns, " | "))
 	seps := make([]string, len(t.Columns))
 	for i := range seps {
 		seps[i] = "---"
 	}
-	fmt.Fprintf(w, "| %s |\n", strings.Join(seps, " | "))
-	for _, row := range t.Rows {
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = formatCell(v)
-		}
-		fmt.Fprintf(w, "| %s |\n", strings.Join(parts, " | "))
+	for _, row := range append([][]string{t.Columns, seps}, t.cells()...) {
+		fmt.Fprintf(w, "| %s |\n", strings.Join(row, " | "))
 	}
 	fmt.Fprintln(w)
 	for _, n := range t.Notes {
@@ -189,7 +175,7 @@ func formatCell(v float64) string {
 	}
 }
 
-// Runner is one registered experiment.
+// Runner is one experiment of the registry.
 type Runner struct {
 	ID          string
 	Description string
@@ -198,13 +184,43 @@ type Runner struct {
 	Run func(f Fidelity, seed uint64) ([]*Table, error)
 }
 
-// registry is populated by init functions across this package's files.
-var registry []Runner
+// registry lists every experiment once, in the paper's order: the Section 3
+// claims, Figures 2-12, the Section 5 studies, then the ablations and the
+// extensions beyond the paper's figures. It is the only place a runner is
+// named: -list, -all, Lookup and the smoke tests all read it.
+var registry = []Runner{
+	{"prop31", "Proposition 3.1: distribution of the admitted flow count M0 under impulsive load", runProp31},
+	{"prop33", "Proposition 3.3: the sqrt(2) law — steady-state overflow of the impulsive certainty-equivalent MBAC", runProp33},
+	{"finite", "Eq. 21: overflow profile p_f(t) under finite flow holding times", runFiniteHolding},
+	{"fig2", "Figure 2 (conceptual, realized): one trajectory of M_t, N_t and the aggregate load", runFig2},
+	{"fig5", "Figure 5: overflow probability vs estimator memory Tm — theory (eq. 38) and simulation", runFig5},
+	{"fig6", "Figure 6: adjusted certainty-equivalent target by inversion of eq. 38", runFig6},
+	{"fig7", "Figure 7: simulated overflow probability using the adjusted target (robustness check)", runFig7},
+	{"fig9", "Figure 9: overflow probability over (Tm/ThTilde, Tc) by numerical integration of eq. 37", runFig9},
+	{"fig10", "Figure 10: simulated overflow probability over the Figure 9 parameter range", runFig10},
+	{"fig11", "Figure 11: LRD video trace, memoryless estimation — p_f vs 1/ThTilde",
+		func(f Fidelity, seed uint64) ([]*Table, error) { return runVideo(f, seed, false) }},
+	{"fig12", "Figure 12: LRD video trace with Tm = ThTilde — robust across 1/ThTilde",
+		func(f Fidelity, seed uint64) ([]*Table, error) { return runVideo(f, seed, true) }},
+	{"util", "Eq. 40: utilization cost of conservative certainty-equivalent targets", runUtil},
+	{"limit", "Limit-process simulation vs eq. 37 integral vs eq. 38 closed form", runLimit},
+	{"regimes", "Masking and repair regimes (Section 5.3) quantified against eq. 37", runRegimes},
+	{"abl-sampling", "Ablation: point-sampled (paper §5.2) vs time-weighted overflow estimation", runAblSampling},
+	{"abl-filter", "Ablation: exponential filter vs sliding-window estimator at matched memory", runAblFilter},
+	{"abl-variance", "Ablation: per-flow vs aggregate-only variance estimation; heterogeneity bias (§5.4)", runAblVariance},
+	{"abl-theory", "Ablation: eq. 38 closed form vs eq. 37 integral across the separation parameter", runAblTheory},
+	{"arrival", "Extension: overflow and blocking vs finite Poisson arrival rate (continuous load as the worst case)", runArrival},
+	{"bayes", "Extension: estimator memory vs Bayesian prior smoothing (Gibbens-Kelly-Key, Section 6)", runBayes},
+	{"utility", "Extension: adaptive-application utility under naive vs robust MBAC (Section 7)", runUtility},
+	{"reneg", "Extension: RCBR renegotiation-failure probability vs overflow fraction (Section 2 service model)", runReneg},
+	{"buffer", "Extension: buffered loss vs bufferless overflow — the Section 2 conservatism claim", runBuffer},
+	{"holding", "Extension: heterogeneous holding-time distributions under the robust plan (Section 5.4)", runHolding},
+	{"misdecl", "Extension: traffic mis-declaration — parameter-based AC vs MBAC (the paper's Section 1 motivation)", runMisdecl},
+	{"transient", "Extension: overflow ramp p_f(t) after cold start vs the finite-t form of Prop. 4.2", runTransient},
+	{"gateway", "online gateway soak ensemble: admitted flows vs m* (Prop 3.1) at three operating points", runGatewaySoak},
+}
 
-// register adds a runner; called from init functions.
-func register(r Runner) { registry = append(registry, r) }
-
-// Runners returns all registered experiments in registration order.
+// Runners returns all experiments in registry order.
 func Runners() []Runner { return append([]Runner(nil), registry...) }
 
 // Lookup finds a runner by id.

@@ -1,15 +1,17 @@
 package experiments
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 func TestRegistryIntegrity(t *testing.T) {
 	rs := Runners()
-	if len(rs) < 12 {
-		t.Fatalf("only %d experiments registered", len(rs))
+	if len(rs) != len(registry) || len(rs) == 0 {
+		t.Fatalf("Runners() returned %d of %d experiments", len(rs), len(registry))
 	}
 	seen := map[string]bool{}
 	for _, r := range rs {
@@ -20,14 +22,6 @@ func TestRegistryIntegrity(t *testing.T) {
 			t.Errorf("duplicate id %q", r.ID)
 		}
 		seen[r.ID] = true
-	}
-	for _, want := range []string{"prop31", "prop33", "finite", "fig5", "fig6", "fig7",
-		"fig9", "fig10", "fig11", "fig12", "util", "limit", "regimes",
-		"abl-sampling", "abl-filter", "abl-variance", "abl-theory",
-		"arrival", "bayes", "utility", "reneg", "buffer", "transient", "fig2", "holding", "misdecl"} {
-		if !seen[want] {
-			t.Errorf("missing experiment %q", want)
-		}
 	}
 	if _, ok := Lookup("fig5"); !ok {
 		t.Error("Lookup(fig5) failed")
@@ -253,5 +247,51 @@ func TestFig10Quick(t *testing.T) {
 	last := tab.Rows[len(tab.Rows)-1][1]
 	if !(first > last) {
 		t.Errorf("memory should reduce simulated pf at small Tc: %v vs %v", first, last)
+	}
+}
+
+// sweep's contract: rows land in point order whatever the pool's worker
+// count, a nil row is left out, and the first error comes back with no row
+// added.
+func TestSweep(t *testing.T) {
+	points := make([]int, 40)
+	for i := range points {
+		points[i] = 100 + i
+	}
+	for _, workers := range []int{1, 2, 7} {
+		prev := runtime.GOMAXPROCS(workers)
+		tab := &Table{ID: "sweep", Columns: []string{"i", "p"}}
+		err := sweep(tab, points, func(i, p int) ([]float64, error) {
+			if i%5 == 3 {
+				return nil, nil
+			}
+			return []float64{float64(i), float64(p)}, nil
+		})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tab.Rows) != 32 {
+			t.Fatalf("workers=%d: %d rows, want 32 (8 nil rows skipped)", workers, len(tab.Rows))
+		}
+		last := -1.0
+		for _, r := range tab.Rows {
+			if r[0] <= last || int(r[0])%5 == 3 || r[1] != r[0]+100 {
+				t.Fatalf("workers=%d: row %v out of point order or not its point's", workers, r)
+			}
+			last = r[0]
+		}
+	}
+
+	boom := errors.New("boom")
+	tab := &Table{Columns: []string{"i"}}
+	err := sweep(tab, points, func(i, _ int) ([]float64, error) {
+		if i == 17 {
+			return nil, boom
+		}
+		return []float64{float64(i)}, nil
+	})
+	if !errors.Is(err, boom) || len(tab.Rows) != 0 {
+		t.Errorf("failing sweep: err %v, %d rows; want boom and no rows", err, len(tab.Rows))
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/estimator"
 	"repro/internal/qos"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/theory"
-	"repro/internal/traffic"
 )
 
 // Extension experiments beyond the paper's figures: the finite-arrival-rate
@@ -18,42 +16,8 @@ import (
 // smoothing (Section 6), and the adaptive-application utility metric
 // (Section 7 future work).
 
-func init() {
-	register(Runner{
-		ID:          "arrival",
-		Description: "Extension: overflow and blocking vs finite Poisson arrival rate (continuous load as the worst case)",
-		Run:         runArrival,
-	})
-	register(Runner{
-		ID:          "bayes",
-		Description: "Extension: estimator memory vs Bayesian prior smoothing (Gibbens-Kelly-Key, Section 6)",
-		Run:         runBayes,
-	})
-	register(Runner{
-		ID:          "utility",
-		Description: "Extension: adaptive-application utility under naive vs robust MBAC (Section 7)",
-		Run:         runUtility,
-	})
-	register(Runner{
-		ID:          "reneg",
-		Description: "Extension: RCBR renegotiation-failure probability vs overflow fraction (Section 2 service model)",
-		Run:         runReneg,
-	})
-	register(Runner{
-		ID:          "buffer",
-		Description: "Extension: buffered loss vs bufferless overflow — the Section 2 conservatism claim",
-		Run:         runBuffer,
-	})
-	register(Runner{
-		ID:          "holding",
-		Description: "Extension: heterogeneous holding-time distributions under the robust plan (Section 5.4)",
-		Run:         runHolding,
-	})
-}
-
 func runHolding(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, tc, th = 100.0, 0.3, 1.0, 300.0
-	pq := quickTarget(f, 1e-2)
+	const n, svr, tc, th, pq = 100.0, 0.3, 1.0, 300.0, 1e-2
 	sys := theory.System{Capacity: n, Mu: 1, Sigma: svr, Th: th, Tc: tc}
 	plan, err := theory.PlanRobust(sys, pq, theory.InvertIntegral)
 	if err != nil {
@@ -66,10 +30,11 @@ func runHolding(f Fidelity, seed uint64) ([]*Table, error) {
 	}
 	// Distributions share mean th; scv is the squared coefficient of
 	// variation of the holding time.
-	cases := []struct {
+	type point struct {
 		id, scv float64
 		sampler func(r *rng.PCG) float64
-	}{
+	}
+	err = sweep(t, []point{
 		{1, 0, func(*rng.PCG) float64 { return th }}, // deterministic
 		{2, 1, nil}, // exponential (engine default)
 		{3, 3.4, func(r *rng.PCG) float64 { // balanced hyperexponential
@@ -78,28 +43,16 @@ func runHolding(f Fidelity, seed uint64) ([]*Table, error) {
 			}
 			return r.Exp(9 * th / 5)
 		}},
-	}
-	for _, c := range cases {
-		ctrl, err := core.NewCertaintyEquivalent(plan.AdjustedPce, 1, svr)
-		if err != nil {
-			return nil, err
-		}
-		e, err := sim.New(sim.Config{
-			Capacity: n, Model: traffic.NewRCBR(1, svr, tc), Controller: ctrl,
-			Estimator: estimator.NewExponential(plan.MemoryTm), HoldingTime: th,
-			HoldingSampler: c.sampler,
-			Seed:           seed + uint64(c.id),
-			Warmup:         20 * math.Max(plan.MemoryTm, sys.ThTilde()),
-			MaxTime:        simBudget(f) / 2, Tc: tc, Tm: plan.MemoryTm,
+	}, func(_ int, c point) ([]float64, error) {
+		res, err := run(spec{
+			N: n, SVR: svr, Th: th, Tc: tc, Tm: plan.MemoryTm, Pce: plan.AdjustedPce,
+			Seed: seed + uint64(c.id), MaxTime: simBudget(f) / 2,
+			Sim: func(cfg *sim.Config) { cfg.HoldingSampler = c.sampler },
 		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(c.id, c.scv, res.Pf, res.MeanFlows, res.Utilization)
+		return []float64{c.id, c.scv, res.Pf, res.MeanFlows, res.Utilization}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("dist: 1=deterministic 2=exponential 3=hyperexponential; same mean Th=%g, target pq=%g", th, pq)
 	t.Note("§5.4: the critical time-scale depends only on the mean departure rate, so all rows should meet the target")
@@ -107,33 +60,23 @@ func runHolding(f Fidelity, seed uint64) ([]*Table, error) {
 }
 
 func runBuffer(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, th, tc = 100.0, 0.3, 300.0, 1.0
-	pce := quickTarget(f, 1e-2)
+	const n, svr, th, tc, pce = 100.0, 0.3, 300.0, 1.0, 1e-2
 	t := &Table{
 		ID:      "buffer",
 		Title:   "Buffered loss fraction vs bufferless overflow fraction (same runs)",
 		Columns: []string{"buffer_size", "pf_bufferless", "loss_fraction", "mean_delay", "busy_fraction"},
 	}
-	for _, b := range []float64{0.5, 2, 5, 10, 20} {
-		ctrl, err := core.NewCertaintyEquivalent(pce, 1, svr)
-		if err != nil {
-			return nil, err
-		}
-		e, err := sim.New(sim.Config{
-			Capacity: n, Model: traffic.NewRCBR(1, svr, tc), Controller: ctrl,
-			Estimator: estimator.NewMemoryless(), HoldingTime: th,
-			BufferSize: b, Seed: seed + uint64(b*10),
-			Warmup: 20 * th / math.Sqrt(n), MaxTime: simBudget(f) / 2, Tc: tc,
+	err := sweep(t, []float64{0.5, 2, 5, 10, 20}, func(_ int, b float64) ([]float64, error) {
+		res, err := run(spec{
+			N: n, SVR: svr, Th: th, Tc: tc, Pce: pce,
+			Seed: seed + uint64(b*10), MaxTime: simBudget(f) / 2,
+			Sim: func(cfg *sim.Config) { cfg.BufferSize = b },
 		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(b, res.OverflowTimeFraction, res.Buffer.LossFraction,
-			res.Buffer.MeanDelay, res.Buffer.BusyFraction)
+		return []float64{b, res.OverflowTimeFraction, res.Buffer.LossFraction,
+			res.Buffer.MeanDelay, res.Buffer.BusyFraction}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("n=%g Th=%g Tc=%g pce=%g, memoryless CE MBAC; buffer in units of mean-rate-seconds", n, th, tc, pce)
 	t.Note("expected: loss < overflow at every size and falling in B — the bufferless analysis is conservative")
@@ -141,34 +84,28 @@ func runBuffer(f Fidelity, seed uint64) ([]*Table, error) {
 }
 
 func runArrival(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, th, tc = 100.0, 0.3, 100.0, 1.0
-	pce := quickTarget(f, 1e-2)
+	const n, svr, th, tc, pce = 100.0, 0.3, 100.0, 1.0, 1e-2
 	t := &Table{
 		ID:      "arrival",
 		Title:   "Overflow and blocking vs arrival rate (memoryless CE MBAC; rate 0 = infinite backlog)",
 		Columns: []string{"lambda", "offered_erlangs", "pf_sim", "blocking_prob", "erlangB_ref", "mean_flows", "utilization"},
 	}
-	ce, err := core.NewCertaintyEquivalent(pce, 1, svr)
+	mstar := theory.AdmissibleFlows(n, 1, svr, pce)
+	lambdas := []float64{0.3, 0.6, 0.9, 1.2, 2, 5, 0}
+	if f == Quick {
+		lambdas = []float64{0.6, 1.2, 5, 0} // under-load, the knee, overload, continuous load
+	}
+	err := sweep(t, lambdas, func(_ int, lambda float64) ([]float64, error) {
+		res, err := run(spec{
+			N: n, SVR: svr, Th: th, Tc: tc, Pce: pce,
+			Seed: seed + uint64(lambda*10), MaxTime: simBudget(f),
+			Sim: func(cfg *sim.Config) { cfg.ArrivalRate = lambda },
+		})
+		return []float64{lambda, lambda * th, res.Pf, res.BlockingProb,
+			theory.ErlangBInterp(mstar, lambda*th), res.MeanFlows, res.Utilization}, err
+	})
 	if err != nil {
 		return nil, err
-	}
-	mstar := theory.AdmissibleFlows(n, 1, svr, pce)
-	for _, lambda := range []float64{0.3, 0.6, 0.9, 1.2, 2, 5, 0} {
-		e, err := sim.New(sim.Config{
-			Capacity: n, Model: traffic.NewRCBR(1, svr, tc), Controller: ce,
-			Estimator: estimator.NewMemoryless(), HoldingTime: th,
-			ArrivalRate: lambda, Seed: seed + uint64(lambda*10),
-			Warmup: 20 * th / math.Sqrt(n), MaxTime: simBudget(f), Tc: tc,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(lambda, lambda*th, res.Pf, res.BlockingProb,
-			theory.ErlangBInterp(mstar, lambda*th), res.MeanFlows, res.Utilization)
 	}
 	t.Note("n=%g Th=%g Tc=%g pce=%g; the lambda=0 row is the paper's continuous-load model", n, th, tc, pce)
 	t.Note("expected: pf grows with lambda and saturates at the continuous-load value;")
@@ -177,60 +114,33 @@ func runArrival(f Fidelity, seed uint64) ([]*Table, error) {
 }
 
 func runBayes(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, th, tc = 100.0, 0.3, 300.0, 1.0
-	pce := quickTarget(f, 1e-2)
+	const n, svr, th, tc, pce = 100.0, 0.3, 300.0, 1.0, 1e-2
 	thTilde := th / math.Sqrt(n)
 	t := &Table{
 		ID:      "bayes",
 		Title:   "Prior smoothing vs estimator memory under continuous load",
 		Columns: []string{"scheme", "knob", "pf_sim", "mean_flows", "utilization"},
 	}
-	type scheme struct {
-		id   float64
-		knob float64
-		mk   func() (core.Controller, estimator.Estimator, error)
-	}
-	mkBayes := func(w float64) func() (core.Controller, estimator.Estimator, error) {
-		return func() (core.Controller, estimator.Estimator, error) {
-			c, err := core.NewBayesianCE(pce, w, 1, svr)
-			return c, estimator.NewMemoryless(), err
-		}
-	}
-	schemes := []scheme{
-		{1, 0, func() (core.Controller, estimator.Estimator, error) {
-			c, err := core.NewCertaintyEquivalent(pce, 1, svr)
-			return c, estimator.NewMemoryless(), err
-		}},
-		{2, 25, mkBayes(25)},
-		{3, 100, mkBayes(100)},
-		{4, 400, mkBayes(400)},
-		{5, thTilde, func() (core.Controller, estimator.Estimator, error) {
-			c, err := core.NewCertaintyEquivalent(pce, 1, svr)
-			return c, estimator.NewExponential(thTilde), err
-		}},
-	}
-	for _, s := range schemes {
-		ctrl, est, err := s.mk()
-		if err != nil {
-			return nil, err
-		}
-		tm := 0.0
-		if s.id == 5 {
-			tm = thTilde
-		}
-		e, err := sim.New(sim.Config{
-			Capacity: n, Model: traffic.NewRCBR(1, svr, tc), Controller: ctrl,
-			Estimator: est, HoldingTime: th, Seed: seed + uint64(s.id),
-			Warmup: 20 * math.Max(tm, thTilde), MaxTime: simBudget(f), Tc: tc, Tm: tm,
+	// A scheme turns one knob: the weight of a Bayesian prior, or the
+	// estimator memory of the plain certainty-equivalent MBAC.
+	type scheme struct{ id, weight, tm float64 }
+	err := sweep(t, []scheme{{1, 0, 0}, {2, 25, 0}, {3, 100, 0}, {4, 400, 0}, {5, 0, thTilde}},
+		func(_ int, s scheme) ([]float64, error) {
+			sp := spec{
+				N: n, SVR: svr, Th: th, Tc: tc, Tm: s.tm, Pce: pce,
+				Seed: seed + uint64(s.id), MaxTime: simBudget(f),
+			}
+			if s.weight > 0 {
+				var err error
+				if sp.Controller, err = core.NewBayesianCE(pce, s.weight, 1, svr); err != nil {
+					return nil, err
+				}
+			}
+			res, err := run(sp)
+			return []float64{s.id, s.weight + s.tm, res.Pf, res.MeanFlows, res.Utilization}, err
 		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(s.id, s.knob, res.Pf, res.MeanFlows, res.Utilization)
+	if err != nil {
+		return nil, err
 	}
 	t.Note("schemes: 1=memoryless CE; 2-4=Bayesian prior (true prior) with weight=knob; 5=CE with memory Tm=ThTilde=knob")
 	t.Note("the paper's argument (§6): a correct prior smooths like memory, but memory needs no prior")
@@ -239,8 +149,7 @@ func runBayes(f Fidelity, seed uint64) ([]*Table, error) {
 }
 
 func runUtility(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, th, tc = 100.0, 0.3, 300.0, 1.0
-	pq := quickTarget(f, 1e-2)
+	const n, svr, th, tc, pq = 100.0, 0.3, 300.0, 1.0, 1e-2
 	sys := theory.System{Capacity: n, Mu: 1, Sigma: svr, Th: th, Tc: tc}
 	plan, err := theory.PlanRobust(sys, pq, theory.InvertIntegral)
 	if err != nil {
@@ -251,43 +160,26 @@ func runUtility(f Fidelity, seed uint64) ([]*Table, error) {
 		Title:   "Adaptive-application QoS: mean utility under naive vs robust MBAC",
 		Columns: []string{"scheme", "u_step", "u_convex", "u_linear", "u_concave", "pf"},
 	}
-	runOne := func(id float64, pce, tm float64) error {
-		var row []float64
-		var pf float64
-		for _, u := range []qos.Utility{qos.Step(1), qos.Convex(4), qos.Linear(), qos.Concave(10)} {
-			ctrl, err := core.NewCertaintyEquivalent(pce, 1, svr)
-			if err != nil {
-				return err
+	type scheme struct{ id, pce, tm float64 }
+	err = sweep(t, []scheme{{1, pq, 0}, {2, plan.AdjustedPce, plan.MemoryTm}}, // naive, robust
+		func(_ int, s scheme) ([]float64, error) {
+			row := []float64{s.id}
+			var pf float64
+			for _, u := range []qos.Utility{qos.Step(1), qos.Convex(4), qos.Linear(), qos.Concave(10)} {
+				res, err := run(spec{
+					N: n, SVR: svr, Th: th, Tc: tc, Tm: s.tm, Pce: s.pce,
+					Seed: seed + uint64(s.id), MaxTime: simBudget(f) / 4,
+					Sim: func(cfg *sim.Config) { cfg.Utility = u },
+				})
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, res.MeanUtility)
+				pf = res.OverflowTimeFraction
 			}
-			var est estimator.Estimator
-			if tm > 0 {
-				est = estimator.NewExponential(tm)
-			} else {
-				est = estimator.NewMemoryless()
-			}
-			e, err := sim.New(sim.Config{
-				Capacity: n, Model: traffic.NewRCBR(1, svr, tc), Controller: ctrl,
-				Estimator: est, HoldingTime: th, Utility: u,
-				Seed: seed + uint64(id), Warmup: 20 * math.Max(tm, sys.ThTilde()),
-				MaxTime: simBudget(f) / 4, Tc: tc, Tm: tm,
-			})
-			if err != nil {
-				return err
-			}
-			res, err := e.Run()
-			if err != nil {
-				return err
-			}
-			row = append(row, res.MeanUtility)
-			pf = res.OverflowTimeFraction
-		}
-		t.AddRow(append([]float64{id}, append(row, pf)...)...)
-		return nil
-	}
-	if err := runOne(1, pq, 0); err != nil { // naive
-		return nil, err
-	}
-	if err := runOne(2, plan.AdjustedPce, plan.MemoryTm); err != nil { // robust
+			return append(row, pf), nil
+		})
+	if err != nil {
 		return nil, err
 	}
 	t.Note("schemes: 1=naive (memoryless, pce=pq=%g); 2=robust (Tm=%.3g, pce=%.3g)", pq, plan.MemoryTm, plan.AdjustedPce)
@@ -296,40 +188,22 @@ func runUtility(f Fidelity, seed uint64) ([]*Table, error) {
 }
 
 func runReneg(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, tc = 100.0, 0.3, 1.0
-	pce := quickTarget(f, 1e-2)
+	const n, svr, tc, pce = 100.0, 0.3, 1.0, 1e-2
 	t := &Table{
 		ID:      "reneg",
 		Title:   "RCBR renegotiation-failure probability tracks the bufferless overflow metric",
 		Columns: []string{"Th", "Tm", "pf_time_fraction", "reneg_failure_prob", "requests"},
 	}
-	for _, cse := range []struct{ th, tm float64 }{
-		{100, 0}, {100, 10}, {1000, 0}, {1000, 100},
-	} {
-		ctrl, err := core.NewCertaintyEquivalent(pce, 1, svr)
-		if err != nil {
-			return nil, err
-		}
-		var est estimator.Estimator
-		if cse.tm > 0 {
-			est = estimator.NewExponential(cse.tm)
-		} else {
-			est = estimator.NewMemoryless()
-		}
-		e, err := sim.New(sim.Config{
-			Capacity: n, Model: traffic.NewRCBR(1, svr, tc), Controller: ctrl,
-			Estimator: est, HoldingTime: cse.th, Seed: seed + uint64(cse.th+cse.tm),
-			Warmup: 20 * math.Max(cse.tm, cse.th/math.Sqrt(n)), MaxTime: simBudget(f) / 2,
-			Tc: tc, Tm: cse.tm,
+	type point struct{ th, tm float64 }
+	err := sweep(t, []point{{100, 0}, {100, 10}, {1000, 0}, {1000, 100}}, func(_ int, c point) ([]float64, error) {
+		res, err := run(spec{
+			N: n, SVR: svr, Th: c.th, Tc: tc, Tm: c.tm, Pce: pce,
+			Seed: seed + uint64(c.th+c.tm), MaxTime: simBudget(f) / 2,
 		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(cse.th, cse.tm, res.OverflowTimeFraction, res.RenegFailureProb, float64(res.RenegRequests))
+		return []float64{c.th, c.tm, res.OverflowTimeFraction, res.RenegFailureProb, float64(res.RenegRequests)}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("the paper's Section 2 motivates the bufferless model via RCBR renegotiation failures;")
 	t.Note("this validates that the two QoS readings agree in magnitude on the same runs (pce=%g)", pce)

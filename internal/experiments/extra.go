@@ -5,50 +5,28 @@ import (
 	"repro/internal/theory"
 )
 
-func init() {
-	register(Runner{
-		ID:          "util",
-		Description: "Eq. 40: utilization cost of conservative certainty-equivalent targets",
-		Run:         runUtil,
-	})
-	register(Runner{
-		ID:          "limit",
-		Description: "Limit-process simulation vs eq. 37 integral vs eq. 38 closed form",
-		Run:         runLimit,
-	})
-	register(Runner{
-		ID:          "regimes",
-		Description: "Masking and repair regimes (Section 5.3) quantified against eq. 37",
-		Run:         runRegimes,
-	})
-}
-
 func runUtil(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, th, tc, tm = 100.0, 0.3, 1000.0, 1.0, 100.0
-	base := quickTarget(f, 1e-2)
+	const n, svr, th, tc, tm, base = 100.0, 0.3, 1000.0, 1.0, 100.0, 1e-2
 	t := &Table{
 		ID:      "util",
 		Title:   "Mean carried flows vs certainty-equivalent target: simulation vs eq. 40",
 		Columns: []string{"pce", "mean_flows_sim", "delta_sim", "delta_eq40", "utilization"},
 	}
-	sys := theory.System{Capacity: n, Mu: 1, Sigma: svr, Th: th, Tc: tc, Tm: tm}
-	targets := []float64{base, base / 10, base / 100}
-	var ref float64
-	for i, pce := range targets {
-		res, err := run(spec{
+	err := sweep(t, []float64{base, base / 10, base / 100}, func(i int, pce float64) ([]float64, error) {
+		s := spec{
 			N: n, SVR: svr, Th: th, Tc: tc, Tm: tm, Pce: pce,
 			Seed: seed + uint64(i), MaxTime: simBudget(f),
-		})
-		if err != nil {
-			return nil, err
 		}
-		if i == 0 {
-			ref = res.MeanFlows
-		}
+		res, err := run(s)
 		// eq. 40 predicts the *bandwidth* delta; with mu=1 that equals the
-		// flow-count delta.
-		deltaTheory := theory.UtilizationDelta(sys, targets[0], pce)
-		t.AddRow(pce, res.MeanFlows, ref-res.MeanFlows, deltaTheory, res.Utilization)
+		// flow-count delta. delta_sim is relative to row 0: filled in below.
+		return []float64{pce, res.MeanFlows, 0, theory.UtilizationDelta(s.system(), base, pce), res.Utilization}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range t.Rows {
+		row[2] = t.Rows[0][1] - row[1]
 	}
 	t.Note("n=%g sigma/mu=%g Th=%g Tc=%g Tm=%g fidelity=%s", n, svr, th, tc, tm, f)
 	t.Note("delta columns: carried-flow loss relative to the first row; eq. 40 = sigma sqrt(n) [Qinv(pce_i) - Qinv(pce_0)]")
@@ -57,35 +35,29 @@ func runUtil(f Fidelity, seed uint64) ([]*Table, error) {
 
 func runLimit(f Fidelity, seed uint64) ([]*Table, error) {
 	const n, svr, th = 100.0, 0.3, 1000.0
-	pce := quickTarget(f, 1e-3)
+	pce := quickTarget(f)
 	dur := map[Fidelity]float64{Quick: 2e4, Standard: 2e5, Full: 4e6}[f]
 	t := &Table{
 		ID:      "limit",
 		Title:   "Hitting probability: limit-process simulation vs Bräker approximations",
 		Columns: []string{"Tc", "Tm", "pf_limit_sim", "pf_eq37", "pf_eq38", "ci_halfwidth"},
 	}
-	cases := []struct{ tc, tm float64 }{
-		{1, 0}, {1, 10}, {1, 100}, {10, 100}, {100, 100},
-	}
-	for i, c := range cases {
+	type point struct{ tc, tm float64 }
+	err := sweep(t, []point{{1, 0}, {1, 10}, {1, 100}, {10, 100}, {100, 100}}, func(i int, c point) ([]float64, error) {
 		sys := theory.System{Capacity: n, Mu: 1, Sigma: svr, Th: th, Tc: c.tc, Tm: c.tm}
 		res, err := limitOverflow(sys, pce, limitOptions{Seed: seed + uint64(i), Duration: dur})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(c.tc, c.tm, res.Pf,
+		return []float64{c.tc, c.tm, res.Pf,
 			theory.ContinuousOverflowIntegral(sys, pce),
 			theory.ContinuousOverflowClosedForm(sys, pce),
-			res.HalfWidth)
+			res.HalfWidth}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.Note("n=%g sigma/mu=%g Th=%g (ThTilde=%g) pce=%g fidelity=%s", n, svr, th, sys0(n, th), pce, f)
+	t.Note("n=%g sigma/mu=%g Th=%g (ThTilde=%g) pce=%g fidelity=%s", n, svr, th,
+		theory.System{Capacity: n, Mu: 1, Th: th}.ThTilde(), pce, f)
 	t.Note("isolates the Bräker approximation error from finite-n effects")
 	return []*Table{t}, nil
-}
-
-// sys0 returns ThTilde for the notes above.
-func sys0(n, th float64) float64 {
-	return theory.System{Capacity: n, Mu: 1, Th: th}.ThTilde()
 }
 
 func runRegimes(_ Fidelity, _ uint64) ([]*Table, error) {

@@ -1,51 +1,20 @@
 package experiments
 
 import (
-	"context"
 	"math"
 
-	"repro/internal/sim"
 	"repro/internal/theory"
 )
 
-func init() {
-	register(Runner{
-		ID:          "fig5",
-		Description: "Figure 5: overflow probability vs estimator memory Tm — theory (eq. 38) and simulation",
-		Run:         runFig5,
-	})
-	register(Runner{
-		ID:          "fig6",
-		Description: "Figure 6: adjusted certainty-equivalent target by inversion of eq. 38",
-		Run:         runFig6,
-	})
-	register(Runner{
-		ID:          "fig7",
-		Description: "Figure 7: simulated overflow probability using the adjusted target (robustness check)",
-		Run:         runFig7,
-	})
-	register(Runner{
-		ID:          "fig9",
-		Description: "Figure 9: overflow probability over (Tm/ThTilde, Tc) by numerical integration of eq. 37",
-		Run:         runFig9,
-	})
-	register(Runner{
-		ID:          "fig10",
-		Description: "Figure 10: simulated overflow probability over the Figure 9 parameter range",
-		Run:         runFig10,
-	})
-}
-
-// fig5Params are the paper's Figure 5 settings: Th=1000, Tc=1, pce=1e-3 at
-// sigma/mu=0.3. The system size is not stated in the caption; n=100 puts
-// ThTilde=100 and gamma=30, squarely in the separation regime the figure
-// illustrates.
+// fig5Params are the paper's Figure 5 settings: Th=1000, Tc=1 at
+// sigma/mu=0.3, with pce=1e-3 (quickTarget's paper value). The system size
+// is not stated in the caption; n=100 puts ThTilde=100 and gamma=30,
+// squarely in the separation regime the figure illustrates.
 const (
 	fig5N   = 100.0
 	fig5SVR = 0.3
 	fig5Th  = 1000.0
 	fig5Tc  = 1.0
-	fig5Pce = 1e-3
 )
 
 // fig5TmSweep returns the memory sweep, logarithmic across the knee at
@@ -62,40 +31,25 @@ func fig5TmSweep(f Fidelity) []float64 {
 }
 
 func runFig5(f Fidelity, seed uint64) ([]*Table, error) {
-	pce := quickTarget(f, fig5Pce)
+	pce := quickTarget(f)
 	t := &Table{
 		ID:      "fig5",
 		Title:   "p_f vs memory window Tm: theory vs simulation",
 		Columns: []string{"Tm", "pf_sim", "pf_eq38", "pf_eq37_integral", "ci_halfwidth", "resolved"},
 	}
-	sweep := fig5TmSweep(f)
-	rows := make([][]float64, len(sweep))
-	err := sim.ForEach(context.Background(), len(sweep), func(i int) error {
-		tm := sweep[i]
+	err := sweep(t, fig5TmSweep(f), func(_ int, tm float64) ([]float64, error) {
 		s := spec{
 			N: fig5N, SVR: fig5SVR, Th: fig5Th, Tc: fig5Tc, Tm: tm, Pce: pce,
 			Seed: seed + uint64(tm*7+1), MaxTime: simBudget(f), TargetP: pce,
 		}
 		res, err := run(s)
-		if err != nil {
-			return err
-		}
-		sys := s.system()
-		resolved := 0.0
-		if res.Resolved {
-			resolved = 1
-		}
-		rows[i] = []float64{tm, res.Pf,
-			theory.ContinuousOverflowClosedForm(sys, pce),
-			theory.ContinuousOverflowIntegral(sys, pce),
-			res.OverflowHalfWidth, resolved}
-		return nil
+		return []float64{tm, res.Pf,
+			theory.ContinuousOverflowClosedForm(s.system(), pce),
+			theory.ContinuousOverflowIntegral(s.system(), pce),
+			res.OverflowHalfWidth, bit(res.Resolved)}, err
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, r := range rows {
-		t.AddRow(r...)
 	}
 	t.Note("n=%g sigma/mu=%g Th=%g (ThTilde=%g) Tc=%g pce=%g fidelity=%s",
 		fig5N, fig5SVR, fig5Th, fig5Th/math.Sqrt(fig5N), fig5Tc, pce, f)
@@ -116,11 +70,11 @@ func runFig6(f Fidelity, _ uint64) ([]*Table, error) {
 		Columns: []string{"Tm",
 			"pce_n100_Th1e3", "pce_n100_Th1e4", "pce_n1000_Th1e3", "pce_n1000_Th1e4"},
 	}
-	sweep := []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
+	tms := []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 	if f == Quick {
-		sweep = []float64{1, 10, 100, 1000}
+		tms = []float64{1, 10, 100, 1000}
 	}
-	for _, tm := range sweep {
+	for _, tm := range tms {
 		row := []float64{tm}
 		for _, c := range fig6Cases {
 			sys := theory.System{Capacity: c.n, Mu: 1, Sigma: svr, Th: c.th, Tc: tc, Tm: tm}
@@ -139,56 +93,41 @@ func runFig6(f Fidelity, _ uint64) ([]*Table, error) {
 
 func runFig7(f Fidelity, seed uint64) ([]*Table, error) {
 	const svr, tc = 0.3, 1.0
-	pq := quickTarget(f, 1e-3)
+	pq := quickTarget(f)
 	t := &Table{
 		ID:      "fig7",
 		Title:   "Simulated p_f with the adjusted target: should sit at or below pq",
 		Columns: []string{"Tm", "n", "Th", "pce_adjusted", "pf_sim", "pf_over_pq", "resolved"},
 	}
 	cases := fig6Cases
-	sweep := []float64{3, 10, 30, 100, 300}
+	tms := []float64{3, 10, 30, 100, 300}
 	if f == Quick {
 		cases = fig6Cases[:1]
-		sweep = []float64{10, 100}
+		tms = []float64{10, 100}
 	}
 	type point struct{ n, th, tm float64 }
 	var pts []point
 	for _, c := range cases {
-		for _, tm := range sweep {
+		for _, tm := range tms {
 			pts = append(pts, point{c.n, c.th, tm})
 		}
 	}
-	rows := make([][]float64, len(pts))
-	err := sim.ForEach(context.Background(), len(pts), func(i int) error {
-		p := pts[i]
-		sys := theory.System{Capacity: p.n, Mu: 1, Sigma: svr, Th: p.th, Tc: tc, Tm: p.tm}
-		pce, err := theory.AdjustedTarget(sys, pq, theory.InvertClosedForm)
-		if err != nil {
+	err := sweep(t, pts, func(_ int, p point) ([]float64, error) {
+		s := spec{
+			N: p.n, SVR: svr, Th: p.th, Tc: tc, Tm: p.tm,
+			Seed: seed + uint64(p.n+p.th+p.tm), MaxTime: simBudget(f), TargetP: pq,
+		}
+		var err error
+		if s.Pce, err = theory.AdjustedTarget(s.system(), pq, theory.InvertClosedForm); err != nil {
 			// Unreachable target: even alpha -> inf cannot meet pq at this
 			// memory; skip the point as the paper's plot does.
-			return nil
+			return nil, nil
 		}
-		res, err := run(spec{
-			N: p.n, SVR: svr, Th: p.th, Tc: tc, Tm: p.tm, Pce: pce,
-			Seed: seed + uint64(p.n+p.th+p.tm), MaxTime: simBudget(f), TargetP: pq,
-		})
-		if err != nil {
-			return err
-		}
-		resolved := 0.0
-		if res.Resolved {
-			resolved = 1
-		}
-		rows[i] = []float64{p.tm, p.n, p.th, pce, res.Pf, res.Pf / pq, resolved}
-		return nil
+		res, err := run(s)
+		return []float64{p.tm, p.n, p.th, s.Pce, res.Pf, res.Pf / pq, bit(res.Resolved)}, err
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, r := range rows {
-		if r != nil {
-			t.AddRow(r...)
-		}
 	}
 	t.Note("pq=%g sigma/mu=%g Tc=%g fidelity=%s", pq, svr, tc, f)
 	t.Note("expected: pf_over_pq <= ~1 across the whole range (robust MBAC)")
@@ -198,12 +137,14 @@ func runFig7(f Fidelity, seed uint64) ([]*Table, error) {
 // fig9Grid returns the (TmOverThTilde, Tc) grid. The Quick grid starts at
 // Tc = 1: simBudget is in simulated time and a run's event count goes as
 // 1/Tc, so each decade below costs fig10 ten times the events of the one
-// above (Tc = 0.1 alone was nine tenths of its Quick run).
+// above (Tc = 0.1 alone was nine tenths of its Quick run); and it stops at
+// Tm = ThTilde, where the surface has gone flat: the warm-up goes as Tm, and
+// at ten times that it would outlast the measured span.
 func fig9Grid(f Fidelity) (tmRatios, tcs []float64) {
 	tmRatios = []float64{0.01, 0.03, 0.1, 0.3, 1, 3, 10}
 	tcs = []float64{0.01, 0.1, 1, 10, 100, 1000}
 	if f == Quick {
-		tmRatios = []float64{0.01, 0.1, 1, 10}
+		tmRatios = []float64{0.01, 0.1, 1}
 		tcs = []float64{1, 10, 100}
 	}
 	return tmRatios, tcs
@@ -233,7 +174,7 @@ func runFig9(f Fidelity, _ uint64) ([]*Table, error) {
 
 func runFig10(f Fidelity, seed uint64) ([]*Table, error) {
 	const n, svr, th = 100.0, 0.3, 1000.0
-	pce := quickTarget(f, 1e-3)
+	pce := quickTarget(f)
 	thTilde := th / math.Sqrt(n)
 	tmRatios, tcs := fig9Grid(f)
 	t := &Table{
@@ -241,24 +182,24 @@ func runFig10(f Fidelity, seed uint64) ([]*Table, error) {
 		Title:   "Simulated p_f over the Figure 9 parameter range",
 		Columns: append([]string{"Tm_over_ThTilde"}, tcLabels(tcs)...),
 	}
-	grid := make([]float64, len(tmRatios)*len(tcs))
-	err := sim.ForEach(context.Background(), len(grid), func(i int) error {
+	// One job per grid cell, so the whole grid shares the pool; the cells
+	// are then folded into a row per ratio.
+	cells, err := collect(len(tmRatios)*len(tcs), func(i int) ([]float64, error) {
 		r, tc := tmRatios[i/len(tcs)], tcs[i%len(tcs)]
 		res, err := run(spec{
 			N: n, SVR: svr, Th: th, Tc: tc, Tm: r * thTilde, Pce: pce,
 			Seed: seed + uint64(r*1000+tc*3), MaxTime: simBudget(f), TargetP: pce,
 		})
-		if err != nil {
-			return err
-		}
-		grid[i] = res.Pf
-		return nil
+		return []float64{res.Pf}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for ri, r := range tmRatios {
-		row := append([]float64{r}, grid[ri*len(tcs):(ri+1)*len(tcs)]...)
+		row := []float64{r}
+		for _, c := range cells[ri*len(tcs) : (ri+1)*len(tcs)] {
+			row = append(row, c[0])
+		}
 		t.AddRow(row...)
 	}
 	t.Note("n=%g sigma/mu=%g Th=%g (ThTilde=%g) pce=%g fidelity=%s; columns are Tc values",

@@ -49,13 +49,7 @@ func runGatewaySoak(f Fidelity, seed uint64) ([]*Table, error) {
 	case Full:
 		reps = 2000
 	}
-	points := []struct {
-		n, svr, pce float64
-	}{
-		{100, 0.3, 1e-2},
-		{64, 0.5, 1e-2},
-		{200, 0.2, 1e-3},
-	}
+	type point struct{ n, svr, pce float64 }
 	t := &Table{
 		ID:      "gateway",
 		Title:   "online gateway soak: admitted count vs Prop 3.1 under impulsive load",
@@ -63,7 +57,7 @@ func runGatewaySoak(f Fidelity, seed uint64) ([]*Table, error) {
 	}
 	t.Note("impulsive fill through internal/gateway: one Admit + Tick per flow until first refusal")
 	t.Note("memoryless estimator, CE controller bootstrapped at the true (mu, sigma); reps = %d", reps)
-	for pi, pt := range points {
+	err := sweep(t, []point{{100, 0.3, 1e-2}, {64, 0.5, 1e-2}, {200, 0.2, 1e-3}}, func(pi int, pt point) ([]float64, error) {
 		mstar := theory.AdmissibleFlows(pt.n, 1, pt.svr, pt.pce)
 		sd := pt.svr * math.Sqrt(pt.n)
 		pool := sim.Replicated{
@@ -80,26 +74,15 @@ func runGatewaySoak(f Fidelity, seed uint64) ([]*Table, error) {
 			accs[stripe].Add(float64(m0))
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
 		var m0 stats.Moments
 		for s := range accs {
 			m0.Merge(&accs[s])
 		}
-		z := 0.0
-		if sd > 0 {
-			z = (m0.Mean() - mstar) / sd
-		}
-		t.AddRow(pt.n, pt.svr, pt.pce, float64(reps), mstar, m0.Mean(), m0.StdDev(), sd, z)
+		return []float64{pt.n, pt.svr, pt.pce, float64(reps), mstar, m0.Mean(), m0.StdDev(), sd,
+			(m0.Mean() - mstar) / sd}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return []*Table{t}, nil
-}
-
-func init() {
-	register(Runner{
-		ID:          "gateway",
-		Description: "online gateway soak ensemble: admitted flows vs m* (Prop 3.1) at three operating points",
-		Run:         runGatewaySoak,
-	})
 }

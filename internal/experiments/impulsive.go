@@ -7,24 +7,6 @@ import (
 	"repro/internal/traffic"
 )
 
-func init() {
-	register(Runner{
-		ID:          "prop31",
-		Description: "Proposition 3.1: distribution of the admitted flow count M0 under impulsive load",
-		Run:         runProp31,
-	})
-	register(Runner{
-		ID:          "prop33",
-		Description: "Proposition 3.3: the sqrt(2) law — steady-state overflow of the impulsive certainty-equivalent MBAC",
-		Run:         runProp33,
-	})
-	register(Runner{
-		ID:          "finite",
-		Description: "Eq. 21: overflow profile p_f(t) under finite flow holding times",
-		Run:         runFiniteHolding,
-	})
-}
-
 // impulsiveReps scales replication counts by fidelity.
 func impulsiveReps(f Fidelity, base int) int {
 	switch f {
@@ -37,6 +19,20 @@ func impulsiveReps(f Fidelity, base int) int {
 	}
 }
 
+// impulsive runs the impulsive-load ensemble of Section 3 for a
+// certainty-equivalent MBAC measuring n flows at target pce.
+func impulsive(n, svr, tc, th, pce float64, grid []float64, reps int, seed uint64) (*sim.ImpulsiveResult, error) {
+	ce, err := core.NewCertaintyEquivalent(pce, 1, svr)
+	if err != nil {
+		return nil, err
+	}
+	return sim.RunImpulsive(sim.ImpulsiveConfig{
+		Capacity: n, Model: traffic.NewRCBR(1, svr, tc), Controller: ce,
+		MeasureCount: int(n), HoldingTime: th,
+		Grid: grid, Replications: reps, Seed: seed,
+	})
+}
+
 func runProp31(f Fidelity, seed uint64) ([]*Table, error) {
 	const svr, pce = 0.3, 1e-2
 	t := &Table{
@@ -45,23 +41,17 @@ func runProp31(f Fidelity, seed uint64) ([]*Table, error) {
 		Columns: []string{"n", "sim_mean_M0", "th_mean_M0", "sim_sd_M0", "th_sd_M0", "mstar_exact"},
 	}
 	reps := impulsiveReps(f, 1500)
-	for _, n := range []float64{100, 400, 1600} {
-		model := traffic.NewRCBR(1, svr, 1)
-		ce, err := core.NewCertaintyEquivalent(pce, 1, svr)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunImpulsive(sim.ImpulsiveConfig{
-			Capacity: n, Model: model, Controller: ce,
-			MeasureCount: int(n), HoldingTime: 0,
-			Grid: []float64{1}, Replications: reps, Seed: seed + uint64(n),
-		})
+	err := sweep(t, []float64{100, 400, 1600}, func(_ int, n float64) ([]float64, error) {
+		res, err := impulsive(n, svr, 1, 0, pce, []float64{1}, reps, seed+uint64(n))
 		if err != nil {
 			return nil, err
 		}
 		pred := theory.ImpulsiveAdmittedCount(theory.System{Capacity: n, Mu: 1, Sigma: svr}, pce)
-		t.AddRow(n, res.M0.Mean(), pred.Mean, res.M0.StdDev(), pred.StdDev,
-			theory.AdmissibleFlows(n, 1, svr, pce))
+		return []float64{n, res.M0.Mean(), pred.Mean, res.M0.StdDev(), pred.StdDev,
+			theory.AdmissibleFlows(n, 1, svr, pce)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("theory: E[M0] = n - (sigma alpha/mu) sqrt(n), sd[M0] = (sigma/mu) sqrt(n) (eq. 11)")
 	t.Note("replications per n: %d", reps)
@@ -84,46 +74,35 @@ func runProp33(f Fidelity, seed uint64) ([]*Table, error) {
 		{1e-2, 400, impulsiveReps(f, 4000)},
 		{1e-3, 400, impulsiveReps(f, 20000)},
 	}
-	if f == Full {
+	switch f {
+	case Quick:
+		// Smoke budget: ~50 overflows per row at the unadjusted target,
+		// which is what the miss factor is read from.
+		points[0].reps, points[1].reps = 1000, 4000
+	case Full:
 		// The paper's flagship example needs ~1e6 replications to resolve
 		// p_f ~ 1.3e-3 from a 1e-5 target.
 		points = append(points, point{1e-5, 900, 1000000})
 	}
-	for _, p := range points {
-		model := traffic.NewRCBR(1, svr, 1)
-		ce, err := core.NewCertaintyEquivalent(p.pq, 1, svr)
+	err := sweep(t, points, func(_ int, p point) ([]float64, error) {
+		// Probe well past Tc so Y_t is independent of the admission-time
+		// fluctuation: the steady state of Proposition 3.3.
+		res, err := impulsive(p.n, svr, 1, 0, p.pq, []float64{15}, p.reps, seed+uint64(p.n))
 		if err != nil {
 			return nil, err
 		}
-		// Probe well past Tc so Y_t is independent of the admission-time
-		// fluctuation: the steady state of Proposition 3.3.
-		res, err := sim.RunImpulsive(sim.ImpulsiveConfig{
-			Capacity: p.n, Model: model, Controller: ce,
-			MeasureCount: int(p.n), HoldingTime: 0,
-			Grid: []float64{15}, Replications: p.reps, Seed: seed + uint64(p.n),
-		})
+		// Re-run with the adjusted certainty-equivalent target (eq. 15):
+		// achieved p_f should drop back to ~p_q.
+		pceAdj := theory.ImpulsiveAdjustedTarget(p.pq)
+		resAdj, err := impulsive(p.n, svr, 1, 0, pceAdj, []float64{15}, p.reps, seed+1+uint64(p.n))
 		if err != nil {
 			return nil, err
 		}
 		pfSim := res.PfAt[0].P()
-		pfTheory := theory.ImpulsiveOverflow(p.pq)
-
-		// Re-run with the adjusted certainty-equivalent target (eq. 15):
-		// achieved p_f should drop back to ~p_q.
-		pceAdj := theory.ImpulsiveAdjustedTarget(p.pq)
-		ceAdj, err := core.NewCertaintyEquivalent(pceAdj, 1, svr)
-		if err != nil {
-			return nil, err
-		}
-		resAdj, err := sim.RunImpulsive(sim.ImpulsiveConfig{
-			Capacity: p.n, Model: model, Controller: ceAdj,
-			MeasureCount: int(p.n), HoldingTime: 0,
-			Grid: []float64{15}, Replications: p.reps, Seed: seed + 1 + uint64(p.n),
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(p.pq, p.n, pfSim, pfTheory, pfSim/p.pq, resAdj.PfAt[0].P(), pceAdj)
+		return []float64{p.pq, p.n, pfSim, theory.ImpulsiveOverflow(p.pq), pfSim / p.pq, resAdj.PfAt[0].P(), pceAdj}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("pf_theory = Q(Q^-1(p_q)/sqrt(2)); paper example: p_q=1e-5 -> 1.3e-3")
 	t.Note("pf_adjusted_sim uses p_ce = Q(sqrt(2) Q^-1(p_q)) and should be ~p_q")
@@ -131,8 +110,7 @@ func runProp33(f Fidelity, seed uint64) ([]*Table, error) {
 }
 
 func runFiniteHolding(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, svr, tc, th = 100.0, 0.3, 1.0, 100.0 // ThTilde = 10
-	pce := quickTarget(f, 1e-2)                   // already fast; keep 1e-2 everywhere
+	const n, svr, tc, th, pce = 100.0, 0.3, 1.0, 100.0, 1e-2 // ThTilde = 10
 	sys := theory.System{Capacity: n, Mu: 1, Sigma: svr, Th: th, Tc: tc}
 	t := &Table{
 		ID:      "finite",
@@ -140,16 +118,7 @@ func runFiniteHolding(f Fidelity, seed uint64) ([]*Table, error) {
 		Columns: []string{"t", "pf_sim", "pf_eq21", "ci_halfwidth"},
 	}
 	grid := []float64{0.1, 0.3, 1, 2, 3, 5, 8, 12, 20, 30, 50, 80}
-	model := traffic.NewRCBR(1, svr, tc)
-	ce, err := core.NewCertaintyEquivalent(pce, 1, svr)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.RunImpulsive(sim.ImpulsiveConfig{
-		Capacity: n, Model: model, Controller: ce,
-		MeasureCount: int(n), HoldingTime: th,
-		Grid: grid, Replications: impulsiveReps(f, 6000), Seed: seed,
-	})
+	res, err := impulsive(n, svr, tc, th, pce, grid, impulsiveReps(f, 6000), seed)
 	if err != nil {
 		return nil, err
 	}

@@ -1,22 +1,10 @@
 package experiments
 
 import (
-	"math"
-
 	"repro/internal/core"
-	"repro/internal/estimator"
-	"repro/internal/sim"
 	"repro/internal/theory"
 	"repro/internal/traffic"
 )
-
-func init() {
-	register(Runner{
-		ID:          "misdecl",
-		Description: "Extension: traffic mis-declaration — parameter-based AC vs MBAC (the paper's Section 1 motivation)",
-		Run:         runMisdecl,
-	})
-}
 
 // runMisdecl stages the scenario that motivates MBAC (paper Section 1):
 // users cannot (or will not) characterize their traffic accurately, and a
@@ -26,9 +14,8 @@ func init() {
 // the flows really do and adapts, for under-declaration and
 // over-declaration alike.
 func runMisdecl(f Fidelity, seed uint64) ([]*Table, error) {
-	const n, tc, th = 100.0, 1.0, 300.0
+	const n, tc, th, pq = 100.0, 1.0, 300.0, 1e-2
 	const declMu, declSVR = 1.0, 0.3
-	pq := quickTarget(f, 1e-2)
 
 	t := &Table{
 		ID:    "misdecl",
@@ -44,59 +31,33 @@ func runMisdecl(f Fidelity, seed uint64) ([]*Table, error) {
 		return nil, err
 	}
 
-	truths := []struct{ mu, svr float64 }{
-		{1.0, 0.3},  // honest declaration
-		{1.25, 0.4}, // under-declared: heavier and burstier than claimed
-		{0.8, 0.2},  // over-declared: lighter than claimed
+	type point struct{ mu, svr, scheme float64 } // the truth; scheme 1=declaration 2=mbac
+	pts := []point{
+		{1.0, 0.3, 1}, {1.0, 0.3, 2}, // honest declaration
+		{1.25, 0.4, 1}, {1.25, 0.4, 2}, // under-declared: heavier and burstier than claimed
+		{0.8, 0.2, 1}, {0.8, 0.2, 2}, // over-declared: lighter than claimed
 	}
-	schemes := []struct {
-		id   float64
-		name string
-	}{
-		{1, "declaration"},
-		{2, "mbac"},
-	}
-	for _, truth := range truths {
-		model := traffic.NewRCBR(truth.mu, truth.svr, tc)
-		for _, sch := range schemes {
-			var ctrl core.Controller
-			var est estimator.Estimator
-			tm := 0.0
-			switch sch.id {
-			case 1:
-				// Static admission from the declared statistics; no
-				// measurement, no policing — the flows send what they send.
-				pk, err := core.NewPerfectKnowledge(n, declMu, declSVR*declMu, pq)
-				if err != nil {
-					return nil, err
-				}
-				ctrl = pk
-				est = estimator.NewMemoryless()
-			default:
-				ce, err := core.NewCertaintyEquivalent(plan.AdjustedPce, declMu, declSVR*declMu)
-				if err != nil {
-					return nil, err
-				}
-				ctrl = ce
-				est = estimator.NewExponential(plan.MemoryTm)
-				tm = plan.MemoryTm
-			}
-			e, err := sim.New(sim.Config{
-				Capacity: n, Model: model, Controller: ctrl, Estimator: est,
-				HoldingTime: th, Seed: seed + uint64(sch.id) + uint64(truth.mu*100),
-				Warmup:  20 * math.Max(tm, th/math.Sqrt(n)),
-				MaxTime: simBudget(f) / 2, Tc: tc, Tm: tm,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := e.Run()
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(truth.mu, truth.svr*truth.mu, sch.id,
-				res.Pf, res.Pf/pq, res.MeanFlows, res.Utilization)
+	err = sweep(t, pts, func(_ int, p point) ([]float64, error) {
+		// Scheme 2 is the planned MBAC, bootstrapped at the declaration.
+		s := spec{
+			N: n, SVR: declSVR, Th: th, Tc: tc, Tm: plan.MemoryTm, Pce: plan.AdjustedPce,
+			Model: traffic.NewRCBR(p.mu, p.svr, tc),
+			Seed:  seed + uint64(p.scheme) + uint64(p.mu*100), MaxTime: simBudget(f) / 2,
 		}
+		if p.scheme == 1 {
+			// Static admission from the declared statistics; no
+			// measurement, no policing — the flows send what they send.
+			var err error
+			if s.Controller, err = core.NewPerfectKnowledge(n, declMu, declSVR*declMu, pq); err != nil {
+				return nil, err
+			}
+			s.Tm = 0
+		}
+		res, err := run(s)
+		return []float64{p.mu, p.svr * p.mu, p.scheme, res.Pf, res.Pf / pq, res.MeanFlows, res.Utilization}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("declared (mu, sigma) = (%g, %g); pq=%g; scheme 1=declaration-based AC, 2=robust MBAC (Tm=%.3g, pce=%.3g)",
 		declMu, declSVR*declMu, pq, plan.MemoryTm, plan.AdjustedPce)

@@ -1,25 +1,9 @@
 package experiments
 
 import (
-	"repro/internal/core"
-	"repro/internal/estimator"
 	"repro/internal/sim"
 	"repro/internal/theory"
-	"repro/internal/traffic"
 )
-
-func init() {
-	register(Runner{
-		ID:          "transient",
-		Description: "Extension: overflow ramp p_f(t) after cold start vs the finite-t form of Prop. 4.2",
-		Run:         runTransient,
-	})
-	register(Runner{
-		ID:          "fig2",
-		Description: "Figure 2 (conceptual, realized): one trajectory of M_t, N_t and the aggregate load",
-		Run:         runFig2,
-	})
-}
 
 func runTransient(f Fidelity, seed uint64) ([]*Table, error) {
 	const n, svr, tc, th = 100.0, 0.3, 1.0, 100.0 // ThTilde = 10, gamma = 3
@@ -34,37 +18,32 @@ func runTransient(f Fidelity, seed uint64) ([]*Table, error) {
 		Columns: []string{"t", "pf_ensemble", "pf_transient_theory", "pf_steady_theory"},
 	}
 
-	over := make([]int, len(grid))
+	// One cold-started trajectory per replication; its row says, per grid
+	// time, whether the load sat above capacity (1) or not (0).
 	period := grid[0]
-	for rep := 0; rep < reps; rep++ {
-		ce, err := core.NewCertaintyEquivalent(pce, 1, svr)
-		if err != nil {
-			return nil, err
-		}
-		e, err := sim.New(sim.Config{
-			Capacity: n, Model: traffic.NewRCBR(1, svr, tc), Controller: ce,
-			Estimator: estimator.NewMemoryless(), HoldingTime: th,
-			Seed: seed + uint64(rep), Warmup: 0, MaxTime: grid[len(grid)-1] + 1,
-			Tc: tc, SeriesPeriod: period, CheckEvery: 1e12,
+	ensemble, err := collect(reps, func(rep int) ([]float64, error) {
+		res, err := run(spec{
+			N: n, SVR: svr, Th: th, Tc: tc, Pce: pce,
+			Seed: seed + uint64(rep), MaxTime: grid[len(grid)-1] + 1,
+			Sim: func(cfg *sim.Config) { cfg.Warmup, cfg.SeriesPeriod, cfg.CheckEvery = 0, period, 1e12 },
 		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
+		over := make([]float64, len(grid))
 		for gi, tt := range grid {
 			idx := int(tt/period) - 1
-			if idx >= 0 && idx < len(res.Series) && res.Series[idx].Load > n {
-				over[gi]++
-			}
+			over[gi] = bit(idx >= 0 && idx < len(res.Series) && res.Series[idx].Load > n)
 		}
+		return over, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	steady := theory.ContinuousOverflowIntegral(sys, pce)
 	for gi, tt := range grid {
-		t.AddRow(tt, float64(over[gi])/float64(reps),
-			theory.ContinuousOverflowTransient(sys, pce, tt), steady)
+		count := 0.0
+		for _, over := range ensemble {
+			count += over[gi]
+		}
+		t.AddRow(tt, count/float64(reps), theory.ContinuousOverflowTransient(sys, pce, tt), steady)
 	}
 	t.Note("n=%g Th=%g (ThTilde=%g) Tc=%g pce=%g reps=%d memoryless CE", n, th, sys.ThTilde(), tc, pce, reps)
 	t.Note("expected: the ensemble ramps from ~0 toward the steady-state value on the ThTilde scale")
@@ -74,20 +53,10 @@ func runTransient(f Fidelity, seed uint64) ([]*Table, error) {
 func runFig2(f Fidelity, seed uint64) ([]*Table, error) {
 	const n, svr, tc, th, pce = 100.0, 0.3, 1.0, 300.0, 1e-2
 	span := map[Fidelity]float64{Quick: 300.0, Standard: 1000, Full: 3000}[f]
-	ce, err := core.NewCertaintyEquivalent(pce, 1, svr)
-	if err != nil {
-		return nil, err
-	}
-	e, err := sim.New(sim.Config{
-		Capacity: n, Model: traffic.NewRCBR(1, svr, tc), Controller: ce,
-		Estimator: estimator.NewMemoryless(), HoldingTime: th,
-		Seed: seed, Warmup: 600, MaxTime: span, Tc: tc,
-		SeriesPeriod: span / 60, CheckEvery: 1e12, TrackAdmissible: true,
+	res, err := run(spec{
+		N: n, SVR: svr, Th: th, Tc: tc, Pce: pce, Seed: seed, MaxTime: span,
+		Sim: func(cfg *sim.Config) { cfg.SeriesPeriod, cfg.CheckEvery, cfg.TrackAdmissible = span/60, 1e12, true },
 	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.Run()
 	if err != nil {
 		return nil, err
 	}

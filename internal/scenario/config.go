@@ -456,21 +456,10 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("scenario: gateway.th: only valid with adaptive measurement on the gateway or an arm")
 		}
 	}
-	if len(c.Faults) > 0 {
-		if c.Workload.Kind != WorkloadChurn {
-			return fmt.Errorf("scenario: faults: fault windows require a churn workload")
-		}
-		ws := make([]fault.Window, len(c.Faults))
-		for i, f := range c.Faults {
-			m, err := fault.ParseMode(f.Mode)
-			if err != nil {
-				return fmt.Errorf("scenario: faults[%d]: %w", i, err)
-			}
-			ws[i] = fault.Window{Mode: m, From: f.From, To: f.To}
-		}
-		if err := fault.ValidateWindows(ws); err != nil {
-			return fmt.Errorf("scenario: faults: %w", err)
-		}
+	// The windows themselves, like cluster.policy, were checked where they
+	// are resolved: with the arms above.
+	if len(c.Faults) > 0 && c.Workload.Kind != WorkloadChurn {
+		return fmt.Errorf("scenario: faults: fault windows require a churn workload")
 	}
 	if c.Cluster != nil {
 		if err := c.Cluster.validate(c); err != nil {
@@ -495,9 +484,6 @@ func (s *ClusterSpec) validate(c *Config) error {
 	}
 	if s.Policy == "" {
 		s.Policy = cluster.PlaceLeastLoaded.String()
-	}
-	if _, err := cluster.ParsePlacementPolicy(s.Policy); err != nil {
-		return fmt.Errorf("scenario: cluster.policy: %w", err)
 	}
 	if s.Warmup < 0 {
 		return fmt.Errorf("scenario: cluster.warmup: %d must be non-negative", s.Warmup)
@@ -777,16 +763,19 @@ func (c *Config) effectiveGateway(arm Arm) Gateway {
 	return g
 }
 
-// armSpec is one arm resolved for execution: its names parsed to typed
-// constants and its measurement overrides merged over the shared gateway
-// spec. Validate resolves every arm to check it; a cell resolves its arm
-// once, so nothing it builds parses a name again.
+// armSpec is one arm resolved for execution: its names — and the names the
+// whole matrix shares, fault modes and the placement policy — parsed to
+// typed constants, and its measurement overrides merged over the shared
+// gateway spec. Validate resolves every arm to check it; a cell resolves
+// its arm once, so nothing it builds parses a name again.
 type armSpec struct {
 	Arm
-	policy   policy
-	degraded gw.DegradedPolicy
-	gateway  Gateway        // effectiveGateway(Arm)
-	mode     estimator.Mode // of gateway.Estimator
+	policy    policy
+	degraded  gw.DegradedPolicy
+	gateway   Gateway                 // effectiveGateway(Arm)
+	mode      estimator.Mode          // of gateway.Estimator
+	faults    []fault.Window          // Config.Faults
+	placement cluster.PlacementPolicy // Config.Cluster.Policy
 }
 
 // resolve checks one arm against the config and returns it resolved; path
@@ -838,6 +827,24 @@ func (c *Config) resolve(path string, arm Arm) (armSpec, error) {
 		default:
 			return a, fmt.Errorf("scenario: %s: adaptive measurement requires a retunable estimator (%s, %s or %s), not %q",
 				path, estimator.ModeExponential, estimator.ModeWindow, estimator.ModeAggregate, a.gateway.Estimator)
+		}
+	}
+	if len(c.Faults) > 0 {
+		a.faults = make([]fault.Window, len(c.Faults))
+		for i, f := range c.Faults {
+			m, err := fault.ParseMode(f.Mode)
+			if err != nil {
+				return a, fmt.Errorf("scenario: faults[%d]: %w", i, err)
+			}
+			a.faults[i] = fault.Window{Mode: m, From: f.From, To: f.To}
+		}
+		if err := fault.ValidateWindows(a.faults); err != nil {
+			return a, fmt.Errorf("scenario: faults: %w", err)
+		}
+	}
+	if c.Cluster != nil && c.Cluster.Policy != "" { // default: the zero value, least-loaded
+		if a.placement, err = cluster.ParsePlacementPolicy(c.Cluster.Policy); err != nil {
+			return a, fmt.Errorf("scenario: cluster.policy: %w", err)
 		}
 	}
 	return a, nil
@@ -966,18 +973,4 @@ func hasArm(arms []Arm, name string) bool {
 		}
 	}
 	return false
-}
-
-// FaultSchedule converts the config's fault windows to the fault package's
-// form. Validate must have accepted the config first.
-func (c *Config) FaultSchedule() []fault.Window {
-	if len(c.Faults) == 0 {
-		return nil
-	}
-	ws := make([]fault.Window, len(c.Faults))
-	for i, f := range c.Faults {
-		m, _ := fault.ParseMode(f.Mode)
-		ws[i] = fault.Window{Mode: m, From: f.From, To: f.To}
-	}
-	return ws
 }

@@ -395,9 +395,8 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 	}
 	// Fault windows wrap a single estimator; validation keeps them off
 	// cluster topologies.
-	windows := cfg.FaultSchedule()
 	var faulty *fault.Estimator
-	if len(windows) > 0 {
+	if len(arm.faults) > 0 {
 		faulty = fault.Wrap(gcfgs[0].Estimator)
 		gcfgs[0].Estimator = faulty
 	}
@@ -411,12 +410,8 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 		shutdown func() error
 	)
 	if spec := cfg.Cluster; spec != nil {
-		policy, err := cluster.ParsePlacementPolicy(spec.Policy)
-		if err != nil {
-			return CellResult{}, err
-		}
 		cl, err = cluster.New(cluster.Config{
-			Policy:     policy,
+			Policy:     arm.placement,
 			Warmup:     spec.Warmup,
 			Hysteresis: spec.Hysteresis,
 			Instances:  gcfgs,
@@ -469,7 +464,7 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 	tick := func(now float64) {
 		lastTick = now
 		if faulty != nil {
-			faulty.SetMode(fault.ModeAt(windows, now))
+			faulty.SetMode(fault.ModeAt(arm.faults, now))
 		}
 		if cl != nil && cfg.Cluster.DrainAt > 0 && !drained && now >= cfg.Cluster.DrainAt {
 			// The scheduled failover: placement stops on the victim and

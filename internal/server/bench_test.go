@@ -25,22 +25,48 @@ import (
 //	batch-mean      decisions per AdmitBatch call (>1 = micro-batching
 //	                engaged; the 64-admit burst batches as one call)
 func BenchmarkServerAdmit(b *testing.B) {
-	srv, addr := startServer(b, Config{})
+	srv, round := pipelinedRound(b)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+
+	decisions := float64(b.N) * servedRound
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/decisions, "ns/decision")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/decisions, "allocs/decision")
+	b.ReportMetric(srv.Snapshot().MeanBatch(), "batch-mean")
+}
+
+// servedRound is the size of one pipelined round: that many Admit frames,
+// then as many Departs for the same flows.
+const servedRound = 64
+
+// pipelinedRound starts a loopback server and returns a function that plays
+// one round against it — servedRound Admit + servedRound Depart frames
+// written in one burst, every response read back. The first round has
+// already been played, so the connection scratch and the flow table are
+// warm.
+func pipelinedRound(tb testing.TB) (*Server, func()) {
+	srv, addr := startServer(tb, Config{})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer nc.Close()
+	tb.Cleanup(func() { nc.Close() })
 	nc.SetDeadline(time.Now().Add(5 * time.Minute))
 	rd := wire.NewReader(nc)
 
-	const perRound = 64
 	var req []byte
-	for i := 0; i < perRound; i++ {
+	for i := 0; i < servedRound; i++ {
 		req = wire.AppendAdmit(req, uint64(i+1), uint64(i), 1)
 	}
-	for i := 0; i < perRound; i++ {
-		req = wire.AppendDepart(req, uint64(perRound+i+1), uint64(i))
+	for i := 0; i < servedRound; i++ {
+		req = wire.AppendDepart(req, uint64(servedRound+i+1), uint64(i))
 	}
 	// The client reads responses the way the server reads requests: burst
 	// decoders over whatever is buffered, the generic Next only at burst
@@ -52,38 +78,25 @@ func BenchmarkServerAdmit(b *testing.B) {
 	)
 	round := func() {
 		if _, err := nc.Write(req); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		db.Reset()
 		ab.Reset()
-		for got := 0; got < 2*perRound; {
-			if n := rd.NextDecisionBurst(&db, 2*perRound-got); n > 0 {
+		for got := 0; got < 2*servedRound; {
+			if n := rd.NextDecisionBurst(&db, 2*servedRound-got); n > 0 {
 				got += n
 				continue
 			}
-			if n := rd.NextAckBurst(&ab, 2*perRound-got); n > 0 {
+			if n := rd.NextAckBurst(&ab, 2*servedRound-got); n > 0 {
 				got += n
 				continue
 			}
 			if err := rd.Next(&f); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			got++
 		}
 	}
-	round() // warm the connection scratch and the flow table
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-
-	decisions := float64(b.N) * perRound
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/decisions, "ns/decision")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/decisions, "allocs/decision")
-	b.ReportMetric(srv.Snapshot().MeanBatch(), "batch-mean")
+	round()
+	return srv, round
 }

@@ -365,24 +365,30 @@ func BenchmarkEngineRCBR(b *testing.B) {
 // segment sampler: Poisson arrivals with a short holding time make flow
 // turnover — slot recycling, epoch invalidation, and the event heap's
 // push/pop traffic (internal/sim/heap.go) — the dominant cost instead of
-// rate redraws. The allocs/op gate here is what catches a per-admission
-// allocation sneaking back into admitFlow or the heap growing per run.
+// rate redraws. Its allocs/op (held by TestEngineChurnAllocBudget) is what
+// catches a per-admission allocation sneaking back into admitFlow or the
+// heap growing per run.
 func BenchmarkEngineChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pk, _ := core.NewPerfectKnowledge(100, 1, 0.3, 1e-2)
-		e, err := New(Config{
-			Capacity: 100, Model: traffic.NewRCBR(1, 0.3, 50), Controller: pk,
-			Estimator: estimator.NewMemoryless(), HoldingTime: 2,
-			ArrivalRate: 60, Seed: uint64(i), Warmup: 5, MaxTime: 200, Tc: 50,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := engineChurn(b, uint64(i))
 		b.ReportMetric(float64(res.Events)/float64(b.Elapsed().Seconds()+1e-12), "events/s")
 	}
+}
+
+func engineChurn(tb testing.TB, seed uint64) Result {
+	pk, _ := core.NewPerfectKnowledge(100, 1, 0.3, 1e-2)
+	e, err := New(Config{
+		Capacity: 100, Model: traffic.NewRCBR(1, 0.3, 50), Controller: pk,
+		Estimator: estimator.NewMemoryless(), HoldingTime: 2,
+		ArrivalRate: 60, Seed: seed, Warmup: 5, MaxTime: 200, Tc: 50,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }

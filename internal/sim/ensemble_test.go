@@ -175,17 +175,27 @@ func TestImpulsiveDeterminism(t *testing.T) {
 	}
 }
 
-func BenchmarkImpulsiveReplication(b *testing.B) {
+// impulsiveReplication returns the kernel behind every ensemble at the size
+// the benchmark and its allocation gate share: ten replications of a
+// 100-flow impulsive fill probed at three grid times.
+func impulsiveReplication(tb testing.TB) func(seed uint64) {
 	model := traffic.NewRCBR(1, 0.3, 1)
 	ce, _ := core.NewCertaintyEquivalent(1e-2, 1, 0.3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func(seed uint64) {
 		if _, err := RunImpulsive(ImpulsiveConfig{
 			Capacity: 100, Model: model, Controller: ce,
 			MeasureCount: 100, HoldingTime: 100,
-			Grid: []float64{1, 10, 50}, Replications: 10, Seed: uint64(i),
+			Grid: []float64{1, 10, 50}, Replications: 10, Seed: seed,
 		}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkImpulsiveReplication(b *testing.B) {
+	run := impulsiveReplication(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		run(uint64(i))
 	}
 }
