@@ -104,11 +104,12 @@ vet:
 test-chaos:
 	$(GO) test -tags chaos -race -run 'TestChaos' -v ./internal/gateway
 
-# Network tier: the client's own tests five times (its send path is all
-# interleavings), the loopback end-to-end soak and the sharded pipelined
-# identity test, all under the race detector.
+# Network tier: the client's and the server's own tests five times (the
+# client's send path and the server's teardowns — drain, write failure,
+# refusal — are all interleavings), the loopback end-to-end soak and the
+# sharded pipelined identity test, all under the race detector.
 test-net:
-	$(GO) test -race -count 5 ./client
+	$(GO) test -race -count 5 ./client ./internal/server
 	$(GO) test -tags net -race -run 'TestSoak|TestSharded' -v ./internal/loadgen
 
 # Cluster tier: the pin storm, then the multi-gateway soaks, under the race

@@ -33,13 +33,8 @@ import (
 // so it isolates how much of the theory/simulation gap is due to the
 // hitting-probability approximation versus finite system size.
 
-// limitOptions tunes the discretization and measurement effort.
+// limitOptions tunes the measurement effort.
 type limitOptions struct {
-	// Dt is the time step; it should be well below min(Tc, Tm). Default:
-	// min(Tc, Tm or Tc)/32.
-	Dt float64
-	// Warmup is the discarded initial span. Default: 20·max(Tc, Tm, 1/beta).
-	Warmup float64
 	// Duration is the measured span. Default: 2000·max(Tc, Tm, 1/beta).
 	Duration float64
 	// Seed selects the random stream.
@@ -76,17 +71,11 @@ func limitOverflow(s theory.System, pce float64, opts limitOptions) (limitResult
 		minScale = tm
 	}
 	maxScale := math.Max(tc, math.Max(tm, 1/beta))
-	if opts.Dt <= 0 {
-		opts.Dt = minScale / 32
-	}
-	if opts.Warmup <= 0 {
-		opts.Warmup = 20 * maxScale
-	}
 	if opts.Duration <= 0 {
 		opts.Duration = 2000 * maxScale
 	}
 
-	dt := opts.Dt
+	dt := minScale / 32         // the time step, well below min(Tc, Tm)
 	a := math.Exp(-dt / tc)     // OU AR(1) coefficient
 	noise := math.Sqrt(1 - a*a) // keeps Var(Y) = 1 exactly
 	var b float64               // filter coefficient
@@ -101,7 +90,7 @@ func limitOverflow(s theory.System, pce float64, opts limitOptions) (limitResult
 	rsup := -z
 
 	bm := stats.NewBatchMeans(2 * maxScale)
-	warmSteps := int64(opts.Warmup / dt)
+	warmSteps := int64(20 * maxScale / dt) // the discarded initial span
 	measSteps := int64(opts.Duration / dt)
 
 	for i := int64(0); i < warmSteps+measSteps; i++ {

@@ -40,13 +40,11 @@ type Link struct {
 	offered   stats.TimeWeighted // time-weighted offered load
 	flowCount stats.TimeWeighted // time-weighted number of flows
 
-	samplePeriod float64               // point-sample spacing (0 disables)
-	nextSample   float64               // absolute time of the next sample
-	samples      stats.Counter         // point-sampled overflow indicator
-	winOverflow  *stats.SlidingCounter // windowed overflow events (nil if disabled)
-	loadMoments  stats.Moments         // sampled aggregate load, for extrapolation
-	peakLoad     float64               // maximum load seen while stats enabled
-	histogram    *stats.Histogram
+	samplePeriod float64       // point-sample spacing (0 disables)
+	nextSample   float64       // absolute time of the next sample
+	samples      stats.Counter // point-sampled overflow indicator
+	loadMoments  stats.Moments // sampled aggregate load, for extrapolation
+	peakLoad     float64       // maximum load seen while stats enabled
 
 	utilityFn func(float64) float64
 	utility   stats.TimeWeighted // time-weighted utility of the served fraction
@@ -62,15 +60,6 @@ type Config struct {
 	// SamplePeriod is the spacing of the paper's point samples; zero
 	// disables point sampling.
 	SamplePeriod float64
-	// OverflowWindow, if positive, additionally accounts the overflow
-	// indicator of the last OverflowWindow point samples in a sliding
-	// window, yielding the live p_f estimate with Wilson confidence
-	// interval that the observability layer exports (WindowedOverflow).
-	// It requires SamplePeriod > 0 to have any effect.
-	OverflowWindow int
-	// HistogramBins, if positive, enables a load histogram over
-	// [0, 1.5·Capacity).
-	HistogramBins int
 	// Utility, if non-nil, scores the fraction of demand the link can
 	// serve at each instant (1 when under capacity, c/load when over) and
 	// the time average is reported as MeanUtility. This implements the
@@ -84,12 +73,6 @@ func New(cfg Config) *Link {
 	l := &Link{capacity: cfg.Capacity, samplePeriod: cfg.SamplePeriod, utilityFn: cfg.Utility}
 	if cfg.BatchLen > 0 {
 		l.batches = stats.NewBatchMeans(cfg.BatchLen)
-	}
-	if cfg.HistogramBins > 0 {
-		l.histogram = stats.NewHistogram(0, 1.5*cfg.Capacity, cfg.HistogramBins)
-	}
-	if cfg.OverflowWindow > 0 {
-		l.winOverflow = stats.NewSlidingCounter(cfg.OverflowWindow)
 	}
 	return l
 }
@@ -145,13 +128,7 @@ func (l *Link) AdvanceTo(t float64) {
 		// Point samples strictly inside (now, t].
 		for l.samplePeriod > 0 && l.nextSample <= t {
 			l.samples.Add(l.load > l.capacity)
-			if l.winOverflow != nil {
-				l.winOverflow.Add(l.load > l.capacity)
-			}
 			l.loadMoments.Add(l.load)
-			if l.histogram != nil {
-				l.histogram.Add(l.load)
-			}
 			l.nextSample += l.samplePeriod
 		}
 	}
@@ -217,11 +194,6 @@ type Report struct {
 	// a Utility function was configured (Section 7's adaptive-application
 	// QoS); 0 otherwise.
 	MeanUtility float64
-
-	// OverflowWindowed is the sliding-window overflow estimate with its
-	// Wilson 95% interval when Config.OverflowWindow was set (zero value
-	// otherwise) — the live p_f the observability layer audits.
-	OverflowWindowed stats.WindowedEstimate
 }
 
 // Report returns the current statistics snapshot.
@@ -243,9 +215,6 @@ func (l *Link) Report() Report {
 	if l.batches != nil {
 		r.OverflowHalfWidth = l.batches.HalfWidth()
 		r.Batches = l.batches.Batches()
-	}
-	if l.winOverflow != nil {
-		r.OverflowWindowed = l.winOverflow.Estimate(0)
 	}
 	if l.utilityFn != nil {
 		r.MeanUtility = l.utility.Mean()
@@ -277,18 +246,4 @@ func (r Report) BestOverflowEstimate(target, rel float64) (pf float64, resolved 
 		return r.OverflowGaussian, true
 	}
 	return r.OverflowTimeFraction, false
-}
-
-// Histogram returns the load histogram, or nil if it was not enabled.
-func (l *Link) Histogram() *stats.Histogram { return l.histogram }
-
-// WindowedOverflow returns the sliding-window overflow estimate with its
-// Wilson 95% interval. With Config.OverflowWindow unset it returns the
-// vacuous estimate over zero samples ([0, 1] interval), so callers can
-// audit unconditionally.
-func (l *Link) WindowedOverflow() stats.WindowedEstimate {
-	if l.winOverflow == nil {
-		return stats.WindowedEstimate{Lo: 0, Hi: 1, Z: 1.96}
-	}
-	return l.winOverflow.Estimate(0)
 }

@@ -156,27 +156,6 @@ func TestAdvanceToPastIsNoop(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	l := New(Config{Capacity: 10, SamplePeriod: 1, HistogramBins: 15})
-	l.EnableStats(0)
-	l.SetLoad(0, 5, 1)
-	l.AdvanceTo(10)
-	h := l.Histogram()
-	if h == nil {
-		t.Fatal("histogram not enabled")
-	}
-	var total int64
-	for _, c := range h.Counts() {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram total = %d, want 10", total)
-	}
-	if New(Config{Capacity: 1}).Histogram() != nil {
-		t.Error("histogram should be nil when not configured")
-	}
-}
-
 func TestFlowCountTracking(t *testing.T) {
 	l := New(Config{Capacity: 10})
 	l.EnableStats(0)
@@ -208,49 +187,5 @@ func BenchmarkSetLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tNow += 0.01
 		l.SetLoad(tNow, float64(90+i%20), 100)
-	}
-}
-
-func TestWindowedOverflow(t *testing.T) {
-	l := New(Config{Capacity: 10, SamplePeriod: 1, OverflowWindow: 4})
-	l.EnableStats(0)
-	// Load 15 (overflow) for 4 samples, then 5 (ok) for 4 samples: the
-	// window of the last 4 should read p = 0.
-	l.SetLoad(0, 15, 3)
-	l.AdvanceTo(4.5) // samples at 1, 2, 3, 4 -> 4 hits
-	mid := l.WindowedOverflow()
-	if mid.N != 4 || mid.Hits != 4 || mid.P != 1 {
-		t.Fatalf("mid-window estimate = %+v, want 4/4", mid)
-	}
-	l.SetLoad(4.5, 5, 3)
-	l.AdvanceTo(8.5) // samples at 5, 6, 7, 8 -> evict all hits
-	e := l.WindowedOverflow()
-	if e.N != 4 || e.Hits != 0 || e.P != 0 {
-		t.Fatalf("windowed estimate = %+v, want 0/4", e)
-	}
-	if e.Lo != 0 || e.Hi <= 0 || e.Hi >= 1 {
-		t.Fatalf("Wilson interval = (%v, %v)", e.Lo, e.Hi)
-	}
-	// The lifetime point-sample counter still remembers all 8.
-	r := l.Report()
-	if r.Samples != 8 || r.OverflowHits != 4 {
-		t.Fatalf("report samples = %d hits = %d, want 8/4", r.Samples, r.OverflowHits)
-	}
-	if r.OverflowWindowed != e {
-		t.Fatalf("report windowed %+v != live %+v", r.OverflowWindowed, e)
-	}
-}
-
-func TestWindowedOverflowDisabled(t *testing.T) {
-	l := New(Config{Capacity: 10, SamplePeriod: 1})
-	l.EnableStats(0)
-	l.SetLoad(0, 15, 1)
-	l.AdvanceTo(5)
-	e := l.WindowedOverflow()
-	if e.N != 0 || e.Lo != 0 || e.Hi != 1 {
-		t.Fatalf("disabled window should be vacuous, got %+v", e)
-	}
-	if r := l.Report(); r.OverflowWindowed.N != 0 {
-		t.Fatalf("report windowed = %+v, want zero value", r.OverflowWindowed)
 	}
 }

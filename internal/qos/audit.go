@@ -171,9 +171,9 @@ func (a *Audit) Flagged() (target, sqrt2 int64) { return a.flaggedTarget, a.flag
 // FlaggedDegraded returns how many Report calls were graded degraded.
 func (a *Audit) FlaggedDegraded() int64 { return a.flaggedDegraded }
 
-// Evaluate grades an externally produced windowed estimate (e.g. the
-// link's WindowedOverflow or a gateway snapshot's Overflow field) without
-// touching the audit's own window or flag counters.
+// Evaluate grades an externally produced windowed estimate (e.g. a
+// gateway snapshot's Overflow field) without touching the audit's own
+// window or flag counters.
 //
 // The rule uses the Wilson lower bound as the evidence threshold: a
 // violation is declared only when the entire confidence interval sits

@@ -1,8 +1,8 @@
 // Package server turns a gateway.Gateway into a network service: a TCP
-// server speaking the internal/wire framed protocol, one reader/writer
-// goroutine pair per connection, built to keep the in-process admission
-// cost (~110 ns, 0 allocs) visible through the socket instead of burying
-// it under per-request overhead.
+// server speaking the internal/wire framed protocol, one goroutine per
+// connection, built to keep the in-process admission cost (~110 ns, 0
+// allocs) visible through the socket instead of burying it under
+// per-request overhead.
 //
 // # The served fast path
 //
@@ -26,20 +26,20 @@
 //     non-Admit frame arrives (preserving per-flow request order), or at
 //     Config.MaxBatch.
 //
-//   - Writer coalescing. Responses are encoded into a per-connection
-//     arena (conn.out) owned by the reader goroutine, and the arena is
-//     handed to the writer only when the reader is about to block, when
-//     it exceeds a writev-sized threshold, or at teardown — so a 64-deep
-//     pipelined round costs one backlog enqueue and typically one
-//     write syscall instead of 128. Read deadlines are armed only before
-//     reads that can actually block, never per frame.
+//   - Reply coalescing. Responses are encoded into a per-connection
+//     arena (conn.out) and written to the socket only when the goroutine
+//     is about to block on a read, when the arena reaches a writev-sized
+//     threshold, or at teardown — so a 64-deep pipelined round costs
+//     typically one write syscall instead of 128. Read deadlines are
+//     armed only before reads that can actually block, never per frame.
 //
-// Ownership rules: the reader goroutine owns conn.pend (the admit
-// scratch), conn.out (the response arena) and the wire.Reader; the writer
-// goroutine owns the socket writes; connWriter.enqueue copies the arena
-// under its lock, which is the only point where bytes change goroutines.
-// Per-listener accept loops (Serve is variadic; see Listen) own nothing
-// but the accept call and the shard counters they stamp on new conns.
+// Ownership: the connection's goroutine owns all the connection has — the
+// batch scratch, the one response arena, the wire.Reader and the socket in
+// both directions — so no byte changes goroutines and nothing is locked.
+// Shutdown reaches it only through the atomic drain deadline and the
+// socket's own deadline and Close calls. Per-listener accept loops (Serve
+// is variadic; see Listen) own nothing but the accept call and the shard
+// counters they stamp on new conns.
 //
 // # Robustness edges
 //
@@ -50,9 +50,10 @@
 //     layer's analogue of the gateway's ReasonCapacity refusal;
 //   - read/write deadlines bound how long a dead peer can pin a
 //     goroutine;
-//   - slow-client shedding: a connection whose response backlog exceeds
-//     Config.WriteBuffer is refused (slow-client) and closed instead of
-//     growing without bound;
+//   - slow reader: nothing is read while a reply write is blocked, so a
+//     peer that stops reading is held by TCP back-pressure at one arena
+//     of replies and cut (counted as shed, no Refusal: the socket is what
+//     failed) when the write outlasts Config.WriteTimeout;
 //   - frame-rate cap: a token bucket per connection refuses (rate-limited)
 //     and closes connections that exceed Config.FrameRate frames/sec;
 //   - graceful drain: Shutdown stops accepting, lets each connection
@@ -116,13 +117,11 @@ type Config struct {
 	// Ping or lease Touch traffic.
 	ReadTimeout time.Duration
 
-	// WriteTimeout bounds one flush of the response backlog (default 10s).
+	// WriteTimeout bounds one write of the response arena (default 10s).
+	// A peer that reads slower than it asks stalls its own connection —
+	// nothing is read while a write is blocked — and is shed, without a
+	// Refusal frame, when the write times out.
 	WriteTimeout time.Duration
-
-	// WriteBuffer is the response-backlog budget per connection in bytes
-	// (default 1 MiB). A connection that reads slower than it asks gets
-	// shed (Refusal slow-client) when its backlog passes the budget.
-	WriteBuffer int
 
 	// FrameRate caps request frames per second per connection; 0 (the
 	// default) disables the cap. The bucket's burst equals one second's
@@ -156,16 +155,16 @@ type Server struct {
 	conns    map[*conn]struct{}
 	draining bool
 
-	wg sync.WaitGroup // live connection goroutine pairs
+	wg sync.WaitGroup // live connection goroutines
 
 	// Serving-layer counters, merged into the observability surface next
 	// to the gateway families (see Snapshot / WritePrometheus).
 	accepted    metrics.Counter
 	refused     metrics.Counter // over MaxConns at accept
 	drainRef    metrics.Counter // refused because draining
-	shed        metrics.Counter // slow-client write-backlog sheds
+	shed        metrics.Counter // cut because a reply write failed or timed out
 	rateLimited metrics.Counter // frame-rate cap closes
-	protoErrs   metrics.Counter // malformed frames
+	protoErrs   metrics.Counter // malformed frames and response ops from a client
 	frames      metrics.Counter // request frames processed
 	decisions   metrics.Counter // admission decisions served
 	batches     metrics.Counter // AdmitBatch calls made
@@ -195,7 +194,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.Backend = cfg.Gateway
 	}
-	if cfg.MaxConns < 0 || cfg.MaxBatch < 0 || cfg.WriteBuffer < 0 || cfg.FrameRate < 0 {
+	if cfg.MaxConns < 0 || cfg.MaxBatch < 0 || cfg.FrameRate < 0 {
 		return nil, fmt.Errorf("server: negative limits are invalid")
 	}
 	if cfg.MaxConns == 0 {
@@ -212,9 +211,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 10 * time.Second
-	}
-	if cfg.WriteBuffer == 0 {
-		cfg.WriteBuffer = 1 << 20
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 250 * time.Millisecond
@@ -312,7 +308,7 @@ func (s *Server) accept(nc net.Conn, shard int) {
 	}
 	c := newConn(s, nc, &s.shards[shard])
 	s.conns[c] = struct{}{}
-	s.wg.Add(1) // the reader's share; the writer adds its own in serve
+	s.wg.Add(1)
 	s.mu.Unlock()
 	s.accepted.Inc()
 	s.shards[shard].conns.Inc()
@@ -505,32 +501,30 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 	}
 }
 
-// conn is one served connection: a reader goroutine (serve) that decodes,
-// batches and decides, and a writer goroutine that flushes the encoded
-// response backlog. The two meet at wr.
+// conn is one served connection and the one goroutine (serve) that reads
+// its requests, decides them and writes the replies.
 type conn struct {
 	srv   *Server
 	nc    net.Conn
 	rd    *wire.Reader
-	wr    connWriter
 	shard *shardStats
 
-	// drainDeadline, unix-nanos, is set by beginDrain: past it the reader
-	// stops waiting for new frames (0 = not draining). Written by the
-	// Shutdown goroutine, read by the reader when arming deadlines.
+	// drainDeadline, unix-nanos, is set by beginDrain: past it the
+	// goroutine stops waiting for new frames (0 = not draining). Written by
+	// the Shutdown goroutine, read by serve when arming deadlines.
 	drainDeadline atomic.Int64
 
-	// Token bucket for the frame-rate cap; reader-goroutine-local.
+	// Token bucket for the frame-rate cap.
 	tokens     float64
 	lastRefill time.Time
 
-	// Reader-goroutine-local scratch, reused across frames so the steady
-	// state serves without allocating. pend and dep are the admit and
-	// depart batches under accumulation — the burst decoders append to
-	// them directly; out is the response arena the writer coalescing
-	// flushes. At most one of pend/dep is non-empty at any time: switching
-	// request kind flushes the other first, which is what keeps arena
-	// append order equal to request-arrival order.
+	// Scratch, reused across frames so the steady state serves without
+	// allocating. pend and dep are the admit and depart batches under
+	// accumulation — the burst decoders append to them directly; out is the
+	// response arena, the only place a reply waits between being encoded
+	// and being written. At most one of pend/dep is non-empty at any time:
+	// switching request kind flushes the other first, which is what keeps
+	// arena append order equal to request-arrival order.
 	pend      wire.AdmitBurst
 	dep       wire.DepartBurst
 	depOK     []bool
@@ -539,10 +533,24 @@ type conn struct {
 	out       []byte
 }
 
-// coalesceBytes is the response-arena size that forces a flush mid-burst:
+// coalesceBytes is the response-arena size that forces a write mid-burst:
 // roughly one writev-worth of frames, so a long pipelined run neither
-// flushes per response nor builds an unbounded arena.
+// writes per response nor builds an unbounded arena.
 const coalesceBytes = 64 << 10
+
+// cause is why a connection ends. Every step of the serving loop returns
+// one — keepServing to go on — and serve is the only place a cause is
+// counted and, where a Refusal exists for it, told to the peer.
+type cause uint8
+
+const (
+	keepServing    cause = iota
+	endPeerGone          // EOF, idle cut or drain cut: a clean close
+	endWriteFailed       // a reply write failed or timed out: nothing more can be said
+	endProtocol          // a malformed frame, or a response op from a client
+	endRateLimited       // over Config.FrameRate
+	endBackend           // the backend failed a batch the decoder had validated
+)
 
 // countingReader counts bytes pulled off the socket into the per-shard
 // counter. It sits under the wire.Reader's bufio buffer, so the count
@@ -560,11 +568,10 @@ func (r countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// newConn wires up a connection and its writer state.
+// newConn wires up a connection.
 func newConn(s *Server, nc net.Conn, shard *shardStats) *conn {
 	c := &conn{srv: s, nc: nc, shard: shard}
 	c.rd = wire.NewReader(countingReader{nc: nc, n: &shard.bytesRead})
-	c.wr.init(s.cfg.WriteBuffer)
 	c.tokens = float64(s.cfg.FrameRate)
 	c.lastRefill = time.Now()
 	return c
@@ -576,147 +583,128 @@ func newConn(s *Server, nc net.Conn, shard *shardStats) *conn {
 // half of the drain contract.
 func (c *conn) beginDrain(deadline time.Time) {
 	c.drainDeadline.Store(deadline.UnixNano())
-	// Re-arm the read deadline in case the reader is already blocked. The
-	// reader re-applies the minimum of idle and drain deadlines before its
-	// next blocking read, so a lost race here only delays the cut to the
-	// idle timeout, and Shutdown's context still bounds the total drain.
+	// Re-arm the read deadline in case serve is already blocked. It
+	// re-applies the minimum of idle and drain deadlines before its next
+	// blocking read, so a lost race here only delays the cut to the idle
+	// timeout, and Shutdown's context still bounds the total drain.
 	c.nc.SetReadDeadline(deadline)
 }
 
-// serve runs the reader loop; it owns connection teardown.
+// serve runs the connection from first frame to close. The cause readLoop
+// ends for is counted here, once.
 func (c *conn) serve() {
-	c.srv.wg.Add(1) // the writer's share (the reader's was added at accept)
-	go c.writeLoop()
-	refusal := c.readLoop()
-	// Flush any batched admits/departs and the coalesced arena so
-	// in-flight responses survive teardown (EOF, drain deadline and
-	// protocol errors all land here).
-	c.flushPending()
-	c.flushOut()
-	if refusal != 0 {
-		c.out = wire.AppendRefusal(c.out[:0], 0, refusal)
-		c.wr.enqueue(c.out)
-		c.out = c.out[:0]
+	why := c.readLoop()
+	var refusal wire.Refusal
+	switch why {
+	case endWriteFailed:
+		c.srv.shed.Inc()
+	case endProtocol:
+		c.srv.protoErrs.Inc()
+		refusal = wire.RefuseProtocol
+	case endRateLimited:
+		c.srv.rateLimited.Inc()
+		refusal = wire.RefuseRateLimited
+	case endBackend:
+		// A fault on this side: the one refusal that tells a client to
+		// back off and come again.
+		refusal = wire.RefuseOverloaded
 	}
-	c.wr.close() // the writer drains the backlog, then exits
-	c.wr.wait()  // don't close the socket under an in-progress flush
+	// Batched requests are still decided and every reply still written, so
+	// in-flight responses survive teardown (EOF, drain cut and refusals all
+	// land here) — unless the socket is what failed.
+	if why != endWriteFailed && c.flushPending() != endWriteFailed {
+		if refusal != 0 {
+			c.out = wire.AppendRefusal(c.out, 0, refusal)
+		}
+		c.flushOut()
+	}
 	c.nc.Close()
 	c.srv.remove(c)
 }
 
-// readLoop processes frames until the connection ends. It returns a
-// non-zero refusal when the connection is being closed for cause, so the
-// peer learns why before the socket closes.
+// readLoop serves frames until the connection ends and returns why.
 //
-// Structure: an inner loop drains everything already buffered — bursts of
-// Admit frames through the vectorized decoder, everything else through the
+// Each turn takes what is already buffered — a burst of Admit or Depart
+// frames through the vectorized decoders, anything else through the
 // generic one — without touching deadlines or the socket. Only when the
-// buffer runs dry does the loop flush pending admits and the response
+// buffer runs dry does it decide what is pending, write the response
 // arena, arm the idle/drain deadline, and issue the one read that can
 // block.
-func (c *conn) readLoop() wire.Refusal {
+func (c *conn) readLoop() cause {
 	var f wire.Frame
 	fast := !c.srv.cfg.disableFastPath
 	maxBatch := c.srv.cfg.MaxBatch
 	// Frame counting is batched: accumulated locally and published once
-	// per drain cycle (and at return), not once per frame.
+	// per dry buffer (and at return), not once per frame.
 	var nframes int64
 	defer func() { c.srv.frames.Add(nframes) }()
 	for {
-		for {
-			if fast {
-				if n := c.rd.NextAdmitBurst(&c.pend, maxBatch-c.pend.Len()); n > 0 {
-					nframes += int64(n)
-					if !c.allowFrames(n) {
-						c.srv.rateLimited.Inc()
-						return wire.RefuseRateLimited
-					}
-					// Older departs ack before these admits decide.
-					if c.dep.Len() > 0 {
-						if c.flushDeparts() {
-							c.srv.shed.Inc()
-							return wire.RefuseSlowClient
-						}
-					}
-					if c.pend.Len() >= maxBatch {
-						if c.flushAdmits() {
-							c.srv.shed.Inc()
-							return wire.RefuseSlowClient
-						}
-					}
-					continue
+		if fast {
+			if n := c.rd.NextAdmitBurst(&c.pend, maxBatch-c.pend.Len()); n > 0 {
+				nframes += int64(n)
+				if !c.allowFrames(n) {
+					return endRateLimited
 				}
-				if n := c.rd.NextDepartBurst(&c.dep, maxBatch-c.dep.Len()); n > 0 {
-					nframes += int64(n)
-					if !c.allowFrames(n) {
-						c.srv.rateLimited.Inc()
-						return wire.RefuseRateLimited
+				// Older departs ack before these admits decide.
+				if why := c.flushDeparts(); why != keepServing {
+					return why
+				}
+				if c.pend.Len() >= maxBatch {
+					if why := c.flushAdmits(); why != keepServing {
+						return why
 					}
-					// Older admits decide before these departs ack.
-					if c.pend.Len() > 0 {
-						if c.flushAdmits() {
-							c.srv.shed.Inc()
-							return wire.RefuseSlowClient
-						}
+				}
+				continue
+			}
+			if n := c.rd.NextDepartBurst(&c.dep, maxBatch-c.dep.Len()); n > 0 {
+				nframes += int64(n)
+				if !c.allowFrames(n) {
+					return endRateLimited
+				}
+				// Older admits decide before these departs ack.
+				if why := c.flushAdmits(); why != keepServing {
+					return why
+				}
+				if c.dep.Len() >= maxBatch {
+					if why := c.flushDeparts(); why != keepServing {
+						return why
 					}
-					if c.dep.Len() >= maxBatch {
-						if c.flushDeparts() {
-							c.srv.shed.Inc()
-							return wire.RefuseSlowClient
-						}
-					}
-					continue
+				}
+				continue
+			}
+		}
+		ok, err := c.rd.NextBuffered(&f)
+		if !ok {
+			// The buffer is dry: decide what's pending and write the
+			// coalesced responses before risking a blocking read.
+			if why := c.flushPending(); why != keepServing {
+				return why
+			}
+			if why := c.flushOut(); why != keepServing {
+				return why
+			}
+			c.srv.frames.Add(nframes)
+			nframes = 0
+			rd := time.Now().Add(c.srv.cfg.ReadTimeout)
+			if dd := c.drainDeadline.Load(); dd != 0 {
+				if d := time.Unix(0, dd); d.Before(rd) {
+					rd = d
 				}
 			}
-			ok, err := c.rd.NextBuffered(&f)
-			if !ok {
-				break
-			}
-			if err != nil {
-				c.srv.protoErrs.Inc()
-				return wire.RefuseProtocol // a buffered frame can only fail by being malformed
-			}
-			nframes++
-			if !c.allowFrames(1) {
-				c.srv.rateLimited.Inc()
-				return wire.RefuseRateLimited
-			}
-			if shed := c.handle(&f); shed {
-				c.srv.shed.Inc()
-				return wire.RefuseSlowClient
+			c.nc.SetReadDeadline(rd)
+			if err = c.rd.Next(&f); err != nil && peerGone(err) {
+				return endPeerGone
 			}
 		}
-		// The buffer is dry: decide what's pending and hand the writer the
-		// coalesced responses before risking a blocking read.
-		if c.flushPending() || c.flushOut() {
-			c.srv.shed.Inc()
-			return wire.RefuseSlowClient
-		}
-		c.srv.frames.Add(nframes)
-		nframes = 0
-		rd := time.Now().Add(c.srv.cfg.ReadTimeout)
-		if dd := c.drainDeadline.Load(); dd != 0 {
-			if d := time.Unix(0, dd); d.Before(rd) {
-				rd = d
-			}
-		}
-		c.nc.SetReadDeadline(rd)
-		if err := c.rd.Next(&f); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-				errors.Is(err, net.ErrClosed) || isTimeout(err) {
-				return 0 // clean close, drain cut, or idle cut
-			}
-			c.srv.protoErrs.Inc()
-			return wire.RefuseProtocol
+		if err != nil {
+			return endProtocol // what is left can only be a malformed frame
 		}
 		nframes++
 		if !c.allowFrames(1) {
-			c.srv.rateLimited.Inc()
-			return wire.RefuseRateLimited
+			return endRateLimited
 		}
-		if shed := c.handle(&f); shed {
-			c.srv.shed.Inc()
-			return wire.RefuseSlowClient
+		if why := c.handle(&f); why != keepServing {
+			return why
 		}
 	}
 }
@@ -741,16 +729,15 @@ func (c *conn) allowFrames(n int) bool {
 }
 
 // handle processes one decoded frame, appending responses to the arena.
-// It reports whether the connection must be shed for a full backlog.
-func (c *conn) handle(f *wire.Frame) (shed bool) {
+func (c *conn) handle(f *wire.Frame) cause {
 	g := c.srv.cfg.Backend
 	switch f.Op {
 	case wire.OpAdmit:
 		// The generic half of the micro-batch (fast path disabled, or a
 		// lone Admit at the buffer boundary): accumulate; the loop flushes
 		// before blocking, and the cap flushes here.
-		if c.flushDeparts() {
-			return true
+		if why := c.flushDeparts(); why != keepServing {
+			return why
 		}
 		c.pend.ReqIDs = append(c.pend.ReqIDs, f.ReqID)
 		c.pend.Flows = append(c.pend.Flows, f.Flow)
@@ -758,21 +745,33 @@ func (c *conn) handle(f *wire.Frame) (shed bool) {
 		if c.pend.Len() >= c.srv.cfg.MaxBatch {
 			return c.flushAdmits()
 		}
-		return false
-	case wire.OpAdmitBatch:
-		// An explicit client-side batch: decide it as one unit, after any
-		// pending singles (order preserved).
-		if c.flushPending() {
-			return true
+		return keepServing
+	case wire.OpDepart:
+		// The generic half of the depart micro-batch, mirroring OpAdmit:
+		// older admits decide first, then the depart accumulates.
+		if why := c.flushAdmits(); why != keepServing {
+			return why
 		}
+		c.dep.ReqIDs = append(c.dep.ReqIDs, f.ReqID)
+		c.dep.Flows = append(c.dep.Flows, f.Flow)
+		if c.dep.Len() >= c.srv.cfg.MaxBatch {
+			return c.flushDeparts()
+		}
+		return keepServing
+	}
+	// Every other frame is answered on the spot, after the pending singles
+	// (order preserved).
+	if why := c.flushPending(); why != keepServing {
+		return why
+	}
+	switch f.Op {
+	case wire.OpAdmitBatch:
+		// An explicit client-side batch, decided as one unit.
 		t0 := time.Now()
-		c.decisions = c.decisions[:0]
 		var err error
-		c.decisions, err = g.AdmitBatch(f.Flows, f.Rates, c.decisions)
+		c.decisions, err = g.AdmitBatch(f.Flows, f.Rates, c.decisions[:0])
 		if err != nil {
-			// Lengths are validated by the wire decoder; an error here is
-			// a server bug, but shed the connection rather than panic.
-			return true
+			return endBackend // the decoder validated the lengths
 		}
 		n := len(c.decisions)
 		c.srv.decisions.Add(int64(n))
@@ -786,15 +785,11 @@ func (c *conn) handle(f *wire.Frame) (shed bool) {
 		}
 		out, err := wire.AppendDecisionBatch(c.out, f.ReqID, c.wireDecs)
 		if err != nil {
-			return true // unreachable: the decoder bounded the batch size
+			return endBackend // unreachable: the decoder bounded the batch size
 		}
 		c.out = out
 		c.srv.latency.ObserveN(time.Since(t0).Seconds()/float64(n), n)
-		return c.maybeFlushOut()
 	case wire.OpUpdateRate:
-		if c.flushPending() {
-			return true
-		}
 		st := wire.StatusOK
 		if !(f.Rate >= 0) || f.Rate > maxFinite {
 			st = wire.StatusInvalidRate
@@ -802,40 +797,18 @@ func (c *conn) handle(f *wire.Frame) (shed bool) {
 			st = wire.StatusNotActive
 		}
 		c.out = wire.AppendAck(c.out, f.ReqID, st)
-		return c.maybeFlushOut()
 	case wire.OpTouch:
-		if c.flushPending() {
-			return true
-		}
 		st := wire.StatusOK
 		if err := g.Touch(f.Flow); err != nil {
 			st = wire.StatusNotActive
 		}
 		c.out = wire.AppendAck(c.out, f.ReqID, st)
-		return c.maybeFlushOut()
-	case wire.OpDepart:
-		// The generic half of the depart micro-batch, mirroring OpAdmit:
-		// older admits decide first, then the depart accumulates.
-		if c.flushAdmits() {
-			return true
-		}
-		c.dep.ReqIDs = append(c.dep.ReqIDs, f.ReqID)
-		c.dep.Flows = append(c.dep.Flows, f.Flow)
-		if c.dep.Len() >= c.srv.cfg.MaxBatch {
-			return c.flushDeparts()
-		}
-		return false
 	case wire.OpPing:
-		if c.flushPending() {
-			return true
-		}
 		c.out = wire.AppendPong(c.out, f.ReqID)
-		return c.maybeFlushOut()
 	default:
-		// A response op from a client is a protocol violation.
-		c.srv.protoErrs.Inc()
-		return true
+		return endProtocol // a response op from a client
 	}
+	return c.maybeFlushOut()
 }
 
 // maxFinite guards against +Inf reaching UpdateRate (NaN and negatives
@@ -846,20 +819,17 @@ const maxFinite = 1.7976931348623157e308
 // and appends one Decision frame per request to the arena. The served
 // latency histogram gets the batch's per-decision mean — decode-complete
 // to response-encoded — attributed to every decision via ObserveN.
-// Reports shed like handle.
-func (c *conn) flushAdmits() bool {
+func (c *conn) flushAdmits() cause {
 	n := c.pend.Len()
 	if n == 0 {
-		return false
+		return keepServing
 	}
-	g := c.srv.cfg.Backend
 	t0 := time.Now()
-	c.decisions = c.decisions[:0]
 	var err error
-	c.decisions, err = g.AdmitBatch(c.pend.Flows, c.pend.Rates, c.decisions)
+	c.decisions, err = c.srv.cfg.Backend.AdmitBatch(c.pend.Flows, c.pend.Rates, c.decisions[:0])
 	if err != nil || len(c.decisions) != n {
 		c.pend.Reset()
-		return true // server bug; shed rather than desync correlation
+		return endBackend // end rather than desync correlation
 	}
 	c.srv.decisions.Add(int64(n))
 	c.srv.batches.Inc()
@@ -878,10 +848,10 @@ func (c *conn) flushAdmits() bool {
 
 // flushDeparts is flushAdmits for the pending Depart frames: one
 // DepartBatch call, one Ack frame per request appended to the arena.
-func (c *conn) flushDeparts() bool {
+func (c *conn) flushDeparts() cause {
 	n := c.dep.Len()
 	if n == 0 {
-		return false
+		return keepServing
 	}
 	c.depOK = c.srv.cfg.Backend.DepartBatch(c.dep.Flows, c.depOK[:0])
 	for i, ok := range c.depOK {
@@ -898,131 +868,46 @@ func (c *conn) flushDeparts() bool {
 // flushPending flushes both micro-batches. At most one is ever non-empty
 // (handle and readLoop flush the other kind before switching), so the call
 // order here never reorders responses.
-func (c *conn) flushPending() bool {
-	if c.flushAdmits() {
-		return true
+func (c *conn) flushPending() cause {
+	if why := c.flushAdmits(); why != keepServing {
+		return why
 	}
 	return c.flushDeparts()
 }
 
-// maybeFlushOut flushes the arena once it reaches the coalescing
-// threshold; below it, responses keep accumulating until the reader is
-// about to block.
-func (c *conn) maybeFlushOut() bool {
+// maybeFlushOut writes the arena once it reaches the coalescing
+// threshold; below it, responses keep accumulating until the goroutine is
+// about to block on a read.
+func (c *conn) maybeFlushOut() cause {
 	if len(c.out) < coalesceBytes {
-		return false
+		return keepServing
 	}
 	return c.flushOut()
 }
 
-// flushOut hands the coalesced response arena to the writer goroutine in
-// one enqueue and reports whether the backlog is over the shed budget.
-func (c *conn) flushOut() bool {
+// flushOut writes the response arena to the socket in one deadline-bounded
+// write. Nothing is read while the write is blocked, so a peer that has
+// stopped reading is held by TCP back-pressure at this one arena and cut
+// when WriteTimeout runs out.
+func (c *conn) flushOut() cause {
 	if len(c.out) == 0 {
-		return false
+		return keepServing
 	}
-	shed := c.wr.enqueue(c.out)
+	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+	n, err := c.nc.Write(c.out)
+	c.shard.bytesWritten.Add(int64(n))
 	c.out = c.out[:0]
-	return shed
-}
-
-// writeLoop flushes the response backlog until the connection ends.
-func (c *conn) writeLoop() {
-	defer c.srv.wg.Done()
-	defer c.wr.exit()
-	for {
-		buf, closed := c.wr.take()
-		if len(buf) > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-			n, err := c.nc.Write(buf)
-			if n > 0 {
-				c.shard.bytesWritten.Add(int64(n))
-			}
-			if err != nil {
-				// Kick the reader off its blocking read; teardown follows.
-				c.nc.Close()
-				return
-			}
-		}
-		if closed {
-			return
-		}
+	if err != nil {
+		return endWriteFailed
 	}
+	return keepServing
 }
 
-// isTimeout reports whether err is a deadline error.
-func isTimeout(err error) bool {
+// peerGone reports whether a read error is the connection ending — EOF, a
+// closed socket, the idle or drain deadline — rather than a bad frame.
+// The errors.As target escapes, so the served path calls it on errors only.
+func peerGone(err error) bool {
 	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// connWriter is the double-buffered response backlog between the reader
-// (producer) and the writer goroutine (consumer): the reader copies
-// encoded frames into pending under mu; the writer swaps pending for the
-// spare and flushes it, so the reader never blocks on the socket and the
-// backlog length is the shed signal. Copying under the lock (instead of
-// handing the reader's arena over) is what keeps the two goroutines from
-// ever sharing bytes.
-type connWriter struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []byte
-	spare   []byte
-	closed  bool
-	done    chan struct{} // closed when the writer goroutine exits
-	budget  int           // shed threshold, from Config.WriteBuffer
-}
-
-func (w *connWriter) init(budget int) {
-	w.cond = sync.NewCond(&w.mu)
-	w.done = make(chan struct{})
-	w.budget = budget
-}
-
-// enqueue copies buf into the backlog, wakes the writer, and reports
-// whether the backlog now exceeds the shed budget. buf remains owned by
-// the caller.
-func (w *connWriter) enqueue(buf []byte) (shed bool) {
-	w.mu.Lock()
-	w.pending = append(w.pending, buf...)
-	over := w.budget > 0 && len(w.pending) > w.budget
-	w.mu.Unlock()
-	w.cond.Signal()
-	return over
-}
-
-// take blocks until there is backlog to flush or the writer is closed,
-// swapping the backlog out. closed is true when no more data will come.
-func (w *connWriter) take() (buf []byte, closed bool) {
-	w.mu.Lock()
-	for len(w.pending) == 0 && !w.closed {
-		w.cond.Wait()
-	}
-	buf = w.pending
-	w.pending = w.spare[:0]
-	w.spare = buf
-	closed = w.closed && len(buf) == 0
-	w.mu.Unlock()
-	return buf, closed
-}
-
-// close tells the writer to finish after draining the backlog.
-func (w *connWriter) close() {
-	w.mu.Lock()
-	w.closed = true
-	w.mu.Unlock()
-	w.cond.Signal()
-}
-
-// exit marks the writer goroutine finished; called from writeLoop only.
-func (w *connWriter) exit() {
-	w.mu.Lock()
-	w.closed = true // a failed writer also stops accepting work
-	w.mu.Unlock()
-	close(w.done)
-}
-
-// wait blocks until the writer goroutine has exited.
-func (w *connWriter) wait() {
-	<-w.done
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, net.ErrClosed) || errors.As(err, &ne) && ne.Timeout()
 }

@@ -235,41 +235,110 @@ func TestFrameRateCapRefusesFloods(t *testing.T) {
 	}
 }
 
-func TestSlowClientShed(t *testing.T) {
-	// A 1-byte budget makes the very first enqueued response overflow the
-	// backlog, standing in for a peer that never reads.
-	srv, addr := startServer(t, Config{WriteBuffer: 1})
+// TestSlowReaderHeldThenCut pins what bounds a peer that keeps asking and
+// never reads: the connection's goroutine blocks in its reply write, so it
+// reads nothing ahead of what it can answer and holds one arena of
+// replies; when the write outlasts WriteTimeout the connection is cut and
+// counted as shed, with no Refusal attempted on the failed socket. What
+// was written before the stall arrives whole and in request order.
+func TestSlowReaderHeldThenCut(t *testing.T) {
+	srv, addr := startServer(t, Config{WriteTimeout: 50 * time.Millisecond})
 	nc, rd := dial(t, addr)
-	if _, err := nc.Write(wire.AppendAdmit(nil, 1, 1, 1)); err != nil {
+	// A round trip guarantees the connection is registered.
+	if _, err := nc.Write(wire.AppendPing(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	var f wire.Frame
 	mustNext(t, rd, &f)
-	if f.Op != wire.OpDecision {
-		t.Fatalf("in-flight decision lost to the shed: got %v", f.Op)
+	srv.mu.Lock()
+	var c *conn
+	for c = range srv.conns {
 	}
-	mustNext(t, rd, &f)
-	if f.Op != wire.OpRefusal || f.Refusal != wire.RefuseSlowClient {
-		t.Fatalf("got %v/%v, want Refusal/slow-client", f.Op, f.Refusal)
+	srv.mu.Unlock()
+
+	// Ask without reading until the server stops taking requests: both
+	// directions' socket buffers are full, or the cut has already happened.
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		var req []byte
+		for id := uint64(1); ; {
+			req = req[:0]
+			for i := 0; i < 512; i++ {
+				req = wire.AppendAdmit(req, id, id, 1)
+				id++
+			}
+			if _, err := nc.Write(req); err != nil {
+				return
+			}
+		}
+	}()
+
+	// Removal from the registry is serve's last step; seeing it under the
+	// lock orders this goroutine after everything the connection did.
+	live := true
+	for deadline := time.Now().Add(5 * time.Second); live; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a peer that never reads still holds its connection after 100 write timeouts")
+		}
+		srv.mu.Lock()
+		_, live = srv.conns[c]
+		srv.mu.Unlock()
 	}
-	if got := srv.Snapshot().ConnsShed; got != 1 {
-		t.Fatalf("shed counter = %d, want 1", got)
+	if snap := srv.Snapshot(); snap.ConnsShed != 1 || snap.ProtocolErrors != 0 {
+		t.Fatalf("conns_shed = %d, protocol_errors = %d, want 1 and 0", snap.ConnsShed, snap.ProtocolErrors)
+	}
+	// The arena is the connection's only reply storage; it crosses the
+	// flush threshold by at most one batch, and append may round that up.
+	if got := cap(c.out); got > 2*coalesceBytes {
+		t.Fatalf("the connection grew its reply arena to %d bytes, want at most %d", got, 2*coalesceBytes)
+	}
+	<-wrote
+
+	got := uint64(0)
+	for {
+		if err := rd.Next(&f); err != nil {
+			// The timed-out write was cut short and the socket closed over
+			// unread requests: a truncation or a reset, never a bad frame.
+			var ne net.Error
+			if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.As(err, &ne) {
+				t.Fatalf("the cut produced a decode error: %v", err)
+			}
+			break
+		}
+		got++
+		if f.Op != wire.OpDecision || f.ReqID != got {
+			t.Fatalf("reply %d: got %v req %d, want the in-order Decision", got, f.Op, f.ReqID)
+		}
+	}
+	if got == 0 {
+		t.Fatal("no reply written before the stall was delivered")
 	}
 }
 
+// TestProtocolErrorRefuses: a malformed frame and a well-formed frame only
+// a server may send end the connection the same way — one Refusal
+// (protocol), one protocol error counted, nothing else.
 func TestProtocolErrorRefuses(t *testing.T) {
-	srv, addr := startServer(t, Config{})
-	nc, rd := dial(t, addr)
-	if _, err := nc.Write([]byte{0, 0, 0, 2, 0xff, 0xff}); err != nil {
-		t.Fatal(err)
-	}
-	var f wire.Frame
-	mustNext(t, rd, &f)
-	if f.Op != wire.OpRefusal || f.Refusal != wire.RefuseProtocol {
-		t.Fatalf("got %v/%v, want Refusal/protocol", f.Op, f.Refusal)
-	}
-	if got := srv.Snapshot().ProtocolErrors; got != 1 {
-		t.Fatalf("protocol-error counter = %d, want 1", got)
+	for name, frame := range map[string][]byte{
+		"malformed":   {0, 0, 0, 2, 0xff, 0xff},
+		"response op": wire.AppendPong(nil, 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, addr := startServer(t, Config{})
+			nc, rd := dial(t, addr)
+			if _, err := nc.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			var f wire.Frame
+			mustNext(t, rd, &f)
+			if f.Op != wire.OpRefusal || f.Refusal != wire.RefuseProtocol {
+				t.Fatalf("got %v/%v, want Refusal/protocol", f.Op, f.Refusal)
+			}
+			if snap := srv.Snapshot(); snap.ProtocolErrors != 1 || snap.ConnsShed != 0 {
+				t.Fatalf("protocol_errors = %d, conns_shed = %d, want 1 and 0", snap.ProtocolErrors, snap.ConnsShed)
+			}
+		})
 	}
 }
 

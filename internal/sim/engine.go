@@ -79,9 +79,6 @@ type Config struct {
 	// TargetP is the QoS target used by the stopping rule's
 	// "two-orders-below" branch; 0 disables that branch.
 	TargetP float64
-	// RelCI is the relative confidence-interval stopping threshold
-	// (default 0.2, the paper's ±20%).
-	RelCI float64
 	// CheckEvery is the spacing of stopping-rule checks (default
 	// MaxTime/64).
 	CheckEvery float64
@@ -100,10 +97,6 @@ type Config struct {
 	// MaxEvents caps the total number of processed events as a safety
 	// valve (default 2e9).
 	MaxEvents int64
-	// MaxAdmitPerInstant caps how many flows can be admitted at a single
-	// event time (default 4·capacity/meanRate + 64), guarding against a
-	// degenerate estimator reporting a near-zero mean.
-	MaxAdmitPerInstant int
 
 	// TrackAdmissible, if set, records the time average and variance of
 	// the controller's admissible count M_t (Figure 2's upper process).
@@ -116,10 +109,11 @@ type Config struct {
 	// number of points (default 1<<20).
 	SeriesPeriod float64
 	SeriesLimit  int
-
-	// HistogramBins, if positive, enables a sampled load histogram.
-	HistogramBins int
 }
+
+// relCI is the relative confidence-interval stopping threshold: the
+// paper's ±20%.
+const relCI = 0.2
 
 // Result reports everything a run measured.
 type Result struct {
@@ -238,6 +232,11 @@ type Engine struct {
 	sumRate float64
 	sumSq   float64
 
+	// maxAdmit caps how many flows one event time can admit
+	// (4·capacity/meanRate + 64), guarding against a degenerate estimator
+	// reporting a near-zero mean.
+	maxAdmit int
+
 	events eventHeap
 	lnk    *link.Link
 	buf    *link.FluidBuffer // nil unless BufferSize is set
@@ -273,9 +272,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Warmup < 0 {
 		return nil, fmt.Errorf("sim: Warmup %g must be non-negative", cfg.Warmup)
 	}
-	if cfg.RelCI == 0 {
-		cfg.RelCI = 0.2
-	}
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = cfg.MaxTime / 64
 	}
@@ -283,12 +279,9 @@ func New(cfg Config) (*Engine, error) {
 		cfg.MaxEvents = 2e9
 	}
 	st := cfg.Model.Stats()
-	if cfg.MaxAdmitPerInstant <= 0 {
-		perInstant := 64
-		if st.Mean > 0 {
-			perInstant += int(4 * cfg.Capacity / st.Mean)
-		}
-		cfg.MaxAdmitPerInstant = perInstant
+	maxAdmit := 64
+	if st.Mean > 0 {
+		maxAdmit += int(4 * cfg.Capacity / st.Mean)
 	}
 	// Default sampling/batching: the paper's 2·max(T~h, T_m, T_c) spacing.
 	n := cfg.Capacity / math.Max(st.Mean, 1e-12)
@@ -308,14 +301,14 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	e := &Engine{
-		cfg: cfg,
-		rng: rng.New(cfg.Seed, 0x6d62_6163), // stream tag "mbac"
+		cfg:      cfg,
+		maxAdmit: maxAdmit,
+		rng:      rng.New(cfg.Seed, 0x6d62_6163), // stream tag "mbac"
 		lnk: link.New(link.Config{
-			Capacity:      cfg.Capacity,
-			BatchLen:      cfg.BatchLen,
-			SamplePeriod:  cfg.SamplePeriod,
-			HistogramBins: cfg.HistogramBins,
-			Utility:       cfg.Utility,
+			Capacity:     cfg.Capacity,
+			BatchLen:     cfg.BatchLen,
+			SamplePeriod: cfg.SamplePeriod,
+			Utility:      cfg.Utility,
 		}),
 	}
 	if cfg.BufferSize > 0 {
@@ -433,7 +426,7 @@ func (e *Engine) Run() (Result, error) {
 	}
 
 	rep := e.lnk.Report()
-	pf, ok := rep.BestOverflowEstimate(cfg.TargetP, cfg.RelCI)
+	pf, ok := rep.BestOverflowEstimate(cfg.TargetP, relCI)
 	res := Result{
 		Report:        rep,
 		Pf:            pf,
@@ -552,7 +545,7 @@ func (e *Engine) currentAdmissible() float64 {
 // every admission (controllers read it between admissions), the link once
 // per instant via the deferred-load run.
 func (e *Engine) tryAdmissions() {
-	for i := 0; i < e.cfg.MaxAdmitPerInstant; i++ {
+	for i := 0; i < e.maxAdmit; i++ {
 		m := e.currentAdmissible()
 		if float64(e.nActive)+1 > m {
 			return
@@ -692,7 +685,7 @@ func (e *Engine) maybeRenormalize() {
 // checkStop applies the paper's stopping rule to the current statistics.
 func (e *Engine) checkStop() bool {
 	rep := e.lnk.Report()
-	_, ok := rep.BestOverflowEstimate(e.cfg.TargetP, e.cfg.RelCI)
+	_, ok := rep.BestOverflowEstimate(e.cfg.TargetP, relCI)
 	// Require a minimum of measurement time so an early zero-overflow
 	// window does not trigger the extrapolation branch prematurely.
 	minTime := math.Min(e.cfg.MaxTime/4, 100*e.cfg.SamplePeriod)

@@ -372,52 +372,3 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	return s[i]*(1-frac) + s[i+1]*frac
 }
-
-// Histogram is a fixed-bin histogram over [lo, hi) with overflow/underflow
-// bins, used for inspecting admitted-flow-count and load distributions.
-type Histogram struct {
-	lo, hi   float64
-	bins     []int64
-	under    int64
-	over     int64
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int64, n), binWidth: (hi - lo) / float64(n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.binWidth)
-		if i >= len(h.bins) { // guard rounding at the upper edge
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Counts returns the per-bin counts (not a copy; callers must not mutate).
-func (h *Histogram) Counts() []int64 { return h.bins }
-
-// Under and Over return the out-of-range counts.
-func (h *Histogram) Under() int64 { return h.under }
-func (h *Histogram) Over() int64  { return h.over }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.binWidth
-}

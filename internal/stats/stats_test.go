@@ -193,23 +193,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, x := range []float64{-1, 0, 0.5, 5, 9.999, 10, 15} {
-		h.Add(x)
-	}
-	if h.Under() != 1 || h.Over() != 2 {
-		t.Errorf("under/over = %d/%d", h.Under(), h.Over())
-	}
-	counts := h.Counts()
-	if counts[0] != 2 || counts[5] != 1 || counts[9] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-	if c := h.BinCenter(0); c != 0.5 {
-		t.Errorf("bin center = %v", c)
-	}
-}
-
 func TestHurstWhiteNoise(t *testing.T) {
 	p := rng.New(13, 0)
 	x := make([]float64, 1<<14)

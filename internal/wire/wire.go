@@ -150,8 +150,10 @@ const (
 	RefuseDraining
 	// RefuseRateLimited: the connection exceeded its frame-rate cap.
 	RefuseRateLimited
-	// RefuseSlowClient: the connection's response backlog exceeded the
-	// write-buffer budget and the server shed it.
+	// RefuseSlowClient is no longer sent: the server holds a peer that
+	// reads slower than it asks by TCP back-pressure and cuts it, without
+	// a frame, when a reply write times out. The constant keeps its place
+	// so that RefuseProtocol keeps its number on the wire.
 	RefuseSlowClient
 	// RefuseProtocol: the peer sent a malformed or oversized frame.
 	RefuseProtocol
@@ -423,21 +425,11 @@ func NewReader(r io.Reader) *Reader {
 // no copy. Decode never retains the payload, so discarding after the
 // decode is safe.
 func (r *Reader) Next(f *Frame) error {
-	// Fast path: the frame is already complete in the buffer — one peek
-	// over the buffered region, one decode, one discard. This is the
-	// steady state on both sides of a pipelined connection, where whole
-	// bursts of frames land in the buffer per socket read.
-	if buffered := r.br.Buffered(); buffered >= 4 {
-		p, _ := r.br.Peek(buffered) // cannot fail: peek of what is buffered
-		n := int(binary.BigEndian.Uint32(p))
-		if n < headerLen || n > MaxFrame {
-			return fmt.Errorf("wire: frame length %d outside [%d, %d]", n, headerLen, MaxFrame)
-		}
-		if 4+n <= buffered {
-			err := f.Decode(p[4 : 4+n])
-			r.br.Discard(4 + n)
-			return err
-		}
+	// A frame already complete in the buffer is the steady state on both
+	// sides of a pipelined connection, where whole bursts of frames land
+	// in the buffer per socket read.
+	if ok, err := r.NextBuffered(f); ok {
+		return err
 	}
 	hdr, err := r.br.Peek(4)
 	if err != nil {

@@ -453,10 +453,11 @@ func ConvexUtility(p float64) Utility { return qos.Convex(p) }
 // pipelining/batching semantics and the drain contract.
 
 // AdmissionServer is the TCP server fronting a Gateway with the framed
-// admission protocol: one reader/writer goroutine pair per connection,
-// pipelined Admit frames micro-batched into single AdmitBatch calls, and
-// explicit robustness edges (max-conns refusal, deadlines, slow-client
-// shedding, frame-rate caps, graceful drain).
+// admission protocol: one goroutine per connection, pipelined Admit
+// frames micro-batched into single AdmitBatch calls, and explicit
+// robustness edges (max-conns refusal, deadlines, slow readers held by
+// back-pressure and cut by the write deadline, frame-rate caps, graceful
+// drain).
 type AdmissionServer = server.Server
 
 // AdmissionServerConfig parameterizes an AdmissionServer.
