@@ -14,8 +14,9 @@
 #              alternating parent/change runs; the allocation budgets
 #              that do not drift with the machine are plain tier-1 tests
 #   fuzz     — short adversarial-input fuzzing of the estimator, the
-#              controller, the wire decoder, scenario configs and the flow
-#              table (checked-in corpora replay in plain `go test`)
+#              controller, the wire decoder, scenario configs, the flow
+#              table and the simulator's flow queue (checked-in corpora
+#              replay in plain `go test`)
 #   vet      — go vet. Enum exhaustiveness is not a lint: every enumeration
 #              declares its names once in an internal/enum table, and a
 #              constant without a name (or a name without a constant) fails
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzScenarioConfig -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime $(FUZZTIME) ./internal/flowtab
+	$(GO) test -run '^$$' -fuzz FuzzFlowQueue -fuzztime $(FUZZTIME) ./internal/sim
 
 golden:
 	$(GO) test ./internal/experiments -run TestGolden -update-golden

@@ -122,8 +122,8 @@ func TestPinnedRouting(t *testing.T) {
 	if err := c.UpdateRate(1, 1.0); err == nil {
 		t.Fatal("UpdateRate on a departed flow did not error")
 	}
-	if err := c.Depart(1); err == nil {
-		t.Fatal("double Depart did not error")
+	if err := c.Depart(1); err == nil || err.Error() != "cluster: flow 1 is not active" {
+		t.Fatalf("double Depart: error %v", err)
 	}
 }
 

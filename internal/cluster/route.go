@@ -298,6 +298,14 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 	return dst, nil
 }
 
+// notActiveError is a routed operation's error for a flow with no pin; like
+// the gateway's, its text is built only on demand.
+type notActiveError uint64
+
+func (id notActiveError) Error() string {
+	return fmt.Sprintf("cluster: flow %d is not active", uint64(id))
+}
+
 // onOwner runs op on the instance flowID is pinned to and applies the one
 // unpin rule: the pin goes, if it still points at that instance (so a
 // stale unpin never clobbers a re-placement), once the flow has ended
@@ -312,7 +320,7 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 func (c *Cluster) onOwner(flowID uint64, departs bool, op func(*gateway.Gateway) error) error {
 	idx, ok := c.pins.get(flowID)
 	if !ok {
-		return fmt.Errorf("cluster: flow %d is not active", flowID)
+		return notActiveError(flowID)
 	}
 	for {
 		err := op(c.instances[idx].g)

@@ -680,7 +680,7 @@ func (g *Gateway) UpdateRate(flowID uint64, rate float64) error {
 	defer s.mu.Unlock()
 	e := s.flows.Get(flowID)
 	if e == nil {
-		return fmt.Errorf("gateway: flow %d is not active", flowID)
+		return notActiveError(flowID)
 	}
 	s.sumRate += rate - e.rate
 	s.sumSq += rate*rate - e.rate*e.rate
@@ -694,6 +694,15 @@ func (g *Gateway) UpdateRate(flowID uint64, rate float64) error {
 	return nil
 }
 
+// notActiveError is UpdateRate's, Touch's and Depart's error for a flow the
+// gateway does not hold. A refused flow's every later update and departure
+// ends here, so the text is built only if someone asks for it.
+type notActiveError uint64
+
+func (id notActiveError) Error() string {
+	return fmt.Sprintf("gateway: flow %d is not active", uint64(id))
+}
+
 // Touch refreshes an active flow's lease without changing its rate — the
 // keepalive for flows that are legitimately idle (rate 0) or whose rate
 // reports arrive out of band. A no-op when leases are disabled.
@@ -703,7 +712,7 @@ func (g *Gateway) Touch(flowID uint64) error {
 	defer s.mu.Unlock()
 	e := s.flows.Get(flowID)
 	if e == nil {
-		return fmt.Errorf("gateway: flow %d is not active", flowID)
+		return notActiveError(flowID)
 	}
 	if g.ttl > 0 {
 		e.deadline = g.vnow.Load() + g.ttl
@@ -717,7 +726,7 @@ func (g *Gateway) Depart(flowID uint64) error {
 	s.mu.Lock()
 	if !s.departLocked(flowID) {
 		s.mu.Unlock()
-		return fmt.Errorf("gateway: flow %d is not active", flowID)
+		return notActiveError(flowID)
 	}
 	s.mu.Unlock()
 	g.active.Add(-1)

@@ -99,15 +99,18 @@ func TestAdmitDepartLifecycle(t *testing.T) {
 	if err := g.UpdateRate(3, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.UpdateRate(77, 1); err == nil {
-		t.Fatal("update of unknown flow: want error")
+	if err := g.UpdateRate(77, 1); err == nil || err.Error() != "gateway: flow 77 is not active" {
+		t.Fatalf("update of unknown flow: error %v", err)
+	}
+	if err := g.Touch(1 << 40); err == nil || err.Error() != "gateway: flow 1099511627776 is not active" {
+		t.Fatalf("touch of unknown flow: error %v", err)
 	}
 	// Depart frees a slot for a new admission.
 	if err := g.Depart(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Depart(3); err == nil {
-		t.Fatal("double depart: want error")
+	if err := g.Depart(3); err == nil || err.Error() != "gateway: flow 3 is not active" {
+		t.Fatalf("double depart: error %v", err)
 	}
 	if d, err := g.Admit(10, 1); err != nil || !d.Admitted {
 		t.Fatalf("admit after depart: %+v, %v", d, err)

@@ -161,17 +161,28 @@ func Schedule(cfg Config) ([]Event, error) {
 		return r.Gamma(shape, mean/shape)
 	}
 	events := make([]Event, 0, expectedEvents(cfg))
+	// A flow's draws are finished before the next flow's begin, so one
+	// stream, split into in place, and one source per model, recycled where
+	// the model is a traffic.Renewer, serve every flow.
+	fr := new(rng.PCG)
+	var srcs [2]traffic.Source // the base model's last source, the shifted model's
 	id := uint64(0)
 	for t := next(0); t < cfg.Duration; t += next(t) {
-		fr := r.Split(id)
-		m := model
+		r.SplitInto(id, fr)
+		m, k := model, 0
 		if cfg.ShiftModel != nil && t >= cfg.ShiftAt {
 			// The shifted model draws from the same split per-flow stream,
 			// so the arrival process (driven by r) is untouched and the
 			// pre-shift prefix of the schedule is bit-identical.
-			m = cfg.ShiftModel
+			m, k = cfg.ShiftModel, 1
 		}
-		src := m.New(fr)
+		var src traffic.Source
+		if rn, ok := m.(traffic.Renewer); ok && srcs[k] != nil {
+			src = rn.Renew(srcs[k], fr)
+		} else {
+			src = m.New(fr)
+		}
+		srcs[k] = src
 		seg := src.Next() // same two draws (rate, duration) as the historical single-draw form
 		rate := seg.Rate
 		hold := fr.Exp(cfg.Hold)

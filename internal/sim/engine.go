@@ -115,6 +115,13 @@ type Config struct {
 // paper's ±20%.
 const relCI = 0.2
 
+// Where the run loop's next event comes from.
+const (
+	srcFlow    = iota // a live flow's segment end or departure: the flow queue's winner
+	srcArrival        // the pending Poisson arrival
+	srcOrphan         // a departed flow's leftover segment end
+)
+
 // Result reports everything a run measured.
 type Result struct {
 	link.Report
@@ -181,13 +188,24 @@ type SeriesPoint struct {
 type engineArena struct {
 	srcs    []traffic.Source
 	rates   []float64
-	epochs  []uint32
-	alive   []bool
+	pending []flowEvents
 	streams []rng.PCG // per-slot RNG substream storage, split into in place
 	free    []int     // recycled slots
 
+	queue   flowQueue // live flows' next events: leaf i is keyed by the earlier of pending[i]'s two
+	orphans eventHeap // departed flows' leftover segment ends (heap.go)
+
 	loadRun []float64 // deferred link updates: aggregate after each change
 	flowRun []int     // parallel flow counts
+}
+
+// flowEvents is a live flow's two pending events, each a time key
+// (flowqueue.go) and the seq it was scheduled under: the end of the flow's
+// current segment, and its departure (depAt noEvent, depSeq 0, for a flow
+// that never departs).
+type flowEvents struct {
+	segAt, segSeq uint64
+	depAt, depSeq uint64
 }
 
 // engineArenaPool recycles arenas across Engine lifetimes.
@@ -200,21 +218,23 @@ func (a *engineArena) reset() {
 	clear(a.srcs)
 	a.srcs = a.srcs[:0]
 	a.rates = a.rates[:0]
-	a.epochs = a.epochs[:0]
-	a.alive = a.alive[:0]
+	a.pending = a.pending[:0]
 	a.streams = a.streams[:0]
 	a.free = a.free[:0]
+	a.queue.reset()
+	a.orphans.h = a.orphans.h[:0]
 	a.loadRun = a.loadRun[:0]
 	a.flowRun = a.flowRun[:0]
 }
 
-// grow appends one zeroed slot to every column and returns its index.
+// grow appends one zeroed slot to every column, with an empty leaf in the
+// queue, and returns its index.
 func (a *engineArena) grow() int {
 	a.srcs = append(a.srcs, nil)
 	a.rates = append(a.rates, 0)
-	a.epochs = append(a.epochs, 0)
-	a.alive = append(a.alive, false)
+	a.pending = append(a.pending, flowEvents{})
 	a.streams = append(a.streams, rng.PCG{})
+	a.queue.grow(len(a.rates))
 	return len(a.rates) - 1
 }
 
@@ -224,7 +244,11 @@ type Engine struct {
 	cfg   Config
 	rng   *rng.PCG
 	clock float64
-	seq   uint64
+	seq   uint64 // scheduling counter: every event scheduled takes the next one
+
+	arrAt, arrSeq uint64 // the pending Poisson arrival; arrAt is noEvent under continuous load
+	horizonKey    uint64 // time key of warm-up + MaxTime: nothing later can fire
+	err           error  // first invalid segment a model returned; ends the run
 
 	ar      *engineArena
 	renew   traffic.Renewer // cfg.Model's optional source recycling (may be nil)
@@ -237,9 +261,8 @@ type Engine struct {
 	// reporting a near-zero mean.
 	maxAdmit int
 
-	events eventHeap
-	lnk    *link.Link
-	buf    *link.FluidBuffer // nil unless BufferSize is set
+	lnk *link.Link
+	buf *link.FluidBuffer // nil unless BufferSize is set
 
 	flowAware estimator.FlowAware // non-nil when the estimator wants per-flow events
 
@@ -301,9 +324,11 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	e := &Engine{
-		cfg:      cfg,
-		maxAdmit: maxAdmit,
-		rng:      rng.New(cfg.Seed, 0x6d62_6163), // stream tag "mbac"
+		cfg:        cfg,
+		maxAdmit:   maxAdmit,
+		arrAt:      noEvent,
+		horizonKey: timeKey(cfg.Warmup + cfg.MaxTime),
+		rng:        rng.New(cfg.Seed, 0x6d62_6163), // stream tag "mbac"
 		lnk: link.New(link.Config{
 			Capacity:     cfg.Capacity,
 			BatchLen:     cfg.BatchLen,
@@ -328,13 +353,13 @@ func (e *Engine) Run() (Result, error) {
 	if e.ar == nil {
 		return Result{}, errors.New("sim: Engine is single-use; Run was already called")
 	}
-	cfg := e.cfg
+	cfg, ar := e.cfg, e.ar
 	e.cfg.Estimator.Reset(0)
 	e.cfg.Estimator.Update(e.sumRate, e.sumSq, e.nActive)
 	e.pushLoad()
 	if cfg.ArrivalRate > 0 {
 		e.seq++
-		e.events.push(event{t: e.rng.Exp(1 / cfg.ArrivalRate), kind: evArrival, flow: -1, seq: e.seq})
+		e.arrAt, e.arrSeq = timeKey(e.rng.Exp(1/cfg.ArrivalRate)), e.seq
 	} else {
 		e.tryAdmissions()
 	}
@@ -344,13 +369,25 @@ func (e *Engine) Run() (Result, error) {
 	horizon := cfg.Warmup + cfg.MaxTime
 	resolved := false
 
-	for e.processed < cfg.MaxEvents {
-		// The next thing that happens is the earlier of the next event and
-		// the horizon; warm-up activation and stop-rule checks that fall
-		// before it are handled first.
+	for e.err == nil && e.processed < cfg.MaxEvents {
+		// The next event is the earliest (time, then seq) of the flow queue's
+		// winner, the pending arrival and the oldest orphan.
+		src := srcFlow
+		slot, at, seq := ar.queue.min()
+		if keyBefore(e.arrAt, e.arrSeq, at, seq) {
+			src, at, seq = srcArrival, e.arrAt, e.arrSeq
+		}
+		if ar.orphans.len() > 0 {
+			if o := ar.orphans.peek(); keyBefore(timeKey(o.t), o.seq, at, seq) {
+				src, at = srcOrphan, timeKey(o.t)
+			}
+		}
+		// The next thing that happens is the earlier of that event and the
+		// horizon; warm-up activation and stop-rule checks that fall before
+		// it are handled first.
 		next := horizon
-		if e.events.len() > 0 && e.events.peek().t < next {
-			next = e.events.peek().t
+		if at < e.horizonKey {
+			next = math.Float64frombits(at)
 		}
 		if !e.statsOn && cfg.Warmup <= next {
 			e.advanceTo(cfg.Warmup)
@@ -382,24 +419,24 @@ func (e *Engine) Run() (Result, error) {
 			nextCheck += cfg.CheckEvery
 			continue
 		}
-		if e.events.len() == 0 || e.events.peek().t > horizon {
+		if at > e.horizonKey {
 			// Nothing more happens inside the budget.
 			e.advanceTo(horizon)
 			break
 		}
-		ev := e.events.pop()
 		e.processed++
-		if ev.kind != evArrival && !e.flowValid(ev) {
+		if src == srcOrphan {
+			ar.orphans.pop()
 			continue
 		}
-		e.advanceTo(ev.t)
-		switch ev.kind {
-		case evSegment:
-			e.nextSegment(int(ev.flow))
-		case evDepart:
-			e.removeFlow(int(ev.flow))
-		case evArrival:
+		e.advanceTo(math.Float64frombits(at))
+		switch {
+		case src == srcArrival:
 			e.handleArrival()
+		case seq == ar.pending[slot].depSeq:
+			e.removeFlow(slot)
+		default:
+			e.nextSegment(slot)
 		}
 		// Estimator updates stay per state change (controllers read it
 		// between admissions), but the link writes are deferred: every
@@ -414,6 +451,10 @@ func (e *Engine) Run() (Result, error) {
 		}
 		e.flushLoads()
 		e.maybeRenormalize()
+	}
+	if e.err != nil {
+		e.release()
+		return Result{}, e.err
 	}
 	if !e.statsOn {
 		// Horizon shorter than the warm-up: still enable stats so the
@@ -458,12 +499,16 @@ func (e *Engine) Run() (Result, error) {
 			res.StdAdmissible = math.Sqrt(variance)
 		}
 	}
-	// The engine is single-use: its arena (and every source in it) retires
-	// to the pool for the next engine.
+	e.release()
+	return res, nil
+}
+
+// release retires the arena (and every source in it) to the pool for the
+// next engine: an Engine is single-use.
+func (e *Engine) release() {
 	e.ar.reset()
 	engineArenaPool.Put(e.ar)
 	e.ar = nil
-	return res, nil
 }
 
 // seriesLimit returns the configured cap on recorded series points.
@@ -472,11 +517,6 @@ func (e *Engine) seriesLimit() int {
 		return e.cfg.SeriesLimit
 	}
 	return 1 << 20
-}
-
-// flowValid reports whether the event still refers to a live flow epoch.
-func (e *Engine) flowValid(ev event) bool {
-	return e.ar.alive[ev.flow] && e.ar.epochs[ev.flow] == ev.epoch
 }
 
 // advanceTo moves simulation time forward, carrying the estimator and link
@@ -584,9 +624,6 @@ func (e *Engine) admitFlow() {
 
 	ar.srcs[slot] = src
 	ar.rates[slot] = seg.Rate
-	ar.epochs[slot]++
-	ar.alive[slot] = true
-	epoch := ar.epochs[slot]
 
 	e.nActive++
 	e.sumRate += seg.Rate
@@ -596,7 +633,7 @@ func (e *Engine) admitFlow() {
 	}
 
 	e.seq++
-	e.events.push(event{t: e.clock + seg.Duration, kind: evSegment, flow: int32(slot), epoch: epoch, seq: e.seq})
+	ev := flowEvents{segAt: e.segmentEnd(slot, seg.Duration), segSeq: e.seq, depAt: noEvent}
 	var hold float64
 	switch {
 	case e.cfg.HoldingSampler != nil:
@@ -606,8 +643,33 @@ func (e *Engine) admitFlow() {
 	}
 	if hold > 0 {
 		e.seq++
-		e.events.push(event{t: e.clock + hold, kind: evDepart, flow: int32(slot), epoch: epoch, seq: e.seq})
+		ev.depAt, ev.depSeq = timeKey(e.clock+hold), e.seq
 	}
+	ar.pending[slot] = ev
+	e.schedule(slot)
+}
+
+// segmentEnd returns the time key at which a segment of duration d starting
+// now ends. A negative or NaN duration has no place in the event order (and
+// no valid key): it ends the run with an error and the segment never ends.
+func (e *Engine) segmentEnd(slot int, d float64) uint64 {
+	if !(d >= 0) {
+		if e.err == nil {
+			e.err = fmt.Errorf("sim: flow %d: model returned segment duration %g, want >= 0", slot, d)
+		}
+		return noEvent
+	}
+	return timeKey(e.clock + d)
+}
+
+// schedule keys the slot's leaf by the earlier of its two pending events.
+func (e *Engine) schedule(slot int) {
+	ev := &e.ar.pending[slot]
+	at, seq := ev.segAt, ev.segSeq
+	if keyBefore(ev.depAt, ev.depSeq, at, seq) {
+		at, seq = ev.depAt, ev.depSeq
+	}
+	e.ar.queue.set(slot, at, seq)
 }
 
 // handleArrival processes one Poisson arrival: admit if the controller has
@@ -622,7 +684,7 @@ func (e *Engine) handleArrival() {
 		e.blocked++
 	}
 	e.seq++
-	e.events.push(event{t: e.clock + e.rng.Exp(1/e.cfg.ArrivalRate), kind: evArrival, flow: -1, seq: e.seq})
+	e.arrAt, e.arrSeq = timeKey(e.clock+e.rng.Exp(1/e.cfg.ArrivalRate)), e.seq
 }
 
 // nextSegment advances a flow to its next constant-rate segment, keeping
@@ -645,12 +707,14 @@ func (e *Engine) nextSegment(slot int) {
 		}
 	}
 	e.seq++
-	e.events.push(event{t: e.clock + seg.Duration, kind: evSegment, flow: int32(slot), epoch: ar.epochs[slot], seq: e.seq})
+	ar.pending[slot].segAt, ar.pending[slot].segSeq = e.segmentEnd(slot, seg.Duration), e.seq
+	e.schedule(slot)
 }
 
 // removeFlow departs a flow and recycles its slot. The rate column is
 // zeroed (the arena's inactive-slot invariant); the source object stays in
-// its column for admitFlow to recycle.
+// its column for admitFlow to recycle. The segment end the flow leaves
+// pending is orphaned: it still counts as an event if the run can reach it.
 func (e *Engine) removeFlow(slot int) {
 	ar := e.ar
 	rate := ar.rates[slot]
@@ -659,9 +723,11 @@ func (e *Engine) removeFlow(slot int) {
 	if e.flowAware != nil {
 		e.flowAware.FlowDeparted(slot)
 	}
-	ar.alive[slot] = false
 	ar.rates[slot] = 0
-	ar.epochs[slot]++ // invalidate queued segment events
+	if ev := ar.pending[slot]; ev.segAt <= e.horizonKey {
+		ar.orphans.push(event{t: math.Float64frombits(ev.segAt), seq: ev.segSeq})
+	}
+	ar.queue.clear(slot)
 	e.nActive--
 	e.departed++
 	ar.free = append(ar.free, slot)

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/gauss"
+	"repro/internal/rng"
 	"repro/internal/theory"
 	"repro/internal/traffic"
 )
@@ -315,6 +317,80 @@ func TestMaxEventsSafetyValve(t *testing.T) {
 	}
 }
 
+// brokenModel is an RCBR whose every flow returns the duration bad for its
+// nth segment.
+type brokenModel struct {
+	traffic.RCBR
+	nth int
+	bad float64
+}
+
+func (m brokenModel) New(r *rng.PCG) traffic.Source {
+	return &brokenSource{Source: m.RCBR.New(r), m: m}
+}
+
+type brokenSource struct {
+	traffic.Source
+	m brokenModel
+	k int
+}
+
+func (s *brokenSource) Next() traffic.Segment {
+	seg := s.Source.Next()
+	if s.k++; s.k == s.m.nth {
+		seg.Duration = s.m.bad
+	}
+	return seg
+}
+
+func TestInvalidSegmentDurationEndsRun(t *testing.T) {
+	// A negative or NaN duration has no place in the event order: the run
+	// must stop with an error naming the flow, whether the segment is a
+	// flow's first (admitFlow) or a later one (nextSegment), instead of
+	// queueing an event in the past.
+	for _, tc := range []struct {
+		name        string
+		nth         int
+		bad         float64
+		arrivalRate float64
+	}{
+		{"negative first segment", 1, -1, 0},
+		{"NaN first segment, Poisson arrivals", 1, math.NaN(), 5},
+		{"NaN third segment", 3, math.NaN(), 0},
+		{"-Inf second segment", 2, math.Inf(-1), 5},
+	} {
+		pk, _ := core.NewPerfectKnowledge(100, 1, 0.3, 1e-2)
+		e, err := New(Config{
+			Capacity: 100, Model: brokenModel{RCBR: traffic.NewRCBR(1, 0.3, 1), nth: tc.nth, bad: tc.bad},
+			Controller: pk, Estimator: estimator.NewMemoryless(), HoldingTime: 100,
+			ArrivalRate: tc.arrivalRate, Seed: 1, Warmup: 10, MaxTime: 100, Tc: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.Run()
+		if err == nil || !strings.Contains(err.Error(), "sim: flow ") || !strings.Contains(err.Error(), "segment duration") {
+			t.Errorf("%s: Run error = %v, want one naming the flow and its segment duration", tc.name, err)
+		}
+	}
+	// Zero and +Inf are valid: a zero-length segment fires at once, an
+	// endless one never.
+	for _, ok := range []float64{0, math.Inf(1)} {
+		pk, _ := core.NewPerfectKnowledge(100, 1, 0.3, 1e-2)
+		e, err := New(Config{
+			Capacity: 100, Model: brokenModel{RCBR: traffic.NewRCBR(1, 0.3, 1), nth: 2, bad: ok},
+			Controller: pk, Estimator: estimator.NewMemoryless(), HoldingTime: 10,
+			Seed: 1, Warmup: 10, MaxTime: 100, Tc: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := e.Run(); err != nil || res.Departed == 0 {
+			t.Errorf("duration %g: %d departures, error %v", ok, res.Departed, err)
+		}
+	}
+}
+
 func TestOnOffWorkload(t *testing.T) {
 	// The engine must work with a different source family; with perfect
 	// knowledge the overflow should again track the Gaussian prediction
@@ -343,6 +419,7 @@ func TestOnOffWorkload(t *testing.T) {
 }
 
 func BenchmarkEngineRCBR(b *testing.B) {
+	var events int64
 	for i := 0; i < b.N; i++ {
 		pk, _ := core.NewPerfectKnowledge(100, 1, 0.3, 1e-2)
 		e, err := New(Config{
@@ -357,23 +434,26 @@ func BenchmarkEngineRCBR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.Events)/float64(b.Elapsed().Seconds()+1e-12), "events/s")
+		events += res.Events
 	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkEngineChurn stresses the arrival/departure path rather than the
 // segment sampler: Poisson arrivals with a short holding time make flow
-// turnover — slot recycling, epoch invalidation, and the event heap's
-// push/pop traffic (internal/sim/heap.go) — the dominant cost instead of
-// rate redraws. Its allocs/op (held by TestEngineChurnAllocBudget) is what
-// catches a per-admission allocation sneaking back into admitFlow or the
-// heap growing per run.
+// turnover — slot recycling, a leaf of the flow queue set and cleared per
+// flow (flowqueue.go), and the orphan heap's push and pop per departure
+// (heap.go: with T_c >> T_h nearly every flow leaves its first segment end
+// behind) — the dominant cost instead of rate redraws. Its allocs/op (held
+// by TestEngineChurnAllocBudget) is what catches a per-admission allocation
+// sneaking back into admitFlow or a queue's storage leaving the arena.
 func BenchmarkEngineChurn(b *testing.B) {
 	b.ReportAllocs()
+	var events int64
 	for i := 0; i < b.N; i++ {
-		res := engineChurn(b, uint64(i))
-		b.ReportMetric(float64(res.Events)/float64(b.Elapsed().Seconds()+1e-12), "events/s")
+		events += engineChurn(b, uint64(i)).Events
 	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
 func engineChurn(tb testing.TB, seed uint64) Result {

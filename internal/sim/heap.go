@@ -1,23 +1,17 @@
 package sim
 
-// event is one scheduled state change. Events referencing a flow carry the
-// flow's slot index and the slot's epoch at scheduling time; if the slot
-// has been recycled (epoch mismatch) the event is stale and dropped. This
-// avoids deleting heap entries when flows depart with renegotiations still
-// queued.
+// event is a stale event: the segment end a flow had pending when it
+// departed. Live flows' events are not queued here — they are a column of
+// the arena, ordered by the flowQueue (flowqueue.go) — so an event needs no
+// flow, kind or epoch: when it fires it changes nothing and is only counted,
+// exactly as the engine has always counted a departed flow's leftover
+// renegotiation (Result.Events, the MaxEvents cut-off). The engine queues
+// an orphan iff its time is <= warm-up + MaxTime; a later one could never
+// fire.
 type event struct {
-	t     float64 // absolute firing time
-	kind  uint8   // evSegment or evDepart
-	flow  int32   // flow slot index
-	epoch uint32  // slot epoch at scheduling time
-	seq   uint64  // tie-breaker for deterministic ordering
+	t   float64 // absolute firing time
+	seq uint64  // the engine's scheduling counter: breaks time ties
 }
-
-const (
-	evSegment = uint8(iota) // the flow's current constant-rate segment ends
-	evDepart                // the flow leaves the system
-	evArrival               // a new flow requests admission (finite arrival rate)
-)
 
 // before reports whether a fires before b, breaking time ties by sequence
 // number so that runs are fully deterministic.
@@ -28,9 +22,10 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is a plain binary min-heap of events. It avoids container/heap
-// to keep the hot path free of interface calls — the simulator pushes and
-// pops one event per traffic segment, which dominates the run time.
+// eventHeap is a plain binary min-heap of events, the engine's orphan queue:
+// one push and one pop per departure that leaves a segment end inside the
+// horizon, nothing per renegotiation. It avoids container/heap to keep
+// interface calls off that path; its storage is pooled with the arena.
 type eventHeap struct {
 	h []event
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -56,17 +57,22 @@ func TestHeapPeek(t *testing.T) {
 	}
 }
 
+// BenchmarkHeapPushPop is BenchmarkFlowQueue's step — take the earliest
+// event, schedule a later one — on the binary heap.
 func BenchmarkHeapPushPop(b *testing.B) {
-	var q eventHeap
-	r := rng.New(1, 1)
-	// Steady-state heap of ~1000 events.
-	for i := 0; i < 1000; i++ {
-		q.push(event{t: r.Float64() * 1000, seq: uint64(i)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := q.pop()
-		e.t += r.Exp(1)
-		q.push(e)
+	for _, n := range []int{200, 4096} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			var q eventHeap
+			r := rng.New(1, 1)
+			for i := 0; i < n; i++ {
+				q.push(event{t: r.Float64() * float64(n), seq: uint64(i)})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := q.pop()
+				e.t += r.Exp(float64(n))
+				q.push(e)
+			}
+		})
 	}
 }
