@@ -15,11 +15,11 @@
 // Section 5.3 shows T_m ≈ T̃_h is the robust memory choice: with it the
 // system sits in the masking regime whenever T_c ≪ T̃_h (p_f ≈
 // (σα_q/μ + 1)·p_q, eq. 41) and in the benign repair regime whenever
-// T_c ≫ T̃_h. The controller therefore steers T_m toward T̃_h — but only
-// through a hysteresis dead band (no retune while T_m is within
-// Hysteresis·target of the target) and a per-tick rate-of-change clamp
-// (MaxStep), so the published admission bound never jumps
-// discontinuously. The regime classifier and its predicted p_f for each
+// T_c ≫ T̃_h. The controller therefore steers T_m toward T̃_h, clamped to
+// [Th/1000, Th] — but only through a hysteresis dead band (no retune while
+// T_m is within hysteresis·target of the target) and a per-tick
+// rate-of-change clamp (maxStep), so the published admission bound never
+// jumps discontinuously. The regime classifier and its predicted p_f for each
 // regime feed the QoS audit and the /adaptive observability route.
 package adaptive
 
@@ -50,19 +50,18 @@ type Config struct {
 	// Block is the number of aggregate samples reduced into one T̂_c
 	// estimate (default 4·MaxLag; must exceed MaxLag).
 	Block int
-	// Smoothing is the EWMA weight given to each new block's T̂_c
-	// (default 0.5).
-	Smoothing float64
-	// Hysteresis is the relative dead band around the target: no retune
-	// while |T_m − target| ≤ Hysteresis·target (default 0.1).
-	Hysteresis float64
-	// MaxStep is the largest relative change of T_m per tick: one retune
-	// moves T_m by at most a factor (1 + MaxStep) (default 0.05).
-	MaxStep float64
-	// MinMemory and MaxMemory clamp the retuned T_m (defaults Th/1000
-	// and Th).
-	MinMemory, MaxMemory float64
 }
+
+const (
+	// smoothing is the EWMA weight given to each new block's T̂_c.
+	smoothing = 0.5
+	// hysteresis is the relative dead band around the target: no retune
+	// while |T_m − target| ≤ hysteresis·target.
+	hysteresis = 0.1
+	// maxStep is the largest relative change of T_m per tick: one retune
+	// moves T_m by at most a factor (1 + maxStep).
+	maxStep = 0.05
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxLag <= 0 {
@@ -70,21 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Block <= 0 {
 		c.Block = 4 * c.MaxLag
-	}
-	if c.Smoothing <= 0 {
-		c.Smoothing = 0.5
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 0.1
-	}
-	if c.MaxStep <= 0 {
-		c.MaxStep = 0.05
-	}
-	if c.MinMemory <= 0 {
-		c.MinMemory = c.Th / 1000
-	}
-	if c.MaxMemory <= 0 {
-		c.MaxMemory = c.Th
 	}
 	return c
 }
@@ -99,10 +83,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("adaptive: pq %g must be in (0, 1)", c.PQ)
 	case c.Block <= c.MaxLag:
 		return fmt.Errorf("adaptive: block %d must exceed maxLag %d", c.Block, c.MaxLag)
-	case c.Smoothing > 1:
-		return fmt.Errorf("adaptive: smoothing %g must be in (0, 1]", c.Smoothing)
-	case c.MinMemory > c.MaxMemory:
-		return fmt.Errorf("adaptive: minMemory %g exceeds maxMemory %g", c.MinMemory, c.MaxMemory)
 	}
 	return nil
 }
@@ -188,32 +168,34 @@ func (c *Controller) ObserveTick(now, aggregate float64, flows int, mu, sigma, t
 			if c.tcHat == 0 {
 				c.tcHat = tc
 			} else {
-				c.tcHat = (1-c.cfg.Smoothing)*c.tcHat + c.cfg.Smoothing*tc
+				c.tcHat = (1-smoothing)*c.tcHat + smoothing*tc
 			}
 		}
 		c.ring.Reset()
 		c.dtSum, c.dtN = 0, 0
 	}
 
-	// Retune toward the clamped critical time-scale T̃_h = Th/√(c/μ̂).
+	// Retune toward the critical time-scale T̃_h = Th/√(c/μ̂), clamped to
+	// [Th/1000, Th].
 	if !(c.lastMu > 0) {
 		return tm, false // no measured mean yet: nothing to target
 	}
+	minMem, maxMem := c.cfg.Th/1000, c.cfg.Th
 	target := c.cfg.Th / math.Sqrt(c.cfg.Capacity/c.lastMu)
-	target = clamp(target, c.cfg.MinMemory, c.cfg.MaxMemory)
+	target = clamp(target, minMem, maxMem)
 	c.target = target
 
-	if math.Abs(tm-target) <= c.cfg.Hysteresis*target {
+	if math.Abs(tm-target) <= hysteresis*target {
 		return tm, false // inside the dead band
 	}
 	// Rate-of-change clamp: approach the target geometrically, at most a
-	// factor (1 + MaxStep) per tick. A memoryless start (tm = 0) has no
+	// factor (1 + maxStep) per tick. A memoryless start (tm = 0) has no
 	// scale to grow from, so it enters at the memory floor.
-	lo, hi := tm/(1+c.cfg.MaxStep), tm*(1+c.cfg.MaxStep)
-	if tm < c.cfg.MinMemory {
-		hi = c.cfg.MinMemory
+	lo, hi := tm/(1+maxStep), tm*(1+maxStep)
+	if tm < minMem {
+		hi = minMem
 	}
-	next := clamp(clamp(target, lo, hi), c.cfg.MinMemory, c.cfg.MaxMemory)
+	next := clamp(clamp(target, lo, hi), minMem, maxMem)
 	if next == tm || !(next > 0) {
 		return tm, false
 	}

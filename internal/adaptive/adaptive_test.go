@@ -28,8 +28,6 @@ func TestConfigValidation(t *testing.T) {
 		{Capacity: -1, Th: 100, PQ: 0.01},
 		{Capacity: 100, Th: math.Inf(1), PQ: 0.01},
 		{Capacity: 100, Th: 100, PQ: 0.01, MaxLag: 64, Block: 32},
-		{Capacity: 100, Th: 100, PQ: 0.01, Smoothing: 2},
-		{Capacity: 100, Th: 100, PQ: 0.01, MinMemory: 10, MaxMemory: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -38,9 +36,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	c := newTestController(t, Config{Capacity: 100, Th: 100, PQ: 0.01})
 	got := c.Config()
-	if got.MaxLag != 64 || got.Block != 256 || got.Smoothing != 0.5 ||
-		got.Hysteresis != 0.1 || got.MaxStep != 0.05 ||
-		got.MinMemory != 0.1 || got.MaxMemory != 100 {
+	if got.MaxLag != 64 || got.Block != 256 {
 		t.Errorf("defaults: %+v", got)
 	}
 }
@@ -66,7 +62,7 @@ func TestRetuneConvergesToTarget(t *testing.T) {
 		next, retune := c.ObserveTick(float64(i)*tick, agg, 90, mu, 0.3, tm)
 		if retune {
 			if ratio := next / tm; ratio > 1.05+1e-12 || ratio < 1/1.05-1e-12 {
-				t.Fatalf("tick %d: retune %g -> %g violates the MaxStep clamp", i, tm, next)
+				t.Fatalf("tick %d: retune %g -> %g violates the maxStep clamp", i, tm, next)
 			}
 			lastRetuneTm = next
 		} else if next != tm {
@@ -99,17 +95,18 @@ func TestRetuneConvergesToTarget(t *testing.T) {
 }
 
 // TestMemorylessEntersAtFloor: a tm = 0 start has no scale for the
-// geometric clamp to grow from, so the first retune enters at MinMemory.
+// geometric clamp to grow from, so the first retune enters at the memory
+// floor Th/1000.
 func TestMemorylessEntersAtFloor(t *testing.T) {
 	c := newTestController(t, Config{Capacity: 100, Th: 100, PQ: 1e-2})
 	next, retune := c.ObserveTick(0, 90, 90, 1.0, 0.3, 0)
-	if !retune || next != c.Config().MinMemory {
-		t.Fatalf("first retune from tm=0: got (%g, %v), want (%g, true)", next, retune, c.Config().MinMemory)
+	if !retune || next != 0.1 {
+		t.Fatalf("first retune from tm=0: got (%g, %v), want (0.1, true)", next, retune)
 	}
 }
 
 // TestTargetClamped: an absurd measured mean must not drive T_m outside
-// [MinMemory, MaxMemory].
+// [Th/1000, Th].
 func TestTargetClamped(t *testing.T) {
 	c := newTestController(t, Config{Capacity: 100, Th: 100, PQ: 1e-2})
 	tm := 50.0
@@ -117,16 +114,16 @@ func TestTargetClamped(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		tm, _ = c.ObserveTick(float64(i), 90, 1, 1e6, 0.3, tm)
 	}
-	if tm > c.Config().MaxMemory {
-		t.Fatalf("T_m %g exceeded MaxMemory %g", tm, c.Config().MaxMemory)
+	if tm > 100 {
+		t.Fatalf("T_m %g exceeded Th = 100", tm)
 	}
 	c2 := newTestController(t, Config{Capacity: 100, Th: 100, PQ: 1e-2})
 	tm = 50.0
 	for i := 0; i < 100000; i++ {
 		tm, _ = c2.ObserveTick(float64(i), 90, 1, 1e-12, 0.3, tm)
 	}
-	if tm < c2.Config().MinMemory {
-		t.Fatalf("T_m %g fell below MinMemory %g", tm, c2.Config().MinMemory)
+	if tm < 0.1 {
+		t.Fatalf("T_m %g fell below Th/1000 = 0.1", tm)
 	}
 }
 

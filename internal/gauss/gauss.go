@@ -1,9 +1,9 @@
 // Package gauss provides the Gaussian (normal) distribution functions that
 // underpin the heavy-traffic analysis in Grossglauser & Tse's framework for
 // robust measurement-based admission control: the standard normal density
-// phi, the tail function Q (complementary CDF), its inverse Q^-1, and the
-// tail approximation Q(x) ~ phi(x)/x that the paper uses to relate target
-// overflow probabilities to their certainty-equivalent adjustments.
+// phi, the tail function Q (complementary CDF) and its inverse Q^-1, which
+// relate target overflow probabilities to their certainty-equivalent
+// adjustments.
 //
 // All functions operate on the standard N(0,1) distribution; callers scale
 // and shift as needed. Accuracy of Qinv is better than 1e-14 in relative
@@ -42,33 +42,6 @@ func CDF(x float64) float64 {
 // retains full relative accuracy deep into the tail (Q(38) ~ 2.9e-316).
 func Q(x float64) float64 {
 	return 0.5 * math.Erfc(x/Sqrt2)
-}
-
-// QTail returns the classical tail approximation Q(x) ~ phi(x)/x used
-// throughout the paper (e.g. to derive eq. 15 and eq. 34/35). It is only
-// meaningful for x > 0 and becomes accurate as x grows.
-func QTail(x float64) float64 {
-	return Phi(x) / x
-}
-
-// LogQ returns log(Q(x)) without underflow for large positive x. For
-// x <= 36 it takes the logarithm of Q directly; beyond that it switches to
-// the asymptotic expansion
-//
-//	log Q(x) = -x^2/2 - log(x*sqrt(2*pi)) + log(1 - 1/x^2 + 3/x^4 - ...)
-//
-// which is accurate to better than 1e-12 in that regime.
-func LogQ(x float64) float64 {
-	if x <= 36 {
-		q := Q(x)
-		if q > 0 {
-			return math.Log(q)
-		}
-	}
-	// Asymptotic series for the Mills ratio correction.
-	inv2 := 1 / (x * x)
-	corr := 1 + inv2*(-1+inv2*(3+inv2*(-15+inv2*105)))
-	return -0.5*x*x - math.Log(x) - math.Log(1/InvSqrt2Pi) + math.Log(corr)
 }
 
 // Acklam's rational approximation coefficients for the inverse normal CDF.
@@ -139,9 +112,4 @@ func invCDF(p float64) float64 {
 // multiplier for target overflow probability p_q (used in eqs. 4, 5, 15).
 func Qinv(p float64) float64 {
 	return -invCDF(p)
-}
-
-// CDFinv returns Phi^-1(p), the standard normal quantile function.
-func CDFinv(p float64) float64 {
-	return invCDF(p)
 }

@@ -176,12 +176,7 @@ func Schedule(cfg Config) ([]Event, error) {
 			// pre-shift prefix of the schedule is bit-identical.
 			m, k = cfg.ShiftModel, 1
 		}
-		var src traffic.Source
-		if rn, ok := m.(traffic.Renewer); ok && srcs[k] != nil {
-			src = rn.Renew(srcs[k], fr)
-		} else {
-			src = m.New(fr)
-		}
+		src := traffic.NewSource(m, srcs[k], fr)
 		srcs[k] = src
 		seg := src.Next() // same two draws (rate, duration) as the historical single-draw form
 		rate := seg.Rate

@@ -71,11 +71,12 @@ type AuditConfig struct {
 	// window when the audit accumulates its own observations via Observe
 	// (default 1024). Evaluate-only callers can ignore it.
 	Window int
-	// MinSamples is the minimum window fill before the audit grades at
-	// all (default 50): with fewer samples, Wilson intervals on rare
-	// events are too wide to mean anything.
-	MinSamples int64
 }
+
+// minSamples is the minimum window fill before the audit grades at all:
+// with fewer samples, Wilson intervals on rare events are too wide to mean
+// anything.
+const minSamples = 50
 
 // Report is one audit result: the measurement, the two thresholds it was
 // graded against, and the verdict.
@@ -95,10 +96,6 @@ type Audit struct {
 	sqrt2  float64 // Q(Q⁻¹(p_q)/√2), precomputed
 	win    *stats.SlidingCounter
 	degWin *stats.SlidingCounter // degraded-tick indicators, same window
-
-	flaggedTarget   int64 // reports graded violates-target
-	flaggedSqrt2    int64 // reports graded violates-sqrt2-law
-	flaggedDegraded int64 // reports graded degraded
 }
 
 // NewAudit validates the configuration and returns an audit.
@@ -114,9 +111,6 @@ func NewAudit(cfg AuditConfig) (*Audit, error) {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 1024
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 50
 	}
 	return &Audit{
 		cfg:    cfg,
@@ -145,35 +139,19 @@ func (a *Audit) ObserveWith(overflowed, degraded bool) {
 	a.degWin.Add(degraded)
 }
 
-// Report grades the audit's own window (fed via Observe/ObserveWith) and
-// records the violation in the flag counters.
+// Report grades the audit's own window (fed via Observe/ObserveWith).
 func (a *Audit) Report() Report {
 	r := a.Evaluate(a.win.Estimate(a.cfg.Z))
 	r.DegradedTicks = a.degWin.Estimate(0).Hits
 	if r.DegradedTicks > 0 {
 		r.Verdict = VerdictDegraded
 	}
-	switch r.Verdict {
-	case VerdictViolatesTarget:
-		a.flaggedTarget++
-	case VerdictViolatesSqrt2Law:
-		a.flaggedSqrt2++
-	case VerdictDegraded:
-		a.flaggedDegraded++
-	}
 	return r
 }
 
-// Flagged returns how many Report calls were graded as violating the
-// target and the √2 law respectively.
-func (a *Audit) Flagged() (target, sqrt2 int64) { return a.flaggedTarget, a.flaggedSqrt2 }
-
-// FlaggedDegraded returns how many Report calls were graded degraded.
-func (a *Audit) FlaggedDegraded() int64 { return a.flaggedDegraded }
-
 // Evaluate grades an externally produced windowed estimate (e.g. a
 // gateway snapshot's Overflow field) without touching the audit's own
-// window or flag counters.
+// window.
 //
 // The rule uses the Wilson lower bound as the evidence threshold: a
 // violation is declared only when the entire confidence interval sits
@@ -183,7 +161,7 @@ func (a *Audit) FlaggedDegraded() int64 { return a.flaggedDegraded }
 func (a *Audit) Evaluate(e stats.WindowedEstimate) Report {
 	r := Report{Estimate: e, TargetPf: a.cfg.TargetPf, Sqrt2Law: a.sqrt2}
 	switch {
-	case e.N < a.cfg.MinSamples:
+	case e.N < minSamples:
 		r.Verdict = VerdictInsufficient
 	case e.Lo > a.sqrt2:
 		r.Verdict = VerdictViolatesSqrt2Law

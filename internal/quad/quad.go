@@ -51,50 +51,6 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fm, fb, whole, tol float
 		adaptiveSimpson(f, m, b, fm, frm, fb, right, tol/2, depth-1)
 }
 
-// gauss-Legendre 15-point nodes and weights on [-1, 1].
-var (
-	glNodes = [15]float64{
-		-0.9879925180204854, -0.9372733924007060, -0.8482065834104272,
-		-0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
-		-0.2011940939974345, 0.0, 0.2011940939974345,
-		0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
-		0.8482065834104272, 0.9372733924007060, 0.9879925180204854,
-	}
-	glWeights = [15]float64{
-		0.0307532419961173, 0.0703660474881081, 0.1071592204671719,
-		0.1395706779261543, 0.1662692058169939, 0.1861610000155622,
-		0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
-		0.1861610000155622, 0.1662692058169939, 0.1395706779261543,
-		0.1071592204671719, 0.0703660474881081, 0.0307532419961173,
-	}
-)
-
-// GaussLegendre15 integrates f over [a, b] with a single 15-point
-// Gauss-Legendre rule. It is exact for polynomials of degree 29 and serves
-// as the panel rule inside Composite.
-func GaussLegendre15(f func(float64) float64, a, b float64) float64 {
-	c, h := 0.5*(a+b), 0.5*(b-a)
-	var s float64
-	for i, x := range glNodes {
-		s += glWeights[i] * f(c+h*x)
-	}
-	return s * h
-}
-
-// Composite integrates f over [a, b] by splitting the interval into n equal
-// panels each handled by the 15-point Gauss-Legendre rule.
-func Composite(f func(float64) float64, a, b float64, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	h := (b - a) / float64(n)
-	var s float64
-	for i := 0; i < n; i++ {
-		s += GaussLegendre15(f, a+float64(i)*h, a+float64(i+1)*h)
-	}
-	return s
-}
-
 // ToInfinity integrates f over [a, +inf) for integrands that decay at least
 // exponentially (all hitting-time densities in the paper do: they carry a
 // factor phi((alpha+beta*t)/sigma)). It maps [a, inf) to (0, 1] via

@@ -35,23 +35,6 @@ func TestSimpsonGaussian(t *testing.T) {
 	}
 }
 
-func TestGaussLegendre15Exactness(t *testing.T) {
-	// Exact for degree up to 29. Try x^10 over [0,1]: 1/11.
-	got := GaussLegendre15(func(x float64) float64 { return math.Pow(x, 10) }, 0, 1)
-	if math.Abs(got-1.0/11) > 1e-14 {
-		t.Errorf("GL15 x^10 = %v, want %v", got, 1.0/11)
-	}
-}
-
-func TestCompositeMatchesSimpson(t *testing.T) {
-	f := func(x float64) float64 { return math.Exp(-x) * math.Cos(3*x) }
-	s := Simpson(f, 0, 5, 1e-12)
-	c := Composite(f, 0, 5, 16)
-	if math.Abs(s-c) > 1e-10 {
-		t.Errorf("Composite=%v Simpson=%v", c, s)
-	}
-}
-
 func TestToInfinityExponential(t *testing.T) {
 	// integral of exp(-x) over [0, inf) = 1.
 	got := ToInfinity(func(x float64) float64 { return math.Exp(-x) }, 0, 1e-10)

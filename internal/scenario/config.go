@@ -75,7 +75,8 @@ type Workload struct {
 	ArrivalCV float64 `json:"arrival_cv,omitempty"`
 
 	// SVR and TC parameterize the default RCBR flow-rate model (mean 1);
-	// Model overrides it. Impulsive workloads use SVR only.
+	// Model overrides it. Impulsive workloads take SVR only: their flows
+	// never renegotiate, so TC has nothing to set.
 	SVR   float64    `json:"svr,omitempty"`
 	TC    float64    `json:"tc,omitempty"`
 	Model *ModelSpec `json:"model,omitempty"`
@@ -164,9 +165,8 @@ type Gateway struct {
 	// (default: the churn workload's hold).
 	Th float64 `json:"th,omitempty"`
 
-	FlowTTL        float64 `json:"flow_ttl,omitempty"`
-	StaleAfter     int     `json:"stale_after,omitempty"`
-	OverflowWindow int     `json:"overflow_window,omitempty"`
+	FlowTTL    float64 `json:"flow_ttl,omitempty"`
+	StaleAfter int     `json:"stale_after,omitempty"`
 }
 
 // ClusterSpec replaces the single cell gateway with a fleet: Instances
@@ -267,6 +267,8 @@ type Interval struct {
 	// the steady state after a warmup (or after a mid-run model shift),
 	// not the transient. Requires a churn workload.
 	GradeAfter float64 `json:"grade_after,omitempty"`
+
+	ref reference // Reference, resolved by Validate
 }
 
 // Invariant asserts each named predicate over every cell.
@@ -524,8 +526,9 @@ func (w *Workload) validate() error {
 		if err := positive("workload.svr", w.SVR); err != nil {
 			return err
 		}
-		if w.Lambda != 0 || w.Hold != 0 || w.Duration != 0 || w.Model != nil || w.Crowd != nil || w.Clients != nil || w.Shift != nil || w.Renegotiate {
-			return fmt.Errorf("scenario: workload: churn fields (lambda/hold/duration/model/crowd/clients/shift/renegotiate) are not valid for an impulsive workload")
+		if w.Lambda != 0 || w.Hold != 0 || w.Duration != 0 || w.Tick != 0 || w.ArrivalCV != 0 || w.TC != 0 ||
+			w.Model != nil || w.Crowd != nil || w.Clients != nil || w.Shift != nil || w.Renegotiate {
+			return fmt.Errorf("scenario: workload: churn fields (lambda/hold/duration/tick/arrival_cv/tc/model/crowd/clients/shift/renegotiate) are not valid for an impulsive workload")
 		}
 	case WorkloadChurn:
 		if err := positive("workload.lambda", w.Lambda); err != nil {
@@ -707,9 +710,6 @@ func (g *Gateway) validate() error {
 	}
 	if g.StaleAfter < 0 {
 		return fmt.Errorf("scenario: gateway.stale_after: %d must be non-negative", g.StaleAfter)
-	}
-	if g.OverflowWindow < 0 {
-		return fmt.Errorf("scenario: gateway.overflow_window: %d must be non-negative", g.OverflowWindow)
 	}
 	return nil
 }
@@ -896,6 +896,7 @@ func (h *Hypothesis) validate(c *Config) error {
 		if err != nil {
 			return err
 		}
+		iv.ref = ref
 		if ref == refValue {
 			if err := positive("check.interval.value", iv.Value); err != nil {
 				return err

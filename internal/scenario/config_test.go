@@ -47,6 +47,27 @@ func TestParseRejections(t *testing.T) {
 			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
 			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
 		}`, "churn fields"},
+		{"impulsive-with-tc", `{
+			"name": "t", "seeds": [1],
+			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3, "tc": 2},
+			"gateway": {"capacity": 10, "pq": 0.01},
+			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
+			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
+		}`, "churn fields"},
+		{"impulsive-with-tick", `{
+			"name": "t", "seeds": [1],
+			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3, "tick": 0.5},
+			"gateway": {"capacity": 10, "pq": 0.01},
+			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
+			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
+		}`, "churn fields"},
+		{"impulsive-with-arrival-cv", `{
+			"name": "t", "seeds": [1],
+			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3, "arrival_cv": 1.5},
+			"gateway": {"capacity": 10, "pq": 0.01},
+			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
+			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
+		}`, "churn fields"},
 		{"network-needs-churn", `{
 			"name": "t", "seeds": [1], "target": "network",
 			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3},

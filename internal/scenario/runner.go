@@ -139,11 +139,7 @@ func gradeDominance(r *Result) {
 // referenceLevel is the level an interval hypothesis grades against.
 func referenceLevel(r *Result) float64 {
 	iv := r.Config.Check.Interval
-	ref, err := referenceNames.Parse("scenario: unknown reference", iv.Reference)
-	if err != nil {
-		return 0 // Validate rejects the name; only a hand-built config gets here
-	}
-	switch ref {
+	switch iv.ref {
 	case refSqrt2Law:
 		return r.Sqrt2Law
 	case refPQ:

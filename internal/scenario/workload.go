@@ -169,7 +169,8 @@ func gradeAfter(cfg *Config) float64 {
 // runs, bare or fleet member: the arm's policy against the declared
 // (model) statistics ts, the arm's effective estimator (tick sizes the
 // aggregate estimator's default variance memory), a deterministic latency
-// clock, a small shard count (cells are single-threaded). An adaptive spec
+// clock, an overflow window as long as the run (overflowWindow ticks), a
+// small shard count (cells are single-threaded). An adaptive spec
 // also gets its own time-scale controller — each gateway measures its own
 // traffic — returned so the caller can snapshot it after the replay.
 func cellGatewayConfig(cfg *Config, arm armSpec, ts traffic.Stats, tick float64, overflowWindow int) (gcfg gw.Config, tuner *adaptive.Controller, err error) {
@@ -373,10 +374,6 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 		drain += int(ttl/w.Tick) + 1
 	}
 	totalTicks := int(w.Duration/w.Tick) + drain + 2
-	overflowWindow := cfg.Gateway.OverflowWindow
-	if overflowWindow == 0 {
-		overflowWindow = totalTicks
-	}
 
 	fleet := 1
 	if cfg.Cluster != nil {
@@ -386,7 +383,7 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 	tuners := make([]*adaptive.Controller, fleet)
 	audits := make([]*qos.Audit, fleet)
 	for i := range gcfgs {
-		if gcfgs[i], tuners[i], err = cellGatewayConfig(cfg, arm, ts, w.Tick, overflowWindow); err != nil {
+		if gcfgs[i], tuners[i], err = cellGatewayConfig(cfg, arm, ts, w.Tick, totalTicks); err != nil {
 			return CellResult{}, err
 		}
 		if audits[i], err = qos.NewAudit(qos.AuditConfig{TargetPf: cfg.Gateway.PQ, Z: auditZ(cfg), Window: totalTicks}); err != nil {

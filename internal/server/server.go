@@ -24,7 +24,7 @@
 //     clock pair and one bound load amortized across the burst. The batch
 //     flushes right before the first read that could block, when a
 //     non-Admit frame arrives (preserving per-flow request order), or at
-//     Config.MaxBatch.
+//     maxBatch frames.
 //
 //   - Reply coalescing. Responses are encoded into a per-connection
 //     arena (conn.out) and written to the socket only when the goroutine
@@ -91,6 +91,10 @@ type Backend interface {
 
 var _ Backend = (*gateway.Gateway)(nil)
 
+// maxBatch caps how many pipelined Admit (or Depart) frames coalesce into
+// one AdmitBatch (DepartBatch) call; it is below wire.MaxBatch.
+const maxBatch = 512
+
 // Config parameterizes a Server.
 type Config struct {
 	// Gateway is the admission gateway the server fronts (required unless
@@ -107,10 +111,6 @@ type Config struct {
 	// the cap, accepted connections get a Refusal (overloaded) frame and
 	// are closed.
 	MaxConns int
-
-	// MaxBatch caps how many pipelined Admit frames coalesce into one
-	// AdmitBatch call (default 512, clamped to wire.MaxBatch).
-	MaxBatch int
 
 	// ReadTimeout bounds the wait for the next frame on an idle
 	// connection (default 60s). Clients keep connections alive with
@@ -194,17 +194,11 @@ func New(cfg Config) (*Server, error) {
 		}
 		cfg.Backend = cfg.Gateway
 	}
-	if cfg.MaxConns < 0 || cfg.MaxBatch < 0 || cfg.FrameRate < 0 {
+	if cfg.MaxConns < 0 || cfg.FrameRate < 0 {
 		return nil, fmt.Errorf("server: negative limits are invalid")
 	}
 	if cfg.MaxConns == 0 {
 		cfg.MaxConns = 1024
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 512
-	}
-	if cfg.MaxBatch > wire.MaxBatch {
-		cfg.MaxBatch = wire.MaxBatch
 	}
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 60 * time.Second
@@ -633,7 +627,6 @@ func (c *conn) serve() {
 func (c *conn) readLoop() cause {
 	var f wire.Frame
 	fast := !c.srv.cfg.disableFastPath
-	maxBatch := c.srv.cfg.MaxBatch
 	// Frame counting is batched: accumulated locally and published once
 	// per dry buffer (and at return), not once per frame.
 	var nframes int64
@@ -742,7 +735,7 @@ func (c *conn) handle(f *wire.Frame) cause {
 		c.pend.ReqIDs = append(c.pend.ReqIDs, f.ReqID)
 		c.pend.Flows = append(c.pend.Flows, f.Flow)
 		c.pend.Rates = append(c.pend.Rates, f.Rate)
-		if c.pend.Len() >= c.srv.cfg.MaxBatch {
+		if c.pend.Len() >= maxBatch {
 			return c.flushAdmits()
 		}
 		return keepServing
@@ -754,7 +747,7 @@ func (c *conn) handle(f *wire.Frame) cause {
 		}
 		c.dep.ReqIDs = append(c.dep.ReqIDs, f.ReqID)
 		c.dep.Flows = append(c.dep.Flows, f.Flow)
-		if c.dep.Len() >= c.srv.cfg.MaxBatch {
+		if c.dep.Len() >= maxBatch {
 			return c.flushDeparts()
 		}
 		return keepServing

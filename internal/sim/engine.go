@@ -83,13 +83,8 @@ type Config struct {
 	// MaxTime/64).
 	CheckEvery float64
 
-	// BatchLen overrides the batch length for the time-weighted CI
-	// (default 2·max(T~h, T_m, T_c)).
-	BatchLen float64
-	// SamplePeriod overrides the paper's point-sample spacing (default
-	// 2·max(T~h, T_m, T_c)).
-	SamplePeriod float64
-	// Tm and Tc inform the default spacing above (the engine cannot see
+	// Tm and Tc inform the paper's 2·max(T~h, T_m, T_c) spacing of point
+	// samples and of the time-weighted CI's batches (the engine cannot see
 	// inside the estimator or the model); set them to the values used to
 	// build the estimator/model, or leave 0.
 	Tm, Tc float64
@@ -251,7 +246,6 @@ type Engine struct {
 	err           error  // first invalid segment a model returned; ends the run
 
 	ar      *engineArena
-	renew   traffic.Renewer // cfg.Model's optional source recycling (may be nil)
 	nActive int
 	sumRate float64
 	sumSq   float64
@@ -260,6 +254,8 @@ type Engine struct {
 	// (4·capacity/meanRate + 64), guarding against a degenerate estimator
 	// reporting a near-zero mean.
 	maxAdmit int
+
+	spacing float64 // point-sample and CI batch spacing, 2·max(T~h, T_m, T_c)
 
 	lnk *link.Link
 	buf *link.FluidBuffer // nil unless BufferSize is set
@@ -306,7 +302,7 @@ func New(cfg Config) (*Engine, error) {
 	if st.Mean > 0 {
 		maxAdmit += int(4 * cfg.Capacity / st.Mean)
 	}
-	// Default sampling/batching: the paper's 2·max(T~h, T_m, T_c) spacing.
+	// Sampling/batching: the paper's 2·max(T~h, T_m, T_c) spacing.
 	n := cfg.Capacity / math.Max(st.Mean, 1e-12)
 	thTilde := 0.0
 	if cfg.HoldingTime > 0 {
@@ -316,23 +312,18 @@ func New(cfg Config) (*Engine, error) {
 	if spacing <= 0 {
 		spacing = 1
 	}
-	if cfg.BatchLen <= 0 {
-		cfg.BatchLen = spacing
-	}
-	if cfg.SamplePeriod <= 0 {
-		cfg.SamplePeriod = spacing
-	}
 
 	e := &Engine{
 		cfg:        cfg,
 		maxAdmit:   maxAdmit,
+		spacing:    spacing,
 		arrAt:      noEvent,
 		horizonKey: timeKey(cfg.Warmup + cfg.MaxTime),
 		rng:        rng.New(cfg.Seed, 0x6d62_6163), // stream tag "mbac"
 		lnk: link.New(link.Config{
 			Capacity:     cfg.Capacity,
-			BatchLen:     cfg.BatchLen,
-			SamplePeriod: cfg.SamplePeriod,
+			BatchLen:     spacing,
+			SamplePeriod: spacing,
 			Utility:      cfg.Utility,
 		}),
 	}
@@ -342,7 +333,6 @@ func New(cfg Config) (*Engine, error) {
 	if fa, ok := cfg.Estimator.(estimator.FlowAware); ok {
 		e.flowAware = fa
 	}
-	e.renew, _ = cfg.Model.(traffic.Renewer)
 	e.ar = engineArenaPool.Get().(*engineArena)
 	e.ar.reset()
 	return e, nil
@@ -614,12 +604,7 @@ func (e *Engine) admitFlow() {
 	}
 	st := &ar.streams[slot]
 	e.rng.SplitInto(uint64(e.admitted), st)
-	var src traffic.Source
-	if old := ar.srcs[slot]; old != nil && e.renew != nil {
-		src = e.renew.Renew(old, st)
-	} else {
-		src = e.cfg.Model.New(st)
-	}
+	src := traffic.NewSource(e.cfg.Model, ar.srcs[slot], st)
 	seg := src.Next()
 
 	ar.srcs[slot] = src
@@ -754,6 +739,6 @@ func (e *Engine) checkStop() bool {
 	_, ok := rep.BestOverflowEstimate(e.cfg.TargetP, relCI)
 	// Require a minimum of measurement time so an early zero-overflow
 	// window does not trigger the extrapolation branch prematurely.
-	minTime := math.Min(e.cfg.MaxTime/4, 100*e.cfg.SamplePeriod)
+	minTime := math.Min(e.cfg.MaxTime/4, 100*e.spacing)
 	return ok && (e.clock-e.measureStart) >= minTime
 }

@@ -72,8 +72,7 @@ type impulseScratch struct {
 	waiting []impPending
 	flows   []ensFlow
 	streams []rng.PCG        // per-flow substream storage for SplitInto
-	sources []traffic.Source // per-flow sources, recycled via traffic.Renewer
-	renew   traffic.Renewer  // cfg.Model's optional recycling capability (may be nil)
+	sources []traffic.Source // per-flow sources, recycled via traffic.NewSource
 
 	// Columnar-path arena: flow state as parallel columns plus the
 	// departure times. Owned by one worker at a time (same discipline as
@@ -98,19 +97,12 @@ func (sc *impulseScratch) newSource(model traffic.Model, r *rng.PCG, tag uint64)
 	st := &sc.streams[len(sc.streams)-1]
 	r.SplitInto(tag, st)
 	i := len(sc.streams) - 1
-	var src traffic.Source
-	if i < len(sc.sources) && sc.renew != nil {
-		src = sc.renew.Renew(sc.sources[i], st)
-		sc.sources[i] = src
+	if i < len(sc.sources) {
+		sc.sources[i] = traffic.NewSource(model, sc.sources[i], st)
 	} else {
-		src = model.New(st)
-		if i < len(sc.sources) {
-			sc.sources[i] = src
-		} else {
-			sc.sources = append(sc.sources, src)
-		}
+		sc.sources = append(sc.sources, model.New(st))
 	}
-	return src
+	return sc.sources[i]
 }
 
 // RunImpulsive executes the ensemble and returns the aggregated overflow
@@ -186,7 +178,6 @@ type impRun struct {
 	cfg        ImpulsiveConfig
 	cm         traffic.ColumnModel
 	useColumns bool
-	renew      traffic.Renewer
 	stripes    int
 
 	accs      []stripeAcc
@@ -221,7 +212,6 @@ func (ir *impRun) begin(cfg ImpulsiveConfig, stripes int) {
 	ir.cfg = cfg
 	ir.cm, ir.useColumns = traffic.ColumnModelOf(cfg.Model)
 	ir.useColumns = ir.useColumns && !cfg.scalar
-	ir.renew, _ = cfg.Model.(traffic.Renewer)
 	ir.stripes = stripes
 
 	g := len(cfg.Grid)
@@ -260,7 +250,6 @@ func (ir *impRun) replicate(stripe, rep int, r *rng.PCG) error {
 		if sc == nil {
 			sc = impScratchPool.Get().(*impulseScratch)
 		}
-		sc.renew = ir.renew
 		ir.held[stripe] = sc
 	}
 	acc := &ir.accs[stripe]
@@ -291,13 +280,11 @@ func (ir *impRun) end() {
 		}
 	}
 	for _, sc := range ir.scFree {
-		sc.renew = nil
 		impScratchPool.Put(sc)
 	}
 	ir.scFree = ir.scFree[:0]
 	ir.cfg = ImpulsiveConfig{}
 	ir.cm = nil
-	ir.renew = nil
 }
 
 // runOneImpulse performs a single replication, recording overflow

@@ -41,66 +41,6 @@ func HurstAggVar(x []float64) float64 {
 	return 1 + slope/2
 }
 
-// HurstRS estimates the Hurst parameter via rescaled-range (R/S) analysis:
-// E[R(m)/S(m)] ~ c·m^H. It is less efficient than aggregated variance but
-// provides an independent check.
-func HurstRS(x []float64) float64 {
-	n := len(x)
-	if n < 64 {
-		return math.NaN()
-	}
-	var logM, logRS []float64
-	for m := 8; m <= n/4; m *= 2 {
-		blocks := n / m
-		if blocks < 2 {
-			break
-		}
-		var acc Moments
-		for b := 0; b < blocks; b++ {
-			rs := rescaledRange(x[b*m : (b+1)*m])
-			if !math.IsNaN(rs) && rs > 0 {
-				acc.Add(rs)
-			}
-		}
-		if acc.N() == 0 {
-			continue
-		}
-		logM = append(logM, math.Log(float64(m)))
-		logRS = append(logRS, math.Log(acc.Mean()))
-	}
-	if len(logM) < 3 {
-		return math.NaN()
-	}
-	return linFitSlope(logM, logRS)
-}
-
-// rescaledRange computes R/S for one block.
-func rescaledRange(x []float64) float64 {
-	n := len(x)
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(n)
-	var cum, minC, maxC, ss float64
-	for _, v := range x {
-		d := v - mean
-		cum += d
-		if cum < minC {
-			minC = cum
-		}
-		if cum > maxC {
-			maxC = cum
-		}
-		ss += d * d
-	}
-	s := math.Sqrt(ss / float64(n))
-	if s == 0 {
-		return math.NaN()
-	}
-	return (maxC - minC) / s
-}
-
 // linFitSlope returns the least-squares slope of y against x.
 func linFitSlope(x, y []float64) float64 {
 	n := float64(len(x))
@@ -116,16 +56,4 @@ func linFitSlope(x, y []float64) float64 {
 		return math.NaN()
 	}
 	return (n*sxy - sx*sy) / den
-}
-
-// LinFit returns the least-squares intercept and slope of y against x.
-func LinFit(x, y []float64) (intercept, slope float64) {
-	slope = linFitSlope(x, y)
-	n := float64(len(x))
-	var sx, sy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-	}
-	return sy/n - slope*sx/n, slope
 }

@@ -1,15 +1,12 @@
 // Package stats provides the statistical accumulators used by the
 // simulation harness: running moments (Welford), time-weighted fraction
 // estimators for overflow probability, batch-means confidence intervals
-// implementing the paper's Section 5.2 stopping rules, histograms, and
-// Hurst-parameter estimators for validating the long-range-dependent
-// trace substitute.
+// implementing the paper's Section 5.2 stopping rules, Wilson intervals,
+// streaming autocorrelation, and the aggregated-variance Hurst estimator
+// that validates the long-range-dependent trace substitute.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Moments accumulates count, mean and variance in a single pass using
 // Welford's numerically stable recurrence.
@@ -171,16 +168,6 @@ func (b *BatchMeans) HalfWidth() float64 {
 	return 1.96 * b.batches.StdDev() / math.Sqrt(float64(n))
 }
 
-// RelHalfWidth returns HalfWidth()/Mean(), the paper's ±20% stopping
-// criterion quantity (+Inf if the mean is zero).
-func (b *BatchMeans) RelHalfWidth() float64 {
-	m := b.Mean()
-	if m == 0 {
-		return math.Inf(1)
-	}
-	return b.HalfWidth() / m
-}
-
 // Counter counts Bernoulli outcomes with a normal-approximation confidence
 // interval, for point-sampled overflow estimation.
 type Counter struct {
@@ -220,15 +207,6 @@ func (c *Counter) HalfWidth() float64 {
 func (c *Counter) Merge(other *Counter) {
 	c.n += other.n
 	c.hits += other.hits
-}
-
-// RelHalfWidth returns HalfWidth()/P() (+Inf when no successes yet).
-func (c *Counter) RelHalfWidth() float64 {
-	p := c.P()
-	if p == 0 {
-		return math.Inf(1)
-	}
-	return c.HalfWidth() / p
 }
 
 // Wilson returns the Wilson score interval for a binomial proportion:
@@ -272,7 +250,7 @@ type WindowedEstimate struct {
 }
 
 // SlidingCounter counts Bernoulli outcomes over a sliding window of the
-// last W trials, retaining lifetime totals as well. It is the accumulator
+// last W trials. It is the accumulator
 // behind windowed overflow-probability estimation: each measurement tick
 // contributes one overflow indicator, and the window keeps the estimate
 // responsive to the current operating point instead of averaging over the
@@ -282,9 +260,7 @@ type SlidingCounter struct {
 	next int
 	fill int
 
-	hits      int64 // successes within the window
-	total     int64 // lifetime trials
-	totalHits int64 // lifetime successes
+	hits int64 // successes within the window
 }
 
 // NewSlidingCounter returns a counter over a window of w trials (w >= 1).
@@ -307,9 +283,7 @@ func (s *SlidingCounter) Add(hit bool) {
 	s.ring[s.next] = hit
 	if hit {
 		s.hits++
-		s.totalHits++
 	}
-	s.total++
 	s.next++
 	if s.next == len(s.ring) {
 		s.next = 0
@@ -330,9 +304,6 @@ func (s *SlidingCounter) P() float64 {
 	return float64(s.hits) / float64(s.fill)
 }
 
-// Lifetime returns the total trials and successes seen since creation.
-func (s *SlidingCounter) Lifetime() (n, hits int64) { return s.total, s.totalHits }
-
 // Estimate returns the windowed rate with its Wilson interval at normal
 // quantile z (z <= 0 selects 1.96, the 95% interval).
 func (s *SlidingCounter) Estimate(z float64) WindowedEstimate {
@@ -348,27 +319,4 @@ func (s *SlidingCounter) Estimate(z float64) WindowedEstimate {
 		N:    int64(s.fill),
 		Z:    z,
 	}
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of xs using linear
-// interpolation on the sorted copy. It returns NaN for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
 }

@@ -101,8 +101,8 @@ func TestBatchMeansIIDNormal(t *testing.T) {
 	if math.Abs(bm.Mean()-1) > 3*bm.HalfWidth()/1.96 {
 		t.Errorf("batch mean %v too far from 1 (hw %v)", bm.Mean(), bm.HalfWidth())
 	}
-	if bm.RelHalfWidth() > 0.05 {
-		t.Errorf("rel half width %v too large for this much data", bm.RelHalfWidth())
+	if rel := bm.HalfWidth() / bm.Mean(); rel > 0.05 {
+		t.Errorf("rel half width %v too large for this much data", rel)
 	}
 }
 
@@ -165,31 +165,8 @@ func TestCounterMerge(t *testing.T) {
 
 func TestCounterEmpty(t *testing.T) {
 	var c Counter
-	if c.P() != 0 || !math.IsInf(c.HalfWidth(), 1) || !math.IsInf(c.RelHalfWidth(), 1) {
+	if c.P() != 0 || !math.IsInf(c.HalfWidth(), 1) {
 		t.Error("empty counter invariants")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 5, 4}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 5 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); q != 3 {
-		t.Errorf("median = %v", q)
-	}
-	if q := Quantile(xs, 0.25); q != 2 {
-		t.Errorf("q25 = %v", q)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-	// Input must not be mutated.
-	if xs[0] != 3 {
-		t.Error("Quantile mutated input")
 	}
 }
 
@@ -203,19 +180,10 @@ func TestHurstWhiteNoise(t *testing.T) {
 	if math.Abs(h-0.5) > 0.08 {
 		t.Errorf("white noise Hurst (aggvar) = %v, want ~0.5", h)
 	}
-	h2 := HurstRS(x)
-	// R/S is known to be biased upward for short-memory series; accept a
-	// generous band around 0.5.
-	if h2 < 0.4 || h2 > 0.68 {
-		t.Errorf("white noise Hurst (R/S) = %v, want ~0.5-0.6", h2)
-	}
 }
 
 func TestHurstShortSeries(t *testing.T) {
 	if !math.IsNaN(HurstAggVar(make([]float64, 10))) {
-		t.Error("short series should give NaN")
-	}
-	if !math.IsNaN(HurstRS(make([]float64, 10))) {
 		t.Error("short series should give NaN")
 	}
 }
@@ -223,9 +191,8 @@ func TestHurstShortSeries(t *testing.T) {
 func TestLinFit(t *testing.T) {
 	x := []float64{0, 1, 2, 3}
 	y := []float64{1, 3, 5, 7}
-	b0, b1 := LinFit(x, y)
-	if math.Abs(b0-1) > 1e-12 || math.Abs(b1-2) > 1e-12 {
-		t.Errorf("fit = (%v, %v), want (1, 2)", b0, b1)
+	if b1 := linFitSlope(x, y); math.Abs(b1-2) > 1e-12 {
+		t.Errorf("slope = %v, want 2", b1)
 	}
 }
 
@@ -292,9 +259,6 @@ func TestSlidingCounterWindow(t *testing.T) {
 	s.Add(false)
 	if s.Hits() != 0 || s.N() != 4 {
 		t.Fatalf("after eviction: hits=%d N=%d", s.Hits(), s.N())
-	}
-	if n, h := s.Lifetime(); n != 6 || h != 2 {
-		t.Fatalf("lifetime = (%d, %d), want (6, 2)", n, h)
 	}
 	e := s.Estimate(0) // defaults to z=1.96
 	if e.Z != 1.96 || e.N != 4 || e.Hits != 0 || e.P != 0 {

@@ -146,31 +146,6 @@ func ContinuousOverflowClosedFormAlpha(s System, alpha float64) float64 {
 	return clampProb(first + second)
 }
 
-// TargetParamsForm returns eq. 39: the closed form (38) rewritten in terms
-// of the certainty-equivalent target p_ce and the flow parameters,
-//
-//	p_f ≈ T~h/sqrt((Tc+Tm)(2Tc+Tm)) · (sigma/(sqrt(2π)·mu)) ·
-//	        (sqrt(2π)·alpha·p_ce)^((Tc+Tm)/(2Tc+Tm))
-//	      + Q(alpha·sqrt(1+Tc/Tm)),
-//
-// which exposes the paper's key reading: the *exponent* on p_ce rises from
-// 1/2 (memoryless — the square-root law of the impulsive model compounded
-// by repeated errors) to 1 (infinite memory — the target is met exactly up
-// to bandwidth fluctuation) as Tm grows.
-func TargetParamsForm(s System, pce float64) float64 {
-	alpha := gauss.Qinv(pce)
-	tc, tm := s.Tc, s.Tm
-	expo := (tc + tm) / (2*tc + tm)
-	first := s.ThTilde() / math.Sqrt((tc+tm)*(2*tc+tm)) *
-		s.SVR() * gauss.InvSqrt2Pi *
-		math.Pow(math.Sqrt(2*math.Pi)*alpha*pce, expo)
-	second := 0.0
-	if tm > 0 {
-		second = gauss.Q(alpha * math.Sqrt(1+tc/tm))
-	}
-	return clampProb(first + second)
-}
-
 // MemorylessFlowParamsForm returns eq. 34, the memoryless closed form
 // rewritten in flow parameters:
 //
@@ -182,12 +157,6 @@ func TargetParamsForm(s System, pce float64) float64 {
 func MemorylessFlowParamsForm(s System, pce float64) float64 {
 	alpha := gauss.Qinv(pce)
 	return clampProb(s.ThTilde() / (2 * s.Tc) * s.SVR() * alpha * gauss.Q(alpha/gauss.Sqrt2))
-}
-
-// RhoExp returns the paper's single-time-scale autocorrelation function
-// rho(t) = exp(−|t|/Tc) (eq. 31, the OU process).
-func RhoExp(tc float64) func(float64) float64 {
-	return func(t float64) float64 { return math.Exp(-math.Abs(t) / tc) }
 }
 
 // ContinuousOverflowGeneralACF evaluates the memoryless continuous-load

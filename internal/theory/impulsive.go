@@ -21,19 +21,6 @@ func ImpulsiveOverflow(pq float64) float64 {
 	return gauss.Q(gauss.Qinv(pq) / gauss.Sqrt2)
 }
 
-// ImpulsiveOverflowAtTime returns the overflow probability a time t after
-// the impulsive admission, with infinite holding time and flow
-// autocorrelation rho: p_f(t) = Q( alpha_q / sqrt(2(1−rho(t))) ). As
-// rho(t) → 0 this approaches ImpulsiveOverflow.
-func ImpulsiveOverflowAtTime(pq, rho float64) float64 {
-	alpha := gauss.Qinv(pq)
-	v := 2 * (1 - rho)
-	if v <= 0 {
-		return 0
-	}
-	return gauss.Q(alpha / math.Sqrt(v))
-}
-
 // ImpulsiveAdjustedTarget returns the certainty-equivalent target that
 // restores the QoS in the impulsive-load model (eq. 15):
 //

@@ -127,22 +127,6 @@ func MStarApprox(s System, pq float64) float64 {
 	return n - s.SVR()*gauss.Qinv(pq)*math.Sqrt(n)
 }
 
-// OverflowGivenFlows returns p_f(mu, sigma, m) = Q[(c − m·mu)/(sigma·√m)]:
-// the overflow probability when exactly m flows with the given statistics
-// share capacity c (the function the sensitivity analysis differentiates).
-func OverflowGivenFlows(c, mu, sigma, m float64) float64 {
-	if m <= 0 {
-		return 0
-	}
-	if sigma == 0 {
-		if m*mu > c {
-			return 1
-		}
-		return 0
-	}
-	return gauss.Q((c - m*mu) / (sigma * math.Sqrt(m)))
-}
-
 // SensitivityMu returns s_mu = −phi(alpha_q)·mu·sqrt(m*)/sigma, the
 // derivative of the achieved overflow probability with respect to the
 // measured mean at the nominal operating point (Section 3.1). Its growth

@@ -58,7 +58,7 @@ func TestAdmissibleFlowsSatisfiesCriterion(t *testing.T) {
 		p := math.Pow(10, -1-float64(seedP%8))
 		mu, sigma := 1.0, 0.3
 		m := AdmissibleFlows(c, mu, sigma, p)
-		got := OverflowGivenFlows(c, mu, sigma, m)
+		got := gauss.Q((c - m*mu) / (sigma * math.Sqrt(m)))
 		return math.Abs(got-p)/p < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -130,25 +130,6 @@ func TestImpulsiveAdjustedTargetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestImpulsiveOverflowAtTime(t *testing.T) {
-	pq := 1e-3
-	if p := ImpulsiveOverflowAtTime(pq, 1); p != 0 {
-		t.Errorf("rho=1 should give 0, got %v", p)
-	}
-	// Monotone in rho decreasing -> p increasing, approaching Q(alpha/sqrt2).
-	prev := -1.0
-	for _, rho := range []float64{0.99, 0.9, 0.5, 0.1, 0} {
-		p := ImpulsiveOverflowAtTime(pq, rho)
-		if p < prev {
-			t.Errorf("p_f should grow as correlation decays")
-		}
-		prev = p
-	}
-	if math.Abs(prev-ImpulsiveOverflow(pq)) > 1e-15 {
-		t.Errorf("rho=0 should equal steady state")
-	}
-}
-
 func TestImpulsiveAdmittedCount(t *testing.T) {
 	s := System{Capacity: 400, Mu: 1, Sigma: 0.3}
 	d := ImpulsiveAdmittedCount(s, 1e-3)
@@ -201,14 +182,14 @@ func TestSensitivities(t *testing.T) {
 	// Numerical derivative check for s_mu: perturb measured mu.
 	h := 1e-6
 	mUp := AdmissibleFlows(s.Capacity, s.Mu+h, s.Sigma, pq)
-	pfUp := OverflowGivenFlows(s.Capacity, s.Mu, s.Sigma, mUp)
+	pfUp := gauss.Q((s.Capacity - mUp*s.Mu) / (s.Sigma * math.Sqrt(mUp)))
 	numeric := (pfUp - pq) / h
 	if math.Abs(numeric-sMu)/math.Abs(sMu) > 0.01 {
 		t.Errorf("s_mu numeric %v vs formula %v", numeric, sMu)
 	}
 	// And for s_sigma.
 	mUp = AdmissibleFlows(s.Capacity, s.Mu, s.Sigma+h, pq)
-	pfUp = OverflowGivenFlows(s.Capacity, s.Mu, s.Sigma, mUp)
+	pfUp = gauss.Q((s.Capacity - mUp*s.Mu) / (s.Sigma * math.Sqrt(mUp)))
 	numeric = (pfUp - pq) / h
 	if math.Abs(numeric-sSig)/math.Abs(sSig) > 0.01 {
 		t.Errorf("s_sigma numeric %v vs formula %v", numeric, sSig)
@@ -278,7 +259,7 @@ func TestMemorylessMatchesGeneralACF(t *testing.T) {
 	s := paperSystem()
 	pce := 1e-3
 	viaOU := ContinuousOverflowIntegral(s, pce)
-	viaGeneral := ContinuousOverflowGeneralACF(s, pce, RhoExp(s.Tc), -1/s.Tc)
+	viaGeneral := ContinuousOverflowGeneralACF(s, pce, func(t float64) float64 { return math.Exp(-math.Abs(t) / s.Tc) }, -1/s.Tc)
 	if math.Abs(math.Log(viaOU/viaGeneral)) > 1e-6 {
 		t.Errorf("OU specialization %v vs general ACF %v", viaOU, viaGeneral)
 	}
@@ -323,34 +304,6 @@ func TestContinuousOverflowTransient(t *testing.T) {
 	early := ContinuousOverflowTransient(s, pce, s.ThTilde()/2)
 	if early >= steady {
 		t.Errorf("early exposure %v should undercut steady %v", early, steady)
-	}
-}
-
-func TestEq39TargetParamsForm(t *testing.T) {
-	// Eq. 39 differs from eq. 38 only through Q(x) ~ phi(x)/x; agreement in
-	// log space should be good for a small target.
-	s := paperSystem()
-	for _, tm := range []float64{0, 10, 100} {
-		s.Tm = tm
-		a := TargetParamsForm(s, 1e-3)
-		b := ContinuousOverflowClosedForm(s, 1e-3)
-		if a <= 0 || math.Abs(math.Log(a/b)) > 0.45 {
-			t.Errorf("Tm=%v: eq39 %v vs eq38 %v", tm, a, b)
-		}
-	}
-	// The exponent story: p_f scales ~ pce^(1/2) memoryless, ~ pce^1 with
-	// huge memory. Check the local slope d log pf / d log pce.
-	slope := func(tm float64) float64 {
-		s.Tm = tm
-		lo := TargetParamsForm(s, 1e-4)
-		hi := TargetParamsForm(s, 1e-3)
-		return math.Log(hi/lo) / math.Log(10)
-	}
-	if sl := slope(0); math.Abs(sl-0.5) > 0.05 {
-		t.Errorf("memoryless exponent %v, want ~0.5", sl)
-	}
-	if sl := slope(1e6); math.Abs(sl-1) > 0.1 {
-		t.Errorf("large-memory exponent %v, want ~1", sl)
 	}
 }
 

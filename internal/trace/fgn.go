@@ -8,7 +8,7 @@ import (
 	"repro/internal/rng"
 )
 
-// FGN generates n samples of exact fractional Gaussian noise with Hurst
+// fgn generates n samples of exact fractional Gaussian noise with Hurst
 // parameter h in (0, 1), zero mean and unit variance, using the
 // Davies–Harte circulant-embedding method. The method is exact: the sample
 // has precisely the fGn autocovariance
@@ -18,7 +18,7 @@ import (
 // It returns an error if h is out of range or the circulant eigenvalues are
 // not all non-negative (which cannot happen for true fGn covariances but is
 // checked defensively against floating-point trouble).
-func FGN(n int, h float64, r *rng.PCG) ([]float64, error) {
+func fgn(n int, h float64, r *rng.PCG) ([]float64, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: FGN length %d must be positive", n)
 	}
@@ -131,7 +131,7 @@ func SyntheticVideo(cfg VideoConfig, r *rng.PCG) (*Trace, error) {
 	sigmaScene := sigma * math.Sqrt(cfg.SceneFrac)
 	sigmaFgn := sigma * math.Sqrt(1-cfg.SceneFrac)
 
-	g, err := FGN(cfg.N, cfg.Hurst, r)
+	g, err := fgn(cfg.N, cfg.Hurst, r)
 	if err != nil {
 		return nil, err
 	}

@@ -12,14 +12,6 @@
 package trace
 
 import (
-	"bufio"
-	"errors"
-	"fmt"
-	"io"
-	"math"
-	"strconv"
-	"strings"
-
 	"repro/internal/fft"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -87,72 +79,6 @@ func (t *Trace) CorrTime() float64 {
 
 // Hurst estimates the Hurst parameter by aggregated variance.
 func (t *Trace) Hurst() float64 { return stats.HurstAggVar(t.Rates) }
-
-// Scale returns a copy of the trace with all rates multiplied by f.
-func (t *Trace) Scale(f float64) *Trace {
-	out := &Trace{Interval: t.Interval, Rates: make([]float64, len(t.Rates))}
-	for i, r := range t.Rates {
-		out.Rates[i] = r * f
-	}
-	return out
-}
-
-// WriteCSV writes the trace as "interval" header comment plus one rate per
-// line.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# interval=%g\n", t.Interval); err != nil {
-		return err
-	}
-	for _, r := range t.Rates {
-		if _, err := fmt.Fprintf(bw, "%g\n", r); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSV parses a trace written by WriteCSV. Lines starting with '#' may
-// carry "interval=<v>"; other comment lines are ignored. An interval of 1
-// is assumed if none is given.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	t := &Trace{Interval: 1}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if i := strings.Index(line, "interval="); i >= 0 {
-				v, err := strconv.ParseFloat(strings.TrimSpace(line[i+len("interval="):]), 64)
-				if err != nil {
-					return nil, fmt.Errorf("trace: bad interval header: %w", err)
-				}
-				if !(v > 0) || math.IsInf(v, 1) {
-					return nil, errors.New("trace: interval must be positive and finite")
-				}
-				t.Interval = v
-			}
-			continue
-		}
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad rate %q: %w", line, err)
-		}
-		if !(v >= 0) || math.IsInf(v, 1) {
-			return nil, fmt.Errorf("trace: rate %g must be non-negative and finite", v)
-		}
-		t.Rates = append(t.Rates, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(t.Rates) == 0 {
-		return nil, errors.New("trace: no samples")
-	}
-	return t, nil
-}
 
 // ---------------------------------------------------------------------------
 // Trace-driven source model.

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -12,20 +11,20 @@ import (
 
 func TestFGNValidation(t *testing.T) {
 	r := rng.New(1, 0)
-	if _, err := FGN(0, 0.8, r); err == nil {
+	if _, err := fgn(0, 0.8, r); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := FGN(100, 0, r); err == nil {
+	if _, err := fgn(100, 0, r); err == nil {
 		t.Error("h=0 should fail")
 	}
-	if _, err := FGN(100, 1, r); err == nil {
+	if _, err := fgn(100, 1, r); err == nil {
 		t.Error("h=1 should fail")
 	}
 }
 
 func TestFGNWhiteNoiseCase(t *testing.T) {
 	r := rng.New(2, 0)
-	x, err := FGN(4096, 0.5, r)
+	x, err := fgn(4096, 0.5, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestFGNMomentsAndHurst(t *testing.T) {
 		const reps = 8
 		for rep := 0; rep < reps; rep++ {
 			r := rng.New(42+uint64(rep), uint64(h*100))
-			x, err := FGN(1<<15, h, r)
+			x, err := fgn(1<<15, h, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +76,7 @@ func TestFGNAutocovariance(t *testing.T) {
 	// Empirical lag-1 autocorrelation of fGn is 2^{2H-1} - 1.
 	h := 0.8
 	r := rng.New(7, 0)
-	x, err := FGN(1<<16, h, r)
+	x, err := fgn(1<<16, h, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestFGNExactCovarianceSmallN(t *testing.T) {
 	var e [3]float64
 	lags := [3]int{0, 1, 5}
 	for i := 0; i < reps; i++ {
-		x, err := FGN(n, h, r)
+		x, err := fgn(n, h, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,8 +118,8 @@ func TestFGNExactCovarianceSmallN(t *testing.T) {
 }
 
 func TestFGNDeterministic(t *testing.T) {
-	a, _ := FGN(256, 0.75, rng.New(9, 9))
-	b, _ := FGN(256, 0.75, rng.New(9, 9))
+	a, _ := fgn(256, 0.75, rng.New(9, 9))
+	b, _ := fgn(256, 0.75, rng.New(9, 9))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("FGN not deterministic for fixed seed")
@@ -197,61 +196,6 @@ func TestTraceStatsAndCorrTime(t *testing.T) {
 	}
 }
 
-func TestTraceScale(t *testing.T) {
-	tr := &Trace{Interval: 1, Rates: []float64{1, 2, 3}}
-	s := tr.Scale(2)
-	if s.Rates[2] != 6 || tr.Rates[2] != 3 {
-		t.Error("Scale must copy")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tr := &Trace{Interval: 0.5, Rates: []float64{1.5, 0, 2.25, 100}}
-	var b strings.Builder
-	if err := tr.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Interval != tr.Interval || len(got.Rates) != len(tr.Rates) {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	for i := range tr.Rates {
-		if got.Rates[i] != tr.Rates[i] {
-			t.Errorf("rate %d: %v vs %v", i, got.Rates[i], tr.Rates[i])
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty trace should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("abc\n")); err == nil {
-		t.Error("garbage should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("-1\n")); err == nil {
-		t.Error("negative rate should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("# interval=0\n1\n")); err == nil {
-		t.Error("zero interval should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("# interval=bogus\n1\n")); err == nil {
-		t.Error("bad interval should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("# interval=nan\n1\n")); err == nil {
-		t.Error("NaN interval should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("nan\n")); err == nil {
-		t.Error("NaN rate should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("+Inf\n")); err == nil {
-		t.Error("infinite rate should fail")
-	}
-}
-
 func TestTraceModelSource(t *testing.T) {
 	tr := &Trace{Interval: 2, Rates: []float64{1, 2, 3}}
 	m := Model{Trace: tr}
@@ -286,7 +230,7 @@ func TestTraceModelImplementsTrafficModel(t *testing.T) {
 func BenchmarkFGN32k(b *testing.B) {
 	r := rng.New(1, 1)
 	for i := 0; i < b.N; i++ {
-		if _, err := FGN(1<<15, 0.8, r); err != nil {
+		if _, err := fgn(1<<15, 0.8, r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,6 @@
 package traffic
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // ACF support: closed-form autocorrelation functions for the source
 // models, so that the paper's general boundary-crossing formula (eq. 30,
@@ -160,26 +157,4 @@ func matAdd(a, b [][]float64) {
 			a[i][j] += b[i][j]
 		}
 	}
-}
-
-// IntegralCorrTime returns the integral time-scale of an autocorrelation
-// function, int_0^inf rho(t) dt, by adaptive trapezoid accumulation until
-// the tail contribution is negligible or the horizon cap is reached. It
-// returns an error if rho has not decayed by the cap (e.g. long-range
-// dependent input).
-func IntegralCorrTime(rho func(float64) float64, step, cap float64) (float64, error) {
-	if step <= 0 || cap <= step {
-		return 0, fmt.Errorf("traffic: invalid integration parameters step=%g cap=%g", step, cap)
-	}
-	var sum float64
-	prev := rho(0)
-	for t := step; t <= cap; t += step {
-		cur := rho(t)
-		sum += 0.5 * (prev + cur) * step
-		if math.Abs(cur) < 1e-9 {
-			return sum, nil
-		}
-		prev = cur
-	}
-	return sum, fmt.Errorf("traffic: autocorrelation has not decayed by t=%g (long memory?)", cap)
 }

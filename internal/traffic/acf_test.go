@@ -152,23 +152,6 @@ func TestExpmIdentityAndSemigroup(t *testing.T) {
 	}
 }
 
-func TestIntegralCorrTime(t *testing.T) {
-	// For rho = exp(-t/3) the integral scale is 3.
-	got, err := IntegralCorrTime(func(t float64) float64 { return math.Exp(-t / 3) }, 0.001, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-3) > 0.01 {
-		t.Errorf("integral corr time = %v, want 3", got)
-	}
-	if _, err := IntegralCorrTime(func(float64) float64 { return 1 }, 0.1, 10); err == nil {
-		t.Error("non-decaying ACF should error")
-	}
-	if _, err := IntegralCorrTime(nil, 0, 1); err == nil {
-		t.Error("bad parameters should error")
-	}
-}
-
 func BenchmarkMarkovACF(b *testing.B) {
 	m, _ := NewMarkovFluid(
 		[]float64{0.5, 1, 3},

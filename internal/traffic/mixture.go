@@ -73,15 +73,3 @@ func (m *Mixture) New(r *rng.PCG) Source {
 	}
 	return m.Models[len(m.Models)-1].New(r)
 }
-
-// WithinClassVariance returns the weight-averaged variance of the
-// components — what a class-aware variance estimator would measure. The
-// gap to Stats().Variance is the heterogeneity bias of the class-blind
-// estimator discussed in Section 5.4.
-func (m *Mixture) WithinClassVariance() float64 {
-	var v float64
-	for i, comp := range m.Models {
-		v += m.Weights[i] * comp.Stats().Variance
-	}
-	return v
-}

@@ -67,6 +67,17 @@ type Renewer interface {
 	Renew(old Source, r *rng.PCG) Source
 }
 
+// NewSource returns a source for a new flow of m drawing from r. When m is
+// a Renewer and old (the previous flow's source in the caller's slot) is
+// non-nil, old is renewed in place; otherwise it is m.New(r). Either way
+// the segments and draws are those of m.New(r).
+func NewSource(m Model, old Source, r *rng.PCG) Source {
+	if rn, ok := m.(Renewer); ok && old != nil {
+		return rn.Renew(old, r)
+	}
+	return m.New(r)
+}
+
 // ---------------------------------------------------------------------------
 // RCBR: the paper's workload.
 
