@@ -12,13 +12,11 @@ package mbac
 
 import (
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/theory"
 )
@@ -481,73 +479,6 @@ func BenchmarkGatewayAdmitBatch(b *testing.B) {
 	st := g.Stats()
 	if st.Active != 0 || st.Admitted != int64(next) {
 		b.Fatalf("counters drifted: %+v", st)
-	}
-}
-
-// BenchmarkClusterRouted measures a routed lifecycle operation while another
-// core does the same: a 4-instance least-loaded cluster holding 100k resident
-// flows, every goroutine working its own residue class of the IDs with the
-// cluster-churn mix — three UpdateRate to one Depart of its oldest flow and
-// Admit of a new ID, so the tables turn over as they do under a schedule.
-// Each operation is two lookups, pin then flow, in tables the other
-// goroutine is writing; that cross-core cost is what the benchmark's
-// single-goroutine per-layer rows cannot see. Run it with -cpu 2 (or more).
-func BenchmarkClusterRouted(b *testing.B) {
-	const resident = 100_000
-	cfg := cluster.Config{Policy: cluster.PlaceLeastLoaded}
-	for i := 0; i < 4; i++ {
-		ctrl, err := NewCertaintyEquivalent(1e-2, 1, 0.3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Instances = append(cfg.Instances, GatewayConfig{
-			Capacity:      1e9,
-			Controller:    ctrl,
-			Estimator:     NewExponentialEstimator(100),
-			Shards:        64,
-			LatencySample: 8,
-			FlowTTL:       60,
-		})
-	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for id := uint64(0); id < resident; id++ {
-		if d, err := c.Admit(id, 1); err != nil || !d.Admitted {
-			b.Fatalf("prefill: flow %d: %+v, %v", id, d, err)
-		}
-	}
-	stride := uint64(runtime.GOMAXPROCS(0)) // RunParallel starts this many goroutines
-	var started atomic.Uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// This goroutine's flows are oldest, oldest+stride, … up to next,
-		// the first ID of its class not yet admitted.
-		oldest := started.Add(1) - 1
-		next := oldest + (resident-oldest+stride-1)/stride*stride
-		cursor := oldest
-		for i := 0; pb.Next(); i++ {
-			var err error
-			if i%4 != 3 {
-				if cursor += stride; cursor >= next {
-					cursor = oldest
-				}
-				err = c.UpdateRate(cursor, 0.5+float64(i%7)*0.2)
-			} else if err = c.Depart(oldest); err == nil {
-				oldest += stride
-				_, err = c.Admit(next, 1)
-				next += stride
-			}
-			if err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	if st := c.Stats(); st.Active != resident {
-		b.Fatalf("resident flows drifted: %+v", st)
 	}
 }
 

@@ -19,19 +19,24 @@
 //
 // Admission is stateful: an admitted flow's UpdateRate/Touch/Depart must
 // reach the instance that owns it. The cluster pins every admitted flow in
-// a sharded flow-ID → instance table, written where the flow is placed and
-// removed where the flow ends — departure, lease expiry (each instance's
-// tick reports the flows it reclaims), migration, or a refused admission
-// taking its tentative pin back — so the table needs no reconciler: at a
-// quiescent point it equals the union of the instances' flow tables.
+// a sharded flow-ID → instance table whose shard k lock is also shard k's
+// lock on every instance, so each routed operation is one critical
+// section: read the pin, run the operation's lock-held body at the owner,
+// unpin if the flow ended. A pin is written in the critical section that
+// admits or migrates the flow and removed in the one that ends it —
+// departure, lease expiry (each instance's tick reports the flows it
+// reclaims under that lock) or migration — so the table needs no
+// reconciler: under any interleaving it equals the union of the instances'
+// flow tables.
 //
 // # Drain and degradation
 //
 // Drain(i) marks an instance draining — no new placements — and migrates
-// its pinned flows to the rest of the fleet (admit at the target first,
-// repin, then depart the source, so an admitted flow is never lost
-// mid-migration); flows the fleet has no room for stay pinned to the
-// draining instance and depart or lease-expire naturally. A *degraded*
+// its pinned flows to the rest of the fleet: admit at the target, repin
+// and depart the source in one critical section, so an admitted flow is
+// never lost or doubled mid-migration; flows the fleet has no room for
+// stay pinned to the draining instance and depart or lease-expire
+// naturally. A *degraded*
 // instance (the PR 4 validity detector) is different: it keeps serving but
 // is scored below every healthy instance, receiving new placements only
 // when no healthy instance exists.
@@ -124,7 +129,12 @@ type Config struct {
 }
 
 // instance is one gateway plus the router's per-instance state: routing
-// state, the tick-cached scoring mean, and placement/migration counters.
+// state, the tick-cached scoring mean, and migration counters. Placement
+// reads the scoring fields of every instance on every placement, so no
+// field here is written per admission (TestInstanceHotWordLayout): the
+// instance's placement count is derived, Admitted − migratedIn, and exact
+// because a migration's target admission and its counters cannot fail
+// apart (migrateFrom).
 type instance struct {
 	g        *gateway.Gateway
 	capacity float64
@@ -138,9 +148,24 @@ type instance struct {
 	// warm counts consecutive valid-measurement ticks.
 	warm atomic.Int64
 
-	placements  atomic.Int64
 	migratedIn  atomic.Int64
 	migratedOut atomic.Int64
+
+	// pins and idx make the instance the gateway.Owner of its admissions.
+	pins *pinTable
+	idx  int32
+}
+
+// Owned implements gateway.Owner under id's shard lock: the instance's own
+// table has already missed, so a pin means the flow is active on another
+// instance.
+func (in *instance) Owned(id uint64) bool { return in.pins.shardFor(id).pins.Get(id) != nil }
+
+// Own implements gateway.Owner under id's shard lock: pin the flow this
+// instance has just admitted.
+func (in *instance) Own(id uint64) {
+	p, _ := in.pins.shardFor(id).pins.Put(id)
+	*p = in.idx
 }
 
 // muEff returns the cached scoring mean (0 when unknown).
@@ -160,23 +185,18 @@ func (in *instance) headroom() float64 {
 
 // Cluster is a fleet of gateway instances behind a pinning router.
 // Construct with New; all methods are safe for concurrent use.
+//
+// Fields are grouped by who writes them (TestClusterHotWordLayout): every
+// routed op reads instances and pins, which only New writes; every
+// placement writes the placement state, which sits last, at least a cache
+// line past them, behind fields that ticks and drains write.
 type Cluster struct {
 	cfg       Config
 	instances []*instance
 	pins      pinTable
 
-	// placeMu guards the placement-policy state below. Scoring reads the
-	// per-instance atomics, so holding it is O(instances) arithmetic.
-	placeMu   sync.Mutex
-	preferred int       // least-loaded incumbent (-1 before the first placement)
-	rr        int       // round-robin cursor
-	credit    []float64 // smooth-weighted round-robin credits
-	poolBuf   []int     // eligibility scratch
-	degBuf    []int
-	warmBuf   []int
-
-	// batchPool recycles AdmitBatch/DepartBatch's target-resolution
-	// scratch, keeping the batched paths allocation-free in steady state.
+	// batchPool recycles AdmitBatch's target scratch, keeping the batched
+	// path allocation-free in steady state.
 	batchPool sync.Pool
 
 	// tickMu serializes measurement ticks across the fleet.
@@ -185,6 +205,18 @@ type Cluster struct {
 	migrations        atomic.Int64
 	migrationFailures atomic.Int64
 	drains            atomic.Int64
+
+	// placeMu guards the placement-policy state below. Scoring reads the
+	// per-instance atomics, so holding it is O(instances) arithmetic, and
+	// it is a leaf: nothing is locked under it. A shard lock may be held
+	// when it is taken, never the reverse.
+	placeMu   sync.Mutex
+	preferred int       // least-loaded incumbent (-1 before the first placement)
+	rr        int       // round-robin cursor
+	credit    []float64 // smooth-weighted round-robin credits
+	poolBuf   []int     // eligibility scratch
+	degBuf    []int
+	warmBuf   []int
 }
 
 // New validates the configuration and returns a cluster whose instances
@@ -221,13 +253,19 @@ func New(cfg Config) (*Cluster, error) {
 		degBuf:    make([]int, 0, len(cfg.Instances)),
 		warmBuf:   make([]int, 0, len(cfg.Instances)),
 	}
-	c.pins.init()
+	shards := gateway.ShardCount(cfg.Instances[0].Shards)
 	for i, gc := range cfg.Instances {
-		g, err := gateway.New(gc)
+		if n := gateway.ShardCount(gc.Shards); n != shards {
+			return nil, fmt.Errorf("cluster: instance %d has %d shards, instance 0 has %d: every instance shares the pin table's shard locks", i, n, shards)
+		}
+	}
+	locks := c.pins.init(shards)
+	for i, gc := range cfg.Instances {
+		g, err := gateway.NewShared(gc, locks)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
 		}
-		in := &instance{g: g, capacity: gc.Capacity}
+		in := &instance{g: g, capacity: gc.Capacity, pins: &c.pins, idx: int32(i)}
 		c.cacheMeasurement(in, g.Stats())
 		c.instances = append(c.instances, in)
 	}
@@ -264,15 +302,14 @@ func (c *Cluster) cacheMeasurement(in *instance, st gateway.Stats) {
 // Tick performs one measurement cycle at virtual time now on every
 // instance, in index order, refreshing the router's scoring caches, and
 // returns the per-instance snapshots in the same order. A flow whose lease
-// an instance's sweep reclaims loses its pin in the same step, under the
-// flow's shard lock on that instance — the lock an admission of the same ID
-// through that pin must take — so no admission can land between the two.
+// an instance's sweep reclaims loses its pin in the same step: the sweep
+// reports it under the flow's shard lock, which is the pin's lock too.
 func (c *Cluster) Tick(now float64) []gateway.Stats {
 	c.tickMu.Lock()
 	defer c.tickMu.Unlock()
 	sts := make([]gateway.Stats, len(c.instances))
 	for i, in := range c.instances {
-		st := in.g.TickExpired(now, func(flowID uint64) { c.pins.delIf(flowID, i) })
+		st := in.g.TickExpired(now, c.pins.drop)
 		c.cacheMeasurement(in, st)
 		sts[i] = st
 	}
@@ -300,14 +337,16 @@ func (c *Cluster) Run(ctx context.Context) {
 // instances (so the Admitted = Departed + Expired + Active identity holds
 // for the whole fleet — a migration is one admission at the target plus
 // one departure at the source), bounds and aggregate rates summed, and the
-// measurement moments flow-weighted. A cluster of one returns its single
-// instance's stats verbatim.
+// measurement moments pooled over the measured flows: μ̄ = Σnᵢμᵢ/N and
+// σ² = Σnᵢ(σᵢ² + μᵢ²)/N − μ̄², so the spread between the instances' means
+// counts as well as the spread within each. A cluster of one returns its
+// single instance's stats verbatim.
 func (c *Cluster) Stats() gateway.Stats {
 	if len(c.instances) == 1 {
 		return c.instances[0].g.Stats()
 	}
 	var agg gateway.Stats
-	var muW, varW float64
+	var muW, sqW float64
 	agg.MeasurementOK = true
 	for _, in := range c.instances {
 		st := in.g.Stats()
@@ -321,7 +360,7 @@ func (c *Cluster) Stats() gateway.Stats {
 		agg.MeasuredFlows += st.MeasuredFlows
 		n := float64(st.MeasuredFlows)
 		muW += n * st.Mu
-		varW += n * st.Sigma * st.Sigma
+		sqW += n * (st.Sigma*st.Sigma + st.Mu*st.Mu)
 		if st.Degraded {
 			agg.Degraded = true
 			if agg.DegradedReason == "" {
@@ -339,8 +378,9 @@ func (c *Cluster) Stats() gateway.Stats {
 		}
 	}
 	if agg.MeasuredFlows > 0 {
-		agg.Mu = muW / float64(agg.MeasuredFlows)
-		agg.Sigma = math.Sqrt(varW / float64(agg.MeasuredFlows))
+		n := float64(agg.MeasuredFlows)
+		agg.Mu = muW / n
+		agg.Sigma = math.Sqrt(max(0, sqW/n-agg.Mu*agg.Mu))
 	}
 	return agg
 }

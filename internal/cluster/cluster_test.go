@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -88,6 +89,35 @@ func TestNewValidates(t *testing.T) {
 	neg := Config{Instances: []gateway.Config{testGatewayConfig(t, 10, 0)}, Hysteresis: -1}
 	if _, err := New(neg); err == nil {
 		t.Error("New accepted a negative hysteresis")
+	}
+	// Instance shard k shares pin shard k's lock, so every instance must
+	// have the pin table's shard count.
+	mixed := Config{Instances: []gateway.Config{testGatewayConfig(t, 10, 0), testGatewayConfig(t, 10, 0), testGatewayConfig(t, 10, 0)}}
+	mixed.Instances[2].Shards = 8
+	if _, err := New(mixed); err == nil || !strings.Contains(err.Error(), "instance 2 has 8 shards, instance 0 has 4") {
+		t.Errorf("New with mixed shard counts: %v", err)
+	}
+}
+
+// TestStatsPoolsSigma: the fleet's σ is the pooled cross-section's, which
+// includes the spread between the instances' means. Two instances with
+// equal σᵢ and means 2 and 6 pool to σ² = σᵢ² + 4 — more than either
+// instance's, where a flow-weighted average of σᵢ² reported σᵢ.
+func TestStatsPoolsSigma(t *testing.T) {
+	c := newTestCluster(t, 2, 100, Config{Policy: PlaceRoundRobin})
+	for id, rate := range []float64{1, 5, 3, 7} { // round robin: 1, 3 on instance 0; 5, 7 on 1
+		if d, err := c.Admit(uint64(id), rate); err != nil || !d.Admitted {
+			t.Fatalf("Admit(%d) = %+v, %v", id, d, err)
+		}
+	}
+	sts := c.Tick(1)
+	if sts[0].Sigma != sts[1].Sigma || sts[0].Mu != 2 || sts[1].Mu != 6 {
+		t.Fatalf("instances measured μ %g, %g and σ %g, %g; want 2, 6 and equal σ", sts[0].Mu, sts[1].Mu, sts[0].Sigma, sts[1].Sigma)
+	}
+	fleet := c.Stats()
+	want := math.Sqrt(sts[0].Sigma*sts[0].Sigma + 4)
+	if fleet.Mu != 4 || math.Abs(fleet.Sigma-want) > 1e-12 || !(fleet.Sigma > sts[0].Sigma) {
+		t.Errorf("fleet μ %g σ %g, want 4 and %g (instance σ %g)", fleet.Mu, fleet.Sigma, want, sts[0].Sigma)
 	}
 }
 
@@ -264,13 +294,20 @@ func TestDegradedScoredToBottom(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Seed the degraded instance with flows so the watchdog has >= 2 flows
-	// to judge, then tick it degraded.
-	c.pins.set(900, 1)
-	c.pins.set(901, 1)
-	if _, err := c.Gateway(1).Admit(900, 1); err != nil {
+	// to judge — placed there by draining the other — then tick it
+	// degraded.
+	if _, _, err := c.Drain(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Gateway(1).Admit(901, 1); err != nil {
+	for id := uint64(900); id < 902; id++ {
+		if d, err := c.Admit(id, 1); err != nil || !d.Admitted {
+			t.Fatalf("Admit(%d) = %+v, %v", id, d, err)
+		}
+		if owner, _ := c.pins.get(id); owner != 1 {
+			t.Fatalf("flow %d placed on %d with instance 0 draining", id, owner)
+		}
+	}
+	if err := c.Reactivate(0); err != nil {
 		t.Fatal(err)
 	}
 	c.Tick(1)

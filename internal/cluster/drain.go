@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/gateway"
 )
 
 // Drain transitions instance i from active to draining and migrates its
@@ -14,11 +16,10 @@ import (
 // Draining stops new placements immediately (the router skips draining
 // instances before any policy runs); migration then walks the instance's
 // flow table in flow-ID order (deterministic under a virtual clock) and,
-// for each flow, admits it at the best non-draining instance FIRST, repins
-// it, and only then departs the source copy. That ordering means an
-// admitted flow is continuously admitted somewhere throughout the
-// migration — a failure at any step leaves it where it was — at the cost
-// of one flow's worth of transient double-occupancy. Flows the rest of the
+// for each flow, admits it at the best non-draining instance, repins it and
+// departs the source copy in one critical section under the flow's shard
+// lock, so no operation on the flow can fall between the steps and a
+// refused admission leaves it where it was. Flows the rest of the
 // fleet has no headroom for stay pinned to the draining instance and keep
 // being served there until they depart or lease-expire, so a drain never
 // strands or drops an admitted flow; the caller may retry Drain to migrate
@@ -51,8 +52,8 @@ func (c *Cluster) Reactivate(i int) error {
 	return nil
 }
 
-// migrateFrom moves instance i's flows to the rest of the fleet,
-// admit-then-repin-then-depart per flow.
+// migrateFrom moves instance i's flows to the rest of the fleet, one
+// critical section per flow (move).
 func (c *Cluster) migrateFrom(i int) (migrated, left int) {
 	src := c.instances[i]
 	type flow struct {
@@ -64,6 +65,8 @@ func (c *Cluster) migrateFrom(i int) (migrated, left int) {
 		flows = append(flows, flow{id, rate})
 	})
 	sort.Slice(flows, func(a, b int) bool { return flows[a].id < flows[b].id })
+	mv := &move{pins: &c.pins, src: src.g, from: int32(i)}
+	var ds []gateway.Decision
 	for _, f := range flows {
 		t := c.placeFor(i)
 		if t < 0 {
@@ -72,27 +75,44 @@ func (c *Cluster) migrateFrom(i int) (migrated, left int) {
 			continue
 		}
 		tgt := c.instances[t]
-		d, err := tgt.g.Admit(f.id, f.rate)
-		if err != nil || !d.Admitted {
-			// No headroom (or the id reappeared at the target): the flow
-			// stays where it is, still pinned to the draining source.
+		mv.to = int32(t)
+		ds, _ = tgt.g.AdmitBatchOwned([]uint64{f.id}, []float64{f.rate}, ds[:0], mv)
+		switch d := ds[0]; {
+		case d.Admitted:
+			src.migratedOut.Add(1)
+			tgt.migratedIn.Add(1)
+			c.migrations.Add(1)
+			migrated++
+		case d.Reason != gateway.ReasonDuplicate:
+			// No headroom: the flow stays where it is, still pinned to the
+			// draining source.
 			c.migrationFailures.Add(1)
 			left++
-			continue
 		}
-		c.pins.set(f.id, t)
-		if derr := src.g.Depart(f.id); derr != nil {
-			// The client departed the flow through its old pin between our
-			// target admit and the repin: honor the departure by removing
-			// the fresh target copy instead of resurrecting the flow.
-			_ = tgt.g.Depart(f.id)
-			c.pins.delIf(f.id, t)
-			continue
-		}
-		src.migratedOut.Add(1)
-		tgt.migratedIn.Add(1)
-		c.migrations.Add(1)
-		migrated++
+		// A duplicate is a flow that left the source since the walk.
 	}
 	return migrated, left
+}
+
+// move is the gateway.Owner of one migration's admission at its target:
+// the target admits the flow only while it is still pinned to the source,
+// and the repin and the source's departure happen in the same critical
+// section as the admission.
+type move struct {
+	pins     *pinTable
+	src      *gateway.Gateway
+	from, to int32
+}
+
+// Owned reports whether the flow has left the source since the walk.
+func (m *move) Owned(id uint64) bool {
+	p := m.pins.shardFor(id).pins.Get(id)
+	return p == nil || *p != m.from
+}
+
+// Own repins the flow to the target that has just admitted it and departs
+// the source copy.
+func (m *move) Own(id uint64) {
+	*m.pins.shardFor(id).pins.Get(id) = m.to
+	m.src.DepartLocked(id)
 }

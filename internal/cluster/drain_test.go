@@ -11,10 +11,11 @@ import (
 // Drain migrates them, leases off, so nothing but that Depart can ever end
 // a flow. Every depart must find its flow — on whichever instance the
 // drain has left it — and the fleet must end empty with no pin left or
-// lost. Before onOwner followed a moved pin, a Depart that read its pin
-// just before the repin was answered not-active and the migrated copy
-// stayed admitted forever (a fifth of the rounds here lost flows that way).
-// Rounds alternate single Departs and DepartBatch.
+// lost. When a Depart's pin read and a migration's repin were separate
+// critical sections, a Depart that read its pin just before the repin was
+// answered not-active and the migrated copy stayed admitted forever (a
+// fifth of the rounds here lost flows that way). Rounds alternate single
+// Departs and DepartBatch.
 func TestDepartRacesDrain(t *testing.T) {
 	const (
 		workers = 4

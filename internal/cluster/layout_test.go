@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -9,7 +10,9 @@ const cacheLine = 64
 
 // TestPinShardLayout holds a pin shard to one cache line, mutex and table
 // header together (the map-era shard was 56 bytes under a comment that said
-// the pad kept shards on separate lines).
+// the pad kept shards on separate lines), at every shard count a pin table
+// is allocated with — below 512 bytes on a line boundary, above it one
+// word past one.
 func TestPinShardLayout(t *testing.T) {
 	var s pinShard
 	if size := unsafe.Sizeof(s); size%cacheLine != 0 {
@@ -18,13 +21,91 @@ func TestPinShardLayout(t *testing.T) {
 	if end := unsafe.Offsetof(s.pins) + unsafe.Sizeof(s.pins); end > cacheLine {
 		t.Errorf("the pin table's header ends at offset %d, past the mutex's cache line", end)
 	}
-	c := newTestCluster(t, 2, 100, Config{})
-	for i := range c.pins.shards {
-		sh := &c.pins.shards[i]
-		first := uintptr(unsafe.Pointer(&sh.mu)) / cacheLine
-		last := (uintptr(unsafe.Pointer(&sh.pins)) + unsafe.Sizeof(sh.pins) - 1) / cacheLine
-		if first != last {
-			t.Fatalf("pin shard %d's mutex and table header are on different cache lines", i)
+	for _, shards := range []int{1, 4, 16, 64, 512} {
+		cfg := Config{}
+		for i := 0; i < 2; i++ {
+			gc := testGatewayConfig(t, 100, 0)
+			gc.Shards = shards
+			cfg.Instances = append(cfg.Instances, gc)
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.pins.shards {
+			sh := &c.pins.shards[i]
+			first := uintptr(unsafe.Pointer(&sh.mu)) / cacheLine
+			last := (uintptr(unsafe.Pointer(&sh.pins)) + unsafe.Sizeof(sh.pins) - 1) / cacheLine
+			if first != last {
+				t.Fatalf("%d shards: pin shard %d's mutex and table header are on different cache lines", shards, i)
+			}
+		}
+	}
+}
+
+// apart reports whether fields a and b of one struct are at least a cache
+// line apart, so they share no line wherever the struct is allocated.
+func apart(a, b reflect.StructField) bool {
+	if a.Offset > b.Offset {
+		a, b = b, a
+	}
+	return b.Offset >= a.Offset+a.Type.Size()+cacheLine
+}
+
+func structFields(t *testing.T, typ reflect.Type, names ...string) []reflect.StructField {
+	t.Helper()
+	var fs []reflect.StructField
+	for _, name := range names {
+		f, ok := typ.FieldByName(name)
+		if !ok {
+			t.Fatalf("%s has no field %s", typ, name)
+		}
+		fs = append(fs, f)
+	}
+	return fs
+}
+
+// TestClusterHotWordLayout keeps the placement state, written by every
+// placement, off the cache lines of the fields every routed op reads. At
+// offsets 88–96 placeMu and preferred shared a line with instances (56) and
+// pins (80), so each admission on one core invalidated the line every
+// UpdateRate and Depart on the others read to find their pin.
+func TestClusterHotWordLayout(t *testing.T) {
+	typ := reflect.TypeOf(Cluster{})
+	read := structFields(t, typ, "instances", "pins")
+	written := structFields(t, typ, "placeMu", "preferred", "rr", "credit", "poolBuf", "degBuf", "warmBuf")
+	for _, w := range written {
+		for _, r := range read {
+			if !apart(w, r) {
+				t.Errorf("Cluster.%s (offset %d, written by every placement) can share a cache line with %s (offset %d, read by every routed op)", w.Name, w.Offset, r.Name, r.Offset)
+			}
+		}
+	}
+}
+
+// TestInstanceHotWordLayout keeps per-admission writes off the line that
+// placement scores: placeLocked reads state, muBits and warm (and g,
+// capacity) of every instance on every placement. The instance's other
+// fields are written only by New and drains; any field outside both lists
+// must sit a cache line away from the scoring fields. placements, bumped by
+// every admission at offset 40 beside state, muBits and warm (16–32), was
+// such a field; its count is now derived.
+func TestInstanceHotWordLayout(t *testing.T) {
+	typ := reflect.TypeOf(instance{})
+	scoring := structFields(t, typ, "g", "capacity", "state", "muBits", "warm")
+	listed := map[string]bool{"migratedIn": true, "migratedOut": true, "pins": true, "idx": true}
+	for _, s := range scoring {
+		listed[s.Name] = true
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if listed[f.Name] {
+			continue
+		}
+		for _, s := range scoring {
+			if !apart(f, s) {
+				t.Errorf("instance.%s (offset %d) is neither a scoring field nor written only by New and drains, and can share a cache line with %s (offset %d)", f.Name, f.Offset, s.Name, s.Offset)
+			}
 		}
 	}
 }

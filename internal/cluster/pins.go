@@ -7,22 +7,22 @@ import (
 )
 
 // pinTable maps flow ID → owning instance index, sharded by the same mix
-// the gateway uses for its flow table so adjacent IDs spread across lock
-// domains; each shard is the same flat table as a gateway shard's, embedded
-// beside its mutex for the same reason (see flowtab). A pin is written
-// where the flow is placed (putIfAbsent), rewritten by migration (set), and
-// removed in one way (delIf) wherever the flow ends. No pin-shard lock is
-// ever held across a call into a gateway; the expiry report runs the other
-// way, gateway shard lock first, pin shard lock inside it.
+// and the same shard count as every instance's flow table, and each pin
+// shard's mutex is the lock of shard k on every instance too (New builds
+// the instances with gateway.NewShared): one lock guards a flow's pin and
+// the flow's entry wherever it lives. So a pin is read and written only in
+// the critical section that changes the flow — admission (the instance's
+// gateway.Owner hook), migration, departure, lease expiry (reported under
+// that lock by the instance's tick) — and the table is exact under any
+// interleaving. Each shard is the same flat table as a gateway shard's,
+// embedded beside its mutex for the same reason (see flowtab).
 type pinTable struct {
 	// The shards are an allocation of their own, not an array inside
 	// Cluster: there they would start at whatever offset the enclosing
 	// struct gave them, and each shard would straddle two cache lines.
-	shards *[pinShards]pinShard
+	shards []pinShard
+	mask   uint64
 }
-
-// pinShards is the number of lock shards (a power of two).
-const pinShards = 64
 
 // pinShard is one cache line exactly (TestPinShardLayout): mutex, table
 // header, pad.
@@ -32,10 +32,22 @@ type pinShard struct {
 	_    [8]byte
 }
 
-func (t *pinTable) init() { t.shards = new([pinShards]pinShard) }
+// init allocates n shards (a power of two: gateway.ShardCount) and returns
+// their locks, for the instances to share.
+func (t *pinTable) init(n int) []*sync.Mutex {
+	t.shards = make([]pinShard, n)
+	t.mask = uint64(n - 1)
+	locks := make([]*sync.Mutex, n)
+	for k := range t.shards {
+		locks[k] = &t.shards[k].mu
+	}
+	return locks
+}
 
+// shardFor returns id's shard — on every instance, the shard whose lock
+// guards id.
 func (t *pinTable) shardFor(id uint64) *pinShard {
-	return &t.shards[flowtab.Mix(id)%pinShards]
+	return &t.shards[flowtab.Mix(id)&t.mask]
 }
 
 // get returns the pinned instance for id.
@@ -49,40 +61,9 @@ func (t *pinTable) get(id uint64) (int, bool) {
 	return 0, false
 }
 
-// putIfAbsent pins id to idx unless a pin already exists, returning the
-// winning instance and whether this call inserted it — racing placements
-// of the same flow agree on one owner, and only the inserting caller may
-// roll its tentative pin back.
-func (t *pinTable) putIfAbsent(id uint64, idx int) (int, bool) {
-	s := t.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, inserted := s.pins.Put(id)
-	if inserted {
-		*p = int32(idx)
-	}
-	return int(*p), inserted
-}
-
-// set pins id to idx unconditionally (the migration repin).
-func (t *pinTable) set(id uint64, idx int) {
-	s := t.shardFor(id)
-	s.mu.Lock()
-	p, _ := s.pins.Put(id)
-	*p = int32(idx)
-	s.mu.Unlock()
-}
-
-// delIf removes id's pin only while it still points at idx, so a stale
-// unpin never clobbers a concurrent re-placement.
-func (t *pinTable) delIf(id uint64, idx int) {
-	s := t.shardFor(id)
-	s.mu.Lock()
-	if p := s.pins.Get(id); p != nil && int(*p) == idx {
-		s.pins.Delete(id)
-	}
-	s.mu.Unlock()
-}
+// drop removes id's pin; the caller holds id's shard lock. It is the lease
+// sweep's report (gateway.TickExpired), which runs under that lock.
+func (t *pinTable) drop(id uint64) { t.shardFor(id).pins.Delete(id) }
 
 // count returns the number of pinned flows.
 func (t *pinTable) count() int64 {

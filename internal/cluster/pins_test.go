@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -223,5 +224,144 @@ func TestLeaseExpiryUnpins(t *testing.T) {
 	checkPinsExact(t, c)
 	if st := c.Stats(); !st.LifecycleBalanced() {
 		t.Errorf("fleet lifecycle unbalanced: %+v", st)
+	}
+}
+
+// TestUpdateDuringAdmissionKeepsPin: a routed operation on a flow whose
+// admission is in flight must not strand the flow. Each instance's latency
+// clock issues UpdateRate(7) at its first read, inside Admit(7) after the
+// flow is placed. With a tentative pin written before the decision, the
+// update found the pin but not the flow, dropped the pin as stale, and the
+// admission then succeeded unpinned: Depart(7) answered not-active and the
+// slot was held forever.
+func TestUpdateDuringAdmissionKeepsPin(t *testing.T) {
+	var (
+		c     *Cluster
+		armed atomic.Bool
+	)
+	cfg := Config{}
+	for i := 0; i < 2; i++ {
+		gc := testGatewayConfig(t, 100, 0)
+		gc.LatencyClock = func() int64 {
+			if armed.CompareAndSwap(true, false) {
+				if err := c.UpdateRate(7, 1); err == nil {
+					t.Error("UpdateRate reached flow 7 before its admission was decided")
+				}
+			}
+			return 0
+		}
+		cfg.Instances = append(cfg.Instances, gc)
+	}
+	var err error
+	if c, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	if d, err := c.Admit(7, 1); err != nil || !d.Admitted {
+		t.Fatalf("Admit(7) = %+v, %v", d, err)
+	}
+	if armed.Load() {
+		t.Fatal("the admission never read the latency clock")
+	}
+	checkPinsExact(t, c)
+	if err := c.Depart(7); err != nil {
+		t.Fatalf("Depart(7) after its admission: %v", err)
+	}
+	checkPinsExact(t, c)
+}
+
+// TestSameIDStorm races every routed operation on a handful of shared flow
+// IDs — single and batched admissions (with an ID repeated inside a
+// batch), rate updates, keepalives and departures — beside a spinning Tick
+// whose leases expire flows mid-storm and a loop draining and reactivating
+// each instance in turn. Any answer to a racing operation is acceptable;
+// what must hold at quiescence is that the pins equal the instances' flow
+// tables, the fleet's lifecycle balances, and every pinned flow departs.
+func TestSameIDStorm(t *testing.T) {
+	const (
+		workers = 4
+		ids     = 8
+		rounds  = 3000
+		ttl     = 40.0
+	)
+	cfg := Config{Policy: PlaceRoundRobin}
+	for i := 0; i < 3; i++ {
+		cfg.Instances = append(cfg.Instances, testGatewayConfig(t, 1e6, ttl))
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() {
+		defer bg.Done()
+		for now := 1.0; ; now++ {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Tick(now)
+			}
+		}
+	}()
+	go func() {
+		defer bg.Done()
+		for i := 0; ; i = (i + 1) % c.Instances() {
+			select {
+			case <-stop:
+				return
+			default:
+				if _, _, err := c.Drain(i); err == nil {
+					_ = c.Reactivate(i)
+				}
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewPCG(uint64(w), 1))
+			var ds []gateway.Decision
+			var oks []bool
+			for i := 0; i < rounds; i++ {
+				id := r.Uint64N(ids)
+				switch r.IntN(6) {
+				case 0:
+					_, _ = c.Admit(id, 1)
+				case 1:
+					ds, _ = c.AdmitBatch([]uint64{id, (id + 1) % ids, id}, []float64{1, 1, 1}, ds[:0])
+				case 2:
+					_ = c.UpdateRate(id, r.Float64())
+				case 3:
+					_ = c.Touch(id)
+				case 4:
+					_ = c.Depart(id)
+				case 5:
+					oks = c.DepartBatch([]uint64{id, (id + 1) % ids}, oks[:0])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+
+	checkPinsExact(t, c)
+	if st := c.Stats(); !st.LifecycleBalanced() {
+		t.Errorf("fleet lifecycle unbalanced: %+v", st)
+	}
+	for id := uint64(0); id < ids; id++ {
+		if _, pinned := c.pins.get(id); pinned && c.Depart(id) != nil {
+			t.Errorf("pinned flow %d does not depart", id)
+		}
+	}
+	if st := c.Stats(); st.Active != 0 || c.pins.count() != 0 {
+		t.Errorf("after departing every pinned flow: %d active, %d pins", st.Active, c.pins.count())
 	}
 }

@@ -7,15 +7,6 @@ import (
 	"repro/internal/gateway"
 )
 
-// place chooses an instance for a new flow under the configured policy.
-// Returns -1 when no instance accepts placements (all draining).
-func (c *Cluster) place() int {
-	c.placeMu.Lock()
-	idx := c.placeLocked(-1, true)
-	c.placeMu.Unlock()
-	return idx
-}
-
 // placeFor chooses a migration target, excluding the draining source and
 // bypassing the preferred-instance hysteresis (a migration burst must not
 // install the drain target as the sticky preference).
@@ -24,20 +15,6 @@ func (c *Cluster) placeFor(exclude int) int {
 	idx := c.placeLocked(exclude, false)
 	c.placeMu.Unlock()
 	return idx
-}
-
-// peek returns the incumbent preferred instance without advancing any
-// policy state — the target for requests that cannot result in an
-// admission (invalid rates) but still need an instance to phrase the
-// refusal.
-func (c *Cluster) peek() int {
-	c.placeMu.Lock()
-	p := c.preferred
-	c.placeMu.Unlock()
-	if p < 0 {
-		p = 0
-	}
-	return p
 }
 
 // placeLocked implements the policies; the caller holds placeMu.
@@ -160,83 +137,28 @@ func contains(xs []int, x int) bool {
 }
 
 // Admit requests admission for one flow: route to the pinned owner if the
-// flow is already placed, otherwise place and pin it. The decision contract
-// matches gateway.Admit — a capacity refusal (including "every instance is
-// draining") is a Decision, not an error; errors indicate invalid input.
+// flow is already placed, otherwise place and pin it — AdmitBatch with one
+// item. The decision contract matches gateway.Admit — a capacity refusal
+// (including "every instance is draining") is a Decision, not an error;
+// errors indicate invalid input.
 func (c *Cluster) Admit(flowID uint64, rate float64) (gateway.Decision, error) {
-	idx, tentative := c.resolve(flowID, rate, -1)
-	if idx < 0 {
-		return gateway.Decision{Reason: gateway.ReasonCapacity}, nil
-	}
-	d, err := c.instances[idx].g.Admit(flowID, rate)
-	c.settle(flowID, idx, tentative, d.Admitted)
-	return d, err
-}
-
-// resolve names the instance that decides flowID's admission: the flow's
-// pinned owner (which also detects duplicates), else a fresh placement
-// recorded as a tentative pin — tentative reports that this call wrote it,
-// so racing admissions of one flow agree on one owner and only the writer
-// may take the pin back. An invalid rate decides nowhere and is never
-// pinned: it goes to last, the instance the caller's batch is already
-// talking to (any instance phrases the canonical refusal), or to the
-// preferred instance when there is none. -1 means every instance is
-// draining.
-func (c *Cluster) resolve(flowID uint64, rate float64, last int) (idx int, tentative bool) {
-	if idx, ok := c.pins.get(flowID); ok {
-		return idx, false
-	}
-	if !(rate > 0) || math.IsInf(rate, 0) {
-		if last < 0 {
-			last = c.peek()
-		}
-		return last, false
-	}
-	if idx = c.place(); idx < 0 {
-		return -1, false
-	}
-	return c.pins.putIfAbsent(flowID, idx)
-}
-
-// settle closes the admission resolve opened on instance idx. An admission
-// counts as a placement, and one that came through a pin somebody else
-// wrote re-asserts it: that pin may have been the last trace of an earlier
-// life of the flow, dropped by the tick that expired it while this
-// admission was in flight. A refusal takes back the tentative pin this call
-// wrote — unless the flow is active there after all (a racing admission
-// through the same pin won).
-func (c *Cluster) settle(flowID uint64, idx int, tentative, admitted bool) {
-	in := c.instances[idx]
-	switch {
-	case admitted:
-		in.placements.Add(1)
-		if !tentative {
-			c.pins.putIfAbsent(flowID, idx)
-		}
-	case tentative && !in.g.Contains(flowID):
-		c.pins.delIf(flowID, idx)
+	var buf [1]gateway.Decision
+	ds, _ := c.AdmitBatch([]uint64{flowID}, []float64{rate}, buf[:0])
+	switch d := ds[0]; d.Reason {
+	case gateway.ReasonInvalidRate:
+		return d, fmt.Errorf("cluster: declared rate %g must be positive and finite", rate)
+	case gateway.ReasonDuplicate:
+		return d, fmt.Errorf("cluster: flow %d is already active", flowID)
+	default:
+		return d, nil
 	}
 }
 
-// batchScratch is the pooled target-resolution scratch for the batched
-// paths.
-type batchScratch struct {
-	targets   []int
-	tentative []bool
-}
+// validRate reports whether an admission's declared rate can be decided.
+func validRate(rate float64) bool { return rate > 0 && !math.IsInf(rate, 0) }
 
-func (c *Cluster) getScratch(n int) *batchScratch {
-	sc, _ := c.batchPool.Get().(*batchScratch)
-	if sc == nil {
-		sc = new(batchScratch)
-	}
-	if cap(sc.targets) < n {
-		sc.targets = make([]int, 0, n)
-		sc.tentative = make([]bool, 0, n)
-	}
-	sc.targets, sc.tentative = sc.targets[:0], sc.tentative[:0]
-	return sc
-}
+// targetScratch is AdmitBatch's pooled per-item target slice.
+type targetScratch struct{ targets []int }
 
 // forRuns calls fn once per maximal run targets[lo:hi] of one value, in
 // order.
@@ -252,13 +174,18 @@ func forRuns(targets []int, fn func(t, lo, hi int)) {
 
 // AdmitBatch decides a batch of admission requests, appending one Decision
 // per request to dst and returning the extended slice — the cluster face
-// of gateway.AdmitBatch. Each item is resolved and settled exactly as by
-// Admit; in between, contiguous same-instance runs are flushed through the
-// owning instance's AdmitBatch, so a cluster of one forwards the whole
+// of gateway.AdmitBatch. The whole batch is placed first, against the
+// headroom at its start: a pinned flow goes to its owner (which refuses it
+// as a duplicate), any other valid item to a fresh placement, and an
+// invalid rate, which decides nowhere and is never pinned, rides the
+// instance the batch is already talking to (any instance phrases the
+// canonical refusal), or the preferred instance when there is none. Then
+// contiguous same-instance runs are flushed through the owning instance's
+// AdmitBatchOwned, which decides each item and pins it in one critical
+// section under its shard lock, so a cluster of one forwards the whole
 // batch in a single call and is decision- and instrumentation-identical to
-// a bare gateway. Invalid rates ride the current run so they don't split
-// it. Items that cannot be admitted anywhere (every instance draining) are
-// refused with ReasonCapacity without touching an instance.
+// a bare gateway. Items that cannot be admitted anywhere (every instance
+// draining) are refused with ReasonCapacity without touching an instance.
 func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decision) ([]gateway.Decision, error) {
 	if len(ids) != len(rates) {
 		return dst, fmt.Errorf("cluster: batch length mismatch: %d ids, %d rates", len(ids), len(rates))
@@ -266,18 +193,11 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 	if len(ids) == 0 {
 		return dst, nil
 	}
-	sc := c.getScratch(len(ids))
-	last := -1
-	for i, id := range ids {
-		idx, tentative := c.resolve(id, rates[i], last)
-		sc.targets = append(sc.targets, idx)
-		sc.tentative = append(sc.tentative, tentative)
-		if idx >= 0 {
-			last = idx
-		}
+	sc, _ := c.batchPool.Get().(*targetScratch)
+	if sc == nil {
+		sc = new(targetScratch)
 	}
-
-	base := len(dst)
+	sc.targets = c.place(ids, rates, sc.targets[:0])
 	forRuns(sc.targets, func(t, lo, hi int) {
 		if t < 0 {
 			for j := lo; j < hi; j++ {
@@ -287,15 +207,48 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 		}
 		// The instance's only error is a length mismatch, which equal
 		// sub-slices of the checked inputs cannot produce.
-		dst, _ = c.instances[t].g.AdmitBatch(ids[lo:hi], rates[lo:hi], dst)
+		in := c.instances[t]
+		dst, _ = in.g.AdmitBatchOwned(ids[lo:hi], rates[lo:hi], dst, in)
 	})
-	for i, id := range ids {
-		if t := sc.targets[i]; t >= 0 {
-			c.settle(id, t, sc.tentative[i], dst[base+i].Admitted)
-		}
-	}
 	c.batchPool.Put(sc)
 	return dst, nil
+}
+
+// place appends to targets the instance that decides each item of an
+// admission batch (-1: every instance is draining). Pins are read first,
+// each under its shard lock; then every other item is placed under one
+// hold of placeMu.
+func (c *Cluster) place(ids []uint64, rates []float64, targets []int) []int {
+	const unplaced = -2
+	for i, id := range ids {
+		t := unplaced
+		if validRate(rates[i]) {
+			if idx, ok := c.pins.get(id); ok {
+				t = idx
+			}
+		}
+		targets = append(targets, t)
+	}
+	c.placeMu.Lock()
+	last := -1
+	for i, t := range targets {
+		if t == unplaced {
+			switch {
+			case validRate(rates[i]):
+				t = c.placeLocked(-1, true)
+			case last >= 0:
+				t = last
+			default:
+				t = max(c.preferred, 0)
+			}
+			targets[i] = t
+		}
+		if t >= 0 {
+			last = t
+		}
+	}
+	c.placeMu.Unlock()
+	return targets
 }
 
 // notActiveError is a routed operation's error for a flow with no pin; like
@@ -306,35 +259,21 @@ func (id notActiveError) Error() string {
 	return fmt.Sprintf("cluster: flow %d is not active", uint64(id))
 }
 
-// onOwner runs op on the instance flowID is pinned to and applies the one
-// unpin rule: the pin goes, if it still points at that instance (so a
-// stale unpin never clobbers a re-placement), once the flow has ended
-// there — op was its departure, or the instance no longer knows it.
-//
-// A drain may repin the flow between the pin read and op; op then fails at
-// the source while the flow lives on at the migration target. So a failed
-// op re-reads the pin and, if it moved, follows it: without that a Depart
-// through the window is answered not-active and, with leases off, nothing
-// ever reclaims the target copy. A pin moves once per Drain, which bounds
-// the loop.
-func (c *Cluster) onOwner(flowID uint64, departs bool, op func(*gateway.Gateway) error) error {
-	idx, ok := c.pins.get(flowID)
+// onOwner runs op, a lock-held gateway body, at flowID's owner in one
+// critical section under flowID's shard lock — pin shard k's lock, which is
+// shard k's lock on every instance — and reports a flow with no pin as not
+// active. Nothing can move or end the flow between the pin read and op,
+// so the owner always holds it.
+func (c *Cluster) onOwner(flowID uint64, op func(*gateway.Gateway) bool) error {
+	s := c.pins.shardFor(flowID)
+	s.mu.Lock()
+	p := s.pins.Get(flowID)
+	ok := p != nil && op(c.instances[*p].g)
+	s.mu.Unlock()
 	if !ok {
 		return notActiveError(flowID)
 	}
-	for {
-		err := op(c.instances[idx].g)
-		if err != nil {
-			if moved, ok := c.pins.get(flowID); ok && moved != idx {
-				idx = moved
-				continue
-			}
-		}
-		if departs || err != nil {
-			c.pins.delIf(flowID, idx)
-		}
-		return err
-	}
+	return nil
 }
 
 // UpdateRate routes a rate report to the flow's owning instance. Rates are
@@ -344,62 +283,39 @@ func (c *Cluster) UpdateRate(flowID uint64, rate float64) error {
 	if !(rate >= 0) || math.IsInf(rate, 0) {
 		return fmt.Errorf("cluster: rate %g must be non-negative and finite", rate)
 	}
-	return c.onOwner(flowID, false, func(g *gateway.Gateway) error { return g.UpdateRate(flowID, rate) })
+	return c.onOwner(flowID, func(g *gateway.Gateway) bool { return g.UpdateRateLocked(flowID, rate) })
 }
 
 // Touch routes a lease keepalive to the flow's owning instance.
 func (c *Cluster) Touch(flowID uint64) error {
-	return c.onOwner(flowID, false, func(g *gateway.Gateway) error { return g.Touch(flowID) })
+	return c.onOwner(flowID, func(g *gateway.Gateway) bool { return g.TouchLocked(flowID) })
 }
 
 // Depart removes an active flow from its owning instance and unpins it.
 func (c *Cluster) Depart(flowID uint64) error {
-	return c.onOwner(flowID, true, func(g *gateway.Gateway) error { return g.Depart(flowID) })
+	if !c.depart(flowID) {
+		return notActiveError(flowID)
+	}
+	return nil
+}
+
+// depart is Depart's critical section: unpin and depart at the owner
+// under flowID's shard lock.
+func (c *Cluster) depart(flowID uint64) bool {
+	s := c.pins.shardFor(flowID)
+	s.mu.Lock()
+	idx, ok := s.pins.Delete(flowID)
+	ok = ok && c.instances[idx].g.DepartLocked(flowID)
+	s.mu.Unlock()
+	return ok
 }
 
 // DepartBatch removes a batch of flows, appending one result per id to dst
 // (true = departed) and returning the extended slice — the cluster face of
-// gateway.DepartBatch. Contiguous same-owner runs are flushed through the
-// owning instance's DepartBatch; unpinned ids report not-active without
-// touching any instance. Every pin the batch routed through is then
-// dropped under the rule of onOwner — including its retry: an id its owner
-// did not know, whose pin a drain has moved meanwhile, departs again
-// through the new pin.
+// gateway.DepartBatch, each id departed in order exactly as by Depart.
 func (c *Cluster) DepartBatch(ids []uint64, dst []bool) []bool {
-	if len(ids) == 0 {
-		return dst
-	}
-	sc := c.getScratch(len(ids))
 	for _, id := range ids {
-		idx, ok := c.pins.get(id)
-		if !ok {
-			idx = -1
-		}
-		sc.targets = append(sc.targets, idx)
+		dst = append(dst, c.depart(id))
 	}
-	base := len(dst)
-	forRuns(sc.targets, func(t, lo, hi int) {
-		if t < 0 {
-			for j := lo; j < hi; j++ {
-				dst = append(dst, false)
-			}
-			return
-		}
-		dst = c.instances[t].g.DepartBatch(ids[lo:hi], dst)
-	})
-	for i, id := range ids {
-		t := sc.targets[i]
-		if t < 0 {
-			continue
-		}
-		if !dst[base+i] {
-			if moved, ok := c.pins.get(id); ok && moved != t {
-				dst[base+i] = c.Depart(id) == nil
-				continue
-			}
-		}
-		c.pins.delIf(id, t)
-	}
-	c.batchPool.Put(sc)
 	return dst
 }

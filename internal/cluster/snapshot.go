@@ -69,7 +69,7 @@ func (c *Cluster) Snapshot() Snapshot {
 			Active:      st.Active,
 			Headroom:    in.headroom(),
 			Pinned:      pinned[i],
-			Placements:  in.placements.Load(),
+			Placements:  st.Admitted - in.migratedIn.Load(),
 			MigratedIn:  in.migratedIn.Load(),
 			MigratedOut: in.migratedOut.Load(),
 			Admitted:    st.Admitted,

@@ -15,9 +15,9 @@ func (g *Gateway) Capacity() float64 { return g.cfg.Capacity }
 // Contains reports whether flowID is currently active on this gateway.
 func (g *Gateway) Contains(flowID uint64) bool {
 	s := g.shardFor(flowID)
-	s.mu.Lock()
+	s.lock.Lock()
 	ok := s.flows.Get(flowID) != nil
-	s.mu.Unlock()
+	s.lock.Unlock()
 	return ok
 }
 
@@ -34,10 +34,10 @@ func (g *Gateway) ForEachFlow(fn func(flowID uint64, rate float64)) {
 	var buf []pair
 	for i := range g.shards {
 		s := &g.shards[i]
-		s.mu.Lock()
+		s.lock.Lock()
 		buf = buf[:0]
 		s.flows.Range(func(id uint64, e *flowEntry) { buf = append(buf, pair{id, e.rate}) })
-		s.mu.Unlock()
+		s.lock.Unlock()
 		for _, p := range buf {
 			fn(p.id, p.rate)
 		}

@@ -238,26 +238,36 @@ var processStart = time.Now()
 func defaultLatencyClock() int64 { return int64(time.Since(processStart)) }
 
 // shard is one lock domain of the flow table, and also one stripe of the
-// hot-path instrumentation: admit/reject/depart counts and the latency
+// hot-path instrumentation: admit/reject/expire counts and the latency
 // histogram are plain (non-atomic) fields updated inside the critical
 // section the admission path already holds, then merged across shards only
 // when Stats or Snapshot asks. Compared to global atomic counters this
 // removes every cross-shard cache-line bounce from the hot path — the
 // three-way contention on admitted/rejected/admitLat was what doubled
-// Admit's cost when instrumentation landed.
+// Admit's cost when instrumentation landed. Departures are not counted at
+// all: every flow a shard admitted has departed, expired or is still in its
+// table, so departed = admitted − expired − len(flows), exactly, under the
+// lock.
 //
 // The flow table is embedded by value, directly behind the mutex: its
 // header shares the line the lock was just acquired on, so finding a flow
-// touches that line and the slot's and no other (see flowtab). The struct
-// is two cache lines exactly — mu, table header and sumRate; then the rest —
-// with no padding, and TestShardLayout holds it there: a shard that is not
-// a multiple of the line straddles its neighbour's, and two cores on
-// different shards then false-share.
+// touches that line and the slot's and no other (see flowtab). lock is the
+// mutex in force: mu, or — for a gateway built by NewShared — the caller's
+// lock for this shard index, which the cluster router shares between every
+// instance's shard k and its pin shard k. The struct is two cache lines
+// exactly — mu, table header and lock; then the sums, counters and
+// histogram — with no padding, and TestShardLayout holds it there: a shard
+// that is not a multiple of the line straddles its neighbour's, and two
+// cores on different shards then false-share. mu and the header lead
+// because a shard slice past 512 bytes starts one word into a line (the
+// allocator's header), and they must share a line either way.
 type shard struct {
-	mu      sync.Mutex
-	flows   flowtab.Table[flowEntry] // flow ID -> rate and lease deadline
-	sumRate float64                  // ΣX_i over this shard
-	sumSq   float64                  // ΣX_i² over this shard
+	mu    sync.Mutex
+	flows flowtab.Table[flowEntry] // flow ID -> rate and lease deadline
+	lock  *sync.Mutex
+
+	sumRate float64 // ΣX_i over this shard
+	sumSq   float64 // ΣX_i² over this shard
 
 	// minDeadline is a conservative lower bound on the earliest lease
 	// deadline in this shard (+Inf when leases are off or the shard holds
@@ -267,13 +277,15 @@ type shard struct {
 	// low — the cost is a wasted scan, never a missed expiry.
 	minDeadline float64
 
-	admitted uint64 // striped counters, merged at read time
-	rejected uint64
-	departed uint64
+	admitted uint64                  // striped counters, merged at read time
+	rejected uint64                  //
 	expired  uint64                  // lease-sweep reclaims (ReasonExpired departures)
 	latSeq   uint64                  // decision sequence for 1-in-N latency sampling
-	lat      *metrics.LocalHistogram // admission latency, single-writer under mu
+	lat      *metrics.LocalHistogram // admission latency, single-writer under lock
 }
+
+// departed returns the shard's departure count; the caller holds s.lock.
+func (s *shard) departed() uint64 { return s.admitted - s.expired - uint64(s.flows.Len()) }
 
 // flowEntry is one active flow's per-shard state: its current rate and,
 // with leases enabled, the virtual time at which its lease expires.
@@ -285,11 +297,14 @@ type flowEntry struct {
 // Gateway is a concurrent online admission controller. Construct with New;
 // all methods are safe for concurrent use.
 type Gateway struct {
+	// active is written by every admission and departure on every core, so
+	// it leads the struct, with the cold cfg behind it: no field an admit or
+	// update reads shares its cache line (TestGatewayHotWordLayout).
+	active atomic.Int64 // CAS-reserved active-flow count (admission invariant)
+
 	cfg    Config
 	shards []shard
 	mask   uint64
-
-	active atomic.Int64 // CAS-reserved active-flow count (admission invariant)
 
 	// departPool recycles DepartBatch's shard-grouping scratch across
 	// calls and connections, keeping the batched departure path
@@ -380,20 +395,42 @@ func (s Stats) LifecycleBalanced() bool {
 // New validates the configuration and returns a gateway whose bound has
 // been initialized by one measurement tick at virtual time zero (so a
 // certainty-equivalent controller starts from its bootstrap declaration).
-func New(cfg Config) (*Gateway, error) {
+func New(cfg Config) (*Gateway, error) { return newGateway(cfg, nil) }
+
+// NewShared is New for a gateway whose shard k is guarded by locks[k]
+// instead of a mutex of its own. A caller that keeps per-flow state beside
+// several gateways — the cluster router's pin table — hands them all the
+// same locks, and then changes its state and theirs in one critical
+// section through the lock-held bodies (UpdateRateLocked, TouchLocked,
+// DepartLocked, AdmitBatchOwned). len(locks) must be ShardCount(cfg.Shards).
+func NewShared(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
+	if n := ShardCount(cfg.Shards); len(locks) != n {
+		return nil, fmt.Errorf("gateway: %d shared locks for %d shards", len(locks), n)
+	}
+	return newGateway(cfg, locks)
+}
+
+// ShardCount returns the number of shards a gateway configured with
+// Shards = n has: n rounded up to a power of two, 16 when n ≤ 0.
+func ShardCount(n int) int {
+	if n <= 0 {
+		return 16
+	}
+	shards := 1
+	for shards < n {
+		shards <<= 1
+	}
+	return shards
+}
+
+func newGateway(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("gateway: capacity %g must be positive", cfg.Capacity)
 	}
 	if cfg.Controller == nil || cfg.Estimator == nil {
 		return nil, fmt.Errorf("gateway: Controller and Estimator are required")
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	nshards := 1
-	for nshards < cfg.Shards {
-		nshards <<= 1
-	}
+	nshards := ShardCount(cfg.Shards)
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 100 * time.Millisecond
 	}
@@ -446,8 +483,13 @@ func New(cfg Config) (*Gateway, error) {
 	// layout-compatible by construction.
 	bounds := metrics.DefaultLatencyBounds()
 	for i := range g.shards {
-		g.shards[i].lat = metrics.NewLocalHistogram(bounds)
-		g.shards[i].minDeadline = math.Inf(1)
+		s := &g.shards[i]
+		s.lock = &s.mu
+		if locks != nil {
+			s.lock = locks[i]
+		}
+		s.lat = metrics.NewLocalHistogram(bounds)
+		s.minDeadline = math.Inf(1)
 	}
 	g.cfg.Estimator.Reset(0)
 	g.Tick(0)
@@ -472,7 +514,7 @@ func (g *Gateway) Admissible() float64 {
 }
 
 // startTimingLocked decides whether this decision's latency is observed
-// and, if so, reads the clock; the caller holds s.mu. At full fidelity the
+// and, if so, reads the clock; the caller holds s.lock. At full fidelity the
 // caller already read start before the lock (timing the whole call), so
 // this is a no-op; in sampled mode the 1-in-N choice happens here, under
 // the lock that owns latSeq, and sampled-out decisions never touch the
@@ -489,7 +531,7 @@ func (g *Gateway) startTimingLocked(s *shard, start int64) (int64, bool) {
 	return g.clock(), true
 }
 
-// insertLocked records an admitted flow in s; the caller holds s.mu and
+// insertLocked records an admitted flow in s; the caller holds s.lock and
 // has already CAS-reserved the active slot. With leases enabled the flow's
 // deadline is stamped from the last published tick time, so a flow that
 // never refreshes expires one TTL after (at most) its admission tick.
@@ -543,9 +585,9 @@ func (g *Gateway) Admit(flowID uint64, declaredRate float64) (Decision, error) {
 	}
 	m := g.Admissible()
 	s := g.shardFor(flowID)
-	s.mu.Lock()
+	s.lock.Lock()
 	if s.flows.Get(flowID) != nil {
-		s.mu.Unlock()
+		s.lock.Unlock()
 		return Decision{Reason: ReasonDuplicate, Admissible: m, Active: g.active.Load()},
 			fmt.Errorf("gateway: flow %d is already active", flowID)
 	}
@@ -554,13 +596,13 @@ func (g *Gateway) Admit(flowID uint64, declaredRate float64) (Decision, error) {
 	if timed {
 		s.lat.Observe(float64(g.clock()-start) * 1e-9)
 	}
-	s.mu.Unlock()
+	s.lock.Unlock()
 	return d, nil
 }
 
 // decideLocked is the one admission step behind Admit and AdmitBatch:
 // reserve a slot and insert the flow, or count the capacity reject. The
-// caller holds s.mu and has ruled out a duplicate. The reservation is
+// caller holds s.lock and has ruled out a duplicate. The reservation is
 // lock-free: the CAS loop ensures the active count can never exceed ⌊M⌋
 // even when many goroutines race a single free slot. (Spinning while
 // holding the shard lock is safe: other threads advance the counter
@@ -602,6 +644,28 @@ func (g *Gateway) decideLocked(s *shard, flowID uint64, rate, m float64) Decisio
 // indistinguishable from a decision until the lookup returns.) Batches
 // bypass LatencySample — the clock cost is already amortized.
 func (g *Gateway) AdmitBatch(ids []uint64, rates []float64, dst []Decision) ([]Decision, error) {
+	return g.AdmitBatchOwned(ids, rates, dst, nil)
+}
+
+// Owner is per-flow ownership kept beside gateways that share their shard
+// locks (NewShared) — the cluster router's pin table. AdmitBatchOwned calls
+// it under each valid item's shard lock, so ownership and the flow tables
+// change in one critical section. It must not call back into the gateway,
+// except for the lock-held bodies of a gateway sharing these locks.
+type Owner interface {
+	// Owned reports whether flowID belongs elsewhere; the item is then
+	// refused as a duplicate without a decision.
+	Owned(flowID uint64) bool
+	// Own records that this gateway has just admitted flowID.
+	Own(flowID uint64)
+}
+
+// AdmitBatchOwned is AdmitBatch with each valid item's ownership settled
+// under its shard lock: o (nil for none) is asked whether the flow belongs
+// elsewhere before the decision and told of each admission. The latency
+// clock is read only outside the shard locks, so neither o nor a clock
+// hook can deadlock on them.
+func (g *Gateway) AdmitBatchOwned(ids []uint64, rates []float64, dst []Decision, o Owner) ([]Decision, error) {
 	if len(ids) != len(rates) {
 		return dst, fmt.Errorf("gateway: batch length mismatch: %d ids, %d rates", len(ids), len(rates))
 	}
@@ -631,16 +695,19 @@ func (g *Gateway) AdmitBatch(ids []uint64, rates []float64, dst []Decision) ([]D
 			timing = true
 		}
 		s := g.shardFor(id)
-		s.mu.Lock()
-		if s.flows.Get(id) != nil {
-			s.mu.Unlock()
+		s.lock.Lock()
+		if s.flows.Get(id) != nil || o != nil && o.Owned(id) {
+			s.lock.Unlock()
 			latNanos += g.clock() - start
 			timing = false
 			dst = append(dst, Decision{Reason: ReasonDuplicate, Admissible: m, Active: g.active.Load()})
 			continue
 		}
 		d := g.decideLocked(s, id, rate, m)
-		s.mu.Unlock()
+		if d.Admitted && o != nil {
+			o.Own(id)
+		}
+		s.lock.Unlock()
 		if latShard == nil {
 			latShard = s
 		}
@@ -651,9 +718,9 @@ func (g *Gateway) AdmitBatch(ids []uint64, rates []float64, dst []Decision) ([]D
 		latNanos += g.clock() - start
 	}
 	if decided > 0 {
-		latShard.mu.Lock()
+		latShard.lock.Lock()
 		latShard.lat.ObserveN(float64(latNanos)*1e-9/float64(decided), decided)
-		latShard.mu.Unlock()
+		latShard.lock.Unlock()
 	}
 	return dst, nil
 }
@@ -676,11 +743,23 @@ func (g *Gateway) UpdateRate(flowID uint64, rate float64) error {
 		return fmt.Errorf("gateway: rate %g must be non-negative and finite", rate)
 	}
 	s := g.shardFor(flowID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock.Lock()
+	ok := g.UpdateRateLocked(flowID, rate)
+	s.lock.Unlock()
+	if !ok {
+		return notActiveError(flowID)
+	}
+	return nil
+}
+
+// UpdateRateLocked is UpdateRate's body for a caller that holds flowID's
+// shard lock (NewShared) and has validated rate; it reports whether the
+// flow is active here.
+func (g *Gateway) UpdateRateLocked(flowID uint64, rate float64) bool {
+	s := g.shardFor(flowID)
 	e := s.flows.Get(flowID)
 	if e == nil {
-		return notActiveError(flowID)
+		return false
 	}
 	s.sumRate += rate - e.rate
 	s.sumSq += rate*rate - e.rate*e.rate
@@ -691,7 +770,7 @@ func (g *Gateway) UpdateRate(flowID uint64, rate float64) error {
 	if g.trackPeak && rate > 0 {
 		g.notePeak(rate)
 	}
-	return nil
+	return true
 }
 
 // notActiveError is UpdateRate's, Touch's and Depart's error for a flow the
@@ -708,35 +787,54 @@ func (id notActiveError) Error() string {
 // reports arrive out of band. A no-op when leases are disabled.
 func (g *Gateway) Touch(flowID uint64) error {
 	s := g.shardFor(flowID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.flows.Get(flowID)
-	if e == nil {
+	s.lock.Lock()
+	ok := g.TouchLocked(flowID)
+	s.lock.Unlock()
+	if !ok {
 		return notActiveError(flowID)
+	}
+	return nil
+}
+
+// TouchLocked is Touch's body for a caller that holds flowID's shard lock
+// (NewShared); it reports whether the flow is active here.
+func (g *Gateway) TouchLocked(flowID uint64) bool {
+	e := g.shardFor(flowID).flows.Get(flowID)
+	if e == nil {
+		return false
 	}
 	if g.ttl > 0 {
 		e.deadline = g.vnow.Load() + g.ttl
 	}
-	return nil
+	return true
 }
 
 // Depart removes an active flow. Departing an unknown flow is an error.
 func (g *Gateway) Depart(flowID uint64) error {
 	s := g.shardFor(flowID)
-	s.mu.Lock()
-	if !s.departLocked(flowID) {
-		s.mu.Unlock()
+	s.lock.Lock()
+	ok := g.DepartLocked(flowID)
+	s.lock.Unlock()
+	if !ok {
 		return notActiveError(flowID)
 	}
-	s.mu.Unlock()
-	g.active.Add(-1)
 	return nil
+}
+
+// DepartLocked is Depart's body for a caller that holds flowID's shard
+// lock (NewShared); it reports whether the flow was active here.
+func (g *Gateway) DepartLocked(flowID uint64) bool {
+	if !g.shardFor(flowID).departLocked(flowID) {
+		return false
+	}
+	g.active.Add(-1)
+	return true
 }
 
 // departLocked is the one way a flow leaves the table by request —
 // departure and batched departure both end here (lease expiry leaves
 // through sweepLocked, which recomputes the sums outright). It reports
-// whether flowID was active; the caller holds s.mu and owes the active
+// whether flowID was active; the caller holds s.lock and owes the active
 // count its decrement. With churn the incremental shard sums accumulate
 // floating-point drift; they are renormalized to exact zeros whenever a
 // shard empties, and Tick's rotating exact recompute covers shards that
@@ -752,7 +850,6 @@ func (s *shard) departLocked(flowID uint64) bool {
 		s.sumRate, s.sumSq = 0, 0
 		s.minDeadline = math.Inf(1)
 	}
-	s.departed++
 	return true
 }
 
@@ -819,14 +916,14 @@ func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
 			continue
 		}
 		s := &g.shards[si]
-		s.mu.Lock()
+		s.lock.Lock()
 		for ; i >= 0; i = next[i] {
 			if s.departLocked(ids[i]) {
 				departed++
 				dst[base+i] = true
 			}
 		}
-		s.mu.Unlock()
+		s.lock.Unlock()
 	}
 	g.departPool.Put(sc)
 	if departed > 0 {
@@ -888,7 +985,7 @@ func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 	var n int
 	for i := range g.shards {
 		s := &g.shards[i]
-		s.mu.Lock()
+		s.lock.Lock()
 		if g.ttl > 0 && s.minDeadline <= now {
 			g.sweepLocked(s, now, expired)
 		} else if i == rot {
@@ -897,7 +994,7 @@ func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 		sumRate += s.sumRate
 		sumSq += s.sumSq
 		n += s.flows.Len()
-		s.mu.Unlock()
+		s.lock.Unlock()
 	}
 
 	g.cfg.Estimator.Advance(now)
@@ -958,7 +1055,7 @@ func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 
 // sweepLocked reclaims expired leases from s at virtual time now, reporting
 // each to expired (when set) as it leaves the table, and refreshes the
-// shard's cached earliest deadline; the caller holds measMu and s.mu. The
+// shard's cached earliest deadline; the caller holds measMu and s.lock. The
 // sweep is one in-place pass over the table and allocates nothing. After
 // any reclaim the shard's sums are recomputed exactly (in sorted order —
 // see recomputeLocked), so expiry never leaves incremental drift or an
@@ -988,7 +1085,7 @@ func (g *Gateway) sweepLocked(s *shard, now float64, expired func(flowID uint64)
 
 // recomputeLocked replaces s's incremental sums with exact recomputations
 // from the flow table; the caller holds measMu (which owns rotScratch) and
-// s.mu.
+// s.lock.
 func (g *Gateway) recomputeLocked(s *shard) {
 	rates := g.rotScratch[:0]
 	s.flows.Range(func(_ uint64, e *flowEntry) { rates = append(rates, e.rate) })
@@ -1061,12 +1158,12 @@ func (g *Gateway) statsLocked() Stats {
 	var admitted, rejected, departed, expired uint64
 	for i := range g.shards {
 		s := &g.shards[i]
-		s.mu.Lock()
+		s.lock.Lock()
 		admitted += s.admitted
 		rejected += s.rejected
-		departed += s.departed
+		departed += s.departed()
 		expired += s.expired
-		s.mu.Unlock()
+		s.lock.Unlock()
 	}
 	deg, reason := g.Degraded()
 	return Stats{
@@ -1142,13 +1239,13 @@ func (g *Gateway) Snapshot() Snapshot {
 	lat := g.shards[0].lat.EmptySnapshot()
 	for i := range g.shards {
 		s := &g.shards[i]
-		s.mu.Lock()
+		s.lock.Lock()
 		admitted += s.admitted
 		rejected += s.rejected
-		departed += s.departed
+		departed += s.departed()
 		expired += s.expired
 		s.lat.AddTo(&lat)
-		s.mu.Unlock()
+		s.lock.Unlock()
 	}
 	snap.Active = g.active.Load()
 	snap.Admitted = int64(admitted)

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -31,6 +32,29 @@ func TestShardLayout(t *testing.T) {
 			if first != last {
 				t.Fatalf("%d shards: shard %d's mutex and table header are on different cache lines", shards, i)
 			}
+		}
+	}
+}
+
+// TestGatewayHotWordLayout keeps the active count — CAS'd by every
+// admission and decremented by every departure, on every core — a cache
+// line clear of every field an admission or a rate update reads, wherever
+// the gateway is allocated. At offset 160 it shared a line with shards
+// (128) and mask (152), which every operation reads to find its shard.
+func TestGatewayHotWordLayout(t *testing.T) {
+	typ := reflect.TypeOf(Gateway{})
+	active, _ := typ.FieldByName("active")
+	for _, name := range []string{"shards", "mask", "clock", "sampleMask", "bound", "ttl", "trackPeak", "vnow", "peakBits"} {
+		f, ok := typ.FieldByName(name)
+		if !ok {
+			t.Fatalf("Gateway has no field %s", name)
+		}
+		lo, hi := active, f
+		if lo.Offset > hi.Offset {
+			lo, hi = hi, lo
+		}
+		if hi.Offset < lo.Offset+lo.Type.Size()+cacheLine {
+			t.Errorf("Gateway.active (offset %d) can share a cache line with %s (offset %d), which every admit or update reads", active.Offset, name, f.Offset)
 		}
 	}
 }
