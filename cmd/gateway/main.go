@@ -89,7 +89,7 @@ func main() {
 // options holds the parsed flags.
 type options struct {
 	n, svr, tc, th, tm, pce, pq, tick, ttl float64
-	latsample, shards, window, staleAfter  int
+	shards, window, staleAfter             int
 	estMode, degraded, listen              string
 	adaptive                               bool
 
@@ -129,7 +129,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.Float64Var(&o.tick, "tick", 0.5, "measurement tick period (virtual time)")
 	fs.IntVar(&o.workers, "workers", 8, "concurrent client goroutines (flows shard across them by id)")
 	fs.IntVar(&o.batch, "batch", 32, "admissions coalesced per AdmitBatch call (1 = no coalescing)")
-	fs.IntVar(&o.latsample, "latsample", 1, "observe admission latency 1-in-N per shard (1 = every decision)")
 	fs.IntVar(&o.shards, "shards", 16, "gateway flow-table shards")
 	fs.Uint64Var(&o.seed, "seed", 1, "schedule random seed (an internal/loadgen schedule seed)")
 	fs.StringVar(&o.listen, "listen", "", "serve the observability endpoint on this address (e.g. :8080)")
@@ -161,8 +160,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("workers, tick, duration and lambda must be positive")
 	case o.batch < 1:
 		return fmt.Errorf("batch %d must be at least 1", o.batch)
-	case o.latsample < 0:
-		return fmt.Errorf("latsample %d must be non-negative", o.latsample)
 	case o.clusterN < 0:
 		return fmt.Errorf("cluster %d must be non-negative", o.clusterN)
 	case o.clusterN > 0 && !o.serve:
@@ -218,7 +215,6 @@ func (o *options) gatewayConfig(tuners *[]*adaptive.Controller) (cfg gateway.Con
 		Estimator:      est,
 		Shards:         o.shards,
 		TickInterval:   o.tickInterval,
-		LatencySample:  o.latsample,
 		OverflowWindow: o.window,
 		FlowTTL:        o.ttl,
 		StaleAfter:     o.staleAfter,

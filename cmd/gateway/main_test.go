@@ -18,7 +18,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-n -5", "capacity"},
 		{"-pce 2", "out of (0,1)"},
 		{"-batch 0", "at least 1"},
-		{"-latsample -1", "non-negative"},
 		{"-lie 0", "lie factor"},
 		{"-estimator window", "positive memory"},
 		{"-cluster 2", "-cluster requires -serve"},

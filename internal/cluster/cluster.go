@@ -11,9 +11,9 @@
 // mean. The placement policy is pluggable (least-loaded by headroom,
 // smooth-weighted by headroom, or round-robin), and two dampers keep a
 // marginally-better instance from churning placements: an instance is only
-// *preferred* once its estimator has been warmed for Config.Warmup
+// *preferred* once its estimator has been warmed for warmupTicks (3)
 // consecutive ticks, and the incumbent preferred instance is only displaced
-// when a challenger's headroom leads by more than Config.Hysteresis × c.
+// when a challenger's headroom leads by more than hysteresis (0.05) × c.
 //
 // # Pinning
 //
@@ -112,21 +112,23 @@ type Config struct {
 	// Policy selects the placement policy (default least-loaded).
 	Policy PlacementPolicy
 
-	// Warmup is the number of consecutive valid-measurement ticks before
-	// an instance joins the preferred placement tier (default 3). Before
-	// warmup an instance still receives placements when no warmed
-	// instance is eligible.
-	Warmup int
-
-	// Hysteresis damps preferred-instance churn under the least-loaded
-	// policy: a challenger displaces the incumbent only when its headroom
-	// leads by more than Hysteresis × (incumbent capacity). Default 0.05.
-	Hysteresis float64
-
 	// TickInterval is the wall-clock measurement period used by Run
 	// (default 100ms). Virtual-clock users call Tick directly.
 	TickInterval time.Duration
 }
+
+const (
+	// warmupTicks is the number of consecutive valid-measurement ticks
+	// before an instance joins the preferred placement tier. Before warmup
+	// an instance still receives placements when no warmed instance is
+	// eligible.
+	warmupTicks = 3
+
+	// hysteresis damps preferred-instance churn under the least-loaded
+	// policy: a challenger displaces the incumbent only when its headroom
+	// leads by more than hysteresis × (incumbent capacity).
+	hysteresis = 0.05
+)
 
 // instance is one gateway plus the router's per-instance state: routing
 // state, the tick-cached scoring mean, and migration counters. Placement
@@ -229,18 +231,6 @@ func New(cfg Config) (*Cluster, error) {
 	if !placementPolicyNames.Valid(cfg.Policy) {
 		return nil, fmt.Errorf("cluster: unknown placement policy %d", int(cfg.Policy))
 	}
-	if cfg.Warmup < 0 {
-		return nil, fmt.Errorf("cluster: warmup %d must be non-negative", cfg.Warmup)
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 3
-	}
-	if math.IsNaN(cfg.Hysteresis) || math.IsInf(cfg.Hysteresis, 0) || cfg.Hysteresis < 0 {
-		return nil, fmt.Errorf("cluster: hysteresis %g must be a non-negative finite fraction", cfg.Hysteresis)
-	}
-	if cfg.Hysteresis == 0 {
-		cfg.Hysteresis = 0.05
-	}
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 100 * time.Millisecond
 	}
@@ -317,12 +307,16 @@ func (c *Cluster) Tick(now float64) []gateway.Stats {
 }
 
 // Run ticks the cluster on the configured wall-clock interval until ctx is
-// done, mapping wall time to virtual seconds since Run started. It blocks;
+// done, mapping wall time to virtual seconds since Run started, with each
+// instance's tick-staleness watchdog (gateway.Watch) beside it. It blocks;
 // run it in its own goroutine.
 func (c *Cluster) Run(ctx context.Context) {
 	ticker := time.NewTicker(c.cfg.TickInterval)
 	defer ticker.Stop()
 	start := time.Now()
+	for _, in := range c.instances {
+		go in.g.Watch(ctx)
+	}
 	for {
 		select {
 		case <-ctx.Done():

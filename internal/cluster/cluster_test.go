@@ -7,10 +7,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/fault"
 	"repro/internal/gateway"
 	"repro/internal/loadgen"
 	"repro/internal/qos"
@@ -86,16 +88,60 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("New accepted an unknown policy")
 	}
-	neg := Config{Instances: []gateway.Config{testGatewayConfig(t, 10, 0)}, Hysteresis: -1}
-	if _, err := New(neg); err == nil {
-		t.Error("New accepted a negative hysteresis")
-	}
 	// Instance shard k shares pin shard k's lock, so every instance must
 	// have the pin table's shard count.
 	mixed := Config{Instances: []gateway.Config{testGatewayConfig(t, 10, 0), testGatewayConfig(t, 10, 0), testGatewayConfig(t, 10, 0)}}
 	mixed.Instances[2].Shards = 8
 	if _, err := New(mixed); err == nil || !strings.Contains(err.Error(), "instance 2 has 8 shards, instance 0 has 4") {
 		t.Errorf("New with mixed shard counts: %v", err)
+	}
+}
+
+// TestRunArmsStaleWatchdog: Run starts every instance's tick-staleness
+// watchdog, as a gateway's own Run does. Instance 0's estimator stalls mid
+// tick, which wedges the fleet's tick loop; once the latency clock has
+// moved past StaleAfter tick intervals both instances must degrade.
+func TestRunArmsStaleWatchdog(t *testing.T) {
+	clk := fault.NewClock(1)
+	stalled := fault.Wrap(estimator.NewMemoryless())
+	cfg := Config{TickInterval: 5 * time.Millisecond}
+	for i := 0; i < 2; i++ {
+		gc := testGatewayConfig(t, 50, 0)
+		gc.StaleAfter = 2
+		gc.TickInterval = 5 * time.Millisecond
+		gc.LatencyClock = clk.Func()
+		if i == 0 {
+			gc.Estimator = stalled
+		}
+		cfg.Instances = append(cfg.Instances, gc)
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := stalled.Stall()
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	go func() { defer close(ran); c.Run(ctx) }()
+	defer func() { cancel(); resume(); <-ran }()
+
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		// Jump on every poll: a watchdog that starts after a jump takes
+		// its baseline from the jumped clock.
+		clk.Jump(int64(time.Second))
+		deg0, _ := c.Gateway(0).Degraded()
+		deg1, reason := c.Gateway(1).Degraded()
+		if deg0 && deg1 {
+			if !strings.Contains(reason, "stale-ticks") {
+				t.Fatalf("instance 1 degraded for %q, want stale-ticks", reason)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet tick wedged for 2s: instance 0 degraded %v, instance 1 degraded %v", deg0, deg1)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

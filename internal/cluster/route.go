@@ -78,12 +78,12 @@ func (c *Cluster) placeLocked(exclude int, usePreferred bool) int {
 	}
 
 	// Least-loaded: among the pool, prefer the warmed tier (instances
-	// whose estimator has been valid for Warmup consecutive ticks) so a
+	// whose estimator has been valid for warmupTicks consecutive ticks) so a
 	// cold estimator's optimistic headroom doesn't siphon the fleet.
 	tier := pool
 	warmed := c.warmBuf[:0]
 	for _, i := range pool {
-		if c.instances[i].warm.Load() >= int64(c.cfg.Warmup) {
+		if c.instances[i].warm.Load() >= warmupTicks {
 			warmed = append(warmed, i)
 		}
 	}
@@ -104,9 +104,9 @@ func (c *Cluster) placeLocked(exclude int, usePreferred bool) int {
 	// flows to start measuring, without letting an unmeasured estimator's
 	// optimism siphon the fleet.
 	if len(warmed) > 0 && len(warmed) < len(pool) {
-		margin := c.cfg.Hysteresis * c.instances[best].capacity
+		margin := hysteresis * c.instances[best].capacity
 		for _, i := range pool {
-			if c.instances[i].warm.Load() >= int64(c.cfg.Warmup) {
+			if c.instances[i].warm.Load() >= warmupTicks {
 				continue
 			}
 			if s := c.instances[i].headroom(); s > bestScore+margin {
@@ -116,9 +116,9 @@ func (c *Cluster) placeLocked(exclude int, usePreferred bool) int {
 	}
 	if usePreferred {
 		if p := c.preferred; p >= 0 && p != best && contains(tier, p) {
-			// Hysteresis: the challenger must lead the incumbent by more
-			// than Hysteresis × (incumbent capacity) to displace it.
-			if bestScore-c.instances[p].headroom() <= c.cfg.Hysteresis*c.instances[p].capacity {
+			// The challenger must lead the incumbent by more than
+			// hysteresis × (incumbent capacity) to displace it.
+			if bestScore-c.instances[p].headroom() <= hysteresis*c.instances[p].capacity {
 				return p
 			}
 		}

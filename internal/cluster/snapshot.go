@@ -62,7 +62,7 @@ func (c *Cluster) Snapshot() Snapshot {
 			Index:       i,
 			State:       InstanceState(in.state.Load()).String(),
 			Degraded:    st.Degraded,
-			Warmed:      in.warm.Load() >= int64(c.cfg.Warmup),
+			Warmed:      in.warm.Load() >= warmupTicks,
 			Capacity:    in.capacity,
 			Bound:       st.Admissible,
 			Mu:          in.muEff(),

@@ -194,11 +194,11 @@ type Config struct {
 	FlowTTL float64
 
 	// StaleAfter arms the degradation watchdogs, in measurement ticks.
-	// Two faults trip them: Run's wall-clock watchdog degrades the gateway
-	// when no tick completes for StaleAfter tick intervals (the bound is
-	// silently stale), and the measurement watchdog degrades it when the
-	// estimator reports invalid estimates (not-OK, NaN or Inf) for
-	// StaleAfter consecutive ticks while at least two flows are active.
+	// Two faults trip them: the wall-clock watchdog (Watch) degrades the
+	// gateway when no tick completes for StaleAfter tick intervals (the
+	// bound is silently stale), and the measurement watchdog degrades it
+	// when the estimator reports invalid estimates (not-OK, NaN or Inf)
+	// for StaleAfter consecutive ticks while at least two flows are active.
 	// 0 (the default) disables both watchdogs. Either way, a tick whose
 	// estimates are invalid with flows present never republishes the
 	// controller's fallback output — the gateway holds the last healthy
@@ -332,7 +332,7 @@ type Gateway struct {
 	peakBits  atomic.Uint64
 
 	// Degradation state: the cause bitmask and the wall-clock (LatencyClock)
-	// time of the last completed tick, compared by Run's watchdog.
+	// time of the last completed tick, compared by the Watch watchdog.
 	degraded     atomic.Int32
 	lastTickWall atomic.Int64
 
@@ -1095,7 +1095,7 @@ func (g *Gateway) recomputeLocked(s *shard) {
 }
 
 // setDegraded and clearDegraded maintain the degradation bitmask with CAS
-// (several writers: ticks, Run's watchdog).
+// (several writers: ticks, the Watch watchdog).
 func (g *Gateway) setDegraded(bit int32) {
 	for {
 		old := g.degraded.Load()
@@ -1296,26 +1296,13 @@ func (s Snapshot) WritePrometheus(w io.Writer) {
 
 // Run ticks the gateway on the configured wall-clock interval until ctx is
 // done, mapping wall time to the estimator's virtual time in seconds since
-// Run started. It blocks; run it in its own goroutine.
-//
-// With Config.StaleAfter armed, Run also starts the tick-staleness
-// watchdog: a side goroutine that compares the latency clock against the
-// last completed tick and flips the gateway into its degraded policy when
-// the bound has gone StaleAfter tick intervals without refresh — the
-// failure mode where the measurement loop itself is wedged (an estimator
-// stall holds the measurement mutex mid-Tick) and nothing else would
-// notice. The watchdog is deliberately lock-free so it keeps working while
-// Tick is stuck.
+// Run started, with the tick-staleness watchdog (Watch) beside it. It
+// blocks; run it in its own goroutine.
 func (g *Gateway) Run(ctx context.Context) {
 	ticker := time.NewTicker(g.cfg.TickInterval)
 	defer ticker.Stop()
 	start := time.Now()
-	if g.cfg.StaleAfter > 0 {
-		g.lastTickWall.Store(g.clock())
-		wctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		go g.watchdog(wctx)
-	}
+	go g.Watch(ctx)
 	for {
 		select {
 		case <-ctx.Done():
@@ -1326,8 +1313,20 @@ func (g *Gateway) Run(ctx context.Context) {
 	}
 }
 
-// watchdog polls checkStale every tick interval until ctx is done.
-func (g *Gateway) watchdog(ctx context.Context) {
+// Watch is the tick-staleness watchdog: until ctx is done it compares the
+// latency clock against the last completed tick every tick interval and
+// flips the gateway into its degraded policy when the bound has gone
+// StaleAfter tick intervals without refresh — the failure mode where the
+// measurement loop itself is wedged (an estimator stall holds the
+// measurement mutex mid-Tick) and nothing else would notice. It is
+// deliberately lock-free so it keeps working while Tick is stuck. It
+// returns at once when StaleAfter is 0. Every wall-clock tick loop starts
+// it once per gateway: Run, and a cluster's Run for each instance.
+func (g *Gateway) Watch(ctx context.Context) {
+	if g.cfg.StaleAfter == 0 {
+		return
+	}
+	g.lastTickWall.Store(g.clock())
 	ticker := time.NewTicker(g.cfg.TickInterval)
 	defer ticker.Stop()
 	for {

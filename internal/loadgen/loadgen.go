@@ -163,7 +163,7 @@ func Schedule(cfg Config) ([]Event, error) {
 	events := make([]Event, 0, expectedEvents(cfg))
 	// A flow's draws are finished before the next flow's begin, so one
 	// stream, split into in place, and one source per model, recycled where
-	// the model is a traffic.Renewer, serve every flow.
+	// the model is a traffic.RCBR, serve every flow.
 	fr := new(rng.PCG)
 	var srcs [2]traffic.Source // the base model's last source, the shifted model's
 	id := uint64(0)

@@ -183,10 +183,6 @@ type ClusterSpec struct {
 	Instances int `json:"instances"`
 	// Policy is "least-loaded" (default), "weighted" or "round-robin".
 	Policy string `json:"policy,omitempty"`
-	// Warmup and Hysteresis tune the router's churn guards; zero means
-	// the cluster package defaults.
-	Warmup     int     `json:"warmup,omitempty"`
-	Hysteresis float64 `json:"hysteresis,omitempty"`
 	// DrainAt, when positive, drains DrainInstance at that virtual time:
 	// placement stops there immediately and its pinned flows migrate to
 	// the rest of the fleet.
@@ -486,15 +482,6 @@ func (s *ClusterSpec) validate(c *Config) error {
 	}
 	if s.Policy == "" {
 		s.Policy = cluster.PlaceLeastLoaded.String()
-	}
-	if s.Warmup < 0 {
-		return fmt.Errorf("scenario: cluster.warmup: %d must be non-negative", s.Warmup)
-	}
-	if err := finite("cluster.hysteresis", s.Hysteresis); err != nil {
-		return err
-	}
-	if s.Hysteresis < 0 {
-		return fmt.Errorf("scenario: cluster.hysteresis: %g must be non-negative", s.Hysteresis)
 	}
 	if err := finite("cluster.drain_at", s.DrainAt); err != nil {
 		return err

@@ -114,12 +114,6 @@ func (r *Result) writeDesign(b *strings.Builder) {
 	b.WriteString("\n")
 	if cl := cfg.Cluster; cl != nil {
 		fmt.Fprintf(b, "- **Cluster**: %d instances (capacity is per instance), %s placement", cl.Instances, cl.Policy)
-		if cl.Warmup > 0 {
-			fmt.Fprintf(b, ", warmup %d", cl.Warmup)
-		}
-		if cl.Hysteresis > 0 {
-			fmt.Fprintf(b, ", hysteresis %g", cl.Hysteresis)
-		}
 		if cl.DrainAt > 0 {
 			fmt.Fprintf(b, "; drain instance %d at t=%g", cl.DrainInstance, cl.DrainAt)
 		}

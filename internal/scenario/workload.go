@@ -408,10 +408,8 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 	)
 	if spec := cfg.Cluster; spec != nil {
 		cl, err = cluster.New(cluster.Config{
-			Policy:     arm.placement,
-			Warmup:     spec.Warmup,
-			Hysteresis: spec.Hysteresis,
-			Instances:  gcfgs,
+			Policy:    arm.placement,
+			Instances: gcfgs,
 		})
 		if err != nil {
 			return CellResult{}, err

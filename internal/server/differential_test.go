@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"net"
 	"testing"
@@ -73,24 +74,31 @@ func mixedSequence() (reqs []byte, n int) {
 	return reqs, n
 }
 
-// runServed sends the request stream to a fresh server (writing it via
-// write) and returns the canonical re-encoding of the n response frames in
-// order.
-func runServed(t *testing.T, cfg Config, stream []byte, n int, write func(t *testing.T, nc net.Conn, stream []byte)) [][]byte {
+// dialServed starts a fresh server fronting a capacity-20 gateway and
+// dials it.
+func dialServed(t *testing.T) (net.Conn, *wire.Reader) {
 	t.Helper()
-	_, addr := startServer(t, cfg)
+	_, addr := startServer(t, Config{Gateway: newTestGateway(t, 20)})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	return nc, wire.NewReader(nc)
+}
+
+// runServed sends the request stream to a fresh server (writing it via
+// write) and returns the canonical re-encoding of the n response frames in
+// order.
+func runServed(t *testing.T, stream []byte, n int, write func(t *testing.T, nc net.Conn, stream []byte)) [][]byte {
+	t.Helper()
+	nc, rd := dialServed(t)
 	// Deferred in this order so a failed read closes the socket first and
 	// the writer, unblocked, has exited before the test function returns.
 	wrote := make(chan struct{})
 	defer func() { <-wrote }()
 	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(30 * time.Second))
 	go func() { defer close(wrote); write(t, nc, stream) }()
-	rd := wire.NewReader(nc)
 	out := make([][]byte, 0, n)
 	var f wire.Frame
 	for i := 0; i < n; i++ {
@@ -102,14 +110,39 @@ func runServed(t *testing.T, cfg Config, stream []byte, n int, write func(t *tes
 	return out
 }
 
+// runLockstep sends the request stream one frame at a time, reading each
+// frame's response before writing the next, and returns the responses as
+// runServed does. Every frame then arrives alone: the server's buffer
+// never holds a burst, so each frame reaches handle through the blocking
+// generic Next and each admit and depart is decided as a batch of one.
+func runLockstep(t *testing.T, stream []byte) [][]byte {
+	t.Helper()
+	nc, rd := dialServed(t)
+	defer nc.Close()
+	var out [][]byte
+	var f wire.Frame
+	for len(stream) > 0 {
+		size := 4 + int(binary.BigEndian.Uint32(stream)) // length prefix + frame
+		if _, err := nc.Write(stream[:size]); err != nil {
+			t.Fatal(err)
+		}
+		stream = stream[size:]
+		if err := rd.Next(&f); err != nil {
+			t.Fatalf("response %d: %v", len(out), err)
+		}
+		out = append(out, reencodeResponse(t, &f))
+	}
+	return out
+}
+
 // TestFastGenericServedDifferential pins the serving-layer half of the
-// fast-path conformance story: a server running the vectorized burst
-// decoders produces byte-identical responses, in identical order, to one
-// running the generic frame-at-a-time path — whatever way the request
-// bytes are chunked onto the wire (chunk boundaries move the micro-batch
-// splits around, which must never be visible in the responses). The
-// tight capacity makes some admits reject, so decision content is
-// order-sensitive and the comparison is not vacuous.
+// fast-path conformance story: whatever way the request bytes are chunked
+// onto the wire, the vectorized burst decoders produce byte-identical
+// responses, in identical order, to a lockstep client whose every frame
+// takes the generic frame-at-a-time path (chunk boundaries move the
+// micro-batch splits around, which must never be visible in the
+// responses). The tight capacity makes some admits reject, so decision
+// content is order-sensitive and the comparison is not vacuous.
 func TestFastGenericServedDifferential(t *testing.T) {
 	stream, n := mixedSequence()
 	oneWrite := func(t *testing.T, nc net.Conn, stream []byte) {
@@ -134,23 +167,18 @@ func TestFastGenericServedDifferential(t *testing.T) {
 			}
 		}
 	}
-	gatewayCfg := func(disableFast bool) Config {
-		return Config{Gateway: newTestGateway(t, 20), disableFastPath: disableFast}
-	}
 
-	want := runServed(t, gatewayCfg(true), stream, n, oneWrite)
-	variants := map[string]struct {
-		cfg   Config
-		write func(t *testing.T, nc net.Conn, stream []byte)
-	}{
-		"fast one write":     {gatewayCfg(false), oneWrite},
-		"fast dripped":       {gatewayCfg(false), drip(7)},
-		"fast frame-aligned": {gatewayCfg(false), drip(30)},
-		"generic dripped":    {gatewayCfg(true), drip(7)},
+	want := runLockstep(t, stream)
+	if len(want) != n {
+		t.Fatalf("lockstep reference: %d responses, want %d", len(want), n)
 	}
-	for name, v := range variants {
+	for name, write := range map[string]func(t *testing.T, nc net.Conn, stream []byte){
+		"fast one write":     oneWrite,
+		"fast dripped":       drip(7),
+		"fast frame-aligned": drip(30),
+	} {
 		t.Run(name, func(t *testing.T) {
-			got := runServed(t, v.cfg, stream, n, v.write)
+			got := runServed(t, stream, n, write)
 			if len(got) != len(want) {
 				t.Fatalf("%d responses, want %d", len(got), len(want))
 			}

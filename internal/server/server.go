@@ -136,12 +136,6 @@ type Config struct {
 	// 250ms). The overall drain is additionally bounded by the context
 	// given to Shutdown.
 	DrainGrace time.Duration
-
-	// disableFastPath forces the generic frame-at-a-time decode path,
-	// bypassing the vectorized Admit burst decoder. Decisions are
-	// identical either way; only the in-package differential conformance
-	// test sets it, to prove exactly that.
-	disableFastPath bool
 }
 
 // Server serves the wire protocol over TCP (or any net.Listener) against
@@ -626,45 +620,42 @@ func (c *conn) serve() {
 // block.
 func (c *conn) readLoop() cause {
 	var f wire.Frame
-	fast := !c.srv.cfg.disableFastPath
 	// Frame counting is batched: accumulated locally and published once
 	// per dry buffer (and at return), not once per frame.
 	var nframes int64
 	defer func() { c.srv.frames.Add(nframes) }()
 	for {
-		if fast {
-			if n := c.rd.NextAdmitBurst(&c.pend, maxBatch-c.pend.Len()); n > 0 {
-				nframes += int64(n)
-				if !c.allowFrames(n) {
-					return endRateLimited
-				}
-				// Older departs ack before these admits decide.
-				if why := c.flushDeparts(); why != keepServing {
-					return why
-				}
-				if c.pend.Len() >= maxBatch {
-					if why := c.flushAdmits(); why != keepServing {
-						return why
-					}
-				}
-				continue
+		if n := c.rd.NextAdmitBurst(&c.pend, maxBatch-c.pend.Len()); n > 0 {
+			nframes += int64(n)
+			if !c.allowFrames(n) {
+				return endRateLimited
 			}
-			if n := c.rd.NextDepartBurst(&c.dep, maxBatch-c.dep.Len()); n > 0 {
-				nframes += int64(n)
-				if !c.allowFrames(n) {
-					return endRateLimited
-				}
-				// Older admits decide before these departs ack.
+			// Older departs ack before these admits decide.
+			if why := c.flushDeparts(); why != keepServing {
+				return why
+			}
+			if c.pend.Len() >= maxBatch {
 				if why := c.flushAdmits(); why != keepServing {
 					return why
 				}
-				if c.dep.Len() >= maxBatch {
-					if why := c.flushDeparts(); why != keepServing {
-						return why
-					}
-				}
-				continue
 			}
+			continue
+		}
+		if n := c.rd.NextDepartBurst(&c.dep, maxBatch-c.dep.Len()); n > 0 {
+			nframes += int64(n)
+			if !c.allowFrames(n) {
+				return endRateLimited
+			}
+			// Older admits decide before these departs ack.
+			if why := c.flushAdmits(); why != keepServing {
+				return why
+			}
+			if c.dep.Len() >= maxBatch {
+				if why := c.flushDeparts(); why != keepServing {
+					return why
+				}
+			}
+			continue
 		}
 		ok, err := c.rd.NextBuffered(&f)
 		if !ok {
@@ -726,9 +717,10 @@ func (c *conn) handle(f *wire.Frame) cause {
 	g := c.srv.cfg.Backend
 	switch f.Op {
 	case wire.OpAdmit:
-		// The generic half of the micro-batch (fast path disabled, or a
-		// lone Admit at the buffer boundary): accumulate; the loop flushes
-		// before blocking, and the cap flushes here.
+		// The generic half of the micro-batch: an Admit that completed
+		// while the buffer held no whole frame, so the blocking Next read
+		// it, not the burst decoder. Accumulate; the loop flushes before
+		// blocking, and the cap flushes here.
 		if why := c.flushDeparts(); why != keepServing {
 			return why
 		}

@@ -8,30 +8,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// differentialModels are the traffic models the columnar engine must
-// reproduce bit-for-bit: the paper's RCBR workload, CBR, bursty on/off, and
-// a heterogeneous burst mixture (Section 5.4's regime).
-func differentialModels(tb testing.TB) map[string]traffic.Model {
-	tb.Helper()
-	mix, err := traffic.NewMixture(
-		[]traffic.Model{
-			traffic.NewRCBR(1, 0.3, 1),
-			traffic.OnOff{PeakRate: 3, OnTime: 0.5, OffTime: 1.0},
-			traffic.Constant{Rate: 0.8},
-		},
-		[]float64{0.6, 0.3, 0.1},
-	)
-	if err != nil {
-		tb.Fatalf("mixture: %v", err)
-	}
-	return map[string]traffic.Model{
-		"rcbr":    traffic.NewRCBR(1, 0.3, 1),
-		"cbr":     traffic.Constant{Rate: 1},
-		"onoff":   traffic.OnOff{PeakRate: 2.5, OnTime: 0.4, OffTime: 0.6},
-		"mixture": mix,
-	}
-}
-
 // assertImpulsiveEqual requires two ensemble results to be bit-identical:
 // identical M0 moment state and identical overflow counters at every probe.
 func assertImpulsiveEqual(tb testing.TB, scalar, columnar *ImpulsiveResult) {
@@ -60,52 +36,80 @@ func mustCE(tb testing.TB, pce float64) core.Controller {
 	return ce
 }
 
-// runBothImpulsive executes the same ensemble on the scalar and columnar
-// paths and returns both results.
+// runBothImpulsive executes the same RCBR ensemble on the scalar and
+// columnar paths and returns both results. The scalar run wraps the model:
+// struct{ traffic.Model }{m} is not a traffic.RCBR, so RunImpulsive gives
+// it per-flow sources.
 func runBothImpulsive(tb testing.TB, cfg ImpulsiveConfig) (scalar, columnar *ImpulsiveResult) {
 	tb.Helper()
-	cfg.scalar = true
-	scalar, err := RunImpulsive(cfg)
-	if err != nil {
-		tb.Fatalf("scalar path: %v", err)
+	if _, ok := cfg.Model.(traffic.RCBR); !ok {
+		tb.Fatalf("model %T does not take the columnar path", cfg.Model)
 	}
-	cfg.scalar = false
-	columnar, err = RunImpulsive(cfg)
+	columnar, err := RunImpulsive(cfg)
 	if err != nil {
 		tb.Fatalf("columnar path: %v", err)
+	}
+	cfg.Model = struct{ traffic.Model }{cfg.Model}
+	scalar, err = RunImpulsive(cfg)
+	if err != nil {
+		tb.Fatalf("scalar path: %v", err)
 	}
 	return scalar, columnar
 }
 
+// extraFlowsConfig is an ensemble whose controller admits far more flows
+// than it measured (about 80 on 20), so both paths draw the flows beyond
+// MeasureCount from their own substreams; the grid starts at time zero.
+func extraFlowsConfig(tb testing.TB, hold float64, grid []float64, reps int, seed uint64) ImpulsiveConfig {
+	return ImpulsiveConfig{
+		Capacity:     100,
+		Model:        traffic.NewRCBR(1, 0.3, 1),
+		Controller:   mustCE(tb, 1e-2),
+		MeasureCount: 20,
+		HoldingTime:  hold,
+		Grid:         grid,
+		Replications: reps,
+		Seed:         seed,
+	}
+}
+
 // TestImpulsiveColumnarMatchesScalar is the tier-1 differential check: for
-// every columnar model and several seeds, the columnar engine's
-// ImpulsiveResult must equal the scalar engine's bit for bit. The larger
-// -race version lives in the stat tier (differential_stat_test.go).
+// several RCBR ensembles and seeds, the columnar engine's ImpulsiveResult
+// must equal the scalar engine's bit for bit. The larger -race version
+// lives in the stat tier (differential_stat_test.go).
 func TestImpulsiveColumnarMatchesScalar(t *testing.T) {
-	for name, model := range differentialModels(t) {
-		t.Run(name, func(t *testing.T) {
-			if _, ok := traffic.ColumnModelOf(model); !ok {
-				t.Fatalf("model %s must support the columnar path", name)
+	t.Run("rcbr", func(t *testing.T) {
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := ImpulsiveConfig{
+				Capacity:     60,
+				Model:        traffic.NewRCBR(1, 0.3, 1),
+				Controller:   mustCE(t, 1e-2),
+				MeasureCount: 64,
+				HoldingTime:  50,
+				Grid:         []float64{0.5, 1, 5, 20},
+				Replications: 25,
+				Seed:         seed,
 			}
+			scalar, columnar := runBothImpulsive(t, cfg)
+			assertImpulsiveEqual(t, scalar, columnar)
+			if math.IsNaN(columnar.M0.Mean()) {
+				t.Fatal("degenerate ensemble: M0 mean is NaN")
+			}
+		}
+	})
+	t.Run("rcbr extra flows", func(t *testing.T) {
+		for _, hold := range []float64{0, 50} {
 			for seed := uint64(1); seed <= 3; seed++ {
-				cfg := ImpulsiveConfig{
-					Capacity:     60,
-					Model:        model,
-					Controller:   mustCE(t, 1e-2),
-					MeasureCount: 64,
-					HoldingTime:  50,
-					Grid:         []float64{0.5, 1, 5, 20},
-					Replications: 25,
-					Seed:         seed,
-				}
+				cfg := extraFlowsConfig(t, hold, []float64{0, 0.5, 5, 20}, 25, seed)
 				scalar, columnar := runBothImpulsive(t, cfg)
 				assertImpulsiveEqual(t, scalar, columnar)
-				if math.IsNaN(columnar.M0.Mean()) {
-					t.Fatal("degenerate ensemble: M0 mean is NaN")
+				if columnar.M0.Mean() <= float64(cfg.MeasureCount) {
+					t.Fatalf("hold %g seed %d: mean M0 %g admits no flow beyond MeasureCount %d",
+						hold, seed, columnar.M0.Mean(), cfg.MeasureCount)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestImpulsiveColumnarInfiniteHolding covers the no-departure regime

@@ -29,12 +29,6 @@ type ImpulsiveConfig struct {
 	Grid         []float64 // strictly increasing probe times (> 0) at which overflow is tested
 	Replications int
 	Seed         uint64
-
-	// scalar forces the per-flow Source path even when the model supports
-	// the columnar engine (traffic.ColumnModel). The two paths are
-	// bit-identical by contract; only the in-package differential tests
-	// set it, to run the scalar engine as the reference.
-	scalar bool
 }
 
 // ImpulsiveResult aggregates the ensemble.
@@ -71,8 +65,7 @@ type impPending struct {
 type impulseScratch struct {
 	waiting []impPending
 	flows   []ensFlow
-	streams []rng.PCG        // per-flow substream storage for SplitInto
-	sources []traffic.Source // per-flow sources, recycled via traffic.NewSource
+	streams []rng.PCG // per-flow substream storage for SplitInto
 
 	// Columnar-path arena: flow state as parallel columns plus the
 	// departure times. Owned by one worker at a time (same discipline as
@@ -88,27 +81,21 @@ type impulseScratch struct {
 var impScratchPool = sync.Pool{New: func() any { return new(impulseScratch) }}
 
 // newSource derives the next per-flow source: it splits a substream from r
-// with the given tag into the scratch backing array and binds a source to
-// it, recycling the slot's previous source when the model supports it.
-// Stream-array growth may reallocate, which is safe: earlier sources keep
-// drawing from their pointers into the old array.
+// with the given tag into the scratch backing array and binds a new source
+// to it. Stream-array growth may reallocate, which is safe: earlier sources
+// keep drawing from their pointers into the old array.
 func (sc *impulseScratch) newSource(model traffic.Model, r *rng.PCG, tag uint64) traffic.Source {
 	sc.streams = append(sc.streams, rng.PCG{})
 	st := &sc.streams[len(sc.streams)-1]
 	r.SplitInto(tag, st)
-	i := len(sc.streams) - 1
-	if i < len(sc.sources) {
-		sc.sources[i] = traffic.NewSource(model, sc.sources[i], st)
-	} else {
-		sc.sources = append(sc.sources, model.New(st))
-	}
-	return sc.sources[i]
+	return model.New(st)
 }
 
 // RunImpulsive executes the ensemble and returns the aggregated overflow
 // profile. Each replication draws an independent RNG substream, so results
 // are reproducible for a fixed seed and invariant to the replication count
-// of other experiments.
+// of other experiments. An RCBR model runs on the columnar engine; every
+// other model runs on per-flow sources. The two are bit-identical on RCBR.
 func RunImpulsive(cfg ImpulsiveConfig) (*ImpulsiveResult, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("sim: capacity %g must be positive", cfg.Capacity)
@@ -176,8 +163,8 @@ type stripeAcc struct {
 // allocates nothing here — not even the closure a literal body would cost.
 type impRun struct {
 	cfg        ImpulsiveConfig
-	cm         traffic.ColumnModel
-	useColumns bool
+	rcbr       traffic.RCBR
+	useColumns bool // cfg.Model is a traffic.RCBR
 	stripes    int
 
 	accs      []stripeAcc
@@ -186,11 +173,10 @@ type impRun struct {
 	// Scratch buffers are handed off between stripes through a free list
 	// rather than pinned one per stripe: a worker acquires a scratch at a
 	// stripe's first replication and releases it after the last, so at most
-	// numWorkers scratches ever exist and their buffers (and recycled
-	// sources) amortize across the whole run even when stripes outnumber
-	// replications per stripe. Scratch identity cannot affect results:
-	// every buffer is fully overwritten per replication and Renew is
-	// output-identical to New.
+	// numWorkers scratches ever exist and their buffers amortize across
+	// the whole run even when stripes outnumber replications per stripe.
+	// Scratch identity cannot affect results: every buffer is fully
+	// overwritten per replication.
 	scMu   sync.Mutex
 	scFree []*impulseScratch
 	held   []*impulseScratch
@@ -207,11 +193,10 @@ var impRunPool = sync.Pool{New: func() any {
 }}
 
 // begin readies the run state for a fresh ensemble: accumulators sized and
-// zeroed, columnar capability resolved, no scratches held.
+// zeroed, engine chosen by the model's type, no scratches held.
 func (ir *impRun) begin(cfg ImpulsiveConfig, stripes int) {
 	ir.cfg = cfg
-	ir.cm, ir.useColumns = traffic.ColumnModelOf(cfg.Model)
-	ir.useColumns = ir.useColumns && !cfg.scalar
+	ir.rcbr, ir.useColumns = cfg.Model.(traffic.RCBR)
 	ir.stripes = stripes
 
 	g := len(cfg.Grid)
@@ -255,7 +240,7 @@ func (ir *impRun) replicate(stripe, rep int, r *rng.PCG) error {
 	acc := &ir.accs[stripe]
 	var m0 int
 	if ir.useColumns {
-		m0 = runOneImpulseColumnar(ir.cfg, ir.cm, r, acc.pfAt, sc)
+		m0 = runOneImpulseColumnar(ir.cfg, ir.rcbr, r, acc.pfAt, sc)
 	} else {
 		m0 = runOneImpulse(ir.cfg, r, acc.pfAt, sc)
 	}
@@ -284,7 +269,6 @@ func (ir *impRun) end() {
 	}
 	ir.scFree = ir.scFree[:0]
 	ir.cfg = ImpulsiveConfig{}
-	ir.cm = nil
 }
 
 // runOneImpulse performs a single replication, recording overflow
@@ -294,7 +278,6 @@ func (ir *impRun) end() {
 func runOneImpulse(cfg ImpulsiveConfig, r *rng.PCG, pfAt []stats.Counter, sc *impulseScratch) int {
 	if cap(sc.streams) < cfg.MeasureCount {
 		sc.streams = make([]rng.PCG, 0, cfg.MeasureCount)
-		sc.sources = make([]traffic.Source, 0, cfg.MeasureCount)
 	}
 	sc.streams = sc.streams[:0]
 	// Draw the waiting flows the MBAC measures (eq. 7): their initial
@@ -379,12 +362,12 @@ func runOneImpulse(cfg ImpulsiveConfig, r *rng.PCG, pfAt []stats.Counter, sc *im
 	return m0
 }
 
-// runOneImpulseColumnar is runOneImpulse on the columnar engine: flow state
-// lives in parallel columns (traffic.Columns) instead of per-flow Source
-// objects, segment redraws land straight into the columns through the
-// model's lane-interleaved AdvanceColumn, and the eq.-7 estimate folds the
-// rate column in one batched call. Bit-identity with the scalar path holds
-// step by step:
+// runOneImpulseColumnar is runOneImpulse for an RCBR model on the columnar
+// engine: flow state lives in parallel columns (traffic.Columns) instead of
+// per-flow Source objects, segment redraws land straight into the columns
+// through RCBR's lane-interleaved AdvanceColumn, and the eq.-7 estimate
+// folds the rate column in one batched call. Bit-identity with the scalar
+// path holds step by step:
 //
 //   - the per-flow substreams carry the same tags, and splitting them all
 //     before the first-segment draws reorders only draws on *different*
@@ -398,14 +381,14 @@ func runOneImpulse(cfg ImpulsiveConfig, r *rng.PCG, pfAt []stats.Counter, sc *im
 //     exactly the arrangement the scalar loop summed.
 //
 // TestImpulsiveColumnarMatchesScalar pins the equivalence end to end.
-func runOneImpulseColumnar(cfg ImpulsiveConfig, cm traffic.ColumnModel, r *rng.PCG, pfAt []stats.Counter, sc *impulseScratch) int {
+func runOneImpulseColumnar(cfg ImpulsiveConfig, m traffic.RCBR, r *rng.PCG, pfAt []stats.Counter, sc *impulseScratch) int {
 	c := &sc.cols
 	n := cfg.MeasureCount
 	c.Grow(n)
 	for i := 0; i < n; i++ {
 		r.SplitInto(uint64(i), &c.Str[i])
 	}
-	cm.InitColumn(c, 0, n)
+	m.InitColumn(c, 0, n)
 	sumRate, sumSq := estimator.FoldRates(c.Rate[:n])
 	nm := float64(n)
 	mu := sumRate / nm
@@ -449,7 +432,7 @@ func runOneImpulseColumnar(cfg ImpulsiveConfig, cm traffic.ColumnModel, r *rng.P
 		}
 	}
 	if m0 > n {
-		cm.InitColumn(c, n, m0)
+		m.InitColumn(c, n, m0)
 	}
 
 	// Probe the aggregate at each grid time: compact departures to the
@@ -466,7 +449,7 @@ func runOneImpulseColumnar(cfg ImpulsiveConfig, cm traffic.ColumnModel, r *rng.P
 			}
 			i++
 		}
-		cm.AdvanceColumn(c, alive, t)
+		m.AdvanceColumn(c, alive, t)
 		agg, _ := estimator.FoldRates(c.Rate[:alive])
 		pfAt[gi].Add(agg > cfg.Capacity)
 	}

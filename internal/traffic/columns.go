@@ -1,40 +1,33 @@
-// Columnar (struct-of-arrays) flow state. The ensemble engines advance
-// thousands of independent flows per replication; with one Source object per
-// flow every segment draw pays an interface dispatch, and — worse — each
-// flow's draw chain (normal → log → compare → next draw) is serially
-// dependent, so the CPU idles on the ~70-cycle log latency. Laying the flow
-// state out in parallel columns lets a model advance several flows in
-// interleaved lanes: the lanes' draw chains are independent (each flow owns
-// its RNG substream), so the out-of-order window overlaps their logs and the
-// per-segment cost drops from the latency of one chain to the throughput of
-// many.
+// Columnar (struct-of-arrays) flow state for RCBR, the paper's workload.
+// The ensemble engines advance thousands of independent flows per
+// replication; with one Source object per flow every segment draw pays an
+// interface dispatch, and — worse — each flow's draw chain (normal → log →
+// compare → next draw) is serially dependent, so the CPU idles on the
+// ~70-cycle log latency. Laying the flow state out in parallel columns lets
+// the RCBR kernel advance several flows in interleaved lanes: the lanes'
+// draw chains are independent (each flow owns its RNG substream), so the
+// out-of-order window overlaps their logs and the per-segment cost drops
+// from the latency of one chain to the throughput of many.
 //
-// Bit-identity contract: for every model, InitColumn and AdvanceColumn
-// consume exactly the draws that Model.New and Source.Next would consume
-// from each flow's substream, and produce the same (rate, segment-end)
-// values. Interleaving is safe because no draws cross flows. The
-// differential tests in columns_test.go and the engine-level test in
-// internal/sim pin this equivalence per model.
+// Bit-identity contract: RCBR.InitColumn and RCBR.AdvanceColumn consume
+// exactly the draws that RCBR.New and Source.Next would consume from each
+// flow's substream, and produce the same (rate, segment-end) values.
+// Interleaving is safe because no draws cross flows. The differential
+// tests in columns_test.go and the engine-level test in internal/sim pin
+// this equivalence.
 package traffic
 
-import (
-	"math"
+import "repro/internal/rng"
 
-	"repro/internal/rng"
-)
-
-// Columns is the struct-of-arrays state of a batch of flows drawn from one
-// model. All slices are parallel, indexed by flow slot. Rate and End mirror
-// a scalar source's current Segment (End is the segment's absolute end time
-// for a flow started at time zero); State and Aux are model-private words
-// (on/off phase, mixture component); Str holds each flow's RNG substream
-// in place so deriving a flow performs no allocation.
+// Columns is the struct-of-arrays state of a batch of RCBR flows. All
+// slices are parallel, indexed by flow slot. Rate and End mirror a scalar
+// source's current Segment (End is the segment's absolute end time for a
+// flow started at time zero); Str holds each flow's RNG substream in place
+// so deriving a flow performs no allocation.
 type Columns struct {
-	Rate  []float64
-	End   []float64
-	State []uint32
-	Aux   []uint32
-	Str   []rng.PCG
+	Rate []float64
+	End  []float64
+	Str  []rng.PCG
 }
 
 // Grow extends the columns to at least n slots, preserving existing
@@ -43,8 +36,6 @@ type Columns struct {
 func (c *Columns) Grow(n int) {
 	c.Rate = growCol(c.Rate, n)
 	c.End = growCol(c.End, n)
-	c.State = growCol(c.State, n)
-	c.Aux = growCol(c.Aux, n)
 	c.Str = growCol(c.Str, n)
 }
 
@@ -52,8 +43,6 @@ func (c *Columns) Grow(n int) {
 func (c *Columns) Swap(i, j int) {
 	c.Rate[i], c.Rate[j] = c.Rate[j], c.Rate[i]
 	c.End[i], c.End[j] = c.End[j], c.End[i]
-	c.State[i], c.State[j] = c.State[j], c.State[i]
-	c.Aux[i], c.Aux[j] = c.Aux[j], c.Aux[i]
 	c.Str[i], c.Str[j] = c.Str[j], c.Str[i]
 }
 
@@ -69,58 +58,12 @@ func growCol[T any](s []T, n int) []T {
 	return out
 }
 
-// ColumnModel is an optional Model capability: a model that can initialize
-// and advance flows directly in Columns, with no per-flow Source object.
-//
-// Both methods must consume, per flow, exactly the substream draws that
-// Model.New followed by Source.Next calls would consume, and leave the same
-// rate/segment-end values — the columnar engines rely on this to be
-// bit-identical to the scalar path. Draws always come from the flow's own
-// c.Str slot, never from a shared stream, so flows may be processed in any
-// order and in interleaved lanes.
-type ColumnModel interface {
-	Model
-	// InitColumn performs the construction-time draws and the first-segment
-	// draw for flows [lo, hi): afterwards Rate[i] and End[i] describe flow
-	// i's first segment (End relative to a start at time zero) and any
-	// model state is recorded in State[i]/Aux[i].
-	InitColumn(c *Columns, lo, hi int)
-	// AdvanceColumn advances every flow i in [0, n) with End[i] <= t
-	// through successive segments until End[i] > t, exactly as the scalar
-	// loop `for segEnd <= t { seg := src.Next(); ... }` would.
-	AdvanceColumn(c *Columns, n int, t float64)
-}
-
-// ColumnModelOf reports whether m supports the columnar path, returning the
-// capability when it does. It exists because a composite model can only run
-// columnar when its parts do: a Mixture qualifies iff every component is
-// itself columnar and not a nested mixture (components borrow the State
-// word, mixtures own Aux, so one level of nesting is the limit).
-func ColumnModelOf(m Model) (ColumnModel, bool) {
-	cm, ok := m.(ColumnModel)
-	if !ok {
-		return nil, false
-	}
-	if mx, isMix := m.(*Mixture); isMix {
-		for _, comp := range mx.Models {
-			if _, nested := comp.(*Mixture); nested {
-				return nil, false
-			}
-			if _, ok := ColumnModelOf(comp); !ok {
-				return nil, false
-			}
-		}
-	}
-	return cm, true
-}
-
-// ---------------------------------------------------------------------------
-// RCBR columnar kernel.
-
-// InitColumn implements ColumnModel: per flow, the same (truncated-normal
-// rate, exponential duration) pair New+Next would draw. Setting End to zero
-// and advancing to t = 0 reproduces exactly that one draw pair, because
-// exponential durations are strictly positive.
+// InitColumn performs, for flows [lo, hi), the draws New+Next would: the
+// same (truncated-normal rate, exponential duration) pair per flow.
+// Afterwards Rate[i] and End[i] describe flow i's first segment (End
+// relative to a start at time zero). Setting End to zero and advancing to
+// t = 0 reproduces exactly that one draw pair, because exponential
+// durations are strictly positive.
 //
 // The heavy lifting is rng.SegmentAdvance, the batched renewal-chain
 // sampler: it interleaves several flows' draw chains in lanes (each flow
@@ -135,137 +78,9 @@ func (m RCBR) InitColumn(c *Columns, lo, hi int) {
 	rng.SegmentAdvance(c.Str, c.Rate, c.End, lo, hi, m.Mean, m.Sigma, 0, m.CorrTime, 0)
 }
 
-// AdvanceColumn implements ColumnModel.
+// AdvanceColumn advances every flow i in [0, n) with End[i] <= t through
+// successive segments until End[i] > t, exactly as the scalar loop
+// `for segEnd <= t { seg := src.Next(); ... }` would.
 func (m RCBR) AdvanceColumn(c *Columns, n int, t float64) {
 	rng.SegmentAdvance(c.Str, c.Rate, c.End, 0, n, m.Mean, m.Sigma, 0, m.CorrTime, t)
-}
-
-// ---------------------------------------------------------------------------
-// On-off columnar path.
-
-const onOffOn = 1 // State bit 0: the state the NEXT segment will emit in
-
-// InitColumn implements ColumnModel: the stationary initial-state draw New
-// performs, then the first segment.
-func (m OnOff) InitColumn(c *Columns, lo, hi int) {
-	pOn := m.OnTime / (m.OnTime + m.OffTime)
-	for i := lo; i < hi; i++ {
-		r := &c.Str[i]
-		on := r.Float64() < pOn
-		var rate, d float64
-		if on {
-			rate, d = m.PeakRate, r.Exp(m.OnTime)
-		} else {
-			rate, d = 0, r.Exp(m.OffTime)
-		}
-		state := uint32(0)
-		if !on { // toggled: next segment is the opposite phase
-			state = onOffOn
-		}
-		c.Rate[i], c.End[i], c.State[i] = rate, d, state
-	}
-}
-
-// AdvanceColumn implements ColumnModel. Segments are cheap here (one
-// exponential each, no rate draw), so a simple per-flow loop suffices.
-func (m OnOff) AdvanceColumn(c *Columns, n int, t float64) {
-	for i := 0; i < n; i++ {
-		e := c.End[i]
-		if e > t {
-			continue
-		}
-		r := &c.Str[i]
-		on := c.State[i]&onOffOn != 0
-		var rate float64
-		for {
-			var d float64
-			if on {
-				rate, d = m.PeakRate, r.Exp(m.OnTime)
-			} else {
-				rate, d = 0, r.Exp(m.OffTime)
-			}
-			on = !on
-			e += d
-			if e > t {
-				break
-			}
-		}
-		state := uint32(0)
-		if on {
-			state = onOffOn
-		}
-		c.Rate[i], c.End[i], c.State[i] = rate, e, state
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Constant columnar path.
-
-// InitColumn implements ColumnModel. No draws are consumed, matching New.
-func (m Constant) InitColumn(c *Columns, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		c.Rate[i], c.End[i] = m.Rate, math.MaxFloat64/4
-	}
-}
-
-// AdvanceColumn implements ColumnModel. Reachable only for absurd probe
-// times, but kept exact: the scalar source re-issues MaxFloat64/4 chunks.
-func (m Constant) AdvanceColumn(c *Columns, n int, t float64) {
-	for i := 0; i < n; i++ {
-		for c.End[i] <= t {
-			c.Rate[i] = m.Rate
-			c.End[i] += math.MaxFloat64 / 4
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Mixture columnar path: per-flow delegation to the chosen component.
-
-// InitColumn implements ColumnModel: the component pick consumes one
-// uniform from the flow's substream — exactly Mixture.New — and the pick is
-// recorded in Aux so later advances route to the same component. The
-// component then initializes the flow through a one-slot view of the
-// columns; it may use State freely (Aux belongs to the mixture).
-// ColumnModelOf gates this path to mixtures of non-mixture ColumnModels.
-func (m *Mixture) InitColumn(c *Columns, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		u := c.Str[i].Float64()
-		k := len(m.Weights) - 1
-		var cum float64
-		for j, w := range m.Weights {
-			cum += w
-			if u < cum {
-				k = j
-				break
-			}
-		}
-		c.Aux[i] = uint32(k)
-		view := c.view(i)
-		m.Models[k].(ColumnModel).InitColumn(&view, 0, 1)
-	}
-}
-
-// AdvanceColumn implements ColumnModel.
-func (m *Mixture) AdvanceColumn(c *Columns, n int, t float64) {
-	for i := 0; i < n; i++ {
-		if c.End[i] > t {
-			continue
-		}
-		view := c.view(i)
-		m.Models[c.Aux[i]].(ColumnModel).AdvanceColumn(&view, 1, t)
-	}
-}
-
-// view is a one-flow window onto slot i, through which a mixture component
-// operates on exactly that flow. Aux is withheld: it carries the mixture's
-// own component index.
-func (c *Columns) view(i int) Columns {
-	return Columns{
-		Rate:  c.Rate[i : i+1 : i+1],
-		End:   c.End[i : i+1 : i+1],
-		State: c.State[i : i+1 : i+1],
-		Aux:   nil,
-		Str:   c.Str[i : i+1 : i+1],
-	}
 }

@@ -8,89 +8,65 @@ import (
 	"repro/internal/rng"
 )
 
-// columnarModels enumerates the models whose columnar path must be
-// bit-identical to the scalar Source path.
-func columnarModels(t *testing.T) map[string]Model {
-	t.Helper()
-	mix, err := NewMixture(
-		[]Model{NewRCBR(1, 0.3, 1), OnOff{PeakRate: 2.5, OnTime: 0.4, OffTime: 1.1}, Constant{Rate: 0.7}},
-		[]float64{0.5, 0.3, 0.2},
-	)
-	if err != nil {
-		t.Fatalf("mixture: %v", err)
-	}
-	return map[string]Model{
-		"rcbr":     NewRCBR(1, 0.3, 1),
-		"onoff":    OnOff{PeakRate: 2, OnTime: 0.5, OffTime: 1.5},
-		"constant": Constant{Rate: 1.25},
-		"mixture":  mix,
-	}
-}
-
-// TestColumnarMatchesScalar drives every columnar model both ways — per-flow
-// Source objects vs InitColumn/AdvanceColumn — over an irregular probe
-// schedule and requires bit-identical rates and segment ends at every probe.
+// TestColumnarMatchesScalar drives RCBR both ways — per-flow Source
+// objects vs InitColumn/AdvanceColumn — over an irregular probe schedule
+// and requires bit-identical rates and segment ends at every probe.
 func TestColumnarMatchesScalar(t *testing.T) {
 	const flows = 257 // not a lane multiple: exercises tail lanes
 	probes := []float64{0, 0.01, 0.5, 0.5, 1, 3.75, 10, 10.0001, 40}
-	for name, model := range columnarModels(t) {
-		t.Run(name, func(t *testing.T) {
-			cm, ok := ColumnModelOf(model)
-			if !ok {
-				t.Fatalf("model %s does not support the columnar path", name)
-			}
+	t.Run("rcbr", func(t *testing.T) {
+		model := NewRCBR(1, 0.3, 1)
 
-			// Scalar reference: one source per flow, each on substream i.
-			parent := rng.New(0xC01, 7)
-			type ref struct {
-				src    Source
-				rate   float64
-				segEnd float64
-			}
-			refs := make([]ref, flows)
+		// Scalar reference: one source per flow, each on substream i.
+		parent := rng.New(0xC01, 7)
+		type ref struct {
+			src    Source
+			rate   float64
+			segEnd float64
+		}
+		refs := make([]ref, flows)
+		for i := range refs {
+			src := model.New(parent.Split(uint64(i)))
+			seg := src.Next()
+			refs[i] = ref{src: src, rate: seg.Rate, segEnd: seg.Duration}
+		}
+
+		// Columnar: same substreams, same tags.
+		parent2 := rng.New(0xC01, 7)
+		var c Columns
+		c.Grow(flows)
+		for i := 0; i < flows; i++ {
+			parent2.SplitInto(uint64(i), &c.Str[i])
+		}
+		model.InitColumn(&c, 0, flows)
+
+		check := func(stage string) {
+			t.Helper()
 			for i := range refs {
-				src := model.New(parent.Split(uint64(i)))
-				seg := src.Next()
-				refs[i] = ref{src: src, rate: seg.Rate, segEnd: seg.Duration}
-			}
-
-			// Columnar: same substreams, same tags.
-			parent2 := rng.New(0xC01, 7)
-			var c Columns
-			c.Grow(flows)
-			for i := 0; i < flows; i++ {
-				parent2.SplitInto(uint64(i), &c.Str[i])
-			}
-			cm.InitColumn(&c, 0, flows)
-
-			check := func(stage string) {
-				t.Helper()
-				for i := range refs {
-					if math.Float64bits(refs[i].rate) != math.Float64bits(c.Rate[i]) {
-						t.Fatalf("%s: flow %d rate: scalar %x columnar %x",
-							stage, i, math.Float64bits(refs[i].rate), math.Float64bits(c.Rate[i]))
-					}
-					if math.Float64bits(refs[i].segEnd) != math.Float64bits(c.End[i]) {
-						t.Fatalf("%s: flow %d segEnd: scalar %v columnar %v",
-							stage, i, refs[i].segEnd, c.End[i])
-					}
+				if math.Float64bits(refs[i].rate) != math.Float64bits(c.Rate[i]) {
+					t.Fatalf("%s: flow %d rate: scalar %x columnar %x",
+						stage, i, math.Float64bits(refs[i].rate), math.Float64bits(c.Rate[i]))
+				}
+				if math.Float64bits(refs[i].segEnd) != math.Float64bits(c.End[i]) {
+					t.Fatalf("%s: flow %d segEnd: scalar %v columnar %v",
+						stage, i, refs[i].segEnd, c.End[i])
 				}
 			}
-			check("init")
+		}
+		check("init")
 
-			for _, probe := range probes {
-				for i := range refs {
-					for refs[i].segEnd <= probe {
-						seg := refs[i].src.Next()
-						refs[i].rate = seg.Rate
-						refs[i].segEnd += seg.Duration
-					}
+		for _, probe := range probes {
+			for i := range refs {
+				for refs[i].segEnd <= probe {
+					seg := refs[i].src.Next()
+					refs[i].rate = seg.Rate
+					refs[i].segEnd += seg.Duration
 				}
-				cm.AdvanceColumn(&c, flows, probe)
-				check("t=" + strconv.FormatFloat(probe, 'g', -1, 64))
 			}
-		})
-	}
+			model.AdvanceColumn(&c, flows, probe)
+			check("t=" + strconv.FormatFloat(probe, 'g', -1, 64))
+		}
+	})
 }
 
 // TestColumnarSwapKeepsStreams pins that Swap moves a flow's whole state —
@@ -121,34 +97,5 @@ func TestColumnarSwapKeepsStreams(t *testing.T) {
 	}
 	if math.Float64bits(c.Rate[1]) != math.Float64bits(want.Rate) {
 		t.Fatalf("flow 0's stream did not travel with the swap: rate %v want %v", c.Rate[1], want.Rate)
-	}
-}
-
-// TestColumnModelOf pins the gating: plain models and flat mixtures of
-// columnar components qualify; nested mixtures and non-columnar components
-// do not.
-func TestColumnModelOf(t *testing.T) {
-	rcbr := NewRCBR(1, 0.3, 1)
-	if _, ok := ColumnModelOf(rcbr); !ok {
-		t.Error("RCBR should be columnar")
-	}
-	flat, _ := NewMixture([]Model{rcbr, Constant{Rate: 1}}, []float64{1, 1})
-	if _, ok := ColumnModelOf(flat); !ok {
-		t.Error("flat mixture of columnar components should be columnar")
-	}
-	nested, _ := NewMixture([]Model{flat, rcbr}, []float64{1, 1})
-	if _, ok := ColumnModelOf(nested); ok {
-		t.Error("nested mixture must not qualify for the columnar path")
-	}
-	mf, err := NewMarkovFluid([]float64{1, 2}, [][]float64{{-1, 1}, {1, -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ColumnModelOf(mf); ok {
-		t.Error("MarkovFluid has no columnar path and must not qualify")
-	}
-	mixMF, _ := NewMixture([]Model{rcbr, mf}, []float64{1, 1})
-	if _, ok := ColumnModelOf(mixMF); ok {
-		t.Error("mixture with a non-columnar component must not qualify")
 	}
 }

@@ -56,24 +56,14 @@ type Model interface {
 	Stats() Stats
 }
 
-// Renewer is an optional Model capability: a model whose sources can be
-// reinitialized in place implements it so that Monte Carlo ensembles can
-// recycle source allocations across replications. Renew must behave
-// exactly like New(r) — same output segments, same draws consumed — but
-// may reuse old's storage when old came from an identical model. Models
-// whose construction consumes randomness (e.g. a stationary initial-state
-// draw) must still perform that draw in Renew to preserve determinism.
-type Renewer interface {
-	Renew(old Source, r *rng.PCG) Source
-}
-
 // NewSource returns a source for a new flow of m drawing from r. When m is
-// a Renewer and old (the previous flow's source in the caller's slot) is
-// non-nil, old is renewed in place; otherwise it is m.New(r). Either way
-// the segments and draws are those of m.New(r).
+// an RCBR and old (the previous flow's source in the caller's slot) is
+// non-nil, old is renewed in place, so Monte Carlo ensembles and schedule
+// generators recycle one allocation per slot; otherwise it is m.New(r).
+// Either way the segments and draws are those of m.New(r).
 func NewSource(m Model, old Source, r *rng.PCG) Source {
-	if rn, ok := m.(Renewer); ok && old != nil {
-		return rn.Renew(old, r)
+	if rc, ok := m.(RCBR); ok && old != nil {
+		return rc.renew(old, r)
 	}
 	return m.New(r)
 }
@@ -108,9 +98,9 @@ func (m RCBR) New(r *rng.PCG) Source {
 	return &rcbrSource{m: m, r: r}
 }
 
-// Renew implements Renewer: an RCBR source carries no state beyond its
-// parameters and stream, so reseeding in place is exactly New.
-func (m RCBR) Renew(old Source, r *rng.PCG) Source {
+// renew is New reusing old's storage: an RCBR source carries no state
+// beyond its parameters and stream, so reseeding in place is exactly New.
+func (m RCBR) renew(old Source, r *rng.PCG) Source {
 	if s, ok := old.(*rcbrSource); ok && s.m == m {
 		s.r = r
 		return s

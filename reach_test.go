@@ -8,7 +8,9 @@ package mbac_test
 // export, and should be deleted or unexported. The scan is syntactic
 // (go/parser, no type checking), so it errs toward "reached": a bare
 // identifier or a selector on an import name with the function's name
-// counts even if it happens to name something else.
+// counts even if it happens to name something else. A second scan holds
+// the same line for configuration: no unexported field that only tests
+// write (TestEveryUnexportedFieldIsWritten).
 
 import (
 	"go/ast"
@@ -176,4 +178,102 @@ func scanModule(t *testing.T, root string) []scannedFile {
 		t.Fatal("scan found no Go files")
 	}
 	return files
+}
+
+// TestEveryUnexportedFieldIsWritten keeps the module free of fields that
+// exist only so a test can set them: each unexported field of an exported
+// struct type declared in a non-test file under internal/ must be written
+// by some non-test file of its package. A write is a keyed composite
+// literal element, an assignment or op-assignment, ++ or --, taking the
+// field's address, or calling a method on it (which may take its address
+// implicitly — how a mutex or an atomic is written). Like the export scan
+// it is syntactic and errs toward "written": any selector or literal key
+// with the field's name counts, whatever its type.
+func TestEveryUnexportedFieldIsWritten(t *testing.T) {
+	files := scanModule(t, ".")
+
+	fields := map[string]string{} // "dir.field" -> "Type.field" of its first declaration
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() {
+					continue
+				}
+				for _, fld := range st.Fields.List {
+					for _, name := range fld.Names {
+						key := f.dir + "." + name.Name
+						if !name.IsExported() && name.Name != "_" && fields[key] == "" {
+							fields[key] = ts.Name.Name + "." + name.Name
+						}
+					}
+				}
+			}
+		}
+	}
+
+	written := map[string]bool{} // "dir.field" written by a non-test file of dir
+	for _, f := range files {
+		if f.test {
+			continue
+		}
+		// mark records every selector name along a written expression's
+		// chain: writing a.b.c[i] writes c and, through it, b.
+		var mark func(e ast.Expr)
+		mark = func(e ast.Expr) {
+			switch e := e.(type) {
+			case *ast.SelectorExpr:
+				written[f.dir+"."+e.Sel.Name] = true
+				mark(e.X)
+			case *ast.IndexExpr:
+				mark(e.X)
+			case *ast.StarExpr:
+				mark(e.X)
+			case *ast.ParenExpr:
+				mark(e.X)
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					written[f.dir+"."+id.Name] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(lhs)
+				}
+			case *ast.IncDecStmt:
+				mark(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X)
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					mark(sel.X)
+				}
+			}
+			return true
+		})
+	}
+
+	keys := make([]string, 0, len(fields))
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !written[k] {
+			t.Errorf("%s.%s: no non-test file of its package writes it; a field only tests set is a switch to reach a slow path — reach that path through its input and delete the field", k[:strings.LastIndex(k, ".")], fields[k])
+		}
+	}
 }
