@@ -31,11 +31,11 @@
 #   cluster  — multi-gateway routing tier: the tier-1 pin storm
 #              (AdmitBatch/DepartBatch beside a spinning Tick; no admitted
 #              flow may become unroutable), the same-ID storm (every routed
-#              op on a few shared IDs beside Tick and Drain/Reactivate) and
-#              the admission-race test, five times under -race, then
-#              (build tag "cluster") the 4-instance skewed-arrival soak
-#              (per-instance sqrt2-law audits) and the concurrent
-#              drain/failover soak under -race, each ending with pins equal
+#              op on a few shared IDs beside Tick and Drain/Reactivate), the
+#              admission-race test and the pinned-duplicate refusal, five
+#              times under -race, then (build tag "cluster") the 4-instance
+#              skewed-arrival soak (per-instance sqrt2-law audits) and the
+#              concurrent drain/failover soak under -race, each ending with pins equal
 #              to the instances' flow tables. The repo benchmark holds the
 #              same line end to end: a `cluster-churn` run prints no
 #              `KNOWN DEFECT` line
@@ -116,12 +116,12 @@ test-net:
 	$(GO) test -race -count 5 ./client ./internal/server
 	$(GO) test -tags net -race -run 'TestSoak|TestSharded' -v ./internal/loadgen
 
-# Cluster tier: the pin storm, the same-ID storm and the admission-race
-# test, then the multi-gateway soaks, under the race detector — skewed
-# arrivals against per-instance sqrt2-law audits, and a drain/failover storm
-# with concurrent ticks and placements.
+# Cluster tier: the pin storm, the same-ID storm, the admission-race test
+# and the pinned-duplicate refusal, then the multi-gateway soaks, under the
+# race detector — skewed arrivals against per-instance sqrt2-law audits,
+# and a drain/failover storm with concurrent ticks and placements.
 test-cluster:
-	$(GO) test -race -count 5 -run 'TestPinsSurviveTickStorm|TestSameIDStorm|TestUpdateDuringAdmissionKeepsPin' -v ./internal/cluster
+	$(GO) test -race -count 5 -run 'TestPinsSurviveTickStorm|TestSameIDStorm|TestUpdateDuringAdmissionKeepsPin|TestAdmitPinnedFlowIsDuplicate' -v ./internal/cluster
 	$(GO) test -tags cluster -race -run 'TestClusterSkewedSoak|TestClusterFailoverSoak' -v ./internal/cluster
 
 # Adaptive tier: the regime-shift soak under the race detector — the

@@ -127,7 +127,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.Float64Var(&o.lambda, "lambda", 0.6, "Poisson flow arrival rate")
 	fs.Float64Var(&o.duration, "duration", 2000, "virtual replay duration")
 	fs.Float64Var(&o.tick, "tick", 0.5, "measurement tick period (virtual time)")
-	fs.IntVar(&o.workers, "workers", 8, "concurrent client goroutines (flows shard across them by id)")
+	fs.IntVar(&o.workers, "workers", 8, "concurrent client goroutines (flows shard across them by the gateway's shard hash)")
 	fs.IntVar(&o.batch, "batch", 32, "admissions coalesced per AdmitBatch call (1 = no coalescing)")
 	fs.IntVar(&o.shards, "shards", 16, "gateway flow-table shards")
 	fs.Uint64Var(&o.seed, "seed", 1, "schedule random seed (an internal/loadgen schedule seed)")

@@ -31,7 +31,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:9000", "admission server address")
 		conns     = flag.Int("conns", 4, "client connection-pool size")
-		workers   = flag.Int("workers", 8, "concurrent replay workers (flows shard across them)")
+		workers   = flag.Int("workers", 8, "concurrent replay workers (flows shard across them by the gateway's shard hash)")
 		batch     = flag.Int("batch", 16, "admits coalesced per AdmitBatch frame within a worker")
 		lambda    = flag.Float64("lambda", 0.6, "Poisson flow arrival rate (flows per virtual time unit)")
 		hold      = flag.Float64("hold", 200, "mean flow holding time (virtual)")

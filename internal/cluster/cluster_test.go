@@ -294,6 +294,82 @@ func TestAllDrainingRefuses(t *testing.T) {
 	}
 }
 
+// TestAdmitPinnedFlowIsDuplicate: placement reads no pin, so a re-admitted
+// pinned flow is refused by whichever instance placement sends it to — as
+// a duplicate, under its shard lock — and never moves its pin or any
+// instance's active count. Round-robin over two instances makes each
+// placement observable: flow 1 is pinned on instance 0 and batch items
+// alternate between the instances.
+func TestAdmitPinnedFlowIsDuplicate(t *testing.T) {
+	setup := func(t *testing.T) *Cluster {
+		c := newTestCluster(t, 2, 50, Config{Policy: PlaceRoundRobin})
+		if d, err := c.Admit(1, 1); err != nil || !d.Admitted {
+			t.Fatalf("Admit(1) = %+v, %v", d, err)
+		}
+		if owner, ok := c.pins.get(1); !ok || owner != 0 {
+			t.Fatalf("flow 1 pinned to %d (ok %t), want instance 0", owner, ok)
+		}
+		return c
+	}
+	active := func(c *Cluster) [2]int64 { return [2]int64{c.Gateway(0).Active(), c.Gateway(1).Active()} }
+	// admit re-admits flow 1 beside fresh, in the order given, and checks
+	// that flow 1 is refused as a duplicate and fresh is admitted on
+	// freshOwner — which pins down where the batch's placements went.
+	admit := func(t *testing.T, c *Cluster, ids []uint64, fresh uint64, freshOwner int) {
+		before := active(c)
+		ds, err := c.AdmitBatch(ids, []float64{1, 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			switch d := ds[i]; {
+			case id == 1 && (d.Admitted || d.Reason != gateway.ReasonDuplicate):
+				t.Errorf("re-admitted pinned flow 1: %+v, want a duplicate refusal", d)
+			case id == fresh && !d.Admitted:
+				t.Errorf("fresh flow %d beside the duplicate: %+v", fresh, d)
+			}
+		}
+		if owner, ok := c.pins.get(1); !ok || owner != 0 || !c.Gateway(0).Contains(1) || c.Gateway(1).Contains(1) {
+			t.Errorf("flow 1's pin moved to %d (ok %t)", owner, ok)
+		}
+		if owner, ok := c.pins.get(fresh); !ok || owner != freshOwner {
+			t.Errorf("fresh flow %d pinned to %d (ok %t), want %d", fresh, owner, ok, freshOwner)
+		}
+		want := before
+		want[freshOwner]++
+		if got := active(c); got != want {
+			t.Errorf("active per instance %v -> %v, want %v: only the fresh flow may count", before, got, want)
+		}
+		checkPinsExact(t, c)
+	}
+	t.Run("placed-elsewhere", func(t *testing.T) {
+		// Flow 1 is placed on instance 1, flow 2 on instance 0.
+		admit(t, setup(t), []uint64{1, 2}, 2, 0)
+	})
+	t.Run("placed-on-owner", func(t *testing.T) {
+		// Flow 3 is placed on instance 1, flow 1 on its owner, instance 0.
+		admit(t, setup(t), []uint64{3, 1}, 3, 1)
+	})
+	t.Run("all-draining", func(t *testing.T) {
+		c := setup(t)
+		for i := 0; i < 2; i++ {
+			if _, _, err := c.Drain(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		owner, _ := c.pins.get(1) // the first drain migrated it
+		before := active(c)
+		d, err := c.Admit(1, 1)
+		if err != nil || d.Admitted || d.Reason != gateway.ReasonCapacity {
+			t.Fatalf("re-Admit(1) with every instance draining = %+v, %v; want the capacity refusal", d, err)
+		}
+		if got, ok := c.pins.get(1); !ok || got != owner || active(c) != before {
+			t.Errorf("refusal moved flow 1: pin %d -> %d (ok %t), active %v -> %v", owner, got, ok, before, active(c))
+		}
+		checkPinsExact(t, c)
+	})
+}
+
 // TestPoliciesSpreadPlacements: each policy places across more than one
 // instance on a uniform workload.
 func TestPoliciesSpreadPlacements(t *testing.T) {

@@ -50,17 +50,6 @@ func (t *pinTable) shardFor(id uint64) *pinShard {
 	return &t.shards[flowtab.Mix(id)&t.mask]
 }
 
-// get returns the pinned instance for id.
-func (t *pinTable) get(id uint64) (int, bool) {
-	s := t.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := s.pins.Get(id); p != nil {
-		return int(*p), true
-	}
-	return 0, false
-}
-
 // drop removes id's pin; the caller holds id's shard lock. It is the lease
 // sweep's report (gateway.TickExpired), which runs under that lock.
 func (t *pinTable) drop(id uint64) { t.shardFor(id).pins.Delete(id) }

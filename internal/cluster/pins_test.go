@@ -37,6 +37,17 @@ func checkPinsExact(tb testing.TB, c *Cluster) {
 	}
 }
 
+// get returns the pinned instance for id.
+func (t *pinTable) get(id uint64) (int, bool) {
+	s := t.shardFor(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p := s.pins.Get(id); p != nil {
+		return int(*p), true
+	}
+	return 0, false
+}
+
 // TestPinsSurviveTickStorm is the regression test for the pin leak: batched
 // admissions and departures of disjoint flow ranges run beside a spinning
 // Tick. Nothing but the flow's own caller may end a flow here (leases are

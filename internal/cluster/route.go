@@ -136,8 +136,8 @@ func contains(xs []int, x int) bool {
 	return false
 }
 
-// Admit requests admission for one flow: route to the pinned owner if the
-// flow is already placed, otherwise place and pin it — AdmitBatch with one
+// Admit requests admission for one flow: place it and, if admitted, pin it,
+// refusing a flow already pinned as a duplicate — AdmitBatch with one
 // item. The decision contract matches gateway.Admit — a capacity refusal
 // (including "every instance is draining") is a Decision, not an error;
 // errors indicate invalid input.
@@ -175,17 +175,18 @@ func forRuns(targets []int, fn func(t, lo, hi int)) {
 // AdmitBatch decides a batch of admission requests, appending one Decision
 // per request to dst and returning the extended slice — the cluster face
 // of gateway.AdmitBatch. The whole batch is placed first, against the
-// headroom at its start: a pinned flow goes to its owner (which refuses it
-// as a duplicate), any other valid item to a fresh placement, and an
+// headroom at its start: every valid item to a fresh placement, and an
 // invalid rate, which decides nowhere and is never pinned, rides the
 // instance the batch is already talking to (any instance phrases the
 // canonical refusal), or the preferred instance when there is none. Then
 // contiguous same-instance runs are flushed through the owning instance's
-// AdmitBatchOwned, which decides each item and pins it in one critical
-// section under its shard lock, so a cluster of one forwards the whole
-// batch in a single call and is decision- and instrumentation-identical to
-// a bare gateway. Items that cannot be admitted anywhere (every instance
-// draining) are refused with ReasonCapacity without touching an instance.
+// AdmitBatchOwned, which refuses a flow pinned anywhere as a duplicate,
+// decides each other item and pins it, in one critical section under its
+// shard lock, so a cluster of one forwards the whole batch in a single
+// call and is decision- and instrumentation-identical to a bare gateway.
+// Items that cannot be admitted anywhere (every instance draining) are
+// refused with ReasonCapacity without touching an instance — a flow
+// already pinned included.
 func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decision) ([]gateway.Decision, error) {
 	if len(ids) != len(rates) {
 		return dst, fmt.Errorf("cluster: batch length mismatch: %d ids, %d rates", len(ids), len(rates))
@@ -215,34 +216,23 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 }
 
 // place appends to targets the instance that decides each item of an
-// admission batch (-1: every instance is draining). Pins are read first,
-// each under its shard lock; then every other item is placed under one
-// hold of placeMu.
+// admission batch (-1: every instance is draining), all under one hold of
+// placeMu. No pin is read here: the deciding instance refuses a pinned
+// flow under its shard lock.
 func (c *Cluster) place(ids []uint64, rates []float64, targets []int) []int {
-	const unplaced = -2
-	for i, id := range ids {
-		t := unplaced
-		if validRate(rates[i]) {
-			if idx, ok := c.pins.get(id); ok {
-				t = idx
-			}
-		}
-		targets = append(targets, t)
-	}
 	c.placeMu.Lock()
 	last := -1
-	for i, t := range targets {
-		if t == unplaced {
-			switch {
-			case validRate(rates[i]):
-				t = c.placeLocked(-1, true)
-			case last >= 0:
-				t = last
-			default:
-				t = max(c.preferred, 0)
-			}
-			targets[i] = t
+	for i := range ids {
+		var t int
+		switch {
+		case validRate(rates[i]):
+			t = c.placeLocked(-1, true)
+		case last >= 0:
+			t = last
+		default:
+			t = max(c.preferred, 0)
 		}
+		targets = append(targets, t)
 		if t >= 0 {
 			last = t
 		}

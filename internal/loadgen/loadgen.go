@@ -20,6 +20,7 @@ import (
 
 	"repro/client"
 	"repro/internal/fault"
+	"repro/internal/flowtab"
 	"repro/internal/gateway"
 	"repro/internal/rng"
 	"repro/internal/traffic"
@@ -340,6 +341,14 @@ func landed(err error) (bool, error) {
 	return false, err
 }
 
+// laneOf returns the worker, of workers, that replays flow's events: the
+// shard hash of the gateway's flow table and the cluster's pin table
+// (flowtab.Mix) modulo the worker count. When workers is a power of two no
+// larger than a gateway's shard count, worker w alone touches the shards
+// k ≡ w (mod workers): their locks, table slots and sums stay in one
+// core's cache.
+func laneOf(flow, workers uint64) uint64 { return flowtab.Mix(flow) % workers }
+
 // lane is one worker's share of a replay: which of the schedule's events
 // are its own, how far through them it has got, the admits it is
 // coalescing and the outcomes it has counted. Every replay — Replay's
@@ -347,14 +356,16 @@ func landed(err error) (bool, error) {
 // calling run.
 type lane struct {
 	tgt    Target
-	events []Event   // the whole schedule, shared between lanes
-	own    []uint32  // ascending indices of this lane's events; nil: all of them
-	next   int       // the lane's first next events have been dispatched
-	batch  int       // admits coalesced per AdmitBatch call; below 1 means 1
-	ids    []uint64  // the admits being coalesced
-	rates  []float64 // index-aligned with ids
-	st     Stats
-	err    error // run's result, read by the Runner after the lanes join
+	events []Event // the whole schedule, shared between lanes
+	// The lane owns the flows with laneOf(flow, lanes) == index; a single
+	// lane owns them all.
+	index, lanes uint64
+	next         int       // events before next are dispatched or not the lane's
+	batch        int       // admits coalesced per AdmitBatch call; below 1 means 1
+	ids          []uint64  // the admits being coalesced
+	rates        []float64 // index-aligned with ids
+	st           Stats
+	err          error // run's result, read by the Runner after the lanes join
 
 	// Pacing: under a positive timescale the lane sleeps toward each
 	// event's wall time, start + T·timescale, before dispatching it.
@@ -362,13 +373,13 @@ type lane struct {
 	timescale time.Duration
 }
 
-// pending returns the lane's next undispatched event, or nil at the end.
+// pending returns the lane's next undispatched event, or nil at the end,
+// moving the cursor past the events of other lanes' flows.
 func (l *lane) pending() *Event {
-	switch {
-	case l.own == nil && l.next < len(l.events):
-		return &l.events[l.next]
-	case l.next < len(l.own):
-		return &l.events[l.own[l.next]]
+	for ; l.next < len(l.events); l.next++ {
+		if ev := &l.events[l.next]; l.lanes <= 1 || laneOf(ev.Flow, l.lanes) == l.index {
+			return ev
+		}
 	}
 	return nil
 }
@@ -485,7 +496,7 @@ func Replay(ctx context.Context, tgt Target, events []Event, batch int, window f
 // RunConfig parameterizes a concurrent open-loop run (the cmd/loadgen
 // tool and the soak test).
 type RunConfig struct {
-	Workers int // concurrent replay goroutines (flows shard by id)
+	Workers int // concurrent replay goroutines (flows shard by the gateway's shard hash)
 	Batch   int // admits coalesced per AdmitBatch call within a worker
 	// Timescale maps one virtual time unit to a wall duration, pacing the
 	// open-loop arrivals (departures follow the schedule's holding
@@ -494,34 +505,22 @@ type RunConfig struct {
 }
 
 // Runner is a schedule sharded for concurrent replay: worker w owns the
-// flows with id % Workers == w and walks their events in time order, so
-// per-flow event order is exact while cross-flow interleaving is whatever
-// the race produces. The sharding (an index list per worker, not a copy
-// of the events) and each worker's position and coalescing scratch are
-// built once and carried across Advance calls, which is what lets a
-// virtual-clock driver replay tick-sized windows without re-sharding the
-// schedule every window.
+// flows with laneOf(id, Workers) == w and walks their events in time
+// order, skipping the rest, so per-flow event order is exact while
+// cross-flow interleaving is whatever the race produces. Each worker's
+// position and coalescing scratch are carried across Advance calls, which
+// is what lets a virtual-clock driver replay tick-sized windows.
 type Runner struct{ lanes []lane }
 
-// NewRunner shards events (at most 2^32 of them) across cfg.Workers
-// lanes; tgt supplies each worker's Target (targets with per-call scratch
-// must not be shared). events must not change while the Runner is in use.
+// NewRunner shards events across cfg.Workers lanes; tgt supplies each
+// worker's Target (targets with per-call scratch must not be shared).
+// events must not change while the Runner is in use.
 func NewRunner(tgt func(worker int) Target, events []Event, cfg RunConfig) *Runner {
-	workers := max(cfg.Workers, 1)
-	own := make([][]uint32, workers) // stays nil, "all", for a single worker
-	if workers > 1 {
-		for w := range own {
-			own[w] = make([]uint32, 0, len(events)/workers+1) // non-nil even if it stays empty
-		}
-		for i := range events {
-			w := events[i].Flow % uint64(workers)
-			own[w] = append(own[w], uint32(i))
-		}
-	}
-	r := &Runner{lanes: make([]lane, workers)}
+	r := &Runner{lanes: make([]lane, max(cfg.Workers, 1))}
 	start := time.Now()
 	for w := range r.lanes {
-		r.lanes[w] = lane{tgt: tgt(w), events: events, own: own[w], batch: cfg.Batch, start: start, timescale: cfg.Timescale}
+		r.lanes[w] = lane{tgt: tgt(w), events: events, index: uint64(w), lanes: uint64(len(r.lanes)),
+			batch: cfg.Batch, start: start, timescale: cfg.Timescale}
 	}
 	return r
 }

@@ -12,6 +12,7 @@ import (
 	"repro/client"
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/flowtab"
 	"repro/internal/gateway"
 	"repro/internal/rng"
 	"repro/internal/server"
@@ -237,6 +238,99 @@ func TestRunnerWindowsKeepFlowOrder(t *testing.T) {
 	}
 	if active := g.Stats().Active; active != 0 {
 		t.Fatalf("%d flows still active after every depart", active)
+	}
+}
+
+// recordingTarget accepts every call and counts, per flow, the events its
+// worker dispatched.
+type recordingTarget struct{ seen map[uint64]int }
+
+func (r *recordingTarget) AdmitBatch(_ context.Context, flows []uint64, _ []float64) ([]gateway.Decision, error) {
+	ds := make([]gateway.Decision, len(flows))
+	for i, f := range flows {
+		r.seen[f]++
+		ds[i].Admitted = true
+	}
+	return ds, nil
+}
+
+func (r *recordingTarget) Depart(_ context.Context, flow uint64) (bool, error) {
+	r.seen[flow]++
+	return true, nil
+}
+
+func (r *recordingTarget) UpdateRate(_ context.Context, flow uint64, _ float64) (bool, error) {
+	r.seen[flow]++
+	return true, nil
+}
+
+// TestRunnerLanesOwnShards: a Runner hands each flow's events to the one
+// worker laneOf names — the shard hash modulo Workers — so with a
+// power-of-two worker count dividing a gateway's 64 shards, gateway shard
+// k is driven by worker k % Workers alone.
+func TestRunnerLanesOwnShards(t *testing.T) {
+	cfg := testConfig()
+	cfg.Renegotiate = true
+	events, err := Schedule(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]int{}
+	for _, ev := range events {
+		want[ev.Flow]++
+	}
+	const shards = 64
+	for _, workers := range []int{2, 4} {
+		targets := make([]*recordingTarget, workers)
+		for w := range targets {
+			targets[w] = &recordingTarget{seen: map[uint64]int{}}
+		}
+		if _, err := Run(context.Background(), func(w int) Target { return targets[w] }, events,
+			RunConfig{Workers: workers, Batch: 4}); err != nil {
+			t.Fatal(err)
+		}
+		got := map[uint64]int{}
+		for w, tgt := range targets {
+			for flow, n := range tgt.seen {
+				if _, dup := got[flow]; dup {
+					t.Errorf("%d workers: flow %d reached more than one worker", workers, flow)
+				}
+				got[flow] = n
+				if lw := flowtab.Mix(flow) % uint64(workers); lw != uint64(w) {
+					t.Errorf("%d workers: flow %d driven by worker %d, want %d", workers, flow, w, lw)
+				}
+				if k := int(flowtab.Mix(flow) % shards); k%workers != w {
+					t.Errorf("%d workers: shard %d driven by worker %d, want %d", workers, k, w, k%workers)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers: per-flow event counts differ from the schedule's", workers)
+		}
+	}
+}
+
+// TestNewRunnerAllocsIndependentOfEvents: building a Runner allocates the
+// same for any schedule — the lanes keep a cursor into the shared events,
+// nothing per event. The schedules are one renegotiating flow each, the
+// most uneven a lane's share can be.
+func TestNewRunnerAllocsIndependentOfEvents(t *testing.T) {
+	oneFlow := func(n int) []Event {
+		events := make([]Event, n)
+		for i := range events {
+			events[i] = Event{T: float64(i), Kind: KindUpdate, Flow: 7, Rate: 1}
+		}
+		events[0].Kind, events[n-1].Kind = KindAdmit, KindDepart
+		return events
+	}
+	tgt := &GatewayTarget{}
+	allocs := func(events []Event) float64 {
+		return testing.AllocsPerRun(20, func() {
+			NewRunner(func(int) Target { return tgt }, events, RunConfig{Workers: 4, Batch: 8})
+		})
+	}
+	if small, large := allocs(oneFlow(1_000)), allocs(oneFlow(100_000)); small != large {
+		t.Fatalf("NewRunner allocates %g times for 1k events, %g for 100k", small, large)
 	}
 }
 
