@@ -6,27 +6,38 @@
 // waiters.
 //
 // Sending is a group commit. A caller encodes its frame into the
-// connection's queue under a mutex that is never held across I/O; if
-// another caller is already writing, it leaves the frame there and waits
-// for its reply. The caller that finds nobody writing becomes the flusher
-// and writes the queue — its own frame and whatever the others append
-// while it is inside Write — until the queue is empty. Concurrent callers
-// sharing a connection therefore emit back-to-back frames in one write,
-// the shape the server's per-connection micro-batcher turns into one
-// decide pass and one reply write. There is no flush timer and nothing to
-// tune: a flusher that sees other calls pending yields the processor once
-// before its first write, so that callers the reader has just woken can
-// queue behind it, and a lone caller writes at once. A call in steady
-// state allocates nothing: its rendezvous (channel, timeout timer) is
+// connection's queue under a mutex that is never held across I/O; if the
+// connection's write side is claimed, it leaves the frame there and waits
+// for its reply. A caller that finds the write side free claims it and
+// writes the queue — its own frame and whatever the others append while
+// it is inside Write — until the queue is empty. It yields the processor
+// once first if other calls are pending, so that callers already runnable
+// can queue behind it; a lone caller writes at once. While the reader
+// completes a burst of replies it claims the write side for the callers
+// it wakes: they queue their next frames behind the claim, and when the
+// read buffer runs dry the reader hands the claim to the connection's
+// writer goroutine, which writes them all at once. The reader itself
+// never writes, so it keeps draining replies while a write is stuck.
+// Concurrent callers sharing a connection therefore emit back-to-back
+// frames in one write, the shape the server's per-connection
+// micro-batcher turns into one decide pass and one reply write. There is
+// no flush timer and nothing to tune.
+//
+// Each connection runs one watchdog instead of a timer per call: it ticks
+// every RequestTimeout/4, completes the calls that have waited longer
+// than RequestTimeout with context.DeadlineExceeded, and retires the
+// connection if one write has been in flight that long. A call in steady
+// state allocates nothing: its rendezvous (a capacity-1 channel) is
 // pooled.
 //
 // Failure semantics: per-request errors (unknown flow, invalid rate)
 // come back as ErrNotActive / ErrInvalidRate; a connection-scoped
 // Refusal frame from the server (overloaded, draining, shed,
-// rate-limited), a failed read or a failed flush fails every request
-// pending on that connection — written or still queued — and retires the
-// connection. Retired connections are redialed lazily on next use, so a
-// client survives a server restart or drain without being rebuilt.
+// rate-limited), a failed read, a failed flush or a write the watchdog
+// cut fails every request pending on that connection — written or still
+// queued — and retires the connection. Retired connections are redialed
+// lazily on next use, so a client survives a server restart or drain
+// without being rebuilt.
 package client
 
 import (
@@ -35,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -77,7 +89,11 @@ type Config struct {
 	// DialTimeout bounds one dial (default 5s).
 	DialTimeout time.Duration
 	// RequestTimeout bounds one request; a context that ends earlier
-	// bounds it sooner (default 10s).
+	// bounds it sooner (default 10s). The connection's watchdog checks
+	// every RequestTimeout/4, so a request that times out fails between 1×
+	// and 1.25× RequestTimeout after it was queued on its connection (a
+	// dial it waits for first is bounded separately, by DialTimeout and
+	// RequestTimeout). A write that long in flight retires the connection.
 	RequestTimeout time.Duration
 }
 
@@ -135,16 +151,17 @@ func (c *Client) Close() error {
 
 // Admit asks the gateway to admit flowID at rate.
 func (c *Client) Admit(ctx context.Context, flowID uint64, rate float64) (gateway.Decision, error) {
-	res, err := c.roundTrip(ctx, func(dst []byte, reqID uint64) []byte {
+	cl, err := c.roundTrip(ctx, func(dst []byte, reqID uint64) []byte {
 		return wire.AppendAdmit(dst, reqID, flowID, rate)
 	})
 	if err != nil {
 		return gateway.Decision{}, err
 	}
-	if res.op != wire.OpDecision {
-		return gateway.Decision{}, fmt.Errorf("client: got %s in reply to Admit", res.op)
+	defer cl.release()
+	if cl.res.op != wire.OpDecision {
+		return gateway.Decision{}, fmt.Errorf("client: got %s in reply to Admit", cl.res.op)
 	}
-	return fromWire(res.decision), nil
+	return fromWire(cl.res.decision), nil
 }
 
 // AdmitBatch decides a whole batch in one request frame — one network
@@ -155,13 +172,15 @@ func (c *Client) AdmitBatch(ctx context.Context, flowIDs []uint64, rates []float
 		return nil, fmt.Errorf("client: invalid batch: %d flows, %d rates (max %d)",
 			len(flowIDs), len(rates), wire.MaxBatch)
 	}
-	res, err := c.roundTrip(ctx, func(dst []byte, reqID uint64) []byte {
+	cl, err := c.roundTrip(ctx, func(dst []byte, reqID uint64) []byte {
 		dst, _ = wire.AppendAdmitBatch(dst, reqID, flowIDs, rates)
 		return dst
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer cl.release()
+	res := &cl.res
 	if res.op != wire.OpDecisionBatch || len(res.decisions) != len(flowIDs) {
 		return nil, fmt.Errorf("client: got %s with %d decisions in reply to AdmitBatch(%d)",
 			res.op, len(res.decisions), len(flowIDs))
@@ -197,24 +216,27 @@ func (c *Client) Depart(ctx context.Context, flowID uint64) error {
 // Ping round-trips a liveness probe (also a lease-keepalive for the
 // connection's idle timer).
 func (c *Client) Ping(ctx context.Context) error {
-	res, err := c.roundTrip(ctx, func(dst []byte, reqID uint64) []byte {
+	cl, err := c.roundTrip(ctx, func(dst []byte, reqID uint64) []byte {
 		return wire.AppendPing(dst, reqID)
 	})
 	if err != nil {
 		return err
 	}
-	if res.op != wire.OpPong {
-		return fmt.Errorf("client: got %s in reply to Ping", res.op)
+	defer cl.release()
+	if cl.res.op != wire.OpPong {
+		return fmt.Errorf("client: got %s in reply to Ping", cl.res.op)
 	}
 	return nil
 }
 
 // ackCall issues a request whose reply is an Ack and maps its status.
 func (c *Client) ackCall(ctx context.Context, enc func([]byte, uint64) []byte) error {
-	res, err := c.roundTrip(ctx, enc)
+	cl, err := c.roundTrip(ctx, enc)
 	if err != nil {
 		return err
 	}
+	defer cl.release()
+	res := &cl.res
 	if res.op != wire.OpAck {
 		return fmt.Errorf("client: got %s, want Ack", res.op)
 	}
@@ -240,8 +262,8 @@ func fromWire(d wire.Decision) gateway.Decision {
 	}
 }
 
-// result is the demultiplexed reply to one request. Slices are owned by
-// the result (copied out of the reader's reused frame).
+// result is the demultiplexed reply to one request. decisions is the
+// pooled call's own buffer, valid until the call is released.
 type result struct {
 	op        wire.Op
 	status    wire.Status
@@ -250,24 +272,20 @@ type result struct {
 }
 
 // call is one in-flight request's rendezvous. Whoever removes a call from
-// its connection's pending map — the reader with the reply, retire with the
-// connection's error — completes it, exactly once, so the send on done
-// never blocks. Calls are pooled: one whose completion the caller received
-// goes back to callPool; one the caller gave up on (timeout, cancellation)
-// is left to the collector, because the reader may be completing it at
-// that very moment.
+// its connection's pending map — the reader with the reply, the watchdog
+// with the timeout, retire with the connection's error — completes it,
+// exactly once, so the send on done never blocks. Calls are pooled: one
+// whose completion the caller received goes back to callPool; one whose
+// caller gave up on a cancelled context is left to the collector, because
+// the reader may be completing it at that very moment.
 type call struct {
 	done  chan struct{} // capacity 1
-	timer *time.Timer   // the request timeout; stopped and drained while pooled
+	epoch uint64        // the connection's watchdog epoch when the call was queued
 	res   result
 	err   error
 }
 
-var callPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop() // just created, so it cannot have fired: nothing to drain
-	return &call{done: make(chan struct{}, 1), timer: t}
-}}
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // complete hands the outcome to the waiting caller.
 func (cl *call) complete(res result, err error) {
@@ -275,51 +293,59 @@ func (cl *call) complete(res result, err error) {
 	cl.done <- struct{}{}
 }
 
-// release returns cl to the pool. The caller must not have received from
-// cl.timer.C since arming it, and nobody else may hold cl. go.mod says go
-// 1.22, so a timer that fired before Stop has left (or is about to leave)
-// a value in its channel: stop, then drain.
+// release returns cl to the pool, keeping its decisions buffer for the
+// next AdmitBatch. The caller must have received cl's completion, and
+// must not use cl.res afterwards.
 func (cl *call) release() {
-	if !cl.timer.Stop() {
-		<-cl.timer.C
-	}
-	cl.res, cl.err = result{}, nil
+	cl.res, cl.err = result{decisions: cl.res.decisions[:0]}, nil
 	callPool.Put(cl)
 }
 
 // roundTrip sends one encoded request on a pooled connection and waits
 // for its correlated reply, for at most the request timeout and no longer
-// than ctx allows.
-func (c *Client) roundTrip(ctx context.Context, enc func(dst []byte, reqID uint64) []byte) (result, error) {
+// than ctx allows. On success the reply is in the returned call's res,
+// and the caller releases the call once it has read it.
+func (c *Client) roundTrip(ctx context.Context, enc func(dst []byte, reqID uint64) []byte) (*call, error) {
 	if c.closed.Load() {
-		return result{}, ErrClosed
+		return nil, ErrClosed
 	}
 	pc := c.conns[c.next.Add(1)%uint64(len(c.conns))]
 	cl := callPool.Get().(*call)
-	cl.timer.Reset(c.cfg.RequestTimeout)
 	reqID, err := pc.send(ctx, cl, enc)
 	if err != nil {
 		cl.release() // never registered
-		return result{}, err
+		return nil, err
 	}
-	select {
-	case <-cl.done:
-		res, err := cl.res, cl.err
+	if done := ctx.Done(); done == nil {
+		<-cl.done // the watchdog bounds the wait
+	} else {
+		select {
+		case <-cl.done:
+		case <-done:
+			pc.forget(reqID)
+			return nil, ctx.Err()
+		}
+	}
+	if cl.err != nil {
+		err := cl.err
 		cl.release()
-		return res, err
-	case <-ctx.Done():
-		err = ctx.Err()
-	case <-cl.timer.C:
-		err = context.DeadlineExceeded
+		return nil, err
 	}
-	pc.forget(reqID)
-	cl.timer.Stop()
-	return result{}, err
+	return cl, nil
 }
+
+// watchEpochs is how many watchdog ticks make one RequestTimeout: a call
+// or a write older than that many epochs has outlived it.
+const watchEpochs = 4
+
+// errWriteStuck fails the calls queued behind a write the watchdog cut.
+var errWriteStuck = fmt.Errorf("client: write outlasted the request timeout: %w", os.ErrDeadlineExceeded)
 
 // poolConn is one pooled connection: a lazily dialed socket, a queue of
 // encoded request frames that senders append to and one of them flushes,
-// and a reader goroutine routing replies to pending calls by request id.
+// a reader goroutine routing replies to pending calls by request id, a
+// writer goroutine flushing the queue when the reader hands it the write
+// claim, and a watchdog timing out calls and writes.
 //
 // Lock order: dmu (held across a dial, so concurrent senders do not
 // double-dial the slot) before mu. mu guards only in-memory state and is
@@ -340,18 +366,23 @@ type poolConn struct {
 
 	mu       sync.Mutex // guards everything below; never held across I/O
 	nc       net.Conn
-	gen      uint64 // bumped on retire so a stale reader or flusher can't touch a redial
+	gen      uint64 // bumped on retire so a stale reader, flusher or watchdog can't touch a redial
 	nextReq  uint64 // monotone across redials, so reqIDs never collide between sockets
 	pending  map[uint64]*call
-	queue    []byte // frames registered for generation gen and not yet handed to Write
-	wbuf     []byte // the buffer the flusher last wrote from; swapped with queue per flush
-	flushing bool   // a sender of generation gen owns the socket's write side
+	queue    []byte      // frames registered for generation gen and not yet handed to Write
+	wbuf     []byte      // the buffer the flusher last wrote from; swapped with queue per flush
+	flushing bool        // the write side of generation gen is claimed: by a sender, the reader or the writer
+	writing  bool        // the claim holder is inside Write, since epoch wroteIn
+	wroteIn  uint64      // the watchdog epoch the current Write began in
+	epoch    uint64      // watchdog ticks so far; calls and writes record it
+	watch    *time.Timer // the watchdog of generation gen; nil while no socket is up
 }
 
-// send registers cl, queues its request frame, and — if no sender is
-// flushing this connection — flushes the queue itself: its own frame plus
-// whatever other callers append while it is writing. After send returns
-// nil the outcome, a write failure included, arrives through cl.
+// send registers cl, queues its request frame, and — if nobody has
+// claimed the connection's write side — flushes the queue itself: its own
+// frame plus whatever other callers append while it is writing. After
+// send returns nil the outcome, a write failure included, arrives through
+// cl.
 func (p *poolConn) send(ctx context.Context, cl *call, encode func([]byte, uint64) []byte) (uint64, error) {
 	p.mu.Lock()
 	if p.nc == nil {
@@ -362,6 +393,7 @@ func (p *poolConn) send(ctx context.Context, cl *call, encode func([]byte, uint6
 	}
 	p.nextReq++
 	reqID := p.nextReq
+	cl.epoch = p.epoch
 	p.pending[reqID] = cl
 	p.queue = encode(p.queue, reqID)
 	if p.flushing {
@@ -373,30 +405,38 @@ func (p *poolConn) send(ctx context.Context, cl *call, encode func([]byte, uint6
 	others := len(p.pending) > 1
 	p.mu.Unlock()
 	if others {
-		// Replies come in bursts and the reader wakes their callers
-		// together; let the ones already runnable queue behind this frame
-		// before the write. A lone caller has nobody to wait for.
+		// Let callers already runnable queue behind this frame before the
+		// write. A lone caller has nobody to wait for.
 		runtime.Gosched()
 	}
-	p.flush(ctx, nc, gen)
+	own, _ := ctx.Deadline()
+	p.flush(nc, gen, own)
 	return reqID, nil
 }
 
-// flush writes the queue to nc until it is empty. Only the sender that set
-// flushing for generation gen calls it; a retire in between drops the
-// queue and the claim with the generation, and flush then writes nothing
-// more.
-func (p *poolConn) flush(ctx context.Context, nc net.Conn, gen uint64) {
-	// The flusher's own deadline bounds the write that carries its own
-	// frame, the first; the later ones it makes on behalf of callers whose
-	// contexts it cannot see, and a short one of its own must not fail them.
-	own, hasOwn := ctx.Deadline()
+// flush writes the queue to nc until it is empty. Only the holder of the
+// write claim for generation gen calls it — a sender that found the write
+// side free, or the writer the reader handed its claim to; a retire in
+// between drops the queue and the claim with the generation, and flush
+// then writes nothing more.
+//
+// The watchdog, not a write deadline, bounds a write. The one exception is
+// a sender whose own context deadline (own; zero if none) is sooner than
+// the request timeout: that deadline bounds the write carrying its own
+// frame, the first, and is cleared after it — the later writes are made
+// on behalf of callers whose contexts the flusher cannot see, and a short
+// deadline of its own must not fail them.
+func (p *poolConn) flush(nc net.Conn, gen uint64, own time.Time) {
+	if !own.IsZero() && time.Until(own) >= p.client.cfg.RequestTimeout {
+		own = time.Time{}
+	}
 	for {
 		p.mu.Lock()
 		if p.gen != gen {
 			p.mu.Unlock()
 			return
 		}
+		p.writing = false
 		if len(p.queue) == 0 {
 			p.flushing = false
 			p.mu.Unlock()
@@ -404,23 +444,32 @@ func (p *poolConn) flush(ctx context.Context, nc net.Conn, gen uint64) {
 		}
 		buf := p.queue
 		p.queue, p.wbuf = p.wbuf[:0], buf
+		p.writing, p.wroteIn = true, p.epoch
 		p.mu.Unlock()
 
-		// Every frame in buf was queued by a call whose request timeout
-		// is already running, so a write stuck this long serves nobody.
-		deadline := time.Now().Add(p.client.cfg.RequestTimeout)
-		if hasOwn && own.Before(deadline) {
-			deadline = own
+		if !own.IsZero() {
+			nc.SetWriteDeadline(own)
 		}
-		hasOwn = false
-		nc.SetWriteDeadline(deadline)
-		if _, err := nc.Write(buf); err != nil {
+		_, err := nc.Write(buf)
+		if !own.IsZero() {
+			nc.SetWriteDeadline(time.Time{})
+			own = time.Time{}
+		}
+		if err != nil {
 			// Fails the calls buf carried and the ones queued behind it,
 			// unless a retire (which already failed them) closed the socket
 			// under this write.
 			p.failConn(nc, gen, fmt.Errorf("client: write: %w", err))
 			return
 		}
+	}
+}
+
+// writeLoop is the connection's writer: it flushes the queue each time the
+// reader hands it the write claim, and ends when the reader closes kick.
+func (p *poolConn) writeLoop(nc net.Conn, gen uint64, kick <-chan struct{}) {
+	for range kick {
+		p.flush(nc, gen, time.Time{})
 	}
 }
 
@@ -444,7 +493,14 @@ func (p *poolConn) connect(ctx context.Context) error {
 		} else {
 			p.nc = nc
 			p.pending = make(map[uint64]*call)
-			go p.readLoop(nc, p.gen)
+			gen := p.gen
+			// Capacity 1: the reader hands over a claim only while it holds
+			// one, and the writer takes it off the channel before releasing
+			// it, so the reader's send never blocks.
+			kick := make(chan struct{}, 1)
+			go p.readLoop(nc, gen, kick)
+			go p.writeLoop(nc, gen, kick)
+			p.watch = time.AfterFunc(p.client.cfg.RequestTimeout/watchEpochs, func() { p.tick(gen) })
 		}
 	}
 	if p.client.closed.Load() {
@@ -465,8 +521,33 @@ func (c *Client) dialTCP(ctx context.Context) (net.Conn, error) {
 	return nc, nil
 }
 
-// forget abandons a call the caller stopped waiting for (timeout or
-// context expiry); a late reply for it is dropped by the reader.
+// tick is the watchdog of generation gen, run every RequestTimeout/4. It
+// completes with context.DeadlineExceeded every call queued more than
+// watchEpochs ticks ago — between 1× and 1.25× RequestTimeout — and
+// retires the connection if the write in flight began that long ago,
+// which closes the socket under it.
+func (p *poolConn) tick(gen uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.gen != gen {
+		return
+	}
+	p.epoch++
+	for id, cl := range p.pending {
+		if p.epoch-cl.epoch > watchEpochs {
+			delete(p.pending, id)
+			cl.complete(result{}, context.DeadlineExceeded)
+		}
+	}
+	if p.writing && p.epoch-p.wroteIn > watchEpochs {
+		p.retireLocked(errWriteStuck)
+		return
+	}
+	p.watch.Reset(p.client.cfg.RequestTimeout / watchEpochs)
+}
+
+// forget abandons a call whose caller's context ended; a late reply for
+// it is dropped by the reader.
 func (p *poolConn) forget(reqID uint64) {
 	p.mu.Lock()
 	delete(p.pending, reqID)
@@ -483,31 +564,53 @@ func (p *poolConn) retire(err error) {
 }
 
 // retireLocked closes the socket first — unblocking any in-flight write —
-// then fails every pending call, written or still queued, and drops the
-// queue: those frames were for this socket only. Caller holds mu.
+// then stops the watchdog, fails every pending call, written or still
+// queued, and drops the queue: those frames were for this socket only.
+// Caller holds mu.
 func (p *poolConn) retireLocked(err error) {
 	if p.nc != nil {
 		p.nc.Close()
 		p.nc = nil
 	}
-	p.gen++ // invalidate the reader and the flusher that served this socket
+	if p.watch != nil {
+		p.watch.Stop()
+		p.watch = nil
+	}
+	p.gen++ // invalidate the reader, the flushers and the watchdog that served this socket
 	p.queue = p.queue[:0]
 	p.wbuf = nil // the stale flusher may still be inside Write with it
-	p.flushing = false
+	p.flushing, p.writing = false, false
 	for id, cl := range p.pending {
 		delete(p.pending, id)
 		cl.complete(result{}, err)
 	}
 }
 
-// readLoop demultiplexes replies from one socket until it dies. gen ties
-// the loop to the socket it was started for, so a loop outliving a
-// retire/redial cycle cannot fail the new socket's calls.
-func (p *poolConn) readLoop(nc net.Conn, gen uint64) {
+// readLoop demultiplexes replies from one socket until it dies, then
+// closes kick, which ends the socket's writer. gen ties the loop to the
+// socket it was started for, so a loop outliving a retire/redial cycle
+// cannot fail the new socket's calls.
+//
+// The reader never writes. While it completes a burst of replies with
+// other calls still pending, it claims the write side if nobody holds it,
+// so the callers it wakes queue their next frames instead of each
+// writing; when the read buffer runs dry it hands the claim to the writer
+// (or drops it, if nobody queued) before it blocks in the next read.
+func (p *poolConn) readLoop(nc net.Conn, gen uint64, kick chan<- struct{}) {
+	defer close(kick)
 	rd := wire.NewReader(nc)
 	var f wire.Frame
+	claimed := false
 	for {
-		if err := rd.Next(&f); err != nil {
+		ok, err := rd.NextBuffered(&f)
+		if !ok {
+			if claimed {
+				claimed = false
+				p.handOff(gen, kick)
+			}
+			err = rd.Next(&f)
+		}
+		if err != nil {
 			p.failConn(nc, gen, readErr(err))
 			return
 		}
@@ -519,16 +622,36 @@ func (p *poolConn) readLoop(nc net.Conn, gen uint64) {
 		p.mu.Lock()
 		cl := p.pending[f.ReqID]
 		delete(p.pending, f.ReqID)
+		if cl != nil && !p.flushing && len(p.pending) > 0 && p.gen == gen {
+			p.flushing, claimed = true, true
+		}
 		p.mu.Unlock()
 		if cl == nil {
-			continue // reply to a forgotten (timed-out) call
+			continue // reply to a forgotten (cancelled) call
 		}
-		res := result{op: f.Op, status: f.Status, decision: f.Decision}
+		res := result{op: f.Op, status: f.Status, decision: f.Decision, decisions: cl.res.decisions[:0]}
 		if f.Op == wire.OpDecisionBatch {
-			res.decisions = append([]wire.Decision(nil), f.Decisions...)
+			res.decisions = append(res.decisions, f.Decisions...)
 		}
 		cl.complete(res, nil)
 	}
+}
+
+// handOff ends the reader's claim on the write side of generation gen.
+// It first yields once, so the callers the burst woke can queue their
+// frames; then it hands the claim to the writer if anything was queued,
+// and releases it otherwise.
+func (p *poolConn) handOff(gen uint64, kick chan<- struct{}) {
+	runtime.Gosched()
+	p.mu.Lock()
+	if p.gen == gen { // else a retire already dropped the claim
+		if len(p.queue) == 0 {
+			p.flushing = false
+		} else {
+			kick <- struct{}{}
+		}
+	}
+	p.mu.Unlock()
 }
 
 // failConn retires the pool slot only if it still serves the generation

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -167,6 +168,63 @@ func TestConcurrentPipelining(t *testing.T) {
 	}
 }
 
+// TestBurstHandOffStrandsNothing: sixteen callers on one connection, so
+// the reader claims the write side for nearly every burst of replies and
+// hands it to the writer. Every call must succeed: a frame queued behind
+// a claim nobody flushes would surface as context.DeadlineExceeded.
+func TestBurstHandOffStrandsNothing(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	c, err := New(Config{Addr: addr, RequestTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const callers, perCaller = 16, 2000
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func(w uint64) {
+			defer wg.Done()
+			ctx := context.Background()
+			ids, rates := []uint64{0, 0}, []float64{1, 1}
+			for i := uint64(0); i < perCaller; i++ {
+				flow := w<<32 | i/6
+				var err error
+				switch i % 6 {
+				case 0:
+					_, err = c.Admit(ctx, flow, 1)
+				case 1:
+					err = c.UpdateRate(ctx, flow, 2)
+				case 2:
+					err = c.Touch(ctx, flow)
+				case 3:
+					err = c.Depart(ctx, flow)
+				case 4:
+					err = c.Ping(ctx)
+				case 5:
+					ids[0], ids[1] = flow, flow|1<<31
+					_, err = c.AdmitBatch(ctx, ids, rates)
+					for _, id := range ids {
+						if err == nil {
+							err = c.Depart(ctx, id)
+						}
+					}
+				}
+				if err != nil {
+					errs <- fmt.Errorf("caller %d, call %d: %w", w, i, err)
+					return
+				}
+			}
+		}(uint64(w))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // silentServer accepts connections and never answers on them.
 func silentServer(t *testing.T) (addr string) {
 	t.Helper()
@@ -188,25 +246,74 @@ func silentServer(t *testing.T) (addr string) {
 }
 
 // TestRequestTimeout: against a silent server the request fails with a
-// deadline error after RequestTimeout instead of hanging — also under a context
-// whose own deadline is an hour away, which must not switch RequestTimeout
-// off.
+// deadline error once the connection's watchdog finds it older than
+// RequestTimeout — never sooner, and within 1.25× RequestTimeout plus
+// scheduling slack — also under a context whose own deadline is an hour
+// away, which must not switch RequestTimeout off.
 func TestRequestTimeout(t *testing.T) {
-	c, err := New(Config{Addr: silentServer(t), RequestTimeout: 100 * time.Millisecond})
+	const (
+		rt    = 200 * time.Millisecond
+		slack = 200 * time.Millisecond
+	)
+	c, err := New(Config{Addr: silentServer(t), RequestTimeout: rt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	long, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	for name, ctx := range map[string]context.Context{"no context deadline": context.Background(), "context deadline in an hour": long} {
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{{"no context deadline", context.Background()}, {"context deadline in an hour", long}} {
 		start := time.Now()
-		if err := c.Ping(ctx); !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s: got %v, want context.DeadlineExceeded", name, err)
+		if err := c.Ping(tc.ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: got %v, want context.DeadlineExceeded", tc.name, err)
 		}
-		if d := time.Since(start); d > 5*time.Second {
-			t.Fatalf("%s: returned after %v, RequestTimeout is 100ms", name, d)
+		if d := time.Since(start); d < rt || d > rt+rt/4+slack {
+			t.Fatalf("%s: returned after %v, want [%v, 1.25×%v + %v]", tc.name, d, rt, rt, slack)
 		}
+	}
+}
+
+// TestTimedOutCallIsReused: the watchdog completes a timed-out call
+// through its channel, so the call leaves the pending map at once and its
+// rendezvous goes back to the pool; the reply, arriving late, is dropped,
+// and the next call on the connection gets its own reply.
+func TestTimedOutCallIsReused(t *testing.T) {
+	withheld := make(chan uint64, 1)
+	c, n := newStubClient(t, Config{RequestTimeout: 100 * time.Millisecond}, func(_ int, f *wire.Frame) []byte {
+		if f.Flow == 1 {
+			withheld <- f.ReqID
+			return nil
+		}
+		var out []byte
+		select {
+		case id := <-withheld:
+			out = wire.AppendDecision(out, id, wire.Decision{Active: -1})
+		default:
+		}
+		return wire.AppendDecision(out, f.ReqID, wire.Decision{Active: int64(f.Flow)})
+	})
+	n.setOpen()
+	pc := func() *poolConn { return c.conns[0] }
+	for round := 0; round < 3; round++ {
+		if _, err := c.Admit(context.Background(), 1, 1); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d, silent reply: got %v, want context.DeadlineExceeded", round, err)
+		}
+		if got := pc().pendingCalls(); got != 0 {
+			t.Fatalf("round %d: %d calls pending after the timeout", round, got)
+		}
+		d, err := c.Admit(context.Background(), 2, 1)
+		if err != nil || d.Active != 2 {
+			t.Fatalf("round %d, the call after the timeout: %+v, %v", round, d, err)
+		}
+		if got := pc().pendingCalls(); got != 0 {
+			t.Fatalf("round %d: %d calls pending", round, got)
+		}
+	}
+	if n.dials() != 1 {
+		t.Fatalf("%d dials, want 1: a timeout must not retire the connection", n.dials())
 	}
 }
 

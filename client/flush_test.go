@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -16,9 +17,11 @@ import (
 // every Write is recorded, announces itself on entered, and — unless the
 // conn was made open — waits for one value on gate: nil passes the bytes on
 // to the peer, an error is returned as the write's failure. Close unblocks
-// a held Write, as closing a real socket does.
+// a held Write, as closing a real socket does. far is the peer's half, for
+// a test that writes replies itself.
 type stubConn struct {
 	net.Conn
+	far     net.Conn
 	open    bool
 	entered chan struct{}
 	gate    chan error
@@ -95,6 +98,7 @@ func (n *stubNet) dial(context.Context) (net.Conn, error) {
 	n.mu.Lock()
 	sc := &stubConn{
 		Conn:    near,
+		far:     far,
 		open:    n.open,
 		entered: make(chan struct{}, 1024), // never blocks a Write: far more than any test issues
 		gate:    make(chan error),
@@ -397,48 +401,162 @@ func TestAbandonedCallIsNotWoken(t *testing.T) {
 	}
 }
 
-// TestReleaseDrainsFiredTimer: a call whose timer fired just as its reply
-// won the select goes back to the pool with the timer's channel empty, so
-// its next user does not time out at once.
-func TestReleaseDrainsFiredTimer(t *testing.T) {
-	cl := callPool.New().(*call)
-	cl.timer.Reset(time.Nanosecond)
-	time.Sleep(10 * time.Millisecond) // the timer has fired; nobody received
-	released := make(chan struct{})
-	go func() { cl.release(); close(released) }()
-	recv(t, "release", released)
-	select {
-	case <-cl.timer.C:
-		t.Fatal("a released call still holds its timer's value")
-	default:
+// TestStuckWriteIsBounded: a peer that stops reading cannot hold the
+// flusher — a caller like any other — past the request timeout, where the
+// watchdog retires the connection, nor past its own context deadline when
+// that comes sooner; either end fails the write and retires the
+// connection.
+func TestStuckWriteIsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration // RequestTimeout
+		own     time.Duration // the caller's context deadline; 0: none
+	}{
+		{"request timeout", 100 * time.Millisecond, 0},
+		{"own deadline", time.Minute, 100 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(Config{Addr: "stub", RequestTimeout: tc.timeout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.dial = func(context.Context) (net.Conn, error) {
+				near, far := net.Pipe() // synchronous: with nobody reading far, a Write blocks
+				t.Cleanup(func() { far.Close() })
+				return near, nil
+			}
+			ctx := context.Background()
+			if tc.own > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.own)
+				defer cancel()
+			}
+			start := time.Now()
+			err = c.Ping(ctx)
+			if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("ping to a peer that never reads: got %v, want a deadline error", err)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("the flusher was held for %v", d)
+			}
+			waitFor(t, "the retire", func() bool {
+				p := c.conns[0]
+				p.mu.Lock()
+				defer p.mu.Unlock()
+				return p.nc == nil
+			})
+		})
 	}
 }
 
-// TestStuckWriteIsBounded: a peer that stops reading cannot hold the
-// flusher — a caller like any other — past the request timeout; the write
-// fails at its deadline and the connection is retired.
-func TestStuckWriteIsBounded(t *testing.T) {
-	c, err := New(Config{Addr: "stub", RequestTimeout: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+// TestRepliesDrainWhileWriteIsStuck: the reader never waits on a write.
+// With a write held inside Write, replies to calls already on the wire
+// still reach their callers; the calls queued behind the held write fail
+// when the watchdog cuts it — no sooner than RequestTimeout after it
+// began, and within 1.25× of it plus scheduling slack.
+func TestRepliesDrainWhileWriteIsStuck(t *testing.T) {
+	const (
+		k     = 15 // calls on the wire before a write is held
+		burst = 8  // answered in one burst; each caller then sends again
+		rt    = 500 * time.Millisecond
+		slack = 200 * time.Millisecond
+	)
+	var (
+		mu  sync.Mutex
+		ids = map[uint64]uint64{} // flow → request id, for the frames the peer saw
+	)
+	c, n := newStubClient(t, Config{RequestTimeout: rt}, func(_ int, f *wire.Frame) []byte {
+		mu.Lock()
+		ids[f.Flow] = f.ReqID
+		mu.Unlock()
+		return nil // the test answers through the peer's half itself
+	})
+	sc, results := heldFlush(t, c, n, 1, k)
+	sc.gate <- nil
+	recv(t, "the second write", sc.entered)
+	sc.gate <- nil
+	waitFor(t, "the peer to see every frame", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(ids) == k+1
+	})
+	// reply answers flows from the peer's side; it returns once the client
+	// has read every byte.
+	reply := func(flows ...uint64) {
+		t.Helper()
+		var out []byte
+		mu.Lock()
+		for _, f := range flows {
+			out = wire.AppendDecision(out, ids[f], wire.Decision{Active: int64(f)})
+		}
+		mu.Unlock()
+		read := make(chan struct{})
+		go func() { sc.far.Write(out); close(read) }()
+		recv(t, "the reader to take the replies", read)
 	}
-	defer c.Close()
-	c.dial = func(context.Context) (net.Conn, error) {
-		near, far := net.Pipe() // synchronous: with nobody reading far, a Write blocks
-		t.Cleanup(func() { far.Close() })
-		return near, nil
+	expect := func(want uint64) {
+		t.Helper()
+		select {
+		case r := <-results:
+			if r.err != nil || r.active != int64(r.flow) || r.flow > want {
+				t.Fatalf("flow %d: got active %d, err %v", r.flow, r.active, r.err)
+			}
+		case <-time.After(rt / 2):
+			t.Fatalf("no reply reached its caller")
+		}
 	}
-	start := time.Now()
-	if err := c.Ping(context.Background()); err == nil {
-		t.Fatal("ping to a peer that never reads succeeded")
+
+	type failure struct {
+		err error
+		at  time.Time
 	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("the flusher was held for %v", d)
+	followUps := make(chan failure, burst)
+	before := time.Now()
+	flows := make([]uint64, burst)
+	for i := range flows {
+		flows[i] = uint64(i + 1)
+	}
+	reply(flows...)
+	for range flows {
+		expect(burst)
+		go func() {
+			_, err := c.Admit(context.Background(), 1000, 1)
+			followUps <- failure{err, time.Now()}
+		}()
+	}
+	recv(t, "the follow-ups' write", sc.entered) // held: the gate stays shut
+	held := time.Now()
+	pc := c.conns[0]
+	waitFor(t, "the follow-ups to queue", func() bool { return pc.pendingCalls() == k+1 })
+
+	// The write side is stuck; the reader is not.
+	for flow := uint64(burst + 1); flow <= k+1; flow++ {
+		reply(flow)
+		expect(k + 1)
+	}
+	if d := time.Since(held); d >= rt {
+		t.Fatalf("the replies took %v, the stuck write may already be cut", d)
+	}
+
+	for range flows {
+		f := <-followUps
+		if !errors.Is(f.err, context.DeadlineExceeded) && !errors.Is(f.err, os.ErrDeadlineExceeded) {
+			t.Errorf("a call queued behind the stuck write: got %v, want a deadline error", f.err)
+		}
+		if d := f.at.Sub(before); d < rt {
+			t.Errorf("a call behind the stuck write failed after %v, before the request timeout %v", d, rt)
+		}
+		if d := f.at.Sub(held); d > rt+rt/4+slack {
+			t.Errorf("a call behind the stuck write failed %v after the write was held, want at most 1.25×%v + %v", d, rt, slack)
+		}
 	}
 	waitFor(t, "the retire", func() bool {
-		p := c.conns[0]
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.nc == nil
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		return pc.nc == nil
 	})
+	if got := pc.pendingCalls(); got != 0 {
+		t.Errorf("%d calls still pending after the retire", got)
+	}
 }
