@@ -1,7 +1,8 @@
 package mbac_test
 
 // Executable statements of the paper's headline claims, phrased against
-// the public API. Each test is a claim a reader can run; together they are
+// the public API (the impulsive ensemble, which no program drives, through
+// internal/sim). Each test is a claim a reader can run; together they are
 // the library-level acceptance suite for the reproduction (the exhaustive
 // validation lives in the internal packages and in cmd/figures).
 
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	mbac "repro"
+	"repro/internal/sim"
 )
 
 // paperSystem is the canonical configuration used across the claims:
@@ -61,7 +63,7 @@ func TestClaimSqrtTwoLaw(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []float64{100, 400} {
-		res, err := mbac.SimulateImpulsive(mbac.ImpulsiveConfig{
+		res, err := sim.RunImpulsive(sim.ImpulsiveConfig{
 			Capacity: n, Model: mbac.RCBR(1, 0.3, 1), Controller: ctrl,
 			MeasureCount: int(n), Grid: []float64{12}, Replications: 4000, Seed: 5,
 		})

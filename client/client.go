@@ -64,17 +64,17 @@ var (
 	// ErrInvalidRate reports a rate the gateway refuses to accept
 	// (negative, NaN, or infinite).
 	ErrInvalidRate = errors.New("client: invalid rate")
-	// ErrClosed reports use of a closed client.
-	ErrClosed = errors.New("client: closed")
+	// errClosed reports use of a closed client.
+	errClosed = errors.New("client: closed")
 )
 
-// RefusedError is a connection-scoped refusal from the server: the
+// refusedError is a connection-scoped refusal from the server: the
 // connection carrying the request was refused or closed for cause, and
 // the request outcome is unknown (admits may or may not have landed —
 // the gateway's leases reclaim the orphans either way).
-type RefusedError struct{ Refusal wire.Refusal }
+type refusedError struct{ Refusal wire.Refusal }
 
-func (e *RefusedError) Error() string {
+func (e *refusedError) Error() string {
 	return fmt.Sprintf("client: connection refused by server: %s", e.Refusal)
 }
 
@@ -144,7 +144,7 @@ func New(cfg Config) (*Client, error) {
 func (c *Client) Close() error {
 	c.closed.Store(true)
 	for _, pc := range c.conns {
-		pc.retire(ErrClosed)
+		pc.retire(errClosed)
 	}
 	return nil
 }
@@ -307,7 +307,7 @@ func (cl *call) release() {
 // and the caller releases the call once it has read it.
 func (c *Client) roundTrip(ctx context.Context, enc func(dst []byte, reqID uint64) []byte) (*call, error) {
 	if c.closed.Load() {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	pc := c.conns[c.next.Add(1)%uint64(len(c.conns))]
 	cl := callPool.Get().(*call)
@@ -505,7 +505,7 @@ func (p *poolConn) connect(ctx context.Context) error {
 	}
 	if p.client.closed.Load() {
 		p.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	return nil
 }
@@ -616,7 +616,7 @@ func (p *poolConn) readLoop(nc net.Conn, gen uint64, kick chan<- struct{}) {
 		}
 		if f.Op == wire.OpRefusal {
 			// Connection-scoped: the server is closing us for cause.
-			p.failConn(nc, gen, &RefusedError{Refusal: f.Refusal})
+			p.failConn(nc, gen, &refusedError{Refusal: f.Refusal})
 			return
 		}
 		p.mu.Lock()

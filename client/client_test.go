@@ -346,10 +346,10 @@ func TestRefusalFailsPendingAndRedials(t *testing.T) {
 	if err := c.Ping(ctx); err != nil { // burns the single token
 		t.Fatal(err)
 	}
-	var refused *RefusedError
+	var refused *refusedError
 	err = c.Ping(ctx) // immediately over the cap
 	if !errors.As(err, &refused) || refused.Refusal != wire.RefuseRateLimited {
-		t.Fatalf("got %v, want RefusedError(rate-limited)", err)
+		t.Fatalf("got %v, want refusedError(rate-limited)", err)
 	}
 	// The bucket refills within a second; the pool must redial on its own.
 	time.Sleep(1100 * time.Millisecond)
@@ -365,8 +365,8 @@ func TestClosedClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if err := c.Ping(context.Background()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("got %v, want ErrClosed", err)
+	if err := c.Ping(context.Background()); !errors.Is(err, errClosed) {
+		t.Fatalf("got %v, want errClosed", err)
 	}
 }
 
@@ -381,7 +381,7 @@ func TestConfigValidation(t *testing.T) {
 
 // TestCloseRaceAgainstPipelinedAdmits hammers Close against concurrent
 // pipelined admissions: every in-flight call must return promptly, and
-// every call that loses to Close must fail with the typed ErrClosed —
+// every call that loses to Close must fail with the typed errClosed —
 // never hang on the writer path, never surface a raw socket error. Run
 // with -race: the whole point is the retire-vs-write interleaving.
 func TestCloseRaceAgainstPipelinedAdmits(t *testing.T) {
@@ -416,8 +416,8 @@ func TestCloseRaceAgainstPipelinedAdmits(t *testing.T) {
 						_, err = c.Admit(ctx, id.Add(1), 1)
 					}
 					if err != nil {
-						if !errors.Is(err, ErrClosed) {
-							t.Errorf("round %d: call failed with %v, want ErrClosed", round, err)
+						if !errors.Is(err, errClosed) {
+							t.Errorf("round %d: call failed with %v, want errClosed", round, err)
 						}
 						return
 					}

@@ -301,7 +301,7 @@ func TestFailedFlushFailsCarriedAndQueued(t *testing.T) {
 }
 
 // TestCloseDuringHeldFlush: Close does not wait for the write it
-// interrupts, and the carried and the queued calls all see ErrClosed.
+// interrupts, and the carried and the queued calls all see errClosed.
 func TestCloseDuringHeldFlush(t *testing.T) {
 	const k = 8
 	c, n := newStubClient(t, Config{}, echo)
@@ -311,12 +311,12 @@ func TestCloseDuringHeldFlush(t *testing.T) {
 	go func() { c.Close(); close(closed) }()
 	recv(t, "Close", closed)
 	for i := 0; i <= k; i++ {
-		if r := <-results; !errors.Is(r.err, ErrClosed) {
-			t.Errorf("flow %d: got %v, want ErrClosed", r.flow, r.err)
+		if r := <-results; !errors.Is(r.err, errClosed) {
+			t.Errorf("flow %d: got %v, want errClosed", r.flow, r.err)
 		}
 	}
-	if _, err := c.Admit(context.Background(), 1, 1); !errors.Is(err, ErrClosed) {
-		t.Errorf("after Close: got %v, want ErrClosed", err)
+	if _, err := c.Admit(context.Background(), 1, 1); !errors.Is(err, errClosed) {
+		t.Errorf("after Close: got %v, want errClosed", err)
 	}
 }
 
@@ -337,10 +337,10 @@ func TestRetiredQueueDiesWithItsSocket(t *testing.T) {
 	// stays held in its second Write, the k frames in hand, until the
 	// retire closes the socket under it.
 	sc.gate <- nil
-	var refused *RefusedError
+	var refused *refusedError
 	for i := 0; i <= k; i++ {
 		if r := <-results; !errors.As(r.err, &refused) || refused.Refusal != wire.RefuseDraining {
-			t.Errorf("flow %d: got %v, want RefusedError(draining)", r.flow, r.err)
+			t.Errorf("flow %d: got %v, want refusedError(draining)", r.flow, r.err)
 		}
 	}
 	n.setOpen()

@@ -113,3 +113,50 @@ func ExampleQinv() {
 	// Output:
 	// alpha_q = 3.0902, round trip error 0e+00
 }
+
+// The online gateway serves admission decisions from any goroutine against
+// the last published bound; a measurement tick re-estimates (μ̂, σ̂) from
+// the admitted flows and republishes it. Tick runs on a virtual clock, so
+// the outcome is deterministic; Run(ctx) drives the same tick from a
+// wall-clock ticker.
+func ExampleNewGateway() {
+	ctrl, err := mbac.NewCertaintyEquivalent(1e-2, 1, 0.3)
+	if err != nil {
+		panic(err)
+	}
+	g, err := mbac.NewGateway(mbac.GatewayConfig{
+		Capacity:   100, // units of the mean flow rate
+		Controller: ctrl,
+		Estimator:  mbac.NewExponentialEstimator(30), // memory window Tm
+		Shards:     16,
+	})
+	if err != nil {
+		panic(err)
+	}
+	// Offer 120 flows of rate 0.6 or 1.2 against the bootstrap bound.
+	admit := func(from, to uint64) (n int) {
+		for id := from; id <= to; id++ {
+			d, err := g.Admit(id, 0.6+0.6*float64(id%2)) // flowID, rate
+			if err != nil {
+				panic(err)
+			}
+			if d.Admitted {
+				n++
+			}
+		}
+		return n
+	}
+	fmt.Printf("bootstrap bound M=%.1f: admitted %d of 120\n", g.Stats().Admissible, admit(1, 120))
+	st := g.Tick(0.5) // virtual-clock measurement
+	fmt.Printf("measured mu=%.2f sigma=%.2f: bound M=%.1f\n", st.Mu, st.Sigma, st.Admissible)
+	fmt.Printf("admitted %d more of 20\n", admit(121, 140))
+	if err := g.Depart(1); err != nil {
+		panic(err)
+	}
+	fmt.Printf("active after one departure: %d\n", g.Stats().Active)
+	// Output:
+	// bootstrap bound M=93.3: admitted 93 of 120
+	// measured mu=0.90 sigma=0.30: bound M=102.8
+	// admitted 9 more of 20
+	// active after one departure: 101
+}

@@ -95,8 +95,8 @@ func TestBayesianFallbackWithoutMeasurement(t *testing.T) {
 	// Pure prior: same as CE with (1, 0.3).
 	ce, _ := NewCertaintyEquivalent(1e-3, 1, 0.3)
 	want := ce.Admissible(Measurement{Capacity: 100, Mu: 1, Sigma: 0.3, OK: true})
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("prior fallback %v, want %v", got, want)
+	if got <= 0 || math.Abs(got-want) > 1e-9 {
+		t.Errorf("prior fallback %v, want %v > 0", got, want)
 	}
 	if bayes.Name() != "bayesian-ce" || bayes.Target() != 1e-3 {
 		t.Error("metadata")

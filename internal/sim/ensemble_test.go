@@ -61,6 +61,9 @@ func TestImpulsiveAdmittedCountDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.M0.N() != 3000 {
+		t.Errorf("replications recorded: %d, want 3000", res.M0.N())
+	}
 	pred := theory.ImpulsiveAdmittedCount(theory.System{Capacity: n, Mu: 1, Sigma: 0.3}, pce)
 	// Integer truncation shifts the mean down by ~0.5.
 	if math.Abs(res.M0.Mean()-(pred.Mean-0.5)) > 0.5 {

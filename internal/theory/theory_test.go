@@ -418,6 +418,15 @@ func TestPlanRobust(t *testing.T) {
 		t.Errorf("robust plan alpha %v should undercut the impulsive sqrt2 adjustment %v",
 			plan.AlphaCe, gauss.Sqrt2*plan.AlphaQ)
 	}
+	// Under separation (gamma = 30 here) the integral inversion the facade's
+	// Plan uses lands on the same target as the closed form.
+	integral, err := PlanRobust(s, 1e-3, InvertIntegral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(math.Log(integral.AdjustedPce/plan.AdjustedPce)) > 0.1 {
+		t.Errorf("plans diverge: integral %v vs closed form %v", integral.AdjustedPce, plan.AdjustedPce)
+	}
 }
 
 func TestRegimeClassification(t *testing.T) {
@@ -519,6 +528,15 @@ func BenchmarkAdjustedTargetClosedForm(b *testing.B) {
 	s.Tm = 10
 	for i := 0; i < b.N; i++ {
 		if _, err := AdjustedTarget(s, 1e-3, InvertClosedForm); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPlanRobust(b *testing.B) {
+	sys := System{Capacity: 100, Mu: 1, Sigma: 0.3, Th: 1000, Tc: 1}
+	for i := 0; i < b.N; i++ {
+		if _, err := PlanRobust(sys, 1e-3, InvertIntegral); err != nil {
 			b.Fatal(err)
 		}
 	}

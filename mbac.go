@@ -16,17 +16,25 @@
 //
 // # Layout
 //
-// The public API re-exports the building blocks from internal packages:
+// The package is the facade the example programs use; every name in it is
+// reached by a program or an Example (reach_test.go holds that line). It
+// re-exports from internal packages:
 //
-//   - admission controllers (certainty-equivalent MBAC, perfect-knowledge,
-//     peak-rate, and measured-sum baselines);
-//   - measurement estimators (memoryless, exponentially weighted, sliding
-//     window, aggregate-only);
-//   - traffic models (RCBR, on-off, Markov fluid, mixtures, traces, and a
-//     long-range-dependent synthetic video generator);
-//   - the analytical results (package-level functions mirroring the
-//     paper's equations) and the Plan helper that applies them;
-//   - the flow-level simulator used to validate everything.
+//   - the Gaussian tail Q and its inverse Qinv;
+//   - the analytical results the recipe needs (AdmissibleFlows,
+//     ImpulsiveOverflow, OverflowIntegral) and the Plan helper that applies
+//     them;
+//   - the certainty-equivalent controller and the perfect-knowledge
+//     baseline;
+//   - the memoryless, exponentially weighted and aggregate-only estimators;
+//   - traffic models: RCBR, mixtures, and traces, including the
+//     long-range-dependent synthetic video generator;
+//   - the flow-level simulator used to validate everything;
+//   - the online admission gateway.
+//
+// The rest of the machinery (the serving layer, observability, the other
+// baselines and estimators) lives in internal packages driven by the
+// programs under cmd/; the pooled network client is package client.
 //
 // # Quick start
 //
@@ -43,18 +51,11 @@
 package mbac
 
 import (
-	"repro/client"
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/gateway"
 	"repro/internal/gauss"
-	"repro/internal/link"
-	"repro/internal/metrics"
-	"repro/internal/qos"
-	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/theory"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -88,12 +89,6 @@ func Plan(s System, pq float64) (RobustPlan, error) {
 	return theory.PlanRobust(s, pq, theory.InvertIntegral)
 }
 
-// PlanClosedForm is Plan using the separation-of-time-scales closed form
-// (eq. 38), as the paper does for its Figure 6.
-func PlanClosedForm(s System, pq float64) (RobustPlan, error) {
-	return theory.PlanRobust(s, pq, theory.InvertClosedForm)
-}
-
 // AdmissibleFlows returns m*: the number of flows admissible on capacity c
 // at target overflow probability p when the flow statistics (mu, sigma) are
 // known (eq. 4/42).
@@ -113,38 +108,11 @@ func OverflowIntegral(s System, pce float64) float64 {
 	return theory.ContinuousOverflowIntegral(s, pce)
 }
 
-// OverflowClosedForm evaluates the separation-of-time-scales closed form
-// (eq. 33/38).
-func OverflowClosedForm(s System, pce float64) float64 {
-	return theory.ContinuousOverflowClosedForm(s, pce)
-}
-
-// OverflowTransient evaluates the overflow probability a finite time t
-// after the continuous-load system started (Prop. 4.2 before t → ∞).
-func OverflowTransient(s System, pce, t float64) float64 {
-	return theory.ContinuousOverflowTransient(s, pce, t)
-}
-
-// OverflowGeneralACF evaluates the memoryless continuous-load overflow for
-// an arbitrary flow autocorrelation rho with right derivative rhoPrime0 at
-// 0 (eq. 30); pair with the ACF methods on the traffic models, e.g. a
-// MarkovFluid's ACF/ACFDerivative0.
-func OverflowGeneralACF(s System, pce float64, rho func(float64) float64, rhoPrime0 float64) float64 {
-	return theory.ContinuousOverflowGeneralACF(s, pce, rho, rhoPrime0)
-}
-
-// ErlangB returns the classical Erlang-B blocking probability for m
-// servers offered a Erlangs — the reference model for MBAC call blocking
-// under finite arrival rates.
-func ErlangB(m int, a float64) float64 { return theory.ErlangB(m, a) }
-
 // ---------------------------------------------------------------------------
 // Controllers.
 
-// Measurement is the controller's view of the link at a decision instant.
-type Measurement = core.Measurement
-
-// Controller decides the admissible number of flows from a Measurement.
+// Controller decides the admissible number of flows from a measurement of
+// the link.
 type Controller = core.Controller
 
 // CertaintyEquivalent is the paper's measurement-based controller.
@@ -162,22 +130,6 @@ func NewPerfectKnowledge(c, mu, sigma, pq float64) (*core.PerfectKnowledge, erro
 	return core.NewPerfectKnowledge(c, mu, sigma, pq)
 }
 
-// PeakRate is the zero-multiplexing baseline admitting c/peak flows.
-type PeakRate = core.PeakRate
-
-// NewMeasuredSum returns the Jamin-style measured-sum controller with
-// utilization target eta.
-func NewMeasuredSum(eta, declaredRate float64) (*core.MeasuredSum, error) {
-	return core.NewMeasuredSum(eta, declaredRate)
-}
-
-// NewBayesianCE returns a certainty-equivalent controller whose estimates
-// are smoothed toward a prior with the given pseudo-observation weight —
-// the Gibbens-Kelly-Key mechanism the paper compares against in Section 6.
-func NewBayesianCE(pce, weight, priorMean, priorSigma float64) (*core.BayesianCE, error) {
-	return core.NewBayesianCE(pce, weight, priorMean, priorSigma)
-}
-
 // ---------------------------------------------------------------------------
 // Estimators.
 
@@ -193,16 +145,6 @@ func NewMemorylessEstimator() Estimator { return estimator.NewMemoryless() }
 // Section 4.3).
 func NewExponentialEstimator(tm float64) Estimator { return estimator.NewExponential(tm) }
 
-// NewPerFlowEstimator returns the exact per-flow filtered estimator of
-// Section 4.3: every flow's bandwidth is filtered individually (O(1) per
-// event via lazy bookkeeping); the simulator feeds it flow-level events
-// automatically.
-func NewPerFlowEstimator(tm float64) Estimator { return estimator.NewPerFlowExponential(tm) }
-
-// NewWindowEstimator returns a sliding-window (boxcar) estimator over
-// window w.
-func NewWindowEstimator(w float64) Estimator { return estimator.NewWindow(w) }
-
 // NewAggregateOnlyEstimator returns the Section 7 estimator that sees only
 // the aggregate rate, inferring the variance from temporal fluctuation.
 func NewAggregateOnlyEstimator(tm, tv float64) Estimator { return estimator.NewAggregateOnly(tm, tv) }
@@ -213,27 +155,9 @@ func NewAggregateOnlyEstimator(tm, tv float64) Estimator { return estimator.NewA
 // TrafficModel is a factory for i.i.d. flow sources.
 type TrafficModel = traffic.Model
 
-// Segment is one constant-rate epoch of a flow.
-type Segment = traffic.Segment
-
-// TrafficStats describes a model's stationary marginal.
-type TrafficStats = traffic.Stats
-
 // RCBR is the paper's renegotiated-CBR source: Gaussian marginal, i.i.d.
 // exponential segment lengths with mean tc, autocorrelation exp(-|t|/tc).
 func RCBR(mu, sigmaOverMu, tc float64) TrafficModel { return traffic.NewRCBR(mu, sigmaOverMu, tc) }
-
-// OnOff is a two-state fluid source.
-type OnOff = traffic.OnOff
-
-// MarkovFluid is a K-state Markov-modulated fluid model; it exposes exact
-// ACF and ACFDerivative0 methods for use with OverflowGeneralACF.
-type MarkovFluid = traffic.MarkovFluid
-
-// NewMarkovFluid returns a K-state Markov-modulated fluid model.
-func NewMarkovFluid(rates []float64, gen [][]float64) (*MarkovFluid, error) {
-	return traffic.NewMarkovFluid(rates, gen)
-}
 
 // NewMixture returns a heterogeneous population drawing each flow from one
 // of the component models with the given weights (Section 5.4).
@@ -270,15 +194,6 @@ type SimConfig = sim.Config
 // SimResult reports a run's measurements.
 type SimResult = sim.Result
 
-// SeriesPoint is one sampled instant of a run's trajectory (enabled via
-// SimConfig.SeriesPeriod) — the M_t/N_t picture of the paper's Figure 2.
-type SeriesPoint = sim.SeriesPoint
-
-// BufferReport carries the fluid-buffer metrics produced when
-// SimConfig.BufferSize is set (loss fraction, mean backlog/delay), for
-// checking the paper's claim that bufferless analysis is conservative.
-type BufferReport = link.BufferReport
-
 // Simulate runs the continuous-load (infinite backlog) model to completion.
 func Simulate(cfg SimConfig) (SimResult, error) {
 	e, err := sim.New(cfg)
@@ -286,18 +201,6 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 		return SimResult{}, err
 	}
 	return e.Run()
-}
-
-// ImpulsiveConfig parameterizes the impulsive-load ensemble of Section 3.
-type ImpulsiveConfig = sim.ImpulsiveConfig
-
-// ImpulsiveResult aggregates an impulsive ensemble.
-type ImpulsiveResult = sim.ImpulsiveResult
-
-// SimulateImpulsive runs the impulsive-load ensemble: a burst of admissions
-// at time zero followed by pure departure dynamics, replicated many times.
-func SimulateImpulsive(cfg ImpulsiveConfig) (*ImpulsiveResult, error) {
-	return sim.RunImpulsive(cfg)
 }
 
 // ---------------------------------------------------------------------------
@@ -308,181 +211,12 @@ func SimulateImpulsive(cfg ImpulsiveConfig) (*ImpulsiveResult, error) {
 // Admit/Depart/UpdateRate calls are answered against the last published
 // certainty-equivalent bound; a periodic measurement tick (virtual-clock
 // Tick or wall-clock Run) re-estimates (μ̂, σ̂) from the sharded flow
-// tables and republishes the bound.
+// tables and republishes the bound. cmd/gateway -serve puts it behind the
+// framed TCP protocol that package client speaks.
 type Gateway = gateway.Gateway
 
 // GatewayConfig parameterizes a Gateway.
 type GatewayConfig = gateway.Config
 
-// GatewayStats is a consistent snapshot of a gateway's aggregate state.
-type GatewayStats = gateway.Stats
-
-// GatewayDecision reports the outcome of one Gateway.Admit call.
-type GatewayDecision = gateway.Decision
-
 // NewGateway validates the configuration and returns a ready gateway.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) { return gateway.New(cfg) }
-
-// GatewayTuner is the adaptive-measurement seam (GatewayConfig.Tuner): an
-// online controller that observes each measurement tick and retunes the
-// estimator memory T_m.
-type GatewayTuner = gateway.Tuner
-
-// AdaptiveController is the Section 7 online time-scale controller: it
-// estimates the traffic correlation time T̂_c from a streaming ACF of the
-// aggregate rate and steers T_m toward the critical time-scale
-// T̃_h = Th/√(c/μ̂) with hysteresis and rate-of-change clamps. It
-// implements GatewayTuner.
-type AdaptiveController = adaptive.Controller
-
-// AdaptiveConfig parameterizes an AdaptiveController.
-type AdaptiveConfig = adaptive.Config
-
-// NewAdaptiveController validates the configuration and returns a
-// controller ready to plug into GatewayConfig.Tuner.
-func NewAdaptiveController(cfg AdaptiveConfig) (*AdaptiveController, error) {
-	return adaptive.New(cfg)
-}
-
-// GatewayReason classifies one admission outcome (GatewayDecision.Reason).
-type GatewayReason = gateway.Reason
-
-// Admission outcomes, including the lease expiry produced by the TTL sweep.
-const (
-	GatewayAdmitted    = gateway.ReasonAdmitted
-	GatewayCapacity    = gateway.ReasonCapacity
-	GatewayInvalidRate = gateway.ReasonInvalidRate
-	GatewayDuplicate   = gateway.ReasonDuplicate
-	GatewayExpired     = gateway.ReasonExpired
-)
-
-// GatewayDegradedPolicy selects the fallback bound a degraded gateway
-// enforces (GatewayConfig.Degraded): freeze the last healthy bound, fall
-// back to the paper's a-priori peak-rate allocation c/peak, or reject all.
-type GatewayDegradedPolicy = gateway.DegradedPolicy
-
-const (
-	GatewayDegradedFreeze    = gateway.DegradedFreeze
-	GatewayDegradedPeakRate  = gateway.DegradedPeakRate
-	GatewayDegradedRejectAll = gateway.DegradedRejectAll
-)
-
-// ---------------------------------------------------------------------------
-// Observability.
-//
-// A Gateway's Snapshot method returns a GatewaySnapshot: counters, the
-// published bound, the windowed overflow estimate p_f with its Wilson
-// interval, the admission latency histogram, and the recent (μ̂, σ̂) ring —
-// every quantity JSON-encodable and exportable as Prometheus text via its
-// WritePrometheus method (see cmd/gateway's -listen endpoint).
-
-// GatewaySnapshot is the observability snapshot of a Gateway; DESIGN.md
-// maps each field to its paper quantity (eq. 6, 14, 22).
-type GatewaySnapshot = gateway.Snapshot
-
-// EstimatePoint is one measurement tick's (μ̂, σ̂) tagged with the
-// estimator's filter memory T_m.
-type EstimatePoint = metrics.EstimatePoint
-
-// HistogramSnapshot is a point-in-time copy of a streaming histogram.
-type HistogramSnapshot = metrics.HistogramSnapshot
-
-// WindowedEstimate is a windowed Bernoulli rate (e.g. overflow probability
-// p_f over the last N measurement ticks) with its Wilson interval.
-type WindowedEstimate = stats.WindowedEstimate
-
-// Wilson returns the Wilson score interval for hits successes in n trials
-// at normal quantile z — the confidence interval used for all windowed
-// p_f estimates.
-func Wilson(hits, n int64, z float64) (lo, hi float64) { return stats.Wilson(hits, n, z) }
-
-// QoSAudit continuously grades windowed overflow measurements against the
-// QoS target p_q AND the √2-law prediction Q(α_q/√2) of Prop 3.3 (eq. 14):
-// overflow above p_q but inside the √2 law is the known
-// certainty-equivalence bias; overflow above the √2 law means the system
-// is broken beyond what certainty equivalence explains.
-type QoSAudit = qos.Audit
-
-// QoSAuditConfig parameterizes a QoSAudit.
-type QoSAuditConfig = qos.AuditConfig
-
-// QoSAuditReport is one audit result: estimate, thresholds, verdict.
-type QoSAuditReport = qos.Report
-
-// QoSVerdict classifies a windowed overflow measurement.
-type QoSVerdict = qos.Verdict
-
-// Audit verdicts.
-const (
-	VerdictInsufficient     = qos.VerdictInsufficient
-	VerdictOK               = qos.VerdictOK
-	VerdictViolatesTarget   = qos.VerdictViolatesTarget
-	VerdictViolatesSqrt2Law = qos.VerdictViolatesSqrt2Law
-)
-
-// NewQoSAudit validates the configuration and returns an audit.
-func NewQoSAudit(cfg QoSAuditConfig) (*QoSAudit, error) { return qos.NewAudit(cfg) }
-
-// ---------------------------------------------------------------------------
-// Utility-based QoS (Section 7 future work).
-
-// Utility scores the fraction of demand the link serves, for the
-// adaptive-application QoS generalization; plug into SimConfig.Utility.
-type Utility = qos.Utility
-
-// StepUtility is the hard real-time utility (1 iff at least threshold of
-// the demand is served); StepUtility(1) reproduces the overflow metric.
-func StepUtility(threshold float64) Utility { return qos.Step(threshold) }
-
-// LinearUtility values bandwidth proportionally.
-func LinearUtility() Utility { return qos.Linear() }
-
-// ConcaveUtility models adaptive applications (log-shaped, curvature k).
-func ConcaveUtility(k float64) Utility { return qos.Concave(k) }
-
-// ConvexUtility models inelastic-leaning applications (power p > 1).
-func ConvexUtility(p float64) Utility { return qos.Convex(p) }
-
-// ---------------------------------------------------------------------------
-// Network serving layer.
-//
-// The wire protocol (internal/wire), the TCP admission server
-// (internal/server) and the pooled pipelined client (package client) turn
-// a Gateway into a network service; cmd/gateway -serve runs it and
-// cmd/loadgen drives it. DESIGN.md documents the frame layout, the
-// pipelining/batching semantics and the drain contract.
-
-// AdmissionServer is the TCP server fronting a Gateway with the framed
-// admission protocol: one goroutine per connection, pipelined Admit
-// frames micro-batched into single AdmitBatch calls, and explicit
-// robustness edges (max-conns refusal, deadlines, slow readers held by
-// back-pressure and cut by the write deadline, frame-rate caps, graceful
-// drain).
-type AdmissionServer = server.Server
-
-// AdmissionServerConfig parameterizes an AdmissionServer.
-type AdmissionServerConfig = server.Config
-
-// AdmissionServerSnapshot is the serving-layer observability view
-// (connection and frame counters, the batch-size histogram), the
-// mbac_server_* sibling of GatewaySnapshot.
-type AdmissionServerSnapshot = server.Snapshot
-
-// NewAdmissionServer validates the configuration and returns a server;
-// Serve accepts on a caller-provided listener and Shutdown drains it.
-func NewAdmissionServer(cfg AdmissionServerConfig) (*AdmissionServer, error) {
-	return server.New(cfg)
-}
-
-// AdmissionClient is the pooled, pipelined Go client for the admission
-// protocol; decisions come back as GatewayDecision values.
-type AdmissionClient = client.Client
-
-// AdmissionClientConfig parameterizes an AdmissionClient.
-type AdmissionClientConfig = client.Config
-
-// NewAdmissionClient validates the configuration and returns a client;
-// connections dial lazily and redial after server drains or refusals.
-func NewAdmissionClient(cfg AdmissionClientConfig) (*AdmissionClient, error) {
-	return client.New(cfg)
-}

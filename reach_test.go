@@ -10,7 +10,9 @@ package mbac_test
 // identifier or a selector on an import name with the function's name
 // counts even if it happens to name something else. A second scan holds
 // the same line for configuration: no unexported field that only tests
-// write (TestEveryUnexportedFieldIsWritten).
+// write (TestEveryUnexportedFieldIsWritten). A third holds the public
+// packages — the facade at the module root and client — to what programs
+// and examples reach (TestEveryFacadeExportIsReached).
 
 import (
 	"go/ast"
@@ -128,6 +130,131 @@ func TestEveryInternalExportIsReached(t *testing.T) {
 	for k := range referenceOnly {
 		if decls[k] == nil {
 			t.Errorf("referenceOnly names %s, which no longer exists", k)
+		}
+	}
+}
+
+// publicPackages are the packages a program outside the module may
+// import: the facade at the module root and the network client.
+var publicPackages = map[string]bool{modulePath: true, modulePath + "/client": true}
+
+// TestEveryFacadeExportIsReached keeps the public packages to what a
+// program reaches. Every exported top-level func, type, const and var
+// declared in a non-test file of a public package must be named through an
+// import by a non-test file outside that package (a program under cmd/,
+// examples/ or benchmark/, or any other package), be named by an Example
+// of its own package, or be a type named in the signature of a function
+// that is reached. A root test does not keep a name alive: the facade is
+// the surface a program uses, and a name only tests use is not part of it.
+// Methods are out of scope, as in the internal scan.
+func TestEveryFacadeExportIsReached(t *testing.T) {
+	files := scanModule(t, ".")
+	importPath := func(dir string) string {
+		if dir == "" {
+			return modulePath
+		}
+		return modulePath + "/" + dir
+	}
+
+	decls := map[string]bool{}    // "importpath.Name" of every subject
+	sigs := map[string][]string{} // "importpath.Func" -> package-local names in its signature
+	for _, f := range files {
+		pkg := importPath(f.dir)
+		if f.test || !publicPackages[pkg] {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil || !d.Name.IsExported() {
+					continue
+				}
+				key := pkg + "." + d.Name.Name
+				decls[key] = true
+				for _, list := range []*ast.FieldList{d.Type.Params, d.Type.Results} {
+					if list == nil {
+						continue
+					}
+					for _, fld := range list.List {
+						ast.Inspect(fld.Type, func(n ast.Node) bool {
+							switch n := n.(type) {
+							case *ast.SelectorExpr:
+								return false // another package's name
+							case *ast.Ident:
+								sigs[key] = append(sigs[key], pkg+"."+n.Name)
+							}
+							return true
+						})
+					}
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							decls[pkg+"."+s.Name.Name] = true
+						}
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							if name.IsExported() {
+								decls[pkg+"."+name.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	reached := map[string]bool{}
+	for _, f := range files {
+		pkg := importPath(f.dir)
+		for _, d := range f.ast.Decls {
+			if f.test {
+				// Only an Example of the file's own (public) package counts.
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Recv != nil || !publicPackages[pkg] || !strings.HasPrefix(fn.Name.Name, "Example") {
+					continue
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok {
+						if p, ok := f.imports[x.Name]; ok {
+							// A program names another package's export; an
+							// Example names its own package's.
+							if publicPackages[p] && (p == pkg) == f.test {
+								reached[p+"."+n.Sel.Name] = true
+							}
+							return false
+						}
+					}
+				case *ast.Ident:
+					if f.test {
+						reached[pkg+"."+n.Name] = true // an Example in the package itself
+					}
+				}
+				return true
+			})
+		}
+	}
+	for fn := range decls {
+		if reached[fn] {
+			for _, name := range sigs[fn] {
+				reached[name] = true
+			}
+		}
+	}
+
+	keys := make([]string, 0, len(decls))
+	for k := range decls {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !reached[k] {
+			t.Errorf("%s is exported but no program or Example reaches it: delete it, or call it from a program or an Example", k)
 		}
 	}
 }
