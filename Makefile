@@ -17,7 +17,8 @@
 #              that do not drift with the machine are plain tier-1 tests
 #   fuzz     — short adversarial-input fuzzing of the estimator, the
 #              controller, the wire decoder, scenario configs, the flow
-#              table and the simulator's flow queue (checked-in corpora
+#              table, the simulator's flow queue and the schedule's time
+#              sort (checked-in corpora
 #              replay in plain `go test`)
 #   vet      — go vet. Enum exhaustiveness is not a lint: every enumeration
 #              declares its names once in an internal/enum table, and a
@@ -97,6 +98,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioConfig -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime $(FUZZTIME) ./internal/flowtab
 	$(GO) test -run '^$$' -fuzz FuzzFlowQueue -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzTimeSort -fuzztime $(FUZZTIME) ./internal/loadgen
 
 golden:
 	$(GO) test ./internal/experiments -run TestGolden -update-golden

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -135,9 +134,13 @@ func (c Config) validate() error {
 }
 
 // Schedule pregenerates the deterministic event list for cfg: one admit
-// per arriving flow (rate drawn from the RCBR marginal) and one depart at
-// the end of its holding time. Events are sorted by time with flow/kind
-// tie-breaks, so a given seed always yields the same list.
+// per arriving flow (rate drawn from the RCBR marginal), one depart at the
+// end of its holding time, and the updates its plan and renegotiation add.
+// The list is ordered by (T, Flow, Kind) in place, by distributing events
+// into buckets by time (sortByTime) rather than by comparing them. That
+// key is a strict total order on a schedule, so the ordered list is the
+// only one any correct sort can produce: a given seed always yields the
+// same list, whatever the algorithm.
 func Schedule(cfg Config) ([]Event, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -161,7 +164,7 @@ func Schedule(cfg Config) ([]Event, error) {
 		shape := 1 / (cfg.ArrivalCV * cfg.ArrivalCV)
 		return r.Gamma(shape, mean/shape)
 	}
-	events := make([]Event, 0, expectedEvents(cfg))
+	events := make([]Event, 0, expectedEvents(cfg, model))
 	// A flow's draws are finished before the next flow's begin, so one
 	// stream, split into in place, and one source per model, recycled where
 	// the model is a traffic.RCBR, serve every flow.
@@ -214,42 +217,46 @@ func Schedule(cfg Config) ([]Event, error) {
 		}
 		id++
 	}
-	// (T, Flow, Kind) is a strict total order on a schedule — a flow has
-	// one admit and one depart, and positive segment durations put its
-	// updates at distinct instants — so the sorted list does not depend on
-	// the algorithm that sorts it. The comparison is spelled out: it is
-	// most of Schedule's time, and cmp.Compare's NaN handling costs 40 %.
-	slices.SortFunc(events, func(a, b Event) int {
-		switch {
-		case a.T != b.T:
-			if a.T < b.T {
-				return -1
-			}
-			return 1
-		case a.Flow != b.Flow:
-			if a.Flow < b.Flow {
-				return -1
-			}
-			return 1
-		}
-		return int(a.Kind) - int(b.Kind)
-	})
+	// The events were generated flow by flow; put them in time order.
+	sortByTime(events, sortDepth)
 	return events, nil
 }
 
 // expectedEvents estimates a schedule's length, to size it once instead of
 // growing it a quarter at a time: Lambda·Duration flows, each with an admit,
-// a depart and, when renegotiating a model of known correlation time, an
-// update every TC of its holding time. The estimate runs high (holds are
-// cut off at Duration); a flash crowd or a lying population, which it
-// ignores, appends past it as before.
-func expectedEvents(cfg Config) int {
+// a depart and, when renegotiating, an update every mean segment of its
+// holding time. The segment is the drawn model's (the shorter known one
+// when a shift model takes over mid-run); a model whose mean segment is
+// unknown adds no updates to the guess and grows the list by append. The
+// estimate runs high (holds are cut off at Duration); a flash crowd or a
+// lying population, which it ignores, appends past it as before.
+func expectedEvents(cfg Config, model traffic.Model) int {
 	perFlow := 2.0
-	if cfg.Renegotiate && cfg.TC > 0 {
-		perFlow += math.Min(cfg.Hold, cfg.Duration) / cfg.TC
+	if cfg.Renegotiate {
+		seg := meanSegment(model)
+		if cfg.ShiftModel != nil {
+			if s := meanSegment(cfg.ShiftModel); s > 0 && (seg <= 0 || s < seg) {
+				seg = s
+			}
+		}
+		if seg > 0 {
+			perFlow += math.Min(cfg.Hold, cfg.Duration) / seg
+		}
 	}
 	const ceiling = 1 << 24 // a guess must not reserve gigabytes
 	return int(math.Min(cfg.Lambda*cfg.Duration*perFlow, ceiling))
+}
+
+// meanSegment is m's mean segment length where the model states it — a
+// traffic.RCBR's CorrTime — and 0 otherwise. Other models' correlation
+// times are not their segment lengths: an on-off source's is
+// on·off/(on+off) against segments averaging (on+off)/2, and sizing from
+// it would reserve far more than the schedule holds.
+func meanSegment(m traffic.Model) float64 {
+	if r, ok := m.(traffic.RCBR); ok {
+		return r.CorrTime
+	}
+	return 0
 }
 
 // Stats counts replay outcomes. NotActive counts departs that raced a

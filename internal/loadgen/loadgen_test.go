@@ -666,3 +666,44 @@ func TestImpulsiveFillRedraw(t *testing.T) {
 		t.Fatal("same substream produced a different replication")
 	}
 }
+
+// TestScheduleSizesFromModel: a renegotiating schedule reserves its length
+// from the mean segment of the model it draws, so given that model as
+// Model it grows its slice no more often than given the same RCBR by TC.
+// (With the guess read from TC alone, the Model form reserved two events a
+// flow and grew its way up: 24 allocations against 6 at this shape.)
+func TestScheduleSizesFromModel(t *testing.T) {
+	byTC := Config{Seed: 5, Lambda: 1, Hold: 150, SVR: 0.3, TC: 1.25, Duration: 1000, Renegotiate: true}
+	byModel := byTC
+	byModel.SVR, byModel.TC, byModel.Model = 0, 0, traffic.NewRCBR(1, 0.3, 1.25)
+	a, err := Schedule(byTC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Schedule(byModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("the same RCBR given as Model and by TC made different schedules")
+	}
+	allocs := func(cfg Config) float64 {
+		return testing.AllocsPerRun(3, func() { _, _ = Schedule(cfg) })
+	}
+	if m, tc := allocs(byModel), allocs(byTC); m > tc {
+		t.Fatalf("Schedule allocates %g times given Model, %g given TC", m, tc)
+	}
+
+	// An on-off source's correlation time (0.099 here) is not its mean
+	// segment (5.05): sized from it, the list would reserve about 51 times
+	// the events it holds. It grows by append instead.
+	onOff := byModel
+	onOff.Model = traffic.OnOff{PeakRate: 1, OnTime: 0.1, OffTime: 10}
+	ev, err := Schedule(onOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(ev) > 2*len(ev) {
+		t.Fatalf("on-off schedule reserved %d events for %d", cap(ev), len(ev))
+	}
+}
