@@ -39,7 +39,7 @@ func simulate(t *testing.T, sys mbac.System, pce, tm float64, seed uint64) mbac.
 		Estimator:   est,
 		HoldingTime: sys.Th,
 		Seed:        seed,
-		Warmup:      20 * math.Max(tm, sys.ThTilde()),
+		Warmup:      sim.Warmup(sys.Tc, tm, sys.Th, sys.Capacity),
 		MaxTime:     20000,
 		Tc:          sys.Tc,
 		Tm:          tm,

@@ -121,7 +121,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.Float64Var(&o.tc, "tc", 1, "RCBR correlation time (mean segment length)")
 	fs.Float64Var(&o.th, "th", 200, "mean flow holding time")
 	fs.Float64Var(&o.tm, "tm", 0, "estimator memory window (0 = memoryless)")
-	fs.StringVar(&o.estMode, "estimator", "", "estimator: memoryless, exponential, window, aggregate or oracle (default: exponential when -tm > 0, else memoryless)")
+	fs.StringVar(&o.estMode, "estimator", "", "estimator: "+estimator.ModeNames.List()+" (default: exponential when -tm > 0, else memoryless)")
 	fs.BoolVar(&o.adaptive, "adaptive", false, "retune estimator memory online toward the critical time-scale T~_h = th/sqrt(n) (Section 7; needs a memory-bearing -estimator)")
 	fs.Float64Var(&o.pce, "pce", 1e-2, "certainty-equivalent target overflow probability")
 	fs.Float64Var(&o.lambda, "lambda", 0.6, "Poisson flow arrival rate")
@@ -138,7 +138,7 @@ func run(args []string, stdout io.Writer) error {
 
 	fs.Float64Var(&o.ttl, "ttl", 0, "flow lease TTL in virtual time (0 = leases off)")
 	fs.IntVar(&o.staleAfter, "stale-after", 0, "degrade after this many stale/faulty ticks (0 = watchdogs off)")
-	fs.StringVar(&o.degraded, "degraded", "freeze", "degraded admission policy: freeze, peak-rate or reject-all")
+	fs.StringVar(&o.degraded, "degraded", "freeze", "degraded admission policy: "+gateway.DegradedPolicyNames.List())
 	fs.StringVar(&o.faults, "faults", "", "estimator fault schedule, e.g. 'nan:100-120,drop:500-520' (virtual time)")
 	fs.Float64Var(&o.leak, "leak", 0, "probability a departing flow leaks its slot instead of departing")
 	fs.Float64Var(&o.lie, "lie", 1, "declared-rate multiplier for admissions (1 = honest clients); the true rate follows at once as a rate update")
@@ -150,7 +150,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&o.maxConns, "max-conns", 1024, "served connection limit (with -serve)")
 	fs.IntVar(&o.frameRate, "frame-rate", 0, "per-connection frame-rate cap in frames/sec, 0 = off (with -serve)")
 	fs.IntVar(&o.clusterN, "cluster", 0, "serve N gateway instances behind the headroom router, each with capacity -n (with -serve; 0 = single gateway)")
-	fs.StringVar(&o.placement, "placement", "least-loaded", "cluster placement policy: least-loaded, weighted or round-robin (with -cluster)")
+	fs.StringVar(&o.placement, "placement", "least-loaded", "cluster placement policy: "+cluster.PlacementPolicyNames.List()+" (with -cluster)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

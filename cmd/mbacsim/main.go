@@ -6,8 +6,8 @@
 //
 //	mbacsim -n 100 -svr 0.3 -th 1000 -tc 1 -tm 100 -pce 1e-3 -time 1e6
 //
-// Controllers: ce (default), perfect, peak, measured-sum. Sources: rcbr
-// (default), onoff, video.
+// Controllers: certainty-equivalent (default), perfect-knowledge,
+// peak-rate, measured-sum. Sources: rcbr (default), onoff, video.
 package main
 
 import (
@@ -34,7 +34,7 @@ func main() {
 		tc      = flag.Float64("tc", 1, "traffic correlation time-scale")
 		tm      = flag.Float64("tm", 0, "estimator memory window (0 = memoryless)")
 		pce     = flag.Float64("pce", 1e-3, "certainty-equivalent target overflow probability")
-		ctrl    = flag.String("controller", "ce", "ce | perfect | peak | measured-sum")
+		ctrl    = flag.String("controller", core.PolicyCertaintyEquivalent.String(), "admission policy: "+core.PolicyNames.List())
 		source  = flag.String("source", "rcbr", "rcbr | onoff | video")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		simTime = flag.Float64("time", 1e5, "measured simulation time")
@@ -46,6 +46,10 @@ func main() {
 		buffer  = flag.Float64("buffer", 0, "fluid buffer size for buffered-loss accounting (0 disables)")
 	)
 	flag.Parse()
+	policy, err := core.PolicyNames.Parse("unknown controller", *ctrl)
+	if err != nil {
+		fatal(err)
+	}
 
 	var model traffic.Model
 	switch *source {
@@ -83,33 +87,27 @@ func main() {
 		*pce = plan.AdjustedPce
 	}
 
-	var controller core.Controller
-	var err error
-	switch *ctrl {
-	case "ce":
-		controller, err = core.NewCertaintyEquivalent(*pce, st.Mean, st.StdDev())
-	case "perfect":
-		controller, err = core.NewPerfectKnowledge(*n, st.Mean, st.StdDev(), *pce)
-	case "peak":
-		peak := st.Peak
-		if math.IsInf(peak, 1) {
-			peak = st.Mean + 3*st.StdDev() // effective peak for unbounded marginals
-		}
-		controller = core.PeakRate{Peak: peak}
-	case "measured-sum":
-		controller, err = core.NewMeasuredSum(0.9, st.Mean)
-	default:
-		err = fmt.Errorf("unknown controller %q", *ctrl)
+	// The declared peak of an unbounded marginal is mean + 3 sigma.
+	peak := st.Peak
+	if math.IsInf(peak, 1) {
+		peak = st.Mean + 3*st.StdDev()
 	}
+	controller, err := policy.New(core.Declared{Capacity: *n, Mean: st.Mean, Sigma: st.StdDev(), Peak: peak, Target: *pce, Eta: 0.9})
 	if err != nil {
 		fatal(err)
 	}
-
-	var est estimator.Estimator
+	mode := estimator.ModeMemoryless
 	if *tm > 0 {
-		est = estimator.NewExponential(*tm)
-	} else {
-		est = estimator.NewMemoryless()
+		mode = estimator.ModeExponential
+	}
+	est, err := mode.New(*tm, 0, st.Mean, st.StdDev())
+	if err != nil {
+		fatal(err)
+	}
+	warmupSet := false // an explicit -warmup 0 means none
+	flag.Visit(func(f *flag.Flag) { warmupSet = warmupSet || f.Name == "warmup" })
+	if !warmupSet {
+		*warmup = sim.Warmup(*tc, *tm, *th, *n)
 	}
 
 	var utilFn qos.Utility
@@ -182,7 +180,7 @@ func main() {
 		}
 		fmt.Printf("series:     %d points written to %s\n", len(res.Series), *series)
 	}
-	if *ctrl == "ce" && *th > 0 {
+	if policy == core.PolicyCertaintyEquivalent && *th > 0 {
 		fmt.Printf("theory:     eq37 integral %.4g, eq38 closed-form %.4g, impulsive sqrt2-law %.4g\n",
 			theory.ContinuousOverflowIntegral(sys, *pce),
 			theory.ContinuousOverflowClosedForm(sys, *pce),

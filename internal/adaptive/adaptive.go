@@ -293,7 +293,7 @@ func WriteFleetPrometheus(w io.Writer, snaps []Snapshot) {
 func writeRegime(w io.Writer, regime, instance string) {
 	const name = "mbac_adaptive_regime"
 	fmt.Fprintf(w, "# HELP %s 1 for the active Section 5.3 operating regime\n# TYPE %s gauge\n", name, name)
-	for r := theory.RegimeMasking; r <= theory.RegimeIntermediate; r++ {
+	for _, r := range theory.RegimeNames.All() {
 		v := 0
 		if r.String() == regime {
 			v = 1

@@ -69,19 +69,20 @@ const (
 	// PlaceRoundRobin: rotate over the eligible instances, ignoring
 	// headroom.
 	PlaceRoundRobin
-	placementPolicyEnd // sentinel: placementPolicyNames names every constant above
+	placementPolicyEnd // sentinel: PlacementPolicyNames names every constant above
 )
 
-var placementPolicyNames = enum.New(PlaceLeastLoaded, placementPolicyEnd,
+// PlacementPolicyNames is the placement policy name table.
+var PlacementPolicyNames = enum.New(PlaceLeastLoaded, placementPolicyEnd,
 	"least-loaded", "weighted", "round-robin")
 
 // String implements fmt.Stringer.
-func (p PlacementPolicy) String() string { return placementPolicyNames.String(p) }
+func (p PlacementPolicy) String() string { return PlacementPolicyNames.String(p) }
 
 // ParsePlacementPolicy is the inverse of PlacementPolicy.String, for CLI
 // flags and scenario configs.
 func ParsePlacementPolicy(s string) (PlacementPolicy, error) {
-	return placementPolicyNames.Parse("cluster: unknown placement policy", s)
+	return PlacementPolicyNames.Parse("cluster: unknown placement policy", s)
 }
 
 // InstanceState is an instance's routing state: active instances receive
@@ -228,7 +229,7 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Instances) == 0 {
 		return nil, fmt.Errorf("cluster: at least one instance is required")
 	}
-	if !placementPolicyNames.Valid(cfg.Policy) {
+	if !PlacementPolicyNames.Valid(cfg.Policy) {
 		return nil, fmt.Errorf("cluster: unknown placement policy %d", int(cfg.Policy))
 	}
 	if cfg.TickInterval <= 0 {

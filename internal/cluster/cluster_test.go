@@ -19,6 +19,13 @@ import (
 	"repro/internal/traffic"
 )
 
+// reactivate returns draining instance i to placement, so a test can drain
+// it again (outside tests a drain is one-way), and reports whether i was
+// draining.
+func reactivate(c *Cluster, i int) bool {
+	return c.instances[i].state.CompareAndSwap(int32(StateDraining), int32(StateActive))
+}
+
 // testGatewayConfig builds one instance config with a deterministic
 // latency clock and the scenario tier's declared-statistics controller, so
 // equally seeded runs are bit-identical.
@@ -258,11 +265,8 @@ func TestDrainMigratesWithoutLoss(t *testing.T) {
 	if owner, _ := c.pins.get(1000); owner == 1 {
 		t.Fatal("new flow placed on the draining instance")
 	}
-	if err := c.Reactivate(1); err != nil {
-		t.Fatal(err)
-	}
-	if c.State(1) != StateActive {
-		t.Fatalf("state after reactivate = %v", c.State(1))
+	if c.State(1) != StateDraining {
+		t.Fatalf("state after drain = %v", c.State(1))
 	}
 	if _, _, err := c.Drain(99); err == nil {
 		t.Fatal("Drain out of range did not error")
@@ -429,8 +433,8 @@ func TestDegradedScoredToBottom(t *testing.T) {
 			t.Fatalf("flow %d placed on %d with instance 0 draining", id, owner)
 		}
 	}
-	if err := c.Reactivate(0); err != nil {
-		t.Fatal(err)
+	if !reactivate(c, 0) {
+		t.Fatal("instance 0 was not draining")
 	}
 	c.Tick(1)
 	c.Tick(2)

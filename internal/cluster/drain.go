@@ -8,10 +8,8 @@ import (
 )
 
 // Drain transitions instance i from active to draining and migrates its
-// pinned flows onto the rest of the fleet. The drain state machine is
-// deliberately small:
-//
-//	active --Drain--> draining --Reactivate--> active
+// pinned flows onto the rest of the fleet. A drain is one-way: a draining
+// instance never returns to placement.
 //
 // Draining stops new placements immediately (the router skips draining
 // instances before any policy runs); migration then walks the instance's
@@ -39,17 +37,6 @@ func (c *Cluster) Drain(i int) (migrated, left int, err error) {
 	c.drains.Add(1)
 	m, l := c.migrateFrom(i)
 	return m, l, nil
-}
-
-// Reactivate returns a draining instance to active placement rotation.
-func (c *Cluster) Reactivate(i int) error {
-	if i < 0 || i >= len(c.instances) {
-		return fmt.Errorf("cluster: instance %d out of range [0, %d)", i, len(c.instances))
-	}
-	if !c.instances[i].state.CompareAndSwap(int32(StateDraining), int32(StateActive)) {
-		return fmt.Errorf("cluster: instance %d is not draining", i)
-	}
-	return nil
 }
 
 // migrateFrom moves instance i's flows to the rest of the fleet, one

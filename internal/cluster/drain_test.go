@@ -70,8 +70,8 @@ func TestDepartRacesDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Wait()
-		if err := c.Reactivate(0); err != nil {
-			t.Fatal(err)
+		if !reactivate(c, 0) {
+			t.Fatal("instance 0 was not draining")
 		}
 	}
 	if n := notActive.Load(); n != 0 {

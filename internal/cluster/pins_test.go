@@ -199,8 +199,8 @@ func TestLeaseExpiryUnpins(t *testing.T) {
 	if idx, _ := c.pins.get(back); idx == owner[back] || !c.Gateway(idx).Contains(back) {
 		t.Fatalf("re-admitted flow %d pinned to %d (old, draining owner %d)", back, idx, owner[back])
 	}
-	if err := c.Reactivate(owner[back]); err != nil {
-		t.Fatal(err)
+	if !reactivate(c, owner[back]) {
+		t.Fatalf("instance %d was not draining", owner[back])
 	}
 
 	// The race: while a ticker walks the even flows (last touched at
@@ -284,10 +284,11 @@ func TestUpdateDuringAdmissionKeepsPin(t *testing.T) {
 // TestSameIDStorm races every routed operation on a handful of shared flow
 // IDs — single and batched admissions (with an ID repeated inside a
 // batch), rate updates, keepalives and departures — beside a spinning Tick
-// whose leases expire flows mid-storm and a loop draining and reactivating
-// each instance in turn. Any answer to a racing operation is acceptable;
-// what must hold at quiescence is that the pins equal the instances' flow
-// tables, the fleet's lifecycle balances, and every pinned flow departs.
+// whose leases expire flows mid-storm and a loop draining each instance in
+// turn (reactivating it test-side, so it can be drained again). Any answer
+// to a racing operation is acceptable; what must hold at quiescence is
+// that the pins equal the instances' flow tables, the fleet's lifecycle
+// balances, and every pinned flow departs.
 func TestSameIDStorm(t *testing.T) {
 	const (
 		workers = 4
@@ -326,7 +327,7 @@ func TestSameIDStorm(t *testing.T) {
 				return
 			default:
 				if _, _, err := c.Drain(i); err == nil {
-					_ = c.Reactivate(i)
+					reactivate(c, i)
 				}
 			}
 		}

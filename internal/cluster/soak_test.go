@@ -144,8 +144,8 @@ func TestClusterFailoverSoak(t *testing.T) {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
-		if err := c.Reactivate(0); err != nil {
-			t.Error(err)
+		if !reactivate(c, 0) {
+			t.Error("instance 0 was not draining")
 		}
 	}()
 

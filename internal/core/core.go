@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/enum"
 	"repro/internal/gauss"
 	"repro/internal/theory"
 )
@@ -36,6 +37,55 @@ type Controller interface {
 	Admissible(m Measurement) float64
 	// Name identifies the controller in reports.
 	Name() string
+}
+
+// Policy names an admission rule the paper compares: the one table every
+// CLI flag and scenario arm resolves a policy name through. Its names are
+// the ones the controllers' Name methods return.
+type Policy int
+
+const (
+	PolicyCertaintyEquivalent Policy = iota
+	PolicyPerfectKnowledge
+	PolicyPeakRate
+	PolicyMeasuredSum
+	policyEnd // sentinel: PolicyNames names every constant above
+)
+
+// PolicyNames is the policy name table.
+var PolicyNames = enum.New(PolicyCertaintyEquivalent, policyEnd,
+	"certainty-equivalent", "perfect-knowledge", "peak-rate", "measured-sum")
+
+// String implements fmt.Stringer.
+func (p Policy) String() string { return PolicyNames.String(p) }
+
+// Declared is what a policy is built from: the link, the per-flow
+// statistics declared for the traffic, and the policy's own target.
+type Declared struct {
+	Capacity    float64 // link capacity c
+	Mean, Sigma float64 // per-flow mean rate and standard deviation
+	Peak        float64 // per-flow peak rate (peak-rate)
+	Target      float64 // p_ce (certainty-equivalent) or p_q (perfect-knowledge)
+	Eta         float64 // utilization target (measured-sum)
+}
+
+// New builds the policy's controller from d. Peak-rate refuses a peak that
+// is not finite and positive: c/peak would admit nothing.
+func (p Policy) New(d Declared) (Controller, error) {
+	switch p {
+	case PolicyCertaintyEquivalent:
+		return NewCertaintyEquivalent(d.Target, d.Mean, d.Sigma)
+	case PolicyPerfectKnowledge:
+		return NewPerfectKnowledge(d.Capacity, d.Mean, d.Sigma, d.Target)
+	case PolicyPeakRate:
+		if !(d.Peak > 0) || math.IsInf(d.Peak, 1) {
+			return nil, fmt.Errorf("core: peak-rate needs a finite positive peak, got %g", d.Peak)
+		}
+		return PeakRate{Peak: d.Peak}, nil
+	case PolicyMeasuredSum:
+		return NewMeasuredSum(d.Eta, d.Mean)
+	}
+	return nil, fmt.Errorf("core: unknown policy %v", p)
 }
 
 // ---------------------------------------------------------------------------
@@ -88,7 +138,7 @@ func (c *CertaintyEquivalent) Target() float64 { return c.pce }
 func (c *CertaintyEquivalent) Alpha() float64 { return c.alpha }
 
 // Name implements Controller.
-func (c *CertaintyEquivalent) Name() string { return "certainty-equivalent" }
+func (c *CertaintyEquivalent) Name() string { return PolicyCertaintyEquivalent.String() }
 
 // Admissible implements Controller. Non-finite or non-positive estimates
 // (a collapsed or corrupted measurement path) fall back to the bootstrap
@@ -134,7 +184,7 @@ func NewPerfectKnowledge(c, mu, sigma, pq float64) (*PerfectKnowledge, error) {
 func (c *PerfectKnowledge) MStar() float64 { return c.mstar }
 
 // Name implements Controller.
-func (c *PerfectKnowledge) Name() string { return "perfect-knowledge" }
+func (c *PerfectKnowledge) Name() string { return PolicyPerfectKnowledge.String() }
 
 // Admissible implements Controller.
 func (c *PerfectKnowledge) Admissible(Measurement) float64 { return c.mstar }
@@ -151,11 +201,12 @@ type PeakRate struct {
 }
 
 // Name implements Controller.
-func (c PeakRate) Name() string { return "peak-rate" }
+func (c PeakRate) Name() string { return PolicyPeakRate.String() }
 
-// Admissible implements Controller.
+// Admissible implements Controller. A peak that is not positive (none
+// declared yet, or NaN) admits nothing.
 func (c PeakRate) Admissible(m Measurement) float64 {
-	if c.Peak <= 0 {
+	if !(c.Peak > 0) {
 		return 0
 	}
 	return m.Capacity / c.Peak
@@ -186,7 +237,7 @@ func NewMeasuredSum(eta, declaredRate float64) (*MeasuredSum, error) {
 }
 
 // Name implements Controller.
-func (c *MeasuredSum) Name() string { return "measured-sum" }
+func (c *MeasuredSum) Name() string { return PolicyMeasuredSum.String() }
 
 // Admissible implements Controller. The headroom (eta·c − measured load)
 // divided by the declared rate bounds how many more flows fit; the rule

@@ -189,3 +189,28 @@ func BenchmarkCertaintyEquivalentAdmissible(b *testing.B) {
 		ce.Admissible(m)
 	}
 }
+
+// TestPolicyTable: every policy name round-trips through the table, New
+// builds the controller that reports that name, and peak-rate refuses a
+// peak that is not finite and positive.
+func TestPolicyTable(t *testing.T) {
+	d := Declared{Capacity: 100, Mean: 1, Sigma: 0.3, Peak: 2, Target: 1e-2, Eta: 0.9}
+	for _, p := range PolicyNames.All() {
+		if got, err := PolicyNames.Parse("test: unknown policy", p.String()); err != nil || got != p {
+			t.Errorf("Parse(%q) = %v, %v", p, got, err)
+		}
+		c, err := p.New(d)
+		if err != nil {
+			t.Fatalf("%v.New: %v", p, err)
+		}
+		if c.Name() != p.String() {
+			t.Errorf("%v.New built %q", p, c.Name())
+		}
+	}
+	for _, peak := range []float64{0, -1, math.Inf(1), math.NaN()} {
+		d.Peak = peak
+		if _, err := PolicyPeakRate.New(d); err == nil {
+			t.Errorf("peak-rate accepted peak %g", peak)
+		}
+	}
+}

@@ -69,6 +69,15 @@ func (n *Names[T]) Parse(what, s string) (T, error) {
 	return 0, fmt.Errorf("%s %q (want %s)", what, s, n.list)
 }
 
+// All returns the constants in order.
+func (n *Names[T]) All() []T {
+	all := make([]T, len(n.names))
+	for i := range all {
+		all[i] = n.first + T(i)
+	}
+	return all
+}
+
 // List returns the names as prose: "a", "a or b", "a, b or c".
 func (n *Names[T]) List() string { return n.list }
 

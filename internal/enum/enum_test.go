@@ -33,8 +33,9 @@ const (
 )
 
 // roundTrip checks one table: every constant renders as its name and
-// parses back, values on either side of the table are invalid and render
-// as "T(n)", and an unknown name is refused with the rendered list.
+// parses back, All lists the constants in order, values on either side of
+// the table are invalid and render as "T(n)", and an unknown name is
+// refused with the rendered list.
 func roundTrip[T integer](t *testing.T, n *Names[T], first T, typ, list string, names ...string) {
 	t.Helper()
 	for i, name := range names {
@@ -44,6 +45,15 @@ func roundTrip[T integer](t *testing.T, n *Names[T], first T, typ, list string, 
 		}
 		if got, err := n.Parse("test: unknown thing", name); err != nil || got != v {
 			t.Errorf("Parse(%q) = %v, %v; want %d", name, got, err, int(v))
+		}
+	}
+	if all := n.All(); len(all) != len(names) {
+		t.Errorf("All() = %v, want %d constants", all, len(names))
+	} else {
+		for i, v := range all {
+			if v != first+T(i) {
+				t.Errorf("All()[%d] = %d, want %d", i, int(v), int(first)+i)
+			}
 		}
 	}
 	end := first + T(len(names))

@@ -28,18 +28,19 @@ const (
 	ModeAggregate
 	// ModeOracle: the perfect-knowledge baseline.
 	ModeOracle
-	modeEnd // sentinel: modeNames names every constant above
+	modeEnd // sentinel: ModeNames names every constant above
 )
 
-var modeNames = enum.New(ModeMemoryless, modeEnd,
+// ModeNames is the estimator mode name table.
+var ModeNames = enum.New(ModeMemoryless, modeEnd,
 	"memoryless", "exponential", "window", "aggregate", "oracle")
 
 // String implements fmt.Stringer.
-func (m Mode) String() string { return modeNames.String(m) }
+func (m Mode) String() string { return ModeNames.String(m) }
 
 // ParseMode is the inverse of Mode.String, for CLI flags and scenario
 // configs.
-func ParseMode(s string) (Mode, error) { return modeNames.Parse("estimator: unknown mode", s) }
+func ParseMode(s string) (Mode, error) { return ModeNames.Parse("estimator: unknown mode", s) }
 
 // New constructs the mode's estimator. memory is T_m (the window W for
 // ModeWindow) and is ignored by the memoryless and oracle modes; tick is

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/estimator"
@@ -51,13 +50,11 @@ func run(s spec) (sim.Result, error) {
 		Estimator:   s.Estimator,
 		HoldingTime: s.Th,
 		Seed:        s.Seed,
-		// Let the system fill and the estimator forget its bootstrap:
-		// several memory windows and critical time-scales.
-		Warmup:  20 * math.Max(s.Tc, math.Max(s.Tm, s.Th/math.Sqrt(s.N))),
-		MaxTime: s.MaxTime,
-		Tc:      s.Tc,
-		Tm:      s.Tm,
-		TargetP: s.TargetP,
+		Warmup:      sim.Warmup(s.Tc, s.Tm, s.Th, s.N),
+		MaxTime:     s.MaxTime,
+		Tc:          s.Tc,
+		Tm:          s.Tm,
+		TargetP:     s.TargetP,
 	}
 	if cfg.Model == nil {
 		cfg.Model = traffic.NewRCBR(1, s.SVR, s.Tc)

@@ -31,9 +31,6 @@ func (c *Clock) Now() int64 { return c.now.Add(c.step.Load()) }
 // wants.
 func (c *Clock) Func() func() int64 { return c.Now }
 
-// Freeze stops the clock: subsequent reads repeat the current reading.
-func (c *Clock) Freeze() { c.step.Store(0) }
-
 // Run resumes (or changes) the per-read advance.
 func (c *Clock) Run(step int64) { c.step.Store(step) }
 

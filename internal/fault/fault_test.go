@@ -136,7 +136,7 @@ func TestClock(t *testing.T) {
 	if got := c.Now(); got != 500 {
 		t.Fatalf("second read %d, want 500", got)
 	}
-	c.Freeze()
+	c.Run(0)
 	if a, b := c.Now(), c.Now(); a != 500 || b != 500 {
 		t.Fatalf("frozen reads (%d, %d), want (500, 500)", a, b)
 	}

@@ -102,19 +102,20 @@ const (
 	DegradedPeakRate
 	// DegradedRejectAll: admit nothing until measurement recovers.
 	DegradedRejectAll
-	degradedPolicyEnd // sentinel: degradedPolicyNames names every constant above
+	degradedPolicyEnd // sentinel: DegradedPolicyNames names every constant above
 )
 
-var degradedPolicyNames = enum.New(DegradedFreeze, degradedPolicyEnd,
+// DegradedPolicyNames is the degraded policy name table.
+var DegradedPolicyNames = enum.New(DegradedFreeze, degradedPolicyEnd,
 	"freeze", "peak-rate", "reject-all")
 
 // String implements fmt.Stringer.
-func (p DegradedPolicy) String() string { return degradedPolicyNames.String(p) }
+func (p DegradedPolicy) String() string { return DegradedPolicyNames.String(p) }
 
 // ParseDegradedPolicy is the inverse of DegradedPolicy.String, for CLI
 // flags.
 func ParseDegradedPolicy(s string) (DegradedPolicy, error) {
-	return degradedPolicyNames.Parse("gateway: unknown degraded policy", s)
+	return DegradedPolicyNames.Parse("gateway: unknown degraded policy", s)
 }
 
 // Degradation causes, kept as a bitmask so both faults can hold at once.
@@ -446,7 +447,7 @@ func newGateway(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
 	if math.IsNaN(cfg.FlowTTL) || math.IsInf(cfg.FlowTTL, 0) || cfg.FlowTTL < 0 {
 		return nil, fmt.Errorf("gateway: flow TTL %g must be a non-negative finite duration", cfg.FlowTTL)
 	}
-	if !degradedPolicyNames.Valid(cfg.Degraded) {
+	if !DegradedPolicyNames.Valid(cfg.Degraded) {
 		return nil, fmt.Errorf("gateway: unknown degraded policy %d", int(cfg.Degraded))
 	}
 	if cfg.StaleAfter < 0 {
@@ -1124,11 +1125,8 @@ func (g *Gateway) effectiveBound(raw float64) float64 {
 	}
 	switch g.cfg.Degraded {
 	case DegradedPeakRate:
-		peak := math.Float64frombits(g.peakBits.Load())
-		if !(peak > 0) {
-			return 0
-		}
-		return g.cfg.Capacity / peak
+		peak := core.PeakRate{Peak: math.Float64frombits(g.peakBits.Load())}
+		return peak.Admissible(core.Measurement{Capacity: g.cfg.Capacity})
 	case DegradedRejectAll:
 		return 0
 	default:

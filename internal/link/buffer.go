@@ -51,9 +51,6 @@ func NewFluidBuffer(capacity, size float64) *FluidBuffer {
 // Capacity returns the service rate.
 func (b *FluidBuffer) Capacity() float64 { return b.capacity }
 
-// Backlog returns the current buffered volume.
-func (b *FluidBuffer) Backlog() float64 { return b.backlog }
-
 // EnableStats starts statistics collection at time t.
 func (b *FluidBuffer) EnableStats(t float64) {
 	b.AdvanceTo(t)

@@ -29,8 +29,8 @@ func TestFluidBufferFillDrainCycle(t *testing.T) {
 	b.SetLoad(0, 12)
 	b.SetLoad(2, 8)
 	b.AdvanceTo(4)
-	if math.Abs(b.Backlog()) > 1e-12 {
-		t.Errorf("backlog = %v, want 0", b.Backlog())
+	if math.Abs(b.backlog) > 1e-12 {
+		t.Errorf("backlog = %v, want 0", b.backlog)
 	}
 	r := b.Report()
 	if r.Lost != 0 {
@@ -82,8 +82,8 @@ func TestFluidBufferZeroSizeMatchesBufferless(t *testing.T) {
 	if math.Abs(r.Lost-3) > 1e-12 {
 		t.Errorf("lost = %v, want 3", r.Lost)
 	}
-	if b.Backlog() != 0 {
-		t.Errorf("backlog = %v", b.Backlog())
+	if b.backlog != 0 {
+		t.Errorf("backlog = %v", b.backlog)
 	}
 }
 
@@ -96,8 +96,8 @@ func TestFluidBufferInfinite(t *testing.T) {
 	if r.Lost != 0 {
 		t.Errorf("infinite buffer lost %v", r.Lost)
 	}
-	if math.Abs(b.Backlog()-9900) > 1e-9 {
-		t.Errorf("backlog = %v, want 9900", b.Backlog())
+	if math.Abs(b.backlog-9900) > 1e-9 {
+		t.Errorf("backlog = %v, want 9900", b.backlog)
 	}
 }
 
@@ -120,8 +120,8 @@ func TestFluidBufferExactlyAtCapacity(t *testing.T) {
 	b.SetLoad(0, 12) // backlog 2 after 1s
 	b.SetLoad(1, 10) // frozen
 	b.AdvanceTo(3)
-	if math.Abs(b.Backlog()-2) > 1e-12 {
-		t.Errorf("backlog = %v, want 2 (frozen)", b.Backlog())
+	if math.Abs(b.backlog-2) > 1e-12 {
+		t.Errorf("backlog = %v, want 2 (frozen)", b.backlog)
 	}
 	r := b.Report()
 	// Busy includes the frozen period.

@@ -74,26 +74,13 @@ func (p *PCG) SplitInto(tag uint64, dst *PCG) {
 // bulk form of Split used historically by the replicated worker pool: all
 // streams are drawn up-front, single-threaded, so that the assignment of
 // substream to replication index is deterministic no matter how the
-// replications are later scheduled across workers. Large ensembles should
-// prefer SplitAt, which derives the same streams lazily in O(1) memory.
+// replications are later scheduled across workers.
 func (p *PCG) SplitN(n int) []*PCG {
 	out := make([]*PCG, n)
 	for i := range out {
 		out[i] = p.Split(uint64(i))
 	}
 	return out
-}
-
-// SplitAt returns the stream SplitN(n)[i] would have produced, for any
-// i >= 0, without materializing the preceding streams and without advancing
-// p: the first i Split calls consume exactly 2i draws from the parent, so a
-// copy of p is jumped 2i steps ahead (O(log i) via Jump) and split once.
-// SplitAt does not mutate p, so concurrent SplitAt calls on a shared parent
-// are safe as long as nothing else advances it.
-func (p *PCG) SplitAt(i int) *PCG {
-	cur := *p
-	cur.Jump(2 * uint64(i))
-	return cur.Split(uint64(i))
 }
 
 // Jump advances the generator by n steps (n calls of Uint64) in O(log n)

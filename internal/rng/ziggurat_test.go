@@ -43,41 +43,6 @@ func TestSplitIntoMatchesSplit(t *testing.T) {
 	}
 }
 
-// TestSplitAtMatchesSplitN is the lazy-derivation contract: SplitAt(i) must
-// reproduce SplitN(n)[i] bit-identically for any i, without advancing the
-// parent.
-func TestSplitAtMatchesSplitN(t *testing.T) {
-	const n = 129
-	parent := New(2024, 0x706f6f6c)
-	streams := New(2024, 0x706f6f6c).SplitN(n)
-	for _, i := range []int{0, 1, 2, 63, 64, 100, n - 1} {
-		lazy := parent.SplitAt(i)
-		for j := 0; j < 64; j++ {
-			if x, y := streams[i].Uint64(), lazy.Uint64(); x != y {
-				t.Fatalf("SplitAt(%d) diverges from SplitN at draw %d", i, j)
-			}
-		}
-	}
-	// The parent must be untouched: a fresh SplitN from its current state
-	// matches a twin that never ran SplitAt.
-	twin := New(2024, 0x706f6f6c)
-	if parent.Uint64() != twin.Uint64() {
-		t.Fatal("SplitAt advanced the parent generator")
-	}
-}
-
-// TestSplitAtDoesNotAllocateBeyondResult pins the lazy derivation cost: one
-// allocation (the returned stream), no O(i) scratch.
-func TestSplitAtDoesNotAllocateBeyondResult(t *testing.T) {
-	parent := New(5, 5)
-	allocs := testing.AllocsPerRun(200, func() {
-		_ = parent.SplitAt(100000)
-	})
-	if allocs > 1 {
-		t.Fatalf("SplitAt allocates %.1f times per call, want <= 1", allocs)
-	}
-}
-
 // normalCDF is the reference Φ used by the goodness-of-fit test, computed
 // from math.Erfc independently of any sampler in this package.
 func normalCDF(x float64) float64 {

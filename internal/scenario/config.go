@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/enum"
 	"repro/internal/estimator"
 	"repro/internal/fault"
@@ -198,7 +199,8 @@ type Arm struct {
 	// or "measured-sum".
 	Policy string `json:"policy"`
 	// Peak is the peak-rate policy's per-flow peak (default: the model's
-	// declared peak).
+	// declared peak). It is required when the model declares no finite
+	// peak, as RCBR does not.
 	Peak float64 `json:"peak,omitempty"`
 	// Eta is the measured-sum utilization target (required for that
 	// policy).
@@ -314,20 +316,6 @@ const (
 )
 
 var modelKindNames = enum.New(modelRCBR, modelKindEnd, "rcbr", "onoff", "constant", "mixture")
-
-// policy is the admission scheme of an Arm.
-type policy int
-
-const (
-	policyCertaintyEquivalent policy = iota
-	policyPerfectKnowledge
-	policyPeakRate
-	policyMeasuredSum
-	policyEnd // sentinel: policyNames names every constant above
-)
-
-var policyNames = enum.New(policyCertaintyEquivalent, policyEnd,
-	"certainty-equivalent", "perfect-knowledge", "peak-rate", "measured-sum")
 
 // reference is the level an Interval hypothesis grades against.
 type reference int
@@ -752,12 +740,13 @@ func (c *Config) effectiveGateway(arm Arm) Gateway {
 
 // armSpec is one arm resolved for execution: its names — and the names the
 // whole matrix shares, fault modes and the placement policy — parsed to
-// typed constants, and its measurement overrides merged over the shared
-// gateway spec. Validate resolves every arm to check it; a cell resolves
-// its arm once, so nothing it builds parses a name again.
+// typed constants, a peak-rate arm's Peak defaulted to the model's, and
+// its measurement overrides merged over the shared gateway spec. Validate
+// resolves every arm to check it; a cell resolves its arm once, so nothing
+// it builds parses a name again.
 type armSpec struct {
 	Arm
-	policy    policy
+	policy    core.Policy
 	degraded  gw.DegradedPolicy
 	gateway   Gateway                 // effectiveGateway(Arm)
 	mode      estimator.Mode          // of gateway.Estimator
@@ -776,17 +765,25 @@ func (c *Config) resolve(path string, arm Arm) (armSpec, error) {
 		return a, fmt.Errorf("scenario: %s.policy is required", path)
 	}
 	var err error
-	if a.policy, err = policyNames.Parse("scenario: "+path+".policy: unknown policy", arm.Policy); err != nil {
+	if a.policy, err = core.PolicyNames.Parse("scenario: "+path+".policy: unknown policy", arm.Policy); err != nil {
 		return a, err
 	}
 	switch a.policy {
-	case policyPeakRate:
+	case core.PolicyPeakRate:
 		if arm.Peak != 0 {
 			if err := positive(path+".peak", arm.Peak); err != nil {
 				return a, err
 			}
+		} else {
+			m, err := buildModel(&c.Workload)
+			if err != nil {
+				return a, err
+			}
+			if a.Peak = m.Stats().Peak; math.IsInf(a.Peak, 1) {
+				return a, fmt.Errorf("scenario: %s.peak is required: the workload's model declares no finite peak", path)
+			}
 		}
-	case policyMeasuredSum:
+	case core.PolicyMeasuredSum:
 		if err := positive(path+".eta", arm.Eta); err != nil {
 			return a, err
 		}

@@ -37,6 +37,22 @@ func TestParseRejections(t *testing.T) {
 		{"unknown-target", strings.Replace(minimal(), `"seeds": [1]`, `"seeds": [1], "target": "carrier-pigeon"`, 1), `target: unknown substrate "carrier-pigeon" (want in-process or network)`},
 		{"unknown-policy", strings.Replace(minimal(), `"policy": "certainty-equivalent"`, `"policy": "vibes"`, 1),
 			`arms[0].policy: unknown policy "vibes" (want certainty-equivalent, perfect-knowledge, peak-rate or measured-sum)`},
+		{"peak-rate-on-default-rcbr", strings.Replace(minimal(), `"policy": "certainty-equivalent"`, `"policy": "peak-rate"`, 1),
+			`arms[0].peak is required: the workload's model declares no finite peak`},
+		{"peak-rate-on-rcbr-mixture", strings.Replace(strings.Replace(minimal(), `"policy": "certainty-equivalent"`, `"policy": "peak-rate"`, 1),
+			`"svr": 0.3`,
+			`"model": {"kind": "mixture", "mix": [
+				{"weight": 1, "model": {"kind": "constant", "rate": 1}},
+				{"weight": 1, "model": {"kind": "rcbr", "svr": 0.3}}
+			]}`, 1),
+			`arms[0].peak is required: the workload's model declares no finite peak`},
+		{"peak-rate-on-impulsive", `{
+			"name": "t", "seeds": [1],
+			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3},
+			"gateway": {"capacity": 10, "pq": 0.01},
+			"arms": [{"name": "a", "policy": "certainty-equivalent"}, {"name": "b", "policy": "peak-rate"}],
+			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
+		}`, `arms[1].peak is required: the workload's model declares no finite peak`},
 		{"unknown-estimator", strings.Replace(minimal(), `"pq": 0.01`, `"pq": 0.01, "estimator": "psychic"`, 1), `gateway.estimator: estimator: unknown mode "psychic"`},
 		{"unknown-verdict", strings.Replace(minimal(), `"name": "t"`, `"name": "t", "expect": "Shrug"`, 1), `"Shrug"`},
 		{"unknown-fault-mode", strings.Replace(minimal(), `"seeds": [1]`, `"seeds": [1], "faults": [{"mode": "gremlins", "from": 1, "to": 2}]`, 1), "faults[0]"},

@@ -125,29 +125,6 @@ func (m *ModelSpec) build() (traffic.Model, error) {
 	}
 }
 
-// buildController instantiates one arm's admission policy against the
-// declared (model) statistics — the controlled variable every arm shares.
-func buildController(arm armSpec, ts traffic.Stats) (core.Controller, error) {
-	g := arm.gateway
-	switch arm.policy {
-	case policyCertaintyEquivalent:
-		return core.NewCertaintyEquivalent(g.PQ, ts.Mean, ts.StdDev())
-	case policyPerfectKnowledge:
-		return core.NewPerfectKnowledge(g.Capacity, ts.Mean, ts.StdDev(), g.PQ)
-	case policyPeakRate:
-		peak := arm.Peak
-		if peak == 0 {
-			peak = ts.Peak
-		}
-		if peak <= 0 {
-			return nil, fmt.Errorf("scenario: arm %q: peak-rate needs an explicit peak (the model declares none)", arm.Name)
-		}
-		return core.PeakRate{Peak: peak}, nil
-	default: // policyMeasuredSum
-		return core.NewMeasuredSum(arm.Eta, ts.Mean)
-	}
-}
-
 // auditZ returns the Wilson quantile the scenario grades with.
 func auditZ(cfg *Config) float64 {
 	if cfg.Check.Interval != nil && cfg.Check.Interval.Z > 0 {
@@ -174,11 +151,14 @@ func gradeAfter(cfg *Config) float64 {
 // also gets its own time-scale controller — each gateway measures its own
 // traffic — returned so the caller can snapshot it after the replay.
 func cellGatewayConfig(cfg *Config, arm armSpec, ts traffic.Stats, tick float64, overflowWindow int) (gcfg gw.Config, tuner *adaptive.Controller, err error) {
-	ctrl, err := buildController(arm, ts)
+	spec := arm.gateway
+	ctrl, err := arm.policy.New(core.Declared{
+		Capacity: spec.Capacity, Mean: ts.Mean, Sigma: ts.StdDev(),
+		Peak: arm.Peak, Target: spec.PQ, Eta: arm.Eta,
+	})
 	if err != nil {
 		return gcfg, nil, err
 	}
-	spec := arm.gateway
 	est, err := arm.mode.New(spec.Memory, tick, ts.Mean, ts.StdDev())
 	if err != nil {
 		return gcfg, nil, err

@@ -73,7 +73,7 @@ type Config struct {
 
 	Seed uint64 // master seed; every flow gets an independent substream
 
-	Warmup  float64 // simulated time discarded before statistics start
+	Warmup  float64 // simulated time discarded before statistics start (the paper's: func Warmup)
 	MaxTime float64 // measured simulation time budget (post warm-up)
 
 	// TargetP is the QoS target used by the stopping rule's
@@ -104,6 +104,14 @@ type Config struct {
 	// number of points (default 1<<20).
 	SeriesPeriod float64
 	SeriesLimit  int
+}
+
+// Warmup is the paper's continuous-load warm-up (Section 5.2): long
+// enough for the system to fill and the estimator to forget its bootstrap,
+// 20·max(T_c, T_m, T_h/√c) for correlation time tc, estimator memory tm,
+// holding time th and capacity c in units of the mean flow rate.
+func Warmup(tc, tm, th, c float64) float64 {
+	return 20 * math.Max(tc, math.Max(tm, th/math.Sqrt(c)))
 }
 
 // relCI is the relative confidence-interval stopping threshold: the
@@ -194,13 +202,11 @@ type engineArena struct {
 	flowRun []int     // parallel flow counts
 }
 
-// flowEvents is a live flow's two pending events, each a time key
-// (flowqueue.go) and the seq it was scheduled under: the end of the flow's
-// current segment, and its departure (depAt noEvent, depSeq 0, for a flow
-// that never departs).
+// flowEvents is a live flow's two pending events (flowqueue.go's keys):
+// the end of the flow's current segment, and its departure (time key
+// noEvent, seq 0, for a flow that never departs).
 type flowEvents struct {
-	segAt, segSeq uint64
-	depAt, depSeq uint64
+	seg, dep key
 }
 
 // engineArenaPool recycles arenas across Engine lifetimes.
@@ -241,9 +247,9 @@ type Engine struct {
 	clock float64
 	seq   uint64 // scheduling counter: every event scheduled takes the next one
 
-	arrAt, arrSeq uint64 // the pending Poisson arrival; arrAt is noEvent under continuous load
-	horizonKey    uint64 // time key of warm-up + MaxTime: nothing later can fire
-	err           error  // first invalid segment a model returned; ends the run
+	arr        key    // the pending Poisson arrival; its time key is noEvent under continuous load
+	horizonKey uint64 // time key of warm-up + MaxTime: nothing later can fire
+	err        error  // first invalid segment a model returned; ends the run
 
 	ar      *engineArena
 	nActive int
@@ -317,7 +323,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		maxAdmit:   maxAdmit,
 		spacing:    spacing,
-		arrAt:      noEvent,
+		arr:        key{t: noEvent},
 		horizonKey: timeKey(cfg.Warmup + cfg.MaxTime),
 		rng:        rng.New(cfg.Seed, 0x6d62_6163), // stream tag "mbac"
 		lnk: link.New(link.Config{
@@ -349,7 +355,7 @@ func (e *Engine) Run() (Result, error) {
 	e.pushLoad()
 	if cfg.ArrivalRate > 0 {
 		e.seq++
-		e.arrAt, e.arrSeq = timeKey(e.rng.Exp(1/cfg.ArrivalRate)), e.seq
+		e.arr = key{timeKey(e.rng.Exp(1 / cfg.ArrivalRate)), e.seq}
 	} else {
 		e.tryAdmissions()
 	}
@@ -363,15 +369,16 @@ func (e *Engine) Run() (Result, error) {
 		// The next event is the earliest (time, then seq) of the flow queue's
 		// winner, the pending arrival and the oldest orphan.
 		src := srcFlow
-		slot, at, seq := ar.queue.min()
-		if keyBefore(e.arrAt, e.arrSeq, at, seq) {
-			src, at, seq = srcArrival, e.arrAt, e.arrSeq
+		slot, ev := ar.queue.min()
+		if e.arr.before(ev) {
+			src, ev = srcArrival, e.arr
 		}
 		if ar.orphans.len() > 0 {
-			if o := ar.orphans.peek(); keyBefore(timeKey(o.t), o.seq, at, seq) {
-				src, at = srcOrphan, timeKey(o.t)
+			if o := ar.orphans.peek(); o.before(ev) {
+				src, ev = srcOrphan, o
 			}
 		}
+		at := ev.t
 		// The next thing that happens is the earlier of that event and the
 		// horizon; warm-up activation and stop-rule checks that fall before
 		// it are handled first.
@@ -423,7 +430,7 @@ func (e *Engine) Run() (Result, error) {
 		switch {
 		case src == srcArrival:
 			e.handleArrival()
-		case seq == ar.pending[slot].depSeq:
+		case ev.seq == ar.pending[slot].dep.seq:
 			e.removeFlow(slot)
 		default:
 			e.nextSegment(slot)
@@ -618,7 +625,7 @@ func (e *Engine) admitFlow() {
 	}
 
 	e.seq++
-	ev := flowEvents{segAt: e.segmentEnd(slot, seg.Duration), segSeq: e.seq, depAt: noEvent}
+	ev := flowEvents{seg: key{e.segmentEnd(slot, seg.Duration), e.seq}, dep: key{t: noEvent}}
 	var hold float64
 	switch {
 	case e.cfg.HoldingSampler != nil:
@@ -628,7 +635,7 @@ func (e *Engine) admitFlow() {
 	}
 	if hold > 0 {
 		e.seq++
-		ev.depAt, ev.depSeq = timeKey(e.clock+hold), e.seq
+		ev.dep = key{timeKey(e.clock + hold), e.seq}
 	}
 	ar.pending[slot] = ev
 	e.schedule(slot)
@@ -650,11 +657,11 @@ func (e *Engine) segmentEnd(slot int, d float64) uint64 {
 // schedule keys the slot's leaf by the earlier of its two pending events.
 func (e *Engine) schedule(slot int) {
 	ev := &e.ar.pending[slot]
-	at, seq := ev.segAt, ev.segSeq
-	if keyBefore(ev.depAt, ev.depSeq, at, seq) {
-		at, seq = ev.depAt, ev.depSeq
+	next := ev.seg
+	if ev.dep.before(next) {
+		next = ev.dep
 	}
-	e.ar.queue.set(slot, at, seq)
+	e.ar.queue.set(slot, next)
 }
 
 // handleArrival processes one Poisson arrival: admit if the controller has
@@ -669,7 +676,7 @@ func (e *Engine) handleArrival() {
 		e.blocked++
 	}
 	e.seq++
-	e.arrAt, e.arrSeq = timeKey(e.clock+e.rng.Exp(1/e.cfg.ArrivalRate)), e.seq
+	e.arr = key{timeKey(e.clock + e.rng.Exp(1/e.cfg.ArrivalRate)), e.seq}
 }
 
 // nextSegment advances a flow to its next constant-rate segment, keeping
@@ -692,7 +699,7 @@ func (e *Engine) nextSegment(slot int) {
 		}
 	}
 	e.seq++
-	ar.pending[slot].segAt, ar.pending[slot].segSeq = e.segmentEnd(slot, seg.Duration), e.seq
+	ar.pending[slot].seg = key{e.segmentEnd(slot, seg.Duration), e.seq}
 	e.schedule(slot)
 }
 
@@ -709,8 +716,8 @@ func (e *Engine) removeFlow(slot int) {
 		e.flowAware.FlowDeparted(slot)
 	}
 	ar.rates[slot] = 0
-	if ev := ar.pending[slot]; ev.segAt <= e.horizonKey {
-		ar.orphans.push(event{t: math.Float64frombits(ev.segAt), seq: ev.segSeq})
+	if seg := ar.pending[slot].seg; seg.t <= e.horizonKey {
+		ar.orphans.push(seg)
 	}
 	ar.queue.clear(slot)
 	e.nActive--

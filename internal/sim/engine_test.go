@@ -472,3 +472,25 @@ func engineChurn(tb testing.TB, seed uint64) Result {
 	}
 	return res
 }
+
+// TestWarmupIsTheRunRule pins Warmup to the rule's expression, bit for bit,
+// including a holding time of 0 (flows never depart), where only T_c and
+// T_m count.
+func TestWarmupIsTheRunRule(t *testing.T) {
+	for _, c := range []struct{ tc, tm, th, n float64 }{
+		{1, 0, 1000, 100}, // T~h = 100 dominates
+		{1, 250, 1000, 100},
+		{50, 10, 1000, 400},
+		{1, 0, 0, 100},
+		{0.3, 2.5, 0, 1e4},
+		{1.1, 0.7, 3.3, 7},
+	} {
+		want := 20 * math.Max(c.tc, math.Max(c.tm, c.th/math.Sqrt(c.n)))
+		if got := Warmup(c.tc, c.tm, c.th, c.n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Warmup(%g, %g, %g, %g) = %v, want %v", c.tc, c.tm, c.th, c.n, got, want)
+		}
+	}
+	if got := Warmup(1, 0, 1000, 100); got != 2000 {
+		t.Errorf("Warmup at n=100, Th=1000, Tc=1 = %v, want 2000", got)
+	}
+}

@@ -15,9 +15,9 @@ import "math"
 //
 // Three invariants carry the equivalence:
 //
-//   - Order: a key is (time, seq) compared lexicographically, and no two
-//     events share a seq, so equal times — deterministic-duration models,
-//     same-instant admissions — fire in scheduling order.
+//   - Order: a key is (time, seq) compared lexicographically (key.before),
+//     and no two events share a seq, so equal times — deterministic-duration
+//     models, same-instant admissions — fire in scheduling order.
 //   - Orphan rule: an orphan is kept iff its time is <= warm-up + MaxTime.
 //     It changes no state when it fires, but it is counted (Result.Events,
 //     the MaxEvents cut-off); one past the horizon can never fire.
@@ -33,29 +33,26 @@ const noEvent = math.MaxUint64
 // timeKey returns t's queue key; t must be >= +0.
 func timeKey(t float64) uint64 { return math.Float64bits(t) }
 
-// keyBefore reports whether key (t1, s1) fires before key (t2, s2).
-func keyBefore(t1, s1, t2, s2 uint64) bool {
-	return t1 < t2 || t1 == t2 && s1 < s2
+// key is an event's place in the order: its time key, then the seq it was
+// scheduled under.
+type key struct{ t, seq uint64 }
+
+// before reports whether a fires before b: the one event order. Written so
+// that a choice made on it compiles to conditional moves: only equal times
+// branch.
+func (a key) before(b key) bool {
+	less := a.t < b.t
+	if a.t == b.t {
+		less = a.seq < b.seq
+	}
+	return less
 }
 
 // qnode is one node of the winner tree: the earliest key of the node's
 // subtree and the leaf that holds it.
 type qnode struct {
-	t, seq uint64
-	leaf   int
-}
-
-// earlier returns whichever of two nodes holds the earlier key. Written so
-// that the choice compiles to conditional moves: only equal times branch.
-func earlier(a, b qnode) qnode {
-	less := b.t < a.t
-	if b.t == a.t {
-		less = b.seq < a.seq
-	}
-	if less {
-		a = b
-	}
-	return a
+	key
+	leaf int
 }
 
 // flowQueue is a winner (tournament) tree over flow slots: leaf i holds
@@ -92,36 +89,42 @@ func (q *flowQueue) grow(leaves int) {
 	}
 	copy(q.node[n:], old[q.n:]) // the old leaves, to the front of the new leaf row
 	for i := q.n; i < n; i++ {
-		q.node[n+i] = qnode{t: noEvent, leaf: i}
+		q.node[n+i] = qnode{key{t: noEvent}, i}
 	}
 	for k := n - 1; k >= 1; k-- {
-		q.node[k] = earlier(q.node[2*k], q.node[2*k+1])
+		w := q.node[2*k]
+		if r := q.node[2*k+1]; r.before(w.key) {
+			w = r
+		}
+		q.node[k] = w
 	}
 	q.n = n
 }
 
-// set gives leaf i the key (t, seq) and replays its path to the root.
-func (q *flowQueue) set(i int, t, seq uint64) {
+// set gives leaf i the key k and replays its path to the root.
+func (q *flowQueue) set(i int, k key) {
 	node := q.node
-	k := q.n + i
-	w := qnode{t: t, seq: seq, leaf: i}
-	node[k] = w
-	for k > 1 {
-		w = earlier(w, node[k^1])
-		k >>= 1
-		node[k] = w
+	j := q.n + i
+	w := qnode{k, i}
+	node[j] = w
+	for j > 1 {
+		if s := node[j^1]; s.before(w.key) {
+			w = s
+		}
+		j >>= 1
+		node[j] = w
 	}
 }
 
 // clear leaves leaf i with nothing pending.
-func (q *flowQueue) clear(i int) { q.set(i, noEvent, 0) }
+func (q *flowQueue) clear(i int) { q.set(i, key{t: noEvent}) }
 
-// min returns the earliest key and its leaf; t is noEvent when no leaf has
-// anything pending (leaf and seq are then meaningless).
-func (q *flowQueue) min() (leaf int, t, seq uint64) {
+// min returns the earliest key and its leaf; the key's t is noEvent when no
+// leaf has anything pending (leaf and seq are then meaningless).
+func (q *flowQueue) min() (leaf int, k key) {
 	if q.n == 0 {
-		return 0, noEvent, 0
+		return 0, key{t: noEvent}
 	}
 	w := &q.node[1]
-	return w.leaf, w.t, w.seq
+	return w.leaf, w.key
 }

@@ -30,7 +30,8 @@ type queueOracle struct {
 // find returns k's position in pending, or where it would be inserted.
 func (o *queueOracle) find(k queueKey) int {
 	return sort.Search(len(o.pending), func(i int) bool {
-		return !keyBefore(o.pending[i].t, o.pending[i].seq, k.t, k.seq)
+		p := o.pending[i]
+		return p.t > k.t || p.t == k.t && p.seq >= k.seq
 	})
 }
 
@@ -54,7 +55,7 @@ func (o *queueOracle) set(i int, t uint64) {
 	} else {
 		o.seq++
 		k.t, k.seq = t, o.seq
-		o.q.set(i, k.t, k.seq)
+		o.q.set(i, key{k.t, k.seq})
 		p := o.find(k)
 		o.pending = append(o.pending, queueKey{})
 		copy(o.pending[p+1:], o.pending[p:])
@@ -67,14 +68,14 @@ func (o *queueOracle) set(i int, t uint64) {
 // check compares the queue's winner with the head of the sorted slice.
 func (o *queueOracle) check() {
 	o.tb.Helper()
-	leaf, t, seq := o.q.min()
+	leaf, m := o.q.min()
 	if len(o.pending) == 0 {
-		if t != noEvent {
-			o.tb.Fatalf("min = leaf %d (%#x, %d) with nothing pending", leaf, t, seq)
+		if m.t != noEvent {
+			o.tb.Fatalf("min = leaf %d (%#x, %d) with nothing pending", leaf, m.t, m.seq)
 		}
 		return
 	}
-	if got := (queueKey{t, seq, leaf}); got != o.pending[0] {
+	if got := (queueKey{m.t, m.seq, leaf}); got != o.pending[0] {
 		o.tb.Fatalf("min = %+v, want %+v (%d pending, %d leaves)", got, o.pending[0], len(o.pending), len(o.at))
 	}
 }
@@ -172,14 +173,14 @@ func BenchmarkFlowQueue(b *testing.B) {
 			r := rng.New(1, 1)
 			q.grow(n)
 			for i := 0; i < n; i++ {
-				q.set(i, timeKey(r.Float64()*float64(n)), uint64(i))
+				q.set(i, key{timeKey(r.Float64() * float64(n)), uint64(i)})
 			}
 			seq := uint64(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				leaf, t, _ := q.min()
+				leaf, m := q.min()
 				seq++
-				q.set(leaf, timeKey(math.Float64frombits(t)+r.Exp(float64(n))), seq)
+				q.set(leaf, key{timeKey(math.Float64frombits(m.t) + r.Exp(float64(n))), seq})
 			}
 		})
 	}

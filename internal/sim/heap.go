@@ -1,40 +1,27 @@
 package sim
 
-// event is a stale event: the segment end a flow had pending when it
-// departed. Live flows' events are not queued here — they are a column of
-// the arena, ordered by the flowQueue (flowqueue.go) — so an event needs no
-// flow, kind or epoch: when it fires it changes nothing and is only counted,
-// exactly as the engine has always counted a departed flow's leftover
-// renegotiation (Result.Events, the MaxEvents cut-off). The engine queues
-// an orphan iff its time is <= warm-up + MaxTime; a later one could never
-// fire.
-type event struct {
-	t   float64 // absolute firing time
-	seq uint64  // the engine's scheduling counter: breaks time ties
-}
-
-// before reports whether a fires before b, breaking time ties by sequence
-// number so that runs are fully deterministic.
-func (a event) before(b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-
-// eventHeap is a plain binary min-heap of events, the engine's orphan queue:
-// one push and one pop per departure that leaves a segment end inside the
-// horizon, nothing per renegotiation. It avoids container/heap to keep
-// interface calls off that path; its storage is pooled with the arena.
+// eventHeap is a plain binary min-heap of keys, the engine's orphan queue:
+// the segment ends departed flows left pending. Live flows' events are not
+// queued here — they are a column of the arena, ordered by the flowQueue
+// (flowqueue.go) — so an orphan needs no flow, kind or epoch: when it fires
+// it changes nothing and is only counted, exactly as the engine has always
+// counted a departed flow's leftover renegotiation (Result.Events, the
+// MaxEvents cut-off). The engine queues an orphan iff its time is <=
+// warm-up + MaxTime; a later one could never fire.
+//
+// The heap takes one push and one pop per departure that leaves a segment
+// end inside the horizon, nothing per renegotiation. It avoids
+// container/heap to keep interface calls off that path; its storage is
+// pooled with the arena.
 type eventHeap struct {
-	h []event
+	h []key
 }
 
-// len returns the number of queued events.
+// len returns the number of queued keys.
 func (q *eventHeap) len() int { return len(q.h) }
 
-// push inserts an event.
-func (q *eventHeap) push(e event) {
+// push inserts a key.
+func (q *eventHeap) push(e key) {
 	q.h = append(q.h, e)
 	i := len(q.h) - 1
 	for i > 0 {
@@ -47,9 +34,9 @@ func (q *eventHeap) push(e event) {
 	}
 }
 
-// pop removes and returns the earliest event. It panics on an empty heap;
+// pop removes and returns the earliest key. It panics on an empty heap;
 // the engine always checks len first.
-func (q *eventHeap) pop() event {
+func (q *eventHeap) pop() key {
 	top := q.h[0]
 	last := len(q.h) - 1
 	q.h[0] = q.h[last]
@@ -58,8 +45,8 @@ func (q *eventHeap) pop() event {
 	return top
 }
 
-// peek returns the earliest event without removing it.
-func (q *eventHeap) peek() event { return q.h[0] }
+// peek returns the earliest key without removing it.
+func (q *eventHeap) peek() key { return q.h[0] }
 
 func (q *eventHeap) siftDown(i int) {
 	n := len(q.h)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -17,12 +18,12 @@ func TestHeapOrdering(t *testing.T) {
 		times := make([]float64, n)
 		for i := 0; i < n; i++ {
 			times[i] = r.Float64() * 100
-			q.push(event{t: times[i], seq: uint64(i)})
+			q.push(key{timeKey(times[i]), uint64(i)})
 		}
 		sort.Float64s(times)
 		for i := 0; i < n; i++ {
 			e := q.pop()
-			if e.t != times[i] {
+			if e.t != timeKey(times[i]) {
 				return false
 			}
 		}
@@ -35,9 +36,9 @@ func TestHeapOrdering(t *testing.T) {
 
 func TestHeapTieBreakBySeq(t *testing.T) {
 	var q eventHeap
-	q.push(event{t: 5, seq: 2})
-	q.push(event{t: 5, seq: 1})
-	q.push(event{t: 5, seq: 3})
+	q.push(key{timeKey(5), 2})
+	q.push(key{timeKey(5), 1})
+	q.push(key{timeKey(5), 3})
 	for want := uint64(1); want <= 3; want++ {
 		if got := q.pop().seq; got != want {
 			t.Fatalf("tie break: got seq %d, want %d", got, want)
@@ -47,10 +48,10 @@ func TestHeapTieBreakBySeq(t *testing.T) {
 
 func TestHeapPeek(t *testing.T) {
 	var q eventHeap
-	q.push(event{t: 3})
-	q.push(event{t: 1})
-	if q.peek().t != 1 {
-		t.Errorf("peek = %v", q.peek().t)
+	q.push(key{t: timeKey(3)})
+	q.push(key{t: timeKey(1)})
+	if q.peek().t != timeKey(1) {
+		t.Errorf("peek = %#x", q.peek().t)
 	}
 	if q.len() != 2 {
 		t.Errorf("peek must not remove: len %d", q.len())
@@ -65,12 +66,12 @@ func BenchmarkHeapPushPop(b *testing.B) {
 			var q eventHeap
 			r := rng.New(1, 1)
 			for i := 0; i < n; i++ {
-				q.push(event{t: r.Float64() * float64(n), seq: uint64(i)})
+				q.push(key{timeKey(r.Float64() * float64(n)), uint64(i)})
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e := q.pop()
-				e.t += r.Exp(float64(n))
+				e.t = timeKey(math.Float64frombits(e.t) + r.Exp(float64(n)))
 				q.push(e)
 			}
 		})

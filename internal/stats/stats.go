@@ -111,9 +111,6 @@ func (tw *TimeWeighted) Mean() float64 {
 // Total returns the total observed duration.
 func (tw *TimeWeighted) Total() float64 { return tw.total }
 
-// Integral returns the accumulated integral of the value over time.
-func (tw *TimeWeighted) Integral() float64 { return tw.weighted }
-
 // BatchMeans estimates the mean of a correlated time series together with a
 // confidence interval by the method of non-overlapping batch means. The
 // batch length should exceed the decorrelation time of the series; the

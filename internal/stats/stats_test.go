@@ -79,8 +79,8 @@ func TestTimeWeighted(t *testing.T) {
 	if math.Abs(tw.Mean()-0.2) > 1e-12 {
 		t.Errorf("time-weighted mean = %v, want 0.2", tw.Mean())
 	}
-	if tw.Total() != 10 || tw.Integral() != 2 {
-		t.Errorf("total/integral = %v/%v", tw.Total(), tw.Integral())
+	if tw.Total() != 10 || tw.weighted != 2 {
+		t.Errorf("total/integral = %v/%v", tw.Total(), tw.weighted)
 	}
 	tw.Observe(5, -1) // negative duration ignored
 	if tw.Total() != 10 {

@@ -26,13 +26,14 @@ const (
 	// RegimeIntermediate: neither separation holds; only the numerical
 	// integral (eq. 37) applies.
 	RegimeIntermediate
-	regimeEnd // sentinel: regimeNames names every constant above
+	regimeEnd // sentinel: RegimeNames names every constant above
 )
 
-var regimeNames = enum.New(RegimeMasking, regimeEnd, "masking", "repair", "intermediate")
+// RegimeNames is the regime name table.
+var RegimeNames = enum.New(RegimeMasking, regimeEnd, "masking", "repair", "intermediate")
 
 // String implements fmt.Stringer.
-func (r Regime) String() string { return regimeNames.String(r) }
+func (r Regime) String() string { return RegimeNames.String(r) }
 
 // regimeSeparation is the ratio of time-scales considered a clear
 // separation for regime classification.

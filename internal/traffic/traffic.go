@@ -240,11 +240,6 @@ func NewMarkovFluid(rates []float64, gen [][]float64) (*MarkovFluid, error) {
 	return m, nil
 }
 
-// Stationary returns the stationary distribution of the modulating chain.
-func (m *MarkovFluid) Stationary() []float64 {
-	return append([]float64(nil), m.pi...)
-}
-
 // Stats implements Model. The correlation time reported is the integral
 // time-scale of the rate process computed from the spectral decomposition
 // being unavailable in closed form for general chains; we report the

@@ -153,7 +153,7 @@ func TestMarkovFluidStationary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := m.Stationary()
+	pi := m.pi
 	if math.Abs(pi[0]-0.75) > 1e-12 || math.Abs(pi[1]-0.25) > 1e-12 {
 		t.Errorf("pi = %v, want [0.75 0.25]", pi)
 	}

@@ -1,14 +1,16 @@
 package mbac_test
 
-// The module keeps no exported function that only its own tests reach.
-// A function under internal/ is reached when a non-test file anywhere in
+// The module keeps no exported function or method that only its own tests
+// reach. One under internal/ is reached when a non-test file anywhere in
 // the module (cmd/, examples/, benchmark/, the facade, its own package or
 // another) or another package's test file names it. One that only its own
 // package's tests name is either dead or test scaffolding wearing an
 // export, and should be deleted or unexported. The scan is syntactic
 // (go/parser, no type checking), so it errs toward "reached": a bare
 // identifier or a selector on an import name with the function's name
-// counts even if it happens to name something else. A second scan holds
+// counts even if it happens to name something else, any selector with a
+// method's name counts for every method so named, and a method named by an
+// interface (the module's or a standard one) counts as reached. A second scan holds
 // the same line for configuration: no unexported field that only tests
 // write (TestEveryUnexportedFieldIsWritten). A third holds the public
 // packages — the facade at the module root and client — to what programs
@@ -27,13 +29,14 @@ import (
 	"testing"
 )
 
-// referenceOnly lists the exported functions a package keeps although only
-// its own tests call them, because those tests compare a fast path against
-// them. Each entry names the test that does so; the scan checks that the
-// test exists in that package and calls the function.
+// referenceOnly lists the exported functions and methods ("Type.Method") a
+// package keeps although only its own tests call them, because those tests
+// compare a fast path against them. Each entry names the test that does
+// so; the scan checks that the test exists in that package and calls it.
 var referenceOnly = map[string]string{
 	"internal/quad.Bisect":           "TestBrentAgainstBisectProperty",
 	"internal/stats.Autocorrelation": "TestACFRingBitCompatible",
+	"internal/rng.PCG.SegmentSample": "TestSegmentAdvanceMatchesSegmentSample",
 }
 
 // modulePath is the import path of the directory the scan starts from.
@@ -49,15 +52,46 @@ type scannedFile struct {
 func TestEveryInternalExportIsReached(t *testing.T) {
 	files := scanModule(t, ".")
 
-	// Exported top-level functions declared in non-test files under internal/.
-	decls := map[string]*ast.Ident{} // "dir.Name" -> declaring ident
+	// A method a module interface declares, or a standard interface's, is
+	// reached through that interface.
+	viaInterface := map[string]bool{}
+	for _, name := range standardMethods {
+		viaInterface[name] = true
+	}
+	for _, f := range files {
+		if f.test {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, name := range m.Names {
+						viaInterface[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	// Exported top-level functions and methods declared in non-test files
+	// under internal/.
+	decls := map[string]*ast.Ident{} // "dir.Name" or "dir.Type.Method" -> declaring ident
+	methods := map[string][]string{} // method name -> the keys of the methods so named
 	for _, f := range files {
 		if f.test || !strings.HasPrefix(f.dir, "internal/") {
 			continue
 		}
 		for _, d := range f.ast.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+			fn, ok := d.(*ast.FuncDecl)
+			switch {
+			case !ok || !fn.Name.IsExported():
+			case fn.Recv == nil:
 				decls[f.dir+"."+fn.Name.Name] = fn.Name
+			case !viaInterface[fn.Name.Name]:
+				key := f.dir + "." + funcName(fn)
+				decls[key] = fn.Name
+				methods[fn.Name.Name] = append(methods[fn.Name.Name], key)
 			}
 		}
 	}
@@ -72,7 +106,7 @@ func TestEveryInternalExportIsReached(t *testing.T) {
 			if !f.test && key == f.dir+"."+enclosing {
 				return // a recursive call does not reach the function
 			}
-			if f.test && key[:strings.LastIndex(key, ".")] == f.dir {
+			if f.test && strings.HasPrefix(key, f.dir+".") {
 				if ownTests[key] == nil {
 					ownTests[key] = map[string]bool{}
 				}
@@ -82,13 +116,18 @@ func TestEveryInternalExportIsReached(t *testing.T) {
 			reached[key] = true
 		}
 		for _, d := range f.ast.Decls {
-			enclosing := "" // the top-level function d declares, if any
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
-				enclosing = fn.Name.Name
+			enclosing := "" // the function or method d declares, if any
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				enclosing = funcName(fn)
 			}
 			ast.Inspect(d, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
+					// Without types, a selector reaches every method of
+					// its name.
+					for _, key := range methods[n.Sel.Name] {
+						record(key, n.Sel, enclosing)
+					}
 					if x, ok := n.X.(*ast.Ident); ok {
 						if p, ok := f.imports[x.Name]; ok && strings.HasPrefix(p, modulePath+"/") {
 							record(strings.TrimPrefix(p, modulePath+"/")+"."+n.Sel.Name, n.Sel, enclosing)
@@ -134,6 +173,33 @@ func TestEveryInternalExportIsReached(t *testing.T) {
 	}
 }
 
+// standardMethods are the standard library's interface methods the module's
+// types implement and only fmt, errors, encoding or io call.
+var standardMethods = []string{"String", "Error", "MarshalText", "UnmarshalText", "Read", "Write", "Close"}
+
+// funcName returns a function's name, or "Type.Method" for a method.
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	typ := fn.Recv.List[0].Type
+	for {
+		switch x := typ.(type) {
+		case *ast.StarExpr:
+			typ = x.X
+			continue
+		case *ast.IndexExpr:
+			typ = x.X
+			continue
+		case *ast.IndexListExpr:
+			typ = x.X
+			continue
+		}
+		break
+	}
+	return typ.(*ast.Ident).Name + "." + fn.Name.Name
+}
+
 // publicPackages are the packages a program outside the module may
 // import: the facade at the module root and the network client.
 var publicPackages = map[string]bool{modulePath: true, modulePath + "/client": true}
@@ -146,7 +212,7 @@ var publicPackages = map[string]bool{modulePath: true, modulePath + "/client": t
 // of its own package, or be a type named in the signature of a function
 // that is reached. A root test does not keep a name alive: the facade is
 // the surface a program uses, and a name only tests use is not part of it.
-// Methods are out of scope, as in the internal scan.
+// Methods are out of scope here.
 func TestEveryFacadeExportIsReached(t *testing.T) {
 	files := scanModule(t, ".")
 	importPath := func(dir string) string {
