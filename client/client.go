@@ -62,7 +62,8 @@ var (
 	// consider active (never admitted, departed, or lease-expired).
 	ErrNotActive = errors.New("client: flow is not active")
 	// ErrInvalidRate reports a rate the gateway refuses to accept
-	// (negative, NaN, or infinite).
+	// (negative, NaN, above the gateway's maximum rate, or more than the
+	// flow's shard can carry).
 	ErrInvalidRate = errors.New("client: invalid rate")
 	// errClosed reports use of a closed client.
 	errClosed = errors.New("client: closed")

@@ -146,16 +146,13 @@ func (c *Cluster) Admit(flowID uint64, rate float64) (gateway.Decision, error) {
 	ds, _ := c.AdmitBatch([]uint64{flowID}, []float64{rate}, buf[:0])
 	switch d := ds[0]; d.Reason {
 	case gateway.ReasonInvalidRate:
-		return d, fmt.Errorf("cluster: declared rate %g must be positive and finite", rate)
+		return d, fmt.Errorf("cluster: declared rate %g must be in (0, %d]", rate, gateway.MaxRate)
 	case gateway.ReasonDuplicate:
 		return d, fmt.Errorf("cluster: flow %d is already active", flowID)
 	default:
 		return d, nil
 	}
 }
-
-// validRate reports whether an admission's declared rate can be decided.
-func validRate(rate float64) bool { return rate > 0 && !math.IsInf(rate, 0) }
 
 // targetScratch is AdmitBatch's pooled per-item target slice.
 type targetScratch struct{ targets []int }
@@ -225,7 +222,7 @@ func (c *Cluster) place(ids []uint64, rates []float64, targets []int) []int {
 	for i := range ids {
 		var t int
 		switch {
-		case validRate(rates[i]):
+		case gateway.ValidAdmitRate(rates[i]):
 			t = c.placeLocked(-1, true)
 		case last >= 0:
 			t = last
@@ -267,13 +264,21 @@ func (c *Cluster) onOwner(flowID uint64, op func(*gateway.Gateway) bool) error {
 }
 
 // UpdateRate routes a rate report to the flow's owning instance. Rates are
-// validated before routing so an invalid rate is never mistaken for a
-// not-active outcome.
+// checked with gateway.ValidUpdateRate before routing so an invalid rate is
+// never mistaken for a not-active outcome; like the gateway's, a refused
+// rate's error wraps gateway.ErrInvalidRate.
 func (c *Cluster) UpdateRate(flowID uint64, rate float64) error {
-	if !(rate >= 0) || math.IsInf(rate, 0) {
-		return fmt.Errorf("cluster: rate %g must be non-negative and finite", rate)
+	if !gateway.ValidUpdateRate(rate) {
+		return fmt.Errorf("cluster: rate %g: %w", rate, gateway.ErrInvalidRate)
 	}
-	return c.onOwner(flowID, func(g *gateway.Gateway) bool { return g.UpdateRateLocked(flowID, rate) })
+	var err error
+	if nerr := c.onOwner(flowID, func(g *gateway.Gateway) bool {
+		err = g.UpdateRateLocked(flowID, rate)
+		return true // the owner holds every pinned flow
+	}); nerr != nil {
+		return nerr
+	}
+	return err
 }
 
 // Touch routes a lease keepalive to the flow's owning instance.

@@ -21,11 +21,12 @@ func (g *Gateway) Contains(flowID uint64) bool {
 	return ok
 }
 
-// ForEachFlow calls fn for every active flow with its current declared
-// rate. Each shard is snapshotted under its lock and fn runs outside the
-// lock, so fn may call back into the gateway; the iteration is a point-in-
-// time view per shard, not a global atomic snapshot. Iteration order is
-// unspecified (callers wanting determinism must collect and sort).
+// ForEachFlow calls fn for every active flow with its current rate as the
+// gateway carries it, a whole number of units u (see MaxRate). Each shard
+// is snapshotted under its lock and fn runs outside the lock, so fn may
+// call back into the gateway; the iteration is a point-in-time view per
+// shard, not a global atomic snapshot. Iteration order is unspecified
+// (callers wanting determinism must collect and sort).
 func (g *Gateway) ForEachFlow(fn func(flowID uint64, rate float64)) {
 	type pair struct {
 		id   uint64
@@ -36,7 +37,7 @@ func (g *Gateway) ForEachFlow(fn func(flowID uint64, rate float64)) {
 		s := &g.shards[i]
 		s.lock.Lock()
 		buf = buf[:0]
-		s.flows.Range(func(id uint64, e *flowEntry) { buf = append(buf, pair{id, e.rate}) })
+		s.flows.Range(func(id uint64, e *flowEntry) { buf = append(buf, pair{id, float64(e.q) * unit}) })
 		s.lock.Unlock()
 		for _, p := range buf {
 			fn(p.id, p.rate)

@@ -9,8 +9,9 @@
 // The gateway maintains exactly the state of the paper's controller loop
 // (eqs. 6/22), split for concurrency:
 //
-//   - per-shard flow tables hold each active flow's current rate; their
-//     sums ΣX_i and ΣX_i² are the cross-sectional aggregates of eq. 7;
+//   - per-shard flow tables hold each active flow's current rate, as a
+//     fixed-point integer; their exact sums ΣX_i and ΣX_i² are the
+//     cross-sectional aggregates of eq. 7 (see MaxRate);
 //   - the measurement tick feeds those aggregates to an
 //     estimator.Estimator, producing (μ̂, σ̂) — the paper's estimated
 //     per-flow mean and standard deviation;
@@ -37,10 +38,11 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,11 +63,11 @@ const (
 	// ReasonAdmitted: the flow was admitted.
 	ReasonAdmitted Reason = iota
 	// ReasonCapacity: admitting would push the active count past the
-	// controller's bound M.
+	// controller's bound M, or carry the shard's exact rate sum out of 64
+	// bits (see MaxRate).
 	ReasonCapacity
-	// ReasonInvalidRate: the declared rate was non-positive, infinite or
-	// NaN. Batch admissions report it per item; Admit returns an error
-	// instead.
+	// ReasonInvalidRate: the declared rate failed ValidAdmitRate. Batch
+	// admissions report it per item; Admit returns an error instead.
 	ReasonInvalidRate
 	// ReasonDuplicate: the flow ID is already active. Batch admissions
 	// report it per item; Admit returns an error instead.
@@ -124,19 +126,8 @@ const (
 	degradedMeasurement                   // estimates stayed invalid with flows present
 )
 
-// degradedReason renders a degradation bitmask for stats and logs.
-func degradedReason(flags int32) string {
-	switch {
-	case flags == 0:
-		return ""
-	case flags == degradedStaleTicks:
-		return "stale-ticks"
-	case flags == degradedMeasurement:
-		return "measurement"
-	default:
-		return "stale-ticks+measurement"
-	}
-}
+// degradedReasons renders each degradation bitmask for stats and logs.
+var degradedReasons = [...]string{"", "stale-ticks", "measurement", "stale-ticks+measurement"}
 
 // Decision reports the outcome of one admission request.
 type Decision struct {
@@ -238,6 +229,57 @@ var processStart = time.Now()
 // defaultLatencyClock returns monotonic nanoseconds since process start.
 func defaultLatencyClock() int64 { return int64(time.Since(processStart)) }
 
+// MaxRate is the largest rate the gateway accepts. The shards keep ΣX_i
+// and ΣX_i² exactly, as integers in the unit u = 2^-28 (about 3.7e-9): a
+// rate X is carried as q = round(X/u) ≤ 2^44, Σq in 64 bits and Σq² in
+// 128. Admission, update, departure and expiry each add or subtract the q
+// of the rate they insert or remove, so the sums are the same bits in any
+// order, at any shard count, and never drift. An admission or update that
+// would carry its shard's Σq out of 64 bits is refused; Σq² ≤ 2^44·Σq then
+// fits by construction.
+const MaxRate = 1 << 16
+
+const unit = 0x1p-28 // u
+
+// ValidAdmitRate reports whether Admit accepts a declared rate: one in
+// (0, MaxRate].
+func ValidAdmitRate(rate float64) bool { return rate > 0 && rate <= MaxRate }
+
+// ValidUpdateRate reports whether UpdateRate accepts a rate: one in
+// [0, MaxRate].
+func ValidUpdateRate(rate float64) bool { return rate >= 0 && rate <= MaxRate }
+
+// ErrInvalidRate is UpdateRate's error for a rate that fails
+// ValidUpdateRate or that its shard's Σq cannot carry.
+var ErrInvalidRate = errors.New("gateway: invalid rate")
+
+// fixed returns q = round(rate/u) for a valid rate: rate/u ≤ 2^44, so the
+// product and the added half are exact, and the signed conversion (one
+// instruction, where the unsigned one branches) cannot overflow.
+func fixed(rate float64) uint64 { return uint64(int64(rate*(1/unit) + 0.5)) }
+
+// u128 is an unsigned 128-bit integer hi·2^64 + lo.
+type u128 struct{ hi, lo uint64 }
+
+func (a u128) add(b u128) u128 {
+	lo, c := bits.Add64(a.lo, b.lo, 0)
+	return u128{a.hi + b.hi + c, lo}
+}
+
+func (a u128) sub(b u128) u128 {
+	lo, c := bits.Sub64(a.lo, b.lo, 0)
+	return u128{a.hi - b.hi - c, lo}
+}
+
+func square(q uint64) u128 {
+	hi, lo := bits.Mul64(q, q)
+	return u128{hi, lo}
+}
+
+// float converts a to float64: not always the nearest one, but a function
+// of the integer alone, which is all the sums' order-freedom needs.
+func (a u128) float() float64 { return float64(a.hi)*0x1p64 + float64(a.lo) }
+
 // shard is one lock domain of the flow table, and also one stripe of the
 // hot-path instrumentation: admit/reject/expire counts and the latency
 // histogram are plain (non-atomic) fields updated inside the critical
@@ -264,11 +306,11 @@ func defaultLatencyClock() int64 { return int64(time.Since(processStart)) }
 // allocator's header), and they must share a line either way.
 type shard struct {
 	mu    sync.Mutex
-	flows flowtab.Table[flowEntry] // flow ID -> rate and lease deadline
+	flows flowtab.Table[flowEntry] // flow ID -> q and lease deadline
 	lock  *sync.Mutex
 
-	sumRate float64 // ΣX_i over this shard
-	sumSq   float64 // ΣX_i² over this shard
+	sumQ  uint64 // Σq_i over this shard, q_i = fixed(X_i)
+	sumQ2 u128   // Σq_i² over this shard
 
 	// minDeadline is a conservative lower bound on the earliest lease
 	// deadline in this shard (+Inf when leases are off or the shard holds
@@ -281,17 +323,40 @@ type shard struct {
 	admitted uint64                  // striped counters, merged at read time
 	rejected uint64                  //
 	expired  uint64                  // lease-sweep reclaims (ReasonExpired departures)
-	latSeq   uint64                  // decision sequence for 1-in-N latency sampling
 	lat      *metrics.LocalHistogram // admission latency, single-writer under lock
 }
 
-// departed returns the shard's departure count; the caller holds s.lock.
-func (s *shard) departed() uint64 { return s.admitted - s.expired - uint64(s.flows.Len()) }
+// fits reports whether Σq can take q more without a carry out of 64 bits,
+// and addQ and subQ fold one flow's q into or out of the sums; all run
+// under s.lock.
+func (s *shard) fits(q uint64) bool { return q <= math.MaxUint64-s.sumQ }
 
-// flowEntry is one active flow's per-shard state: its current rate and,
-// with leases enabled, the virtual time at which its lease expires.
+func (s *shard) addQ(q uint64) {
+	s.sumQ += q
+	s.sumQ2 = s.sumQ2.add(square(q))
+}
+
+func (s *shard) subQ(q uint64) {
+	s.sumQ -= q
+	s.sumQ2 = s.sumQ2.sub(square(q))
+}
+
+// counts is the striped counters merged over shards; add merges s's under
+// s.lock.
+type counts struct{ admitted, rejected, departed, expired uint64 }
+
+func (c *counts) add(s *shard) {
+	c.admitted += s.admitted
+	c.rejected += s.rejected
+	c.departed += s.admitted - s.expired - uint64(s.flows.Len())
+	c.expired += s.expired
+}
+
+// flowEntry is one active flow's per-shard state: its current rate as the
+// sums carry it, q = fixed(rate), and, with leases enabled, the virtual
+// time at which its lease expires.
 type flowEntry struct {
-	rate     float64
+	q        uint64
 	deadline float64
 }
 
@@ -314,8 +379,8 @@ type Gateway struct {
 
 	// Hot-path instrumentation lives striped in the shards (see shard);
 	// here only the latency clock and the sampling mask. sampleMask is a
-	// power of two minus one: a decision is timed when latSeq&sampleMask
-	// == 0, so mask 0 means every decision (full fidelity).
+	// power of two minus one: a shard times its k-th decision when
+	// k&sampleMask == 0, so mask 0 means every decision (full fidelity).
 	clock      func() int64
 	sampleMask uint64
 
@@ -346,20 +411,12 @@ type Gateway struct {
 	// is configured (validated by New), nil otherwise.
 	setMemory estimator.MemorySetter
 
-	// measMu guards the estimator, the overflow window, the rotation
-	// recompute state, and the last-tick snapshot below.
-	measMu     sync.Mutex
-	overflow   *stats.SlidingCounter
-	rot        int       // next shard for the per-tick exact-sum recompute
-	rotScratch []float64 // reusable sorted-rate buffer for the recompute
-	lastTick   float64
-	lastMu     float64
-	lastSigma  float64
-	lastOK     bool
-	lastAgg    float64
-	lastFlows  int
-	ticks      int64
-	notOK      int // consecutive invalid-measurement ticks with flows present
+	// measMu guards the estimator, the overflow window and the fields
+	// below.
+	measMu   sync.Mutex
+	overflow *stats.SlidingCounter
+	last     Stats // the last tick's measurement: Mu through Ticks
+	notOK    int   // consecutive invalid-measurement ticks with flows present
 }
 
 // Stats is a consistent snapshot of the gateway's aggregate state.
@@ -417,11 +474,7 @@ func ShardCount(n int) int {
 	if n <= 0 {
 		return 16
 	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	return shards
+	return 1 << bits.Len(uint(n-1))
 }
 
 func newGateway(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
@@ -474,11 +527,7 @@ func newGateway(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
 		setMemory: setMemory,
 	}
 	if cfg.LatencySample > 1 {
-		n := 1
-		for n < cfg.LatencySample {
-			n <<= 1
-		}
-		g.sampleMask = uint64(n - 1)
+		g.sampleMask = 1<<bits.Len(uint(cfg.LatencySample-1)) - 1
 	}
 	// All striped histograms alias one bounds slice so Snapshot merges stay
 	// layout-compatible by construction.
@@ -518,35 +567,35 @@ func (g *Gateway) Admissible() float64 {
 // and, if so, reads the clock; the caller holds s.lock. At full fidelity the
 // caller already read start before the lock (timing the whole call), so
 // this is a no-op; in sampled mode the 1-in-N choice happens here, under
-// the lock that owns latSeq, and sampled-out decisions never touch the
-// clock at all — the measurement cost the paper's philosophy (§4) says
+// the lock that owns the shard's decision count (admitted + rejected, of
+// which this decision is the next), and sampled-out decisions never touch
+// the clock at all — the measurement cost the paper's philosophy (§4) says
 // must not perturb the measured system.
 func (g *Gateway) startTimingLocked(s *shard, start int64) (int64, bool) {
 	if g.sampleMask == 0 {
 		return start, true
 	}
-	s.latSeq++
-	if s.latSeq&g.sampleMask != 0 {
+	if (s.admitted+s.rejected+1)&g.sampleMask != 0 {
 		return 0, false
 	}
 	return g.clock(), true
 }
 
-// insertLocked records an admitted flow in s; the caller holds s.lock and
-// has already CAS-reserved the active slot. With leases enabled the flow's
-// deadline is stamped from the last published tick time, so a flow that
-// never refreshes expires one TTL after (at most) its admission tick.
-func (g *Gateway) insertLocked(s *shard, flowID uint64, rate float64) {
+// insertLocked records an admitted flow in s; the caller holds s.lock, has
+// checked that q = fixed(rate) fits, and has CAS-reserved the active slot.
+// With leases enabled the flow's deadline is stamped from the last
+// published tick time, so a flow that never refreshes expires one TTL
+// after (at most) its admission tick.
+func (g *Gateway) insertLocked(s *shard, flowID uint64, rate float64, q uint64) {
 	e, _ := s.flows.Put(flowID)
-	e.rate = rate
+	e.q = q
 	if g.ttl > 0 {
 		e.deadline = g.vnow.Load() + g.ttl
 		if e.deadline < s.minDeadline {
 			s.minDeadline = e.deadline
 		}
 	}
-	s.sumRate += rate
-	s.sumSq += rate * rate
+	s.addQ(q)
 	s.admitted++
 	if g.trackPeak {
 		g.notePeak(rate)
@@ -570,15 +619,15 @@ func (g *Gateway) notePeak(rate float64) {
 
 // Admit requests admission for flowID at the given declared (or
 // pre-measured, per Qadir et al.) rate. A capacity refusal is a normal
-// Decision, not an error; errors indicate invalid input (non-positive or
-// non-finite rate, duplicate active flow ID) and carry a Decision whose
+// Decision, not an error; errors indicate invalid input (a rate failing
+// ValidAdmitRate, a duplicate active flow ID) and carry a Decision whose
 // Reason says why — error-path Decisions are never ReasonAdmitted. Invalid
 // requests are refused before the latency clock starts: they are not
 // admission decisions and do not perturb the latency distribution.
 func (g *Gateway) Admit(flowID uint64, declaredRate float64) (Decision, error) {
-	if !(declaredRate > 0) || math.IsInf(declaredRate, 0) {
+	if !ValidAdmitRate(declaredRate) {
 		return Decision{Reason: ReasonInvalidRate, Admissible: g.Admissible(), Active: g.active.Load()},
-			fmt.Errorf("gateway: declared rate %g must be positive and finite", declaredRate)
+			fmt.Errorf("gateway: declared rate %g must be in (0, %d]", declaredRate, MaxRate)
 	}
 	var start int64
 	if g.sampleMask == 0 {
@@ -603,22 +652,23 @@ func (g *Gateway) Admit(flowID uint64, declaredRate float64) (Decision, error) {
 
 // decideLocked is the one admission step behind Admit and AdmitBatch:
 // reserve a slot and insert the flow, or count the capacity reject. The
-// caller holds s.lock and has ruled out a duplicate. The reservation is
-// lock-free: the CAS loop ensures the active count can never exceed ⌊M⌋
-// even when many goroutines race a single free slot. (Spinning while
-// holding the shard lock is safe: other threads advance the counter
-// without needing this shard.) Counters stay inside the critical section
-// the path already owns — striped plain fields, merged only when a reader
-// asks.
+// caller holds s.lock, has checked rate with ValidAdmitRate and has ruled
+// out a duplicate. The reservation is lock-free: the CAS loop ensures the
+// active count can never exceed ⌊M⌋ even when many goroutines race a
+// single free slot. (Spinning while holding the shard lock is safe: other
+// threads advance the counter without needing this shard.) Counters stay
+// inside the critical section the path already owns — striped plain
+// fields, merged only when a reader asks.
 func (g *Gateway) decideLocked(s *shard, flowID uint64, rate, m float64) Decision {
+	q := fixed(rate)
 	for {
 		cur := g.active.Load()
-		if float64(cur)+1 > m {
+		if float64(cur)+1 > m || !s.fits(q) {
 			s.rejected++
 			return Decision{Reason: ReasonCapacity, Admissible: m, Active: cur}
 		}
 		if g.active.CompareAndSwap(cur, cur+1) {
-			g.insertLocked(s, flowID, rate)
+			g.insertLocked(s, flowID, rate, q)
 			return Decision{Admitted: true, Reason: ReasonAdmitted, Admissible: m, Active: cur + 1}
 		}
 	}
@@ -683,7 +733,7 @@ func (g *Gateway) AdmitBatchOwned(ids []uint64, rates []float64, dst []Decision,
 	)
 	for i, id := range ids {
 		rate := rates[i]
-		if !(rate > 0) || math.IsInf(rate, 0) {
+		if !ValidAdmitRate(rate) {
 			if timing {
 				latNanos += g.clock() - start
 				timing = false
@@ -738,40 +788,42 @@ func (g *Gateway) AdmitBatchOwned(ids []uint64, rates []float64, dst []Decision,
 // report does NOT refresh the flow's lease: a flow that only ever reports
 // zero is indistinguishable from a crashed client holding a slot, so it
 // expires one TTL after its last positive report (or Touch — the explicit
-// keepalive for deliberately idle flows).
+// keepalive for deliberately idle flows). A refused rate is ErrInvalidRate.
 func (g *Gateway) UpdateRate(flowID uint64, rate float64) error {
-	if !(rate >= 0) || math.IsInf(rate, 0) {
-		return fmt.Errorf("gateway: rate %g must be non-negative and finite", rate)
+	if !ValidUpdateRate(rate) {
+		return fmt.Errorf("%w %g: not in [0, %d]", ErrInvalidRate, rate, MaxRate)
 	}
 	s := g.shardFor(flowID)
 	s.lock.Lock()
-	ok := g.UpdateRateLocked(flowID, rate)
+	err := g.UpdateRateLocked(flowID, rate)
 	s.lock.Unlock()
-	if !ok {
-		return notActiveError(flowID)
-	}
-	return nil
+	return err
 }
 
 // UpdateRateLocked is UpdateRate's body for a caller that holds flowID's
-// shard lock (NewShared) and has validated rate; it reports whether the
-// flow is active here.
-func (g *Gateway) UpdateRateLocked(flowID uint64, rate float64) bool {
+// shard lock (NewShared) and has checked rate with ValidUpdateRate. It
+// returns UpdateRate's not-active error for a flow that is not active
+// here, and ErrInvalidRate for a rate the shard's sums cannot carry.
+func (g *Gateway) UpdateRateLocked(flowID uint64, rate float64) error {
 	s := g.shardFor(flowID)
 	e := s.flows.Get(flowID)
 	if e == nil {
-		return false
+		return notActiveError(flowID)
 	}
-	s.sumRate += rate - e.rate
-	s.sumSq += rate*rate - e.rate*e.rate
-	e.rate = rate
+	q := fixed(rate)
+	if q > e.q && !s.fits(q-e.q) {
+		return ErrInvalidRate
+	}
+	s.subQ(e.q)
+	s.addQ(q)
+	e.q = q
 	if g.ttl > 0 && rate > 0 {
 		e.deadline = g.vnow.Load() + g.ttl
 	}
 	if g.trackPeak && rate > 0 {
 		g.notePeak(rate)
 	}
-	return true
+	return nil
 }
 
 // notActiveError is UpdateRate's, Touch's and Depart's error for a flow the
@@ -834,21 +886,17 @@ func (g *Gateway) DepartLocked(flowID uint64) bool {
 
 // departLocked is the one way a flow leaves the table by request —
 // departure and batched departure both end here (lease expiry leaves
-// through sweepLocked, which recomputes the sums outright). It reports
-// whether flowID was active; the caller holds s.lock and owes the active
-// count its decrement. With churn the incremental shard sums accumulate
-// floating-point drift; they are renormalized to exact zeros whenever a
-// shard empties, and Tick's rotating exact recompute covers shards that
-// never drain.
+// through sweepLocked). It reports whether flowID was active; the caller
+// holds s.lock and owes the active count its decrement. The flow's exact q
+// leaves the sums, so a shard that empties holds zero sums by arithmetic;
+// its cached earliest deadline resets with it.
 func (s *shard) departLocked(flowID uint64) bool {
 	e, ok := s.flows.Delete(flowID)
 	if !ok {
 		return false
 	}
-	s.sumRate -= e.rate
-	s.sumSq -= e.rate * e.rate
+	s.subQ(e.q)
 	if s.flows.Len() == 0 {
-		s.sumRate, s.sumSq = 0, 0
 		s.minDeadline = math.Inf(1)
 	}
 	return true
@@ -943,19 +991,18 @@ func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
 // missed by the sweep; that is ordinary measurement noise, identical to a
 // flow arriving just after a tick.
 //
-// Each tick also renormalizes one shard (round-robin) by recomputing its
-// sums exactly from the flow table, so incremental floating-point drift on
-// a long-lived shard is bounded by one rotation period instead of growing
-// without bound. The recompute sums rates in sorted order — the table's
-// iteration order follows its random seed, and a deterministic summation
-// order keeps equally seeded virtual-clock runs bit-identical.
+// The tick takes each shard lock once: it adds the shard's exact integer
+// sums (see MaxRate) and its counters, and the snapshot it returns is
+// built from that one pass. The sums are converted to float64 once, after
+// it, so equal flow sets give bit-identical aggregates however they were
+// reached.
 //
-// With leases enabled the tick starts with the expiry sweep: any shard
-// whose cached earliest deadline has come due is scanned, expired flows
-// are reclaimed (ReasonExpired) before the cross-section is gathered, and
-// the shard's sums are recomputed exactly. A silent flow is therefore gone
-// by the first tick at or past its deadline — within one TTL of its last
-// refresh — and never pollutes (μ̂, σ̂) after expiry.
+// With leases enabled the pass starts each shard with the expiry sweep: a
+// shard whose cached earliest deadline has come due is scanned, and its
+// expired flows are reclaimed (ReasonExpired) before its sums are read. A
+// silent flow is therefore gone by the first tick at or past its deadline
+// — within one TTL of its last refresh — and never pollutes (μ̂, σ̂) after
+// expiry.
 //
 // A tick whose estimates come back invalid (not-OK, NaN or Inf) while at
 // least two flows are active is a measurement fault, not a measurement:
@@ -974,29 +1021,26 @@ func (g *Gateway) Tick(now float64) Stats { return g.TickExpired(now, nil) }
 // must not call back into the gateway.
 func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 	g.measMu.Lock()
-	if !(now > g.lastTick) {
-		now = g.lastTick
+	if !(now > g.last.LastTick) {
+		now = g.last.LastTick
 	}
-	rot := g.rot
-	g.rot++
-	if g.rot >= len(g.shards) {
-		g.rot = 0
-	}
-	var sumRate, sumSq float64
+	var sumQ, sumQ2 u128
+	var c counts
 	var n int
 	for i := range g.shards {
 		s := &g.shards[i]
 		s.lock.Lock()
 		if g.ttl > 0 && s.minDeadline <= now {
 			g.sweepLocked(s, now, expired)
-		} else if i == rot {
-			g.recomputeLocked(s)
 		}
-		sumRate += s.sumRate
-		sumSq += s.sumSq
+		sumQ = sumQ.add(u128{lo: s.sumQ})
+		sumQ2 = sumQ2.add(s.sumQ2)
 		n += s.flows.Len()
+		c.add(s)
 		s.lock.Unlock()
 	}
+	sumRate := sumQ.float() * unit
+	sumSq := sumQ2.float() * (unit * unit)
 
 	g.cfg.Estimator.Advance(now)
 	g.cfg.Estimator.Update(sumRate, sumSq, n)
@@ -1036,10 +1080,8 @@ func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 	g.vnow.Set(now)
 	g.overflow.Add(sumRate > g.cfg.Capacity)
 	g.ring.Push(metrics.EstimatePoint{Time: now, Mu: mu, Sigma: sigma, OK: ok, Tm: g.tm})
-	g.lastTick = now
-	g.lastMu, g.lastSigma, g.lastOK = mu, sigma, ok
-	g.lastAgg, g.lastFlows = sumRate, n
-	g.ticks++
+	g.last = Stats{Mu: mu, Sigma: sigma, MeasurementOK: ok, AggregateRate: sumRate,
+		MeasuredFlows: n, LastTick: now, Ticks: g.last.Ticks + 1}
 	if g.cfg.Tuner != nil {
 		// The retune applies from the next tick's Advance on: this tick's
 		// measurements were produced under the old memory, and the ring
@@ -1049,22 +1091,21 @@ func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 			g.tm = g.setMemory.Memory()
 		}
 	}
-	st := g.statsLocked()
+	st := g.statsLocked(c)
 	g.measMu.Unlock()
 	return st
 }
 
-// sweepLocked reclaims expired leases from s at virtual time now, reporting
-// each to expired (when set) as it leaves the table, and refreshes the
-// shard's cached earliest deadline; the caller holds measMu and s.lock. The
-// sweep is one in-place pass over the table and allocates nothing. After
-// any reclaim the shard's sums are recomputed exactly (in sorted order —
-// see recomputeLocked), so expiry never leaves incremental drift or an
-// order-dependent residue behind.
+// sweepLocked reclaims expired leases from s at virtual time now, taking
+// each one's exact q out of the sums and reporting it to expired (when
+// set) as it leaves the table, and refreshes the shard's cached earliest
+// deadline; the caller holds measMu and s.lock. The sweep is one in-place
+// pass over the table and allocates nothing.
 func (g *Gateway) sweepLocked(s *shard, now float64, expired func(flowID uint64)) {
 	min := math.Inf(1)
 	reclaimed := s.flows.DeleteFunc(func(id uint64, e *flowEntry) bool {
 		if e.deadline <= now {
+			s.subQ(e.q)
 			if expired != nil {
 				expired(id)
 			}
@@ -1081,18 +1122,6 @@ func (g *Gateway) sweepLocked(s *shard, now float64, expired func(flowID uint64)
 	}
 	s.expired += uint64(reclaimed)
 	g.active.Add(-int64(reclaimed))
-	g.recomputeLocked(s)
-}
-
-// recomputeLocked replaces s's incremental sums with exact recomputations
-// from the flow table; the caller holds measMu (which owns rotScratch) and
-// s.lock.
-func (g *Gateway) recomputeLocked(s *shard) {
-	rates := g.rotScratch[:0]
-	s.flows.Range(func(_ uint64, e *flowEntry) { rates = append(rates, e.rate) })
-	sort.Float64s(rates)
-	s.sumRate, s.sumSq = estimator.FoldRates(rates)
-	g.rotScratch = rates
 }
 
 // setDegraded and clearDegraded maintain the degradation bitmask with CAS
@@ -1139,48 +1168,34 @@ func (g *Gateway) effectiveBound(raw float64) float64 {
 // healthy).
 func (g *Gateway) Degraded() (bool, string) {
 	flags := g.degraded.Load()
-	return flags != 0, degradedReason(flags)
+	return flags != 0, degradedReasons[flags]
 }
 
 // Stats returns a snapshot of counters and the last tick's measurements.
+// The striped hot-path counters are merged under the shard locks (taken
+// after measMu, the gateway's lock order).
 func (g *Gateway) Stats() Stats {
 	g.measMu.Lock()
 	defer g.measMu.Unlock()
-	return g.statsLocked()
-}
-
-// statsLocked assembles a snapshot; the caller holds measMu. The striped
-// hot-path counters are merged under the shard locks (taken after measMu,
-// the gateway's lock order).
-func (g *Gateway) statsLocked() Stats {
-	var admitted, rejected, departed, expired uint64
+	var c counts
 	for i := range g.shards {
 		s := &g.shards[i]
 		s.lock.Lock()
-		admitted += s.admitted
-		rejected += s.rejected
-		departed += s.departed()
-		expired += s.expired
+		c.add(s)
 		s.lock.Unlock()
 	}
-	deg, reason := g.Degraded()
-	return Stats{
-		Active:         g.active.Load(),
-		Admitted:       int64(admitted),
-		Rejected:       int64(rejected),
-		Departed:       int64(departed),
-		Expired:        int64(expired),
-		Degraded:       deg,
-		DegradedReason: reason,
-		Admissible:     g.Admissible(),
-		Mu:             g.lastMu,
-		Sigma:          g.lastSigma,
-		MeasurementOK:  g.lastOK,
-		AggregateRate:  g.lastAgg,
-		MeasuredFlows:  g.lastFlows,
-		LastTick:       g.lastTick,
-		Ticks:          g.ticks,
-	}
+	return g.statsLocked(c)
+}
+
+// statsLocked assembles a snapshot from the merged counters c and the last
+// tick's measurement; the caller holds measMu.
+func (g *Gateway) statsLocked(c counts) Stats {
+	st := g.last
+	st.Active, st.Admissible = g.active.Load(), g.Admissible()
+	st.Admitted, st.Rejected = int64(c.admitted), int64(c.rejected)
+	st.Departed, st.Expired = int64(c.departed), int64(c.expired)
+	st.Degraded, st.DegradedReason = g.Degraded()
+	return st
 }
 
 // Snapshot is the full observability view of a gateway: the admission
@@ -1221,35 +1236,32 @@ type Snapshot struct {
 func (g *Gateway) Snapshot() Snapshot {
 	g.measMu.Lock()
 	snap := Snapshot{
-		Time:          g.lastTick,
+		Time:          g.last.LastTick,
 		Capacity:      g.cfg.Capacity,
-		Ticks:         g.ticks,
-		Mu:            g.lastMu,
-		Sigma:         g.lastSigma,
-		MeasurementOK: g.lastOK,
-		AggregateRate: g.lastAgg,
-		MeasuredFlows: g.lastFlows,
+		Ticks:         g.last.Ticks,
+		Mu:            g.last.Mu,
+		Sigma:         g.last.Sigma,
+		MeasurementOK: g.last.MeasurementOK,
+		AggregateRate: g.last.AggregateRate,
+		MeasuredFlows: g.last.MeasuredFlows,
 		Tm:            g.tm,
 		Overflow:      g.overflow.Estimate(0),
 	}
 	g.measMu.Unlock()
-	var admitted, rejected, departed, expired uint64
+	var c counts
 	lat := g.shards[0].lat.EmptySnapshot()
 	for i := range g.shards {
 		s := &g.shards[i]
 		s.lock.Lock()
-		admitted += s.admitted
-		rejected += s.rejected
-		departed += s.departed()
-		expired += s.expired
+		c.add(s)
 		s.lat.AddTo(&lat)
 		s.lock.Unlock()
 	}
 	snap.Active = g.active.Load()
-	snap.Admitted = int64(admitted)
-	snap.Rejected = int64(rejected)
-	snap.Departed = int64(departed)
-	snap.Expired = int64(expired)
+	snap.Admitted = int64(c.admitted)
+	snap.Rejected = int64(c.rejected)
+	snap.Departed = int64(c.departed)
+	snap.Expired = int64(c.expired)
 	snap.Bound = g.Admissible()
 	snap.BoundRaw = g.raw.Load()
 	snap.Degraded, snap.DegradedReason = g.Degraded()

@@ -149,10 +149,13 @@ func TestTickMeasuresCrossSection(t *testing.T) {
 		}
 	}
 	st := g.Tick(1)
+	// The gateway measures each rate as it carries it, a whole number of
+	// units u (see MaxRate), so the reference sums the carried rates.
+	carried := func(r float64) float64 { return float64(fixed(r)) * unit }
 	var sum, sumSq float64
 	for _, r := range rates {
-		sum += r
-		sumSq += r * r
+		sum += carried(r)
+		sumSq += carried(r) * carried(r)
 	}
 	n := float64(len(rates))
 	wantMu := sum / n
@@ -172,7 +175,7 @@ func TestTickMeasuresCrossSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = g.Tick(2)
-	if math.Abs(st.AggregateRate-(sum-0.8+2.0)) > 1e-12 {
+	if math.Abs(st.AggregateRate-(sum-carried(0.8)+2.0)) > 1e-12 {
 		t.Fatalf("aggregate after renegotiation = %g", st.AggregateRate)
 	}
 }

@@ -8,15 +8,15 @@ import (
 
 const cacheLine = 64
 
-// TestShardLayout holds the shard to whole cache lines, with the flow
+// TestShardLayout holds the shard to exactly two cache lines, with the flow
 // table's header on the line the mutex is on. A field added to shard without
 // revisiting the layout fails here instead of silently making every shard
 // straddle its neighbour's line (as `_ [48]byte` did once `expired` joined:
 // 136 bytes).
 func TestShardLayout(t *testing.T) {
 	var s shard
-	if size := unsafe.Sizeof(s); size%cacheLine != 0 {
-		t.Errorf("shard is %d bytes, not a multiple of the %d-byte cache line: neighbouring shards false-share", size, cacheLine)
+	if size := unsafe.Sizeof(s); size != 2*cacheLine {
+		t.Errorf("shard is %d bytes, not two %d-byte cache lines: neighbouring shards false-share, or a line is wasted", size, cacheLine)
 	}
 	if end := unsafe.Offsetof(s.flows) + unsafe.Sizeof(s.flows); end > cacheLine {
 		t.Errorf("the flow table's header ends at offset %d, past the mutex's cache line", end)

@@ -776,9 +776,9 @@ func (c *conn) handle(f *wire.Frame) cause {
 		c.srv.latency.ObserveN(time.Since(t0).Seconds()/float64(n), n)
 	case wire.OpUpdateRate:
 		st := wire.StatusOK
-		if !(f.Rate >= 0) || f.Rate > maxFinite {
+		if err := g.UpdateRate(f.Flow, f.Rate); errors.Is(err, gateway.ErrInvalidRate) {
 			st = wire.StatusInvalidRate
-		} else if err := g.UpdateRate(f.Flow, f.Rate); err != nil {
+		} else if err != nil {
 			st = wire.StatusNotActive
 		}
 		c.out = wire.AppendAck(c.out, f.ReqID, st)
@@ -795,10 +795,6 @@ func (c *conn) handle(f *wire.Frame) cause {
 	}
 	return c.maybeFlushOut()
 }
-
-// maxFinite guards against +Inf reaching UpdateRate (NaN and negatives
-// are caught by the f.Rate >= 0 comparison).
-const maxFinite = 1.7976931348623157e308
 
 // flushAdmits decides the pending Admit frames with one AdmitBatch call
 // and appends one Decision frame per request to the arena. The served

@@ -125,7 +125,9 @@ const (
 	StatusOK Status = iota
 	// StatusNotActive: the flow is not currently admitted.
 	StatusNotActive
-	// StatusInvalidRate: the rate was negative, NaN or infinite.
+	// StatusInvalidRate: the gateway refused the rate — it failed
+	// gateway.ValidUpdateRate (negative, NaN, or above gateway.MaxRate),
+	// or the flow's shard could not carry it in its exact sums.
 	StatusInvalidRate
 	statusEnd // sentinel: statusNames names every constant above
 )
