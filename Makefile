@@ -17,8 +17,8 @@
 #              that do not drift with the machine are plain tier-1 tests
 #   fuzz     — short adversarial-input fuzzing of the estimator, the
 #              controller, the wire decoder, scenario configs, the flow
-#              table, the simulator's flow queue and the schedule's time
-#              sort (checked-in corpora
+#              table, the simulator's flow queue, the schedule's time
+#              sort and Schedule over decoded Configs (checked-in corpora
 #              replay in plain `go test`)
 #   vet      — go vet. Enum exhaustiveness is not a lint: every enumeration
 #              declares its names once in an internal/enum table, and a
@@ -99,6 +99,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime $(FUZZTIME) ./internal/flowtab
 	$(GO) test -run '^$$' -fuzz FuzzFlowQueue -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTimeSort -fuzztime $(FUZZTIME) ./internal/loadgen
+	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/loadgen
 
 golden:
 	$(GO) test ./internal/experiments -run TestGolden -update-golden

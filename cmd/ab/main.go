@@ -17,6 +17,17 @@
 // BENCHMARK.json's "better". A second outcome holds the median against
 // the metric's bound: within bound, past bound, or unresolved when the
 // parent's own spread is wider than the bound.
+//
+// Micro mode, selected by -pkg, holds a package's Go benchmarks to the
+// same rules:
+//
+//	ab -ref HEAD -pkg ./internal/loadgen -bench '^BenchmarkSchedule$' -cpu 1,2 -pairs 10
+//
+// It compiles the package's test binary in both trees (go test -c), runs
+// the two binaries in alternating pairs as above, and prints one line per
+// benchmark, -cpu value and unit: ns/op and every custom unit the
+// benchmark reports. Time units are lower-is-better, rates (a unit per
+// second) higher-is-better; the bound is microBound.
 package main
 
 import (
@@ -75,6 +86,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		workloads = fs.String("workload", "", "comma-separated workloads (default: every workload in BENCHMARK.json)")
 		seedList  = fs.String("seeds", "1-10", "seeds, one pair each: a comma-separated list of seeds and ranges such as 41-50")
 		dir       = fs.String("dir", "", "empty or missing directory to export -ref into (default: a temporary directory, removed at exit)")
+		pkg       = fs.String("pkg", "", "micro mode: the package directory whose benchmarks are compared, such as ./internal/loadgen")
+		bench     = fs.String("bench", ".", "micro mode: the benchmarks to run (go test -bench)")
+		cpu       = fs.String("cpu", "", "micro mode: GOMAXPROCS values to run each benchmark at (go test -cpu)")
+		pairs     = fs.Int("pairs", 10, "micro mode: alternating pairs to run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,31 +97,42 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	seeds, err := parseSeeds(*seedList)
-	if err != nil {
-		return err
+	micro := *pkg != ""
+	var misplaced error
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "workload", "seeds":
+			if micro {
+				misplaced = fmt.Errorf("-%s does not apply with -pkg", f.Name)
+			}
+		case "bench", "cpu", "pairs":
+			if !micro {
+				misplaced = fmt.Errorf("-%s applies only with -pkg", f.Name)
+			}
+		}
+	})
+	if misplaced != nil {
+		return misplaced
+	}
+	if micro && (*pairs < 1 || !strings.HasPrefix(*pkg, "./")) {
+		return fmt.Errorf("micro mode needs -pairs >= 1 and a -pkg directory starting ./, not %d and %q", *pairs, *pkg)
+	}
+	var seeds []uint64
+	if !micro {
+		var err error
+		if seeds, err = parseSeeds(*seedList); err != nil {
+			return err
+		}
 	}
 	top, err := git(ctx, "", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return err
 	}
-	raw, err := os.ReadFile(filepath.Join(top, "BENCHMARK.json"))
-	if err != nil {
-		return err
-	}
-	var bench benchmarkFile
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		return fmt.Errorf("BENCHMARK.json: %w", err)
-	}
-	names := strings.Split(*workloads, ",")
-	if *workloads == "" {
-		names = names[:0]
-		for _, w := range bench.Workloads {
-			names = append(names, w.Name)
+	var spec benchmarkFile
+	if !micro {
+		if spec, err = readBenchmark(top); err != nil {
+			return err
 		}
-	}
-	if !(bench.RunSeconds > 0) {
-		return fmt.Errorf("BENCHMARK.json: run_seconds %g must be positive", bench.RunSeconds)
 	}
 
 	rev, err := git(ctx, top, "rev-parse", "--verify", *ref+"^{commit}")
@@ -128,27 +154,33 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stderr, "ab: parent %.12s in %s, change = the working tree %s\n", rev, parentDir, top)
+	trees := [2]string{parentDir, top}
+	if micro {
+		return runMicro(ctx, trees, *pkg, *bench, *cpu, *pairs, stdout, stderr)
+	}
 
+	names := strings.Split(*workloads, ",")
+	if *workloads == "" {
+		names = names[:0]
+		for _, w := range spec.Workloads {
+			names = append(names, w.Name)
+		}
+	}
 	for _, w := range names {
 		var parent, change []result
 		for i, seed := range seeds {
-			trees := [2]string{parentDir, top}
-			if i%2 == 1 { // pair i+1 is even: the change runs first
-				trees[0], trees[1] = top, parentDir
-			}
 			var got [2]result
-			for k, tree := range trees {
-				if got[k], err = bench1(ctx, tree, w, seed, bench.RunSeconds); err != nil {
-					return fmt.Errorf("%s seed %d in %s: %w", w, seed, tree, err)
-				}
-			}
-			if i%2 == 1 {
-				got[0], got[1] = got[1], got[0]
+			err := inPair(i, trees, func(k int, tree string) (err error) {
+				got[k], err = bench1(ctx, tree, w, seed, spec.RunSeconds)
+				return err
+			})
+			if err != nil {
+				return fmt.Errorf("%s seed %d: %w", w, seed, err)
 			}
 			parent, change = append(parent, got[0]), append(change, got[1])
 			fmt.Fprintf(stderr, "ab: %s pair %d/%d (seed %d) done\n", w, i+1, len(seeds), seed)
 		}
-		for _, m := range bench.EndToEnd {
+		for _, m := range spec.EndToEnd {
 			p, c := values(parent, m.Name), values(change, m.Name)
 			if p == nil || c == nil {
 				return fmt.Errorf("%s: a run reported no %s", w, m.Name)
@@ -156,6 +188,38 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(stdout, line(w, m, p, c))
 		}
 		fmt.Fprintf(stdout, "%s failed ops: parent %s, change %s\n", w, failures(parent), failures(change))
+	}
+	return nil
+}
+
+// readBenchmark reads BENCHMARK.json at the top of the working tree.
+func readBenchmark(top string) (benchmarkFile, error) {
+	var bench benchmarkFile
+	raw, err := os.ReadFile(filepath.Join(top, "BENCHMARK.json"))
+	if err != nil {
+		return bench, err
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		return bench, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if !(bench.RunSeconds > 0) {
+		return bench, fmt.Errorf("BENCHMARK.json: run_seconds %g must be positive", bench.RunSeconds)
+	}
+	return bench, nil
+}
+
+// inPair runs pair i (counted from 0) of trees, the parent's and the
+// change's: fn(0, parent) and fn(1, change), the parent first in odd pairs
+// (i even) and the change first in even ones.
+func inPair(i int, trees [2]string, fn func(k int, tree string) error) error {
+	order := [2]int{0, 1}
+	if i%2 == 1 {
+		order = [2]int{1, 0}
+	}
+	for _, k := range order {
+		if err := fn(k, trees[k]); err != nil {
+			return fmt.Errorf("in %s: %w", trees[k], err)
+		}
 	}
 	return nil
 }

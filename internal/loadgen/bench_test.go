@@ -9,9 +9,11 @@ import (
 // scheduleSink keeps the benchmarked schedule alive.
 var scheduleSink []Event
 
-// BenchmarkSchedule times Schedule per event at the two ends its sort
-// serves: cluster-churn's 1.75 M-event renegotiating schedule, and the
-// ~630-event flash crowd the offline suite builds every cycle.
+// BenchmarkSchedule times Schedule per event at the two ends it serves:
+// cluster-churn's 1.75 M-event renegotiating schedule, 49 chunks that
+// GOMAXPROCS workers share (run it at -cpu 1,2), and the ~630-event flash
+// crowd the offline suite builds every cycle, one chunk generated once,
+// inline.
 func BenchmarkSchedule(b *testing.B) {
 	for _, bc := range []struct {
 		name string

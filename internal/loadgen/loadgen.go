@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/client"
@@ -104,6 +106,16 @@ type Config struct {
 }
 
 func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"lambda", c.Lambda}, {"hold", c.Hold}, {"duration", c.Duration}, {"svr", c.SVR}, {"tc", c.TC}} {
+		// NaN and the infinities would hang the arrival walk (every
+		// interarrival 0) or put NaN into the schedule's times and rates.
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("loadgen: %s %g must be finite", f.name, f.v)
+		}
+	}
 	if c.Lambda <= 0 || c.Hold <= 0 || c.Duration <= 0 {
 		return fmt.Errorf("loadgen: lambda, hold and duration must be positive")
 	}
@@ -135,128 +147,272 @@ func (c Config) validate() error {
 
 // Schedule pregenerates the deterministic event list for cfg: one admit
 // per arriving flow (rate drawn from the RCBR marginal), one depart at the
-// end of its holding time, and the updates its plan and renegotiation add.
-// The list is ordered by (T, Flow, Kind) in place, by distributing events
-// into buckets by time (sortByTime) rather than by comparing them. That
-// key is a strict total order on a schedule, so the ordered list is the
-// only one any correct sort can produce: a given seed always yields the
-// same list, whatever the algorithm.
+// end of its holding time, and the updates its plan and renegotiation add,
+// ordered by (T, Flow, Kind).
+//
+// It makes three passes over chunks of chunkFlows consecutive flows. The
+// arrival walk draws the arrival process serially and checkpoints the
+// master stream at each chunk's first flow. The count pass regenerates
+// every chunk from its checkpoint, draw for draw, and counts its events
+// into time buckets, fanOut(2·flows) over [0, Duration) and one at
+// Duration, where every flow the schedule cuts off departs; prefix sums in
+// (bucket, chunk) order give each chunk a cursor in each bucket and the
+// list its exact length. The place pass allocates the list once, at that
+// length, and writes every event of every chunk at its cursor: from the
+// worker's buffer if the chunk is the one it counted last, regenerated
+// otherwise. Each bucket, a run that fits in cache, is then ordered by
+// sortByTime. GOMAXPROCS workers claim the chunks and the buckets; a
+// one-chunk schedule runs every pass inline and generates its flows once.
+//
+// Buckets are monotone in T and (T, Flow, Kind) is a strict total order
+// on a schedule, so the list is the only one any correct sort of these
+// events can produce: a given seed yields the same list for any worker
+// count.
 func Schedule(cfg Config) ([]Event, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	r := rng.New(cfg.Seed, 0x6c6f6164) // "load"
-	model := cfg.Model
-	if model == nil {
-		model = traffic.NewRCBR(1, cfg.SVR, cfg.TC)
+	g := generator{cfg: &cfg, model: cfg.Model}
+	if g.model == nil {
+		g.model = traffic.NewRCBR(1, cfg.SVR, cfg.TC)
 	}
-	// next draws one interarrival time starting at virtual time now. With
-	// the new knobs at their zero values this is exactly the historical
-	// r.Exp(1/λ) draw, so old seeds keep their old schedules bit for bit.
-	next := func(now float64) float64 {
-		mean := 1 / cfg.Lambda
-		if cfg.Crowd.Factor > 1 && now >= cfg.Crowd.From && now < cfg.Crowd.To {
-			mean /= cfg.Crowd.Factor
-		}
-		if cfg.ArrivalCV == 0 || cfg.ArrivalCV == 1 {
-			return r.Exp(mean)
-		}
-		shape := 1 / (cfg.ArrivalCV * cfg.ArrivalCV)
-		return r.Gamma(shape, mean/shape)
+	g.walkArrivals()
+	chunks := len(g.cps)
+	if chunks == 0 {
+		return []Event{}, nil
 	}
-	events := make([]Event, 0, expectedEvents(cfg, model))
-	// A flow's draws are finished before the next flow's begin, so one
-	// stream, split into in place, and one source per model, recycled where
-	// the model is a traffic.RCBR, serve every flow.
-	fr := new(rng.PCG)
-	var srcs [2]traffic.Source // the base model's last source, the shifted model's
-	id := uint64(0)
-	for t := next(0); t < cfg.Duration; t += next(t) {
-		r.SplitInto(id, fr)
-		m, k := model, 0
-		if cfg.ShiftModel != nil && t >= cfg.ShiftAt {
-			// The shifted model draws from the same split per-flow stream,
-			// so the arrival process (driven by r) is untouched and the
-			// pre-shift prefix of the schedule is bit-identical.
-			m, k = cfg.ShiftModel, 1
-		}
-		src := traffic.NewSource(m, srcs[k], fr)
-		srcs[k] = src
-		seg := src.Next() // same two draws (rate, duration) as the historical single-draw form
-		rate := seg.Rate
-		hold := fr.Exp(cfg.Hold)
-		leak := false
-		if cfg.Plan.LeakP > 0 { // draw only when leaking is on: keeps old streams intact
-			leak = cfg.Plan.Leaks(fr.Float64())
-		}
-		if t+hold > cfg.Duration {
-			hold = cfg.Duration - t
-		}
-		declared := cfg.Plan.Declared(rate)
-		events = append(events, Event{T: t, Kind: KindAdmit, Flow: id, Rate: declared})
-		if declared != rate {
-			// The measured rate follows the lying declaration immediately;
-			// the kind tie-break keeps it after the admit.
-			events = append(events, Event{T: t, Kind: KindUpdate, Flow: id, Rate: rate})
-		}
-		if cfg.Renegotiate {
-			// Renegotiated-CBR dynamics: the flow redraws its rate at every
-			// segment boundary until it departs. Updates carry the true rate
-			// — renegotiation models the measured path, not the declaration.
-			for ts := t + seg.Duration; ts < t+hold; {
-				seg = src.Next()
-				events = append(events, Event{T: ts, Kind: KindUpdate, Flow: id, Rate: seg.Rate})
-				if !(seg.Duration > 0) {
-					break // a non-advancing source cannot renegotiate further
-				}
-				ts += seg.Duration
-			}
-		}
-		if !leak {
-			events = append(events, Event{T: t + hold, Kind: KindDepart, Flow: id})
-		}
-		id++
+	// fanOut(2·flows) buckets split [0, Duration); one more holds the
+	// departs at Duration of every flow the schedule cuts off.
+	f := fanOut(2*int(g.flows)) + 1
+	g.last, g.scale = f-1, float64(f-1)/cfg.Duration
+	if !(g.scale < math.Inf(1)) { // a subnormal Duration: one bucket below it
+		g.scale = 0
 	}
-	// The events were generated flow by flow; put them in time order.
-	sortByTime(events, sortDepth)
+	walkers := make([]walker, min(runtime.GOMAXPROCS(0), chunks))
+	for w := range walkers {
+		walkers[w].held = -1
+	}
+
+	// cursor's row c is chunk c's event count per bucket, then its cursor.
+	// The count pass claims chunks from the last, so the chunks the workers
+	// still hold when it ends are the first the place pass claims.
+	cursor := make([]int, chunks*f)
+	parallel(len(walkers), chunks, func(w, i int) {
+		c := chunks - 1 - i
+		row := cursor[c*f : (c+1)*f]
+		for _, e := range g.chunk(&walkers[w], c) {
+			row[g.bucket(e.T)]++
+		}
+	})
+	end := make([]int, f) // bucket b is events[end[b-1]:end[b]]
+	n := 0
+	for b := range f {
+		for i := b; i < len(cursor); i += f {
+			n, cursor[i] = n+cursor[i], n
+		}
+		end[b] = n
+	}
+
+	events := make([]Event, n)
+	parallel(len(walkers), chunks, func(w, c int) {
+		row := cursor[c*f : (c+1)*f]
+		for _, e := range g.chunk(&walkers[w], c) {
+			b := g.bucket(e.T)
+			events[row[b]] = e
+			row[b]++
+		}
+	})
+	// The last bucket is the largest (~6 % of cluster-churn's events), but
+	// its times are all equal and the place pass left it in flow order,
+	// the order it sorts to; claiming from it still starts it first.
+	parallel(len(walkers), f, func(_, i int) {
+		b := f - 1 - i
+		start := 0
+		if b > 0 {
+			start = end[b-1]
+		}
+		sortByTime(events[start:end[b]], sortDepth)
+	})
 	return events, nil
 }
 
-// expectedEvents estimates a schedule's length, to size it once instead of
-// growing it a quarter at a time: Lambda·Duration flows, each with an admit,
-// a depart and, when renegotiating, an update every mean segment of its
-// holding time. The segment is the drawn model's (the shorter known one
-// when a shift model takes over mid-run); a model whose mean segment is
-// unknown adds no updates to the guess and grows the list by append. The
-// estimate runs high (holds are cut off at Duration); a flash crowd or a
-// lying population, which it ignores, appends past it as before.
-func expectedEvents(cfg Config, model traffic.Model) int {
-	perFlow := 2.0
-	if cfg.Renegotiate {
-		seg := meanSegment(model)
-		if cfg.ShiftModel != nil {
-			if s := meanSegment(cfg.ShiftModel); s > 0 && (seg <= 0 || s < seg) {
-				seg = s
-			}
-		}
-		if seg > 0 {
-			perFlow += math.Min(cfg.Hold, cfg.Duration) / seg
-		}
-	}
-	const ceiling = 1 << 24 // a guess must not reserve gigabytes
-	return int(math.Min(cfg.Lambda*cfg.Duration*perFlow, ceiling))
+// chunkFlows is the flows in one chunk: the unit a worker regenerates from
+// a checkpoint and claims in the count and place passes. At the churn
+// shape a chunk is ~36 k events.
+const chunkFlows = 8192
+
+// checkpoint is where a chunk's regeneration starts: the master stream's
+// state before its first flow's split, and that flow's arrival time.
+type checkpoint struct {
+	r rng.PCG
+	t float64
 }
 
-// meanSegment is m's mean segment length where the model states it — a
-// traffic.RCBR's CorrTime — and 0 otherwise. Other models' correlation
-// times are not their segment lengths: an on-off source's is
-// on·off/(on+off) against segments averaging (on+off)/2, and sizing from
-// it would reserve far more than the schedule holds.
-func meanSegment(m traffic.Model) float64 {
-	if r, ok := m.(traffic.RCBR); ok {
-		return r.CorrTime
+// generator is one schedule's draws: the arrival process on the master
+// stream, and each flow's rate, holding time and segments on the stream
+// split from it for that flow.
+type generator struct {
+	cfg   *Config
+	model traffic.Model
+	cps   []checkpoint // one a chunk
+	flows uint64
+	// bucket(T) is last from Duration on and min(⌊T·scale⌋, last−1)
+	// below it: monotone in T.
+	scale float64
+	last  int
+}
+
+// walker is one worker's regeneration state. A flow's draws are finished
+// before the next flow's begin, so one split stream and one source per
+// model, recycled where the model is a traffic.RCBR, serve every flow.
+type walker struct {
+	r, fr rng.PCG
+	srcs  [2]traffic.Source // the base model's last source, the shifted model's
+	ev    []Event           // chunk held's events, in flow order
+	held  int               // -1 before the first chunk
+	// Every draw writes r or fr: the pad keeps the next worker's
+	// streams off this one's cache lines.
+	_ [64]byte
+}
+
+func (g *generator) bucket(t float64) int {
+	if t >= g.cfg.Duration {
+		return g.last
 	}
-	return 0
+	return min(int(t*g.scale), g.last-1)
+}
+
+// next draws one interarrival time starting at virtual time now. With the
+// crowd and arrival-CV knobs at their zero values this is exactly the
+// historical r.Exp(1/λ) draw, so old seeds keep their old schedules bit
+// for bit.
+func (g *generator) next(r *rng.PCG, now float64) float64 {
+	cfg := g.cfg
+	mean := 1 / cfg.Lambda
+	if cfg.Crowd.Factor > 1 && now >= cfg.Crowd.From && now < cfg.Crowd.To {
+		mean /= cfg.Crowd.Factor
+	}
+	if cfg.ArrivalCV == 0 || cfg.ArrivalCV == 1 {
+		return r.Exp(mean)
+	}
+	shape := 1 / (cfg.ArrivalCV * cfg.ArrivalCV)
+	return r.Gamma(shape, mean/shape)
+}
+
+// walkArrivals draws every arrival time from the master stream and
+// checkpoints the stream at every chunkFlows-th flow. After each arrival
+// it skips the two draws that seed the flow's own stream (SplitInto's),
+// which only chunk needs.
+func (g *generator) walkArrivals() {
+	r := rng.New(g.cfg.Seed, 0x6c6f6164) // "load"
+	for t, id := g.next(r, 0), uint64(0); t < g.cfg.Duration; t, id = t+g.next(r, t), id+1 {
+		if id%chunkFlows == 0 {
+			g.cps = append(g.cps, checkpoint{r: *r, t: t})
+		}
+		r.Uint64()
+		r.Uint64()
+		g.flows = id + 1
+	}
+}
+
+// chunk returns chunk c's events in flow order: w's buffer when it still
+// holds them, or else regenerated there from the chunk's checkpoint.
+func (g *generator) chunk(w *walker, c int) []Event {
+	if w.held == c {
+		return w.ev
+	}
+	cp := &g.cps[c]
+	id := uint64(c) * chunkFlows
+	end := min(id+chunkFlows, g.flows)
+	if w.ev == nil {
+		// A flow has an admit and, unless it leaks, a depart.
+		w.ev = make([]Event, 0, 2*(end-id))
+	}
+	w.r, w.ev, w.held = cp.r, w.ev[:0], c
+	t := cp.t
+	for ; id < end; id++ {
+		w.r.SplitInto(id, &w.fr)
+		g.flow(w, id, t)
+		t += g.next(&w.r, t)
+	}
+	return w.ev
+}
+
+// flow appends the events of flow id, arriving at t, to w's buffer,
+// drawing from w.fr.
+func (g *generator) flow(w *walker, id uint64, t float64) {
+	cfg := g.cfg
+	m, k := g.model, 0
+	if cfg.ShiftModel != nil && t >= cfg.ShiftAt {
+		// The shifted model draws from the same split per-flow stream,
+		// so the arrival process (driven by r) is untouched and the
+		// pre-shift prefix of the schedule is bit-identical.
+		m, k = cfg.ShiftModel, 1
+	}
+	src := traffic.NewSource(m, w.srcs[k], &w.fr)
+	w.srcs[k] = src
+	seg := src.Next() // same two draws (rate, duration) as the historical single-draw form
+	rate := seg.Rate
+	hold := w.fr.Exp(cfg.Hold)
+	leak := false
+	if cfg.Plan.LeakP > 0 { // draw only when leaking is on: keeps old streams intact
+		leak = cfg.Plan.Leaks(w.fr.Float64())
+	}
+	if t+hold > cfg.Duration {
+		hold = cfg.Duration - t
+	}
+	declared := cfg.Plan.Declared(rate)
+	ev := append(w.ev, Event{T: t, Kind: KindAdmit, Flow: id, Rate: declared})
+	if declared != rate {
+		// The measured rate follows the lying declaration immediately;
+		// the kind tie-break keeps it after the admit.
+		ev = append(ev, Event{T: t, Kind: KindUpdate, Flow: id, Rate: rate})
+	}
+	if cfg.Renegotiate {
+		// Renegotiated-CBR dynamics: the flow redraws its rate at every
+		// segment boundary until it departs. Updates carry the true rate
+		// — renegotiation models the measured path, not the declaration.
+		for ts := t + seg.Duration; ts < t+hold; {
+			seg = src.Next()
+			ev = append(ev, Event{T: ts, Kind: KindUpdate, Flow: id, Rate: seg.Rate})
+			if !(seg.Duration > 0) {
+				break // a non-advancing source cannot renegotiate further
+			}
+			ts += seg.Duration
+		}
+	}
+	if !leak {
+		ev = append(ev, Event{T: t + hold, Kind: KindDepart, Flow: id})
+	}
+	w.ev = ev
+}
+
+// parallel calls fn(w, i) for every i in [0, n) on workers goroutines,
+// which claim indices in turn; w is the calling worker's index. One worker
+// runs inline.
+func parallel(workers, n int, fn func(w, i int)) {
+	if workers <= 1 {
+		for i := range n {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func(w int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(w, i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
 }
 
 // Stats counts replay outcomes. NotActive counts departs that raced a

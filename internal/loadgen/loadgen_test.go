@@ -471,6 +471,44 @@ func TestScheduleNewKnobs(t *testing.T) {
 	})
 }
 
+// TestScheduleRejectsNonFinite: a NaN or infinite rate, holding time,
+// duration, svr or tc is an error, returned promptly. Unchecked, +Inf
+// lambda makes every interarrival 0 and the arrival walk never ends, and
+// the others put NaN into the schedule's times or rates. Each field is
+// tried with and without an explicit Model, so svr and tc are rejected
+// even where they are not required.
+func TestScheduleRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Config, float64){
+		"lambda":   func(c *Config, v float64) { c.Lambda = v },
+		"hold":     func(c *Config, v float64) { c.Hold = v },
+		"duration": func(c *Config, v float64) { c.Duration = v },
+		"svr":      func(c *Config, v float64) { c.SVR = v },
+		"tc":       func(c *Config, v float64) { c.TC = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, model := range []traffic.Model{nil, traffic.NewRCBR(1, 0.3, 1)} {
+				cfg := testConfig()
+				cfg.Renegotiate, cfg.Model = true, model
+				set(&cfg, v)
+				done := make(chan error, 1)
+				go func() {
+					_, err := Schedule(cfg)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err == nil {
+						t.Errorf("%s = %g (model %v): accepted", name, v, model)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s = %g (model %v): Schedule did not return", name, v, model)
+				}
+			}
+		}
+	}
+}
+
 // TestReplayUpdates checks that KindUpdate events reach the substrate and
 // that the gateway sees the corrected (actual) rate after a lying admit.
 func TestReplayUpdates(t *testing.T) {
@@ -667,11 +705,10 @@ func TestImpulsiveFillRedraw(t *testing.T) {
 	}
 }
 
-// TestScheduleSizesFromModel: a renegotiating schedule reserves its length
-// from the mean segment of the model it draws, so given that model as
-// Model it grows its slice no more often than given the same RCBR by TC.
-// (With the guess read from TC alone, the Model form reserved two events a
-// flow and grew its way up: 24 allocations against 6 at this shape.)
+// TestScheduleSizesFromModel: a schedule's list is allocated once, at the
+// length its count pass found, whatever model draws its segments — an RCBR
+// given by TC or as Model, an on-off source whose correlation time (0.099
+// here) is not its mean segment (5.05), and a shift between two RCBRs.
 func TestScheduleSizesFromModel(t *testing.T) {
 	byTC := Config{Seed: 5, Lambda: 1, Hold: 150, SVR: 0.3, TC: 1.25, Duration: 1000, Renegotiate: true}
 	byModel := byTC
@@ -687,23 +724,17 @@ func TestScheduleSizesFromModel(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("the same RCBR given as Model and by TC made different schedules")
 	}
-	allocs := func(cfg Config) float64 {
-		return testing.AllocsPerRun(3, func() { _, _ = Schedule(cfg) })
-	}
-	if m, tc := allocs(byModel), allocs(byTC); m > tc {
-		t.Fatalf("Schedule allocates %g times given Model, %g given TC", m, tc)
-	}
-
-	// An on-off source's correlation time (0.099 here) is not its mean
-	// segment (5.05): sized from it, the list would reserve about 51 times
-	// the events it holds. It grows by append instead.
 	onOff := byModel
 	onOff.Model = traffic.OnOff{PeakRate: 1, OnTime: 0.1, OffTime: 10}
-	ev, err := Schedule(onOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(ev) > 2*len(ev) {
-		t.Fatalf("on-off schedule reserved %d events for %d", cap(ev), len(ev))
+	shift := byTC
+	shift.ShiftAt, shift.ShiftModel = 400, traffic.NewRCBR(1, 0.3, 0.25)
+	for name, cfg := range map[string]Config{"rcbr-by-tc": byTC, "rcbr-model": byModel, "on-off": onOff, "shift": shift} {
+		ev, err := Schedule(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ev) == 0 || cap(ev) != len(ev) {
+			t.Errorf("%s: %d events in a list of capacity %d", name, len(ev), cap(ev))
+		}
 	}
 }

@@ -45,6 +45,8 @@ const (
 // longer than sortRun is sorted the same way over its own range, at most
 // depth passes deep. Short runs are insertion-sorted; runs whose times are
 // all equal, or that reach the depth cap, are sorted by compareEvents.
+// Schedule calls it on one time bucket at a time, so the cycles it walks
+// stay within a run that fits in cache.
 //
 // A monotone map puts equal times in one bucket and every bucket's times
 // below the next bucket's, so the buckets concatenate to exactly the list
@@ -106,7 +108,8 @@ func sortByTime(ev []Event, depth int) {
 // fanOut is the bucket count for a run of n events: the power of two at
 // or above n/16, capped at maxFanOut, so a pass leaves runs of about 16
 // (until n passes 16 k) and a short run walks no more buckets than it
-// fills.
+// fills. Schedule sizes its top-level buckets as fanOut(2·flows), two
+// events a flow, before it knows the events.
 func fanOut(n int) int {
 	return min(maxFanOut, max(2, 1<<bits.Len(uint((n+15)/16-1))))
 }
@@ -114,8 +117,8 @@ func fanOut(n int) int {
 // insertionSort orders a short run by compareEvents. It is kept over
 // slices.SortFunc for the runs most buckets leave, where a comparator
 // called through a func value costs more than the sort: on a 2-core x86
-// box BenchmarkSchedule reads 142–165 against 150–169 ns/event at the
-// churn shape and 67–83 against 74–85 at the flash-crowd shape (six
+// box BenchmarkSchedule reads 188–244 against 227–263 ns/event at the
+// churn shape and 114–158 against 151–171 at the flash-crowd shape (six
 // alternating rounds, -cpu 1).
 func insertionSort(ev []Event) {
 	for i := 1; i < len(ev); i++ {
