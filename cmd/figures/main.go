@@ -1,6 +1,6 @@
-// Command figures regenerates the paper's evaluation artifacts: the
-// quantitative claims of Section 3 (prop31, prop33, finite), Figures 5-12,
-// and the utilization/limit/regime/ablation studies listed in DESIGN.md.
+// Command figures regenerates the paper's evaluation artifacts: the eq. 21
+// profile of Section 3 (finite), Figures 5-12, and the
+// utilization/limit/regime/ablation studies listed in DESIGN.md.
 //
 // Usage:
 //

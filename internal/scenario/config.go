@@ -14,6 +14,7 @@ import (
 	"repro/internal/fault"
 	gw "repro/internal/gateway"
 	"repro/internal/qos"
+	"repro/internal/theory"
 )
 
 // Config is one declarative scenario: the workload, the target substrate,
@@ -58,16 +59,19 @@ type Config struct {
 // Workload describes the offered load.
 type Workload struct {
 	// Kind selects the driver: "impulsive" (the Prop 3.3 fill-then-redraw
-	// steady state, one overflow indicator per replication) or "churn"
+	// steady state, one overflow indicator per replication), "churn"
 	// (loadgen arrivals/departures replayed through the gateway with
-	// measurement ticks).
+	// measurement ticks) or "continuous" (the paper's Section 4 model: one
+	// simulator run under an infinite backlog of flows, graded from its
+	// point samples).
 	Kind string `json:"kind"`
 
 	// Impulsive fields.
 	// Replications is the ensemble size per seed.
 	Replications int `json:"replications,omitempty"`
 
-	// Churn fields.
+	// Churn fields; continuous workloads take Hold and Duration (the
+	// measured budget after the warm-up) only.
 	Lambda   float64 `json:"lambda,omitempty"`   // flow arrival rate
 	Hold     float64 `json:"hold,omitempty"`     // mean holding time
 	Duration float64 `json:"duration,omitempty"` // schedule length, virtual time
@@ -216,6 +220,12 @@ type Arm struct {
 	Estimator string  `json:"estimator,omitempty"`
 	Memory    float64 `json:"memory,omitempty"`
 	Adaptive  *bool   `json:"adaptive,omitempty"`
+
+	// Plan derives a certainty-equivalent arm's target from the paper:
+	// "eq15" (impulsive) aims at p_ce = Q(sqrt2 alpha_q); "robust"
+	// (continuous) is Section 5.3's exponential memory T_m = T~h with p_ce
+	// inverted from eq. 37 (theory.PlanRobust).
+	Plan string `json:"plan,omitempty"`
 }
 
 // FaultWindow is the JSON form of fault.Window: a fault mode ("nan",
@@ -292,8 +302,9 @@ const (
 
 // Workload kinds.
 const (
-	WorkloadImpulsive = "impulsive"
-	WorkloadChurn     = "churn"
+	WorkloadImpulsive  = "impulsive"
+	WorkloadChurn      = "churn"
+	WorkloadContinuous = "continuous"
 )
 
 // The names a config spells as plain strings, one table per set.
@@ -301,7 +312,7 @@ const (
 // switches on the typed constant.
 var (
 	targetNames       = enum.New(0, 2, TargetInProcess, TargetNetwork)
-	workloadKindNames = enum.New(0, 2, WorkloadImpulsive, WorkloadChurn)
+	workloadKindNames = enum.New(0, 3, WorkloadImpulsive, WorkloadChurn, WorkloadContinuous)
 )
 
 // modelKind is the family of a ModelSpec.
@@ -329,6 +340,17 @@ const (
 )
 
 var referenceNames = enum.New(refSqrt2Law, referenceEnd, "sqrt2-law", "pq", "masking", "value")
+
+// plan is the paper's recipe an arm derives its targets from.
+type plan int
+
+const (
+	planEq15 plan = iota
+	planRobust
+	planEnd // sentinel: planNames names every constant above
+)
+
+var planNames = enum.New(planEq15, planEnd, "eq15", "robust")
 
 // finite rejects NaN and Inf with a positional error.
 func finite(path string, v float64) error {
@@ -411,6 +433,11 @@ func (c *Config) Validate() error {
 	if err := c.Workload.validate(); err != nil {
 		return err
 	}
+	if c.Workload.Kind == WorkloadContinuous {
+		if err := c.continuousFields(); err != nil {
+			return err
+		}
+	}
 	if c.Target == TargetNetwork && c.Workload.Kind != WorkloadChurn {
 		return fmt.Errorf("scenario: target: the network substrate requires a churn workload")
 	}
@@ -486,6 +513,29 @@ func (s *ClusterSpec) validate(c *Config) error {
 	return nil
 }
 
+// continuousFields rejects, by path, what a continuous cell would silently
+// ignore: it runs the simulator under an infinite backlog, not a gateway.
+// The target, cluster, fault and arm checks already require churn.
+func (c *Config) continuousFields() error {
+	w, g := &c.Workload, &c.Gateway
+	for _, f := range []struct {
+		path string
+		set  bool
+	}{
+		{"workload.replications", w.Replications != 0}, {"workload.lambda", w.Lambda != 0},
+		{"workload.tick", w.Tick != 0}, {"workload.arrival_cv", w.ArrivalCV != 0},
+		{"workload.crowd", w.Crowd != nil}, {"workload.clients", w.Clients != nil},
+		{"workload.shift", w.Shift != nil}, {"workload.renegotiate", w.Renegotiate},
+		{"gateway.adaptive", g.Adaptive}, {"gateway.flow_ttl", g.FlowTTL != 0},
+		{"gateway.stale_after", g.StaleAfter != 0},
+	} {
+		if f.set {
+			return fmt.Errorf("scenario: %s: not valid for a continuous workload", f.path)
+		}
+	}
+	return nil
+}
+
 func (w *Workload) validate() error {
 	if w.Kind == "" {
 		return fmt.Errorf("scenario: workload.kind is required (want %s)", workloadKindNames.List())
@@ -505,27 +555,17 @@ func (w *Workload) validate() error {
 			w.Model != nil || w.Crowd != nil || w.Clients != nil || w.Shift != nil || w.Renegotiate {
 			return fmt.Errorf("scenario: workload: churn fields (lambda/hold/duration/tick/arrival_cv/tc/model/crowd/clients/shift/renegotiate) are not valid for an impulsive workload")
 		}
-	case WorkloadChurn:
-		if err := positive("workload.lambda", w.Lambda); err != nil {
-			return err
+	case WorkloadChurn, WorkloadContinuous:
+		if w.Kind == WorkloadChurn {
+			if err := positive("workload.lambda", w.Lambda); err != nil {
+				return err
+			}
 		}
 		if err := positive("workload.hold", w.Hold); err != nil {
 			return err
 		}
 		if err := positive("workload.duration", w.Duration); err != nil {
 			return err
-		}
-		if w.Tick == 0 {
-			w.Tick = 0.5
-		}
-		if err := positive("workload.tick", w.Tick); err != nil {
-			return err
-		}
-		if err := finite("workload.arrival_cv", w.ArrivalCV); err != nil {
-			return err
-		}
-		if w.ArrivalCV < 0 {
-			return fmt.Errorf("scenario: workload.arrival_cv: %g must be non-negative", w.ArrivalCV)
 		}
 		if w.Model != nil {
 			if err := w.Model.validate("workload.model", false); err != nil {
@@ -544,6 +584,21 @@ func (w *Workload) validate() error {
 			if err := positive("workload.tc", w.TC); err != nil {
 				return err
 			}
+		}
+		if w.Kind == WorkloadContinuous {
+			return nil // the churn-only fields are Config.continuousFields'
+		}
+		if w.Tick == 0 {
+			w.Tick = 0.5
+		}
+		if err := positive("workload.tick", w.Tick); err != nil {
+			return err
+		}
+		if err := finite("workload.arrival_cv", w.ArrivalCV); err != nil {
+			return err
+		}
+		if w.ArrivalCV < 0 {
+			return fmt.Errorf("scenario: workload.arrival_cv: %g must be non-negative", w.ArrivalCV)
 		}
 		if w.Crowd != nil {
 			if err := finite("workload.crowd.factor", w.Crowd.Factor); err != nil {
@@ -748,8 +803,9 @@ type armSpec struct {
 	Arm
 	policy    core.Policy
 	degraded  gw.DegradedPolicy
-	gateway   Gateway                 // effectiveGateway(Arm)
+	gateway   Gateway                 // effectiveGateway(Arm), or the robust plan's estimator
 	mode      estimator.Mode          // of gateway.Estimator
+	target    float64                 // the controller's target: gateway.PQ, or the plan's p_ce
 	faults    []fault.Window          // Config.Faults
 	placement cluster.PlacementPolicy // Config.Cluster.Policy
 }
@@ -792,8 +848,17 @@ func (c *Config) resolve(path string, arm Arm) (armSpec, error) {
 		}
 	}
 	if arm.Degraded != "" { // default: the zero value, freeze
+		if c.Workload.Kind == WorkloadContinuous {
+			return a, fmt.Errorf("scenario: %s.degraded: not valid for a continuous workload", path)
+		}
 		if a.degraded, err = gw.ParseDegradedPolicy(arm.Degraded); err != nil {
 			return a, fmt.Errorf("scenario: %s.degraded: %w", path, err)
+		}
+	}
+	a.target = a.gateway.PQ
+	if arm.Plan != "" {
+		if err := c.resolvePlan(path, &a); err != nil {
+			return a, err
 		}
 	}
 	// The arm's effective measurement spec must stand on its own:
@@ -801,6 +866,11 @@ func (c *Config) resolve(path string, arm Arm) (armSpec, error) {
 	// inherited window estimator is checked against window's rules.
 	if a.mode, err = validateEstimatorSpec(path, a.gateway.Estimator, a.gateway.Memory); err != nil {
 		return a, err
+	}
+	// A continuous cell has no tick to size the aggregate estimator's
+	// variance memory from.
+	if a.mode == estimator.ModeAggregate && c.Workload.Kind == WorkloadContinuous && a.gateway.Memory == 0 {
+		return a, fmt.Errorf("scenario: %s.memory: the aggregate estimator needs a positive memory on a continuous workload", path)
 	}
 	if a.gateway.Adaptive {
 		if c.Workload.Kind != WorkloadChurn {
@@ -834,6 +904,50 @@ func (c *Config) resolve(path string, arm Arm) (armSpec, error) {
 	return a, nil
 }
 
+// resolvePlan derives the arm's controller target — and, for the robust
+// recipe, its estimator — from the paper's formulas.
+func (c *Config) resolvePlan(path string, a *armSpec) error {
+	p, err := planNames.Parse("scenario: "+path+".plan: unknown plan", a.Plan)
+	if err != nil {
+		return err
+	}
+	if a.policy != core.PolicyCertaintyEquivalent {
+		return fmt.Errorf("scenario: %s.plan: only the %s policy takes a plan, not %s", path, core.PolicyCertaintyEquivalent, a.policy)
+	}
+	switch p {
+	case planEq15:
+		if c.Workload.Kind != WorkloadImpulsive {
+			return fmt.Errorf("scenario: %s.plan: eq15 requires an impulsive workload", path)
+		}
+		a.target = theory.ImpulsiveAdjustedTarget(a.gateway.PQ)
+	case planRobust:
+		if c.Workload.Kind != WorkloadContinuous {
+			return fmt.Errorf("scenario: %s.plan: robust requires a continuous workload", path)
+		}
+		if a.Estimator != "" || a.Memory != 0 {
+			return fmt.Errorf("scenario: %s.plan: robust sets the estimator and its memory; the arm may not", path)
+		}
+		m, err := buildModel(&c.Workload)
+		if err != nil {
+			return err
+		}
+		ts := m.Stats()
+		sys := theory.System{Capacity: c.Gateway.Capacity, Mu: ts.Mean, Sigma: ts.StdDev(), Th: c.Workload.Hold, Tc: ts.CorrTime}
+		rp, err := theory.PlanRobust(sys, a.gateway.PQ, theory.InvertIntegral)
+		if err != nil {
+			return fmt.Errorf("scenario: %s.plan: %w", path, err)
+		}
+		a.target = rp.AdjustedPce
+		a.gateway.Estimator, a.gateway.Memory = estimator.ModeExponential.String(), rp.MemoryTm
+	}
+	return nil
+}
+
+// continuousMetric reports whether a continuous cell produces m: the
+// simulator counts admissions and carried load, and nothing else a metric
+// names.
+func continuousMetric(m Metric) bool { return m == MetricAdmitted || m == MetricUtilization }
+
 func (h *Hypothesis) validate(c *Config) error {
 	variants := 0
 	for _, set := range []bool{h.Dominance != nil, h.Interval != nil, h.Invariant != nil} {
@@ -861,6 +975,9 @@ func (h *Hypothesis) validate(c *Config) error {
 		}
 		if d.A == d.B {
 			return fmt.Errorf("scenario: check.dominance: arms a and b must differ")
+		}
+		if c.Workload.Kind == WorkloadContinuous && !continuousMetric(d.Metric) {
+			return fmt.Errorf("scenario: check.dominance.metric: a continuous workload does not produce %s", d.Metric)
 		}
 		if d.MinRatio == 0 {
 			d.MinRatio = 1
@@ -933,6 +1050,9 @@ func (h *Hypothesis) validate(c *Config) error {
 			if k == InvMigratedFlows && c.Cluster == nil {
 				return fmt.Errorf("scenario: check.invariant.checks[%d]: migrated-flows requires a cluster topology", i)
 			}
+			if k != InvLifecycle && c.Workload.Kind == WorkloadContinuous {
+				return fmt.Errorf("scenario: check.invariant.checks[%d]: a continuous workload does not produce %s", i, k)
+			}
 		}
 		for i, b := range inv.Bounds {
 			if !metricNames.Valid(b.Metric) {
@@ -943,6 +1063,9 @@ func (h *Hypothesis) validate(c *Config) error {
 			}
 			if (b.Metric == MetricServedP50 || b.Metric == MetricServedP99) && c.Target != TargetNetwork {
 				return fmt.Errorf("scenario: check.invariant.bounds[%d].metric: %s requires the network target", i, b.Metric)
+			}
+			if c.Workload.Kind == WorkloadContinuous && !continuousMetric(b.Metric) {
+				return fmt.Errorf("scenario: check.invariant.bounds[%d].metric: a continuous workload does not produce %s", i, b.Metric)
 			}
 		}
 	default:

@@ -8,6 +8,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/estimator"
+	"repro/internal/theory"
+	"repro/internal/traffic"
 )
 
 // minimal returns a valid churn scenario that individual cases then break.
@@ -21,7 +25,35 @@ func minimal() string {
 	}`
 }
 
+// impulsive returns a valid impulsive scenario that individual cases then
+// break.
+func impulsive() string {
+	return `{
+		"name": "t", "seeds": [1],
+		"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3},
+		"gateway": {"capacity": 10, "pq": 0.01},
+		"arms": [{"name": "a", "policy": "certainty-equivalent"}],
+		"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
+	}`
+}
+
+// continuous returns a valid continuous-load scenario that individual
+// cases then break.
+func continuous() string {
+	return `{
+		"name": "t", "seeds": [1],
+		"workload": {"kind": "continuous", "hold": 300, "duration": 600, "svr": 0.3},
+		"gateway": {"capacity": 100, "pq": 0.01},
+		"arms": [{"name": "a", "policy": "certainty-equivalent"}],
+		"check": {"kind": "interval", "interval": {"reference": "pq", "mode": "at-most"}}
+	}`
+}
+
 func TestParseRejections(t *testing.T) {
+	imp := func(old, new string) string { return strings.Replace(impulsive(), old, new, 1) }
+	cont := func(old, new string) string { return strings.Replace(continuous(), old, new, 1) }
+	const lifecycle = `"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}`
+	const interval = `"check": {"kind": "interval", "interval": {"reference": "pq", "mode": "at-most"}}`
 	cases := []struct {
 		name string
 		json string
@@ -46,51 +78,16 @@ func TestParseRejections(t *testing.T) {
 				{"weight": 1, "model": {"kind": "rcbr", "svr": 0.3}}
 			]}`, 1),
 			`arms[0].peak is required: the workload's model declares no finite peak`},
-		{"peak-rate-on-impulsive", `{
-			"name": "t", "seeds": [1],
-			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3},
-			"gateway": {"capacity": 10, "pq": 0.01},
-			"arms": [{"name": "a", "policy": "certainty-equivalent"}, {"name": "b", "policy": "peak-rate"}],
-			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
-		}`, `arms[1].peak is required: the workload's model declares no finite peak`},
+		{"peak-rate-on-impulsive", imp(`"policy": "certainty-equivalent"}]`, `"policy": "certainty-equivalent"}, {"name": "b", "policy": "peak-rate"}]`),
+			`arms[1].peak is required: the workload's model declares no finite peak`},
 		{"unknown-estimator", strings.Replace(minimal(), `"pq": 0.01`, `"pq": 0.01, "estimator": "psychic"`, 1), `gateway.estimator: estimator: unknown mode "psychic"`},
 		{"unknown-verdict", strings.Replace(minimal(), `"name": "t"`, `"name": "t", "expect": "Shrug"`, 1), `"Shrug"`},
 		{"unknown-fault-mode", strings.Replace(minimal(), `"seeds": [1]`, `"seeds": [1], "faults": [{"mode": "gremlins", "from": 1, "to": 2}]`, 1), "faults[0]"},
-		{"impulsive-with-churn-fields", `{
-			"name": "t", "seeds": [1],
-			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3, "lambda": 1},
-			"gateway": {"capacity": 10, "pq": 0.01},
-			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
-			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
-		}`, "churn fields"},
-		{"impulsive-with-tc", `{
-			"name": "t", "seeds": [1],
-			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3, "tc": 2},
-			"gateway": {"capacity": 10, "pq": 0.01},
-			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
-			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
-		}`, "churn fields"},
-		{"impulsive-with-tick", `{
-			"name": "t", "seeds": [1],
-			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3, "tick": 0.5},
-			"gateway": {"capacity": 10, "pq": 0.01},
-			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
-			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
-		}`, "churn fields"},
-		{"impulsive-with-arrival-cv", `{
-			"name": "t", "seeds": [1],
-			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3, "arrival_cv": 1.5},
-			"gateway": {"capacity": 10, "pq": 0.01},
-			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
-			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
-		}`, "churn fields"},
-		{"network-needs-churn", `{
-			"name": "t", "seeds": [1], "target": "network",
-			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3},
-			"gateway": {"capacity": 10, "pq": 0.01},
-			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
-			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
-		}`, "network substrate requires a churn workload"},
+		{"impulsive-with-churn-fields", imp(`"svr": 0.3`, `"svr": 0.3, "lambda": 1`), "churn fields"},
+		{"impulsive-with-tc", imp(`"svr": 0.3`, `"svr": 0.3, "tc": 2`), "churn fields"},
+		{"impulsive-with-tick", imp(`"svr": 0.3`, `"svr": 0.3, "tick": 0.5`), "churn fields"},
+		{"impulsive-with-arrival-cv", imp(`"svr": 0.3`, `"svr": 0.3, "arrival_cv": 1.5`), "churn fields"},
+		{"network-needs-churn", imp(`"seeds": [1]`, `"seeds": [1], "target": "network"`), "network substrate requires a churn workload"},
 		{"two-hypotheses", strings.Replace(minimal(),
 			`"check": {"kind": "interval", "interval": {"reference": "pq", "mode": "at-most"}}`,
 			`"check": {"kind": "interval", "interval": {"reference": "pq", "mode": "at-most"}, "invariant": {"checks": ["lifecycle"]}}`, 1),
@@ -154,13 +151,7 @@ func TestParseRejections(t *testing.T) {
 		{"adaptive-needs-retunable", strings.Replace(minimal(),
 			`"pq": 0.01`, `"pq": 0.01, "adaptive": true`, 1),
 			`adaptive measurement requires a retunable estimator (exponential, window or aggregate), not "memoryless"`},
-		{"adaptive-needs-churn", `{
-			"name": "t", "seeds": [1],
-			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3},
-			"gateway": {"capacity": 10, "pq": 0.01, "estimator": "aggregate", "adaptive": true},
-			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
-			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
-		}`, "adaptive measurement requires a churn workload"},
+		{"adaptive-needs-churn", imp(`"pq": 0.01`, `"pq": 0.01, "estimator": "aggregate", "adaptive": true`), "adaptive measurement requires a churn workload"},
 		{"arm-unknown-estimator", strings.Replace(minimal(),
 			`"policy": "certainty-equivalent"`,
 			`"policy": "certainty-equivalent", "estimator": "psychic"`, 1),
@@ -170,7 +161,7 @@ func TestParseRejections(t *testing.T) {
 			`"policy": "certainty-equivalent", "degraded": "panic"`, 1),
 			`arms[0].degraded: gateway: unknown degraded policy "panic" (want freeze, peak-rate or reject-all)`},
 		{"unknown-workload-kind", strings.Replace(minimal(), `"kind": "churn"`, `"kind": "trickle"`, 1),
-			`workload.kind: unknown kind "trickle" (want impulsive or churn)`},
+			`workload.kind: unknown kind "trickle" (want impulsive, churn or continuous)`},
 		{"unknown-reference", strings.Replace(minimal(), `"reference": "pq"`, `"reference": "vibes"`, 1),
 			`check.interval.reference: unknown reference "vibes" (want sqrt2-law, pq, masking or value)`},
 		{"arm-memory-on-memoryless", strings.Replace(minimal(),
@@ -185,21 +176,9 @@ func TestParseRejections(t *testing.T) {
 			`"svr": 0.3`,
 			`"svr": 0.3, "shift": {"at": 5, "model": {"kind": "tarot"}}`, 1),
 			`workload.shift.model.kind: unknown model "tarot" (want rcbr, onoff, constant or mixture)`},
-		{"impulsive-with-shift", `{
-			"name": "t", "seeds": [1],
-			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3,
-				"shift": {"at": 5, "model": {"kind": "constant", "rate": 1}}},
-			"gateway": {"capacity": 10, "pq": 0.01},
-			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
-			"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle"]}}
-		}`, "churn fields"},
-		{"masking-needs-churn", `{
-			"name": "t", "seeds": [1],
-			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3},
-			"gateway": {"capacity": 10, "pq": 0.01},
-			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
-			"check": {"kind": "interval", "interval": {"reference": "masking", "mode": "covers"}}
-		}`, "masking reference requires a churn workload"},
+		{"impulsive-with-shift", imp(`"svr": 0.3`, `"svr": 0.3, "shift": {"at": 5, "model": {"kind": "constant", "rate": 1}}`), "churn fields"},
+		{"masking-needs-churn", imp(lifecycle, `"check": {"kind": "interval", "interval": {"reference": "masking", "mode": "covers"}}`),
+			"masking reference requires a churn workload"},
 		{"masking-with-value", strings.Replace(minimal(),
 			`{"reference": "pq", "mode": "at-most"}`,
 			`{"reference": "masking", "mode": "covers", "value": 0.5}`, 1),
@@ -212,19 +191,64 @@ func TestParseRejections(t *testing.T) {
 			`{"reference": "pq", "mode": "at-most"}`,
 			`{"reference": "pq", "mode": "at-most", "grade_after": -1}`, 1),
 			"check.interval.grade_after"},
-		{"grade-after-needs-churn", `{
-			"name": "t", "seeds": [1],
-			"workload": {"kind": "impulsive", "replications": 10, "svr": 0.3},
-			"gateway": {"capacity": 10, "pq": 0.01},
-			"arms": [{"name": "a", "policy": "certainty-equivalent"}],
-			"check": {"kind": "interval", "interval": {"reference": "pq", "mode": "at-most", "grade_after": 5}}
-		}`, "grade_after: requires a churn workload"},
+		{"grade-after-needs-churn", imp(lifecycle, `"check": {"kind": "interval", "interval": {"reference": "pq", "mode": "at-most", "grade_after": 5}}`),
+			"grade_after: requires a churn workload"},
 		{"dominance-unknown-arm", strings.Replace(strings.Replace(minimal(),
 			`"arms": [{"name": "a", "policy": "certainty-equivalent"}]`,
 			`"arms": [{"name": "a", "policy": "certainty-equivalent"}, {"name": "b", "policy": "peak-rate", "peak": 2}]`, 1),
 			`"check": {"kind": "interval", "interval": {"reference": "pq", "mode": "at-most"}}`,
 			`"check": {"kind": "dominance", "dominance": {"metric": "admitted", "a": "a", "b": "ghost", "relation": "greater"}}`, 1),
 			`dominance.b: unknown arm "ghost"`},
+
+		{"continuous-needs-hold", cont(`"hold": 300`, `"hold": 0`), "workload.hold: 0 must be positive"},
+		{"continuous-on-network", cont(`"seeds": [1]`, `"seeds": [1], "target": "network"`), "target: the network substrate requires a churn workload"},
+		{"continuous-with-cluster", cont(`"pq": 0.01}`, `"pq": 0.01}, "cluster": {"instances": 3}`), "cluster: a cluster topology requires a churn workload"},
+		{"continuous-with-faults", cont(`"seeds": [1]`, `"seeds": [1], "faults": [{"mode": "nan", "from": 1, "to": 2}]`), "faults: fault windows require a churn workload"},
+		{"continuous-arm-adaptive", cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "estimator": "window", "memory": 5, "adaptive": true`),
+			"arms[0]: adaptive measurement requires a churn workload"},
+		{"continuous-arm-degraded", cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "degraded": "reject-all"`),
+			"arms[0].degraded: not valid for a continuous workload"},
+		{"continuous-aggregate-needs-memory", cont(`"pq": 0.01`, `"pq": 0.01, "estimator": "aggregate"`),
+			"arms[0].memory: the aggregate estimator needs a positive memory on a continuous workload"},
+		{"continuous-rejected-flows", cont(interval, `"check": {"kind": "invariant", "invariant": {"checks": ["lifecycle", "rejected-flows"]}}`),
+			"check.invariant.checks[1]: a continuous workload does not produce rejected-flows"},
+		{"continuous-expired-flows", cont(interval, `"check": {"kind": "invariant", "invariant": {"checks": ["expired-flows"]}}`),
+			"check.invariant.checks[0]: a continuous workload does not produce expired-flows"},
+		{"continuous-bound-metric", cont(interval, `"check": {"kind": "invariant", "invariant": {"bounds": [{"metric": "admitted", "at_most": 1e9}, {"metric": "degraded-ticks", "at_most": 1}]}}`),
+			"check.invariant.bounds[1].metric: a continuous workload does not produce degraded-ticks"},
+		{"continuous-dominance-metric", strings.Replace(cont(interval, `"check": {"kind": "dominance", "dominance": {"metric": "rejected", "a": "a", "b": "b", "relation": "greater"}}`),
+			`"policy": "certainty-equivalent"}`, `"policy": "certainty-equivalent"}, {"name": "b", "policy": "perfect-knowledge"}`, 1),
+			"check.dominance.metric: a continuous workload does not produce rejected"},
+		{"continuous-masking", cont(`"reference": "pq"`, `"reference": "masking"`), "masking reference requires a churn workload"},
+		{"continuous-grade-after", cont(`"mode": "at-most"`, `"mode": "at-most", "grade_after": 5`), "grade_after: requires a churn workload"},
+		{"plan-unknown", cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "plan": "hope"`), `arms[0].plan: unknown plan "hope" (want eq15 or robust)`},
+		{"plan-eq15-off-impulsive", strings.Replace(minimal(), `"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "plan": "eq15"`, 1),
+			"arms[0].plan: eq15 requires an impulsive workload"},
+		{"plan-robust-off-continuous", strings.Replace(minimal(), `"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "plan": "robust"`, 1),
+			"arms[0].plan: robust requires a continuous workload"},
+		{"plan-on-perfect-knowledge", cont(`"policy": "certainty-equivalent"`, `"policy": "perfect-knowledge", "plan": "robust"`),
+			"arms[0].plan: only the certainty-equivalent policy takes a plan, not perfect-knowledge"},
+		{"plan-robust-with-estimator", cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "plan": "robust", "estimator": "window", "memory": 30`),
+			"arms[0].plan: robust sets the estimator and its memory"},
+		{"plan-robust-with-memory", strings.Replace(cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "plan": "robust", "memory": 30`),
+			`"pq": 0.01`, `"pq": 0.01, "estimator": "exponential", "memory": 10`, 1),
+			"arms[0].plan: robust sets the estimator and its memory"},
+	}
+	// Every field a continuous cell would silently ignore is refused by path.
+	for _, f := range []struct{ path, field string }{
+		{"workload.replications", `"replications": 10`}, {"workload.lambda", `"lambda": 1`},
+		{"workload.tick", `"tick": 0.5`}, {"workload.arrival_cv", `"arrival_cv": 2`},
+		{"workload.crowd", `"crowd": {"factor": 2, "from": 1, "to": 2}`}, {"workload.clients", `"clients": {"leak_p": 0.1}`},
+		{"workload.shift", `"shift": {"at": 5, "model": {"kind": "constant", "rate": 1}}`}, {"workload.renegotiate", `"renegotiate": true`},
+		{"gateway.adaptive", `"estimator": "window", "memory": 5, "adaptive": true`}, {"gateway.flow_ttl", `"flow_ttl": 5`},
+		{"gateway.stale_after", `"stale_after": 3`},
+	} {
+		at := `"hold": 300`
+		if strings.HasPrefix(f.path, "gateway.") {
+			at = `"pq": 0.01`
+		}
+		cases = append(cases, struct{ name, json, want string }{"continuous-" + f.path,
+			cont(at, at+", "+f.field), f.path + ": not valid for a continuous workload"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -236,6 +260,39 @@ func TestParseRejections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestPlanTargets pins what a plan resolves to against the theory
+// functions it names, bit for bit: eq15 is the impulsive adjustment of
+// eq. 15, robust is theory.PlanRobust's p_ce and memory T_m on an
+// exponential estimator.
+func TestPlanTargets(t *testing.T) {
+	load := func(name string) armSpec {
+		t.Helper()
+		cfg, err := Load(filepath.Join("..", "..", "scenarios", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := cfg.resolve("arms[0]", cfg.Arms[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	eq15 := load("sqrt2-law-adjusted-pq1e-2")
+	if want := theory.ImpulsiveAdjustedTarget(0.01); eq15.target != want || eq15.mode != estimator.ModeMemoryless {
+		t.Errorf("eq15 resolved p_ce %v (%s), want %v (memoryless)", eq15.target, eq15.mode, want)
+	}
+	robust := load("robust-recipe")
+	ts := traffic.NewRCBR(1, 0.3, 1).Stats()
+	want, err := theory.PlanRobust(theory.System{Capacity: 100, Mu: ts.Mean, Sigma: ts.StdDev(), Th: 300, Tc: 1}, 0.01, theory.InvertIntegral)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if robust.target != want.AdjustedPce || robust.gateway.Memory != want.MemoryTm || robust.mode != estimator.ModeExponential {
+		t.Errorf("robust resolved p_ce %v, T_m %v (%s), want %v, %v (exponential)",
+			robust.target, robust.gateway.Memory, robust.mode, want.AdjustedPce, want.MemoryTm)
 	}
 }
 

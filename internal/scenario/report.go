@@ -75,11 +75,7 @@ func (r *Result) writeDesign(b *strings.Builder) {
 			fmt.Fprintf(b, ", Gamma arrivals CV %g", w.ArrivalCV)
 		}
 		b.WriteString("\n")
-		if w.Model != nil {
-			fmt.Fprintf(b, "- **Flow model**: %s\n", modelLine(w.Model))
-		} else {
-			fmt.Fprintf(b, "- **Flow model**: RCBR(mu 1, SVR %g, Tc %g)\n", w.SVR, w.TC)
-		}
+		writeFlowModel(b, w)
 		if w.Crowd != nil {
 			fmt.Fprintf(b, "- **Flash crowd**: %gx arrivals over [%g, %g)\n", w.Crowd.Factor, w.Crowd.From, w.Crowd.To)
 		}
@@ -92,6 +88,10 @@ func (r *Result) writeDesign(b *strings.Builder) {
 		if w.Shift != nil {
 			fmt.Fprintf(b, "- **Model shift**: flows arriving from t=%g draw from %s\n", w.Shift.At, modelLine(&w.Shift.Model))
 		}
+	case WorkloadContinuous:
+		fmt.Fprintf(b, "- **Workload**: continuous (Section 4 infinite backlog), mean hold %g, %g time units measured after the sim.Warmup warm-up, stopping rule off, p_f from point samples\n",
+			w.Hold, w.Duration)
+		writeFlowModel(b, w)
 	}
 	g := cfg.Gateway
 	fmt.Fprintf(b, "- **Gateway**: capacity %g, target p_q %g, estimator %s", g.Capacity, g.PQ, g.Estimator)
@@ -151,6 +151,14 @@ func (r *Result) writeDesign(b *strings.Builder) {
 		if a.Adaptive != nil {
 			fmt.Fprintf(b, ", adaptive %t", *a.Adaptive)
 		}
+		if a.Plan != "" {
+			spec, _ := cfg.resolve("", a) // validated by Run
+			fmt.Fprintf(b, ", plan %s (p_ce %.4g", a.Plan, spec.target)
+			if a.Plan == planNames.String(planRobust) {
+				fmt.Fprintf(b, ", estimator %s, memory %.4g", spec.gateway.Estimator, spec.gateway.Memory)
+			}
+			b.WriteString(")")
+		}
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(b, "- **Controlled**: identical schedules, gateway configuration and PCG substreams across arms; seeds %s\n", seedList(cfg.Seeds))
@@ -162,6 +170,14 @@ func (r *Result) writeDesign(b *strings.Builder) {
 		fmt.Fprintf(b, "; graded from t=%g (transient excluded)", iv.GradeAfter)
 	}
 	b.WriteString("\n\n")
+}
+
+func writeFlowModel(b *strings.Builder, w Workload) {
+	if w.Model != nil {
+		fmt.Fprintf(b, "- **Flow model**: %s\n", modelLine(w.Model))
+	} else {
+		fmt.Fprintf(b, "- **Flow model**: RCBR(mu 1, SVR %g, Tc %g)\n", w.SVR, w.TC)
+	}
 }
 
 func modelLine(m *ModelSpec) string {

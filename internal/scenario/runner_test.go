@@ -5,7 +5,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/theory"
 )
 
 // TestRunParallelMatchesSequential pins the parallel matrix schedule to its
@@ -13,54 +17,56 @@ import (
 // replication pool, but every cell is deterministic in (seed, arm) and
 // collected by matrix index, so the Result — cells, verdict, notes, and the
 // rendered reports — must be byte-identical to the plain seed-major,
-// arm-minor loop Run replaced.
+// arm-minor loop Run replaced, at GOMAXPROCS 1 and 2. It holds a churn
+// scenario and a continuous one (one simulator run per cell).
 func TestRunParallelMatchesSequential(t *testing.T) {
-	cfg, err := Load(filepath.Join("..", "..", "scenarios", "flash-crowd.json"))
+	flash, err := Load(filepath.Join("..", "..", "scenarios", "flash-crowd.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	par, err := Run(context.Background(), cfg)
+	cont, err := Parse([]byte(strings.Replace(strings.Replace(continuous(), `"seeds": [1]`, `"seeds": [1, 2]`, 1),
+		`"policy": "certainty-equivalent"}`, `"policy": "certainty-equivalent"}, {"name": "r", "policy": "certainty-equivalent", "plan": "robust"}`, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The historical sequential runner, inlined.
-	seq := &Result{Config: cfg, Sqrt2Law: par.Sqrt2Law}
-	for _, seed := range cfg.Seeds {
-		for _, arm := range cfg.Arms {
-			cell, err := runCell(context.Background(), cfg, arm, seed)
-			if err != nil {
-				t.Fatalf("seed %d arm %q: %v", seed, arm.Name, err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, cfg := range []*Config{flash, cont} {
+		// The historical sequential runner, inlined.
+		seq := &Result{Config: cfg, Sqrt2Law: theory.ImpulsiveOverflow(cfg.Gateway.PQ)}
+		for _, seed := range cfg.Seeds {
+			for _, arm := range cfg.Arms {
+				cell, err := runCell(context.Background(), cfg, arm, seed)
+				if err != nil {
+					t.Fatalf("%s: seed %d arm %q: %v", cfg.Workload.Kind, seed, arm.Name, err)
+				}
+				seq.Cells = append(seq.Cells, cell)
 			}
-			seq.Cells = append(seq.Cells, cell)
 		}
-	}
-	grade(seq)
-
-	if len(par.Cells) != len(seq.Cells) {
-		t.Fatalf("cell count: parallel %d, sequential %d", len(par.Cells), len(seq.Cells))
-	}
-	for i := range seq.Cells {
-		if !reflect.DeepEqual(par.Cells[i], seq.Cells[i]) {
-			t.Errorf("cell %d (seed %d/%s) diverges:\nparallel:   %+v\nsequential: %+v",
-				i, seq.Cells[i].Seed, seq.Cells[i].Arm, par.Cells[i], seq.Cells[i])
+		grade(seq)
+		sj, err := seq.JSONVerdict()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if par.Verdict != seq.Verdict || !reflect.DeepEqual(par.Notes, seq.Notes) || par.Effect != seq.Effect {
-		t.Errorf("grading diverges: parallel (%s, %q), sequential (%s, %q)",
-			par.Verdict, par.Effect, seq.Verdict, seq.Effect)
-	}
-	if pm, sm := par.Markdown(), seq.Markdown(); pm != sm {
-		t.Error("markdown reports differ between parallel and sequential runs")
-	}
-	pj, err1 := par.JSONVerdict()
-	sj, err2 := seq.JSONVerdict()
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if string(pj) != string(sj) {
-		t.Error("JSON reports differ between parallel and sequential runs")
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			par, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(par.Cells, seq.Cells) {
+				t.Errorf("%s, GOMAXPROCS %d: cells diverge:\nparallel:   %+v\nsequential: %+v", cfg.Workload.Kind, procs, par.Cells, seq.Cells)
+			}
+			if par.Verdict != seq.Verdict || !reflect.DeepEqual(par.Notes, seq.Notes) || par.Effect != seq.Effect {
+				t.Errorf("%s, GOMAXPROCS %d: grading diverges: parallel (%s, %q), sequential (%s, %q)",
+					cfg.Workload.Kind, procs, par.Verdict, par.Effect, seq.Verdict, seq.Effect)
+			}
+			if par.Markdown() != seq.Markdown() {
+				t.Errorf("%s, GOMAXPROCS %d: markdown reports differ", cfg.Workload.Kind, procs)
+			}
+			if pj, err := par.JSONVerdict(); err != nil || string(pj) != string(sj) {
+				t.Errorf("%s, GOMAXPROCS %d: JSON reports differ (%v)", cfg.Workload.Kind, procs, err)
+			}
+		}
 	}
 }
 

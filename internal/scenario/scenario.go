@@ -10,7 +10,8 @@
 // shrug: every run grades to Confirmed, Refuted, or Inconclusive under
 // rules fixed by the config, so the built-in scenario suite under
 // scenarios/ doubles as an executable restatement of the paper's claims
-// (the sqrt2 law of Prop 3.3, certainty equivalence vs peak-rate
+// (the sqrt2 law of Prop 3.3 and its eq. 15 remedy, the continuous-load
+// claims of Sections 4 and 5.3, certainty equivalence vs peak-rate
 // provisioning, robustness of the serving layer under faults).
 package scenario
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"sync/atomic"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/estimator"
 	"repro/internal/fault"
 	gw "repro/internal/gateway"
 	"repro/internal/loadgen"
@@ -37,7 +39,9 @@ type CellResult struct {
 	// under its degraded policy; DegradedTicks counts ticks spent there.
 	StormAdmitted int64 `json:"storm_admitted"`
 	DegradedTicks int64 `json:"degraded_ticks"`
-	// UtilMean is the mean of AggregateRate/Capacity over ticks (churn).
+	// UtilMean is the mean of AggregateRate/Capacity over ticks (churn),
+	// the admitted share of the capacity (impulsive), or the time-averaged
+	// carried load over capacity (continuous).
 	UtilMean float64 `json:"util_mean"`
 
 	// ServedP50/ServedP99 are the serving layer's per-decision latency
@@ -142,6 +146,24 @@ func gradeAfter(cfg *Config) float64 {
 	return 0
 }
 
+// build returns the arm's controller, against the declared (model)
+// statistics ts, and its effective estimator; tick sizes the aggregate
+// estimator's default variance memory.
+func (arm armSpec) build(ts traffic.Stats, tick float64) (core.Controller, estimator.Estimator, error) {
+	ctrl, err := arm.policy.New(core.Declared{
+		Capacity: arm.gateway.Capacity, Mean: ts.Mean, Sigma: ts.StdDev(),
+		Peak: arm.Peak, Target: arm.target, Eta: arm.Eta,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	est, err := arm.mode.New(arm.gateway.Memory, tick, ts.Mean, ts.StdDev())
+	if err != nil {
+		return nil, nil, err
+	}
+	return ctrl, est, nil
+}
+
 // cellGatewayConfig builds the configuration of every gateway a scenario
 // runs, bare or fleet member: the arm's policy against the declared
 // (model) statistics ts, the arm's effective estimator (tick sizes the
@@ -152,14 +174,7 @@ func gradeAfter(cfg *Config) float64 {
 // traffic — returned so the caller can snapshot it after the replay.
 func cellGatewayConfig(cfg *Config, arm armSpec, ts traffic.Stats, tick float64, overflowWindow int) (gcfg gw.Config, tuner *adaptive.Controller, err error) {
 	spec := arm.gateway
-	ctrl, err := arm.policy.New(core.Declared{
-		Capacity: spec.Capacity, Mean: ts.Mean, Sigma: ts.StdDev(),
-		Peak: arm.Peak, Target: spec.PQ, Eta: arm.Eta,
-	})
-	if err != nil {
-		return gcfg, nil, err
-	}
-	est, err := arm.mode.New(spec.Memory, tick, ts.Mean, ts.StdDev())
+	ctrl, est, err := arm.build(ts, tick)
 	if err != nil {
 		return gcfg, nil, err
 	}
@@ -198,10 +213,65 @@ func runCell(ctx context.Context, cfg *Config, arm Arm, seed uint64) (CellResult
 	if err != nil {
 		return CellResult{}, err
 	}
-	if cfg.Workload.Kind == WorkloadImpulsive {
+	switch cfg.Workload.Kind {
+	case WorkloadImpulsive:
 		return runImpulsiveCell(ctx, cfg, spec, seed)
+	case WorkloadContinuous:
+		return runContinuousCell(cfg, spec, seed)
 	}
 	return runChurnCell(ctx, cfg, spec, seed)
+}
+
+// runContinuousCell is the paper's continuous-load model (Section 4): one
+// simulator run under an infinite backlog of flows, so the system always
+// sits at the limit the controller believes admissible. The warm-up is
+// sim.Warmup and the stopping rule is off (no check falls inside the
+// horizon), so the workload's duration is the whole measured budget. p_f is
+// graded from the engine's point samples, spaced 2·max(T~h, T_m, T_c)
+// apart so they are nearly independent, through the same Wilson interval
+// and qos audit as every other cell.
+func runContinuousCell(cfg *Config, arm armSpec, seed uint64) (CellResult, error) {
+	model, err := buildModel(&cfg.Workload)
+	if err != nil {
+		return CellResult{}, err
+	}
+	ts := model.Stats()
+	ctrl, est, err := arm.build(ts, 0)
+	if err != nil {
+		return CellResult{}, err
+	}
+	w, c, tm := cfg.Workload, arm.gateway.Capacity, arm.gateway.Memory
+	e, err := sim.New(sim.Config{
+		Capacity: c, Model: model, Controller: ctrl, Estimator: est,
+		HoldingTime: w.Hold, Seed: seed,
+		Warmup:     sim.Warmup(ts.CorrTime, tm, w.Hold, c),
+		MaxTime:    w.Duration,
+		CheckEvery: math.Inf(1),
+		Tc:         ts.CorrTime, Tm: tm,
+	})
+	if err != nil {
+		return CellResult{}, err
+	}
+	res, err := e.Run()
+	if err != nil {
+		return CellResult{}, err
+	}
+	z := auditZ(cfg)
+	audit, err := qos.NewAudit(qos.AuditConfig{TargetPf: cfg.Gateway.PQ, Z: z})
+	if err != nil {
+		return CellResult{}, err
+	}
+	lo, hi := stats.Wilson(res.OverflowHits, res.Samples, z)
+	rep := audit.Evaluate(stats.WindowedEstimate{
+		P: res.OverflowPointSample, Lo: lo, Hi: hi, Hits: res.OverflowHits, N: res.Samples, Z: z,
+	})
+	return CellResult{
+		Seed: seed, Arm: arm.Name,
+		Stats:    gw.Stats{Admitted: res.Admitted, Departed: res.Departed, Active: int64(res.Flows)},
+		Overflow: rep.Estimate,
+		QoS:      rep.Verdict,
+		UtilMean: res.Utilization,
+	}, nil
 }
 
 // runImpulsiveCell is the Prop 3.3 steady state: per replication, fill the

@@ -163,36 +163,71 @@ func TestUtilizationFormulas(t *testing.T) {
 }
 
 func TestSensitivities(t *testing.T) {
+	const pq = 1e-3
 	s := System{Capacity: 100, Mu: 1, Sigma: 0.3}
-	pq := 1e-3
 	sMu := SensitivityMu(s, pq)
 	sSig := SensitivitySigma(s, pq)
 	if sMu >= 0 || sSig >= 0 {
 		t.Errorf("sensitivities should be negative: %v %v", sMu, sSig)
 	}
-	// s_mu grows like sqrt(n); s_sigma is size-independent.
-	s4 := System{Capacity: 400, Mu: 1, Sigma: 0.3}
-	ratio := SensitivityMu(s4, pq) / sMu
-	if math.Abs(ratio-2) > 0.05 {
-		t.Errorf("s_mu scaling with sqrt(n): ratio %v, want ~2", ratio)
+	// s_mu grows like sqrt(n); s_sigma is size-independent — so the two
+	// estimation errors are not equal, and mean errors dominate at scale
+	// (Section 3.1).
+	for _, c := range []struct{ n, ratio, tol float64 }{{400, 2, 0.05}, {10000, 10, 1}} {
+		big := System{Capacity: c.n, Mu: 1, Sigma: 0.3}
+		if r := SensitivityMu(big, pq) / sMu; math.Abs(r-c.ratio) > c.tol {
+			t.Errorf("n=%g: s_mu scaling with sqrt(n): ratio %v, want ~%v", c.n, r, c.ratio)
+		}
+		if math.Abs(SensitivitySigma(big, pq)-sSig) > 1e-12 {
+			t.Errorf("n=%g: s_sigma should not depend on n", c.n)
+		}
 	}
-	if math.Abs(SensitivitySigma(s4, pq)-sSig) > 1e-12 {
-		t.Error("s_sigma should not depend on n")
+	// Numerical derivatives of the achieved p_f when m* is computed from a
+	// perturbed measurement, against the formulas, at every size.
+	const h = 1e-6
+	for _, n := range []float64{100, 400, 10000} {
+		s := System{Capacity: n, Mu: 1, Sigma: 0.3}
+		mUp := AdmissibleFlows(s.Capacity, s.Mu+h, s.Sigma, pq)
+		pfUp := gauss.Q((s.Capacity - mUp*s.Mu) / (s.Sigma * math.Sqrt(mUp)))
+		if numeric, formula := (pfUp-pq)/h, SensitivityMu(s, pq); math.Abs(numeric-formula)/math.Abs(formula) > 0.01 {
+			t.Errorf("n=%g: s_mu numeric %v vs formula %v", n, numeric, formula)
+		}
+		mUp = AdmissibleFlows(s.Capacity, s.Mu, s.Sigma+h, pq)
+		pfUp = gauss.Q((s.Capacity - mUp*s.Mu) / (s.Sigma * math.Sqrt(mUp)))
+		if numeric, formula := (pfUp-pq)/h, SensitivitySigma(s, pq); math.Abs(numeric-formula)/math.Abs(formula) > 0.01 {
+			t.Errorf("n=%g: s_sigma numeric %v vs formula %v", n, numeric, formula)
+		}
 	}
-	// Numerical derivative check for s_mu: perturb measured mu.
-	h := 1e-6
-	mUp := AdmissibleFlows(s.Capacity, s.Mu+h, s.Sigma, pq)
-	pfUp := gauss.Q((s.Capacity - mUp*s.Mu) / (s.Sigma * math.Sqrt(mUp)))
-	numeric := (pfUp - pq) / h
-	if math.Abs(numeric-sMu)/math.Abs(sMu) > 0.01 {
-		t.Errorf("s_mu numeric %v vs formula %v", numeric, sMu)
+}
+
+// TestSqrtNEconomy: the safety margin shrinks as 1/sqrt(n) — economies of
+// scale in statistical multiplexing (Section 3.1).
+func TestSqrtNEconomy(t *testing.T) {
+	margin := func(n float64) float64 {
+		return (n - AdmissibleFlows(n, 1, 0.3, 1e-3)) / n
 	}
-	// And for s_sigma.
-	mUp = AdmissibleFlows(s.Capacity, s.Mu, s.Sigma+h, pq)
-	pfUp = gauss.Q((s.Capacity - mUp*s.Mu) / (s.Sigma * math.Sqrt(mUp)))
-	numeric = (pfUp - pq) / h
-	if math.Abs(numeric-sSig)/math.Abs(sSig) > 0.01 {
-		t.Errorf("s_sigma numeric %v vs formula %v", numeric, sSig)
+	m100, m400, m1600 := margin(100), margin(400), margin(1600)
+	if !(m100 > m400 && m400 > m1600) {
+		t.Fatalf("margins not decreasing: %v %v %v", m100, m400, m1600)
+	}
+	// Quadrupling n should halve the relative margin.
+	if r := m100 / m400; math.Abs(r-2) > 0.25 {
+		t.Errorf("scaling ratio %v, want ~2", r)
+	}
+}
+
+// TestCorrelationMasking: with T_m = T~h the correlation structure of the
+// traffic — even its exact time-scale — barely matters (Section 5.3, Figs
+// 9-12): eq. 37 keeps the overflow within a small factor of target for T_c
+// spanning five decades.
+func TestCorrelationMasking(t *testing.T) {
+	s := System{Capacity: 100, Mu: 1, Sigma: 0.3, Th: 1000}
+	s.Tm = s.ThTilde()
+	for _, tc := range []float64{0.01, 0.1, 1, 10, 100, 1000} {
+		s.Tc = tc
+		if pf := ContinuousOverflowIntegral(s, 1e-3); pf > 2.5e-3 {
+			t.Errorf("Tc=%v: pf %v escapes the masked band", tc, pf)
+		}
 	}
 }
 
