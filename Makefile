@@ -47,13 +47,18 @@
 #              collapses mid-run; the controller must track T̂_c, converge
 #              T_m to T̃_h and hold the eq. 41 masking level) under -race
 #   scenario — declarative scenario suite (build tag "scenario"): every
-#              config under scenarios/ runs its seed x arm matrix and must
-#              grade to its declared Confirmed/Refuted verdict — including
-#              the slow impulsive ensembles excluded from tier-1 (the two
-#              sqrt2-law points and their perfect-knowledge control). The
-#              fast scenarios also replay in tier-1 via the byte-exact
-#              golden reports (results/golden/scenario/) and the
-#              network-twin test.
+#              config under scenarios/ runs its seed x arm matrix, must
+#              grade to its declared Confirmed/Refuted verdict and must
+#              reproduce its committed reports in results/scenario/ byte
+#              for byte. Tier-1 runs the same check on every scenario but
+#              the slow impulsive ensembles (the sqrt2-law points, the
+#              eq. 15 arm and their perfect-knowledge control), which only
+#              this tier runs
+#   golden   — rewrite what tier-1 diffs every experiment table against:
+#              the six cheap runners' results/standard/<id>.csv and the
+#              other nineteen's Quick tables under
+#              internal/experiments/testdata/quick/. `make scenarios` is
+#              the one writer of results/scenario/
 
 GO ?= go
 
@@ -102,8 +107,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/loadgen
 
 golden:
-	$(GO) test ./internal/experiments -run TestGolden -update-golden
-	$(GO) test ./internal/scenario -run TestGoldenScenarioReports -update-golden
+	$(GO) test ./internal/experiments -run 'TestGoldenTheoryTables|TestSimulationExperimentsQuick' -update-golden
 
 # Static tier: the standard vet pass.
 vet:
@@ -136,7 +140,8 @@ test-adaptive:
 	$(GO) test -tags adaptive -race -run 'TestAdaptiveRegimeShiftSoak' -v ./internal/adaptive
 
 # Scenario tier: the full declarative suite (including the slow impulsive
-# sqrt2-law ensembles).
+# ensembles), each verdict checked and each report diffed against
+# results/scenario/.
 test-scenario:
 	$(GO) test -tags scenario -run 'TestScenarioSuite' -timeout 30m -v ./internal/scenario
 

@@ -8,64 +8,57 @@ package mbac_test
 // and its eq. 15 remedy are the sqrt2-law-* scenarios of the scenario tier.
 
 import (
-	"context"
+	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
 	mbac "repro"
-	"repro/internal/scenario"
 )
 
-// TestClaimScenarios runs the continuous-load claim scenarios and asserts
-// that each grades its declared expectation:
-//
-//   - continuous-load-worse (Section 4): memoryless certainty equivalence
-//     under continuous load is not held to the impulsive sqrt2 law;
-//   - robust-recipe (Section 5.3): memory T_m = T~h and the eq. 37 target
-//     meet p_q, as perfect knowledge does.
-//
-// The recipe's utilization half — within 2 points of perfect knowledge —
-// is read from the robust-recipe cells here, since a dominance hypothesis's
-// min_ratio is a floor and cannot state a band.
+// TestClaimScenarios holds the half of the Section 5.3 robust recipe that a
+// dominance hypothesis cannot state, since its min_ratio is a floor and
+// not a band: robust utilization within 2 points of perfect knowledge.
+// The scenario engine grades the rest of every simulated claim, and
+// internal/scenario's TestGoldenScenarioReports reproduces each report in
+// results/scenario/ byte for byte, so this reads the robust-recipe cells
+// from that report rather than running the scenario a second time.
 func TestClaimScenarios(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation claims")
-	}
-	for _, name := range []string{"continuous-load-worse", "robust-recipe"} {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			cfg, err := scenario.Load(filepath.Join("scenarios", name+".json"))
-			if err != nil {
-				t.Fatal(err)
+	t.Run("robust-recipe", func(t *testing.T) {
+		raw, err := os.ReadFile(filepath.Join("results", "scenario", "robust-recipe.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report struct {
+			Cells []struct {
+				Seed     uint64  `json:"seed"`
+				Arm      string  `json:"arm"`
+				UtilMean float64 `json:"util_mean"`
+			} `json:"cells"`
+		}
+		if err := json.Unmarshal(raw, &report); err != nil {
+			t.Fatal(err)
+		}
+		robust := map[uint64]float64{}
+		for _, c := range report.Cells {
+			if c.Arm == "robust" {
+				robust[c.Seed] = c.UtilMean
 			}
-			res, err := scenario.Run(context.Background(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Matched() {
-				t.Errorf("verdict %s, expected %s", res.Verdict, cfg.Expect)
-				for _, n := range res.Notes {
-					t.Log(n)
+		}
+		checked := 0
+		for _, c := range report.Cells {
+			if r, ok := robust[c.Seed]; ok && c.Arm == "perfect-knowledge" {
+				checked++
+				if c.UtilMean-r > 0.02 {
+					t.Errorf("seed %d: robustness cost too high: perfect knowledge %v vs robust %v", c.Seed, c.UtilMean, r)
 				}
 			}
-			if name != "robust-recipe" {
-				return
-			}
-			robust := map[uint64]float64{}
-			for _, c := range res.Cells {
-				if c.Arm == "robust" {
-					robust[c.Seed] = c.UtilMean
-				}
-			}
-			for _, c := range res.Cells {
-				if c.Arm == "perfect-knowledge" && c.UtilMean-robust[c.Seed] > 0.02 {
-					t.Errorf("seed %d: robustness cost too high: perfect knowledge %v vs robust %v",
-						c.Seed, c.UtilMean, robust[c.Seed])
-				}
-			}
-		})
-	}
+		}
+		if checked == 0 {
+			t.Fatal("robust-recipe report has no robust/perfect-knowledge cell pair")
+		}
+	})
 }
 
 // Claim (Section 3.1): the two estimation errors are not equal — the

@@ -7,7 +7,7 @@
 //	mbacsim -n 100 -svr 0.3 -th 1000 -tc 1 -tm 100 -pce 1e-3 -time 1e6
 //
 // Controllers: certainty-equivalent (default), perfect-knowledge,
-// peak-rate, measured-sum. Sources: rcbr (default), onoff, video.
+// peak-rate, measured-sum. Sources: rcbr (default), onoff.
 package main
 
 import (
@@ -19,10 +19,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/qos"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/theory"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -35,7 +33,7 @@ func main() {
 		tm      = flag.Float64("tm", 0, "estimator memory window (0 = memoryless)")
 		pce     = flag.Float64("pce", 1e-3, "certainty-equivalent target overflow probability")
 		ctrl    = flag.String("controller", core.PolicyCertaintyEquivalent.String(), "admission policy: "+core.PolicyNames.List())
-		source  = flag.String("source", "rcbr", "rcbr | onoff | video")
+		source  = flag.String("source", "rcbr", "rcbr | onoff")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		simTime = flag.Float64("time", 1e5, "measured simulation time")
 		warmup  = flag.Float64("warmup", 0, "warm-up time (default: 20 max(Tc,Tm,T~h))")
@@ -61,14 +59,6 @@ func main() {
 		pOn := 1 / (1 + *svr**svr)
 		peak := 1 / pOn
 		model = traffic.OnOff{PeakRate: peak, OnTime: *tc * 2 * pOn, OffTime: *tc * 2 * (1 - pOn)}
-	case "video":
-		cfg := trace.DefaultVideoConfig()
-		cfg.CV = *svr
-		tr, err := trace.SyntheticVideo(cfg, rng.New(*seed, 0x747267))
-		if err != nil {
-			fatal(err)
-		}
-		model = trace.Model{Trace: tr}
 	default:
 		fatal(fmt.Errorf("unknown source %q", *source))
 	}

@@ -2,8 +2,10 @@
 // and writes a FINDINGS-style markdown report plus a machine-readable JSON
 // verdict per scenario. Exit status is nonzero on any execution error, and
 // — with -strict — when any scenario grades to a verdict different from
-// its config's "expect" field, which is how the test tier turns the
-// built-in suite under scenarios/ into assertions.
+// its config's "expect" field. `make scenarios` runs it over the built-in
+// suite to write results/scenario/, the copy the scenario tests diff
+// against. A network cell's wall-clock served percentiles are printed
+// here, beside its status line; they are not part of the report.
 //
 // Usage:
 //
@@ -76,6 +78,11 @@ func main() {
 			status = fmt.Sprintf("MISMATCH (expected %s)", cfg.Expect)
 		}
 		fmt.Printf("%-28s %-13s %-26s %6.1fs\n", cfg.Name, res.Verdict, status, time.Since(start).Seconds())
+		for _, c := range res.Cells {
+			if c.ServedP99 > 0 {
+				fmt.Printf("  seed %d/%s: served p50 %.4g s, p99 %.4g s (wall clock, not in the report)\n", c.Seed, c.Arm, c.ServedP50, c.ServedP99)
+			}
+		}
 		if *verbose {
 			fmt.Println(md)
 		}

@@ -88,22 +88,6 @@ func ExampleSimulate() {
 	// pf below 1e-2: true; utilization above 0.85: true
 }
 
-// Synthetic long-range-dependent video traffic (the Starwars substitute)
-// plugs into the simulator like any other model.
-func ExampleSyntheticVideo() {
-	cfg := mbac.DefaultVideoConfig()
-	cfg.N = 1 << 14
-	tr, err := mbac.SyntheticVideo(cfg, 7)
-	if err != nil {
-		panic(err)
-	}
-	st := tr.Stats()
-	fmt.Printf("mean=%.2f LRD=%v\n", st.Mean, tr.Hurst() > 0.7)
-	var _ mbac.TrafficModel = mbac.TraceModel{Trace: tr}
-	// Output:
-	// mean=1.00 LRD=true
-}
-
 // Q and Qinv are exact inverses across the probability range the paper
 // works in.
 func ExampleQinv() {

@@ -14,7 +14,9 @@
 //	           hours for the simulation-heavy figures.
 //
 // EXPERIMENTS.md records the output of a full regeneration next to the
-// paper's reported shapes.
+// paper's reported shapes. Every table is deterministic per seed, and the
+// tests hold each runner to a committed copy of its seed-1 table: the cheap
+// ones at Standard (results/standard/), the rest at Quick (testdata/quick/).
 package experiments
 
 import (
@@ -188,7 +190,7 @@ type Runner struct {
 // registry lists every experiment once, in the paper's order: the Section 3
 // profile, Figures 2-12, the Section 5 studies, then the ablations and the
 // extensions beyond the paper's figures. It is the only place a runner is
-// named: -list, -all, Lookup and the smoke tests all read it.
+// named: -list, -all, Lookup and the golden test all read it.
 var registry = []Runner{
 	{"finite", "Eq. 21: overflow profile p_f(t) under finite flow holding times", runFiniteHolding},
 	{"fig2", "Figure 2 (conceptual, realized): one trajectory of M_t, N_t and the aggregate load", runFig2},

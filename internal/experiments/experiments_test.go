@@ -127,19 +127,32 @@ func TestFormatCell(t *testing.T) {
 	}
 }
 
-// Pure-theory experiments are cheap: always run them fully.
+// The pure-theory runners draw no random numbers, so their Quick tables —
+// a grid TestGoldenTheoryTables does not pin — must hold data and come out
+// byte-identical whatever the seed.
 func TestTheoryOnlyExperiments(t *testing.T) {
 	for _, id := range []string{"fig6", "fig9", "regimes", "abl-theory"} {
 		r, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("missing %s", id)
 		}
-		tables, err := r.Run(Quick, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+		var csv [2]strings.Builder
+		for i, seed := range []uint64{1, 7} {
+			tables, err := r.Run(Quick, seed)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			if len(tables) == 0 || len(tables[0].Rows) == 0 {
+				t.Fatalf("%s produced no data", id)
+			}
+			for _, tab := range tables {
+				if err := tab.WriteCSV(&csv[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		if len(tables) == 0 || len(tables[0].Rows) == 0 {
-			t.Fatalf("%s produced no data", id)
+		if csv[0].String() != csv[1].String() {
+			t.Errorf("%s: Quick tables differ between seeds 1 and 7", id)
 		}
 	}
 }
@@ -190,63 +203,6 @@ func TestFig9Shape(t *testing.T) {
 		if row[lastCol] > 1e-3 {
 			t.Errorf("repair regime pf %v too high at Tm/ThTilde=%v", row[lastCol], row[0])
 		}
-	}
-}
-
-// Every registered experiment runs at Quick fidelity, skipped with -short —
-// except the ones another test already runs: the golden tables
-// (TestGoldenTheoryTables) and fig10 (TestFig10Quick). Iterating the
-// registry means a runner registered tomorrow is smoke-run without being
-// added to a list here.
-func TestSimulationExperimentsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation experiments skipped in -short mode")
-	}
-	elsewhere := map[string]bool{"fig10": true}
-	for _, id := range goldenIDs {
-		elsewhere[id] = true
-	}
-	for _, r := range Runners() {
-		if elsewhere[r.ID] {
-			continue
-		}
-		t.Run(r.ID, func(t *testing.T) {
-			t.Parallel()
-			tables, err := r.Run(Quick, 7)
-			if err != nil {
-				t.Fatalf("%s: %v", r.ID, err)
-			}
-			if len(tables) == 0 || len(tables[0].Rows) == 0 {
-				t.Fatalf("%s produced no data", r.ID)
-			}
-			for _, tab := range tables {
-				var sb strings.Builder
-				if err := tab.Fprint(&sb); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func TestFig10Quick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig10 grid skipped in -short mode")
-	}
-	r, _ := Lookup("fig10")
-	tables, err := r.Run(Quick, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := tables[0]
-	if len(tab.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	// Small Tc, no memory: pf should be clearly worse than with full memory.
-	first := tab.Rows[0][1]
-	last := tab.Rows[len(tab.Rows)-1][1]
-	if !(first > last) {
-		t.Errorf("memory should reduce simulated pf at small Tc: %v vs %v", first, last)
 	}
 }
 

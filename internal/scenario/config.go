@@ -1061,7 +1061,7 @@ func (h *Hypothesis) validate(c *Config) error {
 			if err := positive(fmt.Sprintf("check.invariant.bounds[%d].at_most", i), b.AtMost); err != nil {
 				return err
 			}
-			if (b.Metric == MetricServedP50 || b.Metric == MetricServedP99) && c.Target != TargetNetwork {
+			if b.Metric.wallClock() && c.Target != TargetNetwork {
 				return fmt.Errorf("scenario: check.invariant.bounds[%d].metric: %s requires the network target", i, b.Metric)
 			}
 			if c.Workload.Kind == WorkloadContinuous && !continuousMetric(b.Metric) {

@@ -259,8 +259,12 @@ func gradeInvariant(r *Result) {
 			if !holds {
 				verdict = Refuted
 			}
-			r.Notes = append(r.Notes, fmt.Sprintf("seed %d/%s: %s = %.4g in (0, %.4g]: %s",
-				cell.Seed, cell.Arm, b.Metric, v, b.AtMost, passString(holds)))
+			value := fmt.Sprintf("%s = %.4g", b.Metric, v)
+			if holds && b.Metric.wallClock() {
+				value = b.Metric.String()
+			}
+			r.Notes = append(r.Notes, fmt.Sprintf("seed %d/%s: %s in (0, %.4g]: %s",
+				cell.Seed, cell.Arm, value, b.AtMost, passString(holds)))
 		}
 	}
 	if graded == 0 {

@@ -164,6 +164,12 @@ var metricNames = enum.New(MetricAdmitted, metricEnd,
 // String implements fmt.Stringer.
 func (m Metric) String() string { return metricNames.String(m) }
 
+// wallClock reports whether m is a wall-clock measurement (the served
+// percentiles): only the network target produces it, and no run
+// reproduces it, so the report records whether its bound held, not the
+// value.
+func (m Metric) wallClock() bool { return m == MetricServedP50 || m == MetricServedP99 }
+
 // ParseMetric is the inverse of Metric.String.
 func ParseMetric(s string) (Metric, error) { return metricNames.Parse("scenario: unknown metric", s) }
 

@@ -47,9 +47,10 @@ type CellResult struct {
 	// ServedP50/ServedP99 are the serving layer's per-decision latency
 	// percentiles in seconds (network target only; 0 in-process). They are
 	// wall-clock measurements — the one non-deterministic part of a cell —
-	// so byte-exact golden scenarios must not run the network target.
-	ServedP50 float64 `json:"served_p50,omitempty"`
-	ServedP99 float64 `json:"served_p99,omitempty"`
+	// so they stay out of the JSON verdict and the report, which the same
+	// seeds reproduce byte for byte; cmd/scenario prints them.
+	ServedP50 float64 `json:"-"`
+	ServedP99 float64 `json:"-"`
 
 	// Instances is the fleet size and Migrations the flows moved off
 	// draining instances (cluster topology only). With a cluster, Stats

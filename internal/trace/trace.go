@@ -25,9 +25,6 @@ type Trace struct {
 	Rates    []float64 // non-negative rates
 }
 
-// Duration returns the total length of the trace.
-func (t *Trace) Duration() float64 { return float64(len(t.Rates)) * t.Interval }
-
 // Stats returns empirical marginal statistics plus an estimate of the
 // correlation time (integral of the empirical autocorrelation up to its
 // first zero crossing) and the peak rate.

@@ -27,8 +27,7 @@
 //   - the certainty-equivalent controller and the perfect-knowledge
 //     baseline;
 //   - the memoryless, exponentially weighted and aggregate-only estimators;
-//   - traffic models: RCBR, mixtures, and traces, including the
-//     long-range-dependent synthetic video generator;
+//   - traffic models: RCBR and mixtures;
 //   - the flow-level simulator used to validate everything;
 //   - the online admission gateway.
 //
@@ -57,7 +56,6 @@ import (
 	"repro/internal/gauss"
 	"repro/internal/sim"
 	"repro/internal/theory"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -163,26 +161,6 @@ func RCBR(mu, sigmaOverMu, tc float64) TrafficModel { return traffic.NewRCBR(mu,
 // of the component models with the given weights (Section 5.4).
 func NewMixture(models []TrafficModel, weights []float64) (TrafficModel, error) {
 	return traffic.NewMixture(models, weights)
-}
-
-// Trace is a fixed-interval rate trace; TraceModel plays it cyclically from
-// random offsets.
-type Trace = trace.Trace
-
-// TraceModel adapts a Trace into a TrafficModel.
-type TraceModel = trace.Model
-
-// VideoConfig parameterizes the synthetic long-range-dependent video trace.
-type VideoConfig = trace.VideoConfig
-
-// DefaultVideoConfig mirrors the gross statistics of the paper's
-// piecewise-CBR Starwars trace (H ~ 0.8, CV ~ 0.3).
-func DefaultVideoConfig() VideoConfig { return trace.DefaultVideoConfig() }
-
-// SyntheticVideo builds an LRD piecewise-CBR trace (the redistributable
-// substitute for the Starwars MPEG-1 trace; see DESIGN.md).
-func SyntheticVideo(cfg VideoConfig, seed uint64) (*Trace, error) {
-	return trace.SyntheticVideo(cfg, newRNG(seed))
 }
 
 // ---------------------------------------------------------------------------

@@ -9,46 +9,6 @@ import (
 	"repro/internal/theory"
 )
 
-func TestFacadePlanAndSimulate(t *testing.T) {
-	sys := System{Capacity: 100, Mu: 1, Sigma: 0.3, Th: 300, Tc: 1}
-	plan, err := Plan(sys, 1e-2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.MemoryTm <= 0 || plan.AdjustedPce <= 0 || plan.AdjustedPce >= 1e-2 {
-		t.Fatalf("implausible plan %+v", plan)
-	}
-
-	ctrl, err := NewCertaintyEquivalent(plan.AdjustedPce, 1, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulate(SimConfig{
-		Capacity:    100,
-		Model:       RCBR(1, 0.3, 1),
-		Controller:  ctrl,
-		Estimator:   NewExponentialEstimator(plan.MemoryTm),
-		HoldingTime: 300,
-		Seed:        1,
-		Warmup:      600,
-		MaxTime:     30000,
-		Tc:          1,
-		Tm:          plan.MemoryTm,
-		TargetP:     1e-2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The robust plan should keep the overflow at or below the QoS target
-	// (theory is conservative).
-	if res.Pf > 1.5e-2 {
-		t.Errorf("robust plan missed the target: pf = %v", res.Pf)
-	}
-	if res.Utilization <= 0.5 {
-		t.Errorf("utilization = %v implausibly low", res.Utilization)
-	}
-}
-
 func TestFacadeTheoryHelpers(t *testing.T) {
 	if p := ImpulsiveOverflow(1e-5); p < 1.2e-3 || p > 1.4e-3 {
 		t.Errorf("sqrt-2 law: %v", p)
@@ -63,21 +23,6 @@ func TestFacadeTheoryHelpers(t *testing.T) {
 	if q := Q(Qinv(0.01)); math.Abs(q-0.01) > 1e-9 {
 		t.Errorf("Q/Qinv roundtrip: %v", q)
 	}
-}
-
-func TestFacadeVideo(t *testing.T) {
-	cfg := DefaultVideoConfig()
-	cfg.N = 4096
-	tr, err := SyntheticVideo(cfg, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := tr.Stats()
-	if math.Abs(st.Mean-cfg.Mean) > 1e-9 {
-		t.Errorf("trace mean %v", st.Mean)
-	}
-	// Trace plugs into the simulator as a model.
-	var _ TrafficModel = TraceModel{Trace: tr}
 }
 
 func TestFacadeTrafficConstructors(t *testing.T) {
