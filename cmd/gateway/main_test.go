@@ -2,34 +2,27 @@ package main
 
 import (
 	"bytes"
-	"fmt"
-	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/adaptive"
+	"repro/internal/estimator"
 )
 
 // TestRunRejectsBadFlags is the flag-validation table: every case must
 // come back as a one-line error (main prints it after "gateway:" and
-// exits 1) before anything is replayed or served.
+// exits 1) before anything is served.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
-		{"-workers 0", "must be positive"},
-		{"-tick -1", "must be positive"},
 		{"-n -5", "capacity"},
 		{"-pce 2", "out of (0,1)"},
-		{"-batch 0", "at least 1"},
-		{"-lie 0", "lie factor"},
+		{"-pq 0.7", "out of (0, 0.5)"},
 		{"-estimator window", "positive memory"},
-		{"-cluster 2", "-cluster requires -serve"},
-		{"-hold", "-hold requires -listen"},
-		{"-serve -hold -listen 127.0.0.1:0", "-hold is a replay flag"},
-		{"-serve -faults nan:1-2", "-faults is a replay flag"},
-		{"-serve -leak 0.1", "-leak is a replay flag"},
-		{"-serve -lie 0.5", "-lie is a replay flag"},
-		{"-serve -workers 4", "-workers is a replay flag"},
-		{"-serve -batch 4", "-batch is a replay flag"},
-		{"-serve -duration 10", "-duration is a replay flag"},
-		{"-serve -cluster 2 -lambda 1", "-lambda is a replay flag"},
+		{"-cluster -1", "must be non-negative"},
+		{"-tick-interval 0", "must be positive"},
+		{"-tick-interval -1s", "must be positive"},
+		// The replay mode and its flags are gone; naming one is an error.
+		{"-lambda 1", "flag provided but not defined: -lambda"},
 	} {
 		var out bytes.Buffer
 		err := run(strings.Fields(tc.args), &out)
@@ -42,55 +35,29 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// replayOutput runs a short single-worker replay and returns its stdout
-// without the two lines that carry wall-clock measurements.
-func replayOutput(t *testing.T, extra ...string) string {
-	t.Helper()
-	var out bytes.Buffer
-	args := append([]string{"-duration", "200", "-workers", "1", "-seed", "3"}, extra...)
-	if err := run(args, &out); err != nil {
-		t.Fatalf("%v: %v", args, err)
-	}
-	var kept []string
-	for _, line := range strings.Split(out.String(), "\n") {
-		if !strings.HasPrefix(line, "replay:") && !strings.HasPrefix(line, "latency:") {
-			kept = append(kept, line)
+// TestAggregateVarianceMemoryIsEightTicks: without -tm, the aggregate
+// estimator's variance memory T_v is eight measurement periods, and the
+// period Run ticks at is -tick-interval in seconds.
+func TestAggregateVarianceMemoryIsEightTicks(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		tv   float64
+	}{
+		{"-estimator aggregate", 0.8},
+		{"-estimator aggregate -tick-interval 250ms", 2},
+		{"-estimator aggregate -tm 3", 3},
+	} {
+		o, err := parse(strings.Fields(tc.args))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
 		}
-	}
-	return strings.Join(kept, "\n")
-}
-
-// field extracts the integer preceding label in the replay report.
-func field(t *testing.T, out, label string) int64 {
-	t.Helper()
-	m := regexp.MustCompile(`(\d+) ` + label).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("no %q count in:\n%s", label, out)
-	}
-	var v int64
-	fmt.Sscan(m[1], &v)
-	return v
-}
-
-// TestReplayReport drives the replay mode end to end: with one worker the
-// report is a pure function of the flags, its counts close the lifecycle
-// identity admitted − departed − expired == active, and leaking clients
-// show up as expired leases.
-func TestReplayReport(t *testing.T) {
-	for _, extra := range [][]string{nil, {"-leak", "0.2", "-ttl", "5"}} {
-		out := replayOutput(t, extra...)
-		if again := replayOutput(t, extra...); again != out {
-			t.Errorf("%v: two runs differ:\n%s\n---\n%s", extra, out, again)
+		var tuners []*adaptive.Controller
+		cfg, err := o.gatewayConfig(&tuners)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
 		}
-		expired := int64(0)
-		if extra != nil {
-			if expired = field(t, out, "leases expired"); expired == 0 {
-				t.Errorf("%v: leaking clients but no lease expired:\n%s", extra, out)
-			}
-		}
-		admitted, departed, active := field(t, out, "admitted"), field(t, out, "departed"), field(t, out, "active")
-		if admitted == 0 || admitted-departed-expired != active {
-			t.Errorf("%v: admitted %d - departed %d - expired %d != active %d", extra, admitted, departed, expired, active)
+		if tv := cfg.Estimator.(*estimator.AggregateOnly).Tv; tv != tc.tv {
+			t.Errorf("%s: T_v = %g, want %g", tc.args, tv, tc.tv)
 		}
 	}
 }

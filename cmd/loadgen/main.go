@@ -1,4 +1,4 @@
-// Command loadgen drives a serving admission gateway (cmd/gateway -serve)
+// Command loadgen drives a serving admission gateway (cmd/gateway)
 // over the wire protocol: open-loop Poisson flow arrivals at a
 // configurable offered load, exponential holding times, RCBR-marginal
 // flow rates, replayed through the pooled pipelined client. Concurrent

@@ -44,10 +44,12 @@ func ParseMode(s string) (Mode, error) { return ModeNames.Parse("estimator: unkn
 
 // New constructs the mode's estimator. memory is T_m (the window W for
 // ModeWindow) and is ignored by the memoryless and oracle modes; tick is
-// the measurement period, which sizes the aggregate estimator's variance
-// memory T_v when memory is not positive — eight periods: long enough to
-// see fluctuation across ticks, short enough to track load shifts; (mu,
-// sigma) are the per-flow statistics the oracle reports.
+// the measurement period in the estimator's time unit (a wall-clock
+// gateway's tick interval in seconds), which sizes the aggregate
+// estimator's variance memory T_v when memory is not positive — eight
+// periods: long enough to see fluctuation across ticks, short enough to
+// track load shifts; (mu, sigma) are the per-flow statistics the oracle
+// reports.
 func (m Mode) New(memory, tick, mu, sigma float64) (Estimator, error) {
 	switch m {
 	case ModeMemoryless:

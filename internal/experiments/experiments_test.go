@@ -157,55 +157,6 @@ func TestTheoryOnlyExperiments(t *testing.T) {
 	}
 }
 
-func TestFig6Shape(t *testing.T) {
-	r, _ := Lookup("fig6")
-	tables, err := r.Run(Standard, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := tables[0]
-	// p_ce must be non-decreasing in Tm for each configuration and always
-	// at or below pq = 1e-3.
-	for col := 1; col < len(tab.Columns); col++ {
-		prev := 0.0
-		for _, row := range tab.Rows {
-			v := row[col]
-			if math.IsNaN(v) {
-				continue
-			}
-			if v > 1.001e-3 {
-				t.Errorf("col %d: pce %v exceeds pq", col, v)
-			}
-			if v < prev*(1-1e-9) {
-				t.Errorf("col %d: pce not monotone in Tm (%v after %v)", col, v, prev)
-			}
-			prev = v
-		}
-	}
-}
-
-func TestFig9Shape(t *testing.T) {
-	r, _ := Lookup("fig9")
-	tables, err := r.Run(Standard, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := tables[0]
-	// At small Tc (first data column) pf must fall sharply as Tm grows.
-	first := tab.Rows[0][1]
-	last := tab.Rows[len(tab.Rows)-1][1]
-	if last >= first/10 {
-		t.Errorf("memory should slash pf at small Tc: %v -> %v", first, last)
-	}
-	// Large Tc (repair regime) is safe regardless of memory.
-	lastCol := len(tab.Columns) - 1
-	for _, row := range tab.Rows {
-		if row[lastCol] > 1e-3 {
-			t.Errorf("repair regime pf %v too high at Tm/ThTilde=%v", row[lastCol], row[0])
-		}
-	}
-}
-
 // sweep's contract: rows land in point order whatever the pool's worker
 // count, a nil row is left out, and the first error comes back with no row
 // added.

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -84,6 +86,79 @@ func checkGolden(t *testing.T, path, got string) {
 	}
 	if got != string(want) {
 		t.Errorf("%s drifted from its golden.\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+// committedTable reads the first table of results/standard/<id>.csv, the
+// artifact TestGoldenTheoryTables pins byte for byte to the Standard run, so
+// a shape check on it needs no second computation of the table.
+func committedTable(t *testing.T, id string) *Table {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "results", "standard", id+".csv"))
+	if err != nil {
+		t.Fatalf("committed table missing (regenerate with `make golden`): %v", err)
+	}
+	tab := &Table{ID: id}
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		cells := strings.Split(line, ",")
+		if tab.Columns == nil {
+			tab.Columns = cells
+			continue
+		}
+		row := make([]float64, len(cells))
+		for j, c := range cells {
+			if row[j], err = strconv.ParseFloat(c, 64); err != nil {
+				t.Fatalf("%s.csv: %v", id, err)
+			}
+		}
+		tab.Rows = append(tab.Rows, row)
+	}
+	if len(tab.Rows) == 0 {
+		t.Fatalf("%s.csv holds no rows", id)
+	}
+	return tab
+}
+
+// TestFig6Shape: p_ce must be non-decreasing in T_m for each configuration
+// and always at or below p_q = 1e-3.
+func TestFig6Shape(t *testing.T) {
+	tab := committedTable(t, "fig6")
+	for col := 1; col < len(tab.Columns); col++ {
+		prev := 0.0
+		for _, row := range tab.Rows {
+			v := row[col]
+			if math.IsNaN(v) {
+				continue
+			}
+			if v > 1.001e-3 {
+				t.Errorf("col %d: pce %v exceeds pq", col, v)
+			}
+			if v < prev*(1-1e-9) {
+				t.Errorf("col %d: pce not monotone in Tm (%v after %v)", col, v, prev)
+			}
+			prev = v
+		}
+	}
+}
+
+// TestFig9Shape: at the smallest T_c (first data column) p_f must fall
+// sharply as T_m grows, and at the largest (the repair regime) it is safe
+// whatever the memory.
+func TestFig9Shape(t *testing.T) {
+	tab := committedTable(t, "fig9")
+	first := tab.Rows[0][1]
+	last := tab.Rows[len(tab.Rows)-1][1]
+	if last >= first/10 {
+		t.Errorf("memory should slash pf at small Tc: %v -> %v", first, last)
+	}
+	lastCol := len(tab.Columns) - 1
+	for _, row := range tab.Rows {
+		if row[lastCol] > 1e-3 {
+			t.Errorf("repair regime pf %v too high at Tm/ThTilde=%v", row[lastCol], row[0])
+		}
 	}
 }
 

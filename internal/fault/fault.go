@@ -45,7 +45,7 @@ var modeNames = enum.New(None, modeEnd, "none", "nan", "inf", "notok", "drop")
 // String implements fmt.Stringer.
 func (m Mode) String() string { return modeNames.String(m) }
 
-// ParseMode is the inverse of Mode.String, for CLI flags.
+// ParseMode is the inverse of Mode.String, for scenario configs.
 func ParseMode(s string) (Mode, error) { return modeNames.Parse("fault: unknown mode", s) }
 
 // Estimator wraps a real estimator.Estimator with injectable faults. The

@@ -8,9 +8,9 @@ import (
 	"repro/internal/estimator"
 )
 
-// TestModeStringRoundTrip pins the exact Mode names in constant order (the
-// -faults flag and scenario fault windows spell them) and that ParseMode
-// reads the same table.
+// TestModeStringRoundTrip pins the exact Mode names in constant order
+// (scenario fault windows spell them) and that ParseMode reads the same
+// table.
 func TestModeStringRoundTrip(t *testing.T) {
 	golden := []string{"none", "nan", "inf", "notok", "drop"}
 	for i, want := range golden {
@@ -154,15 +154,15 @@ func TestClock(t *testing.T) {
 	}
 }
 
-func TestParseWindows(t *testing.T) {
-	ws, err := ParseWindows("drop:30-35, nan:10-12")
-	if err != nil {
+// TestValidateWindows: a structural schedule is sorted by From in place,
+// ModeAt reads it as half-open windows, and an empty, non-finite,
+// unknown-mode or overlapping window is refused.
+func TestValidateWindows(t *testing.T) {
+	ws := []Window{{DropUpdates, 30, 35}, {NaNEstimates, 10, 12}}
+	if err := ValidateWindows(ws); err != nil {
 		t.Fatal(err)
 	}
-	if len(ws) != 2 || ws[0].Mode != NaNEstimates || ws[1].Mode != DropUpdates {
-		t.Fatalf("windows = %+v", ws)
-	}
-	if ws[0].From != 10 || ws[0].To != 12 {
+	if ws[0].Mode != NaNEstimates || ws[0].From != 10 || ws[1].Mode != DropUpdates {
 		t.Fatalf("windows not sorted by From: %+v", ws)
 	}
 	for _, tc := range []struct {
@@ -173,12 +173,19 @@ func TestParseWindows(t *testing.T) {
 			t.Fatalf("ModeAt(%g) = %v, want %v", tc.t, got, tc.want)
 		}
 	}
-	if ws, err := ParseWindows("  "); err != nil || ws != nil {
-		t.Fatalf("empty schedule: (%v, %v)", ws, err)
+	if err := ValidateWindows(nil); err != nil {
+		t.Fatalf("empty schedule: %v", err)
 	}
-	for _, bad := range []string{"nan", "nan:5", "bogus:1-2", "nan:x-2", "nan:1-y", "nan:2-2", "nan:3-1", "nan:1-5,drop:4-6"} {
-		if _, err := ParseWindows(bad); err == nil {
-			t.Fatalf("ParseWindows(%q) accepted", bad)
+	for _, bad := range [][]Window{
+		{{NaNEstimates, 2, 2}},
+		{{NaNEstimates, 3, 1}},
+		{{NaNEstimates, math.NaN(), 1}},
+		{{NaNEstimates, 0, math.Inf(1)}},
+		{{modeEnd, 1, 2}},
+		{{NaNEstimates, 1, 5}, {DropUpdates, 4, 6}},
+	} {
+		if err := ValidateWindows(bad); err == nil {
+			t.Fatalf("ValidateWindows(%+v) accepted", bad)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package fault
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // Window schedules one estimator fault over a half-open virtual-time
@@ -15,52 +13,10 @@ type Window struct {
 	To   float64
 }
 
-// ParseWindows parses a fault schedule of the form
-// "mode:from-to[,mode:from-to...]", e.g. "nan:10-12,drop:30-35". Windows
-// may not overlap; they are returned sorted by From.
-func ParseWindows(s string) ([]Window, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var ws []Window
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		mode, span, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("fault: window %q: want mode:from-to", part)
-		}
-		m, err := ParseMode(mode)
-		if err != nil {
-			return nil, err
-		}
-		fromS, toS, ok := strings.Cut(span, "-")
-		if !ok {
-			return nil, fmt.Errorf("fault: window %q: want mode:from-to", part)
-		}
-		from, err := strconv.ParseFloat(fromS, 64)
-		if err != nil {
-			return nil, fmt.Errorf("fault: window %q: %v", part, err)
-		}
-		to, err := strconv.ParseFloat(toS, 64)
-		if err != nil {
-			return nil, fmt.Errorf("fault: window %q: %v", part, err)
-		}
-		if math.IsNaN(from) || math.IsNaN(to) || !(to > from) {
-			return nil, fmt.Errorf("fault: window %q: empty interval [%g, %g)", part, from, to)
-		}
-		ws = append(ws, Window{Mode: m, From: from, To: to})
-	}
-	if err := ValidateWindows(ws); err != nil {
-		return nil, err
-	}
-	return ws, nil
-}
-
 // ValidateWindows sorts ws by From in place and checks that every window
 // is a well-formed non-empty interval with a known mode and that no two
-// windows overlap — the invariant ModeAt relies on. It is the validation
-// half of ParseWindows, exposed for callers that build schedules
-// structurally (scenario configs) rather than from the CLI syntax.
+// windows overlap — the invariant ModeAt relies on. Scenario configs
+// build their fault schedules structurally and validate them here.
 func ValidateWindows(ws []Window) error {
 	for i := 1; i < len(ws); i++ {
 		for j := i; j > 0 && ws[j].From < ws[j-1].From; j-- {
@@ -83,7 +39,8 @@ func ValidateWindows(ws []Window) error {
 }
 
 // ModeAt returns the fault scheduled at virtual time t (None when no
-// window covers it). ws must be non-overlapping, as ParseWindows returns.
+// window covers it). ws must be non-overlapping, as ValidateWindows
+// checks.
 func ModeAt(ws []Window, t float64) Mode {
 	for _, w := range ws {
 		if t >= w.From && t < w.To {

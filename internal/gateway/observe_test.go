@@ -106,7 +106,7 @@ func TestSnapshotGolden(t *testing.T) {
 		}
 		want, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("golden file missing (regenerate with -update-golden): %v", err)
+			t.Fatalf("golden file missing (regenerate with `make golden`): %v", err)
 		}
 		if !bytes.Equal(f.got, want) {
 			t.Errorf("%s drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", f.name, f.got, want)

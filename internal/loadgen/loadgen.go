@@ -515,8 +515,8 @@ func laneOf(flow, workers uint64) uint64 { return flowtab.Mix(flow) % workers }
 // lane is one worker's share of a replay: which of the schedule's events
 // are its own, how far through them it has got, the admits it is
 // coalescing and the outcomes it has counted. Every replay — Replay's
-// single deterministic lane, the concurrent lanes of a Runner — is lanes
-// calling run.
+// single deterministic lane, Run's concurrent lanes — is lanes calling
+// run.
 type lane struct {
 	tgt    Target
 	events []Event // the whole schedule, shared between lanes
@@ -528,7 +528,7 @@ type lane struct {
 	ids          []uint64  // the admits being coalesced
 	rates        []float64 // index-aligned with ids
 	st           Stats
-	err          error // run's result, read by the Runner after the lanes join
+	err          error // run's result, read by Run after the lanes join
 
 	// Pacing: under a positive timescale the lane sleeps toward each
 	// event's wall time, start + T·timescale, before dispatching it.
@@ -667,74 +667,56 @@ type RunConfig struct {
 	Timescale time.Duration
 }
 
-// Runner is a schedule sharded for concurrent replay: worker w owns the
-// flows with laneOf(id, Workers) == w and walks their events in time
-// order, skipping the rest, so per-flow event order is exact while
-// cross-flow interleaving is whatever the race produces. Each worker's
-// position and coalescing scratch are carried across Advance calls, which
-// is what lets a virtual-clock driver replay tick-sized windows.
-type Runner struct{ lanes []lane }
-
-// NewRunner shards events across cfg.Workers lanes; tgt supplies each
-// worker's Target (targets with per-call scratch must not be shared).
-// events must not change while the Runner is in use.
-func NewRunner(tgt func(worker int) Target, events []Event, cfg RunConfig) *Runner {
-	r := &Runner{lanes: make([]lane, max(cfg.Workers, 1))}
-	start := time.Now()
-	for w := range r.lanes {
-		r.lanes[w] = lane{tgt: tgt(w), events: events, index: uint64(w), lanes: uint64(len(r.lanes)),
-			batch: cfg.Batch, start: start, timescale: cfg.Timescale}
-	}
-	return r
-}
-
-// Advance replays, concurrently across the workers, every event not yet
-// dispatched with T <= until, pacing toward wall time under Timescale
-// (measured from NewRunner). It returns once every worker has flushed;
-// the first worker error, if any, is returned and ends the replay.
-func (r *Runner) Advance(ctx context.Context, until float64) error {
+// Run replays the whole schedule concurrently and open-loop, the load
+// tool rather than the determinism check: worker w owns the flows with
+// laneOf(id, Workers) == w and walks their events in time order, skipping
+// the rest, so per-flow event order is exact while cross-flow
+// interleaving is whatever the race produces. tgt supplies each worker's
+// Target (targets with per-call scratch must not be shared). Under
+// Timescale the workers pace toward wall time measured from the call. It
+// returns once every worker has flushed, with the first worker error, if
+// any.
+func Run(ctx context.Context, tgt func(worker int) Target, events []Event, cfg RunConfig) (Stats, error) {
+	lanes := newLanes(tgt, events, cfg)
 	var wg sync.WaitGroup
-	for w := range r.lanes {
-		l := &r.lanes[w]
-		if ev := l.pending(); l.err != nil || ev == nil || ev.T > until {
+	for w := range lanes {
+		l := &lanes[w]
+		if l.pending() == nil {
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.err = l.run(ctx, until)
+			l.err = l.run(ctx, math.Inf(1))
 		}()
 	}
 	wg.Wait()
-	for w := range r.lanes {
-		if err := r.lanes[w].err; err != nil {
-			return err
+	var st Stats
+	var err error
+	for w := range lanes {
+		l := &lanes[w]
+		st.Admitted += l.st.Admitted
+		st.Rejected += l.st.Rejected
+		st.Departed += l.st.Departed
+		st.NotActive += l.st.NotActive
+		st.Updated += l.st.Updated
+		st.UpdateMissed += l.st.UpdateMissed
+		if err == nil {
+			err = l.err
 		}
 	}
-	return nil
+	return st, err
 }
 
-// Stats sums the workers' outcome counts. It must not be called while an
-// Advance is in flight.
-func (r *Runner) Stats() Stats {
-	var st Stats
-	for w := range r.lanes {
-		ls := &r.lanes[w].st
-		st.Admitted += ls.Admitted
-		st.Rejected += ls.Rejected
-		st.Departed += ls.Departed
-		st.NotActive += ls.NotActive
-		st.Updated += ls.Updated
-		st.UpdateMissed += ls.UpdateMissed
+// newLanes shards events across cfg.Workers lanes. The lanes keep a
+// cursor into the shared events, so building them costs nothing per
+// event.
+func newLanes(tgt func(worker int) Target, events []Event, cfg RunConfig) []lane {
+	lanes := make([]lane, max(cfg.Workers, 1))
+	start := time.Now()
+	for w := range lanes {
+		lanes[w] = lane{tgt: tgt(w), events: events, index: uint64(w), lanes: uint64(len(lanes)),
+			batch: cfg.Batch, start: start, timescale: cfg.Timescale}
 	}
-	return st
-}
-
-// Run replays the whole schedule concurrently and open-loop — one Advance
-// to the end of a fresh Runner. This is the load tool, not the
-// determinism check.
-func Run(ctx context.Context, tgt func(worker int) Target, events []Event, cfg RunConfig) (Stats, error) {
-	r := NewRunner(tgt, events, cfg)
-	err := r.Advance(ctx, math.Inf(1))
-	return r.Stats(), err
+	return lanes
 }

@@ -200,13 +200,11 @@ func TestRunConcurrent(t *testing.T) {
 	}
 }
 
-// TestRunnerWindowsKeepFlowOrder replays a renegotiating schedule the way
-// cmd/gateway does — tick-sized windows, concurrent workers, a measurement
-// tick between windows — into a gateway whose bound never binds. Flows
-// shard to workers by id and a worker's position survives the window
-// boundary, so no update or depart can overtake its own flow's admit:
-// every event must land on an active flow.
-func TestRunnerWindowsKeepFlowOrder(t *testing.T) {
+// TestRunKeepsFlowOrder replays a renegotiating schedule across five
+// concurrent workers into a gateway whose bound never binds. Flows shard
+// to workers by id, so no update or depart can overtake its own flow's
+// admit: every event must land on an active flow.
+func TestRunKeepsFlowOrder(t *testing.T) {
 	cfg := testConfig()
 	cfg.Renegotiate = true
 	events, err := Schedule(cfg)
@@ -225,16 +223,13 @@ func TestRunnerWindowsKeepFlowOrder(t *testing.T) {
 		}
 	}
 	g := newGatewayCap(t, 1e6)
-	r := NewRunner(func(int) Target { return &GatewayTarget{G: g} }, events, RunConfig{Workers: 5, Batch: 4})
-	for now := 0.0; now < cfg.Duration; {
-		now += 0.5
-		if err := r.Advance(context.Background(), now); err != nil {
-			t.Fatal(err)
-		}
-		g.Tick(now)
+	st, err := Run(context.Background(), func(int) Target { return &GatewayTarget{G: g} }, events,
+		RunConfig{Workers: 5, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := r.Stats(); st != want || want.Updated == 0 {
-		t.Fatalf("windowed replay lost per-flow order: got %+v, want %+v", st, want)
+	if st != want || want.Updated == 0 {
+		t.Fatalf("concurrent replay lost per-flow order: got %+v, want %+v", st, want)
 	}
 	if active := g.Stats().Active; active != 0 {
 		t.Fatalf("%d flows still active after every depart", active)
@@ -264,7 +259,7 @@ func (r *recordingTarget) UpdateRate(_ context.Context, flow uint64, _ float64) 
 	return true, nil
 }
 
-// TestRunnerLanesOwnShards: a Runner hands each flow's events to the one
+// TestRunnerLanesOwnShards: Run hands each flow's events to the one
 // worker laneOf names — the shard hash modulo Workers — so with a
 // power-of-two worker count dividing a gateway's 64 shards, gateway shard
 // k is driven by worker k % Workers alone.
@@ -310,11 +305,11 @@ func TestRunnerLanesOwnShards(t *testing.T) {
 	}
 }
 
-// TestNewRunnerAllocsIndependentOfEvents: building a Runner allocates the
+// TestLaneSetupAllocsIndependentOfEvents: Run's lane setup allocates the
 // same for any schedule — the lanes keep a cursor into the shared events,
 // nothing per event. The schedules are one renegotiating flow each, the
 // most uneven a lane's share can be.
-func TestNewRunnerAllocsIndependentOfEvents(t *testing.T) {
+func TestLaneSetupAllocsIndependentOfEvents(t *testing.T) {
 	oneFlow := func(n int) []Event {
 		events := make([]Event, n)
 		for i := range events {
@@ -326,11 +321,11 @@ func TestNewRunnerAllocsIndependentOfEvents(t *testing.T) {
 	tgt := &GatewayTarget{}
 	allocs := func(events []Event) float64 {
 		return testing.AllocsPerRun(20, func() {
-			NewRunner(func(int) Target { return tgt }, events, RunConfig{Workers: 4, Batch: 8})
+			newLanes(func(int) Target { return tgt }, events, RunConfig{Workers: 4, Batch: 8})
 		})
 	}
 	if small, large := allocs(oneFlow(1_000)), allocs(oneFlow(100_000)); small != large {
-		t.Fatalf("NewRunner allocates %g times for 1k events, %g for 100k", small, large)
+		t.Fatalf("lane setup allocates %g times for 1k events, %g for 100k", small, large)
 	}
 }
 

@@ -8,7 +8,7 @@
 // Start binds synchronously (a bad -listen address fails fast, in the
 // caller's goroutine) and serves in the background; an asynchronous
 // listener failure is delivered on Err rather than killing the process
-// from a goroutine, so the owner decides how to react mid-replay.
+// from a goroutine, so the owner decides how to react while it serves.
 package obs
 
 import (
@@ -51,10 +51,10 @@ type Config struct {
 	// instance-labelled fleet families are emitted as well, indexed in
 	// slice order to match the cluster's instance labels.
 	Adaptive []*adaptive.Controller
-	// Audit and AuditMu, when non-nil, add the /audit report. The audit
-	// is single-writer; readers snapshot under AuditMu.
-	Audit   *qos.Audit
-	AuditMu *sync.Mutex
+	// Audit, when non-nil, adds the /audit report: the audit's grade of
+	// Gateway's own windowed overflow estimate, or VerdictDegraded while
+	// Gateway serves under its degraded policy.
+	Audit *qos.Audit
 	// ReadHeaderTimeout bounds a client's request header (default 5s) —
 	// the slow-loris guard the default mux setup never had.
 	ReadHeaderTimeout time.Duration
@@ -150,11 +150,13 @@ func newMux(cfg Config) *http.ServeMux {
 			writeCanonicalJSON(w, adaptiveSnapshots(cfg.Adaptive))
 		})
 	}
-	if cfg.Audit != nil && cfg.AuditMu != nil {
+	if cfg.Audit != nil {
 		mux.HandleFunc("/audit", func(w http.ResponseWriter, _ *http.Request) {
-			cfg.AuditMu.Lock()
-			rep := cfg.Audit.Report()
-			cfg.AuditMu.Unlock()
+			snap := cfg.Gateway.Snapshot()
+			rep := cfg.Audit.Evaluate(snap.Overflow)
+			if snap.Degraded {
+				rep.Verdict = qos.VerdictDegraded
+			}
 			writeJSON(w, rep)
 		})
 	}

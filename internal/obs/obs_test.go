@@ -18,9 +18,11 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/fault"
 	"repro/internal/gateway"
 	"repro/internal/qos"
 	"repro/internal/server"
+	"repro/internal/stats"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden snapshot files")
@@ -85,12 +87,11 @@ func get(tb testing.TB, e *Endpoint, path string) string {
 
 func TestEndpointRoutes(t *testing.T) {
 	g := newGateway(t)
-	audit, err := qos.NewAudit(qos.AuditConfig{TargetPf: 1e-2, Window: 64})
+	audit, err := qos.NewAudit(qos.AuditConfig{TargetPf: 1e-2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var auditMu sync.Mutex
-	e := start(t, Config{Gateway: g, Audit: audit, AuditMu: &auditMu})
+	e := start(t, Config{Gateway: g, Audit: audit})
 
 	if out := get(t, e, "/metrics"); !strings.Contains(out, "mbac_gateway_active") {
 		t.Errorf("/metrics missing gateway families:\n%s", out)
@@ -110,6 +111,87 @@ func TestEndpointRoutes(t *testing.T) {
 	}
 	get(t, e, "/debug/pprof/")
 	get(t, e, "/debug/pprof/cmdline")
+}
+
+// TestAuditRouteGradesGatewayWindow: /audit is the audit's grade of the
+// gateway's own windowed overflow estimate — the same window /snapshot
+// reports — and reads degraded while the gateway serves under its
+// degraded policy, whatever the window holds.
+func TestAuditRouteGradesGatewayWindow(t *testing.T) {
+	ctrl, err := core.NewCertaintyEquivalent(1e-2, 1, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := fault.Wrap(estimator.NewMemoryless())
+	g, err := gateway.New(gateway.Config{
+		Capacity:       100,
+		Controller:     ctrl,
+		Estimator:      faulty,
+		Shards:         4,
+		OverflowWindow: 64,
+		StaleAfter:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit, err := qos.NewAudit(qos.AuditConfig{TargetPf: 1e-2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := start(t, Config{Gateway: g, Audit: audit})
+	type report struct {
+		Estimate stats.WindowedEstimate `json:"estimate"`
+		Verdict  string                 `json:"verdict"`
+	}
+	grade := func(want string) report {
+		t.Helper()
+		var rep report
+		if err := json.Unmarshal([]byte(get(t, e, "/audit")), &rep); err != nil {
+			t.Fatalf("/audit is not an audit report: %v", err)
+		}
+		if snap := g.Snapshot(); rep.Estimate != snap.Overflow {
+			t.Errorf("/audit graded %+v, the gateway's window holds %+v", rep.Estimate, snap.Overflow)
+		}
+		if rep.Verdict != want {
+			t.Errorf("/audit verdict %s, want %s (estimate %+v)", rep.Verdict, want, rep.Estimate)
+		}
+		return rep
+	}
+	grade(qos.VerdictInsufficient.String())
+
+	for id := uint64(1); id <= 3; id++ {
+		if d, err := g.Admit(id, 1); err != nil || !d.Admitted {
+			t.Fatalf("admit %d: %+v, %v", id, d, err)
+		}
+	}
+	now := 0.0
+	tick := func(n int) {
+		for range n {
+			now++
+			g.Tick(now)
+		}
+	}
+	tick(60) // aggregate 3 on a link of 100: no overflow
+	if rep := grade(qos.VerdictOK.String()); rep.Estimate.N < 60 || rep.Estimate.Hits != 0 {
+		t.Errorf("after 60 quiet ticks the window holds %+v", rep.Estimate)
+	}
+	if err := g.UpdateRate(1, 200); err != nil { // aggregate 202: every tick overflows
+		t.Fatal(err)
+	}
+	tick(60)
+	if rep := grade(qos.VerdictViolatesSqrt2Law.String()); rep.Estimate.N != 64 || rep.Estimate.Hits != 60 {
+		t.Errorf("the 64-tick window holds %+v, want 60 hits", rep.Estimate)
+	}
+
+	faulty.SetMode(fault.NaNEstimates)
+	tick(1)
+	if !g.Snapshot().Degraded {
+		t.Fatal("a faulty tick with StaleAfter 1 left the gateway healthy")
+	}
+	grade(qos.VerdictDegraded.String())
+	faulty.SetMode(fault.None)
+	tick(1)
+	grade(qos.VerdictViolatesSqrt2Law.String())
 }
 
 // TestServerRouteCanonicalGolden pins the /server route's byte layout as a
@@ -134,7 +216,7 @@ func TestServerRouteCanonicalGolden(t *testing.T) {
 	} else {
 		want, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("golden file missing (regenerate with -update-golden): %v", err)
+			t.Fatalf("golden file missing (regenerate with `make golden`): %v", err)
 		}
 		if string(got) != string(want) {
 			t.Errorf("/server drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", got, want)
@@ -267,7 +349,7 @@ func TestAdaptiveRouteCanonicalGolden(t *testing.T) {
 	} else {
 		want, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("golden file missing (regenerate with -update-golden): %v", err)
+			t.Fatalf("golden file missing (regenerate with `make golden`): %v", err)
 		}
 		if string(got) != string(want) {
 			t.Errorf("/adaptive drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", got, want)

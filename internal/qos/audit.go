@@ -151,7 +151,8 @@ func (a *Audit) Report() Report {
 
 // Evaluate grades an externally produced windowed estimate (e.g. a
 // gateway snapshot's Overflow field) without touching the audit's own
-// window.
+// window. It reads only the configuration, so concurrent callers (the
+// observability endpoint's /audit handlers) need no lock.
 //
 // The rule uses the Wilson lower bound as the evidence threshold: a
 // violation is declared only when the entire confidence interval sits

@@ -144,7 +144,7 @@ func TestAuditVerdictsGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("golden file missing (regenerate with -update-golden): %v", err)
+		t.Fatalf("golden file missing (regenerate with `make golden`): %v", err)
 	}
 	if string(got) != string(want) {
 		t.Errorf("audit reports drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s", got, want)

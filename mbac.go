@@ -189,7 +189,7 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 // Admit/Depart/UpdateRate calls are answered against the last published
 // certainty-equivalent bound; a periodic measurement tick (virtual-clock
 // Tick or wall-clock Run) re-estimates (μ̂, σ̂) from the sharded flow
-// tables and republishes the bound. cmd/gateway -serve puts it behind the
+// tables and republishes the bound. cmd/gateway puts it behind the
 // framed TCP protocol that package client speaks.
 type Gateway = gateway.Gateway
 
