@@ -86,9 +86,9 @@ race:
 	$(GO) test -race ./...
 
 # Statistical tier: the large columnar/scalar differential, excluded from
-# tier-1 by the "stat" build tag, under -race (the columnar path shares
-# worker-local arenas). The gateway √2-law ensembles this tier used to hold
-# run as scenarios (test-scenario).
+# tier-1 by the "stat" build tag, under -race (replications borrow and
+# return pooled scratch arenas concurrently). The gateway √2-law ensembles
+# this tier used to hold run as scenarios (test-scenario).
 test-stat:
 	$(GO) test -tags stat -race -run 'TestStat' -v ./internal/sim
 

@@ -73,12 +73,13 @@ func main() {
 
 // options holds the parsed flags.
 type options struct {
-	n, svr, th, tm, pce, pq, ttl               float64
-	shards, window, staleAfter                 int
-	lnShards, maxConns, frameRate, clusterN    int
-	estMode, degraded, listen, addr, placement string
-	adaptive                                   bool
-	tickInterval                               time.Duration
+	n, svr, th, tm, pce, pq, ttl            float64
+	shards, window, staleAfter              int
+	lnShards, maxConns, frameRate, clusterN int
+	estMode, degraded, listen, addr         string
+	adaptive                                bool
+	tickInterval                            time.Duration
+	placement                               cluster.PlacementPolicy
 }
 
 // run is the whole command: parse and validate args, then serve.
@@ -114,8 +115,12 @@ func parse(args []string) (*options, error) {
 	fs.IntVar(&o.maxConns, "max-conns", 1024, "served connection limit")
 	fs.IntVar(&o.frameRate, "frame-rate", 0, "per-connection frame-rate cap in frames/sec, 0 = off")
 	fs.IntVar(&o.clusterN, "cluster", 0, "serve N gateway instances behind the headroom router, each with capacity -n (0 = single gateway)")
-	fs.StringVar(&o.placement, "placement", "least-loaded", "cluster placement policy: "+cluster.PlacementPolicyNames.List()+" (with -cluster)")
+	placement := fs.String("placement", "least-loaded", "cluster placement policy: "+cluster.PlacementPolicyNames.List()+" (with -cluster)")
 	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	var err error
+	if o.placement, err = cluster.ParsePlacementPolicy(*placement); err != nil {
 		return nil, err
 	}
 
@@ -205,11 +210,8 @@ func serve(o *options, stdout io.Writer) error {
 		cl      *cluster.Cluster
 	)
 	if o.clusterN > 0 {
-		pol, err := cluster.ParsePlacementPolicy(o.placement)
-		if err != nil {
-			return err
-		}
-		ccfg := cluster.Config{Policy: pol, TickInterval: o.tickInterval, Instances: make([]gateway.Config, o.clusterN)}
+		var err error
+		ccfg := cluster.Config{Policy: o.placement, TickInterval: o.tickInterval, Instances: make([]gateway.Config, o.clusterN)}
 		for i := range ccfg.Instances {
 			if ccfg.Instances[i], err = o.gatewayConfig(&tuners); err != nil {
 				return err

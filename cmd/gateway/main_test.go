@@ -21,6 +21,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-cluster -1", "must be non-negative"},
 		{"-tick-interval 0", "must be positive"},
 		{"-tick-interval -1s", "must be positive"},
+		{"-placement bogus", "unknown placement policy"},
 		// The replay mode and its flags are gone; naming one is an error.
 		{"-lambda 1", "flag provided but not defined: -lambda"},
 	} {

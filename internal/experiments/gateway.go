@@ -39,8 +39,9 @@ func gatewayFill(n, svr, pce float64, r *rng.PCG) (int, error) {
 // runGatewaySoak measures the gateway's admitted-count statistics under
 // impulsive load across a replicated ensemble on the shared worker pool,
 // next to Proposition 3.1's predictions (mean m*, stddev (σ/μ)·√n). The
-// replications are striped and merged deterministically, so the table is
-// bit-identical for a fixed seed — suitable for golden locking.
+// admitted counts are kept by replication and folded in replication order,
+// so the table is bit-identical for a fixed seed — suitable for golden
+// locking.
 func runGatewaySoak(f Fidelity, seed uint64) ([]*Table, error) {
 	reps := 150
 	switch f {
@@ -65,21 +66,18 @@ func runGatewaySoak(f Fidelity, seed uint64) ([]*Table, error) {
 			Seed:         seed + 0x67773a*uint64(pi+1), // per-point stream
 			Tag:          0x6777,                       // stream tag "gw"
 		}
-		accs := make([]stats.Moments, pool.NumStripes())
-		err := pool.Run(context.Background(), func(stripe, rep int, r *rng.PCG) error {
-			m0, err := gatewayFill(pt.n, pt.svr, pt.pce, r)
-			if err != nil {
-				return err
-			}
-			accs[stripe].Add(float64(m0))
-			return nil
+		fills, err := sim.Collect(context.Background(), pool, func(_ int, r *rng.PCG) (int, error) {
+			return gatewayFill(pt.n, pt.svr, pt.pce, r)
 		})
+		if err != nil {
+			return nil, err
+		}
 		var m0 stats.Moments
-		for s := range accs {
-			m0.Merge(&accs[s])
+		for _, v := range fills {
+			m0.Add(float64(v))
 		}
 		return []float64{pt.n, pt.svr, pt.pce, float64(reps), mstar, m0.Mean(), m0.StdDev(), sd,
-			(m0.Mean() - mstar) / sd}, err
+			(m0.Mean() - mstar) / sd}, nil
 	})
 	if err != nil {
 		return nil, err

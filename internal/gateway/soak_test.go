@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -21,10 +22,10 @@ import (
 // until the certainty-equivalent bound refuses one. The admitted count at
 // the first refusal is the gateway-shaped analog of the paper's M0
 // (Proposition 3.1: mean ≈ m*, stddev ≈ (σ/μ)·√n).
-func impulsiveFill(tb testing.TB, n, svr, pce float64, r *rng.PCG, batch int) int64 {
+func impulsiveFill(n, svr, pce float64, r *rng.PCG, batch int) (int64, error) {
 	ctrl, err := core.NewCertaintyEquivalent(pce, 1, svr)
 	if err != nil {
-		tb.Fatal(err)
+		return 0, err
 	}
 	g, err := New(Config{
 		Capacity:   n,
@@ -33,7 +34,7 @@ func impulsiveFill(tb testing.TB, n, svr, pce float64, r *rng.PCG, batch int) in
 		Shards:     4,
 	})
 	if err != nil {
-		tb.Fatal(err)
+		return 0, err
 	}
 	model := traffic.NewRCBR(1, svr, 1)
 	ids := make([]uint64, batch)
@@ -49,23 +50,20 @@ func impulsiveFill(tb testing.TB, n, svr, pce float64, r *rng.PCG, batch int) in
 		if batch == 1 {
 			d, err := g.Admit(ids[0], rates[0])
 			if err != nil {
-				tb.Fatal(err)
+				return 0, err
 			}
 			dst = append(dst[:0], d)
-		} else {
-			dst, err = g.AdmitBatch(ids, rates, dst[:0])
-			if err != nil {
-				tb.Fatal(err)
-			}
+		} else if dst, err = g.AdmitBatch(ids, rates, dst[:0]); err != nil {
+			return 0, err
 		}
 		for _, d := range dst {
 			if !d.Admitted {
-				return d.Active
+				return d.Active, nil
 			}
 		}
 		g.Tick(float64(tick) * 1e-3)
 		if next > uint64(4*n)+4*uint64(batch) {
-			tb.Fatalf("fill did not terminate: %d admissions at capacity %g", next, n)
+			return 0, fmt.Errorf("fill did not terminate: %d admissions at capacity %g", next, n)
 		}
 	}
 }
@@ -101,17 +99,15 @@ func TestSoakAdmittedTracksMStar(t *testing.T) {
 			sd := pt.svr * math.Sqrt(pt.n) // Prop 3.1 per-replication spread
 
 			pool := sim.Replicated{Replications: reps, Seed: pt.seed, Tag: 0x6777}
-			accs := make([]stats.Moments, pool.NumStripes())
-			err := pool.Run(context.Background(), func(stripe, rep int, r *rng.PCG) error {
-				accs[stripe].Add(float64(impulsiveFill(t, pt.n, pt.svr, pt.pce, r, pt.batch)))
-				return nil
+			fills, err := sim.Collect(context.Background(), pool, func(_ int, r *rng.PCG) (int64, error) {
+				return impulsiveFill(pt.n, pt.svr, pt.pce, r, pt.batch)
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var m0 stats.Moments
-			for s := range accs {
-				m0.Merge(&accs[s])
+			for _, v := range fills {
+				m0.Add(float64(v))
 			}
 			mean, simSD := m0.Mean(), m0.StdDev()
 			t.Logf("n=%g svr=%g: mean M0 = %.3f (m* = %.3f), sd = %.3f (theory %.3f), reps = %d",

@@ -7,19 +7,16 @@ import (
 )
 
 // Collect runs body for every replication of p on the worker pool and
-// returns the per-replication results in replication order. It packages
-// the stripe-accumulator idiom every ensemble consumer was hand-rolling
-// (per-stripe slices appended in stripe order, merged rep%stripes /
-// rep/stripes at the end): results are positioned by replication index, so
-// the output is bit-identical for a fixed seed regardless of worker count,
-// and downstream consumers (Wilson windows, report tables) never see
-// scheduling order.
+// returns the per-replication results in replication order. Results are
+// positioned by replication index, so the output is bit-identical for a
+// fixed seed regardless of worker count, and downstream consumers (moment
+// folds, Wilson windows, report tables) never see scheduling order.
 //
 // On error the partial results are discarded and the first body error (or
 // the context error) is returned, matching Run's contract.
 func Collect[T any](ctx context.Context, p Replicated, body func(rep int, r *rng.PCG) (T, error)) ([]T, error) {
 	out := make([]T, p.Replications)
-	err := p.Run(ctx, func(_, rep int, r *rng.PCG) error {
+	err := p.Run(ctx, func(rep int, r *rng.PCG) error {
 		v, err := body(rep, r)
 		if err != nil {
 			return err
@@ -41,6 +38,5 @@ func Collect[T any](ctx context.Context, p Replicated, body func(rep int, r *rng
 // keeps their order, and every table or report rendered from them,
 // independent of scheduling.
 func ForEach(ctx context.Context, n int, fn func(i int) error) error {
-	// One index per stripe: no two indices are serialized behind each other.
-	return Replicated{Replications: n, Stripes: n}.Run(ctx, func(_, i int, _ *rng.PCG) error { return fn(i) })
+	return Replicated{Replications: n}.Run(ctx, func(i int, _ *rng.PCG) error { return fn(i) })
 }

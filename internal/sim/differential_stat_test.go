@@ -10,12 +10,12 @@ import (
 
 // TestStatColumnarDifferential is the stat-tier version of the columnar/
 // scalar equivalence check: larger RCBR ensembles (enough replications to
-// span several worker stripes and force arena recycling and column growth),
-// more seeds, and finer probe grids, including one whose controller admits
-// flows beyond MeasureCount. The Makefile runs this tier under -race as
-// well: the columnar path keeps worker-local arenas alive across
-// replications and hands scratch state between stripes, exactly the
-// sharing the race detector should see under real load.
+// force arena recycling and column growth), more seeds, and finer probe
+// grids, including one whose controller admits flows beyond MeasureCount.
+// The Makefile runs this tier under -race as well: concurrent replications
+// borrow and return pooled scratch arenas and write their results into one
+// shared index-addressed slice, exactly the sharing the race detector
+// should see under real load.
 func TestStatColumnarDifferential(t *testing.T) {
 	grid := []float64{0.25, 0.5, 1, 2, 5, 10, 25, 50}
 	cases := map[string]func(seed uint64) ImpulsiveConfig{

@@ -10,17 +10,17 @@ import (
 
 // assertImpulsiveEqual requires two ensemble results to be bit-identical:
 // identical M0 moment state and identical overflow counters at every probe.
-func assertImpulsiveEqual(tb testing.TB, scalar, columnar *ImpulsiveResult) {
+func assertImpulsiveEqual(tb testing.TB, a, b *ImpulsiveResult) {
 	tb.Helper()
-	if scalar.M0 != columnar.M0 {
-		tb.Fatalf("M0 moments diverge: scalar %+v columnar %+v", scalar.M0, columnar.M0)
+	if a.M0 != b.M0 {
+		tb.Fatalf("M0 moments diverge: %+v vs %+v", a.M0, b.M0)
 	}
-	if len(scalar.PfAt) != len(columnar.PfAt) {
-		tb.Fatalf("grid length diverges: %d vs %d", len(scalar.PfAt), len(columnar.PfAt))
+	if len(a.PfAt) != len(b.PfAt) {
+		tb.Fatalf("grid length diverges: %d vs %d", len(a.PfAt), len(b.PfAt))
 	}
-	for i := range scalar.PfAt {
-		if scalar.PfAt[i] != columnar.PfAt[i] {
-			tb.Fatalf("PfAt[%d] diverges: scalar %+v columnar %+v", i, scalar.PfAt[i], columnar.PfAt[i])
+	for i := range a.PfAt {
+		if a.PfAt[i] != b.PfAt[i] {
+			tb.Fatalf("PfAt[%d] diverges: %+v vs %+v", i, a.PfAt[i], b.PfAt[i])
 		}
 	}
 }

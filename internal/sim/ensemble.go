@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -57,26 +58,24 @@ type impPending struct {
 	seg traffic.Segment
 }
 
-// impulseScratch is one stripe's reusable replication state. A stripe runs
-// sequentially on a single worker by the pool's construction, so its
-// buffers can be recycled across that stripe's replications without
-// synchronization; after the first few replications the steady state
-// allocates only the per-flow sources.
+// impulseScratch is one replication's reusable state. A replication
+// borrows one from impScratchPool and returns it when done, so no two
+// concurrent replications share one and its buffers are recycled across
+// replications and whole RunImpulsive calls; after the first few
+// replications the steady state allocates only the per-flow sources.
 type impulseScratch struct {
 	waiting []impPending
 	flows   []ensFlow
 	streams []rng.PCG // per-flow substream storage for SplitInto
 
 	// Columnar-path arena: flow state as parallel columns plus the
-	// departure times. Owned by one worker at a time (same discipline as
-	// the slices above), recycled across replications, stripes, and — via
-	// impScratchPool — whole RunImpulsive calls.
+	// departure times, recycled the same way as the slices above.
 	cols    traffic.Columns
 	departs []float64
 }
 
-// impScratchPool recycles scratch arenas across RunImpulsive calls, so a
-// caller looping over ensembles (scenario grids, benchmarks) reaches a
+// impScratchPool recycles scratch arenas across replications and
+// RunImpulsive calls, so a caller looping over ensembles (scenario grids, benchmarks) reaches a
 // steady state with zero per-replication and near-zero per-run allocation.
 var impScratchPool = sync.Pool{New: func() any { return new(impulseScratch) }}
 
@@ -121,28 +120,29 @@ func RunImpulsive(cfg ImpulsiveConfig) (*ImpulsiveResult, error) {
 		Grid: append([]float64(nil), cfg.Grid...),
 	}
 
-	// Replications run on the shared Replicated pool: one accumulator per
-	// stripe, merged in stripe order, so the result is bit-identical
-	// regardless of GOMAXPROCS or scheduling (floating-point summation
-	// order is pinned by the striping, and each replication draws from its
-	// own substream of the master generator).
+	// Replications run on the shared Replicated pool. Each keeps its
+	// admitted count and overflow bits at its index, and the results fold
+	// in replication order, so the result is bit-identical regardless of
+	// GOMAXPROCS or scheduling (each replication draws from its own
+	// substream of the master generator).
 	pool := Replicated{
 		Replications: cfg.Replications,
 		Seed:         cfg.Seed,
 		Tag:          0x696d_70, // stream tag "imp"
 	}
 	ir := impRunPool.Get().(*impRun)
-	ir.begin(cfg, pool.NumStripes())
+	ir.begin(cfg)
 	err := pool.Run(context.Background(), ir.bodyFn)
 	if err == nil {
-		for s := range ir.accs {
-			res.M0.Merge(&ir.accs[s].m0)
-			for gi := range res.PfAt {
-				res.PfAt[gi].Merge(&ir.accs[s].pfAt[gi])
+		g := len(cfg.Grid)
+		for rep, m0 := range ir.m0 {
+			res.M0.Add(float64(m0))
+			for gi, hit := range ir.over[rep*g : (rep+1)*g] {
+				res.PfAt[gi].Add(hit)
 			}
 		}
 	}
-	ir.end()
+	ir.cfg = ImpulsiveConfig{} // pooled state must not pin a dead model
 	impRunPool.Put(ir)
 	if err != nil {
 		return nil, err
@@ -150,38 +150,19 @@ func RunImpulsive(cfg ImpulsiveConfig) (*ImpulsiveResult, error) {
 	return res, nil
 }
 
-// stripeAcc is one stripe's accumulator: owned exclusively by the stripe's
-// worker during a run, merged in stripe order afterwards.
-type stripeAcc struct {
-	m0   stats.Moments
-	pfAt []stats.Counter
-}
-
 // impRun is the reusable orchestration state of one RunImpulsive call:
-// per-stripe accumulators, the scratch-arena hand-off, and the pool body.
+// each replication's admitted count and overflow bits, and the pool body.
 // The body is bound once at construction (bodyFn), so a steady-state run
 // allocates nothing here — not even the closure a literal body would cost.
 type impRun struct {
 	cfg        ImpulsiveConfig
 	rcbr       traffic.RCBR
 	useColumns bool // cfg.Model is a traffic.RCBR
-	stripes    int
 
-	accs      []stripeAcc
-	pfBacking []stats.Counter
+	m0   []int  // admitted count by replication
+	over []bool // overflow at Grid[gi] of replication rep at rep·len(Grid)+gi
 
-	// Scratch buffers are handed off between stripes through a free list
-	// rather than pinned one per stripe: a worker acquires a scratch at a
-	// stripe's first replication and releases it after the last, so at most
-	// numWorkers scratches ever exist and their buffers amortize across
-	// the whole run even when stripes outnumber replications per stripe.
-	// Scratch identity cannot affect results: every buffer is fully
-	// overwritten per replication.
-	scMu   sync.Mutex
-	scFree []*impulseScratch
-	held   []*impulseScratch
-
-	bodyFn func(stripe, rep int, r *rng.PCG) error
+	bodyFn func(rep int, r *rng.PCG) error
 }
 
 // impRunPool recycles run state across RunImpulsive calls (the same
@@ -192,90 +173,36 @@ var impRunPool = sync.Pool{New: func() any {
 	return ir
 }}
 
-// begin readies the run state for a fresh ensemble: accumulators sized and
-// zeroed, engine chosen by the model's type, no scratches held.
-func (ir *impRun) begin(cfg ImpulsiveConfig, stripes int) {
+// begin readies the run state for a fresh ensemble: result slices sized,
+// engine chosen by the model's type. Every replication overwrites its own
+// entries, so the slices need no clearing.
+func (ir *impRun) begin(cfg ImpulsiveConfig) {
 	ir.cfg = cfg
 	ir.rcbr, ir.useColumns = cfg.Model.(traffic.RCBR)
-	ir.stripes = stripes
-
-	g := len(cfg.Grid)
-	if cap(ir.accs) < stripes {
-		ir.accs = make([]stripeAcc, stripes)
-	}
-	ir.accs = ir.accs[:stripes]
-	if cap(ir.pfBacking) < stripes*g {
-		ir.pfBacking = make([]stats.Counter, stripes*g)
-	}
-	ir.pfBacking = ir.pfBacking[:stripes*g]
-	clear(ir.pfBacking)
-	// One backing array for every stripe's counters: the slices are disjoint
-	// (full-slice expressions), so stripes still own their rows exclusively.
-	for i := range ir.accs {
-		lo, hi := i*g, (i+1)*g
-		ir.accs[i] = stripeAcc{pfAt: ir.pfBacking[lo:hi:hi]}
-	}
-	if cap(ir.held) < stripes {
-		ir.held = make([]*impulseScratch, stripes)
-	}
-	ir.held = ir.held[:stripes]
-	clear(ir.held)
-	ir.scFree = ir.scFree[:0]
+	ir.m0 = slices.Grow(ir.m0[:0], cfg.Replications)[:cfg.Replications]
+	n := cfg.Replications * len(cfg.Grid)
+	ir.over = slices.Grow(ir.over[:0], n)[:n]
 }
 
 // replicate is the pool body: one replication on this run's configuration.
-func (ir *impRun) replicate(stripe, rep int, r *rng.PCG) error {
-	sc := ir.held[stripe]
-	if sc == nil {
-		ir.scMu.Lock()
-		if n := len(ir.scFree); n > 0 {
-			sc, ir.scFree = ir.scFree[n-1], ir.scFree[:n-1]
-		}
-		ir.scMu.Unlock()
-		if sc == nil {
-			sc = impScratchPool.Get().(*impulseScratch)
-		}
-		ir.held[stripe] = sc
-	}
-	acc := &ir.accs[stripe]
-	var m0 int
+func (ir *impRun) replicate(rep int, r *rng.PCG) error {
+	sc := impScratchPool.Get().(*impulseScratch)
+	g := len(ir.cfg.Grid)
+	over := ir.over[rep*g : (rep+1)*g]
 	if ir.useColumns {
-		m0 = runOneImpulseColumnar(ir.cfg, ir.rcbr, r, acc.pfAt, sc)
+		ir.m0[rep] = runOneImpulseColumnar(ir.cfg, ir.rcbr, r, over, sc)
 	} else {
-		m0 = runOneImpulse(ir.cfg, r, acc.pfAt, sc)
+		ir.m0[rep] = runOneImpulse(ir.cfg, r, over, sc)
 	}
-	acc.m0.Add(float64(m0))
-	if rep+ir.stripes >= ir.cfg.Replications { // stripe's last replication
-		ir.held[stripe] = nil
-		ir.scMu.Lock()
-		ir.scFree = append(ir.scFree, sc)
-		ir.scMu.Unlock()
-	}
+	impScratchPool.Put(sc)
 	return nil
 }
 
-// end retires the run's scratch arenas to the process-wide pool and drops
-// every model reference so pooled state never pins a dead model. Scratches
-// still held (a run stopped by an error) retire too.
-func (ir *impRun) end() {
-	for i, sc := range ir.held {
-		if sc != nil {
-			ir.scFree = append(ir.scFree, sc)
-			ir.held[i] = nil
-		}
-	}
-	for _, sc := range ir.scFree {
-		impScratchPool.Put(sc)
-	}
-	ir.scFree = ir.scFree[:0]
-	ir.cfg = ImpulsiveConfig{}
-}
-
-// runOneImpulse performs a single replication, recording overflow
-// indicators into pfAt (one counter per grid time), and returns the
+// runOneImpulse performs a single replication, recording whether the
+// aggregate overflows at each grid time into over, and returns the
 // admitted count. sc provides reusable buffers; the caller guarantees it
 // is not shared across concurrent replications.
-func runOneImpulse(cfg ImpulsiveConfig, r *rng.PCG, pfAt []stats.Counter, sc *impulseScratch) int {
+func runOneImpulse(cfg ImpulsiveConfig, r *rng.PCG, over []bool, sc *impulseScratch) int {
 	if cap(sc.streams) < cfg.MeasureCount {
 		sc.streams = make([]rng.PCG, 0, cfg.MeasureCount)
 	}
@@ -357,7 +284,7 @@ func runOneImpulse(cfg ImpulsiveConfig, r *rng.PCG, pfAt []stats.Counter, sc *im
 			agg += f.rate
 			i++
 		}
-		pfAt[gi].Add(agg > cfg.Capacity)
+		over[gi] = agg > cfg.Capacity
 	}
 	return m0
 }
@@ -381,7 +308,7 @@ func runOneImpulse(cfg ImpulsiveConfig, r *rng.PCG, pfAt []stats.Counter, sc *im
 //     exactly the arrangement the scalar loop summed.
 //
 // TestImpulsiveColumnarMatchesScalar pins the equivalence end to end.
-func runOneImpulseColumnar(cfg ImpulsiveConfig, m traffic.RCBR, r *rng.PCG, pfAt []stats.Counter, sc *impulseScratch) int {
+func runOneImpulseColumnar(cfg ImpulsiveConfig, m traffic.RCBR, r *rng.PCG, over []bool, sc *impulseScratch) int {
 	c := &sc.cols
 	n := cfg.MeasureCount
 	c.Grow(n)
@@ -451,7 +378,7 @@ func runOneImpulseColumnar(cfg ImpulsiveConfig, m traffic.RCBR, r *rng.PCG, pfAt
 		}
 		m.AdvanceColumn(c, alive, t)
 		agg, _ := estimator.FoldRates(c.Rate[:alive])
-		pfAt[gi].Add(agg > cfg.Capacity)
+		over[gi] = agg > cfg.Capacity
 	}
 	return m0
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -158,23 +159,28 @@ func TestImpulsiveFiniteHoldingProfile(t *testing.T) {
 	}
 }
 
+// TestImpulsiveDeterminism: the worker count is an input, not a knob, and
+// the ensemble is the same bits at 1 and 3 Ps — whole M0 state and every
+// probe counter — on both engines, below and above 64 replications.
 func TestImpulsiveDeterminism(t *testing.T) {
-	model := traffic.NewRCBR(1, 0.3, 1)
-	ce, _ := core.NewCertaintyEquivalent(1e-2, 1, 0.3)
-	run := func() *ImpulsiveResult {
-		res, err := RunImpulsive(ImpulsiveConfig{
-			Capacity: 50, Model: model, Controller: ce,
-			MeasureCount: 50, HoldingTime: 10,
-			Grid: []float64{1, 5}, Replications: 200, Seed: 99,
-		})
-		if err != nil {
-			t.Fatal(err)
+	rcbr := traffic.NewRCBR(1, 0.3, 1)
+	for _, model := range []traffic.Model{rcbr, struct{ traffic.Model }{rcbr}} {
+		for _, reps := range []int{10, 130} {
+			cfg := ImpulsiveConfig{
+				Capacity: 50, Model: model, Controller: mustCE(t, 1e-2),
+				MeasureCount: 50, HoldingTime: 10,
+				Grid: []float64{1, 5}, Replications: reps, Seed: 99,
+			}
+			run := func(procs int) *ImpulsiveResult {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				res, err := RunImpulsive(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			assertImpulsiveEqual(t, run(1), run(3))
 		}
-		return res
-	}
-	a, b := run(), run()
-	if a.M0.Mean() != b.M0.Mean() || a.PfAt[0].Hits() != b.PfAt[0].Hits() {
-		t.Error("impulsive ensemble not deterministic")
 	}
 }
 

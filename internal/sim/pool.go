@@ -10,84 +10,43 @@ import (
 	"repro/internal/rng"
 )
 
-// DefaultStripes is the stripe count used when Replicated.Stripes is zero.
-// Striping serves determinism, not load balancing: accumulators are owned
-// per stripe and merged in stripe order, so results are bit-identical
-// regardless of GOMAXPROCS or scheduling.
-const DefaultStripes = 64
-
 // Replicated is the shared parallel engine for replicated stochastic runs:
 // the impulsive-load ensembles, the gateway soak experiments, and any
 // future Monte Carlo study. It executes Replications independent jobs on a
-// bounded worker pool with three guarantees:
+// bounded worker pool with two guarantees:
 //
 //   - every replication draws from its own PCG substream, derived lazily
 //     inside the worker (rng.SplitInto after an O(log n) rng.Jump) but
-//     bit-identical to an up-front SplitN in replication order, so results
-//     are reproducible for a fixed seed and invariant to worker count
-//     while setup stays O(1) in memory;
-//   - replications are grouped into stripes (replication index mod stripe
-//     count) and each stripe's work runs on a single worker, so callers
-//     may keep one accumulator per stripe with no locking and merge them
-//     in stripe order for bit-identical floating-point results;
+//     bit-identical to an up-front SplitN in replication order, so a
+//     replication's draws depend on its index alone, never on which worker
+//     ran it or when;
 //   - the run honors context cancellation and stops at the first body
 //     error.
+//
+// A replication's index is its only identity: callers keep each result at
+// its index (Collect) and fold the results in index order, so the fold is
+// bit-identical for a fixed seed at any worker count.
 type Replicated struct {
 	Replications int    // number of independent replications (required, > 0)
-	Stripes      int    // accumulator stripes (default DefaultStripes)
-	Workers      int    // max concurrent workers (default GOMAXPROCS, capped at Stripes)
 	Seed         uint64 // master seed
 	Tag          uint64 // stream tag separating this study from others on the same seed
 }
 
-// NumStripes returns the effective stripe count; callers size their
-// per-stripe accumulator slices with it. It never exceeds Replications:
-// stripes beyond the replication count would stay empty, and clamping them
-// away keeps small ensembles from paying accumulator setup for idle
-// stripes. (The clamp cannot change results: when Replications < stripes,
-// replication rep lands on stripe rep and stripes merge in replication
-// order under either count.)
-func (p Replicated) NumStripes() int {
-	s := p.Stripes
-	if s <= 0 {
-		s = DefaultStripes
-	}
-	if p.Replications > 0 && s > p.Replications {
-		s = p.Replications
-	}
-	return s
-}
-
-// numWorkers returns the effective worker count.
-func (p Replicated) numWorkers() int {
-	w := p.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > p.NumStripes() {
-		w = p.NumStripes()
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Run executes body(stripe, rep, r) for every replication index rep in
-// [0, Replications), where stripe = rep mod NumStripes() and r is the
-// replication's private PCG substream. All replications of one stripe run
-// sequentially (in increasing rep order) on one worker, so body may mutate
-// a per-stripe accumulator without synchronization. The substream pointer
-// is only valid for the duration of the call: the pool reseeds one PCG
-// value per worker in place, so body must not retain r after returning
-// (sources split from r own their own state and may outlive the call).
+// Run executes body(rep, r) for every replication index rep in
+// [0, Replications), where r is the replication's private PCG substream.
+// min(GOMAXPROCS, Replications) workers claim indices from one counter, so
+// body runs concurrently with itself and must write only to state owned by
+// rep. The substream pointer is only valid for the duration of the call:
+// the pool reseeds one PCG value per worker in place, so body must not
+// retain r after returning (sources split from r own their own state and
+// may outlive the call).
 //
 // Run returns the first body error if any replication failed, else the
 // context's error if the run was cancelled, else nil — so callers always
 // see the root cause even when a body error and the resulting pool
-// cancellation race. Either condition stops the pool promptly (stripes not
-// yet started are skipped, in-flight replications finish).
-func (p Replicated) Run(ctx context.Context, body func(stripe, rep int, r *rng.PCG) error) error {
+// cancellation race. Either condition stops the pool promptly (indices not
+// yet claimed are skipped, in-flight replications finish).
+func (p Replicated) Run(ctx context.Context, body func(rep int, r *rng.PCG) error) error {
 	if p.Replications <= 0 {
 		return fmt.Errorf("sim: replications %d must be positive", p.Replications)
 	}
@@ -100,7 +59,6 @@ func (p Replicated) Run(ctx context.Context, body func(stripe, rep int, r *rng.P
 	// grids, benchmarks).
 	run := &poolRun{
 		replications: p.Replications,
-		stripes:      p.NumStripes(),
 		body:         body,
 		ctx:          ctx,
 		// Done() is nil for contexts that can never be cancelled
@@ -108,15 +66,16 @@ func (p Replicated) Run(ctx context.Context, body func(stripe, rep int, r *rng.P
 		// call entirely.
 		done: ctx.Done(),
 	}
-	// The master generator is never advanced by the workers: each stripe
-	// derives its substreams lazily from a private copy. SplitN(n)[rep]
+	// The master generator is never advanced by the workers: each
+	// replication derives its substream from a private copy. SplitN(n)[rep]
 	// consumes exactly two parent draws per split, so positioning the copy
 	// 2·rep draws ahead (O(log rep) via Jump) and splitting once reproduces
 	// the historical up-front materialization bit-for-bit with O(1) setup
 	// memory instead of O(Replications) pointers.
 	run.base.Seed(p.Seed, p.Tag)
-	for w := 0; w < p.numWorkers(); w++ {
-		run.wg.Add(1)
+	workers := min(runtime.GOMAXPROCS(0), p.Replications)
+	run.wg.Add(workers)
+	for w := 0; w < workers; w++ {
 		go run.worker()
 	}
 	run.wg.Wait()
@@ -131,9 +90,8 @@ func (p Replicated) Run(ctx context.Context, body func(stripe, rep int, r *rng.P
 // poolRun is the shared state of one Run call.
 type poolRun struct {
 	replications int
-	stripes      int
 	base         rng.PCG
-	body         func(stripe, rep int, r *rng.PCG) error
+	body         func(rep int, r *rng.PCG) error
 	ctx          context.Context
 	done         <-chan struct{}
 
@@ -141,7 +99,7 @@ type poolRun struct {
 	errMu   sync.Mutex
 	bodyErr error
 	stop    atomic.Bool  // set on the first body error
-	next    atomic.Int64 // stripe claim counter
+	next    atomic.Int64 // replication claim counter
 }
 
 func (run *poolRun) fail(err error) {
@@ -161,25 +119,16 @@ func (run *poolRun) worker() {
 	defer run.wg.Done()
 	var stream rng.PCG // reseeded in place per replication
 	for {
-		s := int(run.next.Add(1)) - 1
-		if s >= run.stripes || run.stopped() {
+		rep := int(run.next.Add(1)) - 1
+		if rep >= run.replications || run.stopped() {
 			return
 		}
 		cur := run.base
-		cur.Jump(2 * uint64(s))
-		for rep := s; rep < run.replications; rep += run.stripes {
-			if run.stopped() {
-				return
-			}
-			cur.SplitInto(uint64(rep), &stream)
-			if err := run.body(s, rep, &stream); err != nil {
-				run.fail(err)
-				return
-			}
-			// SplitInto consumed 2 of the 2·stripes draws separating
-			// this replication's parent position from the next one in
-			// the stripe.
-			cur.Jump(2 * uint64(run.stripes-1))
+		cur.Jump(2 * uint64(rep))
+		cur.SplitInto(uint64(rep), &stream)
+		if err := run.body(rep, &stream); err != nil {
+			run.fail(err)
+			return
 		}
 	}
 }

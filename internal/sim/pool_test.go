@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 func TestReplicatedValidation(t *testing.T) {
-	if err := (Replicated{}).Run(context.Background(), func(int, int, *rng.PCG) error { return nil }); err == nil {
+	if err := (Replicated{}).Run(context.Background(), func(int, *rng.PCG) error { return nil }); err == nil {
 		t.Fatal("zero replications: want error")
 	}
 	if err := (Replicated{Replications: 1}).Run(context.Background(), nil); err == nil {
@@ -19,25 +20,26 @@ func TestReplicatedValidation(t *testing.T) {
 	}
 }
 
-// TestReplicatedDeterminism checks the pool's core contract: per-stripe
-// accumulation merged in stripe order is bit-identical across worker
-// counts, because substreams are assigned by replication index and each
-// stripe runs sequentially on one worker.
+// TestReplicatedDeterminism checks the pool's core contract: results kept
+// by replication index and folded in index order are bit-identical across
+// worker counts, because a replication's substream depends on its index
+// alone.
 func TestReplicatedDeterminism(t *testing.T) {
-	sum := func(workers int) []float64 {
-		pool := Replicated{Replications: 500, Workers: workers, Seed: 42, Tag: 7}
-		accs := make([]stats.Moments, pool.NumStripes())
-		err := pool.Run(context.Background(), func(stripe, rep int, r *rng.PCG) error {
+	sum := func(procs int) []float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		pool := Replicated{Replications: 500, Seed: 42, Tag: 7}
+		xs := make([]float64, pool.Replications)
+		err := pool.Run(context.Background(), func(rep int, r *rng.PCG) error {
 			// A value that depends on both the substream and the index.
-			accs[stripe].Add(r.Float64() + float64(rep)*1e-9)
+			xs[rep] = r.Float64() + float64(rep)*1e-9
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var m stats.Moments
-		for s := range accs {
-			m.Merge(&accs[s])
+		for _, x := range xs {
+			m.Add(x)
 		}
 		return []float64{m.Mean(), m.Var(), m.Min(), m.Max(), float64(m.N())}
 	}
@@ -51,13 +53,9 @@ func TestReplicatedDeterminism(t *testing.T) {
 }
 
 func TestReplicatedCoversEveryReplication(t *testing.T) {
-	const reps = 257 // deliberately not a stripe multiple
+	const reps = 257
 	var seen [reps]atomic.Int32
-	pool := Replicated{Replications: reps, Seed: 1}
-	err := pool.Run(context.Background(), func(stripe, rep int, r *rng.PCG) error {
-		if rep%pool.NumStripes() != stripe {
-			t.Errorf("rep %d ran on stripe %d", rep, stripe)
-		}
+	err := Replicated{Replications: reps, Seed: 1}.Run(context.Background(), func(rep int, r *rng.PCG) error {
 		seen[rep].Add(1)
 		return nil
 	})
@@ -77,10 +75,10 @@ func TestReplicatedCoversEveryReplication(t *testing.T) {
 // produced, for every rep and irrespective of worker count.
 func TestReplicatedMatchesSplitN(t *testing.T) {
 	const reps = 300
-	pool := Replicated{Replications: reps, Workers: 4, Seed: 2024, Tag: 0x706f6f6c}
+	pool := Replicated{Replications: reps, Seed: 2024, Tag: 0x706f6f6c}
 	want := rng.New(pool.Seed, pool.Tag).SplitN(reps)
 	var got [reps][4]uint64
-	err := pool.Run(context.Background(), func(stripe, rep int, r *rng.PCG) error {
+	err := pool.Run(context.Background(), func(rep int, r *rng.PCG) error {
 		for j := range got[rep] {
 			got[rep][j] = r.Uint64()
 		}
@@ -102,7 +100,7 @@ func TestReplicatedStopsOnError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
 	err := Replicated{Replications: 10_000, Seed: 1}.Run(context.Background(),
-		func(stripe, rep int, r *rng.PCG) error {
+		func(rep int, r *rng.PCG) error {
 			if ran.Add(1) == 5 {
 				return boom
 			}
@@ -122,11 +120,12 @@ func TestReplicatedStopsOnError(t *testing.T) {
 // the two race. With many workers and a hard error this used to flake to
 // context.Canceled under the old fail-on-ctx.Err() pattern.
 func TestReplicatedBodyErrorWinsOverCancellation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	boom := errors.New("boom")
 	for trial := 0; trial < 20; trial++ {
-		err := Replicated{Replications: 50_000, Workers: 8, Seed: uint64(trial)}.Run(
+		err := Replicated{Replications: 50_000, Seed: uint64(trial)}.Run(
 			context.Background(),
-			func(stripe, rep int, r *rng.PCG) error {
+			func(rep int, r *rng.PCG) error {
 				if rep == 1234 {
 					return boom
 				}
@@ -145,7 +144,7 @@ func TestReplicatedExternalCancellationReported(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the pool even starts
 	err := Replicated{Replications: 100, Seed: 1}.Run(ctx,
-		func(stripe, rep int, r *rng.PCG) error { return nil })
+		func(rep int, r *rng.PCG) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -155,7 +154,7 @@ func TestReplicatedHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	err := Replicated{Replications: 100_000, Seed: 1}.Run(ctx,
-		func(stripe, rep int, r *rng.PCG) error {
+		func(rep int, r *rng.PCG) error {
 			if ran.Add(1) == 10 {
 				cancel()
 			}
@@ -172,9 +171,10 @@ func TestReplicatedHonorsCancellation(t *testing.T) {
 // TestCollectOrderAndDeterminism: Collect positions results by replication
 // index regardless of worker count, and equal seeds give equal outputs.
 func TestCollectOrderAndDeterminism(t *testing.T) {
-	run := func(workers int) []uint64 {
+	run := func(procs int) []uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		out, err := Collect(context.Background(),
-			Replicated{Replications: 100, Stripes: 8, Workers: workers, Seed: 5, Tag: 9},
+			Replicated{Replications: 100, Seed: 5, Tag: 9},
 			func(rep int, r *rng.PCG) (uint64, error) {
 				return uint64(rep)<<32 | r.Uint64()>>32, nil
 			})

@@ -59,29 +59,6 @@ func (m *Moments) Min() float64 { return m.min }
 // Max returns the largest observation (0 if empty).
 func (m *Moments) Max() float64 { return m.max }
 
-// Merge folds other into m (parallel Welford combination).
-func (m *Moments) Merge(other *Moments) {
-	if other.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *other
-		return
-	}
-	n1, n2 := float64(m.n), float64(other.n)
-	d := other.mean - m.mean
-	tot := n1 + n2
-	m.m2 += other.m2 + d*d*n1*n2/tot
-	m.mean += d * n2 / tot
-	m.n += other.n
-	if other.min < m.min {
-		m.min = other.min
-	}
-	if other.max > m.max {
-		m.max = other.max
-	}
-}
-
 // TimeWeighted accumulates a time-weighted average of a piecewise-constant
 // indicator or value process: callers report each constant segment's value
 // and duration. It is the estimator behind time-fraction overflow
@@ -198,12 +175,6 @@ func (c *Counter) HalfWidth() float64 {
 	}
 	p := c.P()
 	return 1.96 * math.Sqrt(p*(1-p)/float64(c.n))
-}
-
-// Merge folds other into c.
-func (c *Counter) Merge(other *Counter) {
-	c.n += other.n
-	c.hits += other.hits
 }
 
 // Wilson returns the Wilson score interval for a binomial proportion:

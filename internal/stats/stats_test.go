@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
@@ -32,43 +31,6 @@ func TestMomentsEmpty(t *testing.T) {
 	var m Moments
 	if m.Mean() != 0 || m.Var() != 0 || m.N() != 0 {
 		t.Error("empty moments should be zero")
-	}
-}
-
-func TestMomentsMerge(t *testing.T) {
-	f := func(seed uint64) bool {
-		p := rng.New(seed, 0)
-		var all, a, b Moments
-		for i := 0; i < 100; i++ {
-			x := p.NormalMS(3, 2)
-			all.Add(x)
-			if i%2 == 0 {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(&b)
-		return math.Abs(a.Mean()-all.Mean()) < 1e-10 &&
-			math.Abs(a.Var()-all.Var()) < 1e-9 &&
-			a.N() == all.N() && a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMomentsMergeEmpty(t *testing.T) {
-	var a, b Moments
-	a.Add(1)
-	a.Add(3)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Error("merge with empty changed state")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Error("merge into empty failed")
 	}
 }
 
@@ -149,17 +111,6 @@ func TestCounter(t *testing.T) {
 	want := 1.96 * math.Sqrt(0.1*0.9/1000)
 	if math.Abs(c.HalfWidth()-want) > 1e-12 {
 		t.Errorf("half width = %v, want %v", c.HalfWidth(), want)
-	}
-}
-
-func TestCounterMerge(t *testing.T) {
-	var a, b Counter
-	a.Add(true)
-	a.Add(false)
-	b.Add(true)
-	a.Merge(&b)
-	if a.N() != 3 || a.Hits() != 2 {
-		t.Errorf("merged counter n=%d hits=%d", a.N(), a.Hits())
 	}
 }
 
