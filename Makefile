@@ -38,10 +38,13 @@
 #              admission-race test and the pinned-duplicate refusal, five
 #              times under -race, then (build tag "cluster") the 4-instance
 #              skewed-arrival soak (per-instance sqrt2-law audits) and the
-#              concurrent drain/failover soak under -race, each ending with pins equal
-#              to the instances' flow tables. The repo benchmark holds the
-#              same line end to end: a `cluster-churn` run prints no
-#              `KNOWN DEFECT` line
+#              concurrent drain/failover soak under -race, each ending with
+#              every instance's rows in the shared flow table equal to its
+#              Active count and to Admitted - Departed - Expired. The -run
+#              patterns name tests that exist: a renamed test would drop
+#              out of this tier silently, so check them against
+#              `go test -list`. The repo benchmark holds the same line end
+#              to end: a `cluster-churn` run prints no `KNOWN DEFECT` line
 #   adaptive — adaptive measurement tier (build tag "adaptive"): the
 #              regime-shift soak (renegotiated RCBR whose correlation time
 #              collapses mid-run; the controller must track T̂_c, converge

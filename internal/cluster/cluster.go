@@ -18,25 +18,21 @@
 // # Pinning
 //
 // Admission is stateful: an admitted flow's UpdateRate/Touch/Depart must
-// reach the instance that owns it. The cluster pins every admitted flow in
-// a sharded flow-ID → instance table whose shard k lock is also shard k's
-// lock on every instance, so each routed operation is one critical
-// section: read the pin, run the operation's lock-held body at the owner,
-// unpin if the flow ended. A pin is written in the critical section that
-// admits or migrates the flow and removed in the one that ends it —
-// departure, lease expiry (each instance's tick reports the flows it
-// reclaims under that lock) or migration — so the table needs no
-// reconciler: under any interleaving it equals the union of the instances'
-// flow tables.
+// reach the instance that owns it. The instances share one flow table (a
+// gateway.Fleet) in which a flow's row carries its owner, so the pin is
+// the row: an admission anywhere refuses a flow some instance holds, and
+// each routed operation finds the row once and acts on its owner in one
+// critical section. The row is written where the flow is admitted or
+// migrated and removed where it ends — departure, or the owner's lease
+// sweep — so no pin can outlive, or be missing for, an admitted flow.
 //
 // # Drain and degradation
 //
 // Drain(i) marks an instance draining — no new placements — and migrates
-// its pinned flows to the rest of the fleet: admit at the target, repin
-// and depart the source in one critical section, so an admitted flow is
-// never lost or doubled mid-migration; flows the fleet has no room for
-// stay pinned to the draining instance and depart or lease-expire
-// naturally. A *degraded*
+// its flows to the rest of the fleet: the target adopts the row, which
+// changes owner in one critical section, so an admitted flow is never
+// lost or doubled mid-migration; flows the fleet has no room for stay on
+// the draining instance and depart or lease-expire naturally. A *degraded*
 // instance (the PR 4 validity detector) is different: it keeps serving but
 // is scored below every healthy instance, receiving new placements only
 // when no healthy instance exists.
@@ -153,22 +149,6 @@ type instance struct {
 
 	migratedIn  atomic.Int64
 	migratedOut atomic.Int64
-
-	// pins and idx make the instance the gateway.Owner of its admissions.
-	pins *pinTable
-	idx  int32
-}
-
-// Owned implements gateway.Owner under id's shard lock: the instance's own
-// table has already missed, so a pin means the flow is active on another
-// instance.
-func (in *instance) Owned(id uint64) bool { return in.pins.shardFor(id).pins.Get(id) != nil }
-
-// Own implements gateway.Owner under id's shard lock: pin the flow this
-// instance has just admitted.
-func (in *instance) Own(id uint64) {
-	p, _ := in.pins.shardFor(id).pins.Put(id)
-	*p = in.idx
 }
 
 // muEff returns the cached scoring mean (0 when unknown).
@@ -190,13 +170,13 @@ func (in *instance) headroom() float64 {
 // Construct with New; all methods are safe for concurrent use.
 //
 // Fields are grouped by who writes them (TestClusterHotWordLayout): every
-// routed op reads instances and pins, which only New writes; every
+// routed op reads instances and fleet, which only New writes; every
 // placement writes the placement state, which sits last, at least a cache
 // line past them, behind fields that ticks and drains write.
 type Cluster struct {
 	cfg       Config
 	instances []*instance
-	pins      pinTable
+	fleet     *gateway.Fleet // the instances' shared flow table
 
 	// batchPool recycles AdmitBatch's target scratch, keeping the batched
 	// path allocation-free in steady state.
@@ -243,20 +223,20 @@ func New(cfg Config) (*Cluster, error) {
 		poolBuf:   make([]int, 0, len(cfg.Instances)),
 		degBuf:    make([]int, 0, len(cfg.Instances)),
 		warmBuf:   make([]int, 0, len(cfg.Instances)),
+		fleet:     new(gateway.Fleet),
 	}
 	shards := gateway.ShardCount(cfg.Instances[0].Shards)
 	for i, gc := range cfg.Instances {
 		if n := gateway.ShardCount(gc.Shards); n != shards {
-			return nil, fmt.Errorf("cluster: instance %d has %d shards, instance 0 has %d: every instance shares the pin table's shard locks", i, n, shards)
+			return nil, fmt.Errorf("cluster: instance %d has %d shards, instance 0 has %d: every instance shares one flow table", i, n, shards)
 		}
 	}
-	locks := c.pins.init(shards)
 	for i, gc := range cfg.Instances {
-		g, err := gateway.NewShared(gc, locks)
+		g, err := c.fleet.Join(gc)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
 		}
-		in := &instance{g: g, capacity: gc.Capacity, pins: &c.pins, idx: int32(i)}
+		in := &instance{g: g, capacity: gc.Capacity}
 		c.cacheMeasurement(in, g.Stats())
 		c.instances = append(c.instances, in)
 	}
@@ -292,15 +272,14 @@ func (c *Cluster) cacheMeasurement(in *instance, st gateway.Stats) {
 
 // Tick performs one measurement cycle at virtual time now on every
 // instance, in index order, refreshing the router's scoring caches, and
-// returns the per-instance snapshots in the same order. A flow whose lease
-// an instance's sweep reclaims loses its pin in the same step: the sweep
-// reports it under the flow's shard lock, which is the pin's lock too.
+// returns the per-instance snapshots in the same order. Each instance's
+// lease sweep removes the rows it reclaims, pin and all.
 func (c *Cluster) Tick(now float64) []gateway.Stats {
 	c.tickMu.Lock()
 	defer c.tickMu.Unlock()
 	sts := make([]gateway.Stats, len(c.instances))
 	for i, in := range c.instances {
-		st := in.g.TickExpired(now, c.pins.drop)
+		st := in.g.Tick(now)
 		c.cacheMeasurement(in, st)
 		sts[i] = st
 	}

@@ -95,8 +95,8 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("New accepted an unknown policy")
 	}
-	// Instance shard k shares pin shard k's lock, so every instance must
-	// have the pin table's shard count.
+	// The instances share one flow table, so every instance must have its
+	// shard count.
 	mixed := Config{Instances: []gateway.Config{testGatewayConfig(t, 10, 0), testGatewayConfig(t, 10, 0), testGatewayConfig(t, 10, 0)}}
 	mixed.Instances[2].Shards = 8
 	if _, err := New(mixed); err == nil || !strings.Contains(err.Error(), "instance 2 has 8 shards, instance 0 has 4") {
@@ -183,7 +183,7 @@ func TestPinnedRouting(t *testing.T) {
 	if err != nil || !d.Admitted {
 		t.Fatalf("Admit(1) = %+v, %v", d, err)
 	}
-	owner, ok := c.pins.get(1)
+	owner, ok := pinOf(c, 1)
 	if !ok {
 		t.Fatal("admitted flow has no pin")
 	}
@@ -199,7 +199,7 @@ func TestPinnedRouting(t *testing.T) {
 	if err := c.Depart(1); err != nil {
 		t.Fatalf("Depart through pin: %v", err)
 	}
-	if _, ok := c.pins.get(1); ok {
+	if _, ok := pinOf(c, 1); ok {
 		t.Fatal("departed flow still pinned")
 	}
 	if err := c.UpdateRate(1, 1.0); err == nil {
@@ -252,7 +252,7 @@ func TestDrainMigratesWithoutLoss(t *testing.T) {
 	}
 	// Every admitted flow is still reachable through its pin.
 	for _, id := range admitted {
-		owner, ok := c.pins.get(id)
+		owner, ok := pinOf(c, id)
 		if !ok || !c.Gateway(owner).Contains(id) {
 			t.Fatalf("flow %d lost after drain (pin %d, ok %t)", id, owner, ok)
 		}
@@ -262,7 +262,7 @@ func TestDrainMigratesWithoutLoss(t *testing.T) {
 	if err != nil || !d.Admitted {
 		t.Fatalf("Admit after drain = %+v, %v", d, err)
 	}
-	if owner, _ := c.pins.get(1000); owner == 1 {
+	if owner, _ := pinOf(c, 1000); owner == 1 {
 		t.Fatal("new flow placed on the draining instance")
 	}
 	if c.State(1) != StateDraining {
@@ -310,7 +310,7 @@ func TestAdmitPinnedFlowIsDuplicate(t *testing.T) {
 		if d, err := c.Admit(1, 1); err != nil || !d.Admitted {
 			t.Fatalf("Admit(1) = %+v, %v", d, err)
 		}
-		if owner, ok := c.pins.get(1); !ok || owner != 0 {
+		if owner, ok := pinOf(c, 1); !ok || owner != 0 {
 			t.Fatalf("flow 1 pinned to %d (ok %t), want instance 0", owner, ok)
 		}
 		return c
@@ -333,10 +333,10 @@ func TestAdmitPinnedFlowIsDuplicate(t *testing.T) {
 				t.Errorf("fresh flow %d beside the duplicate: %+v", fresh, d)
 			}
 		}
-		if owner, ok := c.pins.get(1); !ok || owner != 0 || !c.Gateway(0).Contains(1) || c.Gateway(1).Contains(1) {
+		if owner, ok := pinOf(c, 1); !ok || owner != 0 || !c.Gateway(0).Contains(1) || c.Gateway(1).Contains(1) {
 			t.Errorf("flow 1's pin moved to %d (ok %t)", owner, ok)
 		}
-		if owner, ok := c.pins.get(fresh); !ok || owner != freshOwner {
+		if owner, ok := pinOf(c, fresh); !ok || owner != freshOwner {
 			t.Errorf("fresh flow %d pinned to %d (ok %t), want %d", fresh, owner, ok, freshOwner)
 		}
 		want := before
@@ -361,13 +361,13 @@ func TestAdmitPinnedFlowIsDuplicate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		owner, _ := c.pins.get(1) // the first drain migrated it
+		owner, _ := pinOf(c, 1) // the first drain migrated it
 		before := active(c)
 		d, err := c.Admit(1, 1)
 		if err != nil || d.Admitted || d.Reason != gateway.ReasonCapacity {
 			t.Fatalf("re-Admit(1) with every instance draining = %+v, %v; want the capacity refusal", d, err)
 		}
-		if got, ok := c.pins.get(1); !ok || got != owner || active(c) != before {
+		if got, ok := pinOf(c, 1); !ok || got != owner || active(c) != before {
 			t.Errorf("refusal moved flow 1: pin %d -> %d (ok %t), active %v -> %v", owner, got, ok, before, active(c))
 		}
 		checkPinsExact(t, c)
@@ -429,7 +429,7 @@ func TestDegradedScoredToBottom(t *testing.T) {
 		if d, err := c.Admit(id, 1); err != nil || !d.Admitted {
 			t.Fatalf("Admit(%d) = %+v, %v", id, d, err)
 		}
-		if owner, _ := c.pins.get(id); owner != 1 {
+		if owner, _ := pinOf(c, id); owner != 1 {
 			t.Fatalf("flow %d placed on %d with instance 0 draining", id, owner)
 		}
 	}
@@ -445,7 +445,7 @@ func TestDegradedScoredToBottom(t *testing.T) {
 		if _, err := c.Admit(id, 1.0); err != nil {
 			t.Fatal(err)
 		}
-		if owner, _ := c.pins.get(id); owner == 1 {
+		if owner, _ := pinOf(c, id); owner == 1 {
 			t.Fatalf("flow %d placed on the degraded instance while a healthy one exists", id)
 		}
 	}
@@ -458,7 +458,7 @@ func TestDegradedScoredToBottom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if owner, ok := c.pins.get(500); d.Admitted && (!ok || owner != 1) {
+	if owner, ok := pinOf(c, 500); d.Admitted && (!ok || owner != 1) {
 		t.Fatalf("fallback placement went to %d (ok %t), want the degraded instance 1", owner, ok)
 	}
 }

@@ -3,24 +3,17 @@ package cluster
 import (
 	"reflect"
 	"testing"
-	"unsafe"
 )
 
 const cacheLine = 64
 
-// TestPinShardLayout holds a pin shard to one cache line, mutex and table
-// header together (the map-era shard was 56 bytes under a comment that said
-// the pad kept shards on separate lines), at every shard count a pin table
-// is allocated with — below 512 bytes on a line boundary, above it one
-// word past one.
+// TestPinShardLayout holds the row shards a cluster's instances share — a
+// flow's pin is its row — to one cache line each, mutex and table header
+// together (the map-era pin shard was 56 bytes under a comment that said
+// the pad kept shards on separate lines), at every shard count, as
+// allocated: below 512 bytes on a line boundary, above it one word past
+// one. The row shard is the gateway's, so it is reached by reflection.
 func TestPinShardLayout(t *testing.T) {
-	var s pinShard
-	if size := unsafe.Sizeof(s); size%cacheLine != 0 {
-		t.Errorf("pinShard is %d bytes, not a multiple of the %d-byte cache line: neighbouring shards false-share", size, cacheLine)
-	}
-	if end := unsafe.Offsetof(s.pins) + unsafe.Sizeof(s.pins); end > cacheLine {
-		t.Errorf("the pin table's header ends at offset %d, past the mutex's cache line", end)
-	}
 	for _, shards := range []int{1, 4, 16, 64, 512} {
 		cfg := Config{}
 		for i := 0; i < 2; i++ {
@@ -32,12 +25,22 @@ func TestPinShardLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range c.pins.shards {
-			sh := &c.pins.shards[i]
-			first := uintptr(unsafe.Pointer(&sh.mu)) / cacheLine
-			last := (uintptr(unsafe.Pointer(&sh.pins)) + unsafe.Sizeof(sh.pins) - 1) / cacheLine
+		rows := reflect.ValueOf(c.fleet).Elem().FieldByName("rows")
+		typ := rows.Type().Elem()
+		mu, _ := typ.FieldByName("mu")
+		tab, _ := typ.FieldByName("rows")
+		if size := typ.Size(); size%cacheLine != 0 {
+			t.Fatalf("%s is %d bytes, not a multiple of the %d-byte cache line: neighbouring shards false-share", typ, size, cacheLine)
+		}
+		if rows.Len() != shards {
+			t.Fatalf("%d shards configured, %d row shards shared", shards, rows.Len())
+		}
+		for k := 0; k < rows.Len(); k++ {
+			base := rows.Index(k).UnsafeAddr()
+			first := (base + mu.Offset) / cacheLine
+			last := (base + tab.Offset + tab.Type.Size() - 1) / cacheLine
 			if first != last {
-				t.Fatalf("%d shards: pin shard %d's mutex and table header are on different cache lines", shards, i)
+				t.Fatalf("%d shards: row shard %d's mutex and table header are on different cache lines", shards, k)
 			}
 		}
 	}
@@ -68,11 +71,11 @@ func structFields(t *testing.T, typ reflect.Type, names ...string) []reflect.Str
 // TestClusterHotWordLayout keeps the placement state, written by every
 // placement, off the cache lines of the fields every routed op reads. At
 // offsets 88–96 placeMu and preferred shared a line with instances (56) and
-// pins (80), so each admission on one core invalidated the line every
-// UpdateRate and Depart on the others read to find their pin.
+// the pin table (80), so each admission on one core invalidated the line
+// every UpdateRate and Depart on the others read to find their pin.
 func TestClusterHotWordLayout(t *testing.T) {
 	typ := reflect.TypeOf(Cluster{})
-	read := structFields(t, typ, "instances", "pins")
+	read := structFields(t, typ, "instances", "fleet")
 	written := structFields(t, typ, "placeMu", "preferred", "rr", "credit", "poolBuf", "degBuf", "warmBuf")
 	for _, w := range written {
 		for _, r := range read {
@@ -93,7 +96,7 @@ func TestClusterHotWordLayout(t *testing.T) {
 func TestInstanceHotWordLayout(t *testing.T) {
 	typ := reflect.TypeOf(instance{})
 	scoring := structFields(t, typ, "g", "capacity", "state", "muBits", "warm")
-	listed := map[string]bool{"migratedIn": true, "migratedOut": true, "pins": true, "idx": true}
+	listed := map[string]bool{"migratedIn": true, "migratedOut": true}
 	for _, s := range scoring {
 		listed[s.Name] = true
 	}

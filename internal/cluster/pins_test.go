@@ -9,43 +9,53 @@ import (
 	"repro/internal/gateway"
 )
 
-// checkPinsExact asserts the reference-model invariant "pin table ⊆
-// owners' flow tables" — every pin's owner holds the flow — and, because
-// the caller is at a quiescent point, that nothing is admitted without a
-// pin either: the pin count equals the fleet's active count, so the table
-// equals the union of the instance flow tables.
+// checkPinsExact asserts the reference-model invariant "pins == ∪ flow
+// tables". The shared flow table holds it by construction — a flow's pin is
+// its row's owner — so what is left to check is each instance's
+// accounting of its rows: at a quiescent point the rows an instance owns,
+// counted by walking the table, must equal its Active count and its
+// counters' Admitted − Departed − Expired (the live-row count they keep),
+// and the /cluster snapshot's Pinned must equal them per instance and
+// summed over the fleet.
 func checkPinsExact(tb testing.TB, c *Cluster) {
 	tb.Helper()
-	pins := make(map[uint64]int)
-	for i := range c.pins.shards {
-		s := &c.pins.shards[i]
-		s.mu.Lock()
-		s.pins.Range(func(id uint64, idx *int32) { pins[id] = int(*idx) })
-		s.mu.Unlock()
-	}
-	for id, idx := range pins {
-		if !c.Gateway(idx).Contains(id) {
-			tb.Errorf("pin %d -> instance %d is stale: the instance does not hold the flow", id, idx)
-		}
-	}
+	snap := c.Snapshot()
 	var active int64
 	for i := 0; i < c.Instances(); i++ {
-		active += c.Gateway(i).Active()
+		g := c.Gateway(i)
+		var rows int64
+		g.ForEachFlow(func(uint64, float64) { rows++ })
+		st := g.Stats()
+		if live := st.Admitted - st.Departed - st.Expired; rows != st.Active || live != st.Active {
+			tb.Errorf("instance %d owns %d rows, has %d active and %d admitted − departed − expired", i, rows, st.Active, live)
+		}
+		if p := snap.Instances[i].Pinned; p != st.Active {
+			tb.Errorf("instance %d: snapshot pins %d flows, %d active", i, p, st.Active)
+		}
+		active += st.Active
 	}
-	if int64(len(pins)) != active {
-		tb.Errorf("%d pins for %d active flows: %d admitted flows are unroutable", len(pins), active, active-int64(len(pins)))
+	if snap.Pinned != active {
+		tb.Errorf("snapshot pins %d flows, the fleet has %d active", snap.Pinned, active)
 	}
 }
 
-// get returns the pinned instance for id.
-func (t *pinTable) get(id uint64) (int, bool) {
-	s := t.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := s.pins.Get(id); p != nil {
-		return int(*p), true
+// pinOf returns the instance that holds id.
+func pinOf(c *Cluster, id uint64) (int, bool) {
+	for i := 0; i < c.Instances(); i++ {
+		if c.Gateway(i).Contains(id) {
+			return i, true
+		}
 	}
 	return 0, false
+}
+
+// pinCount returns the number of flows the fleet holds.
+func pinCount(c *Cluster) int64 {
+	var n int64
+	for i := 0; i < c.Instances(); i++ {
+		c.Gateway(i).ForEachFlow(func(uint64, float64) { n++ })
+	}
+	return n
 }
 
 // TestPinsSurviveTickStorm is the regression test for the pin leak: batched
@@ -133,7 +143,7 @@ func TestPinsSurviveTickStorm(t *testing.T) {
 	if st.Active != 0 || !st.LifecycleBalanced() || st.Admitted != workers*rounds*batch {
 		t.Errorf("fleet after the storm: %+v", st)
 	}
-	if n := c.pins.count(); n != 0 {
+	if n := pinCount(c); n != 0 {
 		t.Errorf("%d pins left after every flow departed", n)
 	}
 	checkPinsExact(t, c)
@@ -161,7 +171,7 @@ func TestLeaseExpiryUnpins(t *testing.T) {
 		if d, err := c.Admit(id, 1); err != nil || !d.Admitted {
 			t.Fatalf("Admit(%d) = %+v, %v", id, d, err)
 		}
-		owner[id], _ = c.pins.get(id)
+		owner[id], _ = pinOf(c, id)
 	}
 	for now := 1.0; now < ttl; now++ {
 		for id := uint64(0); id < n; id += 2 {
@@ -170,7 +180,7 @@ func TestLeaseExpiryUnpins(t *testing.T) {
 			}
 		}
 		c.Tick(now)
-		if got := c.pins.count(); got != n {
+		if got := pinCount(c); got != n {
 			t.Fatalf("t=%g: %d pins, want %d (no lease is due yet)", now, got, n)
 		}
 	}
@@ -181,7 +191,7 @@ func TestLeaseExpiryUnpins(t *testing.T) {
 		t.Fatalf("after the expiring tick: %+v", st)
 	}
 	for id := uint64(1); id < n; id += 2 {
-		if idx, ok := c.pins.get(id); ok {
+		if idx, ok := pinOf(c, id); ok {
 			t.Fatalf("expired flow %d still pinned to instance %d after the tick that expired it", id, idx)
 		}
 	}
@@ -196,7 +206,7 @@ func TestLeaseExpiryUnpins(t *testing.T) {
 	if d, err := c.Admit(back, 1); err != nil || !d.Admitted {
 		t.Fatalf("re-Admit(%d) = %+v, %v", back, d, err)
 	}
-	if idx, _ := c.pins.get(back); idx == owner[back] || !c.Gateway(idx).Contains(back) {
+	if idx, _ := pinOf(c, back); idx == owner[back] || !c.Gateway(idx).Contains(back) {
 		t.Fatalf("re-admitted flow %d pinned to %d (old, draining owner %d)", back, idx, owner[back])
 	}
 	if !reactivate(c, owner[back]) {
@@ -228,7 +238,7 @@ func TestLeaseExpiryUnpins(t *testing.T) {
 	}
 	wg.Wait()
 	for id := uint64(0); id < n; id += 2 {
-		if idx, ok := c.pins.get(id); !ok || !c.Gateway(idx).Contains(id) {
+		if idx, ok := pinOf(c, id); !ok || !c.Gateway(idx).Contains(id) {
 			t.Errorf("flow %d admitted across its own expiry is not pinned to its holder (pin %d, ok %t)", id, idx, ok)
 		}
 	}
@@ -287,7 +297,7 @@ func TestUpdateDuringAdmissionKeepsPin(t *testing.T) {
 // whose leases expire flows mid-storm and a loop draining each instance in
 // turn (reactivating it test-side, so it can be drained again). Any answer
 // to a racing operation is acceptable; what must hold at quiescence is
-// that the pins equal the instances' flow tables, the fleet's lifecycle
+// that every instance's rows match its counters, the fleet's lifecycle
 // balances, and every pinned flow departs.
 func TestSameIDStorm(t *testing.T) {
 	const (
@@ -369,11 +379,11 @@ func TestSameIDStorm(t *testing.T) {
 		t.Errorf("fleet lifecycle unbalanced: %+v", st)
 	}
 	for id := uint64(0); id < ids; id++ {
-		if _, pinned := c.pins.get(id); pinned && c.Depart(id) != nil {
+		if _, pinned := pinOf(c, id); pinned && c.Depart(id) != nil {
 			t.Errorf("pinned flow %d does not depart", id)
 		}
 	}
-	if st := c.Stats(); st.Active != 0 || c.pins.count() != 0 {
-		t.Errorf("after departing every pinned flow: %d active, %d pins", st.Active, c.pins.count())
+	if st := c.Stats(); st.Active != 0 || pinCount(c) != 0 {
+		t.Errorf("after departing every pinned flow: %d active, %d pins", st.Active, pinCount(c))
 	}
 }

@@ -136,9 +136,9 @@ func contains(xs []int, x int) bool {
 	return false
 }
 
-// Admit requests admission for one flow: place it and, if admitted, pin it,
-// refusing a flow already pinned as a duplicate — AdmitBatch with one
-// item. The decision contract matches gateway.Admit — a capacity refusal
+// Admit requests admission for one flow: place it and decide it there,
+// refusing a flow active anywhere in the fleet as a duplicate — AdmitBatch
+// with one item. The decision contract matches gateway.Admit — a capacity refusal
 // (including "every instance is draining") is a Decision, not an error;
 // errors indicate invalid input.
 func (c *Cluster) Admit(flowID uint64, rate float64) (gateway.Decision, error) {
@@ -173,17 +173,15 @@ func forRuns(targets []int, fn func(t, lo, hi int)) {
 // per request to dst and returning the extended slice — the cluster face
 // of gateway.AdmitBatch. The whole batch is placed first, against the
 // headroom at its start: every valid item to a fresh placement, and an
-// invalid rate, which decides nowhere and is never pinned, rides the
-// instance the batch is already talking to (any instance phrases the
-// canonical refusal), or the preferred instance when there is none. Then
-// contiguous same-instance runs are flushed through the owning instance's
-// AdmitBatchOwned, which refuses a flow pinned anywhere as a duplicate,
-// decides each other item and pins it, in one critical section under its
-// shard lock, so a cluster of one forwards the whole batch in a single
-// call and is decision- and instrumentation-identical to a bare gateway.
-// Items that cannot be admitted anywhere (every instance draining) are
-// refused with ReasonCapacity without touching an instance — a flow
-// already pinned included.
+// invalid rate, which decides nowhere, rides the instance the batch is
+// already talking to (any instance phrases the canonical refusal), or the
+// preferred instance when there is none. Then contiguous same-instance
+// runs are flushed through the instance's AdmitBatch, whose lookup in the
+// shared flow table refuses a flow active on any instance as a duplicate,
+// so a cluster of one forwards the whole batch in a single call and is
+// decision- and instrumentation-identical to a bare gateway. Items that
+// cannot be admitted anywhere (every instance draining) are refused with
+// ReasonCapacity without touching an instance — an active flow included.
 func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decision) ([]gateway.Decision, error) {
 	if len(ids) != len(rates) {
 		return dst, fmt.Errorf("cluster: batch length mismatch: %d ids, %d rates", len(ids), len(rates))
@@ -205,8 +203,7 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 		}
 		// The instance's only error is a length mismatch, which equal
 		// sub-slices of the checked inputs cannot produce.
-		in := c.instances[t]
-		dst, _ = in.g.AdmitBatchOwned(ids[lo:hi], rates[lo:hi], dst, in)
+		dst, _ = c.instances[t].g.AdmitBatch(ids[lo:hi], rates[lo:hi], dst)
 	})
 	c.batchPool.Put(sc)
 	return dst, nil
@@ -214,7 +211,7 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 
 // place appends to targets the instance that decides each item of an
 // admission batch (-1: every instance is draining), all under one hold of
-// placeMu. No pin is read here: the deciding instance refuses a pinned
+// placeMu. No row is read here: the deciding instance refuses an active
 // flow under its shard lock.
 func (c *Cluster) place(ids []uint64, rates []float64, targets []int) []int {
 	c.placeMu.Lock()
@@ -238,29 +235,12 @@ func (c *Cluster) place(ids []uint64, rates []float64, targets []int) []int {
 	return targets
 }
 
-// notActiveError is a routed operation's error for a flow with no pin; like
-// the gateway's, its text is built only on demand.
+// notActiveError is a routed operation's error for a flow the fleet does
+// not hold; like the gateway's, its text is built only on demand.
 type notActiveError uint64
 
 func (id notActiveError) Error() string {
 	return fmt.Sprintf("cluster: flow %d is not active", uint64(id))
-}
-
-// onOwner runs op, a lock-held gateway body, at flowID's owner in one
-// critical section under flowID's shard lock — pin shard k's lock, which is
-// shard k's lock on every instance — and reports a flow with no pin as not
-// active. Nothing can move or end the flow between the pin read and op,
-// so the owner always holds it.
-func (c *Cluster) onOwner(flowID uint64, op func(*gateway.Gateway) bool) error {
-	s := c.pins.shardFor(flowID)
-	s.mu.Lock()
-	p := s.pins.Get(flowID)
-	ok := p != nil && op(c.instances[*p].g)
-	s.mu.Unlock()
-	if !ok {
-		return notActiveError(flowID)
-	}
-	return nil
 }
 
 // UpdateRate routes a rate report to the flow's owning instance. Rates are
@@ -271,46 +251,32 @@ func (c *Cluster) UpdateRate(flowID uint64, rate float64) error {
 	if !gateway.ValidUpdateRate(rate) {
 		return fmt.Errorf("cluster: rate %g: %w", rate, gateway.ErrInvalidRate)
 	}
-	var err error
-	if nerr := c.onOwner(flowID, func(g *gateway.Gateway) bool {
-		err = g.UpdateRateLocked(flowID, rate)
-		return true // the owner holds every pinned flow
-	}); nerr != nil {
-		return nerr
+	active, err := c.fleet.UpdateRate(flowID, rate)
+	if err == nil && !active {
+		return notActiveError(flowID)
 	}
 	return err
 }
 
 // Touch routes a lease keepalive to the flow's owning instance.
 func (c *Cluster) Touch(flowID uint64) error {
-	return c.onOwner(flowID, func(g *gateway.Gateway) bool { return g.TouchLocked(flowID) })
-}
-
-// Depart removes an active flow from its owning instance and unpins it.
-func (c *Cluster) Depart(flowID uint64) error {
-	if !c.depart(flowID) {
+	if !c.fleet.Touch(flowID) {
 		return notActiveError(flowID)
 	}
 	return nil
 }
 
-// depart is Depart's critical section: unpin and depart at the owner
-// under flowID's shard lock.
-func (c *Cluster) depart(flowID uint64) bool {
-	s := c.pins.shardFor(flowID)
-	s.mu.Lock()
-	idx, ok := s.pins.Delete(flowID)
-	ok = ok && c.instances[idx].g.DepartLocked(flowID)
-	s.mu.Unlock()
-	return ok
+// Depart removes an active flow from its owning instance.
+func (c *Cluster) Depart(flowID uint64) error {
+	if !c.fleet.Depart(flowID) {
+		return notActiveError(flowID)
+	}
+	return nil
 }
 
 // DepartBatch removes a batch of flows, appending one result per id to dst
 // (true = departed) and returning the extended slice — the cluster face of
 // gateway.DepartBatch, each id departed in order exactly as by Depart.
 func (c *Cluster) DepartBatch(ids []uint64, dst []bool) []bool {
-	for _, id := range ids {
-		dst = append(dst, c.depart(id))
-	}
-	return dst
+	return c.fleet.DepartBatch(ids, dst)
 }

@@ -54,10 +54,11 @@ func (c *Cluster) Snapshot() Snapshot {
 		MigrationFailures: c.migrationFailures.Load(),
 		Drains:            c.drains.Load(),
 	}
-	pinned := make([]int64, len(c.instances))
-	c.pins.countByInstance(pinned)
 	for i, in := range c.instances {
+		// The instance's live rows, the flows routed to it: its counters
+		// close the lifecycle, Admitted − Departed − Expired.
 		st := in.g.Stats()
+		pinned := st.Admitted - st.Departed - st.Expired
 		isnap := InstanceSnapshot{
 			Index:       i,
 			State:       InstanceState(in.state.Load()).String(),
@@ -68,7 +69,7 @@ func (c *Cluster) Snapshot() Snapshot {
 			Mu:          in.muEff(),
 			Active:      st.Active,
 			Headroom:    in.headroom(),
-			Pinned:      pinned[i],
+			Pinned:      pinned,
 			Placements:  st.Admitted - in.migratedIn.Load(),
 			MigratedIn:  in.migratedIn.Load(),
 			MigratedOut: in.migratedOut.Load(),
@@ -77,7 +78,7 @@ func (c *Cluster) Snapshot() Snapshot {
 			Departed:    st.Departed,
 			Expired:     st.Expired,
 		}
-		snap.Pinned += pinned[i]
+		snap.Pinned += pinned
 		snap.Placements += isnap.Placements
 		snap.Instances = append(snap.Instances, isnap)
 	}

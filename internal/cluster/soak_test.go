@@ -89,8 +89,8 @@ func TestClusterSkewedSoak(t *testing.T) {
 // TestClusterFailoverSoak hammers a cluster with concurrent open-loop
 // workers while an instance is drained and reactivated mid-flight, then
 // checks the failover contract: the fleet-wide lifecycle identity holds
-// (no admitted flow lost) and the pin table exactly matches the instances'
-// flow tables at the first tick past every lease.
+// (no admitted flow lost) and every instance's rows match its counters at
+// the first tick past every lease.
 func TestClusterFailoverSoak(t *testing.T) {
 	const (
 		n        = 4
@@ -159,7 +159,7 @@ func TestClusterFailoverSoak(t *testing.T) {
 	}
 
 	// Settle: one tick past every lease. The flows the open-loop schedule
-	// left behind expire there, and their pins must go at that same tick.
+	// left behind expire there, rows and all.
 	c.Tick(float64(vnow.Load()) + 2*ttl)
 
 	st := c.Stats()

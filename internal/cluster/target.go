@@ -24,20 +24,17 @@ func (t *ReplayTarget) AdmitBatch(_ context.Context, flows []uint64, rates []flo
 	return t.dst, err
 }
 
-// Depart implements the loadgen Target shape: the cluster's only Depart
-// error is the not-active outcome.
+// Depart implements the loadgen Target shape. It reads the not-active
+// outcome as a value, not through Cluster.Depart's error, which would
+// allocate for every refused flow the schedule departs.
 func (t *ReplayTarget) Depart(_ context.Context, flow uint64) (bool, error) {
-	if err := t.C.Depart(flow); err != nil {
-		return false, nil
-	}
-	return true, nil
+	return t.C.fleet.Depart(flow), nil
 }
 
-// UpdateRate implements the loadgen Target shape. Schedules never carry
-// invalid rates, so any error here is the not-active outcome.
+// UpdateRate implements the loadgen Target shape, likewise without an
+// error per refused flow. Schedules never carry invalid rates, so false is
+// the not-active outcome.
 func (t *ReplayTarget) UpdateRate(_ context.Context, flow uint64, rate float64) (bool, error) {
-	if err := t.C.UpdateRate(flow, rate); err != nil {
-		return false, nil
-	}
-	return true, nil
+	active, err := t.C.fleet.UpdateRate(flow, rate)
+	return active && err == nil, nil
 }

@@ -1,19 +1,19 @@
-// Package flowtab is the flat flow table behind the gateway's shards and the
-// cluster router's pins: open addressing over one slice, linear probing,
-// backward-shift deletion. A Table is meant to be embedded by value in the
-// struct whose lock guards it, so its header (slice, count, mask, seed)
-// shares the cache line that lock was just acquired on and a lookup is two
-// lines — the owner's and the slot's — instead of the map header, directory,
-// group-table header and control word a Go map walks, each of which every
-// insert and delete from another core rewrites.
+// Package flowtab is the flat flow table behind the gateway's row shards,
+// which a cluster's instances share: open addressing over one slice,
+// linear probing, backward-shift deletion. A Table is meant to be embedded
+// by value in the struct whose lock guards it, so its header (slice,
+// count, mask, seed) shares the cache line that lock was just acquired on
+// and a lookup is two lines — the owner's and the slot's — instead of the
+// map header, directory, group-table header and control word a Go map
+// walks, each of which every insert and delete from another core rewrites.
 package flowtab
 
 import "math/rand/v2"
 
 // Mix is the SplitMix64 step (increment plus finalizer): a bijection on
-// uint64 that spreads adjacent inputs over all output bits. The gateway and
-// the pin table select a shard with it, unseeded; a Table derives slots
-// from it, seeded.
+// uint64 that spreads adjacent inputs over all output bits. The gateway
+// selects a row shard with it, unseeded; a Table derives slots from it,
+// seeded.
 func Mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

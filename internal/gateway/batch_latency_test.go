@@ -28,12 +28,14 @@ func latencyGateway(t *testing.T, clk *fakeClock) *Gateway {
 	return g
 }
 
-// latCount merges one shard's latency histogram and returns its count.
-func latCount(s *shard) int64 {
-	snap := s.lat.EmptySnapshot()
-	s.mu.Lock()
-	s.lat.AddTo(&snap)
-	s.mu.Unlock()
+// latCount merges the latency histogram of flowID's shard and returns its
+// count.
+func latCount(g *Gateway, flowID uint64) int64 {
+	k := g.fleet.shardIndex(flowID)
+	snap := g.lat[k].EmptySnapshot()
+	g.fleet.rows[k].mu.Lock()
+	g.lat[k].AddTo(&snap)
+	g.fleet.rows[k].mu.Unlock()
 	return snap.Count
 }
 
@@ -53,7 +55,7 @@ func TestAdmitBatchLatencyAttribution(t *testing.T) {
 	// Find a decided-item ID on a different shard from the duplicate, so
 	// the two observations are distinguishable.
 	good := uint64(8)
-	for g.shardFor(good) == g.shardFor(dup) {
+	for g.fleet.shardIndex(good) == g.fleet.shardIndex(dup) {
 		good++
 	}
 
@@ -80,10 +82,10 @@ func TestAdmitBatchLatencyAttribution(t *testing.T) {
 
 	// The single decided item's observation landed on its own shard, not
 	// on the duplicate's (the old attribution target was shardFor(ids[0])).
-	if n := latCount(g.shardFor(good)); n != 1 {
+	if n := latCount(g, good); n != 1 {
 		t.Fatalf("deciding shard observations = %d, want 1", n)
 	}
-	if n := latCount(g.shardFor(dup)); n != 1 { // only the seeding Admit
+	if n := latCount(g, dup); n != 1 { // only the seeding Admit
 		t.Fatalf("duplicate shard observations = %d, want 1", n)
 	}
 

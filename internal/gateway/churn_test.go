@@ -13,7 +13,7 @@ import (
 // Run under -race this is the lifecycle's memory-model test; the final
 // asserts are the bookkeeping identities:
 //
-//	active == Σ len(shard.flows)
+//	active == Σ rows in the shards
 //	Admitted - Departed - Expired == Active
 func TestChurnLifecycleInvariants(t *testing.T) {
 	g := leaseGateway(t, 4) // TTL of 4 virtual time units
@@ -105,11 +105,11 @@ func TestChurnLifecycleInvariants(t *testing.T) {
 	st := g.Tick(float64(now.Add(1)))
 
 	var tableActive int64
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		tableActive += int64(s.flows.Len())
-		s.mu.Unlock()
+	for k := range g.fleet.rows {
+		r := &g.fleet.rows[k]
+		r.mu.Lock()
+		tableActive += int64(r.rows.Len())
+		r.mu.Unlock()
 	}
 	if st.Active != tableActive {
 		t.Fatalf("active count %d != flow-table population %d", st.Active, tableActive)

@@ -9,12 +9,12 @@ import (
 	"repro/internal/estimator"
 )
 
-// oracleSums recomputes a shard's fixed-point sums from its flow table:
-// the reference the incrementally kept sums must equal bit for bit.
-func oracleSums(s *shard) (sumQ uint64, sumQ2 u128) {
-	s.flows.Range(func(_ uint64, e *flowEntry) {
-		sumQ += e.q
-		sumQ2 = sumQ2.add(square(e.q))
+// oracleSums recomputes a shard's fixed-point sums from its rows: the
+// reference the incrementally kept sums must equal bit for bit.
+func oracleSums(r *rowShard) (sumQ uint64, sumQ2 u128) {
+	r.rows.Range(func(_ uint64, e *row) {
+		sumQ += e.q()
+		sumQ2 = sumQ2.add(square(e.q()))
 	})
 	return sumQ, sumQ2
 }
@@ -39,7 +39,7 @@ func TestShardSumsExact(t *testing.T) {
 		}
 	}
 
-	s := &g.shards[0]
+	s, r := &g.shards[0], &g.fleet.rows[0]
 	const cycles = 1_000_000
 	for c := 1; c <= cycles; c++ {
 		id := c % flows
@@ -54,18 +54,18 @@ func TestShardSumsExact(t *testing.T) {
 		} else if err := g.UpdateRate(uint64(id), cur[id]); err != nil {
 			t.Fatal(err)
 		}
-		if wantQ, wantQ2 := oracleSums(s); s.sumQ != wantQ || s.sumQ2 != wantQ2 {
+		if wantQ, wantQ2 := oracleSums(r); s.sumQ != wantQ || s.sumQ2 != wantQ2 {
 			t.Fatalf("cycle %d: sums (%d, %v), table says (%d, %v)", c, s.sumQ, s.sumQ2, wantQ, wantQ2)
 		}
 	}
 
-	for id, r := range cur {
-		if e := s.flows.Get(uint64(id)); e == nil || e.q != fixed(r) {
-			t.Fatalf("flow %d: table entry %+v, want q = %d", id, e, fixed(r))
+	for id, x := range cur {
+		if e := r.rows.Get(uint64(id)); e == nil || e.q() != fixed(x) {
+			t.Fatalf("flow %d: table entry %+v, want q = %d", id, e, fixed(x))
 		}
 	}
 	st := g.Tick(1)
-	wantQ, _ := oracleSums(s)
+	wantQ, _ := oracleSums(r)
 	if want := float64(wantQ) * unit; st.AggregateRate != want {
 		t.Fatalf("aggregate %v, want exact %v", st.AggregateRate, want)
 	}

@@ -9,8 +9,8 @@
 // The gateway maintains exactly the state of the paper's controller loop
 // (eqs. 6/22), split for concurrency:
 //
-//   - per-shard flow tables hold each active flow's current rate, as a
-//     fixed-point integer; their exact sums ΣX_i and ΣX_i² are the
+//   - a sharded flow table holds each active flow's current rate, as a
+//     fixed-point integer; the exact per-shard sums ΣX_i and ΣX_i² are the
 //     cross-sectional aggregates of eq. 7 (see MaxRate);
 //   - the measurement tick feeds those aggregates to an
 //     estimator.Estimator, producing (μ̂, σ̂) — the paper's estimated
@@ -24,11 +24,12 @@
 // Flow state is sharded by a mixed hash of the flow ID; each shard is
 // protected by its own mutex, and all hot-path instrumentation (admission
 // counters, the latency histogram) is striped per shard inside that same
-// critical section, so Admit/Depart/UpdateRate on different flows contend
-// only on one shared atomic: the active-flow count. The admission check
-// itself is lock-free: a compare-and-swap loop on that counter against the
-// last published bound, which guarantees the active count never exceeds
-// ⌊M⌋ no matter how many goroutines race.
+// critical section (a cluster's gateways share one flow table, a Fleet,
+// and each keeps its own stripes), so Admit/Depart/UpdateRate on different
+// flows contend only on one shared atomic: the active-flow count. The
+// admission check itself is lock-free: a compare-and-swap loop on that
+// counter against the last published bound, which guarantees the active
+// count never exceeds ⌊M⌋ no matter how many goroutines race.
 //
 // Measurement is decoupled from admission, as in any real MBAC: between
 // ticks the bound is (deliberately) stale. Tests and the simulator call
@@ -280,55 +281,76 @@ func square(q uint64) u128 {
 // of the integer alone, which is all the sums' order-freedom needs.
 func (a u128) float() float64 { return float64(a.hi)*0x1p64 + float64(a.lo) }
 
-// shard is one lock domain of the flow table, and also one stripe of the
-// hot-path instrumentation: admit/reject/expire counts and the latency
-// histogram are plain (non-atomic) fields updated inside the critical
-// section the admission path already holds, then merged across shards only
-// when Stats or Snapshot asks. Compared to global atomic counters this
-// removes every cross-shard cache-line bounce from the hot path — the
-// three-way contention on admitted/rejected/admitLat was what doubled
-// Admit's cost when instrumentation landed. Departures are not counted at
-// all: every flow a shard admitted has departed, expired or is still in its
-// table, so departed = admitted − expired − len(flows), exactly, under the
-// lock.
-//
-// The flow table is embedded by value, directly behind the mutex: its
-// header shares the line the lock was just acquired on, so finding a flow
-// touches that line and the slot's and no other (see flowtab). lock is the
-// mutex in force: mu, or — for a gateway built by NewShared — the caller's
-// lock for this shard index, which the cluster router shares between every
-// instance's shard k and its pin shard k. The struct is two cache lines
-// exactly — mu, table header and lock; then the sums, counters and
-// histogram — with no padding, and TestShardLayout holds it there: a shard
-// that is not a multiple of the line straddles its neighbour's, and two
-// cores on different shards then false-share. mu and the header lead
-// because a shard slice past 512 bytes starts one word into a line (the
-// allocator's header), and they must share a line either way.
-type shard struct {
-	mu    sync.Mutex
-	flows flowtab.Table[flowEntry] // flow ID -> q and lease deadline
-	lock  *sync.Mutex
+// rowShard is one lock domain of the flow table: its mutex and, embedded
+// by value directly behind it, its rows. The table header shares the line
+// the lock was just acquired on, so finding a flow touches that line and
+// the slot's and no other (see flowtab). It is one cache line exactly —
+// mutex, table header, pad — and TestShardLayout holds it there: a row
+// shard that is not a multiple of the line straddles its neighbour's, and
+// two cores on different shards then false-share. The pad trails because a
+// row shard slice past 512 bytes starts one word into a line (the
+// allocator's header for objects holding pointers), and mutex and header
+// must share a line either way.
+type rowShard struct {
+	mu   sync.Mutex
+	rows flowtab.Table[row] // flow ID -> q, owner and lease deadline
+	_    [8]byte
+}
 
-	sumQ  uint64 // Σq_i over this shard, q_i = fixed(X_i)
-	sumQ2 u128   // Σq_i² over this shard
+// row is one active flow: its current rate as its owner's sums carry it,
+// q = fixed(rate) ≤ 2^44, with the owner's index in the bits above
+// ownerShift, and, with leases enabled, the virtual time at which its
+// lease expires. Packing the owner into q keeps a table slot at 32 bytes
+// (TestShardLayout).
+type row struct {
+	qo       uint64
+	deadline float64
+}
+
+// ownerShift is where a row's owner index starts: fixed(MaxRate) = 2^44
+// needs the 45 bits below it.
+const ownerShift = 45
+
+func (e *row) q() uint64     { return e.qo & (1<<ownerShift - 1) }
+func (e *row) owner() uint64 { return e.qo >> ownerShift }
+
+// shard is one gateway's accounting for the rows of one row shard, guarded
+// by that row shard's mutex: the exact sums of eq. 7 over the rows it
+// owns, and one stripe of the hot-path instrumentation — admit, reject and
+// expire counts, updated as plain fields inside the critical section the
+// operation already holds, then merged across shards only when Stats or
+// Snapshot asks. Compared to global atomic counters this removes every
+// cross-shard cache-line bounce from the hot path — the three-way
+// contention on admitted/rejected/admitLat was what doubled Admit's cost
+// when instrumentation landed. Departures are not counted at all: every
+// flow a shard admitted has departed, expired or is still one of its live
+// rows, so departed = admitted − expired − live, exactly, under the lock.
+//
+// A shard is one cache line exactly and holds no pointer (the latency
+// histograms sit in Gateway.lat), so a shard slice is never offset by an
+// allocator header and no shard straddles its neighbour's line
+// (TestShardLayout).
+type shard struct {
+	sumQ  uint64 // Σq_i over this shard's rows, q_i = fixed(X_i)
+	sumQ2 u128   // Σq_i² over this shard's rows
 
 	// minDeadline is a conservative lower bound on the earliest lease
-	// deadline in this shard (+Inf when leases are off or the shard holds
-	// none): the expiry sweep scans a shard's flows only when minDeadline
+	// deadline of this shard's rows (+Inf when leases are off or the shard
+	// owns none): the expiry sweep scans a row shard only when minDeadline
 	// has come due, so an all-healthy tick stays O(shards), not O(flows).
 	// Lease refreshes only extend deadlines, so the cached bound can run
 	// low — the cost is a wasted scan, never a missed expiry.
 	minDeadline float64
 
-	admitted uint64                  // striped counters, merged at read time
-	rejected uint64                  //
-	expired  uint64                  // lease-sweep reclaims (ReasonExpired departures)
-	lat      *metrics.LocalHistogram // admission latency, single-writer under lock
+	admitted uint64 // striped counters, merged at read time
+	rejected uint64 //
+	expired  uint64 // lease-sweep reclaims (ReasonExpired departures)
+	live     uint64 // rows owned: admitted − departed − expired
 }
 
 // fits reports whether Σq can take q more without a carry out of 64 bits,
 // and addQ and subQ fold one flow's q into or out of the sums; all run
-// under s.lock.
+// under the row shard's lock.
 func (s *shard) fits(q uint64) bool { return q <= math.MaxUint64-s.sumQ }
 
 func (s *shard) addQ(q uint64) {
@@ -342,22 +364,14 @@ func (s *shard) subQ(q uint64) {
 }
 
 // counts is the striped counters merged over shards; add merges s's under
-// s.lock.
+// its row shard's lock.
 type counts struct{ admitted, rejected, departed, expired uint64 }
 
 func (c *counts) add(s *shard) {
 	c.admitted += s.admitted
 	c.rejected += s.rejected
-	c.departed += s.admitted - s.expired - uint64(s.flows.Len())
+	c.departed += s.admitted - s.expired - s.live
 	c.expired += s.expired
-}
-
-// flowEntry is one active flow's per-shard state: its current rate as the
-// sums carry it, q = fixed(rate), and, with leases enabled, the virtual
-// time at which its lease expires.
-type flowEntry struct {
-	q        uint64
-	deadline float64
 }
 
 // Gateway is a concurrent online admission controller. Construct with New;
@@ -369,18 +383,17 @@ type Gateway struct {
 	active atomic.Int64 // CAS-reserved active-flow count (admission invariant)
 
 	cfg    Config
-	shards []shard
-	mask   uint64
+	fleet  *Fleet  // the flow table this gateway's rows live in
+	idx    uint64  // this gateway's owner index in fleet
+	shards []shard // this gateway's accounting, one per row shard
 
-	// departPool recycles DepartBatch's shard-grouping scratch across
-	// calls and connections, keeping the batched departure path
-	// allocation-free in the steady state.
-	departPool sync.Pool
-
-	// Hot-path instrumentation lives striped in the shards (see shard);
-	// here only the latency clock and the sampling mask. sampleMask is a
-	// power of two minus one: a shard times its k-th decision when
-	// k&sampleMask == 0, so mask 0 means every decision (full fidelity).
+	// Hot-path instrumentation lives striped in the shards (see shard) and
+	// in lat, the admission latency histogram per shard, single-writer
+	// under its row shard's lock; here also the latency clock and the
+	// sampling mask. sampleMask is a power of two minus one: a shard times
+	// its k-th decision when k&sampleMask == 0, so mask 0 means every
+	// decision (full fidelity).
+	lat        []*metrics.LocalHistogram
 	clock      func() int64
 	sampleMask uint64
 
@@ -450,23 +463,37 @@ func (s Stats) LifecycleBalanced() bool {
 	return s.Admitted == s.Departed+s.Expired+s.Active
 }
 
+// Fleet is a flow table and the gateways whose flows it holds: each of
+// them admits against its own link, estimator and bound, and keeps its own
+// per-shard accounting, but a flow's row — its rate, lease deadline and
+// owner — exists once, in the fleet's row shards. A standalone gateway
+// (New) is a fleet of one, and every row in it has owner 0. An admission
+// at any member refuses a flow some member holds as a duplicate, and the
+// routed operations below find a flow's row once and act on its owner's
+// accounting in the same critical section, so the owner of a flow is
+// never out of step with the table. The methods are safe for concurrent
+// use; Join is not, and must come before any of them.
+type Fleet struct {
+	rows    []rowShard
+	mask    uint64
+	members []*Gateway
+
+	// departPool recycles DepartBatch's shard-grouping scratch across
+	// calls and connections, keeping the batched departure path
+	// allocation-free in the steady state.
+	departPool sync.Pool
+
+	// Every operation reads rows, mask and members: the pad makes a Fleet
+	// two cache lines exactly (TestShardLayout), so no object the
+	// allocator places beside it shares those lines and writes them.
+	_ [32]byte
+}
+
 // New validates the configuration and returns a gateway whose bound has
 // been initialized by one measurement tick at virtual time zero (so a
-// certainty-equivalent controller starts from its bootstrap declaration).
-func New(cfg Config) (*Gateway, error) { return newGateway(cfg, nil) }
-
-// NewShared is New for a gateway whose shard k is guarded by locks[k]
-// instead of a mutex of its own. A caller that keeps per-flow state beside
-// several gateways — the cluster router's pin table — hands them all the
-// same locks, and then changes its state and theirs in one critical
-// section through the lock-held bodies (UpdateRateLocked, TouchLocked,
-// DepartLocked, AdmitBatchOwned). len(locks) must be ShardCount(cfg.Shards).
-func NewShared(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
-	if n := ShardCount(cfg.Shards); len(locks) != n {
-		return nil, fmt.Errorf("gateway: %d shared locks for %d shards", len(locks), n)
-	}
-	return newGateway(cfg, locks)
-}
+// certainty-equivalent controller starts from its bootstrap declaration):
+// the one member of a fleet of its own.
+func New(cfg Config) (*Gateway, error) { return new(Fleet).Join(cfg) }
 
 // ShardCount returns the number of shards a gateway configured with
 // Shards = n has: n rounded up to a power of two, 16 when n ≤ 0.
@@ -477,7 +504,10 @@ func ShardCount(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-func newGateway(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
+// Join validates cfg and returns a new member of the fleet, as New does a
+// standalone gateway. The first member sets the fleet's shard count
+// (ShardCount(cfg.Shards)); every later one must have the same.
+func (f *Fleet) Join(cfg Config) (*Gateway, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("gateway: capacity %g must be positive", cfg.Capacity)
 	}
@@ -485,6 +515,12 @@ func newGateway(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: Controller and Estimator are required")
 	}
 	nshards := ShardCount(cfg.Shards)
+	if f.rows != nil && nshards != len(f.rows) {
+		return nil, fmt.Errorf("gateway: %d shards in a fleet of %d", nshards, len(f.rows))
+	}
+	if len(f.members) == 1<<(64-ownerShift) {
+		return nil, fmt.Errorf("gateway: a fleet holds at most %d gateways", len(f.members))
+	}
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 100 * time.Millisecond
 	}
@@ -514,10 +550,16 @@ func newGateway(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
 		}
 		setMemory = ms
 	}
+	if f.rows == nil {
+		f.rows = make([]rowShard, nshards)
+		f.mask = uint64(nshards - 1)
+	}
 	g := &Gateway{
 		cfg:       cfg,
+		fleet:     f,
+		idx:       uint64(len(f.members)),
 		shards:    make([]shard, nshards),
-		mask:      uint64(nshards - 1),
+		lat:       make([]*metrics.LocalHistogram, nshards),
 		clock:     cfg.LatencyClock,
 		ring:      metrics.NewRing(cfg.EstimateRing),
 		tm:        estimator.Memory(cfg.Estimator),
@@ -526,20 +568,16 @@ func newGateway(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
 		trackPeak: cfg.Degraded == DegradedPeakRate,
 		setMemory: setMemory,
 	}
+	f.members = append(f.members, g)
 	if cfg.LatencySample > 1 {
 		g.sampleMask = 1<<bits.Len(uint(cfg.LatencySample-1)) - 1
 	}
 	// All striped histograms alias one bounds slice so Snapshot merges stay
 	// layout-compatible by construction.
 	bounds := metrics.DefaultLatencyBounds()
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.lock = &s.mu
-		if locks != nil {
-			s.lock = locks[i]
-		}
-		s.lat = metrics.NewLocalHistogram(bounds)
-		s.minDeadline = math.Inf(1)
+	for k := range g.shards {
+		g.lat[k] = metrics.NewLocalHistogram(bounds)
+		g.shards[k].minDeadline = math.Inf(1)
 	}
 	g.cfg.Estimator.Reset(0)
 	g.Tick(0)
@@ -549,14 +587,12 @@ func newGateway(cfg Config, locks []*sync.Mutex) (*Gateway, error) {
 // shardIndex mixes the flow ID so adjacent IDs spread across shards. The
 // mix is unseeded: which shard samples which decision's latency, and so
 // every equally seeded snapshot, depends on it.
-func (g *Gateway) shardIndex(flowID uint64) uint64 {
-	return flowtab.Mix(flowID) & g.mask
+func (f *Fleet) shardIndex(flowID uint64) uint64 {
+	return flowtab.Mix(flowID) & f.mask
 }
 
-// shardFor returns the shard owning flowID.
-func (g *Gateway) shardFor(flowID uint64) *shard {
-	return &g.shards[g.shardIndex(flowID)]
-}
+// owns reports whether row e is g's.
+func (g *Gateway) owns(e *row) bool { return e.owner() == g.idx }
 
 // Admissible returns the currently published bound M.
 func (g *Gateway) Admissible() float64 {
@@ -564,13 +600,14 @@ func (g *Gateway) Admissible() float64 {
 }
 
 // startTimingLocked decides whether this decision's latency is observed
-// and, if so, reads the clock; the caller holds s.lock. At full fidelity the
-// caller already read start before the lock (timing the whole call), so
-// this is a no-op; in sampled mode the 1-in-N choice happens here, under
-// the lock that owns the shard's decision count (admitted + rejected, of
-// which this decision is the next), and sampled-out decisions never touch
-// the clock at all — the measurement cost the paper's philosophy (§4) says
-// must not perturb the measured system.
+// and, if so, reads the clock; the caller holds the row shard's lock. At
+// full fidelity the caller already read start before the lock (timing the
+// whole call), so this is a no-op; in sampled mode the 1-in-N choice
+// happens here, under the lock that owns the shard's decision count
+// (admitted + rejected, of which this decision is the next), and
+// sampled-out decisions never touch the clock at all — the measurement
+// cost the paper's philosophy (§4) says must not perturb the measured
+// system.
 func (g *Gateway) startTimingLocked(s *shard, start int64) (int64, bool) {
 	if g.sampleMask == 0 {
 		return start, true
@@ -581,14 +618,14 @@ func (g *Gateway) startTimingLocked(s *shard, start int64) (int64, bool) {
 	return g.clock(), true
 }
 
-// insertLocked records an admitted flow in s; the caller holds s.lock, has
-// checked that q = fixed(rate) fits, and has CAS-reserved the active slot.
-// With leases enabled the flow's deadline is stamped from the last
-// published tick time, so a flow that never refreshes expires one TTL
-// after (at most) its admission tick.
-func (g *Gateway) insertLocked(s *shard, flowID uint64, rate float64, q uint64) {
-	e, _ := s.flows.Put(flowID)
-	e.q = q
+// insertLocked records row e, just inserted or adopted, as a flow g has
+// admitted at rate; the caller holds the row shard's lock, has checked
+// that q = fixed(rate) fits s, and has CAS-reserved the active slot. With
+// leases enabled the flow's deadline is stamped from the last published
+// tick time, so a flow that never refreshes expires one TTL after (at
+// most) its admission tick.
+func (g *Gateway) insertLocked(s *shard, e *row, rate float64, q uint64) {
+	e.qo = q | g.idx<<ownerShift
 	if g.ttl > 0 {
 		e.deadline = g.vnow.Load() + g.ttl
 		if e.deadline < s.minDeadline {
@@ -597,8 +634,23 @@ func (g *Gateway) insertLocked(s *shard, flowID uint64, rate float64, q uint64) 
 	}
 	s.addQ(q)
 	s.admitted++
+	s.live++
 	if g.trackPeak {
 		g.notePeak(rate)
+	}
+}
+
+// releaseLocked takes row e, which is leaving g — departed, or adopted by
+// another member — out of g's accounting for shard k; the caller holds
+// the row shard's lock and owes the active count its decrement. The row's
+// exact q leaves the sums, so a shard that empties holds zero sums by
+// arithmetic; its cached earliest deadline resets with it.
+func (g *Gateway) releaseLocked(k uint64, e *row) {
+	s := &g.shards[k]
+	s.subQ(e.q())
+	s.live--
+	if s.live == 0 {
+		s.minDeadline = math.Inf(1)
 	}
 }
 
@@ -620,10 +672,11 @@ func (g *Gateway) notePeak(rate float64) {
 // Admit requests admission for flowID at the given declared (or
 // pre-measured, per Qadir et al.) rate. A capacity refusal is a normal
 // Decision, not an error; errors indicate invalid input (a rate failing
-// ValidAdmitRate, a duplicate active flow ID) and carry a Decision whose
-// Reason says why — error-path Decisions are never ReasonAdmitted. Invalid
-// requests are refused before the latency clock starts: they are not
-// admission decisions and do not perturb the latency distribution.
+// ValidAdmitRate, a flow ID already active anywhere in the fleet) and
+// carry a Decision whose Reason says why — error-path Decisions are never
+// ReasonAdmitted. Invalid requests are refused before the latency clock
+// starts: they are not admission decisions and do not perturb the latency
+// distribution.
 func (g *Gateway) Admit(flowID uint64, declaredRate float64) (Decision, error) {
 	if !ValidAdmitRate(declaredRate) {
 		return Decision{Reason: ReasonInvalidRate, Admissible: g.Admissible(), Active: g.active.Load()},
@@ -634,32 +687,36 @@ func (g *Gateway) Admit(flowID uint64, declaredRate float64) (Decision, error) {
 		start = g.clock()
 	}
 	m := g.Admissible()
-	s := g.shardFor(flowID)
-	s.lock.Lock()
-	if s.flows.Get(flowID) != nil {
-		s.lock.Unlock()
+	k := g.fleet.shardIndex(flowID)
+	r := &g.fleet.rows[k]
+	r.mu.Lock()
+	if r.rows.Get(flowID) != nil {
+		r.mu.Unlock()
 		return Decision{Reason: ReasonDuplicate, Admissible: m, Active: g.active.Load()},
 			fmt.Errorf("gateway: flow %d is already active", flowID)
 	}
-	start, timed := g.startTimingLocked(s, start)
-	d := g.decideLocked(s, flowID, declaredRate, m)
+	start, timed := g.startTimingLocked(&g.shards[k], start)
+	d := g.decideLocked(r, k, flowID, declaredRate, m, nil)
 	if timed {
-		s.lat.Observe(float64(g.clock()-start) * 1e-9)
+		g.lat[k].Observe(float64(g.clock()-start) * 1e-9)
 	}
-	s.lock.Unlock()
+	r.mu.Unlock()
 	return d, nil
 }
 
-// decideLocked is the one admission step behind Admit and AdmitBatch:
-// reserve a slot and insert the flow, or count the capacity reject. The
-// caller holds s.lock, has checked rate with ValidAdmitRate and has ruled
-// out a duplicate. The reservation is lock-free: the CAS loop ensures the
-// active count can never exceed ⌊M⌋ even when many goroutines race a
-// single free slot. (Spinning while holding the shard lock is safe: other
-// threads advance the counter without needing this shard.) Counters stay
-// inside the critical section the path already owns — striped plain
-// fields, merged only when a reader asks.
-func (g *Gateway) decideLocked(s *shard, flowID uint64, rate, m float64) Decision {
+// decideLocked is the one admission step behind Admit, AdmitBatch and
+// Adopt: reserve a slot and take the flow, or count the capacity reject.
+// The caller holds row shard k's lock, has checked rate with
+// ValidAdmitRate and has ruled out a duplicate; e is nil for a new flow,
+// whose row is inserted, or the row g adopts from its owner. The
+// reservation is lock-free: the CAS loop ensures the active count can
+// never exceed ⌊M⌋ even when many goroutines race a single free slot.
+// (Spinning while holding the row shard's lock is safe: other threads
+// advance the counter without needing it.) Counters stay inside the
+// critical section the path already owns — striped plain fields, merged
+// only when a reader asks.
+func (g *Gateway) decideLocked(r *rowShard, k, flowID uint64, rate, m float64, e *row) Decision {
+	s := &g.shards[k]
 	q := fixed(rate)
 	for {
 		cur := g.active.Load()
@@ -668,7 +725,14 @@ func (g *Gateway) decideLocked(s *shard, flowID uint64, rate, m float64) Decisio
 			return Decision{Reason: ReasonCapacity, Admissible: m, Active: cur}
 		}
 		if g.active.CompareAndSwap(cur, cur+1) {
-			g.insertLocked(s, flowID, rate, q)
+			if e == nil {
+				e, _ = r.rows.Put(flowID)
+			} else {
+				from := g.fleet.members[e.owner()]
+				from.releaseLocked(k, e)
+				from.active.Add(-1)
+			}
+			g.insertLocked(s, e, rate, q)
 			return Decision{Admitted: true, Reason: ReasonAdmitted, Admissible: m, Active: cur + 1}
 		}
 	}
@@ -693,43 +757,41 @@ func (g *Gateway) decideLocked(s *shard, flowID uint64, rate, m float64) Decisio
 // first item, never to a shard that only saw invalid input. (A duplicate's
 // table lookup is the one sliver that rides on an open interval: it is
 // indistinguishable from a decision until the lookup returns.) Batches
-// bypass LatencySample — the clock cost is already amortized.
+// bypass LatencySample — the clock cost is already amortized. The latency
+// clock is read only outside the row shard locks, so a clock hook that
+// calls back into the fleet cannot deadlock on them.
 func (g *Gateway) AdmitBatch(ids []uint64, rates []float64, dst []Decision) ([]Decision, error) {
-	return g.AdmitBatchOwned(ids, rates, dst, nil)
+	return g.admitBatch(ids, rates, dst, nil)
 }
 
-// Owner is per-flow ownership kept beside gateways that share their shard
-// locks (NewShared) — the cluster router's pin table. AdmitBatchOwned calls
-// it under each valid item's shard lock, so ownership and the flow tables
-// change in one critical section. It must not call back into the gateway,
-// except for the lock-held bodies of a gateway sharing these locks.
-type Owner interface {
-	// Owned reports whether flowID belongs elsewhere; the item is then
-	// refused as a duplicate without a decision.
-	Owned(flowID uint64) bool
-	// Own records that this gateway has just admitted flowID.
-	Own(flowID uint64)
+// Adopt migrates flowID from from, another member of g's fleet, to g at
+// rate, the rate a ForEachFlow walk of from reported: it is decided as
+// AdmitBatch decides an admission, and an admitted flow's row changes
+// owner in the same critical section, counted as one admission at g and
+// one departure at from. A flow that has left from since the walk is
+// refused as a duplicate, and a refused one stays where it was.
+func (g *Gateway) Adopt(flowID uint64, rate float64, from *Gateway) Decision {
+	var buf [1]Decision
+	ds, _ := g.admitBatch([]uint64{flowID}, []float64{rate}, buf[:0], from)
+	return ds[0]
 }
 
-// AdmitBatchOwned is AdmitBatch with each valid item's ownership settled
-// under its shard lock: o (nil for none) is asked whether the flow belongs
-// elsewhere before the decision and told of each admission. The latency
-// clock is read only outside the shard locks, so neither o nor a clock
-// hook can deadlock on them.
-func (g *Gateway) AdmitBatchOwned(ids []uint64, rates []float64, dst []Decision, o Owner) ([]Decision, error) {
+// admitBatch is AdmitBatch, and with from set Adopt's batch: an item is
+// then a duplicate unless from holds it.
+func (g *Gateway) admitBatch(ids []uint64, rates []float64, dst []Decision, from *Gateway) ([]Decision, error) {
 	if len(ids) != len(rates) {
 		return dst, fmt.Errorf("gateway: batch length mismatch: %d ids, %d rates", len(ids), len(rates))
 	}
 	if len(ids) == 0 {
 		return dst, nil
 	}
-	m := g.Admissible()
+	m, f := g.Admissible(), g.fleet
 	var (
 		latNanos int64 // decided-interval time, accumulated across runs
 		start    int64 // open interval start
 		timing   bool  // an interval is open
 		decided  int
-		latShard *shard // the first shard that decided an item
+		latShard = -1 // the first shard that decided an item
 	)
 	for i, id := range ids {
 		rate := rates[i]
@@ -745,22 +807,21 @@ func (g *Gateway) AdmitBatchOwned(ids []uint64, rates []float64, dst []Decision,
 			start = g.clock()
 			timing = true
 		}
-		s := g.shardFor(id)
-		s.lock.Lock()
-		if s.flows.Get(id) != nil || o != nil && o.Owned(id) {
-			s.lock.Unlock()
+		k := f.shardIndex(id)
+		r := &f.rows[k]
+		r.mu.Lock()
+		e := r.rows.Get(id)
+		if from == nil && e != nil || from != nil && (e == nil || !from.owns(e)) {
+			r.mu.Unlock()
 			latNanos += g.clock() - start
 			timing = false
 			dst = append(dst, Decision{Reason: ReasonDuplicate, Admissible: m, Active: g.active.Load()})
 			continue
 		}
-		d := g.decideLocked(s, id, rate, m)
-		if d.Admitted && o != nil {
-			o.Own(id)
-		}
-		s.lock.Unlock()
-		if latShard == nil {
-			latShard = s
+		d := g.decideLocked(r, k, id, rate, m, e)
+		r.mu.Unlock()
+		if latShard < 0 {
+			latShard = int(k)
 		}
 		decided++
 		dst = append(dst, d)
@@ -769,9 +830,10 @@ func (g *Gateway) AdmitBatchOwned(ids []uint64, rates []float64, dst []Decision,
 		latNanos += g.clock() - start
 	}
 	if decided > 0 {
-		latShard.lock.Lock()
-		latShard.lat.ObserveN(float64(latNanos)*1e-9/float64(decided), decided)
-		latShard.lock.Unlock()
+		r := &g.fleet.rows[latShard]
+		r.mu.Lock()
+		g.lat[latShard].ObserveN(float64(latNanos)*1e-9/float64(decided), decided)
+		r.mu.Unlock()
 	}
 	return dst, nil
 }
@@ -789,34 +851,49 @@ func (g *Gateway) AdmitBatchOwned(ids []uint64, rates []float64, dst []Decision,
 // zero is indistinguishable from a crashed client holding a slot, so it
 // expires one TTL after its last positive report (or Touch — the explicit
 // keepalive for deliberately idle flows). A refused rate is ErrInvalidRate.
+// Like Touch and Depart, it acts on any flow of g's fleet, at its owner.
 func (g *Gateway) UpdateRate(flowID uint64, rate float64) error {
 	if !ValidUpdateRate(rate) {
 		return fmt.Errorf("%w %g: not in [0, %d]", ErrInvalidRate, rate, MaxRate)
 	}
-	s := g.shardFor(flowID)
-	s.lock.Lock()
-	err := g.UpdateRateLocked(flowID, rate)
-	s.lock.Unlock()
+	active, err := g.fleet.UpdateRate(flowID, rate)
+	if err == nil && !active {
+		return notActiveError(flowID)
+	}
 	return err
 }
 
-// UpdateRateLocked is UpdateRate's body for a caller that holds flowID's
-// shard lock (NewShared) and has checked rate with ValidUpdateRate. It
-// returns UpdateRate's not-active error for a flow that is not active
-// here, and ErrInvalidRate for a rate the shard's sums cannot carry.
-func (g *Gateway) UpdateRateLocked(flowID uint64, rate float64) error {
-	s := g.shardFor(flowID)
-	e := s.flows.Get(flowID)
-	if e == nil {
-		return notActiveError(flowID)
+// UpdateRate is Gateway.UpdateRate for any flow of the fleet, reporting
+// the not-active outcome as false instead of an error: it returns
+// ErrInvalidRate for a rate that fails ValidUpdateRate or that the owner's
+// shard sums cannot carry, and otherwise whether the fleet holds the flow.
+func (f *Fleet) UpdateRate(flowID uint64, rate float64) (bool, error) {
+	if !ValidUpdateRate(rate) {
+		return false, ErrInvalidRate
 	}
-	q := fixed(rate)
-	if q > e.q && !s.fits(q-e.q) {
+	k := f.shardIndex(flowID)
+	r := &f.rows[k]
+	r.mu.Lock()
+	e := r.rows.Get(flowID)
+	var err error
+	if e != nil {
+		err = f.members[e.owner()].updateLocked(k, e, rate)
+	}
+	r.mu.Unlock()
+	return e != nil, err
+}
+
+// updateLocked moves g's row e in shard k to rate; the caller holds the
+// row shard's lock.
+func (g *Gateway) updateLocked(k uint64, e *row, rate float64) error {
+	s := &g.shards[k]
+	q, old := fixed(rate), e.q()
+	if q > old && !s.fits(q-old) {
 		return ErrInvalidRate
 	}
-	s.subQ(e.q)
+	s.subQ(old)
 	s.addQ(q)
-	e.q = q
+	e.qo = q | g.idx<<ownerShift
 	if g.ttl > 0 && rate > 0 {
 		e.deadline = g.vnow.Load() + g.ttl
 	}
@@ -839,75 +916,72 @@ func (id notActiveError) Error() string {
 // keepalive for flows that are legitimately idle (rate 0) or whose rate
 // reports arrive out of band. A no-op when leases are disabled.
 func (g *Gateway) Touch(flowID uint64) error {
-	s := g.shardFor(flowID)
-	s.lock.Lock()
-	ok := g.TouchLocked(flowID)
-	s.lock.Unlock()
-	if !ok {
+	if !g.fleet.Touch(flowID) {
 		return notActiveError(flowID)
 	}
 	return nil
 }
 
-// TouchLocked is Touch's body for a caller that holds flowID's shard lock
-// (NewShared); it reports whether the flow is active here.
-func (g *Gateway) TouchLocked(flowID uint64) bool {
-	e := g.shardFor(flowID).flows.Get(flowID)
-	if e == nil {
-		return false
+// Touch is Gateway.Touch for any flow of the fleet, at its owner; it
+// reports whether the fleet holds the flow.
+func (f *Fleet) Touch(flowID uint64) bool {
+	r := &f.rows[f.shardIndex(flowID)]
+	r.mu.Lock()
+	e := r.rows.Get(flowID)
+	if e != nil {
+		if g := f.members[e.owner()]; g.ttl > 0 {
+			e.deadline = g.vnow.Load() + g.ttl
+		}
 	}
-	if g.ttl > 0 {
-		e.deadline = g.vnow.Load() + g.ttl
-	}
-	return true
+	r.mu.Unlock()
+	return e != nil
 }
 
 // Depart removes an active flow. Departing an unknown flow is an error.
 func (g *Gateway) Depart(flowID uint64) error {
-	s := g.shardFor(flowID)
-	s.lock.Lock()
-	ok := g.DepartLocked(flowID)
-	s.lock.Unlock()
-	if !ok {
+	if !g.fleet.Depart(flowID) {
 		return notActiveError(flowID)
 	}
 	return nil
 }
 
-// DepartLocked is Depart's body for a caller that holds flowID's shard
-// lock (NewShared); it reports whether the flow was active here.
-func (g *Gateway) DepartLocked(flowID uint64) bool {
-	if !g.shardFor(flowID).departLocked(flowID) {
-		return false
+// Depart is Gateway.Depart for any flow of the fleet, at its owner; it
+// reports whether the fleet held the flow.
+func (f *Fleet) Depart(flowID uint64) bool {
+	k := f.shardIndex(flowID)
+	r := &f.rows[k]
+	r.mu.Lock()
+	g := f.departLocked(k, flowID)
+	if g != nil {
+		g.active.Add(-1)
 	}
-	g.active.Add(-1)
-	return true
+	r.mu.Unlock()
+	return g != nil
 }
 
 // departLocked is the one way a flow leaves the table by request —
 // departure and batched departure both end here (lease expiry leaves
-// through sweepLocked). It reports whether flowID was active; the caller
-// holds s.lock and owes the active count its decrement. The flow's exact q
-// leaves the sums, so a shard that empties holds zero sums by arithmetic;
-// its cached earliest deadline resets with it.
-func (s *shard) departLocked(flowID uint64) bool {
-	e, ok := s.flows.Delete(flowID)
+// through sweepLocked). It returns the flow's owner, or nil if the fleet
+// does not hold it; the caller holds row shard k's lock and owes the
+// owner's active count its decrement.
+func (f *Fleet) departLocked(k, flowID uint64) *Gateway {
+	e, ok := f.rows[k].rows.Delete(flowID)
 	if !ok {
-		return false
+		return nil
 	}
-	s.subQ(e.q)
-	if s.flows.Len() == 0 {
-		s.minDeadline = math.Inf(1)
-	}
-	return true
+	g := f.members[e.owner()]
+	g.releaseLocked(k, &e)
+	return g
 }
 
-// departScratch is DepartBatch's pooled shard-grouping scratch: intrusive
-// per-shard chains (head/tail indexed by shard, next indexed by item) so a
-// batch groups by shard in one pass with no per-call allocation.
+// departScratch is DepartBatch's pooled scratch: intrusive per-shard
+// chains (head/tail indexed by shard, next indexed by item) so a batch
+// groups by shard in one pass with no per-call allocation, and the
+// departures per member.
 type departScratch struct {
 	head, tail []int
 	next       []int
+	departed   []int64
 }
 
 // DepartBatch removes a batch of active flows in one call, appending one
@@ -921,9 +995,14 @@ type departScratch struct {
 // The batch is the departure half of the AdmitBatch amortization story:
 // ids are grouped by shard (order-preserving intrusive chains over pooled
 // scratch), so a batch takes each shard's lock once instead of once per
-// flow, and the active count is decremented once with the batch total
-// instead of once per departure.
+// flow, and each owner's active count is decremented once with its batch
+// total instead of once per departure.
 func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
+	return g.fleet.DepartBatch(ids, dst)
+}
+
+// DepartBatch is Gateway.DepartBatch for any flows of the fleet.
+func (f *Fleet) DepartBatch(ids []uint64, dst []bool) []bool {
 	n := len(ids)
 	if n == 0 {
 		return dst
@@ -932,11 +1011,11 @@ func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
 	for i := 0; i < n; i++ {
 		dst = append(dst, false)
 	}
-	sc, _ := g.departPool.Get().(*departScratch)
+	sc, _ := f.departPool.Get().(*departScratch)
 	if sc == nil {
-		sc = new(departScratch)
+		sc = &departScratch{departed: make([]int64, len(f.members))}
 	}
-	nshards := len(g.shards)
+	nshards := len(f.rows)
 	if cap(sc.head) < nshards {
 		sc.head = make([]int, nshards)
 		sc.tail = make([]int, nshards)
@@ -950,7 +1029,7 @@ func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
 	}
 	next := sc.next[:n]
 	for i, id := range ids {
-		si := int(g.shardIndex(id))
+		si := int(f.shardIndex(id))
 		next[i] = -1
 		if head[si] < 0 {
 			head[si] = i
@@ -959,25 +1038,27 @@ func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
 		}
 		tail[si] = i
 	}
-	departed := 0
 	for si, i := range head {
 		if i < 0 {
 			continue
 		}
-		s := &g.shards[si]
-		s.lock.Lock()
+		r := &f.rows[si]
+		r.mu.Lock()
 		for ; i >= 0; i = next[i] {
-			if s.departLocked(ids[i]) {
-				departed++
+			if g := f.departLocked(uint64(si), ids[i]); g != nil {
+				sc.departed[g.idx]++
 				dst[base+i] = true
 			}
 		}
-		s.lock.Unlock()
+		r.mu.Unlock()
 	}
-	g.departPool.Put(sc)
-	if departed > 0 {
-		g.active.Add(int64(-departed))
+	for o, d := range sc.departed {
+		if d > 0 {
+			f.members[o].active.Add(-d)
+			sc.departed[o] = 0
+		}
 	}
+	f.departPool.Put(sc)
 	return dst
 }
 
@@ -1011,15 +1092,10 @@ func (g *Gateway) DepartBatch(ids []uint64, dst []bool) []bool {
 // Config.StaleAfter armed — degrades to the configured policy after
 // StaleAfter consecutive faulty ticks. One healthy tick exits degraded
 // mode and republishes the controller's fresh bound.
-func (g *Gateway) Tick(now float64) Stats { return g.TickExpired(now, nil) }
-
-// TickExpired is Tick for a caller that keeps its own per-flow state — the
-// cluster router's pins: expired (nil for none) receives the ID of every
-// flow this tick's lease sweep reclaims, at the moment the flow leaves the
-// table. It runs under that flow's shard lock, so no admission of the same
-// ID can fall between the removal and the report; it must be brief and
-// must not call back into the gateway.
-func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
+//
+// In a fleet each member sweeps only its own rows, and its pass reads only
+// its own accounting.
+func (g *Gateway) Tick(now float64) Stats {
 	g.measMu.Lock()
 	if !(now > g.last.LastTick) {
 		now = g.last.LastTick
@@ -1027,17 +1103,18 @@ func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 	var sumQ, sumQ2 u128
 	var c counts
 	var n int
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.lock.Lock()
+	rows := g.fleet.rows[:len(g.shards)]
+	for k := range g.shards {
+		s, r := &g.shards[k], &rows[k]
+		r.mu.Lock()
 		if g.ttl > 0 && s.minDeadline <= now {
-			g.sweepLocked(s, now, expired)
+			g.sweepLocked(k, now)
 		}
 		sumQ = sumQ.add(u128{lo: s.sumQ})
 		sumQ2 = sumQ2.add(s.sumQ2)
-		n += s.flows.Len()
+		n += int(s.live)
 		c.add(s)
-		s.lock.Unlock()
+		r.mu.Unlock()
 	}
 	sumRate := sumQ.float() * unit
 	sumSq := sumQ2.float() * (unit * unit)
@@ -1096,19 +1173,20 @@ func (g *Gateway) TickExpired(now float64, expired func(flowID uint64)) Stats {
 	return st
 }
 
-// sweepLocked reclaims expired leases from s at virtual time now, taking
-// each one's exact q out of the sums and reporting it to expired (when
-// set) as it leaves the table, and refreshes the shard's cached earliest
-// deadline; the caller holds measMu and s.lock. The sweep is one in-place
-// pass over the table and allocates nothing.
-func (g *Gateway) sweepLocked(s *shard, now float64, expired func(flowID uint64)) {
+// sweepLocked reclaims g's expired leases from row shard k at virtual time
+// now, taking each one's exact q out of the sums, and refreshes the
+// shard's cached earliest deadline; the caller holds measMu and the row
+// shard's lock. The sweep is one in-place pass over the row shard and
+// allocates nothing; it passes over other members' rows.
+func (g *Gateway) sweepLocked(k int, now float64) {
+	s := &g.shards[k]
 	min := math.Inf(1)
-	reclaimed := s.flows.DeleteFunc(func(id uint64, e *flowEntry) bool {
+	reclaimed := g.fleet.rows[k].rows.DeleteFunc(func(_ uint64, e *row) bool {
+		if !g.owns(e) {
+			return false
+		}
 		if e.deadline <= now {
-			s.subQ(e.q)
-			if expired != nil {
-				expired(id)
-			}
+			s.subQ(e.q())
 			return true
 		}
 		if e.deadline < min {
@@ -1120,6 +1198,7 @@ func (g *Gateway) sweepLocked(s *shard, now float64, expired func(flowID uint64)
 	if reclaimed == 0 {
 		return
 	}
+	s.live -= uint64(reclaimed)
 	s.expired += uint64(reclaimed)
 	g.active.Add(-int64(reclaimed))
 }
@@ -1178,11 +1257,11 @@ func (g *Gateway) Stats() Stats {
 	g.measMu.Lock()
 	defer g.measMu.Unlock()
 	var c counts
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.lock.Lock()
-		c.add(s)
-		s.lock.Unlock()
+	for k := range g.shards {
+		r := &g.fleet.rows[k]
+		r.mu.Lock()
+		c.add(&g.shards[k])
+		r.mu.Unlock()
 	}
 	return g.statsLocked(c)
 }
@@ -1249,13 +1328,13 @@ func (g *Gateway) Snapshot() Snapshot {
 	}
 	g.measMu.Unlock()
 	var c counts
-	lat := g.shards[0].lat.EmptySnapshot()
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.lock.Lock()
-		c.add(s)
-		s.lat.AddTo(&lat)
-		s.lock.Unlock()
+	lat := g.lat[0].EmptySnapshot()
+	for k := range g.shards {
+		r := &g.fleet.rows[k]
+		r.mu.Lock()
+		c.add(&g.shards[k])
+		g.lat[k].AddTo(&lat)
+		r.mu.Unlock()
 	}
 	snap.Active = g.active.Load()
 	snap.Admitted = int64(c.admitted)

@@ -8,30 +8,52 @@ import (
 
 const cacheLine = 64
 
-// TestShardLayout holds the shard to exactly two cache lines, with the flow
-// table's header on the line the mutex is on. A field added to shard without
-// revisiting the layout fails here instead of silently making every shard
-// straddle its neighbour's line (as `_ [48]byte` did once `expired` joined:
-// 136 bytes).
+// TestShardLayout holds the flow table's row shard to one cache line with
+// its mutex and table header together, a row's table slot to 32 bytes (the
+// owner rides in q's top bits, not in a field of its own), a gateway's
+// accounting shard to one cache line that, as allocated, starts on a line,
+// and the Fleet header to two lines of its own.
+// A field added to either without revisiting the layout fails here instead
+// of silently making every shard straddle its neighbour's line (as
+// `_ [48]byte` did once `expired` joined: 136 bytes). The accounting shard
+// holds no pointer: an object with pointers past 512 bytes starts one word
+// into a line (the allocator's header), which the 16-, 64- and 512-shard
+// gateways below would show.
 func TestShardLayout(t *testing.T) {
-	var s shard
-	if size := unsafe.Sizeof(s); size != 2*cacheLine {
-		t.Errorf("shard is %d bytes, not two %d-byte cache lines: neighbouring shards false-share, or a line is wasted", size, cacheLine)
+	var r rowShard
+	if size := unsafe.Sizeof(r); size != cacheLine {
+		t.Errorf("rowShard is %d bytes, not one %d-byte cache line: neighbouring shards false-share, or a line is wasted", size, cacheLine)
 	}
-	if end := unsafe.Offsetof(s.flows) + unsafe.Sizeof(s.flows); end > cacheLine {
+	if end := unsafe.Offsetof(r.rows) + unsafe.Sizeof(r.rows); end > cacheLine {
 		t.Errorf("the flow table's header ends at offset %d, past the mutex's cache line", end)
 	}
-	// As allocated: the runtime places a shard slice on a line boundary or
-	// one word past it, and either keeps mutex and header together.
+	slots, ok := reflect.TypeOf(r.rows).FieldByName("slots")
+	if !ok {
+		t.Fatal("flowtab.Table has no slots field")
+	}
+	if size := slots.Type.Elem().Size(); size != 32 {
+		t.Errorf("a row's table slot is %d bytes, not 32", size)
+	}
+	if size := unsafe.Sizeof(shard{}); size != cacheLine {
+		t.Errorf("shard is %d bytes, not one %d-byte cache line", size, cacheLine)
+	}
+	if size := unsafe.Sizeof(Fleet{}); size != 2*cacheLine {
+		t.Errorf("Fleet is %d bytes, not two %d-byte cache lines: its neighbours on the heap can share its lines", size, cacheLine)
+	}
+	// As allocated: the runtime places a row shard slice on a line boundary
+	// or one word past it, and either keeps mutex and header together.
 	for _, shards := range []int{1, 4, 16, 64, 512} {
 		g, _ := perfectGateway(t, 100, 1, 0.3, 1e-2, shards)
-		for i := range g.shards {
-			sh := &g.shards[i]
-			first := uintptr(unsafe.Pointer(&sh.mu)) / cacheLine
-			last := (uintptr(unsafe.Pointer(&sh.flows)) + unsafe.Sizeof(sh.flows) - 1) / cacheLine
+		for k := range g.fleet.rows {
+			r := &g.fleet.rows[k]
+			first := uintptr(unsafe.Pointer(&r.mu)) / cacheLine
+			last := (uintptr(unsafe.Pointer(&r.rows)) + unsafe.Sizeof(r.rows) - 1) / cacheLine
 			if first != last {
-				t.Fatalf("%d shards: shard %d's mutex and table header are on different cache lines", shards, i)
+				t.Fatalf("%d shards: row shard %d's mutex and table header are on different cache lines", shards, k)
 			}
+		}
+		if off := uintptr(unsafe.Pointer(&g.shards[0])) % cacheLine; off != 0 {
+			t.Fatalf("%d shards: the accounting shards start %d bytes into a cache line", shards, off)
 		}
 	}
 }
@@ -44,7 +66,7 @@ func TestShardLayout(t *testing.T) {
 func TestGatewayHotWordLayout(t *testing.T) {
 	typ := reflect.TypeOf(Gateway{})
 	active, _ := typ.FieldByName("active")
-	for _, name := range []string{"shards", "mask", "clock", "sampleMask", "bound", "ttl", "trackPeak", "vnow", "peakBits"} {
+	for _, name := range []string{"fleet", "idx", "shards", "lat", "clock", "sampleMask", "bound", "ttl", "trackPeak", "vnow", "peakBits"} {
 		f, ok := typ.FieldByName(name)
 		if !ok {
 			t.Fatalf("Gateway has no field %s", name)

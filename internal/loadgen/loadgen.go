@@ -505,11 +505,11 @@ func landed(err error) (bool, error) {
 }
 
 // laneOf returns the worker, of workers, that replays flow's events: the
-// shard hash of the gateway's flow table and the cluster's pin table
-// (flowtab.Mix) modulo the worker count. When workers is a power of two no
-// larger than a gateway's shard count, worker w alone touches the shards
-// k ≡ w (mod workers): their locks, table slots and sums stay in one
-// core's cache.
+// shard hash of the gateway's flow table (flowtab.Mix), which a cluster's
+// instances share, modulo the worker count. When workers is a power of
+// two no larger than a gateway's shard count, worker w alone touches the
+// row shards k ≡ w (mod workers): their locks, rows and every instance's
+// sums for them stay in one core's cache.
 func laneOf(flow, workers uint64) uint64 { return flowtab.Mix(flow) % workers }
 
 // lane is one worker's share of a replay: which of the schedule's events
