@@ -170,9 +170,9 @@ func (in *instance) headroom() float64 {
 // Construct with New; all methods are safe for concurrent use.
 //
 // Fields are grouped by who writes them (TestClusterHotWordLayout): every
-// routed op reads instances and fleet, which only New writes; every
-// placement writes the placement state, which sits last, at least a cache
-// line past them, behind fields that ticks and drains write.
+// routed op reads instances and fleet, which only New writes; placements
+// write the placement state, which sits last, at least a cache line past
+// them, behind fields that ticks and drains write.
 type Cluster struct {
 	cfg       Config
 	instances []*instance
@@ -189,17 +189,20 @@ type Cluster struct {
 	migrationFailures atomic.Int64
 	drains            atomic.Int64
 
-	// placeMu guards the placement-policy state below. Scoring reads the
-	// per-instance atomics, so holding it is O(instances) arithmetic, and
-	// it is a leaf: nothing is locked under it. A shard lock may be held
-	// when it is taken, never the reverse.
-	placeMu   sync.Mutex
-	preferred int       // least-loaded incumbent (-1 before the first placement)
-	rr        int       // round-robin cursor
-	credit    []float64 // smooth-weighted round-robin credits
-	poolBuf   []int     // eligibility scratch
-	degBuf    []int
-	warmBuf   []int
+	// preferred is the least-loaded incumbent (-1 before the first
+	// placement): read by every least-loaded placement, written only when
+	// a placement displaces it.
+	preferred atomic.Int64
+
+	// placeMu guards the round-robin cursor and the weighted credits,
+	// which every placement under those policies advances. Scoring reads
+	// the per-instance atomics, so holding it is O(instances) arithmetic,
+	// and it is a leaf: nothing is locked under it. A shard lock may be
+	// held when it is taken, never the reverse. Least-loaded placement
+	// never takes it.
+	placeMu sync.Mutex
+	rr      int       // round-robin cursor
+	credit  []float64 // smooth-weighted round-robin credits
 }
 
 // New validates the configuration and returns a cluster whose instances
@@ -216,15 +219,12 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.TickInterval = 100 * time.Millisecond
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		preferred: -1,
-		rr:        -1,
-		credit:    make([]float64, len(cfg.Instances)),
-		poolBuf:   make([]int, 0, len(cfg.Instances)),
-		degBuf:    make([]int, 0, len(cfg.Instances)),
-		warmBuf:   make([]int, 0, len(cfg.Instances)),
-		fleet:     new(gateway.Fleet),
+		cfg:    cfg,
+		rr:     -1,
+		credit: make([]float64, len(cfg.Instances)),
+		fleet:  new(gateway.Fleet),
 	}
+	c.preferred.Store(-1)
 	shards := gateway.ShardCount(cfg.Instances[0].Shards)
 	for i, gc := range cfg.Instances {
 		if n := gateway.ShardCount(gc.Shards); n != shards {

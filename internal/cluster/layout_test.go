@@ -68,15 +68,17 @@ func structFields(t *testing.T, typ reflect.Type, names ...string) []reflect.Str
 	return fs
 }
 
-// TestClusterHotWordLayout keeps the placement state, written by every
-// placement, off the cache lines of the fields every routed op reads. At
-// offsets 88–96 placeMu and preferred shared a line with instances (56) and
-// the pin table (80), so each admission on one core invalidated the line
-// every UpdateRate and Depart on the others read to find their pin.
+// TestClusterHotWordLayout keeps the placement state — the least-loaded
+// incumbent preferred, written when a placement displaces it, and the
+// round-robin and weighted state under placeMu, written by every placement
+// — off the cache lines of the fields every routed op reads. At offsets
+// 88–96 placeMu and preferred shared a line with instances (56) and the
+// pin table (80), so each admission on one core invalidated the line every
+// UpdateRate and Depart on the others read to find their pin.
 func TestClusterHotWordLayout(t *testing.T) {
 	typ := reflect.TypeOf(Cluster{})
 	read := structFields(t, typ, "instances", "fleet")
-	written := structFields(t, typ, "placeMu", "preferred", "rr", "credit", "poolBuf", "degBuf", "warmBuf")
+	written := structFields(t, typ, "preferred", "placeMu", "rr", "credit")
 	for _, w := range written {
 		for _, r := range read {
 			if !apart(w, r) {

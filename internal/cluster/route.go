@@ -11,91 +11,121 @@ import (
 // bypassing the preferred-instance hysteresis (a migration burst must not
 // install the drain target as the sticky preference).
 func (c *Cluster) placeFor(exclude int) int {
+	if c.cfg.Policy == PlaceLeastLoaded {
+		return c.leastLoaded(exclude, false)
+	}
 	c.placeMu.Lock()
-	idx := c.placeLocked(exclude, false)
+	idx := c.placeLocked(exclude)
 	c.placeMu.Unlock()
 	return idx
 }
 
-// placeLocked implements the policies; the caller holds placeMu.
-//
-// Eligibility is tiered before any policy runs: draining instances never
-// receive placements, and degraded instances (the PR 4 validity detector)
-// are scored to the bottom — they form the fallback pool used only when no
-// healthy instance exists, rather than being ejected outright.
-func (c *Cluster) placeLocked(exclude int, usePreferred bool) int {
-	healthy, degraded := c.poolBuf[:0], c.degBuf[:0]
+// candidate is one instance a placement may choose, as scored when the
+// placement began.
+type candidate struct {
+	i        int
+	headroom float64
+	warm     bool // the estimator has been valid for warmupTicks ticks
+	degraded bool
+}
+
+// eligible appends to pool, in index order, the instances a placement may
+// choose, excluding exclude. Eligibility is tiered before any policy runs:
+// draining instances never receive placements, and degraded instances (the
+// gateway's degradation watchdogs) are scored to the bottom — they form the
+// fallback pool used only when no healthy instance exists, rather than
+// being ejected outright. Every input is a per-instance atomic, each read once,
+// so a policy scores one consistent snapshot. Callers pass a stack array
+// of eight: a larger fleet's snapshot spills to the heap, one allocation
+// per placement.
+func (c *Cluster) eligible(exclude int, pool []candidate) []candidate {
+	healthy := 0
 	for i, in := range c.instances {
 		if i == exclude || InstanceState(in.state.Load()) != StateActive {
 			continue
 		}
-		if deg, _ := in.g.Degraded(); deg {
-			degraded = append(degraded, i)
-		} else {
-			healthy = append(healthy, i)
+		deg, _ := in.g.Degraded()
+		if !deg {
+			healthy++
+		}
+		pool = append(pool, candidate{i: i, headroom: in.headroom(), warm: in.warm.Load() >= warmupTicks, degraded: deg})
+	}
+	if healthy == 0 || healthy == len(pool) {
+		return pool
+	}
+	n := 0
+	for _, k := range pool {
+		if !k.degraded {
+			pool[n] = k
+			n++
 		}
 	}
-	pool := healthy
-	if len(pool) == 0 {
-		pool = degraded
-	}
+	return pool[:n]
+}
+
+// placeLocked implements the round-robin and weighted policies, whose
+// cursor and credits every placement advances; the caller holds placeMu.
+func (c *Cluster) placeLocked(exclude int) int {
+	var buf [8]candidate
+	pool := c.eligible(exclude, buf[:0])
 	if len(pool) == 0 {
 		return -1
 	}
-
-	switch c.cfg.Policy {
-	case PlaceRoundRobin:
-		pick := pool[0]
-		for _, i := range pool {
-			if i > c.rr {
-				pick = i
+	if c.cfg.Policy == PlaceRoundRobin {
+		pick := pool[0].i
+		for _, k := range pool {
+			if k.i > c.rr {
+				pick = k.i
 				break
 			}
 		}
 		c.rr = pick
 		return pick
+	}
+	// Smooth weighted round-robin: credits grow by headroom (floored at
+	// one unit so a saturated instance still cycles) and the largest
+	// credit wins, paying back the round total.
+	total := 0.0
+	best, bestCredit := -1, math.Inf(-1)
+	for _, k := range pool {
+		w := max(k.headroom, 0) + 1
+		c.credit[k.i] += w
+		total += w
+		if c.credit[k.i] > bestCredit {
+			best, bestCredit = k.i, c.credit[k.i]
+		}
+	}
+	c.credit[best] -= total
+	return best
+}
 
-	case PlaceWeighted:
-		// Smooth weighted round-robin: credits grow by headroom (floored
-		// at one unit so a saturated instance still cycles) and the
-		// largest credit wins, paying back the round total.
-		total := 0.0
-		best, bestCredit := -1, math.Inf(-1)
-		for _, i := range pool {
-			w := c.instances[i].headroom()
-			if w < 0 {
-				w = 0
-			}
-			w++
-			c.credit[i] += w
-			total += w
-			if c.credit[i] > bestCredit {
-				best, bestCredit = i, c.credit[i]
-			}
-		}
-		c.credit[best] -= total
-		return best
-	}
-
-	// Least-loaded: among the pool, prefer the warmed tier (instances
-	// whose estimator has been valid for warmupTicks consecutive ticks) so a
-	// cold estimator's optimistic headroom doesn't siphon the fleet.
-	tier := pool
-	warmed := c.warmBuf[:0]
-	for _, i := range pool {
-		if c.instances[i].warm.Load() >= warmupTicks {
-			warmed = append(warmed, i)
+// leastLoaded implements the least-loaded policy. It reads only
+// per-instance atomics and the incumbent, which it stores only when the
+// incumbent changes, so it takes no lock: placements racing on two cores
+// may each install their own best, and either is a valid incumbent.
+func (c *Cluster) leastLoaded(exclude int, usePreferred bool) int {
+	var buf [8]candidate
+	pool := c.eligible(exclude, buf[:0])
+	// Among the pool, prefer the warmed tier (instances whose estimator
+	// has been valid for warmupTicks consecutive ticks) so a cold
+	// estimator's optimistic headroom doesn't siphon the fleet.
+	warmed := 0
+	for _, k := range pool {
+		if k.warm {
+			warmed++
 		}
 	}
-	if len(warmed) > 0 {
-		tier = warmed
-	}
-	best, bestScore := tier[0], c.instances[tier[0]].headroom()
-	for _, i := range tier[1:] {
-		if s := c.instances[i].headroom(); s > bestScore {
-			best, bestScore = i, s
+	inTier := func(k candidate) bool { return k.warm || warmed == 0 }
+	best := -1
+	for j, k := range pool {
+		if inTier(k) && (best < 0 || k.headroom > pool[best].headroom) {
+			best = j
 		}
 	}
+	if best < 0 {
+		return -1
+	}
+	bestScore := pool[best].headroom
 	// Cold-start escape: an instance with no flows can never warm (the
 	// estimator needs at least two), so warmth gating alone would starve
 	// it forever. A cold instance takes the placement when its
@@ -103,37 +133,31 @@ func (c *Cluster) placeLocked(exclude int, usePreferred bool) int {
 	// the warmed tier's best by more than the hysteresis margin — enough
 	// flows to start measuring, without letting an unmeasured estimator's
 	// optimism siphon the fleet.
-	if len(warmed) > 0 && len(warmed) < len(pool) {
-		margin := hysteresis * c.instances[best].capacity
-		for _, i := range pool {
-			if c.instances[i].warm.Load() >= warmupTicks {
-				continue
-			}
-			if s := c.instances[i].headroom(); s > bestScore+margin {
-				best, bestScore = i, s
+	if warmed > 0 {
+		margin := hysteresis * c.instances[pool[best].i].capacity
+		for j, k := range pool {
+			if !k.warm && k.headroom > bestScore+margin {
+				best, bestScore = j, k.headroom
 			}
 		}
 	}
-	if usePreferred {
-		if p := c.preferred; p >= 0 && p != best && contains(tier, p) {
-			// The challenger must lead the incumbent by more than
-			// hysteresis × (incumbent capacity) to displace it.
-			if bestScore-c.instances[p].headroom() <= hysteresis*c.instances[p].capacity {
-				return p
-			}
-		}
-		c.preferred = best
+	pick := pool[best].i
+	if !usePreferred {
+		return pick
 	}
-	return best
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
+	p := int(c.preferred.Load())
+	if p == pick {
+		return pick
+	}
+	for _, k := range pool {
+		// The challenger must lead the incumbent by more than
+		// hysteresis × (incumbent capacity) to displace it.
+		if k.i == p && inTier(k) && bestScore-k.headroom <= hysteresis*c.instances[p].capacity {
+			return p
 		}
 	}
-	return false
+	c.preferred.Store(int64(pick))
+	return pick
 }
 
 // Admit requests admission for one flow: place it and decide it there,
@@ -157,18 +181,6 @@ func (c *Cluster) Admit(flowID uint64, rate float64) (gateway.Decision, error) {
 // targetScratch is AdmitBatch's pooled per-item target slice.
 type targetScratch struct{ targets []int }
 
-// forRuns calls fn once per maximal run targets[lo:hi] of one value, in
-// order.
-func forRuns(targets []int, fn func(t, lo, hi int)) {
-	for lo, i := 0, 1; i <= len(targets); i++ {
-		if i < len(targets) && targets[i] == targets[lo] {
-			continue
-		}
-		fn(targets[lo], lo, i)
-		lo = i
-	}
-}
-
 // AdmitBatch decides a batch of admission requests, appending one Decision
 // per request to dst and returning the extended slice — the cluster face
 // of gateway.AdmitBatch. The whole batch is placed first, against the
@@ -182,6 +194,8 @@ func forRuns(targets []int, fn func(t, lo, hi int)) {
 // decision- and instrumentation-identical to a bare gateway. Items that
 // cannot be admitted anywhere (every instance draining) are refused with
 // ReasonCapacity without touching an instance — an active flow included.
+// Under the least-loaded policy every valid item's placement is the same
+// one, so it is made once (admitLeastLoaded).
 func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decision) ([]gateway.Decision, error) {
 	if len(ids) != len(rates) {
 		return dst, fmt.Errorf("cluster: batch length mismatch: %d ids, %d rates", len(ids), len(rates))
@@ -189,42 +203,89 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 	if len(ids) == 0 {
 		return dst, nil
 	}
+	if c.cfg.Policy == PlaceLeastLoaded {
+		return c.admitLeastLoaded(ids, rates, dst), nil
+	}
 	sc, _ := c.batchPool.Get().(*targetScratch)
 	if sc == nil {
 		sc = new(targetScratch)
 	}
-	sc.targets = c.place(ids, rates, sc.targets[:0])
-	forRuns(sc.targets, func(t, lo, hi int) {
-		if t < 0 {
-			for j := lo; j < hi; j++ {
-				dst = append(dst, gateway.Decision{Reason: gateway.ReasonCapacity})
-			}
-			return
+	sc.targets = c.place(rates, sc.targets[:0])
+	for lo, i := 0, 1; i <= len(ids); i++ {
+		if i < len(ids) && sc.targets[i] == sc.targets[lo] {
+			continue
 		}
-		// The instance's only error is a length mismatch, which equal
-		// sub-slices of the checked inputs cannot produce.
-		dst, _ = c.instances[t].g.AdmitBatch(ids[lo:hi], rates[lo:hi], dst)
-	})
+		dst = c.admitAt(sc.targets[lo], ids[lo:i], rates[lo:i], dst)
+		lo = i
+	}
 	c.batchPool.Put(sc)
 	return dst, nil
 }
 
+// admitAt decides a run of items at instance t, or refuses each with
+// ReasonCapacity when t is -1 (every instance is draining).
+func (c *Cluster) admitAt(t int, ids []uint64, rates []float64, dst []gateway.Decision) []gateway.Decision {
+	if t < 0 {
+		for range ids {
+			dst = append(dst, gateway.Decision{Reason: gateway.ReasonCapacity})
+		}
+		return dst
+	}
+	// The instance's only error is a length mismatch, which equal
+	// sub-slices of the checked inputs cannot produce.
+	dst, _ = c.instances[t].g.AdmitBatch(ids, rates, dst)
+	return dst
+}
+
+// admitLeastLoaded is AdmitBatch under the least-loaded policy, whose
+// placement depends only on the scores, which deciding nothing leaves
+// unchanged: every valid item goes where the first one is placed, so the
+// batch is placed once, without a lock, and invalid items before the
+// first valid one ride the incumbent from before the placement.
+func (c *Cluster) admitLeastLoaded(ids []uint64, rates []float64, dst []gateway.Decision) []gateway.Decision {
+	prev := max(int(c.preferred.Load()), 0)
+	first := 0
+	for first < len(rates) && !gateway.ValidAdmitRate(rates[first]) {
+		first++
+	}
+	if first == len(rates) {
+		return c.admitAt(prev, ids, rates, dst)
+	}
+	t := c.leastLoaded(-1, true)
+	if t == prev {
+		return c.admitAt(t, ids, rates, dst)
+	}
+	if first > 0 {
+		dst = c.admitAt(prev, ids[:first], rates[:first], dst)
+	}
+	if t >= 0 {
+		return c.admitAt(t, ids[first:], rates[first:], dst)
+	}
+	// Every instance is draining: the valid items are refused, and the
+	// invalid ones still ride the incumbent.
+	for i := first; i < len(ids); i++ {
+		if gateway.ValidAdmitRate(rates[i]) {
+			dst = c.admitAt(-1, ids[i:i+1], rates[i:i+1], dst)
+		} else {
+			dst = c.admitAt(prev, ids[i:i+1], rates[i:i+1], dst)
+		}
+	}
+	return dst
+}
+
 // place appends to targets the instance that decides each item of an
-// admission batch (-1: every instance is draining), all under one hold of
-// placeMu. No row is read here: the deciding instance refuses an active
-// flow under its shard lock.
-func (c *Cluster) place(ids []uint64, rates []float64, targets []int) []int {
+// admission batch under the round-robin or weighted policy (-1: every
+// instance is draining), all under one hold of placeMu; an invalid item
+// rides the last target, or instance 0 before any (these policies keep no
+// incumbent). No row is read here: the deciding instance refuses an
+// active flow under its shard lock.
+func (c *Cluster) place(rates []float64, targets []int) []int {
 	c.placeMu.Lock()
-	last := -1
-	for i := range ids {
-		var t int
-		switch {
-		case gateway.ValidAdmitRate(rates[i]):
-			t = c.placeLocked(-1, true)
-		case last >= 0:
-			t = last
-		default:
-			t = max(c.preferred, 0)
+	last := 0
+	for _, rate := range rates {
+		t := last
+		if gateway.ValidAdmitRate(rate) {
+			t = c.placeLocked(-1)
 		}
 		targets = append(targets, t)
 		if t >= 0 {

@@ -5,6 +5,8 @@ package cluster
 import (
 	"context"
 	"testing"
+
+	"repro/internal/gateway"
 )
 
 // TestReplayTargetAllocationFree: ReplayTarget.Depart and UpdateRate
@@ -12,6 +14,8 @@ import (
 // replay departs and updates every flow it was refused, and the not-active
 // outcome once came through the routed op's error, which boxed the flow ID
 // (IDs past 255 allocate when boxed): one allocation per such event.
+// A least-loaded AdmitBatch, which places without the pooled scratch,
+// allocates nothing either.
 func TestReplayTargetAllocationFree(t *testing.T) {
 	const (
 		runs    = 100
@@ -38,6 +42,11 @@ func TestReplayTargetAllocationFree(t *testing.T) {
 		{"UpdateRate unknown", func() bool { ok, _ := tgt.UpdateRate(ctx, unknown, 2); return ok }, false},
 		{"UpdateRate active", func() bool { ok, _ := tgt.UpdateRate(ctx, ids[0], 2); return ok }, true},
 		{"Depart active", func() bool { ok, _ := tgt.Depart(ctx, ids[next]); next++; return ok }, true},
+		{"AdmitBatch", func() bool {
+			ds, _ := tgt.AdmitBatch(ctx, []uint64{unknown, unknown + 1}, []float64{-1, 1})
+			ok, _ := tgt.Depart(ctx, unknown+1)
+			return ds[0].Reason == gateway.ReasonInvalidRate && ds[1].Admitted && ok
+		}, true},
 	} {
 		allocs := testing.AllocsPerRun(runs, func() {
 			if got := tc.op(); got != tc.want {

@@ -31,7 +31,11 @@ func latencyGateway(t *testing.T, clk *fakeClock) *Gateway {
 // latCount merges the latency histogram of flowID's shard and returns its
 // count.
 func latCount(g *Gateway, flowID uint64) int64 {
-	k := g.fleet.shardIndex(flowID)
+	return shardLatCount(g, g.fleet.shardIndex(flowID))
+}
+
+// shardLatCount merges shard k's latency histogram and returns its count.
+func shardLatCount(g *Gateway, k uint64) int64 {
 	snap := g.lat[k].EmptySnapshot()
 	g.fleet.rows[k].mu.Lock()
 	g.lat[k].AddTo(&snap)

@@ -213,46 +213,119 @@ func TestAdmitBatchAllocationFree(t *testing.T) {
 
 // TestLatencySampling checks the 1-in-N observation contract on a single
 // shard: only every Nth decision is timed, sampled-out decisions never
-// touch the clock, and N is rounded up to a power of two.
+// touch the clock, and N is rounded up to a power of two. A batch of one
+// is sampled exactly as an Admit. A batch spanning shards is sampled as a
+// unit by the decision count of the shard that decides its first item: a
+// sampled-in batch reads the clock twice and observes each of its
+// decisions on that shard, a sampled-out one reads no clock and observes
+// nothing.
 func TestLatencySampling(t *testing.T) {
-	cases := []struct {
-		sample    int
-		decisions int
-		wantObs   int64
-		wantCalls int64 // clock reads: 2 per sampled-in decision, 0 otherwise
-	}{
-		{0, 16, 16, 32}, // full fidelity: every decision, 2 reads each
-		{1, 16, 16, 32},
-		{4, 16, 4, 8},
-		{5, 16, 2, 4}, // rounds up to 8
-	}
-	for _, tc := range cases {
+	sampledGateway := func(sample, shards int, calls *atomic.Int64) *Gateway {
+		t.Helper()
 		ctrl, err := core.NewPerfectKnowledge(1e9, 1, 0, 1e-2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var calls atomic.Int64
 		g, err := New(Config{
 			Capacity:      1e9,
 			Controller:    ctrl,
 			Estimator:     &estimator.Oracle{Mu: 1, Sigma: 0},
-			Shards:        1,
-			LatencySample: tc.sample,
+			Shards:        shards,
+			LatencySample: sample,
 			LatencyClock:  func() int64 { return calls.Add(1) * 250 },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return g
+	}
+	cases := []struct {
+		sample    int
+		batch     bool // each decision a batch of one
+		decisions int
+		wantObs   int64
+		wantCalls int64 // clock reads: 2 per sampled-in decision, 0 otherwise
+	}{
+		{0, false, 16, 16, 32}, // full fidelity: every decision, 2 reads each
+		{1, false, 16, 16, 32},
+		{4, false, 16, 4, 8},
+		{5, false, 16, 2, 4}, // rounds up to 8
+		{0, true, 16, 16, 32},
+		{4, true, 16, 4, 8},
+		{5, true, 16, 2, 4},
+	}
+	for _, tc := range cases {
+		var calls atomic.Int64
+		g := sampledGateway(tc.sample, 1, &calls)
+		var dst []Decision
 		for i := 0; i < tc.decisions; i++ {
-			if _, err := g.Admit(uint64(i), 1); err != nil {
-				t.Fatal(err)
+			if !tc.batch {
+				if _, err := g.Admit(uint64(i), 1); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			var err error
+			if dst, err = g.AdmitBatch([]uint64{uint64(i)}, []float64{1}, dst[:0]); err != nil || !dst[0].Admitted {
+				t.Fatalf("sample %d: batch of one = %+v, %v", tc.sample, dst, err)
 			}
 		}
 		if c := g.Snapshot().AdmitLatency.Count; c != tc.wantObs {
-			t.Errorf("sample %d: observed %d decisions, want %d", tc.sample, c, tc.wantObs)
+			t.Errorf("sample %d, batch %t: observed %d decisions, want %d", tc.sample, tc.batch, c, tc.wantObs)
 		}
 		if c := calls.Load(); c != tc.wantCalls {
-			t.Errorf("sample %d: %d clock reads, want %d", tc.sample, c, tc.wantCalls)
+			t.Errorf("sample %d, batch %t: %d clock reads, want %d", tc.sample, tc.batch, c, tc.wantCalls)
+		}
+	}
+
+	// Two shards sampled 1 in 2: a shard's decision is sampled when its
+	// count of earlier decisions is odd.
+	var calls atomic.Int64
+	g := sampledGateway(2, 2, &calls)
+	var on [2][]uint64 // unused flow IDs by shard
+	for id := uint64(1000); len(on[0]) < 8 || len(on[1]) < 8; id++ {
+		k := g.fleet.shardIndex(id)
+		on[k] = append(on[k], id)
+	}
+	take := func(k int) uint64 {
+		id := on[k][0]
+		on[k] = on[k][1:]
+		return id
+	}
+	steps := []struct {
+		shards    []int // the shard of each item, in order
+		wantObs   [2]int64
+		wantCalls int64
+	}{
+		{[]int{0, 1, 0}, [2]int64{0, 0}, 0}, // shard 0 had 0 decisions: sampled out
+		{[]int{1, 0}, [2]int64{0, 2}, 2},    // shard 1 had 1: sampled in, observed on 1
+		{[]int{0, 1}, [2]int64{2, 2}, 4},    // shard 0 had 3: sampled in, observed on 0
+		{[]int{0, 1}, [2]int64{2, 2}, 4},    // shard 0 had 4: sampled out
+	}
+	for i, st := range steps {
+		var (
+			ids   []uint64
+			rates []float64
+		)
+		for _, k := range st.shards {
+			ids, rates = append(ids, take(k)), append(rates, 1)
+		}
+		ds, err := g.AdmitBatch(ids, rates, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, d := range ds {
+			if !d.Admitted {
+				t.Fatalf("batch %d item %d: %+v", i, j, d)
+			}
+		}
+		for k := range st.wantObs {
+			if n := shardLatCount(g, uint64(k)); n != st.wantObs[k] {
+				t.Errorf("batch %d: shard %d holds %d observations, want %d", i, k, n, st.wantObs[k])
+			}
+		}
+		if c := calls.Load(); c != st.wantCalls {
+			t.Errorf("batch %d: %d clock reads in all, want %d", i, c, st.wantCalls)
 		}
 	}
 }

@@ -164,7 +164,8 @@ type Config struct {
 	// clock entirely (zero clock reads), and sampled-in decisions time the
 	// admission critical section (the sampling choice lives under the
 	// shard lock, so the measured interval starts there and excludes lock
-	// wait).
+	// wait). An AdmitBatch is sampled as a unit, by the decision count of
+	// the shard that decides its first item.
 	LatencySample int
 
 	// EstimateRing is the number of per-tick (μ̂, σ̂) points retained for
@@ -749,17 +750,22 @@ func (g *Gateway) decideLocked(r *rowShard, k, flowID uint64, rate, m float64, e
 //
 // The batch amortizes instrumentation: an all-valid batch pays one
 // clock-read pair and one bound load total, and the latency histogram
-// receives the per-decision mean, once per decided item, so
-// AdmitLatency.Count still equals Admitted+Rejected. Undecided items
+// receives the per-decision mean, once per decided item, so at full
+// fidelity AdmitLatency.Count still equals Admitted+Rejected. Undecided items
 // (invalid rate, duplicate) are excluded from the averaged interval — the
 // clock is stopped across runs of invalid items and restarted at the next
 // valid one — and the mean is attributed to the shard that decided the
 // first item, never to a shard that only saw invalid input. (A duplicate's
 // table lookup is the one sliver that rides on an open interval: it is
-// indistinguishable from a decision until the lookup returns.) Batches
-// bypass LatencySample — the clock cost is already amortized. The latency
-// clock is read only outside the row shard locks, so a clock hook that
-// calls back into the fleet cannot deadlock on them.
+// indistinguishable from a decision until the lookup returns.) At full
+// fidelity the latency clock is read only outside the row shard locks, so
+// a clock hook that calls back into the fleet cannot deadlock on them.
+//
+// Under LatencySample N > 1 the batch is sampled as Admit is, as a unit:
+// under the lock of the shard that decides its first item, it is timed
+// when that decision is the shard's sampled one. A sampled-in batch's
+// interval starts there, under the lock, and is observed as above; a
+// sampled-out batch reads no clock and observes nothing.
 func (g *Gateway) AdmitBatch(ids []uint64, rates []float64, dst []Decision) ([]Decision, error) {
 	return g.admitBatch(ids, rates, dst, nil)
 }
@@ -790,6 +796,7 @@ func (g *Gateway) admitBatch(ids []uint64, rates []float64, dst []Decision, from
 		latNanos int64 // decided-interval time, accumulated across runs
 		start    int64 // open interval start
 		timing   bool  // an interval is open
+		timed    = g.sampleMask == 0
 		decided  int
 		latShard = -1 // the first shard that decided an item
 	)
@@ -803,7 +810,7 @@ func (g *Gateway) admitBatch(ids []uint64, rates []float64, dst []Decision, from
 			dst = append(dst, Decision{Reason: ReasonInvalidRate, Admissible: m, Active: g.active.Load()})
 			continue
 		}
-		if !timing {
+		if timed && !timing {
 			start = g.clock()
 			timing = true
 		}
@@ -813,23 +820,29 @@ func (g *Gateway) admitBatch(ids []uint64, rates []float64, dst []Decision, from
 		e := r.rows.Get(id)
 		if from == nil && e != nil || from != nil && (e == nil || !from.owns(e)) {
 			r.mu.Unlock()
-			latNanos += g.clock() - start
-			timing = false
+			if timing {
+				latNanos += g.clock() - start
+				timing = false
+			}
 			dst = append(dst, Decision{Reason: ReasonDuplicate, Admissible: m, Active: g.active.Load()})
 			continue
 		}
-		d := g.decideLocked(r, k, id, rate, m, e)
-		r.mu.Unlock()
 		if latShard < 0 {
 			latShard = int(k)
+			if !timed {
+				start, timed = g.startTimingLocked(&g.shards[k], 0)
+				timing = timed
+			}
 		}
+		d := g.decideLocked(r, k, id, rate, m, e)
+		r.mu.Unlock()
 		decided++
 		dst = append(dst, d)
 	}
 	if timing {
 		latNanos += g.clock() - start
 	}
-	if decided > 0 {
+	if timed && decided > 0 {
 		r := &g.fleet.rows[latShard]
 		r.mu.Lock()
 		g.lat[latShard].ObserveN(float64(latNanos)*1e-9/float64(decided), decided)

@@ -547,10 +547,27 @@ func (l *lane) pending() *Event {
 	return nil
 }
 
+// stopped returns ctx.Err() once done, ctx's done channel, has closed, and
+// nil before; a nil done (context.Background's) never closes. The receive
+// does not block and, unlike ctx.Err, takes no lock.
+func stopped(ctx context.Context, done <-chan struct{}) error {
+	if done != nil {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+	}
+	return nil
+}
+
 // flush submits the coalesced admits, if any, as one AdmitBatch call.
-func (l *lane) flush(ctx context.Context) error {
+func (l *lane) flush(ctx context.Context, done <-chan struct{}) error {
 	if len(l.ids) == 0 {
 		return nil
+	}
+	if err := stopped(ctx, done); err != nil {
+		return err
 	}
 	ds, err := l.tgt.AdmitBatch(ctx, l.ids, l.rates)
 	if err != nil {
@@ -571,22 +588,22 @@ func (l *lane) flush(ctx context.Context) error {
 // run dispatches the lane's events not later than until, in order, and
 // flushes: the one place a schedule turns into Target calls. Consecutive
 // admits coalesce into AdmitBatch calls of up to batch, flushed before any
-// depart or update so per-flow order holds.
+// depart or update so per-flow order holds. Cancellation is checked before
+// every Target call, so a context cancelled inside one stops the lane
+// before the next.
 func (l *lane) run(ctx context.Context, until float64) error {
+	done := ctx.Done()
 	for ev := l.pending(); ev != nil && !(ev.T > until); ev = l.pending() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		if l.timescale > 0 {
 			due := l.start.Add(time.Duration(ev.T * float64(l.timescale)))
 			if d := time.Until(due); d > 0 {
 				// Pace the open loop: flush what we have, then wait.
-				if err := l.flush(ctx); err != nil {
+				if err := l.flush(ctx, done); err != nil {
 					return err
 				}
 				select {
 				case <-time.After(d):
-				case <-ctx.Done():
+				case <-done:
 					return ctx.Err()
 				}
 			}
@@ -596,12 +613,15 @@ func (l *lane) run(ctx context.Context, until float64) error {
 			l.ids = append(l.ids, ev.Flow)
 			l.rates = append(l.rates, ev.Rate)
 			if len(l.ids) >= l.batch { // also true of any batch below 1
-				if err := l.flush(ctx); err != nil {
+				if err := l.flush(ctx, done); err != nil {
 					return err
 				}
 			}
 		case KindDepart:
-			if err := l.flush(ctx); err != nil {
+			if err := l.flush(ctx, done); err != nil {
+				return err
+			}
+			if err := stopped(ctx, done); err != nil {
 				return err
 			}
 			active, err := l.tgt.Depart(ctx, ev.Flow)
@@ -614,7 +634,10 @@ func (l *lane) run(ctx context.Context, until float64) error {
 				l.st.NotActive++
 			}
 		case KindUpdate:
-			if err := l.flush(ctx); err != nil {
+			if err := l.flush(ctx, done); err != nil {
+				return err
+			}
+			if err := stopped(ctx, done); err != nil {
 				return err
 			}
 			active, err := l.tgt.UpdateRate(ctx, ev.Flow, ev.Rate)
@@ -629,7 +652,7 @@ func (l *lane) run(ctx context.Context, until float64) error {
 		}
 		l.next++
 	}
-	return l.flush(ctx)
+	return l.flush(ctx, done)
 }
 
 // Replay runs the schedule against tgt deterministically: one lane, strict

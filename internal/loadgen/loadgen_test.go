@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -303,6 +305,77 @@ func TestRunnerLanesOwnShards(t *testing.T) {
 			t.Errorf("%d workers: per-flow event counts differ from the schedule's", workers)
 		}
 	}
+}
+
+// cancelTarget accepts every call and cancels the replay's context inside
+// its call number at; any call after that one is late.
+type cancelTarget struct {
+	cancel          context.CancelFunc
+	at, calls, late int
+}
+
+func (c *cancelTarget) call() {
+	c.calls++
+	switch {
+	case c.calls == c.at:
+		c.cancel()
+	case c.calls > c.at && c.at > 0:
+		c.late++
+	}
+}
+
+func (c *cancelTarget) AdmitBatch(_ context.Context, flows []uint64, _ []float64) ([]gateway.Decision, error) {
+	c.call()
+	ds := make([]gateway.Decision, len(flows))
+	for i := range ds {
+		ds[i].Admitted = true
+	}
+	return ds, nil
+}
+
+func (c *cancelTarget) Depart(context.Context, uint64) (bool, error) {
+	c.call()
+	return true, nil
+}
+
+func (c *cancelTarget) UpdateRate(context.Context, uint64, float64) (bool, error) {
+	c.call()
+	return true, nil
+}
+
+// TestCancelInsideTargetStopsReplay: a context cancelled from inside a
+// Target call stops the lane that made it before its next call, and the
+// replay returns context.Canceled — for Replay with and without ticks,
+// and for the cancelling worker of a concurrent Run.
+func TestCancelInsideTargetStopsReplay(t *testing.T) {
+	cfg := testConfig()
+	cfg.Renegotiate = true
+	events, err := Schedule(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 3
+	check := func(name string, tgt *cancelTarget, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if tgt.calls != at || tgt.late != 0 {
+			t.Errorf("%s: %d Target calls (%d after the cancelling one), want %d", name, tgt.calls, tgt.late, at)
+		}
+	}
+	for _, window := range []float64{0, 1} {
+		ctx, cancel := context.WithCancel(context.Background())
+		tgt := &cancelTarget{cancel: cancel, at: at}
+		_, err := Replay(ctx, tgt, events, 4, window, func(float64) {})
+		check(fmt.Sprintf("Replay, window %g", window), tgt, err)
+		cancel()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	targets := []*cancelTarget{{cancel: cancel, at: at}, {}}
+	_, err = Run(ctx, func(w int) Target { return targets[w] }, events, RunConfig{Workers: len(targets), Batch: 4})
+	check("Run", targets[0], err)
 }
 
 // TestLaneSetupAllocsIndependentOfEvents: Run's lane setup allocates the
