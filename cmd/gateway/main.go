@@ -1,9 +1,10 @@
 // Command gateway is the online admission server: it serves the
 // internal/wire admission protocol (see cmd/loadgen and the client
 // package) on -addr, optionally across -listener-shards SO_REUSEPORT
-// accept shards, ticks the measurement loop on the wall clock every
-// -tick-interval, and drains gracefully on SIGINT/SIGTERM — stop
-// accepting, flush in-flight decisions, depart nothing (flow leases
+// accept shards, from a fleet of -cluster gateway instances (default one)
+// behind the headroom router, ticks the measurement loop on the wall
+// clock every -tick-interval, and drains gracefully on SIGINT/SIGTERM —
+// stop accepting, flush in-flight decisions, depart nothing (flow leases
 // reclaim abandoned flows) — then prints the served and admission counts.
 //
 // Example — a n=100 link whose abandoned flows expire after 60 s:
@@ -18,10 +19,11 @@
 //
 // With -listen the server also serves the observability endpoint:
 //
-//	/metrics      Prometheus text exposition (mbac_gateway_*, mbac_server_* families)
-//	/snapshot     the gateway snapshot as JSON
+//	/metrics      Prometheus text exposition (mbac_gateway_*, mbac_server_*, mbac_cluster_* families)
+//	/snapshot     instance 0's gateway snapshot as JSON
 //	/server       the serving-layer snapshot as JSON
-//	/audit        the QoS audit report as JSON (verdict vs p_q and √2 law)
+//	/cluster      the fleet's routing snapshot as JSON
+//	/audit        instance 0's QoS audit report as JSON (verdict vs p_q and √2 law)
 //	/debug/vars   expvar, including the snapshot under the "mbac" key
 //	/debug/pprof  the standard pprof handlers
 //
@@ -32,15 +34,12 @@
 //
 // # Cluster
 //
-// With -cluster N the served backend becomes a fleet of N gateway
-// instances — each with its own capacity -n, estimator and MBAC bound —
-// behind the headroom-scored router of internal/cluster (-placement
-// selects the policy). The wire protocol is unchanged: clients cannot
-// tell a cluster from a single gateway. The observability endpoint gains
-// the mbac_cluster_* families and a /cluster JSON snapshot; its
-// admission-layer routes (/snapshot, /audit) read instance 0:
+// The served backend is always a fleet: -cluster N gateway instances —
+// each with its own capacity -n, estimator and MBAC bound — behind the
+// least-loaded router of internal/cluster, and N = 1, the default, is the
+// single gateway. The wire protocol cannot tell N from one:
 //
-//	gateway -cluster 4 -placement least-loaded -addr :9000 -n 25 -ttl 60 -listen :8080
+//	gateway -cluster 4 -addr :9000 -n 25 -ttl 60 -listen :8080
 package main
 
 import (
@@ -79,7 +78,6 @@ type options struct {
 	estMode, degraded, listen, addr         string
 	adaptive                                bool
 	tickInterval                            time.Duration
-	placement                               cluster.PlacementPolicy
 }
 
 // run is the whole command: parse and validate args, then serve.
@@ -114,21 +112,16 @@ func parse(args []string) (*options, error) {
 	fs.DurationVar(&o.tickInterval, "tick-interval", 100*time.Millisecond, "wall-clock measurement tick period")
 	fs.IntVar(&o.maxConns, "max-conns", 1024, "served connection limit")
 	fs.IntVar(&o.frameRate, "frame-rate", 0, "per-connection frame-rate cap in frames/sec, 0 = off")
-	fs.IntVar(&o.clusterN, "cluster", 0, "serve N gateway instances behind the headroom router, each with capacity -n (0 = single gateway)")
-	placement := fs.String("placement", "least-loaded", "cluster placement policy: "+cluster.PlacementPolicyNames.List()+" (with -cluster)")
+	fs.IntVar(&o.clusterN, "cluster", 1, "serve N gateway instances behind the headroom router, each with capacity -n (1 = single gateway)")
 	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	var err error
-	if o.placement, err = cluster.ParsePlacementPolicy(*placement); err != nil {
 		return nil, err
 	}
 
 	switch {
 	case o.tickInterval <= 0:
 		return nil, fmt.Errorf("tick-interval %v must be positive", o.tickInterval)
-	case o.clusterN < 0:
-		return nil, fmt.Errorf("cluster %d must be non-negative", o.clusterN)
+	case o.clusterN < 1:
+		return nil, fmt.Errorf("cluster %d must be at least 1", o.clusterN)
 	}
 	if o.pq <= 0 {
 		o.pq = o.pce
@@ -186,57 +179,31 @@ func (o *options) gatewayConfig(tuners *[]*adaptive.Controller) (cfg gateway.Con
 	return cfg, nil
 }
 
-// ticked is what serve needs of its backend beyond the admission surface:
-// a wall-clock measurement loop to run and fleet-wide counts to report.
-// One gateway and a cluster of them both have it.
-type ticked interface {
-	server.Backend
-	Run(ctx context.Context)
-	Stats() gateway.Stats
-}
-
-// serve runs the gateway — or, with -cluster N, a fleet of N instances
-// behind the headroom router — as a long-running network admission
-// server. The measurement loop ticks on the wall clock, the wire protocol
-// is served on -addr, and SIGINT/SIGTERM trigger the graceful drain —
-// stop accepting, flush in-flight decisions, depart nothing and let the
-// flow leases reclaim what clients abandoned. Instance drain/failover is
-// an admin-plane operation on the cluster, not part of process shutdown.
+// serve runs the fleet of -cluster instances behind the headroom router
+// as a long-running network admission server. The measurement loop ticks
+// on the wall clock, the wire protocol is served on -addr, and
+// SIGINT/SIGTERM trigger the graceful drain — stop accepting, flush
+// in-flight decisions, depart nothing and let the flow leases reclaim
+// what clients abandoned. Instance drain/failover is an admin-plane
+// operation on the cluster, not part of process shutdown.
 func serve(o *options, stdout io.Writer) error {
-	var (
-		tuners  []*adaptive.Controller
-		backend ticked
-		first   *gateway.Gateway // the instance behind the admission-layer obs routes
-		cl      *cluster.Cluster
-	)
-	if o.clusterN > 0 {
+	var tuners []*adaptive.Controller
+	ccfg := cluster.Config{TickInterval: o.tickInterval, Instances: make([]gateway.Config, o.clusterN)}
+	for i := range ccfg.Instances {
 		var err error
-		ccfg := cluster.Config{Policy: o.placement, TickInterval: o.tickInterval, Instances: make([]gateway.Config, o.clusterN)}
-		for i := range ccfg.Instances {
-			if ccfg.Instances[i], err = o.gatewayConfig(&tuners); err != nil {
-				return err
-			}
-		}
-		if cl, err = cluster.New(ccfg); err != nil {
+		if ccfg.Instances[i], err = o.gatewayConfig(&tuners); err != nil {
 			return err
 		}
-		backend, first = cl, cl.Gateway(0)
-	} else {
-		gcfg, err := o.gatewayConfig(&tuners)
-		if err != nil {
-			return err
-		}
-		g, err := gateway.New(gcfg)
-		if err != nil {
-			return err
-		}
-		backend, first = g, g
+	}
+	cl, err := cluster.New(ccfg)
+	if err != nil {
+		return err
 	}
 	audit, err := qos.NewAudit(qos.AuditConfig{TargetPf: o.pq})
 	if err != nil {
 		return err
 	}
-	srv, err := server.New(server.Config{Backend: backend, MaxConns: o.maxConns, FrameRate: o.frameRate})
+	srv, err := server.New(server.Config{Backend: cl, MaxConns: o.maxConns, FrameRate: o.frameRate})
 	if err != nil {
 		return err
 	}
@@ -247,7 +214,7 @@ func serve(o *options, stdout io.Writer) error {
 	var endpoint *obs.Endpoint
 	var obsErr <-chan error
 	if o.listen != "" {
-		endpoint, err = obs.Start(obs.Config{Addr: o.listen, Gateway: first, Server: srv, Cluster: cl, Adaptive: tuners, Audit: audit})
+		endpoint, err = obs.Start(obs.Config{Addr: o.listen, Gateway: cl.Gateway(0), Server: srv, Cluster: cl, Adaptive: tuners, Audit: audit})
 		if err != nil {
 			return err
 		}
@@ -256,18 +223,13 @@ func serve(o *options, stdout io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	tickDone := make(chan struct{})
-	go func() { defer close(tickDone); backend.Run(ctx) }()
+	go func() { defer close(tickDone); cl.Run(ctx) }()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(lns...) }()
-	fleet, routes := "", "metrics/snapshot/server/audit/pprof"
-	if cl != nil {
-		fleet = fmt.Sprintf(", %d-instance cluster (%s placement)", cl.Instances(), cl.Snapshot().Policy)
-		routes = "metrics/snapshot/server/cluster/audit/pprof"
-	}
-	fmt.Fprintf(stdout, "serving:    admission protocol on %s across %d listener shard(s)%s (Ctrl-C to drain)\n",
-		lns[0].Addr(), len(lns), fleet)
+	fmt.Fprintf(stdout, "serving:    admission protocol on %s across %d listener shard(s), %d-instance cluster (least-loaded placement) (Ctrl-C to drain)\n",
+		lns[0].Addr(), len(lns), cl.Instances())
 	if endpoint != nil {
-		fmt.Fprintf(stdout, "observing:  %s on %s\n", routes, endpoint.Addr())
+		fmt.Fprintf(stdout, "observing:  metrics/snapshot/server/cluster/audit/pprof on %s\n", endpoint.Addr())
 	}
 
 	select {
@@ -298,20 +260,18 @@ func serve(o *options, stdout io.Writer) error {
 		}
 	}
 	snap := srv.Snapshot()
-	st := backend.Stats()
+	st := cl.Stats()
 	fmt.Fprintf(stdout, "served:     %d conns (%d refused), %d frames, %d decisions in %d batches (mean %.2f)\n",
 		snap.ConnsAccepted, snap.ConnsRefused+snap.ConnsDrainRef, snap.Frames,
 		snap.Decisions, snap.Batches, snap.MeanBatch())
 	fmt.Fprintf(stdout, "admission:  %d admitted, %d rejected, %d departed, %d expired, %d active at drain\n",
 		st.Admitted, st.Rejected, st.Departed, st.Expired, st.Active)
-	if cl != nil {
-		cs := cl.Snapshot()
-		fmt.Fprintf(stdout, "cluster:    %d pinned, %d placements, %d migrations (%d failed), %d drains\n",
-			cs.Pinned, cs.Placements, cs.Migrations, cs.MigrationFailures, cs.Drains)
-		for _, in := range cs.Instances {
-			fmt.Fprintf(stdout, "instance %d: %s, bound %.4g, active %d, headroom %.4g, placed %d\n",
-				in.Index, in.State, in.Bound, in.Active, in.Headroom, in.Placements)
-		}
+	cs := cl.Snapshot()
+	fmt.Fprintf(stdout, "cluster:    %d pinned, %d placements, %d migrations (%d failed), %d drains\n",
+		cs.Pinned, cs.Placements, cs.Migrations, cs.MigrationFailures, cs.Drains)
+	for _, in := range cs.Instances {
+		fmt.Fprintf(stdout, "instance %d: %s, bound %.4g, active %d, headroom %.4g, placed %d\n",
+			in.Index, in.State, in.Bound, in.Active, in.Headroom, in.Placements)
 	}
 	return nil
 }

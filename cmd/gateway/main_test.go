@@ -18,10 +18,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-pce 2", "out of (0,1)"},
 		{"-pq 0.7", "out of (0, 0.5)"},
 		{"-estimator window", "positive memory"},
-		{"-cluster -1", "must be non-negative"},
+		{"-cluster 0", "at least 1"},
 		{"-tick-interval 0", "must be positive"},
 		{"-tick-interval -1s", "must be positive"},
-		{"-placement bogus", "unknown placement policy"},
+		// Placement is least-loaded; there is no flag to choose it.
+		{"-placement least-loaded", "flag provided but not defined: -placement"},
 		// The replay mode and its flags are gone; naming one is an error.
 		{"-lambda 1", "flag provided but not defined: -lambda"},
 	} {

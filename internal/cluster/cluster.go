@@ -8,12 +8,13 @@
 //
 // Each instance is scored by its headroom c − M·μ̂ — capacity minus the
 // live admitted-flow count times the instance's last estimated per-flow
-// mean. The placement policy is pluggable (least-loaded by headroom,
-// smooth-weighted by headroom, or round-robin), and two dampers keep a
-// marginally-better instance from churning placements: an instance is only
-// *preferred* once its estimator has been warmed for warmupTicks (3)
-// consecutive ticks, and the incumbent preferred instance is only displaced
-// when a challenger's headroom leads by more than hysteresis (0.05) × c.
+// mean. A new flow goes to the instance with the most headroom
+// (least-loaded placement, the only policy), and two dampers keep a
+// marginally-better instance from churning placements: an instance is
+// only *preferred* once its estimator has been warmed for warmupTicks (3)
+// consecutive ticks, and the incumbent preferred instance is only
+// displaced when a challenger's headroom leads by more than hysteresis
+// (0.05) × c.
 //
 // # Pinning
 //
@@ -50,36 +51,14 @@ import (
 	"repro/internal/gateway"
 )
 
-// PlacementPolicy selects how the router chooses an instance for a new
-// flow.
+// PlacementPolicy names the placement policy. Least-loaded is the only
+// one; the type, its constant and Config.Policy remain only until the
+// repo benchmark stops naming them.
 type PlacementPolicy int
 
-const (
-	// PlaceLeastLoaded: the instance with the best headroom c − M·μ̂,
-	// damped by warmup and hysteresis. The default.
-	PlaceLeastLoaded PlacementPolicy = iota
-	// PlaceWeighted: smooth weighted round-robin with weights proportional
-	// to headroom — spreads placements instead of concentrating them on
-	// the single best instance.
-	PlaceWeighted
-	// PlaceRoundRobin: rotate over the eligible instances, ignoring
-	// headroom.
-	PlaceRoundRobin
-	placementPolicyEnd // sentinel: PlacementPolicyNames names every constant above
-)
-
-// PlacementPolicyNames is the placement policy name table.
-var PlacementPolicyNames = enum.New(PlaceLeastLoaded, placementPolicyEnd,
-	"least-loaded", "weighted", "round-robin")
-
-// String implements fmt.Stringer.
-func (p PlacementPolicy) String() string { return PlacementPolicyNames.String(p) }
-
-// ParsePlacementPolicy is the inverse of PlacementPolicy.String, for CLI
-// flags and scenario configs.
-func ParsePlacementPolicy(s string) (PlacementPolicy, error) {
-	return PlacementPolicyNames.Parse("cluster: unknown placement policy", s)
-}
+// PlaceLeastLoaded: the instance with the best headroom c − M·μ̂, damped
+// by warmup and hysteresis.
+const PlaceLeastLoaded PlacementPolicy = 0
 
 // InstanceState is an instance's routing state: active instances receive
 // new placements, draining ones only serve their remaining pinned flows.
@@ -106,7 +85,8 @@ type Config struct {
 	// stateful and owned by their gateway after New.
 	Instances []gateway.Config
 
-	// Policy selects the placement policy (default least-loaded).
+	// Policy must be PlaceLeastLoaded, the zero value; New rejects any
+	// other.
 	Policy PlacementPolicy
 
 	// TickInterval is the wall-clock measurement period used by Run
@@ -121,9 +101,9 @@ const (
 	// eligible.
 	warmupTicks = 3
 
-	// hysteresis damps preferred-instance churn under the least-loaded
-	// policy: a challenger displaces the incumbent only when its headroom
-	// leads by more than hysteresis × (incumbent capacity).
+	// hysteresis damps preferred-instance churn: a challenger displaces
+	// the incumbent only when its headroom leads by more than hysteresis ×
+	// (incumbent capacity).
 	hysteresis = 0.05
 )
 
@@ -171,38 +151,29 @@ func (in *instance) headroom() float64 {
 //
 // Fields are grouped by who writes them (TestClusterHotWordLayout): every
 // routed op reads instances and fleet, which only New writes; placements
-// write the placement state, which sits last, at least a cache line past
-// them, behind fields that ticks and drains write.
+// write the incumbent, which sits last, at least a cache line past them,
+// behind fields that ticks and drains write.
 type Cluster struct {
 	cfg       Config
 	instances []*instance
 	fleet     *gateway.Fleet // the instances' shared flow table
 
-	// batchPool recycles AdmitBatch's target scratch, keeping the batched
-	// path allocation-free in steady state.
-	batchPool sync.Pool
-
-	// tickMu serializes measurement ticks across the fleet.
+	// tickMu serializes measurement ticks across the fleet and guards
+	// ticked, the snapshots Tick returns.
 	tickMu sync.Mutex
+	ticked []gateway.Stats
 
 	migrations        atomic.Int64
 	migrationFailures atomic.Int64
 	drains            atomic.Int64
 
-	// preferred is the least-loaded incumbent (-1 before the first
-	// placement): read by every least-loaded placement, written only when
-	// a placement displaces it.
-	preferred atomic.Int64
+	// A line of padding keeps preferred off the lines of instances and
+	// fleet, wherever the cluster is allocated.
+	_ [64]byte
 
-	// placeMu guards the round-robin cursor and the weighted credits,
-	// which every placement under those policies advances. Scoring reads
-	// the per-instance atomics, so holding it is O(instances) arithmetic,
-	// and it is a leaf: nothing is locked under it. A shard lock may be
-	// held when it is taken, never the reverse. Least-loaded placement
-	// never takes it.
-	placeMu sync.Mutex
-	rr      int       // round-robin cursor
-	credit  []float64 // smooth-weighted round-robin credits
+	// preferred is the incumbent (-1 before the first placement): read
+	// by every placement, written only when a placement displaces it.
+	preferred atomic.Int64
 }
 
 // New validates the configuration and returns a cluster whose instances
@@ -212,7 +183,7 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Instances) == 0 {
 		return nil, fmt.Errorf("cluster: at least one instance is required")
 	}
-	if !PlacementPolicyNames.Valid(cfg.Policy) {
+	if cfg.Policy != PlaceLeastLoaded {
 		return nil, fmt.Errorf("cluster: unknown placement policy %d", int(cfg.Policy))
 	}
 	if cfg.TickInterval <= 0 {
@@ -220,9 +191,8 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		rr:     -1,
-		credit: make([]float64, len(cfg.Instances)),
 		fleet:  new(gateway.Fleet),
+		ticked: make([]gateway.Stats, len(cfg.Instances)),
 	}
 	c.preferred.Store(-1)
 	shards := gateway.ShardCount(cfg.Instances[0].Shards)
@@ -237,7 +207,8 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
 		}
 		in := &instance{g: g, capacity: gc.Capacity}
-		c.cacheMeasurement(in, g.Stats())
+		st := g.Stats()
+		c.cacheMeasurement(in, &st)
 		c.instances = append(c.instances, in)
 	}
 	return c, nil
@@ -254,7 +225,7 @@ func (c *Cluster) State(i int) InstanceState { return InstanceState(c.instances[
 
 // cacheMeasurement refreshes an instance's scoring inputs from a tick
 // snapshot: the effective per-flow mean and the warmup streak.
-func (c *Cluster) cacheMeasurement(in *instance, st gateway.Stats) {
+func (c *Cluster) cacheMeasurement(in *instance, st *gateway.Stats) {
 	mu := 0.0
 	switch {
 	case st.MeasurementOK && st.Mu > 0 && !math.IsInf(st.Mu, 0) && !math.IsNaN(st.Mu):
@@ -272,18 +243,17 @@ func (c *Cluster) cacheMeasurement(in *instance, st gateway.Stats) {
 
 // Tick performs one measurement cycle at virtual time now on every
 // instance, in index order, refreshing the router's scoring caches, and
-// returns the per-instance snapshots in the same order. Each instance's
-// lease sweep removes the rows it reclaims, pin and all.
+// returns the per-instance snapshots in the same order. The slice is the
+// cluster's own and valid until the next Tick, which overwrites it. Each
+// instance's lease sweep removes the rows it reclaims, pin and all.
 func (c *Cluster) Tick(now float64) []gateway.Stats {
 	c.tickMu.Lock()
 	defer c.tickMu.Unlock()
-	sts := make([]gateway.Stats, len(c.instances))
 	for i, in := range c.instances {
-		st := in.g.Tick(now)
-		c.cacheMeasurement(in, st)
-		sts[i] = st
+		c.ticked[i] = in.g.Tick(now)
+		c.cacheMeasurement(in, &c.ticked[i])
 	}
-	return sts
+	return c.ticked
 }
 
 // Run ticks the cluster on the configured wall-clock interval until ctx is

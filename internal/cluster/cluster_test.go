@@ -60,30 +60,18 @@ func newTestCluster(tb testing.TB, n int, capacity float64, cfg Config) *Cluster
 	return c
 }
 
-// TestEnumRoundTrips pins the exact names of PlacementPolicy and
-// InstanceState in constant order — they appear in flags, scenario configs
-// and the /cluster snapshot — and that ParsePlacementPolicy reads the
-// same table.
+// TestEnumRoundTrips pins the exact names of InstanceState in constant
+// order — they appear in the /cluster snapshot.
 func TestEnumRoundTrips(t *testing.T) {
-	policies := []string{"least-loaded", "weighted", "round-robin"}
-	for i, want := range policies {
-		p := PlacementPolicy(i)
-		if got, err := ParsePlacementPolicy(want); p.String() != want || err != nil || got != p {
-			t.Errorf("PlacementPolicy(%d) = %q, want %q; parses back to %v, %v", i, p, want, got, err)
-		}
-	}
-	if _, err := ParsePlacementPolicy("bogus"); err == nil {
-		t.Error("ParsePlacementPolicy accepted bogus input")
-	}
 	states := []string{"active", "draining"}
 	for i, want := range states {
 		if got := InstanceState(i).String(); got != want {
 			t.Errorf("InstanceState(%d) = %q, want %q", i, got, want)
 		}
 	}
-	// The value past each list is outside its table: the lists are complete.
-	if p, s := PlacementPolicy(len(policies)).String(), InstanceState(len(states)).String(); p != "PlacementPolicy(3)" || s != "InstanceState(2)" {
-		t.Errorf("out-of-table values render %q, %q", p, s)
+	// The value past the list is outside its table: the list is complete.
+	if s := InstanceState(len(states)).String(); s != "InstanceState(2)" {
+		t.Errorf("out-of-table value renders %q", s)
 	}
 }
 
@@ -91,9 +79,10 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted an empty instance list")
 	}
-	bad := Config{Instances: []gateway.Config{testGatewayConfig(t, 10, 0)}, Policy: PlacementPolicy(99)}
-	if _, err := New(bad); err == nil {
-		t.Error("New accepted an unknown policy")
+	// Least-loaded is the only placement policy.
+	bad := Config{Instances: []gateway.Config{testGatewayConfig(t, 10, 0)}, Policy: PlacementPolicy(1)}
+	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "unknown placement policy 1") {
+		t.Errorf("New with policy 1: %v", err)
 	}
 	// The instances share one flow table, so every instance must have its
 	// shard count.
@@ -157,10 +146,10 @@ func TestRunArmsStaleWatchdog(t *testing.T) {
 // equal σᵢ and means 2 and 6 pool to σ² = σᵢ² + 4 — more than either
 // instance's, where a flow-weighted average of σᵢ² reported σᵢ.
 func TestStatsPoolsSigma(t *testing.T) {
-	c := newTestCluster(t, 2, 100, Config{Policy: PlaceRoundRobin})
-	for id, rate := range []float64{1, 5, 3, 7} { // round robin: 1, 3 on instance 0; 5, 7 on 1
-		if d, err := c.Admit(uint64(id), rate); err != nil || !d.Admitted {
-			t.Fatalf("Admit(%d) = %+v, %v", id, d, err)
+	c := newTestCluster(t, 2, 100, Config{})
+	for id, rate := range []float64{1, 5, 3, 7} { // 1, 3 on instance 0; 5, 7 on 1
+		if d, err := c.Gateway(id%2).Admit(uint64(id), rate); err != nil || !d.Admitted {
+			t.Fatalf("instance %d: Admit(%d) = %+v, %v", id%2, id, d, err)
 		}
 	}
 	sts := c.Tick(1)
@@ -301,13 +290,14 @@ func TestAllDrainingRefuses(t *testing.T) {
 // TestAdmitPinnedFlowIsDuplicate: placement reads no pin, so a re-admitted
 // pinned flow is refused by whichever instance placement sends it to — as
 // a duplicate, under its shard lock — and never moves its pin or any
-// instance's active count. Round-robin over two instances makes each
-// placement observable: flow 1 is pinned on instance 0 and batch items
-// alternate between the instances.
+// instance's active count. Flow 1 is pinned on instance 0, and a member's
+// own AdmitBatch stands in for a placement on that member, so each
+// subtest chooses where the batch goes; "routed" lets the cluster place
+// it, on the emptier instance 1.
 func TestAdmitPinnedFlowIsDuplicate(t *testing.T) {
 	setup := func(t *testing.T) *Cluster {
-		c := newTestCluster(t, 2, 50, Config{Policy: PlaceRoundRobin})
-		if d, err := c.Admit(1, 1); err != nil || !d.Admitted {
+		c := newTestCluster(t, 2, 50, Config{})
+		if d, err := c.Gateway(0).Admit(1, 1); err != nil || !d.Admitted {
 			t.Fatalf("Admit(1) = %+v, %v", d, err)
 		}
 		if owner, ok := pinOf(c, 1); !ok || owner != 0 {
@@ -316,12 +306,13 @@ func TestAdmitPinnedFlowIsDuplicate(t *testing.T) {
 		return c
 	}
 	active := func(c *Cluster) [2]int64 { return [2]int64{c.Gateway(0).Active(), c.Gateway(1).Active()} }
-	// admit re-admits flow 1 beside fresh, in the order given, and checks
-	// that flow 1 is refused as a duplicate and fresh is admitted on
-	// freshOwner — which pins down where the batch's placements went.
-	admit := func(t *testing.T, c *Cluster, ids []uint64, fresh uint64, freshOwner int) {
+	// admit re-admits flow 1 beside fresh, in the order given, at the
+	// instance placed returns, and checks that flow 1 is refused as a
+	// duplicate and fresh is admitted on freshOwner.
+	type admitter func(ids []uint64, rates []float64, dst []gateway.Decision) ([]gateway.Decision, error)
+	admit := func(t *testing.T, c *Cluster, at admitter, ids []uint64, fresh uint64, freshOwner int) {
 		before := active(c)
-		ds, err := c.AdmitBatch(ids, []float64{1, 1}, nil)
+		ds, err := at(ids, []float64{1, 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,12 +338,20 @@ func TestAdmitPinnedFlowIsDuplicate(t *testing.T) {
 		checkPinsExact(t, c)
 	}
 	t.Run("placed-elsewhere", func(t *testing.T) {
-		// Flow 1 is placed on instance 1, flow 2 on instance 0.
-		admit(t, setup(t), []uint64{1, 2}, 2, 0)
+		// Flows 1 and 2 go to instance 1.
+		c := setup(t)
+		admit(t, c, c.Gateway(1).AdmitBatch, []uint64{1, 2}, 2, 1)
 	})
 	t.Run("placed-on-owner", func(t *testing.T) {
-		// Flow 3 is placed on instance 1, flow 1 on its owner, instance 0.
-		admit(t, setup(t), []uint64{3, 1}, 3, 1)
+		// Flows 3 and 1 go to flow 1's owner, instance 0.
+		c := setup(t)
+		admit(t, c, c.Gateway(0).AdmitBatch, []uint64{3, 1}, 3, 0)
+	})
+	t.Run("routed", func(t *testing.T) {
+		// Instance 1 has the more headroom, so the cluster places the
+		// batch there.
+		c := setup(t)
+		admit(t, c, c.AdmitBatch, []uint64{1, 2}, 2, 1)
 	})
 	t.Run("all-draining", func(t *testing.T) {
 		c := setup(t)
@@ -374,25 +373,23 @@ func TestAdmitPinnedFlowIsDuplicate(t *testing.T) {
 	})
 }
 
-// TestPoliciesSpreadPlacements: each policy places across more than one
-// instance on a uniform workload.
+// TestPoliciesSpreadPlacements: least-loaded placement spreads a uniform
+// workload across more than one instance.
 func TestPoliciesSpreadPlacements(t *testing.T) {
-	for _, policy := range []PlacementPolicy{PlaceLeastLoaded, PlaceWeighted, PlaceRoundRobin} {
-		c := newTestCluster(t, 4, 40, Config{Policy: policy})
-		for id := uint64(0); id < 80; id++ {
-			if _, err := c.Admit(id, 1.0); err != nil {
-				t.Fatal(err)
-			}
+	c := newTestCluster(t, 4, 40, Config{})
+	for id := uint64(0); id < 80; id++ {
+		if _, err := c.Admit(id, 1.0); err != nil {
+			t.Fatal(err)
 		}
-		used := 0
-		for i := 0; i < c.Instances(); i++ {
-			if c.Gateway(i).Active() > 0 {
-				used++
-			}
+	}
+	used := 0
+	for i := 0; i < c.Instances(); i++ {
+		if c.Gateway(i).Active() > 0 {
+			used++
 		}
-		if used < 2 {
-			t.Errorf("policy %s placed 80 flows on %d instance(s)", policy, used)
-		}
+	}
+	if used < 2 {
+		t.Errorf("least-loaded placed 80 flows on %d instance(s)", used)
 	}
 }
 
@@ -476,7 +473,7 @@ func TestSnapshotAndPrometheus(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := c.Snapshot()
-	if len(snap.Instances) != 2 || snap.Policy != "least-loaded" {
+	if len(snap.Instances) != 2 {
 		t.Fatalf("snapshot shape: %+v", snap)
 	}
 	if snap.Pinned != 10 || snap.Placements != 10 {

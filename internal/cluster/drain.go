@@ -12,7 +12,7 @@ import (
 // instance never returns to placement.
 //
 // Draining stops new placements immediately (the router skips draining
-// instances before any policy runs); migration then walks the instance's
+// instances before it scores any); migration then walks the instance's
 // rows in flow-ID order (deterministic under a virtual clock) and, for
 // each flow, has the best non-draining instance adopt it: decide it as an
 // admission and take over its row, in one critical section under the
@@ -53,7 +53,7 @@ func (c *Cluster) migrateFrom(i int) (migrated, left int) {
 	})
 	sort.Slice(flows, func(a, b int) bool { return flows[a].id < flows[b].id })
 	for _, f := range flows {
-		t := c.placeFor(i)
+		t := c.leastLoaded(i, false)
 		if t < 0 {
 			c.migrationFailures.Add(1)
 			left++

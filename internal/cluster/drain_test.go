@@ -14,22 +14,23 @@ import (
 // lost. When a Depart's pin read and a migration's repin were separate
 // critical sections, a Depart that read its pin just before the repin was
 // answered not-active and the migrated copy stayed admitted forever (a
-// fifth of the rounds here lost flows that way). Rounds alternate single
-// Departs and DepartBatch.
+// fifth of the rounds here lost flows that way). Each round admits its
+// flows on the two instances alternately, so the drain of instance 0
+// migrates half of them. Rounds alternate single Departs and DepartBatch.
 func TestDepartRacesDrain(t *testing.T) {
 	const (
 		workers = 4
 		flows   = 512
 		rounds  = 100
 	)
-	c := newTestCluster(t, 2, 1e6, Config{Policy: PlaceRoundRobin})
+	c := newTestCluster(t, 2, 1e6, Config{})
 	ids := make([]uint64, flows)
 	var notActive atomic.Int64
 	for r := 0; r < rounds; r++ {
 		for i := range ids {
 			ids[i] = uint64(r*flows + i)
-			if d, err := c.Admit(ids[i], 1); err != nil || !d.Admitted {
-				t.Fatalf("round %d: admit %d: %+v, %v", r, ids[i], d, err)
+			if d, err := c.Gateway(i%2).Admit(ids[i], 1); err != nil || !d.Admitted {
+				t.Fatalf("round %d: admit %d on instance %d: %+v, %v", r, ids[i], i%2, d, err)
 			}
 		}
 		batched := r%2 == 1

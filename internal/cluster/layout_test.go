@@ -68,17 +68,16 @@ func structFields(t *testing.T, typ reflect.Type, names ...string) []reflect.Str
 	return fs
 }
 
-// TestClusterHotWordLayout keeps the placement state — the least-loaded
-// incumbent preferred, written when a placement displaces it, and the
-// round-robin and weighted state under placeMu, written by every placement
-// — off the cache lines of the fields every routed op reads. At offsets
-// 88–96 placeMu and preferred shared a line with instances (56) and the
-// pin table (80), so each admission on one core invalidated the line every
-// UpdateRate and Depart on the others read to find their pin.
+// TestClusterHotWordLayout keeps the placement state — the incumbent
+// preferred, written when a placement displaces it — off the cache lines of
+// the fields every routed op reads. At offsets 88–96 the placement lock
+// and preferred shared a line with instances (56) and the pin table (80),
+// so each admission on one core invalidated the line every UpdateRate and
+// Depart on the others read to find their pin.
 func TestClusterHotWordLayout(t *testing.T) {
 	typ := reflect.TypeOf(Cluster{})
 	read := structFields(t, typ, "instances", "fleet")
-	written := structFields(t, typ, "preferred", "placeMu", "rr", "credit")
+	written := structFields(t, typ, "preferred")
 	for _, w := range written {
 		for _, r := range read {
 			if !apart(w, r) {
@@ -89,7 +88,7 @@ func TestClusterHotWordLayout(t *testing.T) {
 }
 
 // TestInstanceHotWordLayout keeps per-admission writes off the line that
-// placement scores: placeLocked reads state, muBits and warm (and g,
+// placement scores: eligible reads state, muBits and warm (and g,
 // capacity) of every instance on every placement. The instance's other
 // fields are written only by New and drains; any field outside both lists
 // must sit a cache line away from the scoring fields. placements, bumped by

@@ -293,7 +293,9 @@ func TestUpdateDuringAdmissionKeepsPin(t *testing.T) {
 
 // TestSameIDStorm races every routed operation on a handful of shared flow
 // IDs — single and batched admissions (with an ID repeated inside a
-// batch), rate updates, keepalives and departures — beside a spinning Tick
+// batch), routed or made by a member chosen at random so rows race on
+// every instance, rate updates, keepalives and departures — beside a
+// spinning Tick
 // whose leases expire flows mid-storm and a loop draining each instance in
 // turn (reactivating it test-side, so it can be drained again). Any answer
 // to a racing operation is acceptable; what must hold at quiescence is
@@ -306,7 +308,7 @@ func TestSameIDStorm(t *testing.T) {
 		rounds  = 3000
 		ttl     = 40.0
 	)
-	cfg := Config{Policy: PlaceRoundRobin}
+	cfg := Config{}
 	for i := 0; i < 3; i++ {
 		cfg.Instances = append(cfg.Instances, testGatewayConfig(t, 1e6, ttl))
 	}
@@ -353,7 +355,7 @@ func TestSameIDStorm(t *testing.T) {
 			var oks []bool
 			for i := 0; i < rounds; i++ {
 				id := r.Uint64N(ids)
-				switch r.IntN(6) {
+				switch r.IntN(8) {
 				case 0:
 					_, _ = c.Admit(id, 1)
 				case 1:
@@ -366,6 +368,10 @@ func TestSameIDStorm(t *testing.T) {
 					_ = c.Depart(id)
 				case 5:
 					oks = c.DepartBatch([]uint64{id, (id + 1) % ids}, oks[:0])
+				case 6:
+					_, _ = c.Gateway(r.IntN(c.Instances())).Admit(id, 1)
+				case 7:
+					ds, _ = c.Gateway(r.IntN(c.Instances())).AdmitBatch([]uint64{id, (id + 1) % ids, id}, []float64{1, 1, 1}, ds[:0])
 				}
 			}
 		}(w)
@@ -377,6 +383,11 @@ func TestSameIDStorm(t *testing.T) {
 	checkPinsExact(t, c)
 	if st := c.Stats(); !st.LifecycleBalanced() {
 		t.Errorf("fleet lifecycle unbalanced: %+v", st)
+	}
+	for i := 0; i < c.Instances(); i++ {
+		if c.Gateway(i).Stats().Admitted == 0 {
+			t.Errorf("instance %d admitted no flow: the storm raced no row there", i)
+		}
 	}
 	for id := uint64(0); id < ids; id++ {
 		if _, pinned := pinOf(c, id); pinned && c.Depart(id) != nil {

@@ -144,7 +144,7 @@ func TestLeastLoadedPlacesBatchOnce(t *testing.T) {
 	)
 	for round := 0; round < 3000; round++ {
 		for ex := -1; ex < got.Instances(); ex++ {
-			if p, want := got.placeFor(ex), refLeastLoaded(got, ex, nil); p != want {
+			if p, want := got.leastLoaded(ex, false), refLeastLoaded(got, ex, nil); p != want {
 				t.Fatalf("round %d: migration placement excluding %d = %d, reference %d", round, ex, p, want)
 			}
 		}

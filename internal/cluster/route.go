@@ -2,23 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/gateway"
 )
-
-// placeFor chooses a migration target, excluding the draining source and
-// bypassing the preferred-instance hysteresis (a migration burst must not
-// install the drain target as the sticky preference).
-func (c *Cluster) placeFor(exclude int) int {
-	if c.cfg.Policy == PlaceLeastLoaded {
-		return c.leastLoaded(exclude, false)
-	}
-	c.placeMu.Lock()
-	idx := c.placeLocked(exclude)
-	c.placeMu.Unlock()
-	return idx
-}
 
 // candidate is one instance a placement may choose, as scored when the
 // placement began.
@@ -30,12 +16,12 @@ type candidate struct {
 }
 
 // eligible appends to pool, in index order, the instances a placement may
-// choose, excluding exclude. Eligibility is tiered before any policy runs:
+// choose, excluding exclude. Eligibility is tiered before any scoring:
 // draining instances never receive placements, and degraded instances (the
 // gateway's degradation watchdogs) are scored to the bottom — they form the
 // fallback pool used only when no healthy instance exists, rather than
 // being ejected outright. Every input is a per-instance atomic, each read once,
-// so a policy scores one consistent snapshot. Callers pass a stack array
+// so a placement scores one consistent snapshot. Callers pass a stack array
 // of eight: a larger fleet's snapshot spills to the heap, one allocation
 // per placement.
 func (c *Cluster) eligible(exclude int, pool []candidate) []candidate {
@@ -63,46 +49,13 @@ func (c *Cluster) eligible(exclude int, pool []candidate) []candidate {
 	return pool[:n]
 }
 
-// placeLocked implements the round-robin and weighted policies, whose
-// cursor and credits every placement advances; the caller holds placeMu.
-func (c *Cluster) placeLocked(exclude int) int {
-	var buf [8]candidate
-	pool := c.eligible(exclude, buf[:0])
-	if len(pool) == 0 {
-		return -1
-	}
-	if c.cfg.Policy == PlaceRoundRobin {
-		pick := pool[0].i
-		for _, k := range pool {
-			if k.i > c.rr {
-				pick = k.i
-				break
-			}
-		}
-		c.rr = pick
-		return pick
-	}
-	// Smooth weighted round-robin: credits grow by headroom (floored at
-	// one unit so a saturated instance still cycles) and the largest
-	// credit wins, paying back the round total.
-	total := 0.0
-	best, bestCredit := -1, math.Inf(-1)
-	for _, k := range pool {
-		w := max(k.headroom, 0) + 1
-		c.credit[k.i] += w
-		total += w
-		if c.credit[k.i] > bestCredit {
-			best, bestCredit = k.i, c.credit[k.i]
-		}
-	}
-	c.credit[best] -= total
-	return best
-}
-
-// leastLoaded implements the least-loaded policy. It reads only
-// per-instance atomics and the incumbent, which it stores only when the
-// incumbent changes, so it takes no lock: placements racing on two cores
-// may each install their own best, and either is a valid incumbent.
+// leastLoaded chooses the instance a placement goes to (-1: none is
+// eligible). It reads only per-instance atomics and the incumbent, which
+// it stores only when the incumbent changes, so it takes no lock:
+// placements racing on two cores may each install their own best, and
+// either is a valid incumbent. A migration passes usePreferred false: it
+// bypasses the incumbent's hysteresis, so a migration burst cannot install
+// the drain target as the sticky preference.
 func (c *Cluster) leastLoaded(exclude int, usePreferred bool) int {
 	var buf [8]candidate
 	pool := c.eligible(exclude, buf[:0])
@@ -178,24 +131,20 @@ func (c *Cluster) Admit(flowID uint64, rate float64) (gateway.Decision, error) {
 	}
 }
 
-// targetScratch is AdmitBatch's pooled per-item target slice.
-type targetScratch struct{ targets []int }
-
 // AdmitBatch decides a batch of admission requests, appending one Decision
 // per request to dst and returning the extended slice — the cluster face
-// of gateway.AdmitBatch. The whole batch is placed first, against the
-// headroom at its start: every valid item to a fresh placement, and an
-// invalid rate, which decides nowhere, rides the instance the batch is
-// already talking to (any instance phrases the canonical refusal), or the
-// preferred instance when there is none. Then contiguous same-instance
-// runs are flushed through the instance's AdmitBatch, whose lookup in the
-// shared flow table refuses a flow active on any instance as a duplicate,
-// so a cluster of one forwards the whole batch in a single call and is
-// decision- and instrumentation-identical to a bare gateway. Items that
-// cannot be admitted anywhere (every instance draining) are refused with
+// of gateway.AdmitBatch. Placement depends only on the scores, which
+// deciding nothing leaves unchanged, so every valid item goes where the
+// first one is placed: the batch is placed once, without a lock, against
+// the headroom at its start. Invalid items before the first valid one,
+// which decide nowhere, ride the incumbent from before the placement (any
+// instance phrases the canonical refusal). Each part is decided by its
+// instance's AdmitBatch, whose lookup in the shared flow table refuses a
+// flow active on any instance as a duplicate, so a cluster of one forwards
+// the whole batch in a single call and is decision- and
+// instrumentation-identical to a bare gateway. Items that cannot be
+// admitted anywhere (every instance draining) are refused with
 // ReasonCapacity without touching an instance — an active flow included.
-// Under the least-loaded policy every valid item's placement is the same
-// one, so it is made once (admitLeastLoaded).
 func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decision) ([]gateway.Decision, error) {
 	if len(ids) != len(rates) {
 		return dst, fmt.Errorf("cluster: batch length mismatch: %d ids, %d rates", len(ids), len(rates))
@@ -203,22 +152,33 @@ func (c *Cluster) AdmitBatch(ids []uint64, rates []float64, dst []gateway.Decisi
 	if len(ids) == 0 {
 		return dst, nil
 	}
-	if c.cfg.Policy == PlaceLeastLoaded {
-		return c.admitLeastLoaded(ids, rates, dst), nil
+	prev := max(int(c.preferred.Load()), 0)
+	first := 0
+	for first < len(rates) && !gateway.ValidAdmitRate(rates[first]) {
+		first++
 	}
-	sc, _ := c.batchPool.Get().(*targetScratch)
-	if sc == nil {
-		sc = new(targetScratch)
+	if first == len(rates) {
+		return c.admitAt(prev, ids, rates, dst), nil
 	}
-	sc.targets = c.place(rates, sc.targets[:0])
-	for lo, i := 0, 1; i <= len(ids); i++ {
-		if i < len(ids) && sc.targets[i] == sc.targets[lo] {
-			continue
+	t := c.leastLoaded(-1, true)
+	if t == prev {
+		return c.admitAt(t, ids, rates, dst), nil
+	}
+	if first > 0 {
+		dst = c.admitAt(prev, ids[:first], rates[:first], dst)
+	}
+	if t >= 0 {
+		return c.admitAt(t, ids[first:], rates[first:], dst), nil
+	}
+	// Every instance is draining: the valid items are refused, and the
+	// invalid ones still ride the incumbent.
+	for i := first; i < len(ids); i++ {
+		if gateway.ValidAdmitRate(rates[i]) {
+			dst = c.admitAt(-1, ids[i:i+1], rates[i:i+1], dst)
+		} else {
+			dst = c.admitAt(prev, ids[i:i+1], rates[i:i+1], dst)
 		}
-		dst = c.admitAt(sc.targets[lo], ids[lo:i], rates[lo:i], dst)
-		lo = i
 	}
-	c.batchPool.Put(sc)
 	return dst, nil
 }
 
@@ -235,65 +195,6 @@ func (c *Cluster) admitAt(t int, ids []uint64, rates []float64, dst []gateway.De
 	// sub-slices of the checked inputs cannot produce.
 	dst, _ = c.instances[t].g.AdmitBatch(ids, rates, dst)
 	return dst
-}
-
-// admitLeastLoaded is AdmitBatch under the least-loaded policy, whose
-// placement depends only on the scores, which deciding nothing leaves
-// unchanged: every valid item goes where the first one is placed, so the
-// batch is placed once, without a lock, and invalid items before the
-// first valid one ride the incumbent from before the placement.
-func (c *Cluster) admitLeastLoaded(ids []uint64, rates []float64, dst []gateway.Decision) []gateway.Decision {
-	prev := max(int(c.preferred.Load()), 0)
-	first := 0
-	for first < len(rates) && !gateway.ValidAdmitRate(rates[first]) {
-		first++
-	}
-	if first == len(rates) {
-		return c.admitAt(prev, ids, rates, dst)
-	}
-	t := c.leastLoaded(-1, true)
-	if t == prev {
-		return c.admitAt(t, ids, rates, dst)
-	}
-	if first > 0 {
-		dst = c.admitAt(prev, ids[:first], rates[:first], dst)
-	}
-	if t >= 0 {
-		return c.admitAt(t, ids[first:], rates[first:], dst)
-	}
-	// Every instance is draining: the valid items are refused, and the
-	// invalid ones still ride the incumbent.
-	for i := first; i < len(ids); i++ {
-		if gateway.ValidAdmitRate(rates[i]) {
-			dst = c.admitAt(-1, ids[i:i+1], rates[i:i+1], dst)
-		} else {
-			dst = c.admitAt(prev, ids[i:i+1], rates[i:i+1], dst)
-		}
-	}
-	return dst
-}
-
-// place appends to targets the instance that decides each item of an
-// admission batch under the round-robin or weighted policy (-1: every
-// instance is draining), all under one hold of placeMu; an invalid item
-// rides the last target, or instance 0 before any (these policies keep no
-// incumbent). No row is read here: the deciding instance refuses an
-// active flow under its shard lock.
-func (c *Cluster) place(rates []float64, targets []int) []int {
-	c.placeMu.Lock()
-	last := 0
-	for _, rate := range rates {
-		t := last
-		if gateway.ValidAdmitRate(rate) {
-			t = c.placeLocked(-1)
-		}
-		targets = append(targets, t)
-		if t >= 0 {
-			last = t
-		}
-	}
-	c.placeMu.Unlock()
-	return targets
 }
 
 // notActiveError is a routed operation's error for a flow the fleet does

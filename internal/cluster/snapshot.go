@@ -36,7 +36,6 @@ type InstanceSnapshot struct {
 // JSON-encodable (the /cluster HTTP payload) and convertible to Prometheus
 // text via WritePrometheus.
 type Snapshot struct {
-	Policy            string             `json:"policy"`
 	Instances         []InstanceSnapshot `json:"instances"`
 	Pinned            int64              `json:"pinned"`
 	Placements        int64              `json:"placements"`
@@ -49,7 +48,6 @@ type Snapshot struct {
 // weakly consistently (the standard metrics contract).
 func (c *Cluster) Snapshot() Snapshot {
 	snap := Snapshot{
-		Policy:            c.cfg.Policy.String(),
 		Migrations:        c.migrations.Load(),
 		MigrationFailures: c.migrationFailures.Load(),
 		Drains:            c.drains.Load(),

@@ -14,8 +14,7 @@ import (
 // replay departs and updates every flow it was refused, and the not-active
 // outcome once came through the routed op's error, which boxed the flow ID
 // (IDs past 255 allocate when boxed): one allocation per such event.
-// A least-loaded AdmitBatch, which places without the pooled scratch,
-// allocates nothing either.
+// AdmitBatch allocates nothing either.
 func TestReplayTargetAllocationFree(t *testing.T) {
 	const (
 		runs    = 100
@@ -55,6 +54,34 @@ func TestReplayTargetAllocationFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %g allocations per call, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestTickAllocatesNoMoreThanMembers: a fleet Tick fills a slice the
+// cluster keeps, so it allocates no more than its members' own Ticks do —
+// at one instance, the single gateway, and at four.
+func TestTickAllocatesNoMoreThanMembers(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		c := newTestCluster(t, n, 100, Config{})
+		for id := uint64(0); id < 64; id++ {
+			if d, err := c.Admit(id, 1); err != nil || !d.Admitted {
+				t.Fatalf("Admit(%d) = %+v, %v", id, d, err)
+			}
+		}
+		now := 0.0
+		members := testing.AllocsPerRun(100, func() {
+			now++
+			for i := 0; i < n; i++ {
+				c.Gateway(i).Tick(now)
+			}
+		})
+		fleet := testing.AllocsPerRun(100, func() {
+			now++
+			c.Tick(now)
+		})
+		if fleet > members {
+			t.Errorf("%d instances: Tick allocates %g per call, its members' Ticks %g", n, fleet, members)
 		}
 	}
 }

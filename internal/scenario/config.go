@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/enum"
 	"repro/internal/estimator"
@@ -176,7 +175,7 @@ type Gateway struct {
 
 // ClusterSpec replaces the single cell gateway with a fleet: Instances
 // copies of the Gateway configuration (capacity is per instance) behind
-// the placement router, with churn events routed through headroom
+// the least-loaded router, with churn events routed through headroom
 // scoring and flow pinning. The interval hypothesis then grades the
 // WORST instance's overflow audit — the per-instance claim, not the
 // fleet average. Cluster topologies require a churn workload on the
@@ -186,8 +185,6 @@ type ClusterSpec struct {
 	// Instances is the fleet size (at least 2 — a cluster of one is just
 	// the plain churn cell).
 	Instances int `json:"instances"`
-	// Policy is "least-loaded" (default), "weighted" or "round-robin".
-	Policy string `json:"policy,omitempty"`
 	// DrainAt, when positive, drains DrainInstance at that virtual time:
 	// placement stops there immediately and its pinned flows migrate to
 	// the rest of the fleet.
@@ -469,8 +466,8 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("scenario: gateway.th: only valid with adaptive measurement on the gateway or an arm")
 		}
 	}
-	// The windows themselves, like cluster.policy, were checked where they
-	// are resolved: with the arms above.
+	// The windows themselves were checked where they are resolved: with
+	// the arms above.
 	if len(c.Faults) > 0 && c.Workload.Kind != WorkloadChurn {
 		return fmt.Errorf("scenario: faults: fault windows require a churn workload")
 	}
@@ -494,9 +491,6 @@ func (s *ClusterSpec) validate(c *Config) error {
 	}
 	if len(c.Faults) > 0 {
 		return fmt.Errorf("scenario: cluster: estimator fault windows are not supported with a cluster topology")
-	}
-	if s.Policy == "" {
-		s.Policy = cluster.PlaceLeastLoaded.String()
 	}
 	if err := finite("cluster.drain_at", s.DrainAt); err != nil {
 		return err
@@ -793,21 +787,20 @@ func (c *Config) effectiveGateway(arm Arm) Gateway {
 	return g
 }
 
-// armSpec is one arm resolved for execution: its names — and the names the
-// whole matrix shares, fault modes and the placement policy — parsed to
-// typed constants, a peak-rate arm's Peak defaulted to the model's, and
-// its measurement overrides merged over the shared gateway spec. Validate
+// armSpec is one arm resolved for execution: its names — and the fault
+// modes the whole matrix shares — parsed to typed constants, a peak-rate
+// arm's Peak defaulted to the model's, and its measurement overrides
+// merged over the shared gateway spec. Validate
 // resolves every arm to check it; a cell resolves its arm once, so nothing
 // it builds parses a name again.
 type armSpec struct {
 	Arm
-	policy    core.Policy
-	degraded  gw.DegradedPolicy
-	gateway   Gateway                 // effectiveGateway(Arm), or the robust plan's estimator
-	mode      estimator.Mode          // of gateway.Estimator
-	target    float64                 // the controller's target: gateway.PQ, or the plan's p_ce
-	faults    []fault.Window          // Config.Faults
-	placement cluster.PlacementPolicy // Config.Cluster.Policy
+	policy   core.Policy
+	degraded gw.DegradedPolicy
+	gateway  Gateway        // effectiveGateway(Arm), or the robust plan's estimator
+	mode     estimator.Mode // of gateway.Estimator
+	target   float64        // the controller's target: gateway.PQ, or the plan's p_ce
+	faults   []fault.Window // Config.Faults
 }
 
 // resolve checks one arm against the config and returns it resolved; path
@@ -894,11 +887,6 @@ func (c *Config) resolve(path string, arm Arm) (armSpec, error) {
 		}
 		if err := fault.ValidateWindows(a.faults); err != nil {
 			return a, fmt.Errorf("scenario: faults: %w", err)
-		}
-	}
-	if c.Cluster != nil && c.Cluster.Policy != "" { // default: the zero value, least-loaded
-		if a.placement, err = cluster.ParsePlacementPolicy(c.Cluster.Policy); err != nil {
-			return a, fmt.Errorf("scenario: cluster.policy: %w", err)
 		}
 	}
 	return a, nil

@@ -119,10 +119,16 @@ func TestParseRejections(t *testing.T) {
 			`"gateway": {"capacity": 10, "pq": 0.01}`,
 			`"gateway": {"capacity": 10, "pq": 0.01}, "cluster": {"instances": 1}`, 1),
 			"cluster.instances: 1 must be at least 2"},
+		// Placement is least-loaded, and a cluster names no policy: even
+		// that one is an unknown field.
 		{"cluster-unknown-policy", strings.Replace(minimal(),
 			`"gateway": {"capacity": 10, "pq": 0.01}`,
 			`"gateway": {"capacity": 10, "pq": 0.01}, "cluster": {"instances": 3, "policy": "dartboard"}`, 1),
-			"cluster.policy"},
+			`unknown field "policy"`},
+		{"cluster-policy-field", strings.Replace(minimal(),
+			`"gateway": {"capacity": 10, "pq": 0.01}`,
+			`"gateway": {"capacity": 10, "pq": 0.01}, "cluster": {"instances": 3, "policy": "least-loaded"}`, 1),
+			`unknown field "policy"`},
 		{"cluster-drain-outside-schedule", strings.Replace(minimal(),
 			`"gateway": {"capacity": 10, "pq": 0.01}`,
 			`"gateway": {"capacity": 10, "pq": 0.01}, "cluster": {"instances": 3, "drain_at": 10}`, 1),

@@ -113,7 +113,7 @@ func (r *Result) writeDesign(b *strings.Builder) {
 	}
 	b.WriteString("\n")
 	if cl := cfg.Cluster; cl != nil {
-		fmt.Fprintf(b, "- **Cluster**: %d instances (capacity is per instance), %s placement", cl.Instances, cl.Policy)
+		fmt.Fprintf(b, "- **Cluster**: %d instances (capacity is per instance), least-loaded placement", cl.Instances)
 		if cl.DrainAt > 0 {
 			fmt.Fprintf(b, "; drain instance %d at t=%g", cl.DrainInstance, cl.DrainAt)
 		}

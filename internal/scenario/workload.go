@@ -400,15 +400,14 @@ func churnSchedule(cfg *Config, seed uint64, model traffic.Model) ([]loadgen.Eve
 	return loadgen.Schedule(lcfg)
 }
 
-// replayChurn replays an already-built schedule against the substrate the
-// config names: the bare cell gateway (directly, or through client ->
-// server -> gateway on loopback when network is set), or, under a cluster
-// topology, a fleet of identical gateways behind the headroom router —
-// arrivals route through placement and pinning, an optional mid-run drain
-// migrates one instance's flows onto the rest. The replay's tick hook
-// drives the measurement ticks, the fault schedule and one overflow audit
-// per gateway; extra ticks past the schedule let leases expire so the
-// final state is quiescent.
+// replayChurn replays an already-built schedule against the cell's fleet:
+// one gateway, or under a cluster topology Instances identical gateways,
+// behind the headroom router — directly, or through client -> server ->
+// fleet on loopback when network is set. Arrivals route through placement
+// and pinning, and an optional mid-run drain migrates one instance's flows
+// onto the rest. The replay's tick hook drives the measurement ticks, the
+// fault schedule and one overflow audit per gateway; extra ticks past the
+// schedule let leases expire so the final state is quiescent.
 //
 // Stats is the fleet sum (lifecycle-balanced across migrations: a flow is
 // admitted at its target before it departs its source). Overflow/QoS
@@ -426,9 +425,12 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 	}
 	totalTicks := int(w.Duration/w.Tick) + drain + 2
 
+	// Without a cluster topology the fleet is one gateway, and the report
+	// names no instance count.
 	fleet := 1
 	if cfg.Cluster != nil {
 		fleet = cfg.Cluster.Instances
+		cell.Instances = fleet
 	}
 	gcfgs := make([]gw.Config, fleet)
 	tuners := make([]*adaptive.Controller, fleet)
@@ -449,57 +451,39 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 		gcfgs[0].Estimator = faulty
 	}
 
+	cl, err := cluster.New(cluster.Config{Instances: gcfgs})
+	if err != nil {
+		return CellResult{}, err
+	}
 	var (
-		tgt      loadgen.Target
-		tickAll  func(now float64) []gw.Stats
-		final    func() gw.Stats
-		cl       *cluster.Cluster
+		tgt      loadgen.Target = &cluster.ReplayTarget{C: cl}
 		srv      *server.Server
 		shutdown func() error
 	)
-	if spec := cfg.Cluster; spec != nil {
-		cl, err = cluster.New(cluster.Config{
-			Policy:    arm.placement,
-			Instances: gcfgs,
-		})
+	if network {
+		srv, err = server.New(server.Config{Backend: cl})
 		if err != nil {
 			return CellResult{}, err
 		}
-		cell.Instances = fleet
-		tgt, tickAll, final = &cluster.ReplayTarget{C: cl}, cl.Tick, cl.Stats
-	} else {
-		g, err := gw.New(gcfgs[0])
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return CellResult{}, err
 		}
-		one := make([]gw.Stats, 1)
-		tgt, final = &loadgen.GatewayTarget{G: g}, g.Stats
-		tickAll = func(now float64) []gw.Stats { one[0] = g.Tick(now); return one }
-		if network {
-			srv, err = server.New(server.Config{Gateway: g})
-			if err != nil {
-				return CellResult{}, err
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(ln) }()
+		nc, err := client.New(client.Config{Addr: ln.Addr().String()})
+		if err != nil {
+			return CellResult{}, err
+		}
+		tgt = loadgen.ClientTarget{C: nc}
+		shutdown = func() error {
+			defer nc.Close()
+			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(sctx); err != nil {
+				return err
 			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return CellResult{}, err
-			}
-			done := make(chan error, 1)
-			go func() { done <- srv.Serve(ln) }()
-			nc, err := client.New(client.Config{Addr: ln.Addr().String()})
-			if err != nil {
-				return CellResult{}, err
-			}
-			tgt = loadgen.ClientTarget{C: nc}
-			shutdown = func() error {
-				defer nc.Close()
-				sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				if err := srv.Shutdown(sctx); err != nil {
-					return err
-				}
-				return <-done
-			}
+			return <-done
 		}
 	}
 
@@ -512,7 +496,7 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 		if faulty != nil {
 			faulty.SetMode(fault.ModeAt(arm.faults, now))
 		}
-		if cl != nil && cfg.Cluster.DrainAt > 0 && !drained && now >= cfg.Cluster.DrainAt {
+		if cfg.Cluster != nil && cfg.Cluster.DrainAt > 0 && !drained && now >= cfg.Cluster.DrainAt {
 			// The scheduled failover: placement stops on the victim and
 			// its pinned flows migrate. Stragglers the fleet has no
 			// headroom for stay served on the draining instance.
@@ -523,7 +507,7 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 		var agg float64
 		var admitted int64
 		degraded := false
-		for i, st := range tickAll(now) {
+		for i, st := range cl.Tick(now) {
 			if now >= gradeFrom {
 				audits[i].ObserveWith(st.AggregateRate > cfg.Gateway.Capacity, st.Degraded)
 			}
@@ -568,10 +552,8 @@ func replayChurn(ctx context.Context, cfg *Config, arm armSpec, ts traffic.Stats
 	if utilN > 0 {
 		cell.UtilMean /= float64(utilN)
 	}
-	cell.Stats = final()
-	if cl != nil {
-		cell.Migrations = cl.Snapshot().Migrations
-	}
+	cell.Stats = cl.Stats()
+	cell.Migrations = cl.Snapshot().Migrations
 	if tuners[0] != nil {
 		snap := tuners[0].Snapshot()
 		cell.Adaptive = &snap
