@@ -20,10 +20,12 @@
 #              table, the simulator's flow queue, the schedule's time
 #              sort and Schedule over decoded Configs (checked-in corpora
 #              replay in plain `go test`)
-#   vet      — go vet. Enum exhaustiveness is not a lint: every enumeration
-#              declares its names once in an internal/enum table, and a
-#              constant without a name (or a name without a constant) fails
-#              the owning package at init, so tier-1 catches it
+#   vet      — go vet, then gofmt: the tier fails when `gofmt -l .` lists
+#              any file (the benchmark module included). Enum
+#              exhaustiveness is not a lint: every enumeration declares its
+#              names once in an internal/enum table, and a constant without
+#              a name (or a name without a constant) fails the owning
+#              package at init, so tier-1 catches it
 #   chaos    — fault-injection soaks (build tag "chaos") under -race:
 #              estimator NaN/Inf bursts, stalled ticks, leaked clients
 #   net      — network serving tier: the client's tier-1 tests (group-
@@ -118,9 +120,11 @@ golden:
 	$(GO) test ./internal/obs -run 'TestServerRouteCanonicalGolden|TestAdaptiveRouteCanonicalGolden' -update-golden
 	$(GO) test ./internal/qos -run '^TestAuditVerdictsGolden$$' -update-golden
 
-# Static tier: the standard vet pass.
+# Static tier: the standard vet pass, and no file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting (run gofmt -w):"; echo "$$unformatted"; exit 1; fi
 
 # Chaos tier: seeded fault-injection soaks under the race detector.
 test-chaos:

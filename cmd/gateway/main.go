@@ -214,7 +214,7 @@ func serve(o *options, stdout io.Writer) error {
 	var endpoint *obs.Endpoint
 	var obsErr <-chan error
 	if o.listen != "" {
-		endpoint, err = obs.Start(obs.Config{Addr: o.listen, Gateway: cl.Gateway(0), Server: srv, Cluster: cl, Adaptive: tuners, Audit: audit})
+		endpoint, err = obs.Start(obs.Config{Addr: o.listen, Cluster: cl, Server: srv, Adaptive: tuners, Audit: audit})
 		if err != nil {
 			return err
 		}

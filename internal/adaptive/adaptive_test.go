@@ -204,10 +204,10 @@ func TestRegimeClassification(t *testing.T) {
 		tcHat float64
 		want  theory.Regime
 	}{
-		{0.5, theory.RegimeMasking},       // 0.5·10 ≤ 10
-		{1.0, theory.RegimeMasking},       // boundary: 1.0·10 ≤ 10
-		{5.0, theory.RegimeIntermediate},  // neither separation
-		{100.0, theory.RegimeRepair},      // 100 ≥ 10·10
+		{0.5, theory.RegimeMasking},      // 0.5·10 ≤ 10
+		{1.0, theory.RegimeMasking},      // boundary: 1.0·10 ≤ 10
+		{5.0, theory.RegimeIntermediate}, // neither separation
+		{100.0, theory.RegimeRepair},     // 100 ≥ 10·10
 		{math.Nextafter(100, 0), theory.RegimeIntermediate},
 	}
 	for _, tc := range cases {

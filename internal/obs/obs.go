@@ -33,27 +33,24 @@ import (
 type Config struct {
 	// Addr is the listen address, e.g. ":8080" (required).
 	Addr string
-	// Gateway supplies /metrics, /snapshot and the expvar payload
-	// (required).
-	Gateway *gateway.Gateway
+	// Cluster is the fleet served (required; a single gateway is a cluster
+	// of one). Its mbac_cluster_* families go to /metrics and its routing
+	// snapshot to /cluster; instance 0 supplies the admission-layer
+	// families of /metrics, /snapshot and the expvar payload.
+	Cluster *cluster.Cluster
 	// Server, when non-nil, adds the serving-layer families to /metrics
 	// and a /server JSON snapshot.
 	Server *server.Server
-	// Cluster, when non-nil, adds the mbac_cluster_* families to /metrics
-	// and a /cluster JSON snapshot of the routing layer. Gateway stays
-	// required — point it at one instance (conventionally Cluster.Gateway(0))
-	// for the admission-layer routes.
-	Cluster *cluster.Cluster
 	// Adaptive, when non-empty, adds the mbac_adaptive_* families to
 	// /metrics and an /adaptive JSON route with one time-scale controller
 	// snapshot per instance. Entry 0 is the primary (conventionally the
-	// controller attached to Gateway); with more than one entry the
+	// controller attached to instance 0); with more than one entry the
 	// instance-labelled fleet families are emitted as well, indexed in
 	// slice order to match the cluster's instance labels.
 	Adaptive []*adaptive.Controller
 	// Audit, when non-nil, adds the /audit report: the audit's grade of
-	// Gateway's own windowed overflow estimate, or VerdictDegraded while
-	// Gateway serves under its degraded policy.
+	// instance 0's own windowed overflow estimate, or VerdictDegraded while
+	// instance 0 serves under its degraded policy.
 	Audit *qos.Audit
 	// ReadHeaderTimeout bounds a client's request header (default 5s) —
 	// the slow-loris guard the default mux setup never had.
@@ -71,8 +68,8 @@ type Endpoint struct {
 // background. The returned Endpoint's Err channel delivers at most one
 // asynchronous serve error; Shutdown drains the endpoint gracefully.
 func Start(cfg Config) (*Endpoint, error) {
-	if cfg.Gateway == nil {
-		return nil, fmt.Errorf("obs: Gateway is required")
+	if cfg.Cluster == nil {
+		return nil, fmt.Errorf("obs: Cluster is required")
 	}
 	if cfg.ReadHeaderTimeout <= 0 {
 		cfg.ReadHeaderTimeout = 5 * time.Second
@@ -81,7 +78,7 @@ func Start(cfg Config) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", cfg.Addr, err)
 	}
-	publishExpvar(cfg.Gateway)
+	publishExpvar(cfg.Cluster.Gateway(0))
 	e := &Endpoint{
 		http: &http.Server{
 			Handler:           newMux(cfg),
@@ -116,15 +113,14 @@ func (e *Endpoint) Shutdown(ctx context.Context) error { return e.http.Shutdown(
 // elsewhere in the binary can never leak onto the scrape port.
 func newMux(cfg Config) *http.ServeMux {
 	mux := http.NewServeMux()
+	g := cfg.Cluster.Gateway(0)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		cfg.Gateway.Snapshot().WritePrometheus(w)
+		g.Snapshot().WritePrometheus(w)
 		if cfg.Server != nil {
 			cfg.Server.Snapshot().WritePrometheus(w)
 		}
-		if cfg.Cluster != nil {
-			cfg.Cluster.Snapshot().WritePrometheus(w)
-		}
+		cfg.Cluster.Snapshot().WritePrometheus(w)
 		if len(cfg.Adaptive) > 0 {
 			cfg.Adaptive[0].Snapshot().WritePrometheus(w)
 			if len(cfg.Adaptive) > 1 {
@@ -133,18 +129,16 @@ func newMux(cfg Config) *http.ServeMux {
 		}
 	})
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, cfg.Gateway.Snapshot())
+		writeJSON(w, g.Snapshot())
 	})
 	if cfg.Server != nil {
 		mux.HandleFunc("/server", func(w http.ResponseWriter, _ *http.Request) {
 			writeCanonicalJSON(w, cfg.Server.Snapshot())
 		})
 	}
-	if cfg.Cluster != nil {
-		mux.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
-			writeJSON(w, cfg.Cluster.Snapshot())
-		})
-	}
+	mux.HandleFunc("/cluster", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, cfg.Cluster.Snapshot())
+	})
 	if len(cfg.Adaptive) > 0 {
 		mux.HandleFunc("/adaptive", func(w http.ResponseWriter, _ *http.Request) {
 			writeCanonicalJSON(w, adaptiveSnapshots(cfg.Adaptive))
@@ -152,7 +146,7 @@ func newMux(cfg Config) *http.ServeMux {
 	}
 	if cfg.Audit != nil {
 		mux.HandleFunc("/audit", func(w http.ResponseWriter, _ *http.Request) {
-			snap := cfg.Gateway.Snapshot()
+			snap := g.Snapshot()
 			rep := cfg.Audit.Evaluate(snap.Overflow)
 			if snap.Degraded {
 				rep.Verdict = qos.VerdictDegraded

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/adaptive"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/fault"
@@ -27,14 +28,16 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden snapshot files")
 
-func newGateway(tb testing.TB) *gateway.Gateway {
+// newCluster returns a one-instance cluster: the endpoint serves a fleet,
+// and a single gateway is a fleet of one.
+func newCluster(tb testing.TB) *cluster.Cluster {
 	tb.Helper()
 	ctrl, err := core.NewCertaintyEquivalent(1e-2, 1, 0.3)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	var lat atomic.Int64
-	g, err := gateway.New(gateway.Config{
+	return clusterOf(tb, gateway.Config{
 		Capacity:     100,
 		Controller:   ctrl,
 		Estimator:    estimator.NewMemoryless(),
@@ -42,10 +45,15 @@ func newGateway(tb testing.TB) *gateway.Gateway {
 		EstimateRing: 8,
 		LatencyClock: func() int64 { return lat.Add(1) },
 	})
+}
+
+func clusterOf(tb testing.TB, gcfg gateway.Config) *cluster.Cluster {
+	tb.Helper()
+	cl, err := cluster.New(cluster.Config{Instances: []gateway.Config{gcfg}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return g
+	return cl
 }
 
 func start(tb testing.TB, cfg Config) *Endpoint {
@@ -86,19 +94,25 @@ func get(tb testing.TB, e *Endpoint, path string) string {
 }
 
 func TestEndpointRoutes(t *testing.T) {
-	g := newGateway(t)
 	audit, err := qos.NewAudit(qos.AuditConfig{TargetPf: 1e-2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := start(t, Config{Gateway: g, Audit: audit})
+	e := start(t, Config{Cluster: newCluster(t), Audit: audit})
 
-	if out := get(t, e, "/metrics"); !strings.Contains(out, "mbac_gateway_active") {
-		t.Errorf("/metrics missing gateway families:\n%s", out)
+	out := get(t, e, "/metrics")
+	for _, family := range []string{"mbac_gateway_active", "mbac_cluster_"} {
+		if !strings.Contains(out, family) {
+			t.Errorf("/metrics missing the %s families:\n%s", family, out)
+		}
 	}
 	var snap gateway.Snapshot
 	if err := json.Unmarshal([]byte(get(t, e, "/snapshot")), &snap); err != nil {
 		t.Errorf("/snapshot is not a gateway snapshot: %v", err)
+	}
+	var csnap cluster.Snapshot
+	if err := json.Unmarshal([]byte(get(t, e, "/cluster")), &csnap); err != nil {
+		t.Errorf("/cluster is not a cluster snapshot: %v", err)
 	}
 	var rep map[string]any
 	if err := json.Unmarshal([]byte(get(t, e, "/audit")), &rep); err != nil {
@@ -113,17 +127,17 @@ func TestEndpointRoutes(t *testing.T) {
 	get(t, e, "/debug/pprof/cmdline")
 }
 
-// TestAuditRouteGradesGatewayWindow: /audit is the audit's grade of the
-// gateway's own windowed overflow estimate — the same window /snapshot
-// reports — and reads degraded while the gateway serves under its
-// degraded policy, whatever the window holds.
+// TestAuditRouteGradesGatewayWindow: /audit is the audit's grade of
+// instance 0's own windowed overflow estimate — the same window /snapshot
+// reports — and reads degraded while it serves under its degraded policy,
+// whatever the window holds.
 func TestAuditRouteGradesGatewayWindow(t *testing.T) {
 	ctrl, err := core.NewCertaintyEquivalent(1e-2, 1, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	faulty := fault.Wrap(estimator.NewMemoryless())
-	g, err := gateway.New(gateway.Config{
+	cl := clusterOf(t, gateway.Config{
 		Capacity:       100,
 		Controller:     ctrl,
 		Estimator:      faulty,
@@ -131,14 +145,12 @@ func TestAuditRouteGradesGatewayWindow(t *testing.T) {
 		OverflowWindow: 64,
 		StaleAfter:     1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := cl.Gateway(0)
 	audit, err := qos.NewAudit(qos.AuditConfig{TargetPf: 1e-2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := start(t, Config{Gateway: g, Audit: audit})
+	e := start(t, Config{Cluster: cl, Audit: audit})
 	type report struct {
 		Estimate stats.WindowedEstimate `json:"estimate"`
 		Verdict  string                 `json:"verdict"`
@@ -160,7 +172,7 @@ func TestAuditRouteGradesGatewayWindow(t *testing.T) {
 	grade(qos.VerdictInsufficient.String())
 
 	for id := uint64(1); id <= 3; id++ {
-		if d, err := g.Admit(id, 1); err != nil || !d.Admitted {
+		if d, err := cl.Admit(id, 1); err != nil || !d.Admitted {
 			t.Fatalf("admit %d: %+v, %v", id, d, err)
 		}
 	}
@@ -168,14 +180,14 @@ func TestAuditRouteGradesGatewayWindow(t *testing.T) {
 	tick := func(n int) {
 		for range n {
 			now++
-			g.Tick(now)
+			cl.Tick(now)
 		}
 	}
 	tick(60) // aggregate 3 on a link of 100: no overflow
 	if rep := grade(qos.VerdictOK.String()); rep.Estimate.N < 60 || rep.Estimate.Hits != 0 {
 		t.Errorf("after 60 quiet ticks the window holds %+v", rep.Estimate)
 	}
-	if err := g.UpdateRate(1, 200); err != nil { // aggregate 202: every tick overflows
+	if err := cl.UpdateRate(1, 200); err != nil { // aggregate 202: every tick overflows
 		t.Fatal(err)
 	}
 	tick(60)
@@ -201,11 +213,12 @@ func TestAuditRouteGradesGatewayWindow(t *testing.T) {
 // counter, histogram, and the empty shard list a pure function of the
 // default config.
 func TestServerRouteCanonicalGolden(t *testing.T) {
-	srv, err := server.New(server.Config{Gateway: newGateway(t)})
+	cl := newCluster(t)
+	srv, err := server.New(server.Config{Backend: cl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := start(t, Config{Gateway: newGateway(t), Server: srv})
+	e := start(t, Config{Cluster: cl, Server: srv})
 	got := []byte(get(t, e, "/server"))
 
 	path := filepath.Join("..", "..", "results", "golden", "server-snapshot.json")
@@ -250,11 +263,12 @@ func TestServerRouteCanonicalGolden(t *testing.T) {
 
 // TestScrapesRaceTickAndAdmitBatch is the satellite race test: HTTP-level
 // Snapshot()/WritePrometheus scrapes through the dedicated server racing
-// Tick and AdmitBatch. It exists to fail under -race (the `make race`
-// tier) if any snapshot path reads hot-path state without coordination.
+// the cluster's Tick and AdmitBatch. It exists to fail under -race (the
+// `make race` tier) if any snapshot path reads hot-path state without
+// coordination.
 func TestScrapesRaceTickAndAdmitBatch(t *testing.T) {
-	g := newGateway(t)
-	e := start(t, Config{Gateway: g})
+	cl := newCluster(t)
+	e := start(t, Config{Cluster: cl})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -274,13 +288,13 @@ func TestScrapesRaceTickAndAdmitBatch(t *testing.T) {
 				rates[j] = 1
 			}
 			var err error
-			dst, err = g.AdmitBatch(ids, rates, dst[:0])
+			dst, err = cl.AdmitBatch(ids, rates, dst[:0])
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			for _, id := range ids {
-				g.Depart(id)
+				cl.Depart(id)
 			}
 		}
 	}()
@@ -291,7 +305,7 @@ func TestScrapesRaceTickAndAdmitBatch(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				g.Tick(now)
+				cl.Tick(now)
 			}
 		}
 	}()
@@ -299,6 +313,7 @@ func TestScrapesRaceTickAndAdmitBatch(t *testing.T) {
 	for time.Now().Before(deadline) {
 		get(t, e, "/metrics")
 		get(t, e, "/snapshot")
+		get(t, e, "/cluster")
 	}
 	close(stop)
 	wg.Wait()
@@ -306,19 +321,19 @@ func TestScrapesRaceTickAndAdmitBatch(t *testing.T) {
 
 // TestTwoEndpointsOneProcess pins the expvar rebinding: a second Start in
 // the same process must not panic on the duplicate "mbac" key, and the
-// expvar payload must follow the newest gateway.
+// expvar payload must follow the newest cluster's instance 0.
 func TestTwoEndpointsOneProcess(t *testing.T) {
-	e1 := start(t, Config{Gateway: newGateway(t)})
+	e1 := start(t, Config{Cluster: newCluster(t)})
 	get(t, e1, "/debug/vars")
-	e2 := start(t, Config{Gateway: newGateway(t)})
+	e2 := start(t, Config{Cluster: newCluster(t)})
 	get(t, e2, "/debug/vars")
 }
 
 func TestStartRejectsBadConfig(t *testing.T) {
-	if _, err := Start(Config{Addr: "127.0.0.1:0"}); err == nil {
-		t.Error("missing gateway accepted")
+	if _, err := Start(Config{Addr: "127.0.0.1:0"}); err == nil || err.Error() != "obs: Cluster is required" {
+		t.Errorf("missing cluster: %v", err)
 	}
-	if _, err := Start(Config{Addr: "256.0.0.1:bad", Gateway: newGateway(t)}); err == nil {
+	if _, err := Start(Config{Addr: "256.0.0.1:bad", Cluster: newCluster(t)}); err == nil {
 		t.Error("unbindable address accepted synchronously")
 	}
 }
@@ -338,7 +353,7 @@ func TestAdaptiveRouteCanonicalGolden(t *testing.T) {
 	for i := 0; i < 320; i++ {
 		tm, _ = ctrl.ObserveTick(float64(i)*0.5, 90, 90, 1.0, 0.3, tm)
 	}
-	e := start(t, Config{Gateway: newGateway(t), Adaptive: []*adaptive.Controller{ctrl}})
+	e := start(t, Config{Cluster: newCluster(t), Adaptive: []*adaptive.Controller{ctrl}})
 	got := []byte(get(t, e, "/adaptive"))
 
 	path := filepath.Join("..", "..", "results", "golden", "adaptive-snapshot.json")
@@ -378,7 +393,7 @@ func TestAdaptiveFleetMetrics(t *testing.T) {
 		}
 		return c
 	}
-	e := start(t, Config{Gateway: newGateway(t), Adaptive: []*adaptive.Controller{mk(), mk()}})
+	e := start(t, Config{Cluster: newCluster(t), Adaptive: []*adaptive.Controller{mk(), mk()}})
 	out := get(t, e, "/metrics")
 	for _, want := range []string{
 		`mbac_adaptive_instance_memory{instance="0"}`,

@@ -21,7 +21,10 @@ import (
 // schedule, and the typed hypothesis that grades the matrix. It decodes
 // strictly — unknown fields, unknown names and non-finite numbers are
 // rejected with positional errors — so a typo'd scenario fails loudly at
-// load time, never by silently running a different experiment.
+// load time, never by silently running a different experiment. The
+// language says only what its suite runs: every name it accepts is used by
+// some config under scenarios/ (TestEveryScenarioNameIsUsed), and a new
+// form lands with the scenario that spells it.
 type Config struct {
 	// Name is the scenario's identifier (also the report file stem).
 	Name string `json:"name"`
@@ -123,20 +126,14 @@ type ClientSpec struct {
 	Lie float64 `json:"lie,omitempty"`
 }
 
-// ModelSpec names a flow-rate model. Kind is one of "rcbr", "onoff",
-// "constant" or "mixture"; mixture components recurse one level.
+// ModelSpec names a flow-rate model. Kind is "rcbr" or "mixture"; mixture
+// components recurse one level.
 type ModelSpec struct {
 	Kind string `json:"kind"`
 	// rcbr: mean Mu (default 1), SVR, TC.
 	Mu  float64 `json:"mu,omitempty"`
 	SVR float64 `json:"svr,omitempty"`
 	TC  float64 `json:"tc,omitempty"`
-	// onoff: Peak, OnTime, OffTime.
-	Peak    float64 `json:"peak,omitempty"`
-	OnTime  float64 `json:"on_time,omitempty"`
-	OffTime float64 `json:"off_time,omitempty"`
-	// constant: Rate.
-	Rate float64 `json:"rate,omitempty"`
 	// mixture: weighted components.
 	Mix []MixComponent `json:"mix,omitempty"`
 }
@@ -162,12 +159,10 @@ type Gateway struct {
 	Memory    float64 `json:"memory,omitempty"`
 	// Adaptive attaches the online time-scale controller: each cell
 	// gateway retunes its estimator memory toward the critical time-scale
-	// T~_h = Th/sqrt(n) measured from its own traffic (churn workloads
-	// with a memory-bearing estimator only).
+	// T~_h = Th/sqrt(n) measured from its own traffic, with Th the churn
+	// workload's mean hold (churn workloads with a memory-bearing
+	// estimator only).
 	Adaptive bool `json:"adaptive,omitempty"`
-	// Th is the mean holding time the adaptive controller targets
-	// (default: the churn workload's hold).
-	Th float64 `json:"th,omitempty"`
 
 	FlowTTL    float64 `json:"flow_ttl,omitempty"`
 	StaleAfter int     `json:"stale_after,omitempty"`
@@ -210,13 +205,13 @@ type Arm struct {
 	// (default), "peak-rate" or "reject-all".
 	Degraded string `json:"degraded,omitempty"`
 
-	// Estimator, Memory and Adaptive override the shared gateway's
-	// measurement configuration for this arm only, so a scenario can race
-	// a fixed-memory estimator against the adaptive controller on the same
-	// workload. Empty/zero/nil means "inherit".
-	Estimator string  `json:"estimator,omitempty"`
-	Memory    float64 `json:"memory,omitempty"`
-	Adaptive  *bool   `json:"adaptive,omitempty"`
+	// Memory and Adaptive override the shared gateway's measurement
+	// memory and adaptive controller for this arm only, so a scenario can
+	// race a fixed-memory estimator against the adaptive controller on the
+	// same workload. Zero/nil means "inherit"; the estimator itself is the
+	// gateway's.
+	Memory   float64 `json:"memory,omitempty"`
+	Adaptive *bool   `json:"adaptive,omitempty"`
 
 	// Plan derives a certainty-equivalent arm's target from the paper:
 	// "eq15" (impulsive) aims at p_ce = Q(sqrt2 alpha_q); "robust"
@@ -242,26 +237,25 @@ type Hypothesis struct {
 	Invariant *Invariant     `json:"invariant,omitempty"`
 }
 
-// Dominance: on every seed, arm A's metric must relate to arm B's
-// (strictly) and by at least MinRatio (default 1).
+// Dominance: on every seed, arm A's metric must be strictly above arm B's,
+// and at least MinRatio (default 1) times it.
 type Dominance struct {
-	Metric   Metric   `json:"metric"`
-	A        string   `json:"a"`
-	B        string   `json:"b"`
-	Relation Relation `json:"relation"`
-	MinRatio float64  `json:"min_ratio,omitempty"`
+	Metric   Metric  `json:"metric"`
+	A        string  `json:"a"`
+	B        string  `json:"b"`
+	MinRatio float64 `json:"min_ratio,omitempty"`
 }
 
 // Interval grades each cell's windowed overflow estimate against a
 // reference level.
 type Interval struct {
 	// Reference is "sqrt2-law" (Q(alpha_q/sqrt2) for the configured p_q),
-	// "pq" (the target itself), "masking" (eq. 41's (SVR*alpha_q + 1)*p_q
-	// from the churn workload's flow-rate marginal) or "value" (explicit
-	// Value).
-	Reference string       `json:"reference"`
-	Value     float64      `json:"value,omitempty"`
-	Mode      IntervalMode `json:"mode"`
+	// "pq" (the target itself) or "masking" (eq. 41's (SVR*alpha_q + 1)*p_q
+	// from the churn workload's flow-rate marginal).
+	Reference string `json:"reference"`
+	// Mode is "covers" (the interval contains the reference) or "at-most"
+	// (its lower bound does not exceed it).
+	Mode IntervalMode `json:"mode"`
 	// Z is the Wilson quantile (default 1.96).
 	Z float64 `json:"z,omitempty"`
 	// QoSVerdict, when set, additionally requires the qos.Audit verdict of
@@ -317,13 +311,11 @@ type modelKind int
 
 const (
 	modelRCBR modelKind = iota
-	modelOnOff
-	modelConstant
 	modelMixture
 	modelKindEnd // sentinel: modelKindNames names every constant above
 )
 
-var modelKindNames = enum.New(modelRCBR, modelKindEnd, "rcbr", "onoff", "constant", "mixture")
+var modelKindNames = enum.New(modelRCBR, modelKindEnd, "rcbr", "mixture")
 
 // reference is the level an Interval hypothesis grades against.
 type reference int
@@ -332,11 +324,10 @@ const (
 	refSqrt2Law reference = iota
 	refPQ
 	refMasking
-	refValue
 	referenceEnd // sentinel: referenceNames names every constant above
 )
 
-var referenceNames = enum.New(refSqrt2Law, referenceEnd, "sqrt2-law", "pq", "masking", "value")
+var referenceNames = enum.New(refSqrt2Law, referenceEnd, "sqrt2-law", "pq", "masking")
 
 // plan is the paper's recipe an arm derives its targets from.
 type plan int
@@ -454,17 +445,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("scenario: %s: duplicate arm name %q", path, c.Arms[i].Name)
 		}
 		armNames[c.Arms[i].Name] = true
-	}
-	if c.Gateway.Th != 0 {
-		adaptiveSomewhere := c.Gateway.Adaptive
-		for i := range c.Arms {
-			if c.effectiveGateway(c.Arms[i]).Adaptive {
-				adaptiveSomewhere = true
-			}
-		}
-		if !adaptiveSomewhere {
-			return fmt.Errorf("scenario: gateway.th: only valid with adaptive measurement on the gateway or an arm")
-		}
 	}
 	// The windows themselves were checked where they are resolved: with
 	// the arms above.
@@ -670,20 +650,6 @@ func (m *ModelSpec) validate(path string, component bool) error {
 		if err := positive(path+".tc", m.TC); err != nil {
 			return err
 		}
-	case modelOnOff:
-		if err := positive(path+".peak", m.Peak); err != nil {
-			return err
-		}
-		if err := positive(path+".on_time", m.OnTime); err != nil {
-			return err
-		}
-		if err := positive(path+".off_time", m.OffTime); err != nil {
-			return err
-		}
-	case modelConstant:
-		if err := positive(path+".rate", m.Rate); err != nil {
-			return err
-		}
 	case modelMixture:
 		if component {
 			return fmt.Errorf("scenario: %s: mixtures do not nest", path)
@@ -719,12 +685,6 @@ func (g *Gateway) validate() error {
 	}
 	if _, err := validateEstimatorSpec("gateway", g.Estimator, g.Memory); err != nil {
 		return err
-	}
-	if err := finite("gateway.th", g.Th); err != nil {
-		return err
-	}
-	if g.Th < 0 {
-		return fmt.Errorf("scenario: gateway.th: %g must be non-negative", g.Th)
 	}
 	if err := finite("gateway.flow_ttl", g.FlowTTL); err != nil {
 		return err
@@ -768,16 +728,10 @@ func validateEstimatorSpec(path, est string, memory float64) (estimator.Mode, er
 }
 
 // effectiveGateway resolves the measurement configuration one arm's cell
-// runs under: the shared gateway spec with the arm's estimator/memory/
-// adaptive overrides applied. An arm that overrides the estimator kind
-// starts from memory 0 unless it sets its own, so a "window 5" base can
-// be raced against an "aggregate" arm without inheriting a nonsense W.
+// runs under: the shared gateway spec with the arm's memory/adaptive
+// overrides applied.
 func (c *Config) effectiveGateway(arm Arm) Gateway {
 	g := c.Gateway
-	if arm.Estimator != "" {
-		g.Estimator = arm.Estimator
-		g.Memory = 0
-	}
 	if arm.Memory != 0 {
 		g.Memory = arm.Memory
 	}
@@ -912,7 +866,7 @@ func (c *Config) resolvePlan(path string, a *armSpec) error {
 		if c.Workload.Kind != WorkloadContinuous {
 			return fmt.Errorf("scenario: %s.plan: robust requires a continuous workload", path)
 		}
-		if a.Estimator != "" || a.Memory != 0 {
+		if a.Memory != 0 {
 			return fmt.Errorf("scenario: %s.plan: robust sets the estimator and its memory; the arm may not", path)
 		}
 		m, err := buildModel(&c.Workload)
@@ -932,9 +886,8 @@ func (c *Config) resolvePlan(path string, a *armSpec) error {
 }
 
 // continuousMetric reports whether a continuous cell produces m: the
-// simulator counts admissions and carried load, and nothing else a metric
-// names.
-func continuousMetric(m Metric) bool { return m == MetricAdmitted || m == MetricUtilization }
+// simulator counts admissions, and nothing else a metric names.
+func continuousMetric(m Metric) bool { return m == MetricAdmitted }
 
 func (h *Hypothesis) validate(c *Config) error {
 	variants := 0
@@ -986,13 +939,6 @@ func (h *Hypothesis) validate(c *Config) error {
 			return err
 		}
 		iv.ref = ref
-		if ref == refValue {
-			if err := positive("check.interval.value", iv.Value); err != nil {
-				return err
-			}
-		} else if iv.Value != 0 {
-			return fmt.Errorf("scenario: check.interval.value: only valid with reference %q", referenceNames.String(refValue))
-		}
 		// Eq. 41's masking-regime prediction (SVR*alpha_q + 1) * p_q is
 		// computed from the churn workload's flow-rate marginal.
 		if ref == refMasking && c.Workload.Kind != WorkloadChurn {

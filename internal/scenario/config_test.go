@@ -74,7 +74,7 @@ func TestParseRejections(t *testing.T) {
 		{"peak-rate-on-rcbr-mixture", strings.Replace(strings.Replace(minimal(), `"policy": "certainty-equivalent"`, `"policy": "peak-rate"`, 1),
 			`"svr": 0.3`,
 			`"model": {"kind": "mixture", "mix": [
-				{"weight": 1, "model": {"kind": "constant", "rate": 1}},
+				{"weight": 1, "model": {"kind": "rcbr", "svr": 0.5}},
 				{"weight": 1, "model": {"kind": "rcbr", "svr": 0.3}}
 			]}`, 1),
 			`arms[0].peak is required: the workload's model declares no finite peak`},
@@ -112,7 +112,7 @@ func TestParseRejections(t *testing.T) {
 			`"svr": 0.3`,
 			`"model": {"kind": "mixture", "mix": [
 				{"weight": 1, "model": {"kind": "mixture", "mix": []}},
-				{"weight": 1, "model": {"kind": "constant", "rate": 1}}
+				{"weight": 1, "model": {"kind": "rcbr", "svr": 0.3}}
 			]}`, 1),
 			"mixtures do not nest"},
 		{"cluster-of-one", strings.Replace(minimal(),
@@ -151,17 +151,10 @@ func TestParseRejections(t *testing.T) {
 		{"aggregate-negative-memory", strings.Replace(minimal(),
 			`"pq": 0.01`, `"pq": 0.01, "estimator": "aggregate", "memory": -1`, 1),
 			"gateway.memory: -1 must be non-negative"},
-		{"th-without-adaptive", strings.Replace(minimal(),
-			`"pq": 0.01`, `"pq": 0.01, "th": 5`, 1),
-			"gateway.th: only valid with adaptive measurement"},
 		{"adaptive-needs-retunable", strings.Replace(minimal(),
 			`"pq": 0.01`, `"pq": 0.01, "adaptive": true`, 1),
 			`adaptive measurement requires a retunable estimator (exponential, window or aggregate), not "memoryless"`},
 		{"adaptive-needs-churn", imp(`"pq": 0.01`, `"pq": 0.01, "estimator": "aggregate", "adaptive": true`), "adaptive measurement requires a churn workload"},
-		{"arm-unknown-estimator", strings.Replace(minimal(),
-			`"policy": "certainty-equivalent"`,
-			`"policy": "certainty-equivalent", "estimator": "psychic"`, 1),
-			`arms[0].estimator: estimator: unknown mode "psychic"`},
 		{"arm-unknown-degraded", strings.Replace(minimal(),
 			`"policy": "certainty-equivalent"`,
 			`"policy": "certainty-equivalent", "degraded": "panic"`, 1),
@@ -169,7 +162,7 @@ func TestParseRejections(t *testing.T) {
 		{"unknown-workload-kind", strings.Replace(minimal(), `"kind": "churn"`, `"kind": "trickle"`, 1),
 			`workload.kind: unknown kind "trickle" (want impulsive, churn or continuous)`},
 		{"unknown-reference", strings.Replace(minimal(), `"reference": "pq"`, `"reference": "vibes"`, 1),
-			`check.interval.reference: unknown reference "vibes" (want sqrt2-law, pq, masking or value)`},
+			`check.interval.reference: unknown reference "vibes" (want sqrt2-law, pq or masking)`},
 		{"arm-memory-on-memoryless", strings.Replace(minimal(),
 			`"policy": "certainty-equivalent"`,
 			`"policy": "certainty-equivalent", "memory": 5`, 1),
@@ -181,14 +174,10 @@ func TestParseRejections(t *testing.T) {
 		{"shift-bad-model", strings.Replace(minimal(),
 			`"svr": 0.3`,
 			`"svr": 0.3, "shift": {"at": 5, "model": {"kind": "tarot"}}`, 1),
-			`workload.shift.model.kind: unknown model "tarot" (want rcbr, onoff, constant or mixture)`},
-		{"impulsive-with-shift", imp(`"svr": 0.3`, `"svr": 0.3, "shift": {"at": 5, "model": {"kind": "constant", "rate": 1}}`), "churn fields"},
+			`workload.shift.model.kind: unknown model "tarot" (want rcbr or mixture)`},
+		{"impulsive-with-shift", imp(`"svr": 0.3`, `"svr": 0.3, "shift": {"at": 5, "model": {"kind": "rcbr", "svr": 0.3}}`), "churn fields"},
 		{"masking-needs-churn", imp(lifecycle, `"check": {"kind": "interval", "interval": {"reference": "masking", "mode": "covers"}}`),
 			"masking reference requires a churn workload"},
-		{"masking-with-value", strings.Replace(minimal(),
-			`{"reference": "pq", "mode": "at-most"}`,
-			`{"reference": "masking", "mode": "covers", "value": 0.5}`, 1),
-			`interval.value: only valid with reference "value"`},
 		{"grade-after-outside-schedule", strings.Replace(minimal(),
 			`{"reference": "pq", "mode": "at-most"}`,
 			`{"reference": "pq", "mode": "at-most", "grade_after": 10}`, 1),
@@ -203,14 +192,15 @@ func TestParseRejections(t *testing.T) {
 			`"arms": [{"name": "a", "policy": "certainty-equivalent"}]`,
 			`"arms": [{"name": "a", "policy": "certainty-equivalent"}, {"name": "b", "policy": "peak-rate", "peak": 2}]`, 1),
 			`"check": {"kind": "interval", "interval": {"reference": "pq", "mode": "at-most"}}`,
-			`"check": {"kind": "dominance", "dominance": {"metric": "admitted", "a": "a", "b": "ghost", "relation": "greater"}}`, 1),
+			`"check": {"kind": "dominance", "dominance": {"metric": "admitted", "a": "a", "b": "ghost"}}`, 1),
 			`dominance.b: unknown arm "ghost"`},
 
 		{"continuous-needs-hold", cont(`"hold": 300`, `"hold": 0`), "workload.hold: 0 must be positive"},
 		{"continuous-on-network", cont(`"seeds": [1]`, `"seeds": [1], "target": "network"`), "target: the network substrate requires a churn workload"},
 		{"continuous-with-cluster", cont(`"pq": 0.01}`, `"pq": 0.01}, "cluster": {"instances": 3}`), "cluster: a cluster topology requires a churn workload"},
 		{"continuous-with-faults", cont(`"seeds": [1]`, `"seeds": [1], "faults": [{"mode": "nan", "from": 1, "to": 2}]`), "faults: fault windows require a churn workload"},
-		{"continuous-arm-adaptive", cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "estimator": "window", "memory": 5, "adaptive": true`),
+		{"continuous-arm-adaptive", strings.Replace(cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "adaptive": true`),
+			`"pq": 0.01`, `"pq": 0.01, "estimator": "window", "memory": 5`, 1),
 			"arms[0]: adaptive measurement requires a churn workload"},
 		{"continuous-arm-degraded", cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "degraded": "reject-all"`),
 			"arms[0].degraded: not valid for a continuous workload"},
@@ -220,11 +210,11 @@ func TestParseRejections(t *testing.T) {
 			"check.invariant.checks[1]: a continuous workload does not produce rejected-flows"},
 		{"continuous-expired-flows", cont(interval, `"check": {"kind": "invariant", "invariant": {"checks": ["expired-flows"]}}`),
 			"check.invariant.checks[0]: a continuous workload does not produce expired-flows"},
-		{"continuous-bound-metric", cont(interval, `"check": {"kind": "invariant", "invariant": {"bounds": [{"metric": "admitted", "at_most": 1e9}, {"metric": "degraded-ticks", "at_most": 1}]}}`),
-			"check.invariant.bounds[1].metric: a continuous workload does not produce degraded-ticks"},
-		{"continuous-dominance-metric", strings.Replace(cont(interval, `"check": {"kind": "dominance", "dominance": {"metric": "rejected", "a": "a", "b": "b", "relation": "greater"}}`),
+		{"continuous-bound-metric", cont(interval, `"check": {"kind": "invariant", "invariant": {"bounds": [{"metric": "admitted", "at_most": 1e9}, {"metric": "storm-admitted", "at_most": 1}]}}`),
+			"check.invariant.bounds[1].metric: a continuous workload does not produce storm-admitted"},
+		{"continuous-dominance-metric", strings.Replace(cont(interval, `"check": {"kind": "dominance", "dominance": {"metric": "served-p50", "a": "a", "b": "b"}}`),
 			`"policy": "certainty-equivalent"}`, `"policy": "certainty-equivalent"}, {"name": "b", "policy": "perfect-knowledge"}`, 1),
-			"check.dominance.metric: a continuous workload does not produce rejected"},
+			"check.dominance.metric: a continuous workload does not produce served-p50"},
 		{"continuous-masking", cont(`"reference": "pq"`, `"reference": "masking"`), "masking reference requires a churn workload"},
 		{"continuous-grade-after", cont(`"mode": "at-most"`, `"mode": "at-most", "grade_after": 5`), "grade_after: requires a churn workload"},
 		{"plan-unknown", cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "plan": "hope"`), `arms[0].plan: unknown plan "hope" (want eq15 or robust)`},
@@ -234,18 +224,42 @@ func TestParseRejections(t *testing.T) {
 			"arms[0].plan: robust requires a continuous workload"},
 		{"plan-on-perfect-knowledge", cont(`"policy": "certainty-equivalent"`, `"policy": "perfect-knowledge", "plan": "robust"`),
 			"arms[0].plan: only the certainty-equivalent policy takes a plan, not perfect-knowledge"},
-		{"plan-robust-with-estimator", cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "plan": "robust", "estimator": "window", "memory": 30`),
+		{"plan-robust-with-estimator", strings.Replace(cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "plan": "robust", "memory": 30`),
+			`"pq": 0.01`, `"pq": 0.01, "estimator": "window", "memory": 5`, 1),
 			"arms[0].plan: robust sets the estimator and its memory"},
 		{"plan-robust-with-memory", strings.Replace(cont(`"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "plan": "robust", "memory": 30`),
 			`"pq": 0.01`, `"pq": 0.01, "estimator": "exponential", "memory": 10`, 1),
 			"arms[0].plan: robust sets the estimator and its memory"},
+	}
+	// Fields and names the language once had, and no scenario ran, are
+	// refused as unknown like any typo.
+	for _, r := range []struct{ name, old, new, want string }{
+		{"gateway-th", `"pq": 0.01`, `"pq": 0.01, "th": 5`, `unknown field "th"`},
+		{"arm-estimator", `"policy": "certainty-equivalent"`, `"policy": "certainty-equivalent", "estimator": "window"`, `unknown field "estimator"`},
+		{"interval-value", `"mode": "at-most"`, `"mode": "at-most", "value": 0.5`, `unknown field "value"`},
+		{"model-rate", `"svr": 0.3`, `"model": {"kind": "rcbr", "svr": 0.3, "rate": 1}`, `unknown field "rate"`},
+		{"model-peak", `"svr": 0.3`, `"model": {"kind": "rcbr", "svr": 0.3, "peak": 2}`, `unknown field "peak"`},
+		{"model-on-time", `"svr": 0.3`, `"model": {"kind": "rcbr", "svr": 0.3, "on_time": 1}`, `unknown field "on_time"`},
+		{"model-off-time", `"svr": 0.3`, `"model": {"kind": "rcbr", "svr": 0.3, "off_time": 1}`, `unknown field "off_time"`},
+		{"dominance-relation", interval, `"check": {"kind": "dominance", "dominance": {"metric": "admitted", "a": "a", "b": "a", "relation": "greater"}}`, `unknown field "relation"`},
+		{"model-onoff", `"svr": 0.3`, `"model": {"kind": "onoff"}`, `unknown model "onoff"`},
+		{"model-constant", `"svr": 0.3`, `"model": {"kind": "constant"}`, `unknown model "constant"`},
+		{"reference-value", `"reference": "pq"`, `"reference": "value"`, `unknown reference "value"`},
+		{"mode-at-least", `"mode": "at-most"`, `"mode": "at-least"`, `unknown interval mode "at-least"`},
+	} {
+		cases = append(cases, struct{ name, json, want string }{"removed-" + r.name, strings.Replace(minimal(), r.old, r.new, 1), r.want})
+	}
+	for _, m := range []string{"rejected", "expired", "degraded-ticks", "utilization"} {
+		cases = append(cases, struct{ name, json, want string }{"removed-metric-" + m,
+			strings.Replace(minimal(), interval, `"check": {"kind": "invariant", "invariant": {"bounds": [{"metric": "`+m+`", "at_most": 1}]}}`, 1),
+			`unknown metric "` + m + `"`})
 	}
 	// Every field a continuous cell would silently ignore is refused by path.
 	for _, f := range []struct{ path, field string }{
 		{"workload.replications", `"replications": 10`}, {"workload.lambda", `"lambda": 1`},
 		{"workload.tick", `"tick": 0.5`}, {"workload.arrival_cv", `"arrival_cv": 2`},
 		{"workload.crowd", `"crowd": {"factor": 2, "from": 1, "to": 2}`}, {"workload.clients", `"clients": {"leak_p": 0.1}`},
-		{"workload.shift", `"shift": {"at": 5, "model": {"kind": "constant", "rate": 1}}`}, {"workload.renegotiate", `"renegotiate": true`},
+		{"workload.shift", `"shift": {"at": 5, "model": {"kind": "rcbr", "svr": 0.3}}`}, {"workload.renegotiate", `"renegotiate": true`},
 		{"gateway.adaptive", `"estimator": "window", "memory": 5, "adaptive": true`}, {"gateway.flow_ttl", `"flow_ttl": 5`},
 		{"gateway.stale_after", `"stale_after": 3`},
 	} {
@@ -325,9 +339,9 @@ func TestParseDefaultsIdempotent(t *testing.T) {
 	}
 }
 
-// TestEffectiveGateway pins the arm-override merge: estimator overrides
-// reset the inherited memory, memory overrides apply on top of whichever
-// estimator is in effect, and adaptive toggles independently.
+// TestEffectiveGateway pins the arm-override merge: an arm inherits the
+// gateway's estimator always, and its memory and adaptive controller
+// unless it overrides them; the two overrides apply independently.
 func TestEffectiveGateway(t *testing.T) {
 	cfg, err := Parse([]byte(`{
 		"name": "t", "seeds": [1],
@@ -336,7 +350,7 @@ func TestEffectiveGateway(t *testing.T) {
 		"arms": [
 			{"name": "inherit", "policy": "certainty-equivalent"},
 			{"name": "fixed", "policy": "certainty-equivalent", "memory": 0.5, "adaptive": false},
-			{"name": "agg", "policy": "certainty-equivalent", "estimator": "aggregate"}
+			{"name": "longer", "policy": "certainty-equivalent", "memory": 10}
 		],
 		"check": {"kind": "interval", "interval": {"reference": "masking", "mode": "covers"}}
 	}`))
@@ -351,9 +365,9 @@ func TestEffectiveGateway(t *testing.T) {
 	if fixed.Estimator != "window" || fixed.Memory != 0.5 || fixed.Adaptive {
 		t.Fatalf("fixed arm overrides not applied: %+v", fixed)
 	}
-	agg := cfg.effectiveGateway(cfg.Arms[2])
-	if agg.Estimator != "aggregate" || agg.Memory != 0 || !agg.Adaptive {
-		t.Fatalf("estimator override must reset inherited memory: %+v", agg)
+	longer := cfg.effectiveGateway(cfg.Arms[2])
+	if longer.Estimator != "window" || longer.Memory != 10 || !longer.Adaptive {
+		t.Fatalf("a memory override must leave adaptive inherited: %+v", longer)
 	}
 }
 
@@ -409,35 +423,33 @@ func goldenNames[T interface {
 	}
 }
 
-// TestEnumRoundTrips pins the names of the six enumerations — scenario
+// TestEnumRoundTrips pins the names of the five enumerations — scenario
 // files and golden reports spell them — and the JSON codec over them.
 func TestEnumRoundTrips(t *testing.T) {
 	goldenNames(t, "Verdict", ParseVerdict, "Inconclusive", "Confirmed", "Refuted")
 	goldenNames(t, "HypothesisKind", ParseHypothesisKind, "dominance", "interval", "invariant")
 	goldenNames(t, "InvariantKind", ParseInvariantKind,
 		"lifecycle", "expired-flows", "rejected-flows", "substrate-identity", "migrated-flows")
-	goldenNames(t, "Metric", ParseMetric, "admitted", "rejected", "expired", "storm-admitted",
-		"degraded-ticks", "utilization", "served-p50", "served-p99")
-	goldenNames(t, "Relation", ParseRelation, "greater", "less")
-	goldenNames(t, "IntervalMode", ParseIntervalMode, "covers", "at-most", "at-least")
+	goldenNames(t, "Metric", ParseMetric, "admitted", "storm-admitted", "served-p50", "served-p99")
+	goldenNames(t, "IntervalMode", ParseIntervalMode, "covers", "at-most")
 
 	// JSON round trip through struct fields: the text codec is what the
 	// strict decoder and the reports use.
-	in := Dominance{Metric: MetricExpired, Relation: RelLess}
+	in := Dominance{Metric: MetricStormAdmitted}
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"metric":"expired","a":"","b":"","relation":"less"}`; string(data) != want {
+	if want := `{"metric":"storm-admitted","a":"","b":""}`; string(data) != want {
 		t.Fatalf("Dominance encodes as %s, want %s", data, want)
 	}
 	var back Dominance
 	if err := json.Unmarshal(data, &back); err != nil || back != in {
 		t.Fatalf("Dominance JSON round trip: %+v, %v", back, err)
 	}
-	if err := json.Unmarshal([]byte(`{"relation":"sideways"}`), &back); err == nil ||
-		!strings.Contains(err.Error(), `scenario: unknown relation "sideways" (want greater or less)`) {
-		t.Fatalf("unknown relation decoded: %v", err)
+	if err := json.Unmarshal([]byte(`{"metric":"sideways"}`), &back); err == nil ||
+		!strings.Contains(err.Error(), `scenario: unknown metric "sideways" (want admitted, storm-admitted, served-p50 or served-p99)`) {
+		t.Fatalf("unknown metric decoded: %v", err)
 	}
 }
 

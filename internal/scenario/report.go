@@ -99,11 +99,7 @@ func (r *Result) writeDesign(b *strings.Builder) {
 		fmt.Fprintf(b, " (memory %g)", g.Memory)
 	}
 	if g.Adaptive {
-		th := g.Th
-		if th == 0 {
-			th = cfg.Workload.Hold
-		}
-		fmt.Fprintf(b, ", adaptive time-scale (Th %g)", th)
+		fmt.Fprintf(b, ", adaptive time-scale (Th %g)", cfg.Workload.Hold)
 	}
 	if g.FlowTTL > 0 {
 		fmt.Fprintf(b, ", flow TTL %g", g.FlowTTL)
@@ -141,9 +137,6 @@ func (r *Result) writeDesign(b *strings.Builder) {
 		}
 		if a.Degraded != "" {
 			fmt.Fprintf(b, ", degraded policy %s", a.Degraded)
-		}
-		if a.Estimator != "" {
-			fmt.Fprintf(b, ", estimator %s", a.Estimator)
 		}
 		if a.Memory != 0 {
 			fmt.Fprintf(b, ", memory %g", a.Memory)
@@ -184,10 +177,6 @@ func modelLine(m *ModelSpec) string {
 	switch m.Kind {
 	case "rcbr":
 		return fmt.Sprintf("RCBR(mu %g, SVR %g, Tc %g)", m.Mu, m.SVR, m.TC)
-	case "onoff":
-		return fmt.Sprintf("on-off(peak %g, on %g, off %g)", m.Peak, m.OnTime, m.OffTime)
-	case "constant":
-		return fmt.Sprintf("constant(rate %g)", m.Rate)
 	case "mixture":
 		parts := make([]string, len(m.Mix))
 		for i := range m.Mix {

@@ -52,13 +52,13 @@ type HypothesisKind int
 
 const (
 	// HypDominance compares one scalar metric between two named arms,
-	// seed by seed: arm A must relate to arm B (greater/less) with at
-	// least the configured effect-size ratio on every seed.
+	// seed by seed: arm A's must exceed arm B's by at least the configured
+	// effect-size ratio on every seed.
 	HypDominance HypothesisKind = iota
 	// HypInterval grades each cell's windowed overflow estimate against a
-	// reference level (the sqrt2-law prediction, the target p_q, or an
-	// explicit value): the Wilson interval must cover it, sit at or below
-	// it, or sit at or above it.
+	// reference level (the sqrt2-law prediction, the target p_q, or eq.
+	// 41's masking level): the Wilson interval must cover it, or sit at or
+	// below it.
 	HypInterval
 	// HypInvariant asserts structural predicates (flow-lifecycle
 	// conservation, lease expiries observed, substrate identity) over
@@ -131,23 +131,16 @@ func (k *InvariantKind) UnmarshalText(b []byte) error {
 	return enum.UnmarshalText(k, b, ParseInvariantKind)
 }
 
-// Metric names one per-cell scalar a dominance hypothesis can compare.
+// Metric names one per-cell scalar a dominance hypothesis compares or an
+// invariant bound pins.
 type Metric int
 
 const (
 	// MetricAdmitted: cumulative admissions.
 	MetricAdmitted Metric = iota
-	// MetricRejected: cumulative capacity rejections.
-	MetricRejected
-	// MetricExpired: cumulative lease-sweep reclaims.
-	MetricExpired
 	// MetricStormAdmitted: admissions granted while the gateway served
 	// under its degraded policy.
 	MetricStormAdmitted
-	// MetricDegradedTicks: measurement ticks served degraded.
-	MetricDegradedTicks
-	// MetricUtilization: mean measured aggregate rate over capacity.
-	MetricUtilization
 	// MetricServedP50: median served seconds per decision (network target
 	// only; 0 in-process).
 	MetricServedP50
@@ -157,9 +150,7 @@ const (
 	metricEnd // sentinel: metricNames names every constant above
 )
 
-var metricNames = enum.New(MetricAdmitted, metricEnd,
-	"admitted", "rejected", "expired", "storm-admitted", "degraded-ticks",
-	"utilization", "served-p50", "served-p99")
+var metricNames = enum.New(MetricAdmitted, metricEnd, "admitted", "storm-admitted", "served-p50", "served-p99")
 
 // String implements fmt.Stringer.
 func (m Metric) String() string { return metricNames.String(m) }
@@ -179,33 +170,6 @@ func (m Metric) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 // UnmarshalText decodes the string form.
 func (m *Metric) UnmarshalText(b []byte) error { return enum.UnmarshalText(m, b, ParseMetric) }
 
-// Relation is the direction of a dominance comparison.
-type Relation int
-
-const (
-	// RelGreater: arm A's metric must strictly exceed arm B's.
-	RelGreater Relation = iota
-	// RelLess: arm A's metric must be strictly below arm B's.
-	RelLess
-	relationEnd // sentinel: relationNames names every constant above
-)
-
-var relationNames = enum.New(RelGreater, relationEnd, "greater", "less")
-
-// String implements fmt.Stringer.
-func (r Relation) String() string { return relationNames.String(r) }
-
-// ParseRelation is the inverse of Relation.String.
-func ParseRelation(s string) (Relation, error) {
-	return relationNames.Parse("scenario: unknown relation", s)
-}
-
-// MarshalText encodes the relation as its string form.
-func (r Relation) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
-
-// UnmarshalText decodes the string form.
-func (r *Relation) UnmarshalText(b []byte) error { return enum.UnmarshalText(r, b, ParseRelation) }
-
 // IntervalMode selects how an interval hypothesis grades the Wilson
 // interval against its reference level.
 type IntervalMode int
@@ -217,13 +181,10 @@ const (
 	// IntervalAtMost: the interval's lower bound must not exceed the
 	// reference (the measurement is not significantly above it).
 	IntervalAtMost
-	// IntervalAtLeast: the interval's upper bound must not fall below the
-	// reference (the measurement is not significantly below it).
-	IntervalAtLeast
 	intervalModeEnd // sentinel: intervalModeNames names every constant above
 )
 
-var intervalModeNames = enum.New(IntervalCovers, intervalModeEnd, "covers", "at-most", "at-least")
+var intervalModeNames = enum.New(IntervalCovers, intervalModeEnd, "covers", "at-most")
 
 // String implements fmt.Stringer.
 func (m IntervalMode) String() string { return intervalModeNames.String(m) }

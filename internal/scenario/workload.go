@@ -77,16 +77,8 @@ func (c CellResult) Metric(m Metric) float64 {
 	switch m {
 	case MetricAdmitted:
 		return float64(c.Stats.Admitted)
-	case MetricRejected:
-		return float64(c.Stats.Rejected)
-	case MetricExpired:
-		return float64(c.Stats.Expired)
 	case MetricStormAdmitted:
 		return float64(c.StormAdmitted)
-	case MetricDegradedTicks:
-		return float64(c.DegradedTicks)
-	case MetricUtilization:
-		return c.UtilMean
 	case MetricServedP50:
 		return c.ServedP50
 	case MetricServedP99:
@@ -111,10 +103,6 @@ func (m *ModelSpec) build() (traffic.Model, error) {
 	switch kind {
 	case modelRCBR:
 		return traffic.NewRCBR(m.Mu, m.SVR, m.TC), nil
-	case modelOnOff:
-		return traffic.OnOff{PeakRate: m.Peak, OnTime: m.OnTime, OffTime: m.OffTime}, nil
-	case modelConstant:
-		return traffic.Constant{Rate: m.Rate}, nil
 	default: // modelMixture
 		models := make([]traffic.Model, len(m.Mix))
 		weights := make([]float64, len(m.Mix))
@@ -195,13 +183,9 @@ func cellGatewayConfig(cfg *Config, arm armSpec, ts traffic.Stats, tick float64,
 	if !spec.Adaptive {
 		return gcfg, nil, nil
 	}
-	// Th defaults to the churn workload's mean holding time — the horizon
-	// the critical time-scale T~_h = Th/sqrt(n) scales down from.
-	th := spec.Th
-	if th == 0 {
-		th = cfg.Workload.Hold
-	}
-	if tuner, err = adaptive.New(adaptive.Config{Capacity: spec.Capacity, Th: th, PQ: spec.PQ}); err != nil {
+	// Th is the churn workload's mean holding time — the horizon the
+	// critical time-scale T~_h = Th/sqrt(n) scales down from.
+	if tuner, err = adaptive.New(adaptive.Config{Capacity: spec.Capacity, Th: cfg.Workload.Hold, PQ: spec.PQ}); err != nil {
 		return gcfg, nil, err
 	}
 	gcfg.Tuner = tuner
